@@ -31,7 +31,6 @@ from .assoc import (
 )
 from .bridge import (
     MixedSectorError,
-    ModuleContext,
     RecoveryReport,
     build_module_context,
     charge_sector,
@@ -79,10 +78,8 @@ from .vertex import (
     y_coefficient,
 )
 from .zhu import (
-    ZhuNormalForm,
     circ_general,
     o_action_on_v0,
-    zhu_circ,
     zhu_embed,
     zhu_iso_check,
     zhu_reduce,

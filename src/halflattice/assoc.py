@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .combination import Combination, accumulate
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
@@ -40,13 +41,13 @@ def gen_d(j: int) -> BGen:
     return ("d", int(j))
 
 
-class BElement:
+class BElement(Combination):
     """Rational combination of generator words in the free d-version."""
 
-    __slots__ = ("words",)
+    __slots__ = ()
 
-    def __init__(self, words: Mapping):
-        self.words = {tuple(w): Fraction(c) for w, c in words.items() if c}
+    def __init__(self, terms: Mapping):
+        super().__init__({tuple(w): c for w, c in terms.items()})
 
     @staticmethod
     def one() -> "BElement":
@@ -64,53 +65,22 @@ class BElement:
     def d(j: int) -> "BElement":
         return BElement({(gen_d(j),): Fraction(1)})
 
-    def __add__(self, other: "BElement") -> "BElement":
-        data = dict(self.words)
-        for w, c in other.words.items():
-            new = data.get(w, 0) + c
-            if new:
-                data[w] = new
-            else:
-                data.pop(w, None)
-        return BElement(data)
-
-    def __sub__(self, other: "BElement") -> "BElement":
-        return self + (-other)
-
-    def __neg__(self) -> "BElement":
-        return BElement({w: -c for w, c in self.words.items()})
-
     def __mul__(self, other) -> "BElement":
         if not isinstance(other, BElement):
-            q = Fraction(other)
-            return BElement({w: q * c for w, c in self.words.items()})
+            return super().__mul__(other)
         data: dict = {}
-        for w1, c1 in self.words.items():
-            for w2, c2 in other.words.items():
-                w = w1 + w2
-                new = data.get(w, 0) + c1 * c2
-                if new:
-                    data[w] = new
-                else:
-                    data.pop(w, None)
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                accumulate(data, w1 + w2, c1 * c2)
         return BElement(data)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BElement) and self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.words.items()))
-
-    def is_zero(self) -> bool:
-        return not self.words
-
     def __str__(self) -> str:
-        if not self.words:
+        if not self.terms:
             return "0"
         chunks = []
-        for word, coeff in sorted(self.words.items(), key=lambda kv: repr(kv[0])):
+        for word, coeff in sorted(self.terms.items(), key=lambda kv: repr(kv[0])):
             name = "*".join(
                 f"e[{','.join(map(str, g[1]))}]" if g[0] == "e" else f"d{g[1]}"
                 for g in word
@@ -121,14 +91,14 @@ class BElement:
     __repr__ = __str__
 
 
-class AElement:
+class AElement(Combination):
     """Normal form: finitely supported map (charge, d-exponents) -> rational."""
 
-    __slots__ = ("nu", "terms")
+    __slots__ = ("nu",)
 
     def __init__(self, nu: int, terms: Mapping):
         self.nu = int(nu)
-        self.terms = {}
+        checked = {}
         for (charge, dexp), coeff in terms.items():
             charge = tuple(int(m) for m in charge)
             dexp = tuple(int(e) for e in dexp)
@@ -136,37 +106,20 @@ class AElement:
                 raise ValueError(f"keys must have {self.nu} entries")
             if any(e < 0 for e in dexp):
                 raise ValueError("d-exponents must be nonnegative")
-            q = Fraction(coeff)
-            if q:
-                self.terms[(charge, dexp)] = q
+            checked[(charge, dexp)] = coeff
+        super().__init__(checked)
+
+    def shape(self) -> int:
+        return self.nu
+
+    def _make(self, terms: Mapping) -> "AElement":
+        return AElement(self.nu, terms)
 
     @staticmethod
     def monomial(nu: int, charge=None, dexp=None, coeff=1) -> "AElement":
         charge = tuple(charge) if charge is not None else (0,) * nu
         dexp = tuple(dexp) if dexp is not None else (0,) * nu
         return AElement(nu, {(charge, dexp): Fraction(coeff)})
-
-    def __add__(self, other: "AElement") -> "AElement":
-        data = dict(self.terms)
-        for t, c in other.terms.items():
-            new = data.get(t, 0) + c
-            if new:
-                data[t] = new
-            else:
-                data.pop(t, None)
-        return AElement(self.nu, data)
-
-    def __sub__(self, other: "AElement") -> "AElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AElement":
-        return AElement(self.nu, {t: -c for t, c in self.terms.items()})
-
-    def scale(self, q) -> "AElement":
-        q = Fraction(q)
-        return AElement(self.nu, {t: q * c for t, c in self.terms.items()})
-
-    __rmul__ = scale
 
     def mul(self, other: "AElement", cfg: LatticeConfig) -> "AElement":
         """Product in the straightened algebra with commuting d's.
@@ -188,37 +141,8 @@ class AElement:
                     if not coeff:
                         continue
                     dexp = tuple(j + l for j, l in zip(J, L))
-                    key = (charge, dexp)
-                    new = data.get(key, 0) + coeff
-                    if new:
-                        data[key] = new
-                    else:
-                        data.pop(key, None)
+                    accumulate(data, (charge, dexp), coeff)
         return AElement(self.nu, data)
-
-    def to_b_element(self) -> BElement:
-        words = {}
-        for (charge, dexp), coeff in self.terms.items():
-            word = []
-            if any(charge):
-                word.append(gen_e(charge))
-            for i, e in enumerate(dexp):
-                word.extend([gen_d(i + 1)] * e)
-            words[tuple(word)] = coeff
-        return BElement(words)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AElement)
-            and self.nu == other.nu
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nu, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -240,57 +164,18 @@ class AElement:
     __repr__ = __str__
 
 
-class BNormalForm:
-    """Normal form in the free version: charge left, ordered d-word right."""
-
-    __slots__ = ("nu", "terms")
-
-    def __init__(self, nu: int, terms: Mapping):
-        self.nu = int(nu)
-        self.terms = {
-            (tuple(charge), tuple(word)): Fraction(c)
-            for (charge, word), c in terms.items()
-            if c
-        }
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BNormalForm)
-            and self.nu == other.nu
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_b_element(self) -> BElement:
-        words = {}
-        for (charge, dword), coeff in self.terms.items():
-            word = []
-            if any(charge):
-                word.append(gen_e(charge))
-            word.extend(gen_d(j) for j in dword)
-            words[tuple(word)] = coeff
-        return BElement(words)
-
-    def __str__(self) -> str:
-        return str(self.to_b_element())
-
-    __repr__ = __str__
-
-
 def a_normal_form(x: BElement, cfg: LatticeConfig, target: str = "A"):
     """Confluent straightening of a generator-word combination.
 
     Every swap of an adjacent (d_i, e_alpha) pair strictly reduces the number
     of such inversions, so the rewriting terminates; charges then merge on
-    the left.  With target "A" the d-word is additionally sorted into a
-    commutative exponent vector.
+    the left.  Target "B" returns the charge-left ``BElement``; with target
+    "A" the d-word is additionally sorted into a commutative exponent vector.
     """
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
     collected: dict = {}
-    work = list(x.words.items())
+    work = list(x.terms.items())
     while work:
         word, coeff = work.pop()
         for pos in range(len(word) - 1):
@@ -311,70 +196,35 @@ def a_normal_form(x: BElement, cfg: LatticeConfig, target: str = "A"):
                     charge = [a + b for a, b in zip(charge, g[1])]
                 else:
                     dword.append(g[1])
-            key = (tuple(charge), tuple(dword))
-            new = collected.get(key, 0) + coeff
-            if new:
-                collected[key] = new
-            else:
-                collected.pop(key, None)
+            accumulate(collected, (tuple(charge), tuple(dword)), coeff)
     if target == "B":
-        return BNormalForm(cfg.nu, collected)
+        return BElement({
+            ((gen_e(charge),) if any(charge) else ()) + tuple(gen_d(j) for j in dword): coeff
+            for (charge, dword), coeff in collected.items()
+        })
     data: dict = {}
     for (charge, dword), coeff in collected.items():
         dexp = [0] * cfg.nu
         for j in dword:
             dexp[j - 1] += 1
-        key = (charge, tuple(dexp))
-        new = data.get(key, 0) + coeff
-        if new:
-            data[key] = new
-        else:
-            data.pop(key, None)
+        accumulate(data, (charge, tuple(dexp)), coeff)
     return AElement(cfg.nu, data)
 
 
 # -- weight modules ---------------------------------------------------------------
 
 
-class WeightVector:
+class WeightVector(Combination):
     """Rational combination of lattice points of a weight module."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping):
-        self.terms = {tuple(p): Fraction(c) for p, c in terms.items() if c}
+        super().__init__({tuple(p): c for p, c in terms.items()})
 
     @staticmethod
     def point(p, coeff=1) -> "WeightVector":
         return WeightVector({tuple(Fraction(x) for x in p): Fraction(coeff)})
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        data = dict(self.terms)
-        for p, c in other.terms.items():
-            new = data.get(p, 0) + c
-            if new:
-                data[p] = new
-            else:
-                data.pop(p, None)
-        return WeightVector(data)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        q = Fraction(scalar)
-        return WeightVector({p: q * c for p, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -432,7 +282,7 @@ class WeightModule:
 def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> WeightVector:
     """Linear extension of the generator actions, words applied right to left."""
     out: dict = {}
-    for word, coeff in x.words.items():
+    for word, coeff in x.terms.items():
         for label, c0 in m.terms.items():
             states = {module.validate_label(label): coeff * c0}
             for g in reversed(word):
@@ -446,20 +296,12 @@ def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> 
                         )
                         moves = module.d_action(dcoeffs, lab)
                     for q, lab2 in moves:
-                        val = new.get(lab2, 0) + q * c
-                        if val:
-                            new[lab2] = val
-                        else:
-                            new.pop(lab2, None)
+                        accumulate(new, lab2, q * c)
                 states = new
                 if not states:
                     break
             for lab, c in states.items():
-                val = out.get(lab, 0) + c
-                if val:
-                    out[lab] = val
-                else:
-                    out.pop(lab, None)
+                accumulate(out, lab, c)
     return WeightVector(out)
 
 
@@ -544,7 +386,7 @@ def omega_d_act(spec: OmegaSpec, j: int, f: LaurentPoly) -> LaurentPoly:
 
 def act_on_omega_module(x: BElement, f: LaurentPoly, spec: OmegaSpec) -> LaurentPoly:
     out = spec.ring.zero()
-    for word, coeff in x.words.items():
+    for word, coeff in x.terms.items():
         g = f
         for gen in reversed(word):
             if gen[0] == "e":
@@ -580,12 +422,9 @@ class OmegaModule:
     def validate_label(self, label) -> tuple:
         return self.spec.ring.check_exponents(label)
 
-    def _decompose(self, poly: LaurentPoly):
-        return [(c, e) for e, c in poly.terms()]
-
     def e_action(self, charge: tuple, label: tuple):
         poly = omega_e_act(self.spec, charge, self.spec.ring.monomial(label))
-        return [(c, e) for e, c in poly.terms()]
+        return [(c, e) for e, c in poly.sorted_terms()]
 
     def d_action(self, dcoeffs: tuple, label: tuple):
         out: dict = {}
@@ -593,12 +432,8 @@ class OmegaModule:
         for j, q in enumerate(dcoeffs, start=1):
             if not q:
                 continue
-            for e, c in omega_d_act(self.spec, j, mono).terms():
-                new = out.get(e, 0) + q * c
-                if new:
-                    out[e] = new
-                else:
-                    out.pop(e, None)
+            for e, c in omega_d_act(self.spec, j, mono).terms.items():
+                accumulate(out, e, q * c)
         return [(c, e) for e, c in sorted(out.items())]
 
     def probe_labels(self, laurent_radius: int = 1, poly_degree: int = 2) -> list[tuple]:
@@ -639,7 +474,7 @@ def decompose_potential(spec: OmegaSpec):
     pures: list[dict] = [dict() for _ in range(spec.mu - 1)]
     for j in range(1, spec.mu):
         jj = j - 1
-        for exps, coeff in spec.f_of(j).terms():
+        for exps, coeff in spec.f_of(j).sorted_terms():
             mixed = any(exps[i] for i in range(spec.mu - 1) if i != jj)
             if not mixed:
                 pures[jj][exps] = coeff
@@ -760,7 +595,7 @@ def mult_b_element(spec: OmegaSpec, f: LaurentPoly) -> BElement:
     if f.max_variable() >= spec.mu:
         raise ValueError("only the Laurent variables multiply via translations")
     words = {}
-    for exps, coeff in f.terms():
+    for exps, coeff in f.sorted_terms():
         charge = tuple(exps[i] if i < spec.mu - 1 else 0 for i in range(spec.nu))
         words[(gen_e(charge),) if any(charge) else ()] = coeff
     return BElement(words)

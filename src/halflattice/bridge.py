@@ -11,61 +11,29 @@ their zero modes and charge translations by the transport operators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fock import ModuleElement, charge_element, fock_weight, fock_word
+from .combination import accumulate
+from .fock import ModuleElement, charge_element, fock_weight
 from .identities import ActionCache
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
 from .vertex import (
     OperatorContext,
+    _ann_charge,
+    _creation_dressing,
     _exp_coeff,
     _partitions,
     apply_heisenberg_mode,
     module_operator_context,
     truncation_bound,
-    y_coefficient,
 )
 
 
-@dataclass
-class ModuleContext:
-    """A built Fock module: operator context plus suite defaults."""
-
-    ctx: OperatorContext
-    degree_bound: int = 4
-    mode_window: int = 3
-
-    @property
-    def cfg(self) -> LatticeConfig:
-        return self.ctx.cfg
-
-    @property
-    def lam(self) -> LatticeVector:
-        return self.ctx.lam
-
-    @property
-    def handle(self):
-        return self.ctx.handle
-
-
-def build_module_context(
-    cfg: LatticeConfig,
-    lam: LatticeVector,
-    handle,
-    degree_bound: int = 4,
-    mode_window: int = 3,
-) -> ModuleContext:
-    """Validate the weight vector and wrap the coefficient module.
-
-    The weight must have zero c-coordinates and pair integrally with every
-    charge, which pins its d-coordinates to multiples of 1/k.
-    """
-    ctx = module_operator_context(cfg, lam, handle)
-    return ModuleContext(ctx, degree_bound=degree_bound, mode_window=mode_window)
+# Module contexts have one constructor; the bridge's callers know it by this name.
+build_module_context = module_operator_context
 
 
 # -- vacuum space ---------------------------------------------------------------------
@@ -91,7 +59,7 @@ def _fock_level(cfg: LatticeConfig, weight: int) -> list:
 
 
 def vacuum_basis(
-    mctx: ModuleContext,
+    mctx: OperatorContext,
     degree_bound: int,
     labels: Sequence,
 ) -> list[ModuleElement]:
@@ -104,7 +72,6 @@ def vacuum_basis(
     itself under the unit Fock factor.
     """
     cfg = mctx.cfg
-    ctx = mctx.ctx
     fock_solutions: list[dict] = [{(): Fraction(1)}]  # level 0
     for level in range(1, degree_bound + 1):
         basis = _fock_level(cfg, level)
@@ -139,13 +106,13 @@ def vacuum_basis(
     return out
 
 
-def is_vacuum_vector(w: ModuleElement, mctx: ModuleContext) -> bool:
+def is_vacuum_vector(w: ModuleElement, mctx: OperatorContext) -> bool:
     """True when every positive mode annihilates the state."""
     cfg = mctx.cfg
     top = max((fock_weight(word) for (word, _) in w.terms), default=0)
     for n in range(1, top + 1):
         for dir_ in range(cfg.ndirs):
-            if not apply_heisenberg_mode(cfg.dir_vector(dir_), n, w, mctx.ctx).is_zero():
+            if not apply_heisenberg_mode(cfg.dir_vector(dir_), n, w, mctx).is_zero():
                 return False
     return True
 
@@ -157,7 +124,7 @@ def z_operator(
     alpha: Sequence[int],
     n: int,
     w: ModuleElement,
-    mctx: ModuleContext,
+    mctx: OperatorContext,
     cache: Optional[ActionCache] = None,
 ) -> ModuleElement:
     """Coefficient of the dressed lattice operator at index n.
@@ -170,11 +137,10 @@ def z_operator(
     z^(-n-1) is a finite double sum, cut off by the action truncation.
     """
     cfg = mctx.cfg
-    ctx = mctx.ctx
     charge = tuple(int(m) for m in alpha)
     e_alpha = charge_element(cfg.nu, charge)
-    cache = cache or ActionCache(ctx)
-    out = ctx.zero_element()
+    cache = cache or ActionCache(mctx)
+    out: dict = {}
     top = max((fock_weight(word) for (word, _) in w.terms), default=0)
     if not any(charge):
         top = 0
@@ -184,66 +150,33 @@ def z_operator(
             states = {key: coeff * c for key, c in w.terms.items()}
             for part, mult in pplus:
                 for _ in range(mult):
-                    states = _contract_charge(cfg, states, charge, part)
+                    states = _ann_charge(cfg, states, charge, part)
                     if not states:
                         break
             if not states:
                 continue
-            annihilated = ctx.element(states)
-            bound = truncation_bound(e_alpha, annihilated, ctx)
+            annihilated = mctx.element(states)
+            bound = truncation_bound(e_alpha, annihilated, mctx)
             a = 0
             while n + a - b <= bound:
                 inner = cache.act(e_alpha, n + a - b, annihilated)
                 if not inner.is_zero():
                     for pminus in _partitions(a):
-                        dressed = {
-                            key: _exp_coeff(pminus, -1) * c
-                            for key, c in inner.terms.items()
-                        }
-                        for part, mult in pminus:
-                            for _ in range(mult):
-                                new: dict = {}
-                                for (word, label), c in dressed.items():
-                                    for i, m_i in enumerate(charge):
-                                        if m_i:
-                                            key = (fock_word(word + ((i, part),)), label)
-                                            val = new.get(key, 0) + c * m_i
-                                            if val:
-                                                new[key] = val
-                                            else:
-                                                new.pop(key, None)
-                                dressed = new
-                        out = out + ctx.element(dressed)
+                        dressed = _creation_dressing(
+                            {key: _exp_coeff(pminus, -1) * c for key, c in inner.terms.items()},
+                            charge, pminus,
+                        )
+                        for key, c in dressed.items():
+                            accumulate(out, key, c)
                 a += 1
-    return out
-
-
-def _contract_charge(cfg, states: dict, charge: tuple, mode: int) -> dict:
-    out: dict = {}
-    for (word, label), coeff in states.items():
-        for pos, (d2, m2) in enumerate(word):
-            if m2 != mode or d2 < cfg.nu:
-                continue
-            m_i = charge[d2 - cfg.nu]
-            if m_i:
-                key = (word[:pos] + word[pos + 1 :], label)
-                val = out.get(key, 0) + coeff * mode * cfg.k * m_i
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def _all_vacuum(w: ModuleElement) -> bool:
-    return all(not word for (word, _label) in w.terms)
+    return mctx.element(out)
 
 
 class MixedSectorError(ValueError):
     """A state mixes distinct zero-mode eigenvalue sectors."""
 
 
-def charge_sector(direction, w: ModuleElement, mctx: ModuleContext) -> Fraction:
+def charge_sector(direction, w: ModuleElement, mctx: OperatorContext) -> Fraction:
     """Eigenvalue of the zero mode of a lattice vector on w.
 
     Accepts a charge tuple or a general lattice vector; raises when the
@@ -253,7 +186,7 @@ def charge_sector(direction, w: ModuleElement, mctx: ModuleContext) -> Fraction:
     vec = direction if isinstance(direction, LatticeVector) else cfg.from_charge(direction)
     if w.is_zero():
         raise ValueError("the zero state has no sector")
-    image = apply_heisenberg_mode(vec, 0, w, mctx.ctx)
+    image = apply_heisenberg_mode(vec, 0, w, mctx)
     key, coeff = next(iter(w.terms.items()))
     ratio = image.terms.get(key, Fraction(0)) / coeff
     if image != ratio * w:
@@ -261,7 +194,7 @@ def charge_sector(direction, w: ModuleElement, mctx: ModuleContext) -> Fraction:
     return ratio
 
 
-def t_operator(alpha: Sequence[int], w: ModuleElement, mctx: ModuleContext) -> ModuleElement:
+def t_operator(alpha: Sequence[int], w: ModuleElement, mctx: OperatorContext) -> ModuleElement:
     """The z-independent transport operator on a vacuum weight sector.
 
     Strips the definite power z^(alpha, sector weight) off the dressed
@@ -291,7 +224,7 @@ class RecoveryReport:
         return self.ok
 
 
-def recover_a_module(mctx: ModuleContext, labels: Sequence) -> RecoveryReport:
+def recover_a_module(mctx: OperatorContext, labels: Sequence) -> RecoveryReport:
     """Tabulate zero modes and transport operators on the vacuum slice.
 
     Verifies that the tabulated action satisfies the straightening relations
@@ -308,14 +241,14 @@ def recover_a_module(mctx: ModuleContext, labels: Sequence) -> RecoveryReport:
         charges.append(tuple(plus))
         plus[i] = -1
         charges.append(tuple(plus))
-    vac_states = {label: mctx.ctx.state_of_label(handle.validate_label(label)) for label in labels}
+    vac_states = {label: mctx.state_of_label(handle.validate_label(label)) for label in labels}
 
     def as_module_element(moves) -> ModuleElement:
         return ModuleElement({((), lab): q for q, lab in moves})
 
     for label, state in vac_states.items():
         for j in range(1, cfg.nu + 1):
-            got = apply_heisenberg_mode(cfg.d_basis(j), 0, state, mctx.ctx)
+            got = apply_heisenberg_mode(cfg.d_basis(j), 0, state, mctx)
             want = as_module_element(
                 handle.d_action(tuple(Fraction(int(i == j - 1)) for i in range(cfg.nu)), label)
             )
@@ -333,7 +266,7 @@ def recover_a_module(mctx: ModuleContext, labels: Sequence) -> RecoveryReport:
 
     def t_or_zero(charge, state):
         if state.is_zero():
-            return mctx.ctx.zero_element()
+            return mctx.zero_element()
         return t_operator(charge, state, mctx)
 
     # straightening relations on the recovered action
@@ -342,8 +275,8 @@ def recover_a_module(mctx: ModuleContext, labels: Sequence) -> RecoveryReport:
             d_j = cfg.d_basis(j)
             for charge in charges:
                 t_state = t_operator(charge, state, mctx)
-                lhs = apply_heisenberg_mode(d_j, 0, t_state, mctx.ctx)
-                rhs = t_or_zero(charge, apply_heisenberg_mode(d_j, 0, state, mctx.ctx)) \
+                lhs = apply_heisenberg_mode(d_j, 0, t_state, mctx)
+                rhs = t_or_zero(charge, apply_heisenberg_mode(d_j, 0, state, mctx)) \
                     + cfg.pairing(d_j, cfg.from_charge(charge)) * t_state
                 if lhs != rhs:
                     report.relations_ok = False

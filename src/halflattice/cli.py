@@ -22,11 +22,9 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from .assoc import (
     WeightVector,
-    a_normal_form,
     act_on_omega_module,
     act_on_weight_module,
     decompose_potential,
@@ -34,8 +32,8 @@ from .assoc import (
     iso_decide,
     simplicity_witness,
 )
+from .combination import accumulate
 from .lattice import LatticeConfig
-from .laurent import LaurentRing
 from .serialize import (
     SchemaError,
     b_element_to_data,
@@ -51,7 +49,7 @@ from .serialize import (
 )
 from .suites import SUITES, SuiteConfig, run_verification
 from .vertex import nth_product
-from .zhu import zhu_reduce, zhu_star
+from .zhu import zhu_embed, zhu_reduce, zhu_star
 
 
 def _dump(data) -> str:
@@ -80,10 +78,17 @@ def _suite_config(args) -> SuiteConfig:
         unknown = set(doc) - known
         if unknown:
             raise SchemaError(args.config, f"unknown config fields: {sorted(unknown)}")
-        config = replace(config, **{k: int(v) for k, v in doc.items()})
-    if getattr(args, "nu", None):
+        lower = {"nu": 1, "probe_count": 1, "mode_window": 0, "jacobi_window": 0, "max_degree": 0}
+        for name, value in doc.items():
+            path = f"{args.config}.{name}"
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchemaError(path, f"expected an integer, got {value!r}")
+            if name in lower and value < lower[name]:
+                raise SchemaError(path, f"must be at least {lower[name]}, got {value}")
+        config = replace(config, **doc)
+    if getattr(args, "nu", None) is not None:
         config = replace(config, nu=args.nu)
-    if getattr(args, "k", None):
+    if getattr(args, "k", None) is not None:
         config = replace(config, k=args.k)
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
@@ -118,7 +123,7 @@ def _cmd_eval_zhu(args) -> int:
     if args.json:
         print(_dump({
             "raw": velement_to_data(raw),
-            "reduced": velement_to_data(reduced.to_velement()),
+            "reduced": velement_to_data(zhu_embed(reduced)),
         }))
     else:
         print("raw:    ", raw)
@@ -143,9 +148,8 @@ def _cmd_eval_act(args) -> int:
         terms = {}
         for i, rec in enumerate(doc):
             point = tuple(parse_fraction(x_, f"m[{i}].point") for x_ in rec.get("point", []))
-            terms[handle.validate_label(point)] = terms.get(point, 0) + parse_fraction(
-                rec.get("coeff", 1), f"m[{i}].coeff"
-            )
+            accumulate(terms, handle.validate_label(point),
+                       parse_fraction(rec.get("coeff", 1), f"m[{i}].coeff"))
         result = act_on_weight_module(x, WeightVector(terms), handle)
         payload = [
             {"coeff": format_fraction(c), "point": [format_fraction(p) for p in pt]}

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .combination import Combination
+
 FockWord = tuple  # tuple[tuple[int, int], ...]
 
 
@@ -36,70 +38,7 @@ def fock_weight(word: FockWord) -> int:
     return sum(mode for _, mode in word)
 
 
-class _Combination:
-    """Finitely supported rational combination over hashable term keys."""
-
-    __slots__ = ("terms", "_key")
-
-    def __init__(self, terms: Mapping):
-        self.terms = {t: Fraction(c) for t, c in terms.items() if c}
-        self._key = None
-
-    def _make(self, terms: Mapping):
-        return type(self)(terms)
-
-    def _check(self, other) -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-
-    def __add__(self, other):
-        self._check(other)
-        data = dict(self.terms)
-        for t, c in other.terms.items():
-            new = data.get(t, 0) + c
-            if new:
-                data[t] = new
-            else:
-                data.pop(t, None)
-        return self._make(data)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._make({t: -c for t, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        q = Fraction(scalar)
-        return self._make({t: q * c for t, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def key(self):
-        """Hashable canonical form, usable as a cache key."""
-        if self._key is None:
-            self._key = (type(self).__name__, tuple(sorted(self.terms.items())))
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-class VElement(_Combination):
+class VElement(Combination):
     """Element of the half-lattice algebra: Fock part tensor a charge."""
 
     __slots__ = ("nu",)
@@ -118,18 +57,11 @@ class VElement(_Combination):
             checked[(word, charge)] = coeff
         super().__init__(checked)
 
+    def shape(self) -> int:
+        return self.nu
+
     def _make(self, terms: Mapping) -> "VElement":
         return VElement(self.nu, terms)
-
-    def _check(self, other) -> None:
-        super()._check(other)
-        if other.nu != self.nu:
-            raise ValueError(f"rank mismatch: nu={self.nu} vs nu={other.nu}")
-
-    def key(self):
-        if self._key is None:
-            self._key = ("V", self.nu, tuple(sorted(self.terms.items())))
-        return self._key
 
     def __str__(self) -> str:
         return _format_terms(self.terms, self.nu, _charge_str)
@@ -137,7 +69,7 @@ class VElement(_Combination):
     __repr__ = __str__
 
 
-class ModuleElement(_Combination):
+class ModuleElement(Combination):
     """Fock part tensor an opaque coefficient-module basis label."""
 
     __slots__ = ()

@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
+from .combination import Combination, accumulate
+
 
 class CutoffError(ValueError):
     """A polynomial-only variable would receive a negative exponent."""
@@ -74,37 +76,36 @@ class LaurentRing:
         return LaurentPoly(self, data)
 
 
-class LaurentPoly:
+class LaurentPoly(Combination):
     """Immutable sparse Laurent polynomial over the rationals."""
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: LaurentRing, terms: dict):
         self.ring = ring
-        self._terms = {e: c for e, c in terms.items() if c}
-        self._hash = None
+        super().__init__(terms)
+
+    def shape(self) -> LaurentRing:
+        return self.ring
+
+    def _make(self, terms: Mapping) -> "LaurentPoly":
+        return LaurentPoly(self.ring, terms)
 
     # -- container-ish access -------------------------------------------------
 
-    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in the canonical (lexicographic) order."""
-        return sorted(self._terms.items())
+        return sorted(self.terms.items())
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(int(e) for e in exps), Fraction(0))
+        return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
 
     def monomials(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return sorted(self.terms)
 
     def is_constant(self) -> bool:
         zero = (0,) * self.ring.nvars
-        return all(e == zero for e in self._terms)
+        return all(e == zero for e in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -114,7 +115,7 @@ class LaurentPoly:
     def max_variable(self) -> int:
         """Largest 1-based variable index with a nonzero exponent; 0 if none."""
         top = 0
-        for exps in self._terms:
+        for exps in self.terms:
             for j in range(self.ring.nvars - 1, top - 1, -1):
                 if exps[j]:
                     top = max(top, j + 1)
@@ -122,29 +123,18 @@ class LaurentPoly:
         return top
 
     # -- ring operations -------------------------------------------------------
+    # + and - accept rational scalars as constants; the combination core
+    # checks that both sides live in the same ring.
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
             return other
         return self.ring.constant(other)
 
     def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            new = data.get(e, 0) + c
-            if new:
-                data[e] = new
-            else:
-                data.pop(e, None)
-        return LaurentPoly(self.ring, data)
+        return super().__add__(self._coerce(other))
 
     __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -154,18 +144,12 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            q = Fraction(other)
-            return LaurentPoly(self.ring, {e: q * c for e, c in self._terms.items()})
-        other = self._coerce(other)
+            return super().__mul__(other)
+        self._check(other)
         data: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                new = data.get(e, 0) + c1 * c2
-                if new:
-                    data[e] = new
-                else:
-                    data.pop(e, None)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                accumulate(data, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return LaurentPoly(self.ring, data)
 
     __rmul__ = __mul__
@@ -183,16 +167,11 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.ring == other.ring and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self == self.ring.constant(other)
-        return NotImplemented
+            other = self.ring.constant(other)
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self._terms.items())))
-        return self._hash
+    __hash__ = Combination.__hash__
 
     # -- the two structural operators ------------------------------------------
 
@@ -211,15 +190,11 @@ class LaurentPoly:
             return self
         jj = j - 1
         data: dict = {}
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.terms.items():
             e = exps[jj]
             for i in range(e + 1):
                 new = exps[:jj] + (i,) + exps[jj + 1 :]
-                c = data.get(new, 0) + coeff * comb(e, i) * Fraction(-m) ** (e - i)
-                if c:
-                    data[new] = c
-                else:
-                    data.pop(new, None)
+                accumulate(data, new, coeff * comb(e, i) * Fraction(-m) ** (e - i))
         return LaurentPoly(self.ring, data)
 
     def degree_derivation(self, j: int) -> "LaurentPoly":
@@ -229,30 +204,30 @@ class LaurentPoly:
         jj = j - 1
         return LaurentPoly(
             self.ring,
-            {e: c * e[jj] for e, c in self._terms.items() if e[jj]},
+            {e: c * e[jj] for e, c in self.terms.items() if e[jj]},
         )
 
     def deg_plus(self, j: int) -> int:
         """Top t_j exponent, with deg_plus(0) = 0 by convention."""
-        if not self._terms:
+        if not self.terms:
             return 0
         jj = j - 1
-        return max(e[jj] for e in self._terms)
+        return max(e[jj] for e in self.terms)
 
     def deg_minus(self, j: int) -> int:
         """Bottom t_j exponent, with deg_minus(0) = 0 by convention."""
-        if not self._terms:
+        if not self.terms:
             return 0
         jj = j - 1
-        return min(e[jj] for e in self._terms)
+        return min(e[jj] for e in self.terms)
 
     # -- printing ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         chunks = []
-        for exps, coeff in self.terms():
+        for exps, coeff in self.sorted_terms():
             factors = [
                 f"t{j + 1}" if e == 1 else f"t{j + 1}^{e}"
                 for j, e in enumerate(exps)

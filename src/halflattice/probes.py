@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .assoc import AElement, OmegaSpec
+from .combination import accumulate
 from .fock import ModuleElement, VElement, fock_word
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
@@ -54,7 +54,7 @@ def rand_velement(
             rand_fock_factors(rng, cfg.nu, max_weight),
             rand_charge(rng, cfg.nu, charge_bound),
         )
-        terms[key] = terms.get(key, 0) + rand_fraction(rng, nonzero=True)
+        accumulate(terms, key, rand_fraction(rng, nonzero=True))
     return VElement(cfg.nu, terms)
 
 
@@ -72,7 +72,7 @@ def rand_module_element(
             rand_fock_factors(rng, cfg.nu, max_weight),
             handle.validate_label(rng.choice(labels)),
         )
-        terms[key] = terms.get(key, 0) + rand_fraction(rng, nonzero=True)
+        accumulate(terms, key, rand_fraction(rng, nonzero=True))
     return ModuleElement(terms)
 
 
@@ -135,5 +135,5 @@ def rand_a_element(
         for _ in range(budget):
             dexp[rng.randrange(cfg.nu)] += 1
         key = (charge, tuple(dexp))
-        terms[key] = terms.get(key, 0) + rand_fraction(rng, nonzero=True)
+        accumulate(terms, key, rand_fraction(rng, nonzero=True))
     return AElement(cfg.nu, terms)

@@ -8,11 +8,11 @@ violations without reading tracebacks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .assoc import AElement, BElement, OmegaSpec, WeightModule, OmegaModule, gen_d, gen_e
+from .combination import accumulate
 from .fock import ModuleElement, VElement, fock_word
-from .lattice import LatticeConfig, LatticeVector
+from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
 
@@ -65,7 +65,7 @@ def _int(value, path: str) -> int:
 
 def laurent_to_data(f: LaurentPoly) -> list:
     return [
-        {"coeff": format_fraction(c), "exponents": list(e)} for e, c in f.terms()
+        {"coeff": format_fraction(c), "exponents": list(e)} for e, c in f.sorted_terms()
     ]
 
 
@@ -121,7 +121,7 @@ def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VEleme
         charge = _expect_list(rec.get("charge"), f"{path}.terms[{i}].charge", cfg.nu)
         charge = tuple(_int(m, f"{path}.terms[{i}].charge") for m in charge)
         key = (fock_word(fock), charge)
-        terms[key] = terms.get(key, 0) + coeff
+        accumulate(terms, key, coeff)
     return VElement(cfg.nu, terms)
 
 
@@ -169,7 +169,7 @@ def module_element_from_data(doc, cfg: LatticeConfig, handle, path: str = "eleme
             fock.append((_int(pair[0], "dir"), _int(pair[1], "mode")))
         label = _label_from_data(rec.get("w"), handle, f"{path}.terms[{i}].w")
         key = (fock_word(fock), label)
-        terms[key] = terms.get(key, 0) + coeff
+        accumulate(terms, key, coeff)
     return ModuleElement(terms)
 
 
@@ -201,13 +201,13 @@ def a_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> AElem
         if any(e < 0 for e in dexp):
             raise SchemaError(f"{path}.terms[{i}].d_exponents", "exponents must be nonnegative")
         key = (tuple(_int(m, "charge") for m in charge), tuple(dexp))
-        terms[key] = terms.get(key, 0) + coeff
+        accumulate(terms, key, coeff)
     return AElement(cfg.nu, terms)
 
 
 def b_element_to_data(x: BElement) -> dict:
     words = []
-    for word, coeff in sorted(x.words.items(), key=lambda kv: repr(kv[0])):
+    for word, coeff in sorted(x.terms.items(), key=lambda kv: repr(kv[0])):
         factors = []
         for g in word:
             if g[0] == "e":
@@ -243,7 +243,7 @@ def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> BElem
                     f"{path}.words[{i}].factors[{j}]", "factor needs an 'e' or 'd' key"
                 )
         key = tuple(word)
-        words[key] = words.get(key, 0) + coeff
+        accumulate(words, key, coeff)
     return BElement(words)
 
 

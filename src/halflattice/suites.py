@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .assoc import (
     BElement,
@@ -65,11 +65,9 @@ from .vertex import (
 from .zhu import (
     circ_general,
     o_action_on_v0,
-    zhu_circ,
     zhu_embed,
     zhu_iso_check,
     zhu_reduce,
-    zhu_star,
 )
 
 
@@ -86,7 +84,8 @@ class SuiteConfig:
     seed: int = 7
 
     def resolved(self, default_nu: int, default_k: int) -> tuple[int, int]:
-        return (self.nu or default_nu, self.k or default_k)
+        return (default_nu if self.nu is None else self.nu,
+                default_k if self.k is None else self.k)
 
     def echo(self, nu: int, k: int) -> dict:
         return {
@@ -174,6 +173,15 @@ def _generators(cfg: LatticeConfig) -> list[tuple[str, VElement]]:
     return gens
 
 
+def _first_failure(cases):
+    """The first (where, residual) of a lazy sweep whose residual is truthy, else None.
+
+    Nonzero combinations and failed comparisons are truthy, so the sweep
+    stops at its first failing case.
+    """
+    return next(((where, res) for where, res in cases if res), None)
+
+
 def _default_omega_spec(nu: int) -> OmegaSpec:
     ring = LaurentRing(nu, 1)
     return OmegaSpec(nu, 2, (ring.variable(1),), tuple(Fraction(i + 2) for i in range(nu - 1)))
@@ -210,17 +218,13 @@ def suite_heisenberg(config: SuiteConfig) -> SuiteReport:
     for i in range(cfg.ndirs):
         for j in range(cfg.ndirs):
             h1, h2 = cfg.dir_vector(i), cfg.dir_vector(j)
-            first_fail = None
-            for m, n in itertools.product(window, window):
-                for idx, s in enumerate(probes):
-                    res = heisenberg_residual(h1, m, h2, n, s, ctx)
-                    if not res.is_zero():
-                        first_fail = (m, n, idx, res)
-                        break
-                if first_fail:
-                    break
+            fail = _first_failure(
+                ((m, n, idx), heisenberg_residual(h1, m, h2, n, s, ctx))
+                for m, n in itertools.product(window, window)
+                for idx, s in enumerate(probes)
+            )
             cid = f"bracket/{cfg.dir_name(i)}:{cfg.dir_name(j)}"
-            report.add(cid, first_fail is None, first_fail or "")
+            report.add(cid, fail is None, fail or "")
     return report.finish()
 
 
@@ -236,9 +240,7 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
     heis = _generators(cfg)[: 2 * cfg.nu]
     charges = _generators(cfg)[2 * cfg.nu :]
 
-    contexts = [("adjoint", adjoint_context(cfg))]
-    for kind, mctx in _module_contexts(cfg):
-        contexts.append((kind, mctx.ctx))
+    contexts = [("adjoint", adjoint_context(cfg))] + _module_contexts(cfg)
 
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
@@ -287,30 +289,24 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
     ctx = adjoint_context(cfg)
     cache = ActionCache(ctx)
     for (n1, u), (n2, v), (n3, w) in itertools.product(gens, gens, gens):
-        fail = None
-        for m, n, kk in triples:
-            res = borcherds_residual(u, v, w, m, n, kk, ctx, cache)
-            if not res.is_zero():
-                fail = ((m, n, kk), res)
-                break
+        fail = _first_failure(
+            ((m, n, kk), borcherds_residual(u, v, w, m, n, kk, ctx, cache))
+            for m, n, kk in triples
+        )
         report.add(f"adjoint/{n1}:{n2}:{n3}", fail is None, fail or "")
 
     for kind, mctx in _module_contexts(cfg):
-        mcache = ActionCache(mctx.ctx)
+        mcache = ActionCache(mctx)
         wprobes = [
-            mctx.ctx.state_of_label(mctx.handle.base_label()),
+            mctx.state_of_label(mctx.handle.base_label()),
             rand_module_element(rng, cfg, mctx.handle, max_weight=2),
         ]
         for (n1, u), (n2, v) in itertools.product(gens, gens):
-            fail = None
-            for widx, w in enumerate(wprobes):
-                for m, n, kk in triples:
-                    res = borcherds_residual(u, v, w, m, n, kk, mctx.ctx, mcache)
-                    if not res.is_zero():
-                        fail = ((m, n, kk), widx, res)
-                        break
-                if fail:
-                    break
+            fail = _first_failure(
+                (((m, n, kk), widx), borcherds_residual(u, v, w, m, n, kk, mctx, mcache))
+                for widx, w in enumerate(wprobes)
+                for m, n, kk in triples
+            )
             report.add(f"module-{kind}/{n1}:{n2}", fail is None, fail or "")
     return report.finish()
 
@@ -319,8 +315,8 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_virasoro(config: SuiteConfig) -> SuiteReport:
-    nus = [config.nu] if config.nu else [1, 2, 3]
-    k = config.k or 1
+    nus = [1, 2, 3] if config.nu is None else [config.nu]
+    k = 1 if config.k is None else config.k
     report = SuiteReport("virasoro", config.echo(config.nu or 0, k))
     rng = random.Random(config.seed)
     grid = range(-4, 5)
@@ -334,24 +330,20 @@ def suite_virasoro(config: SuiteConfig) -> SuiteReport:
             ("dressed", fock_element(nu, [(0, 1), (nu, 1)], [0] * (nu - 1) + [1])),
         ]
         for name, s in canonical:
-            fail = None
-            for m, n in itertools.product(grid, grid):
-                res = virasoro_residual(m, n, s, ctx, cache)
-                if not res.is_zero():
-                    fail = (m, n, res)
-                    break
+            fail = _first_failure(
+                ((m, n), virasoro_residual(m, n, s, ctx, cache))
+                for m, n in itertools.product(grid, grid)
+            )
             report.add(f"nu{nu}/grid/{name}", fail is None, fail or "")
-        fail = None
-        for idx in range(config.probe_count):
-            s = rand_velement(rng, cfg, max_weight=3)
-            for _ in range(3):
-                m, n = rng.randint(-4, 4), rng.randint(-4, 4)
-                res = virasoro_residual(m, n, s, ctx, cache)
-                if not res.is_zero():
-                    fail = (idx, m, n)
-                    break
-            if fail:
-                break
+
+        def seeded_probes():
+            for idx in range(config.probe_count):
+                s = rand_velement(rng, cfg, max_weight=3)
+                for _ in range(3):
+                    m, n = rng.randint(-4, 4), rng.randint(-4, 4)
+                    yield (idx, m, n), virasoro_residual(m, n, s, ctx, cache)
+
+        fail = _first_failure(seeded_probes())
         report.add(f"nu{nu}/seeded-probes", fail is None, fail or "")
         one = vacuum(nu)
         got = cache.act(conformal_vector(cfg), 3, cache.act(conformal_vector(cfg), -1, one))
@@ -371,27 +363,22 @@ def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
     rng = random.Random(config.seed)
     window = range(-config.jacobi_window, config.jacobi_window + 1)
 
-    contexts = [("adjoint", adjoint_context(cfg))]
-    contexts.extend((kind, mctx.ctx) for kind, mctx in _module_contexts(cfg))
+    contexts = [("adjoint", adjoint_context(cfg))] + _module_contexts(cfg)
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
         if ctx.is_adjoint:
             targets = [rand_velement(rng, cfg, max_weight=3) for _ in range(4)]
         else:
             targets = [rand_module_element(rng, cfg, ctx.handle, max_weight=2) for _ in range(3)]
-        fail = None
-        for uidx in range(8):
-            u = rand_velement(rng, cfg, max_weight=3)
-            for n in window:
-                for widx, w in enumerate(targets):
-                    res = d_derivative_residual(u, n, w, ctx, cache)
-                    if not res.is_zero():
-                        fail = (uidx, n, widx, res)
-                        break
-                if fail:
-                    break
-            if fail:
-                break
+
+        def cases():
+            for uidx in range(8):
+                u = rand_velement(rng, cfg, max_weight=3)
+                for n in window:
+                    for widx, w in enumerate(targets):
+                        yield (uidx, n, widx), d_derivative_residual(u, n, w, ctx, cache)
+
+        fail = _first_failure(cases())
         report.add(f"translation-derivative/{ctx_name}", fail is None, fail or "")
     return report.finish()
 
@@ -414,35 +401,33 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
         fs = (t1 * t2, t1 * t2) + tuple(ring.zero() for _ in range(0))
         specs.append(OmegaSpec(nu, 3, fs, tuple(Fraction(2) for _ in range(nu - 2))))
 
-    for sidx, spec in enumerate(specs):
-        fail = None
+    def relation_cases(spec):
         for trial in range(config.probe_count * 2):
             j = rng.randint(1, nu)
             charge = tuple(rng.randint(-2, 2) for _ in range(nu))
             f = rand_nonzero_laurent(rng, spec.ring, n_terms=2, exp_bound=2)
             d_j, e_a = BElement.d(j), BElement.e(charge)
             rel = d_j * e_a - e_a * d_j - cfg.k * charge[j - 1] * e_a
-            got = act_on_omega_module(rel, f, spec)
-            if not got.is_zero():
-                fail = (trial, j, charge, got)
-                break
+            yield (trial, j, charge), act_on_omega_module(rel, f, spec)
+
+    for sidx, spec in enumerate(specs):
+        fail = _first_failure(relation_cases(spec))
         report.add(f"defining-relation/spec{sidx}", fail is None, fail or "")
 
     # shift identity: the scaled substitution pulls t - m out of a product
     ring1 = LaurentRing(1, 0)
-    fail = None
-    for m in range(6):
-        for trial in range(10):
-            f = rand_nonzero_laurent(rng, ring1, n_terms=3, exp_bound=3)
-            a = Fraction(rng.randint(1, 5))
-            t = ring1.variable(1)
-            lhs = (a**m) * (t * f).shift(1, m)
-            rhs = (t - ring1.constant(m)) * ((a**m) * f.shift(1, m))
-            if lhs != rhs:
-                fail = (m, trial)
-                break
-        if fail:
-            break
+
+    def shift_cases():
+        for m in range(6):
+            for trial in range(10):
+                f = rand_nonzero_laurent(rng, ring1, n_terms=3, exp_bound=3)
+                a = Fraction(rng.randint(1, 5))
+                t = ring1.variable(1)
+                lhs = (a**m) * (t * f).shift(1, m)
+                rhs = (t - ring1.constant(m)) * ((a**m) * f.shift(1, m))
+                yield (m, trial), lhs != rhs
+
+    fail = _first_failure(shift_cases())
     report.add("shift-identity", fail is None, fail or "")
 
     # symmetric-derivation failure makes the degree operators non-commuting
@@ -453,27 +438,23 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
             tuple(Fraction(2) for _ in range(nu - 2)),
         )
         comm = BElement.d(1) * BElement.d(2) - BElement.d(2) * BElement.d(1)
-        witness = None
-        for trial in range(20):
-            f = rand_nonzero_laurent(rng, bad.ring, n_terms=2, exp_bound=2)
-            got = act_on_omega_module(comm, f, bad)
-            if not got.is_zero():
-                witness = got
-                break
+        witness = _first_failure(
+            (trial, act_on_omega_module(comm, f, bad))
+            for trial in range(20)
+            for f in [rand_nonzero_laurent(rng, bad.ring, n_terms=2, exp_bound=2)]
+        )
         report.add("non-symmetric-spec-commutator-nonzero", witness is not None,
                    "" if witness is not None else "commutator vanished on all probes")
         good = rand_a_module_spec(rng, nu, 3)
-        fail = None
-        for trial in range(config.probe_count):
-            f = rand_nonzero_laurent(rng, good.ring, n_terms=2, exp_bound=2)
-            for i, j in itertools.combinations(range(1, 3), 2):
-                comm = BElement.d(i) * BElement.d(j) - BElement.d(j) * BElement.d(i)
-                got = act_on_omega_module(comm, f, good)
-                if not got.is_zero():
-                    fail = (trial, i, j, got)
-                    break
-            if fail:
-                break
+
+        def commutator_cases():
+            for trial in range(config.probe_count):
+                f = rand_nonzero_laurent(rng, good.ring, n_terms=2, exp_bound=2)
+                for i, j in itertools.combinations(range(1, 3), 2):
+                    comm = BElement.d(i) * BElement.d(j) - BElement.d(j) * BElement.d(i)
+                    yield (trial, i, j), act_on_omega_module(comm, f, good)
+
+        fail = _first_failure(commutator_cases())
         report.add("symmetric-spec-commutator-vanishes", fail is None, fail or "")
     return report.finish()
 
@@ -575,42 +556,39 @@ def suite_classification(config: SuiteConfig) -> SuiteReport:
         report.add(f"iso-brute-agree/{name}", brute == (decided is not None),
                    "" if brute == (decided is not None) else f"brute={brute}")
 
-    fail = None
-    for trial in range(10):
-        mu = rng.randint(1, nu + 1)
-        spec = rand_a_module_spec(rng, nu, mu)
-        ok_flag, _ = is_a_module_spec(spec)
-        got = decompose_potential(spec)
-        if not ok_flag or got is None:
-            fail = (trial, "decomposition missing")
-            break
-        P, parts = got
-        for j in range(1, mu):
-            if P.degree_derivation(j) + parts[j - 1] != spec.f_of(j):
-                fail = (trial, j)
-                break
-        if fail:
-            break
+    def potential_cases():
+        for trial in range(10):
+            mu = rng.randint(1, nu + 1)
+            spec = rand_a_module_spec(rng, nu, mu)
+            ok_flag, _ = is_a_module_spec(spec)
+            got = decompose_potential(spec)
+            if not ok_flag or got is None:
+                yield trial, "decomposition missing"
+                continue
+            P, parts = got
+            for j in range(1, mu):
+                yield (trial, j), P.degree_derivation(j) + parts[j - 1] != spec.f_of(j)
+
+    fail = _first_failure(potential_cases())
     report.add("potential-roundtrip", fail is None, fail or "")
 
-    specs = [_default_omega_spec(nu)]
-    specs.append(OmegaSpec(nu, 1, (), tuple(Fraction(i + 1, 2) for i in range(nu))))
-    for sidx, spec in enumerate(specs):
-        fail = None
+    def witness_cases(spec):
         for trial in range(25):
             f = rand_nonzero_laurent(rng, spec.ring, n_terms=2, exp_bound=2)
             try:
                 witness = simplicity_witness(spec, f)
             except AssertionError as exc:
-                fail = (trial, str(exc))
-                break
+                yield trial, str(exc)
+                continue
             if witness.result == 0:
-                fail = (trial, "zero result")
-                break
-            replay = witness.replay(f)
-            if replay != spec.ring.constant(witness.result):
-                fail = (trial, "replay mismatch")
-                break
+                yield trial, "zero result"
+            elif witness.replay(f) != spec.ring.constant(witness.result):
+                yield trial, "replay mismatch"
+
+    specs = [_default_omega_spec(nu)]
+    specs.append(OmegaSpec(nu, 1, (), tuple(Fraction(i + 1, 2) for i in range(nu))))
+    for sidx, spec in enumerate(specs):
+        fail = _first_failure(witness_cases(spec))
         report.add(f"simplicity-witness/spec{sidx}", fail is None, fail or "")
     return report.finish()
 
@@ -632,53 +610,36 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
     pair_sample = [(0, 2 * nu), (1, 2 * nu), (0, 1), (2 * nu, 2 * nu + 1)]
 
     for lam_idx, lam in enumerate(lams):
-        for kind, mctx in _module_contexts(cfg, [lam]):
+        for kind, ctx in _module_contexts(cfg, [lam]):
             tag = f"lam{lam_idx}-{kind}"
-            ctx = mctx.ctx
             cache = ActionCache(ctx)
-            base = ctx.state_of_label(mctx.handle.base_label())
-            probes = [base, rand_module_element(rng, cfg, mctx.handle, max_weight=2)]
+            base = ctx.state_of_label(ctx.handle.base_label())
+            probes = [base, rand_module_element(rng, cfg, ctx.handle, max_weight=2)]
 
-            fail = None
-            for _, u in gens:
-                for w in probes:
-                    bound = truncation_bound(u, w, ctx)
-                    for n in range(bound + 1, bound + 4):
-                        if not y_coefficient(u, n, w, ctx).is_zero():
-                            fail = (str(u), n)
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
+            fail = _first_failure(
+                ((name, widx, n), y_coefficient(u, n, w, ctx))
+                for name, u in gens
+                for widx, w in enumerate(probes)
+                for bound in [truncation_bound(u, w, ctx)]
+                for n in range(bound + 1, bound + 4)
+            )
             report.add(f"truncation/{tag}", fail is None, fail or "")
 
             one = vacuum(nu)
-            fail = None
-            for w in probes:
-                for n in window:
-                    got = y_coefficient(one, n, w, ctx)
-                    want = w if n == -1 else ctx.zero_element()
-                    if got != want:
-                        fail = (n, got)
-                        break
-                if fail:
-                    break
+            fail = _first_failure(
+                ((widx, n), y_coefficient(one, n, w, ctx) != (w if n == -1 else ctx.zero_element()))
+                for widx, w in enumerate(probes)
+                for n in window
+            )
             report.add(f"identity-field/{tag}", fail is None, fail or "")
 
-            fail = None
-            for gi, gj in pair_sample:
-                u, v = gens[gi][1], gens[gj][1]
-                for w in probes:
-                    for m, n, kk in triples:
-                        res = borcherds_residual(u, v, w, m, n, kk, ctx, cache)
-                        if not res.is_zero():
-                            fail = (gens[gi][0], gens[gj][0], (m, n, kk))
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
+            fail = _first_failure(
+                ((gens[gi][0], gens[gj][0], widx, (m, n, kk)),
+                 borcherds_residual(gens[gi][1], gens[gj][1], w, m, n, kk, ctx, cache))
+                for gi, gj in pair_sample
+                for widx, w in enumerate(probes)
+                for m, n, kk in triples
+            )
             report.add(f"jacobi-window/{tag}", fail is None, fail or "")
     return report.finish()
 
@@ -705,55 +666,47 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
         report.add(f"recovered-action/{kind}", rec.roundtrip_ok, rec.mismatches[:1] or "")
         report.add(f"recovered-relations/{kind}", rec.relations_ok, rec.mismatches[:1] or "")
 
-        ctx = mctx.ctx
         alpha = (1,) + (0,) * (nu - 1)
-        w = ctx.state_of_label(handle.base_label())
+        w = mctx.state_of_label(handle.base_label())
         z_of = {n: z_operator(alpha, n, w, mctx) for n in range(-3, 2)}
-        fail = None
-        for bdir in range(cfg.ndirs):
-            beta = cfg.dir_vector(bdir)
-            for m in range(-2, 3):
-                bw = apply_heisenberg_mode(beta, m, w, ctx)
-                for n in range(-3, 2):
-                    lhs = apply_heisenberg_mode(beta, m, z_of[n], ctx)
-                    rhs = z_operator(alpha, n, bw, mctx) if not bw.is_zero() else ctx.zero_element()
-                    comm = lhs - rhs
-                    want = (
-                        cfg.pairing(beta, cfg.from_charge(alpha)) * z_of[n]
-                        if m == 0
-                        else ctx.zero_element()
-                    )
-                    if comm != want:
-                        fail = (bdir, m, n)
-                        break
-                if fail:
-                    break
-            if fail:
-                break
+
+        def commutation_cases():
+            for bdir in range(cfg.ndirs):
+                beta = cfg.dir_vector(bdir)
+                for m in range(-2, 3):
+                    bw = apply_heisenberg_mode(beta, m, w, mctx)
+                    for n in range(-3, 2):
+                        lhs = apply_heisenberg_mode(beta, m, z_of[n], mctx)
+                        rhs = (z_operator(alpha, n, bw, mctx) if not bw.is_zero()
+                               else mctx.zero_element())
+                        want = (
+                            cfg.pairing(beta, cfg.from_charge(alpha)) * z_of[n]
+                            if m == 0
+                            else mctx.zero_element()
+                        )
+                        yield (bdir, m, n), lhs - rhs != want
+
+        fail = _first_failure(commutation_cases())
         report.add(f"dressing-commutation/{kind}", fail is None, fail or "")
 
-        fail = None
-        for n in range(-3, 2):
-            a0w = apply_heisenberg_mode(cfg.from_charge(alpha), 0, w, ctx)
-            lhs = z_operator(alpha, n, a0w, mctx) if not a0w.is_zero() else ctx.zero_element()
-            rhs = (-n - 1) * z_operator(alpha, n, w, mctx)
-            if lhs != rhs:
-                fail = n
-                break
+        def derivative_cases():
+            for n in range(-3, 2):
+                a0w = apply_heisenberg_mode(cfg.from_charge(alpha), 0, w, mctx)
+                lhs = z_operator(alpha, n, a0w, mctx) if not a0w.is_zero() else mctx.zero_element()
+                yield n, lhs != (-n - 1) * z_operator(alpha, n, w, mctx)
+
+        fail = _first_failure(derivative_cases())
         report.add(f"dressing-derivative/{kind}", fail is None, fail or "")
 
-        fail = None
-        for label in labels[:3]:
-            state = ctx.state_of_label(handle.validate_label(label))
-            for i in range(nu):
-                unit = [0] * nu
-                unit[i] = 1
-                sector = charge_sector(tuple(unit), state, mctx)
-                if (cfg.k * sector).denominator != 1:
-                    fail = (label, i, sector)
-                    break
-            if fail:
-                break
+        def coherence_cases():
+            for label in labels[:3]:
+                state = mctx.state_of_label(handle.validate_label(label))
+                for i in range(nu):
+                    unit = tuple(int(t == i) for t in range(nu))
+                    sector = charge_sector(unit, state, mctx)
+                    yield (label, i, sector), (cfg.k * sector).denominator != 1
+
+        fail = _first_failure(coherence_cases())
         report.add(f"weight-coherence/{kind}", fail is None, fail or "")
     return report.finish()
 
@@ -767,41 +720,30 @@ def suite_zhu(config: SuiteConfig) -> SuiteReport:
     report = SuiteReport("zhu", config.echo(nu, k))
     rng = random.Random(config.seed)
 
-    fail = None
-    for a1 in itertools.product(range(-2, 3), repeat=nu):
-        for b1 in itertools.product(range(-2, 3), repeat=nu):
-            got = zhu_circ(cfg, charge_element(nu, a1), charge_element(nu, b1))
-            want = VElement(nu, {})
-            total = tuple(x + y for x, y in zip(a1, b1))
-            for i, m in enumerate(a1):
-                if m:
-                    want = want + m * fock_element(nu, [(i, 1)], total)
-            if got != want:
-                fail = (a1, b1)
-                break
-        if fail:
-            break
+    def circle_cases():
+        for a1 in itertools.product(range(-2, 3), repeat=nu):
+            for b1 in itertools.product(range(-2, 3), repeat=nu):
+                got = circ_general(cfg, charge_element(nu, a1), charge_element(nu, b1), 0)
+                want = VElement(nu, {})
+                total = tuple(x + y for x, y in zip(a1, b1))
+                for i, m in enumerate(a1):
+                    if m:
+                        want = want + m * fock_element(nu, [(i, 1)], total)
+                yield (a1, b1), got != want
+
+    fail = _first_failure(circle_cases())
     report.add("charge-circle-product", fail is None, fail or "")
 
-    fail = None
-    for trial in range(config.probe_count):
-        u = rand_velement(rng, cfg, max_weight=3)
-        v = rand_velement(rng, cfg, max_weight=3)
-        if not zhu_reduce(cfg, zhu_circ(cfg, u, v)).is_zero():
-            fail = trial
-            break
-    report.add("ideal-membership", fail is None, fail or "")
+    def ideal_cases(trials, max_weight, depths):
+        for trial in range(trials):
+            u = rand_velement(rng, cfg, max_weight=max_weight)
+            v = rand_velement(rng, cfg, max_weight=max_weight)
+            for n in depths:
+                yield (trial, n), zhu_reduce(cfg, circ_general(cfg, u, v, n))
 
-    fail = None
-    for trial in range(10):
-        u = rand_velement(rng, cfg, max_weight=2)
-        v = rand_velement(rng, cfg, max_weight=2)
-        for n in range(3):
-            if not zhu_reduce(cfg, circ_general(cfg, u, v, n)).is_zero():
-                fail = (trial, n)
-                break
-        if fail:
-            break
+    fail = _first_failure(ideal_cases(config.probe_count, 3, [0]))
+    report.add("ideal-membership", fail is None, fail or "")
+    fail = _first_failure(ideal_cases(10, 2, range(3)))
     report.add("deep-ideal-membership", fail is None, fail or "")
 
     pairs = [
@@ -814,20 +756,16 @@ def suite_zhu(config: SuiteConfig) -> SuiteReport:
 
     ring = LaurentRing(nu, nu)
     grid = [tuple(e) for e in itertools.product(range(4), repeat=nu)]
-    fail = None
-    for trial in range(10):
-        a = rand_a_element(rng, cfg, d_degree=3, charge_bound=2)
-        if a.is_zero():
-            continue
-        v = zhu_embed(a)
-        hit = False
-        for exps in grid:
-            if not o_action_on_v0(cfg, v, ring.monomial(exps)).is_zero():
-                hit = True
-                break
-        if not hit:
-            fail = (trial, str(a))
-            break
+
+    def injectivity_cases():
+        for trial in range(10):
+            a = rand_a_element(rng, cfg, d_degree=3, charge_bound=2)
+            if a.is_zero():
+                continue
+            v = zhu_embed(a)
+            yield (trial, a), not any(o_action_on_v0(cfg, v, ring.monomial(e)) for e in grid)
+
+    fail = _first_failure(injectivity_cases())
     report.add("bottom-level-injectivity", fail is None, fail or "")
     return report.finish()
 

@@ -26,14 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .fock import (
-    FockWord,
-    ModuleElement,
-    VElement,
-    fock_weight,
-    fock_word,
-    vacuum,
-)
+from .combination import accumulate
+from .fock import ModuleElement, VElement, fock_weight, fock_word
 from .lattice import LatticeConfig, LatticeVector
 
 
@@ -109,6 +103,11 @@ def adjoint_context(cfg: LatticeConfig) -> OperatorContext:
 
 
 def module_operator_context(cfg: LatticeConfig, lam: LatticeVector, handle) -> OperatorContext:
+    """Validate the weight vector and attach the coefficient module.
+
+    The weight must have zero c-coordinates and pair integrally with every
+    charge, which pins its d-coordinates to multiples of 1/k.
+    """
     if lam.nu != cfg.nu:
         raise ValueError("weight vector rank does not match the lattice")
     if any(a != 0 for a in lam.c):
@@ -143,9 +142,9 @@ def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
         for (word, label), coeff in s.terms.items():
             for i in range(cfg.nu):
                 if h.c[i]:
-                    _accumulate(out, (fock_word(word + ((i, mode),)), label), coeff * h.c[i])
+                    accumulate(out, (fock_word(word + ((i, mode),)), label), coeff * h.c[i])
                 if h.d[i]:
-                    _accumulate(out, (fock_word(word + ((cfg.nu + i, mode),)), label), coeff * h.d[i])
+                    accumulate(out, (fock_word(word + ((cfg.nu + i, mode),)), label), coeff * h.d[i])
     elif n > 0:
         for (word, label), coeff in s.terms.items():
             for pos, (dir_, mode) in enumerate(word):
@@ -154,24 +153,16 @@ def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
                 pair = cfg.pairing(h, cfg.dir_vector(dir_))
                 if pair:
                     rest = word[:pos] + word[pos + 1 :]
-                    _accumulate(out, (rest, label), coeff * n * pair)
+                    accumulate(out, (rest, label), coeff * n * pair)
     else:
         for (word, label), coeff in s.terms.items():
             scalar = cfg.k * sum(a * b for a, b in zip(h.c, ctx.lam.d))
             if scalar:
-                _accumulate(out, (word, label), coeff * scalar)
+                accumulate(out, (word, label), coeff * scalar)
             if any(h.d):
                 for q, lab in ctx.d_action(tuple(h.d), label):
-                    _accumulate(out, (word, lab), coeff * q)
+                    accumulate(out, (word, lab), coeff * q)
     return ctx.element(out)
-
-
-def _accumulate(data: dict, key, value) -> None:
-    new = data.get(key, 0) + value
-    if new:
-        data[key] = new
-    else:
-        data.pop(key, None)
 
 
 # -- combinatorial helpers ----------------------------------------------------------
@@ -322,22 +313,26 @@ def _apply_inner(ctx, wfock, label, coeff, fields, js, alpha, pplus):
 
 def _apply_outer(ctx, out, mid, coeff, fields, js, alpha, pminus):
     """Prepend all creation factors and accumulate into the result."""
-    nu = ctx.cfg.nu
     creations = [(dir_, -j) for (dir_, _), j in zip(fields, js) if j < 0]
-    states = {k: v * coeff for k, v in mid.items()}
-    # creation half of the dressing: alpha(-m) expands over c-directions
+    states = _creation_dressing({k: v * coeff for k, v in mid.items()}, alpha, pminus)
+    for (word, label), c in states.items():
+        accumulate(out, (fock_word(word + tuple(creations)), label), c)
+
+
+def _creation_dressing(states: dict, alpha, pminus) -> dict:
+    """Apply alpha(-m) once per part m of the partition; alpha(-m) expands
+    over the c-directions."""
     for part, mult in pminus:
         for _ in range(mult):
             new: dict = {}
             for (word, label), c in states.items():
                 for i, m_i in enumerate(alpha):
                     if m_i:
-                        _accumulate(new, (fock_word(word + ((i, part),)), label), c * m_i)
+                        accumulate(new, (fock_word(word + ((i, part),)), label), c * m_i)
             states = new
             if not states:
-                return
-    for (word, label), c in states.items():
-        _accumulate(out, (fock_word(word + tuple(creations)), label), c)
+                return states
+    return states
 
 
 def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
@@ -348,7 +343,7 @@ def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
                 continue
             pair = cfg.dir_pairing(dir_, d2)
             if pair:
-                _accumulate(out, (word[:pos] + word[pos + 1 :], label), coeff * mode * pair)
+                accumulate(out, (word[:pos] + word[pos + 1 :], label), coeff * mode * pair)
     return out
 
 
@@ -361,7 +356,7 @@ def _ann_charge(cfg, states, alpha, mode: int) -> dict:
                 continue
             m_i = alpha[d2 - cfg.nu]
             if m_i:
-                _accumulate(
+                accumulate(
                     out,
                     (word[:pos] + word[pos + 1 :], label),
                     coeff * mode * cfg.k * m_i,
@@ -376,14 +371,14 @@ def _zero_dir(ctx, states, dir_: int) -> dict:
         scalar = ctx.zero_mode_scalar_part(dir_)
         if scalar:
             for key, coeff in states.items():
-                _accumulate(out, key, coeff * scalar)
+                accumulate(out, key, coeff * scalar)
         return out
     dcoeffs = tuple(
         Fraction(int(i == dir_ - cfg.nu)) for i in range(cfg.nu)
     )
     for (word, label), coeff in states.items():
         for q, lab in ctx.d_action(dcoeffs, label):
-            _accumulate(out, (word, lab), coeff * q)
+            accumulate(out, (word, lab), coeff * q)
     return out
 
 
@@ -391,7 +386,7 @@ def _apply_charge_shift(ctx, states, alpha) -> dict:
     out: dict = {}
     for (word, label), coeff in states.items():
         for q, lab in ctx.e_action(alpha, label):
-            _accumulate(out, (word, lab), coeff * q)
+            accumulate(out, (word, lab), coeff * q)
     return out
 
 

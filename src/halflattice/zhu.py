@@ -19,90 +19,47 @@ degree operators; the checker verifies that identification on probe pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .assoc import AElement, a_normal_form
-from .fock import VElement, fock_weight, homogeneous_components
+from .assoc import AElement
+from .combination import accumulate
+from .fock import VElement, homogeneous_components
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 from .vertex import adjoint_context, y_coefficient
 
 
+def _residue_sum(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VElement:
+    """sum_i C(wt u, i) u_{i-n-2} v over the homogeneous parts of u."""
+    ctx = adjoint_context(cfg)
+    out: dict = {}
+    for wt, part in homogeneous_components(u).items():
+        for i in range(wt + 1):
+            c = comb(wt, i)
+            for t, q in y_coefficient(part, i - n - 2, v, ctx).terms.items():
+                accumulate(out, t, c * q)
+    return VElement(cfg.nu, out)
+
+
 def zhu_star(cfg: LatticeConfig, u: VElement, v: VElement) -> VElement:
     """The associative product on classes, extended linearly over weights."""
-    ctx = adjoint_context(cfg)
-    out = VElement(cfg.nu, {})
-    for wt, part in homogeneous_components(u).items():
-        for i in range(wt + 1):
-            out = out + comb(wt, i) * y_coefficient(part, i - 1, v, ctx)
-    return out
-
-
-def zhu_circ(cfg: LatticeConfig, u: VElement, v: VElement) -> VElement:
-    """A spanning element of the quotient ideal."""
-    ctx = adjoint_context(cfg)
-    out = VElement(cfg.nu, {})
-    for wt, part in homogeneous_components(u).items():
-        for i in range(wt + 1):
-            out = out + comb(wt, i) * y_coefficient(part, i - 2, v, ctx)
-    return out
+    return _residue_sum(cfg, u, v, -1)
 
 
 def circ_general(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VElement:
-    """The deeper residue products sum_i C(wt u, i) u_{i-n-2} v, n >= 0.
+    """The residue products sum_i C(wt u, i) u_{i-n-2} v, n >= 0.
 
-    All of them lie in the quotient ideal; n = 0 recovers the circle product.
+    All of them lie in the quotient ideal; n = 0 is the circle product.
     """
     if n < 0:
         raise ValueError("the depth parameter must be nonnegative")
-    ctx = adjoint_context(cfg)
-    out = VElement(cfg.nu, {})
-    for wt, part in homogeneous_components(u).items():
-        for i in range(wt + 1):
-            out = out + comb(wt, i) * y_coefficient(part, i - n - 2, v, ctx)
-    return out
+    return _residue_sum(cfg, u, v, n)
 
 
-class ZhuNormalForm:
-    """Class representative: d-mode exponents at depth one, times a charge."""
-
-    __slots__ = ("nu", "terms")
-
-    def __init__(self, nu: int, terms: Mapping):
-        self.nu = int(nu)
-        self.terms = {}
-        for (charge, dexp), coeff in terms.items():
-            q = Fraction(coeff)
-            if q:
-                self.terms[(tuple(charge), tuple(dexp))] = q
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ZhuNormalForm):
-            return self.nu == other.nu and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nu, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_a_element(self) -> AElement:
-        return AElement(self.nu, self.terms)
-
-    def to_velement(self) -> VElement:
-        return zhu_embed(self.to_a_element())
-
-    def __str__(self) -> str:
-        return str(self.to_a_element())
-
-    __repr__ = __str__
-
-
-def zhu_reduce(cfg: LatticeConfig, v: VElement) -> ZhuNormalForm:
-    """Reduce to the canonical class representative.
+def zhu_reduce(cfg: LatticeConfig, v: VElement) -> AElement:
+    """Reduce to the canonical class representative, a charge times
+    depth-one d-modes, read as the straightened-algebra element it embeds.
 
     Each factor h(-m) flips sign while its depth drops toward one, so a
     factor contributes (-1)^(m-1) and lands at depth one; a charge-direction
@@ -124,13 +81,8 @@ def zhu_reduce(cfg: LatticeConfig, v: VElement) -> ZhuNormalForm:
             dexp[dir_ - cfg.nu] += 1
         if dead:
             continue
-        key = (charge, tuple(dexp))
-        new = terms.get(key, 0) + sign * coeff
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return ZhuNormalForm(cfg.nu, terms)
+        accumulate(terms, (charge, tuple(dexp)), sign * coeff)
+    return AElement(cfg.nu, terms)
 
 
 def zhu_embed(a: AElement) -> VElement:
@@ -166,7 +118,7 @@ def zhu_iso_check(cfg: LatticeConfig, pairs: Sequence[tuple]) -> ZhuIsoReport:
     report = ZhuIsoReport(ok=True)
     for a, b in pairs:
         lhs = zhu_reduce(cfg, zhu_star(cfg, zhu_embed(a), zhu_embed(b)))
-        rhs = zhu_reduce_a(a.mul(b, cfg))
+        rhs = a.mul(b, cfg)
         if lhs != rhs:
             report.ok = False
             report.failures.append(("product", a, b, lhs, rhs))
@@ -191,9 +143,7 @@ def zhu_iso_check(cfg: LatticeConfig, pairs: Sequence[tuple]) -> ZhuIsoReport:
             diff = zhu_star(cfg, zhu_embed(di), zhu_embed(ea)) - zhu_star(
                 cfg, zhu_embed(ea), zhu_embed(di)
             )
-            want = ZhuNormalForm(
-                nu, {(c, (0,) * nu): cfg.k * c[i]}
-            )
+            want = AElement(nu, {(c, (0,) * nu): cfg.k * c[i]})
             if zhu_reduce(cfg, diff) != want:
                 report.ok = False
                 report.failures.append(("straightening", di, ea))
@@ -201,14 +151,10 @@ def zhu_iso_check(cfg: LatticeConfig, pairs: Sequence[tuple]) -> ZhuIsoReport:
         for c2, e2 in zip(unit_charges, e_units):
             got = zhu_reduce(cfg, zhu_star(cfg, zhu_embed(e1), zhu_embed(e2)))
             total = tuple(x + y for x, y in zip(c1, c2))
-            if got != ZhuNormalForm(nu, {(total, (0,) * nu): 1}):
+            if got != AElement(nu, {(total, (0,) * nu): 1}):
                 report.ok = False
                 report.failures.append(("translation-product", e1, e2))
     return report
-
-
-def zhu_reduce_a(a: AElement) -> ZhuNormalForm:
-    return ZhuNormalForm(a.nu, a.terms)
 
 
 def o_action_on_v0(cfg: LatticeConfig, v: VElement, p: LaurentPoly) -> LaurentPoly:
@@ -225,7 +171,7 @@ def o_action_on_v0(cfg: LatticeConfig, v: VElement, p: LaurentPoly) -> LaurentPo
         raise ValueError(f"the bottom level is {ring}, got {p.ring}")
     out = ring.zero()
     nf = zhu_reduce(cfg, v)
-    if nf.to_velement() != v:
+    if zhu_embed(nf) != v:
         raise ValueError("the acting element must be a normal-form representative")
     for (charge, dexp), coeff in nf.terms.items():
         g = p

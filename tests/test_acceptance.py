@@ -6,15 +6,36 @@ corresponding verification suite is fully green.  Zero tolerance everywhere:
 all comparisons are exact rational equalities.
 """
 
-import pytest
+import hashlib
+import json
 
 from halflattice.suites import SuiteConfig, run_verification
 
 CONFIG = SuiteConfig()  # desk scale defaults: windows 3/6, 50 probes, seed 7
 
+# sha256 of each suite's canonical report at CONFIG: the bytes `verify --json`
+# prints, without the trailing newline.  A change that alters a report on
+# purpose regenerates the table with
+#   for s in borcherds classification d-derivative heisenberg locality \
+#            module-axioms omega-relations vacuum-roundtrip virasoro zhu; do
+#     printf '%s ' $s; PYTHONPATH=src python -m halflattice --json verify $s \
+#       | tr -d '\n' | sha256sum; done
+GOLDEN = {
+    "borcherds": "1329c45e48f67cff19153fda2a168620308b58f8ddefb6b2d9f61812fb0f4df7",
+    "classification": "942fc944fb06c67616971f3b8d5896bfbb59a2d32f35e0458b5a2b2f1ddb233e",
+    "d-derivative": "826f43ab365d1c707689ad15db998da5f47ff49be6698cde0c16ef826dfed92b",
+    "heisenberg": "326703f6055d1def7e37beba1d57c9d7c3c45839dbae5c64802dc32c0b4c40de",
+    "locality": "70d9e6b2310a27e1ffb4b6ebbad47683147bce3993146abc315032ee8164a3cb",
+    "module-axioms": "f2ab9a6436fa69ed0607074da04ba1f4821c2bd8c65571ff88bd51304ad8cbf0",
+    "omega-relations": "0b943f039b4113ebd1eecc356b7ab7b738b6b5417591eda69ca2426469b03d4d",
+    "vacuum-roundtrip": "24683aba60c080d8a3f749de83e1ad171ca32c425ffdab92f9bcd06be36f7dea",
+    "virasoro": "964b8b52477b79ced7a7c15453fdd0524e81c54ec8bc9cfaf78f7b274ada5662",
+    "zhu": "c41b27de0789a007b34f8fabde60d02a55db62d466eedf87002d7114cf5bf4da",
+}
 
-def _run(criterion: str, suite: str, config: SuiteConfig = CONFIG):
-    report = run_verification(suite, config)
+
+def _run(criterion: str, suite: str):
+    report = run_verification(suite, CONFIG)
     status = "PASS" if report.ok else "FAIL"
     print(f"{status} {criterion}: {report.passed}/{len(report.checks)} checks "
           f"({report.wall_time_s:.1f}s)")
@@ -22,6 +43,8 @@ def _run(criterion: str, suite: str, config: SuiteConfig = CONFIG):
         for line in report.summary_lines():
             print("   ", line)
     assert report.ok, f"{criterion}: {report.failed} checks failed"
+    canonical = json.dumps(report.to_data(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN[suite]
     return report
 
 

@@ -45,7 +45,7 @@ def test_integral_weight_accepted():
 def test_fractional_weight_with_matching_k():
     cfg = LatticeConfig(nu=2, k=2)
     mctx = weight_mctx(cfg, cfg.vector(d=[Fraction(1, 2), 0]))
-    assert mctx.ctx.charge_power((1, 0)) == 1
+    assert mctx.charge_power((1, 0)) == 1
 
 
 def test_non_integral_weight_rejected():
@@ -81,8 +81,8 @@ def test_vacuum_basis_has_no_positive_weight_vectors():
 
 def test_is_vacuum_vector_detects_dressed_states():
     mctx = weight_mctx()
-    base = mctx.ctx.state_of_label(mctx.handle.base_label())
-    dressed = apply_heisenberg_mode(CFG.c_basis(1), -1, base, mctx.ctx)
+    base = mctx.state_of_label(mctx.handle.base_label())
+    dressed = apply_heisenberg_mode(CFG.c_basis(1), -1, base, mctx)
     assert is_vacuum_vector(base, mctx)
     assert not is_vacuum_vector(dressed, mctx)
 
@@ -92,9 +92,9 @@ def test_is_vacuum_vector_detects_dressed_states():
 
 def test_z_support_on_vacuum_states():
     mctx = weight_mctx()
-    w = mctx.ctx.state_of_label(mctx.handle.base_label())
+    w = mctx.state_of_label(mctx.handle.base_label())
     alpha = (1, 0)
-    hit = -1 - mctx.ctx.charge_power(alpha)
+    hit = -1 - mctx.charge_power(alpha)
     for n in range(-4, 3):
         got = z_operator(alpha, n, w, mctx)
         if n == hit:
@@ -107,15 +107,15 @@ def test_z_support_on_vacuum_states():
 
 def test_z_of_zero_charge_is_identity_at_minus_one():
     mctx = weight_mctx()
-    w = mctx.ctx.state_of_label(mctx.handle.base_label())
+    w = mctx.state_of_label(mctx.handle.base_label())
     for n in range(-3, 3):
         got = z_operator((0, 0), n, w, mctx)
-        assert got == (w if n == -1 else mctx.ctx.zero_element())
+        assert got == (w if n == -1 else mctx.zero_element())
 
 
 def test_z_preserves_vacuum_space():
     mctx = omega_mctx()
-    w = mctx.ctx.state_of_label((1, 0))
+    w = mctx.state_of_label((1, 0))
     for n in range(-4, 2):
         zw = z_operator((1, 1), n, w, mctx)
         if not zw.is_zero():
@@ -125,7 +125,7 @@ def test_z_preserves_vacuum_space():
 def test_z_derivative_identity():
     # composing with the zero mode rescales by the coefficient index
     mctx = weight_mctx()
-    ctx = mctx.ctx
+    ctx = mctx
     w = ctx.state_of_label(mctx.handle.base_label())
     alpha = (1, 0)
     a0w = apply_heisenberg_mode(CFG.from_charge(alpha), 0, w, ctx)
@@ -136,7 +136,7 @@ def test_z_derivative_identity():
 
 def test_z_commutes_with_nonzero_modes():
     mctx = omega_mctx()
-    ctx = mctx.ctx
+    ctx = mctx
     w = ctx.state_of_label((0, 1))
     alpha = (1, 0)
     for bdir in range(4):
@@ -151,7 +151,7 @@ def test_z_commutes_with_nonzero_modes():
 
 def test_zero_mode_commutator_with_z():
     mctx = weight_mctx()
-    ctx = mctx.ctx
+    ctx = mctx
     w = ctx.state_of_label(mctx.handle.base_label())
     alpha = (1, 0)
     for bdir in range(4):
@@ -172,7 +172,7 @@ def test_transport_is_the_label_translation():
     for mctx in (weight_mctx(), omega_mctx()):
         handle = mctx.handle
         label = handle.base_label()
-        w = mctx.ctx.state_of_label(label)
+        w = mctx.state_of_label(label)
         got = t_operator((1, 0), w, mctx)
         want = ModuleElement({((), lab): q for q, lab in handle.e_action((1, 0), label)})
         assert got == want
@@ -180,13 +180,13 @@ def test_transport_is_the_label_translation():
 
 def test_transport_of_zero_charge_is_identity():
     mctx = weight_mctx()
-    w = mctx.ctx.state_of_label(mctx.handle.base_label())
+    w = mctx.state_of_label(mctx.handle.base_label())
     assert t_operator((0, 0), w, mctx) == w
 
 
 def test_transport_composition():
     mctx = omega_mctx()
-    w = mctx.ctx.state_of_label((1, 1))
+    w = mctx.state_of_label((1, 1))
     for a in [(1, 0), (0, 1), (-1, 1)]:
         for b in [(1, 0), (0, -1)]:
             lhs = t_operator(a, t_operator(b, w, mctx), mctx)
@@ -198,7 +198,7 @@ def test_mixed_sector_rejected():
     # two labels carry different degree-operator eigenvalues, so their sum
     # is not an eigenvector of the d-direction zero mode
     mctx = weight_mctx()
-    ctx = mctx.ctx
+    ctx = mctx
     base = ctx.state_of_label(mctx.handle.base_label())
     other = ctx.state_of_label((Fraction(3, 2), Fraction(0)))
     with pytest.raises(MixedSectorError):
@@ -228,7 +228,7 @@ def test_recovery_roundtrip_omega():
 def test_module_axioms_on_built_module():
     # truncation, the identity field, and the component identity all hold
     mctx = omega_mctx(CFG.d_basis(1) + CFG.d_basis(2))
-    ctx = mctx.ctx
+    ctx = mctx
     rng = random.Random(7)
     u = vacuum(2)
     probes = [ctx.state_of_label((0, 0)), rand_module_element(rng, CFG, mctx.handle, max_weight=2)]
@@ -251,7 +251,7 @@ def test_module_axioms_on_built_module():
 def test_dressed_states_stay_inside_the_fock_module():
     # generator coefficients keep the span of Fock monomials over vacuum labels
     mctx = weight_mctx()
-    ctx = mctx.ctx
+    ctx = mctx
     rng = random.Random(9)
     from halflattice.fock import charge_element, fock_element
 
@@ -268,7 +268,7 @@ def test_dressed_states_stay_inside_the_fock_module():
 def test_weight_coherence_of_vacuum_probes():
     for mctx in (weight_mctx(), omega_mctx()):
         for label in mctx.handle.probe_labels()[:4]:
-            state = mctx.ctx.state_of_label(mctx.handle.validate_label(label))
+            state = mctx.state_of_label(mctx.handle.validate_label(label))
             for i in range(2):
                 unit = [0, 0]
                 unit[i] = 1

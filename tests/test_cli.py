@@ -137,10 +137,32 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "charge" in capsys.readouterr().err
 
 
-def test_unknown_config_field_rejected(tmp_path, capsys):
-    cfgfile = write(tmp_path, "c.json", {"probes": 5})
-    assert main(["--config", cfgfile, "verify", "zhu"]) == 2
-    assert "unknown config fields" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        pytest.param({"probes": 5}, [], "unknown config fields", id="unknown-field"),
+        pytest.param({}, ["--nu", "0", "--k", "0"], "nu must be a positive integer",
+            id="nu-k-zero-flags"),
+        pytest.param({"nu": 2.9}, [], "c.json.nu: expected an integer", id="float-nu"),
+        pytest.param({"k": True}, [], "c.json.k: expected an integer", id="bool-k"),
+        pytest.param({"seed": "7"}, [], "c.json.seed: expected an integer", id="string-seed"),
+        pytest.param({"nu": 0}, [], "c.json.nu: must be at least 1", id="zero-nu"),
+        pytest.param({"probe_count": -5}, [], "c.json.probe_count: must be at least 1",
+            id="negative-probe-count"),
+        pytest.param({"probe_count": 0}, [], "c.json.probe_count: must be at least 1",
+            id="zero-probe-count"),
+        pytest.param({"mode_window": -1}, [], "c.json.mode_window: must be at least 0",
+            id="negative-mode-window"),
+        pytest.param({"jacobi_window": -1}, [], "c.json.jacobi_window: must be at least 0",
+            id="negative-jacobi-window"),
+        pytest.param({"max_degree": -1}, [], "c.json.max_degree: must be at least 0",
+            id="negative-max-degree"),
+    ],
+)
+def test_unknown_config_field_rejected(tmp_path, capsys, doc, flags, message):
+    cfgfile = write(tmp_path, "c.json", doc)
+    assert main(["--config", cfgfile, *flags, "--json", "verify", "zhu"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_nu_k_overrides(tmp_path, capsys):
