@@ -22,11 +22,8 @@ from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
 from .vertex import (
     OperatorContext,
-    _ann_charge,
-    _creation_dressing,
-    _exp_coeff,
-    _partitions,
     apply_heisenberg_mode,
+    dressing,
     module_operator_context,
     truncation_bound,
 )
@@ -54,8 +51,7 @@ def _fock_level(cfg: LatticeConfig, weight: int) -> list:
                         continue
                     yield ((dir_, mode),) + rest
 
-    seen = sorted(set(gen(weight, weight)))
-    return seen
+    return sorted(set(gen(weight, weight)))
 
 
 def vacuum_basis(
@@ -131,44 +127,33 @@ def z_operator(
 
     The dressing multiplies the field of e^alpha on the left by
     exp(-sum_{m>0} alpha(-m) z^m / m) and on the right by
-    exp(-sum_{m>0} alpha(m) z^{-m} / m).  On a vacuum state the right factor
-    is the identity; in general it contributes finitely many annihilation
-    terms bounded by the state's Fock weight.  Either way the coefficient at
-    z^(-n-1) is a finite double sum, cut off by the action truncation.
+    exp(+sum_{m>0} alpha(m) z^{-m} / m), the inverses of E^-(-alpha, z) and
+    E^+(-alpha, z): both are the dressing of -alpha.  On a vacuum state the
+    right factor is the identity; in general it contributes finitely many
+    annihilation terms bounded by the state's Fock weight.  Either way the
+    coefficient at z^(-n-1) is a finite double sum, cut off by the action
+    truncation.
     """
     cfg = mctx.cfg
     charge = tuple(int(m) for m in alpha)
+    inverse = tuple(-m for m in charge)
     e_alpha = charge_element(cfg.nu, charge)
     cache = cache or ActionCache(mctx)
     out: dict = {}
-    top = max((fock_weight(word) for (word, _) in w.terms), default=0)
-    if not any(charge):
-        top = 0
+    top = max((fock_weight(word) for (word, _) in w.terms), default=0) if any(charge) else 0
     for b in range(top + 1):
-        for pplus in _partitions(b):
-            coeff = _exp_coeff(pplus, 1)
-            states = {key: coeff * c for key, c in w.terms.items()}
-            for part, mult in pplus:
-                for _ in range(mult):
-                    states = _ann_charge(cfg, states, charge, part)
-                    if not states:
-                        break
-            if not states:
-                continue
-            annihilated = mctx.element(states)
-            bound = truncation_bound(e_alpha, annihilated, mctx)
-            a = 0
-            while n + a - b <= bound:
-                inner = cache.act(e_alpha, n + a - b, annihilated)
-                if not inner.is_zero():
-                    for pminus in _partitions(a):
-                        dressed = _creation_dressing(
-                            {key: _exp_coeff(pminus, -1) * c for key, c in inner.terms.items()},
-                            charge, pminus,
-                        )
-                        for key, c in dressed.items():
-                            accumulate(out, key, c)
-                a += 1
+        states = dressing(cfg, w.terms, inverse, b, -1)
+        if not states:
+            continue
+        annihilated = mctx.element(states)
+        bound = truncation_bound(e_alpha, annihilated, mctx)
+        a = 0
+        while n + a - b <= bound:
+            inner = cache.act(e_alpha, n + a - b, annihilated)
+            if not inner.is_zero():
+                for key, c in dressing(cfg, inner.terms, inverse, a, 1).items():
+                    accumulate(out, key, c)
+            a += 1
     return mctx.element(out)
 
 

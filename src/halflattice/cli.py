@@ -24,7 +24,6 @@ import sys
 from dataclasses import replace
 
 from .assoc import (
-    WeightVector,
     act_on_omega_module,
     act_on_weight_module,
     decompose_potential,
@@ -32,7 +31,6 @@ from .assoc import (
     iso_decide,
     simplicity_witness,
 )
-from .combination import accumulate
 from .lattice import LatticeConfig
 from .serialize import (
     SchemaError,
@@ -42,10 +40,10 @@ from .serialize import (
     laurent_from_data,
     laurent_to_data,
     omega_spec_from_data,
-    parse_fraction,
     velement_from_data,
     velement_to_data,
     w_handle_from_data,
+    weight_vector_from_data,
 )
 from .suites import SUITES, SuiteConfig, run_verification
 from .vertex import nth_product
@@ -142,15 +140,8 @@ def _cmd_eval_act(args) -> int:
         payload = laurent_to_data(result)
         text = str(result)
     else:
-        doc = _load_doc(args.m)
-        if not isinstance(doc, list):
-            raise SchemaError("m", "weight-module elements are lists of {coeff, point}")
-        terms = {}
-        for i, rec in enumerate(doc):
-            point = tuple(parse_fraction(x_, f"m[{i}].point") for x_ in rec.get("point", []))
-            accumulate(terms, handle.validate_label(point),
-                       parse_fraction(rec.get("coeff", 1), f"m[{i}].coeff"))
-        result = act_on_weight_module(x, WeightVector(terms), handle)
+        m = weight_vector_from_data(_load_doc(args.m), handle, "m")
+        result = act_on_weight_module(x, m, handle)
         payload = [
             {"coeff": format_fraction(c), "point": [format_fraction(p) for p in pt]}
             for pt, c in sorted(result.terms.items())

@@ -31,7 +31,7 @@ class ActionCache:
 
     def __init__(self, ctx: OperatorContext):
         self.ctx = ctx
-        self.adj = ctx if ctx.is_adjoint else adjoint_context(ctx.cfg)
+        self.adj = adjoint_context(ctx.cfg)
         self._acts: dict = {}
         self._products: dict = {}
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .assoc import AElement, BElement, OmegaSpec, WeightModule, OmegaModule, gen_d, gen_e
+from .assoc import AElement, BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector, gen_d, gen_e
 from .combination import accumulate
 from .fock import ModuleElement, VElement, fock_word
 from .lattice import LatticeConfig
@@ -98,30 +98,31 @@ def velement_to_data(v: VElement) -> dict:
     return {"terms": terms}
 
 
+def _fock_from_data(doc, cfg: LatticeConfig, path: str):
+    """Canonical Fock word from a list of [direction, mode] pairs."""
+    fock = []
+    for j, pair in enumerate(_expect_list(doc, path)):
+        where = f"{path}[{j}]"
+        pair = _expect_list(pair, where, 2)
+        dir_, mode = _int(pair[0], where), _int(pair[1], where)
+        if not 0 <= dir_ < cfg.ndirs:
+            raise SchemaError(where, f"direction {dir_} out of range 0..{cfg.ndirs - 1}")
+        if mode < 1:
+            raise SchemaError(where, f"mode {mode} must be positive")
+        fock.append((dir_, mode))
+    return fock_word(fock)
+
+
 def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VElement:
     doc = _expect_dict(doc, path)
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc.get("terms"), f"{path}.terms")):
         rec = _expect_dict(rec, f"{path}.terms[{i}]")
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}.terms[{i}].coeff")
-        fock = []
-        for j, pair in enumerate(_expect_list(rec.get("fock", []), f"{path}.terms[{i}].fock")):
-            pair = _expect_list(pair, f"{path}.terms[{i}].fock[{j}]", 2)
-            dir_, mode = _int(pair[0], "dir"), _int(pair[1], "mode")
-            if not 0 <= dir_ < cfg.ndirs:
-                raise SchemaError(
-                    f"{path}.terms[{i}].fock[{j}]",
-                    f"direction {dir_} out of range 0..{cfg.ndirs - 1}",
-                )
-            if mode < 1:
-                raise SchemaError(
-                    f"{path}.terms[{i}].fock[{j}]", f"mode {mode} must be positive"
-                )
-            fock.append((dir_, mode))
+        word = _fock_from_data(rec.get("fock", []), cfg, f"{path}.terms[{i}].fock")
         charge = _expect_list(rec.get("charge"), f"{path}.terms[{i}].charge", cfg.nu)
         charge = tuple(_int(m, f"{path}.terms[{i}].charge") for m in charge)
-        key = (fock_word(fock), charge)
-        accumulate(terms, key, coeff)
+        accumulate(terms, (word, charge), coeff)
     return VElement(cfg.nu, terms)
 
 
@@ -157,19 +158,25 @@ def _label_from_data(doc, handle, path: str):
         raise SchemaError(path, str(exc)) from None
 
 
+def weight_vector_from_data(doc, handle, path: str = "m") -> WeightVector:
+    """A weight-module vector from a list of {coeff, point} records."""
+    terms: dict = {}
+    for i, rec in enumerate(_expect_list(doc, path)):
+        rec = _expect_dict(rec, f"{path}[{i}]")
+        label = _label_from_data(rec.get("point"), handle, f"{path}[{i}].point")
+        accumulate(terms, label, parse_fraction(rec.get("coeff", 1), f"{path}[{i}].coeff"))
+    return WeightVector(terms)
+
+
 def module_element_from_data(doc, cfg: LatticeConfig, handle, path: str = "element") -> ModuleElement:
     doc = _expect_dict(doc, path)
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc.get("terms"), f"{path}.terms")):
         rec = _expect_dict(rec, f"{path}.terms[{i}]")
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}.terms[{i}].coeff")
-        fock = []
-        for j, pair in enumerate(_expect_list(rec.get("fock", []), f"{path}.terms[{i}].fock")):
-            pair = _expect_list(pair, f"{path}.terms[{i}].fock[{j}]", 2)
-            fock.append((_int(pair[0], "dir"), _int(pair[1], "mode")))
+        word = _fock_from_data(rec.get("fock", []), cfg, f"{path}.terms[{i}].fock")
         label = _label_from_data(rec.get("w"), handle, f"{path}.terms[{i}].w")
-        key = (fock_word(fock), label)
-        accumulate(terms, key, coeff)
+        accumulate(terms, (word, label), coeff)
     return ModuleElement(terms)
 
 
@@ -310,7 +317,7 @@ def parse_element(doc, kind: str, cfg: LatticeConfig, handle=None):
     if kind == "velement":
         return velement_from_data(doc, cfg)
     if kind == "module":
-        if handle is None:
+        if not handle:
             raise SchemaError("element", "module elements need a coefficient module")
         return module_element_from_data(doc, cfg, handle)
     if kind == "omega-spec":

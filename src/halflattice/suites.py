@@ -182,6 +182,15 @@ def _first_failure(cases):
     return next(((where, res) for where, res in cases if res), None)
 
 
+def _unimodular_nu(config: SuiteConfig, suite: str) -> int:
+    """The rank of a suite over function modules, which exist only at k = 1."""
+    nu, k = config.resolved(2, 1)
+    if k != 1:
+        raise ValueError(f"suite {suite} runs only at k = 1 (function modules need "
+                         f"the unimodular pairing), got k = {k}")
+    return nu
+
+
 def _default_omega_spec(nu: int) -> OmegaSpec:
     ring = LaurentRing(nu, 1)
     return OmegaSpec(nu, 2, (ring.variable(1),), tuple(Fraction(i + 2) for i in range(nu - 1)))
@@ -244,7 +253,7 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
 
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
-        if ctx.is_adjoint:
+        if ctx_name == "adjoint":
             probes = [vacuum(cfg.nu)] + [
                 rand_velement(rng, cfg, max_weight=3) for _ in range(2)
             ]
@@ -366,7 +375,7 @@ def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
     contexts = [("adjoint", adjoint_context(cfg))] + _module_contexts(cfg)
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
-        if ctx.is_adjoint:
+        if ctx_name == "adjoint":
             targets = [rand_velement(rng, cfg, max_weight=3) for _ in range(4)]
         else:
             targets = [rand_module_element(rng, cfg, ctx.handle, max_weight=2) for _ in range(3)]
@@ -387,11 +396,9 @@ def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
-    nu, k = config.resolved(2, 1)
-    if k != 1:
-        k = 1  # function modules exist only at the unimodular pairing
-    cfg = LatticeConfig(nu, k)
-    report = SuiteReport("omega-relations", config.echo(nu, k))
+    nu = _unimodular_nu(config, "omega-relations")
+    cfg = LatticeConfig(nu, 1)
+    report = SuiteReport("omega-relations", config.echo(nu, 1))
     rng = random.Random(config.seed)
 
     specs = [_default_omega_spec(nu)]
@@ -542,7 +549,7 @@ def _classification_pairs(nu: int) -> list[tuple[str, OmegaSpec, OmegaSpec, bool
 
 
 def suite_classification(config: SuiteConfig) -> SuiteReport:
-    nu, k = config.resolved(2, 1)
+    nu = _unimodular_nu(config, "classification")
     cfg = LatticeConfig(nu, 1)
     report = SuiteReport("classification", config.echo(nu, 1))
     rng = random.Random(config.seed)
@@ -597,7 +604,7 @@ def suite_classification(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
-    nu, k = config.resolved(2, 1)
+    nu = _unimodular_nu(config, "module-axioms")
     cfg = LatticeConfig(nu, 1)
     report = SuiteReport("module-axioms", config.echo(nu, 1))
     rng = random.Random(config.seed)
@@ -648,7 +655,7 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
-    nu, k = config.resolved(2, 1)
+    nu = _unimodular_nu(config, "vacuum-roundtrip")
     cfg = LatticeConfig(nu, 1)
     report = SuiteReport("vacuum-roundtrip", config.echo(nu, 1))
     rng = random.Random(config.seed)
@@ -689,9 +696,10 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
         fail = _first_failure(commutation_cases())
         report.add(f"dressing-commutation/{kind}", fail is None, fail or "")
 
+        a0w = apply_heisenberg_mode(cfg.from_charge(alpha), 0, w, mctx)
+
         def derivative_cases():
             for n in range(-3, 2):
-                a0w = apply_heisenberg_mode(cfg.from_charge(alpha), 0, w, mctx)
                 lhs = z_operator(alpha, n, a0w, mctx) if not a0w.is_zero() else mctx.zero_element()
                 yield n, lhs != (-n - 1) * z_operator(alpha, n, w, mctx)
 

@@ -15,9 +15,11 @@ of annihilation modes; the scalar power z^alpha acts as z to the pairing of
 alpha with the module weight (zero on the algebra itself, where the charge
 lattice is isotropic).
 
-Targets are selected by an ``OperatorContext``: the adjoint context makes
-the algebra act on itself, a module context acts on M(1) tensor W for a
-coefficient module W handled by duck-typed label actions.
+Targets are selected by an ``OperatorContext``, which acts on M(1) tensor W
+for a coefficient module W handled by duck-typed label actions.  The adjoint
+is the weight module through the origin: the algebra acting on itself is
+M(1) tensor C[L_C] at weight zero.  ``dressing`` is the one expansion of
+E^{+-}(-alpha, z), shared with the transport operators of the bridge.
 """
 
 from __future__ import annotations
@@ -26,80 +28,55 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .assoc import WeightModule
 from .combination import accumulate
 from .fock import ModuleElement, VElement, fock_weight, fock_word
 from .lattice import LatticeConfig, LatticeVector
 
 
 class OperatorContext:
-    """Where vertex operators act: the algebra itself or a built module.
+    """Where vertex operators act: the Fock module M(1) tensor W at weight lam.
 
-    A module context carries the weight vector lam (rational d-coordinates
-    pairing integrally with every charge) and a coefficient-module handle
-    exposing ``e_action(charge, label)`` and ``d_action(dcoeffs, label)``,
-    both returning lists of (coefficient, label) pairs.
+    A context carries the weight vector lam (rational d-coordinates pairing
+    integrally with every charge), a coefficient-module handle exposing
+    ``e_action(charge, label)`` and ``d_action(dcoeffs, label)``, both
+    returning lists of (coefficient, label) pairs, and the zero state of the
+    target space, from which every result is built.  The adjoint is the
+    weight module through the origin: the algebra acting on itself is
+    M(1) tensor C[L_C] at lam = 0, where e_beta translates a charge and d_i
+    acts by its pairing with it, and its states are ``VElement``s.
     """
 
-    __slots__ = ("cfg", "kind", "lam", "handle", "_cache_key")
+    __slots__ = ("cfg", "lam", "handle", "zero")
 
-    def __init__(self, cfg: LatticeConfig, kind: str, lam: LatticeVector, handle):
+    def __init__(self, cfg: LatticeConfig, lam: LatticeVector, handle, zero):
         self.cfg = cfg
-        self.kind = kind
         self.lam = lam
         self.handle = handle
-        self._cache_key = (cfg, kind, lam, id(handle) if handle is not None else None)
-
-    @property
-    def is_adjoint(self) -> bool:
-        return self.handle is None
-
-    def cache_key(self):
-        return self._cache_key
+        self.zero = zero
 
     def charge_power(self, charge: tuple) -> int:
         """Exponent of the scalar power shift z^alpha for this target."""
-        value = self.cfg.k * sum(
-            m * lam_d for m, lam_d in zip(charge, self.lam.d)
-        )
+        value = self.cfg.k * sum(m * lam_d for m, lam_d in zip(charge, self.lam.d))
         if value.denominator != 1:
             raise ValueError(
                 f"charge {charge} pairs non-integrally ({value}) with weight {self.lam}"
             )
         return int(value)
 
-    def e_action(self, charge: tuple, label):
-        if self.handle is None:
-            return [(Fraction(1), tuple(a + b for a, b in zip(label, charge)))]
-        return self.handle.e_action(charge, label)
-
-    def d_action(self, dcoeffs: tuple, label):
-        """Action of sum_i dcoeffs[i] * d_i(0) on a label."""
-        if self.handle is None:
-            scalar = self.cfg.k * sum(q * m for q, m in zip(dcoeffs, label))
-            if not scalar:
-                return []
-            return [(scalar, label)]
-        return self.handle.d_action(dcoeffs, label)
-
-    def zero_mode_scalar_part(self, dir_: int) -> Fraction:
-        """Scalar contribution of a c-direction zero mode: (c_i, lam)."""
-        return self.cfg.k * self.lam.d[dir_]
-
     def element(self, terms: dict):
-        if self.handle is None:
-            return VElement(self.cfg.nu, terms)
-        return ModuleElement(terms)
+        return self.zero._make(terms)
 
     def zero_element(self):
-        return self.element({})
+        return self.zero
 
-    def state_of_label(self, label, factors=()) -> ModuleElement:
-        word = fock_word(factors)
-        return self.element({(word, label): Fraction(1)})
+    def state_of_label(self, label, factors=()):
+        return self.element({(fock_word(factors), label): Fraction(1)})
 
 
 def adjoint_context(cfg: LatticeConfig) -> OperatorContext:
-    return OperatorContext(cfg, "adjoint", cfg.zero(), None)
+    """The algebra acting on itself: the weight module through the origin."""
+    return OperatorContext(cfg, cfg.zero(), WeightModule(cfg), VElement(cfg.nu, {}))
 
 
 def module_operator_context(cfg: LatticeConfig, lam: LatticeVector, handle) -> OperatorContext:
@@ -119,7 +96,7 @@ def module_operator_context(cfg: LatticeConfig, lam: LatticeVector, handle) -> O
                 f"(c{i + 1}, lam) = {value} is not an integer; "
                 "module weights must pair integrally with every charge"
             )
-    return OperatorContext(cfg, "module", lam, handle)
+    return OperatorContext(cfg, lam, handle, ModuleElement({}))
 
 
 # -- Heisenberg modes --------------------------------------------------------------
@@ -160,7 +137,7 @@ def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
             if scalar:
                 accumulate(out, (word, label), coeff * scalar)
             if any(h.d):
-                for q, lab in ctx.d_action(tuple(h.d), label):
+                for q, lab in ctx.handle.d_action(tuple(h.d), label):
                     accumulate(out, (word, lab), coeff * q)
     return ctx.element(out)
 
@@ -170,11 +147,7 @@ def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
 
 @lru_cache(maxsize=None)
 def _partitions(n: int) -> tuple:
-    """All partitions of n as tuples of (part, multiplicity), parts descending."""
-    if n < 0:
-        return ()
-    if n == 0:
-        return ((),)
+    """All partitions of n >= 0 as tuples of (part, multiplicity), parts descending."""
 
     def gen(remaining: int, max_part: int):
         if remaining == 0:
@@ -208,17 +181,67 @@ def gbinom(top: int, k: int) -> int:
     return num // factorial(k)
 
 
+# -- the exponential dressing ---------------------------------------------------------
+
+
+def dressing(cfg: LatticeConfig, states: dict, alpha, p: int, side: int) -> dict:
+    """Level p of exp(side * sum_{m>0} alpha(-side*m) z^{side*m} / m) on states.
+
+    Level p is the coefficient of z^(side*p), summed over the partitions of p.
+    side = 1 is the creation half E^-(-alpha, z): alpha(-m) prepends one
+    c-direction factor per nonzero entry of alpha.  side = -1 is the
+    annihilation half E^+(-alpha, z): alpha lies in the charge lattice, so
+    alpha(m) contracts only with d-direction factors, each by m k alpha_i.
+    Both states and the result map (Fock word, label) keys to coefficients;
+    level 0 is the identity and returns states itself.
+    """
+    if p == 0:
+        return states
+    out: dict = {}
+    for partition in _partitions(p):
+        coeff = _exp_coeff(partition, side)
+        cur = {key: coeff * c for key, c in states.items()}
+        for part, mult in partition:
+            for _ in range(mult):
+                if not cur:
+                    break
+                new: dict = {}
+                for (word, label), c in cur.items():
+                    if side > 0:
+                        for i, m_i in enumerate(alpha):
+                            if m_i:
+                                accumulate(new, (fock_word(word + ((i, part),)), label), c * m_i)
+                    else:
+                        for pos, (d2, m2) in enumerate(word):
+                            m_i = alpha[d2 - cfg.nu] if m2 == part and d2 >= cfg.nu else 0
+                            if m_i:
+                                rest = word[:pos] + word[pos + 1 :]
+                                accumulate(new, (rest, label), c * part * cfg.k * m_i)
+                cur = new
+        if not out:
+            out = cur
+            continue
+        for key, c in cur.items():
+            accumulate(out, key, c)
+    return out
+
+
 # -- the coefficient engine -----------------------------------------------------------
 
 
 def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
-    """The coefficient u_n w of z^(-n-1) in the field of u applied to w."""
+    """The coefficient u_n w of z^(-n-1) in the field of u applied to w.
+
+    Each field assignment applies, right to left: the field annihilators,
+    the annihilation dressing at level a, the zero modes, the charge shift,
+    the creation dressing at the level that balances z, and the field
+    creations.
+    """
     if not isinstance(u, VElement):
         raise TypeError("the acting state must be a VElement")
-    if ctx.is_adjoint and not isinstance(w, VElement):
-        raise TypeError("adjoint targets must be VElements")
-    if not ctx.is_adjoint and not isinstance(w, ModuleElement):
-        raise TypeError("module targets must be ModuleElements")
+    if type(w) is not type(ctx.zero):
+        raise TypeError(f"targets of this context must be {type(ctx.zero).__name__}s")
+    cfg = ctx.cfg
     out: dict = {}
     for (ufock, alpha), cu in u.terms.items():
         p0 = ctx.charge_power(alpha)
@@ -228,28 +251,31 @@ def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
         for (wfock, label), cw in w.terms.items():
             budget = fock_weight(wfock)
             e_target = -n - 1 - p0
-            base = cu * cw
             for js, field_coeff in _field_assignments(fields, budget, e_target, u_weight):
-                ann_used = sum(j for j in js if j > 0)
-                shift_sum = sum(j + nn for j, (_, nn) in zip(js, fields))
-                a_max = 0 if alpha_zero else budget - ann_used
-                for a in range(a_max + 1):
-                    p_minus = e_target + shift_sum + a
-                    if p_minus < 0 or (alpha_zero and p_minus != 0):
+                # creation level of the dressing is p_low + a at annihilation level a
+                p_low = e_target + sum(j + nn for j, (_, nn) in zip(js, fields))
+                a_max = 0 if alpha_zero else budget - sum(j for j in js if j > 0)
+                if p_low + a_max < 0 or (alpha_zero and p_low != 0):
+                    continue
+                states = {(wfock, label): cu * cw * field_coeff}
+                for (dir_, _), j in zip(fields, js):
+                    if j > 0 and states:
+                        states = _ann_dir(cfg, states, dir_, j)
+                if not states:
+                    continue
+                creations = tuple((dir_, -j) for (dir_, _), j in zip(fields, js) if j < 0)
+                for a in range(max(0, -p_low), a_max + 1):
+                    mid = dressing(cfg, states, alpha, a, -1)
+                    # zero modes act before the charge shift
+                    for (dir_, _), j in zip(fields, js):
+                        if j == 0 and mid:
+                            mid = _zero_dir(ctx, mid, dir_)
+                    if not mid:
                         continue
-                    for pplus in _partitions(a):
-                        mid = _apply_inner(
-                            ctx, wfock, label,
-                            base * field_coeff * _exp_coeff(pplus, -1),
-                            fields, js, alpha, pplus,
-                        )
-                        if not mid:
-                            continue
-                        for pminus in _partitions(p_minus):
-                            _apply_outer(
-                                ctx, out, mid, _exp_coeff(pminus, 1),
-                                fields, js, alpha, pminus,
-                            )
+                    if not alpha_zero:
+                        mid = _act_on_labels(mid, ctx.handle.e_action, alpha)
+                    for (word, lab), c in dressing(cfg, mid, alpha, p_low + a, 1).items():
+                        accumulate(out, (fock_word(word + creations), lab), c)
     return ctx.element(out)
 
 
@@ -285,56 +311,6 @@ def _field_assignments(fields, budget: int, e_target: int, u_weight: int):
     yield from rec(0, 0, budget, Fraction(1))
 
 
-def _apply_inner(ctx, wfock, label, coeff, fields, js, alpha, pplus):
-    """Annihilators, zero modes, then the charge shift, applied right to left."""
-    states = {(wfock, label): coeff}
-    # annihilation modes from the derivative fields
-    for (dir_, _), j in zip(fields, js):
-        if j > 0 and states:
-            states = _ann_dir(ctx.cfg, states, dir_, j)
-    # annihilation half of the exponential dressing: powers of alpha(m)
-    for part, mult in pplus:
-        for _ in range(mult):
-            if not states:
-                break
-            states = _ann_charge(ctx.cfg, states, alpha, part)
-    if not states:
-        return states
-    # zero modes act before the charge shift
-    for (dir_, _), j in zip(fields, js):
-        if j == 0 and states:
-            states = _zero_dir(ctx, states, dir_)
-    if not states:
-        return states
-    if any(alpha):
-        states = _apply_charge_shift(ctx, states, alpha)
-    return states
-
-
-def _apply_outer(ctx, out, mid, coeff, fields, js, alpha, pminus):
-    """Prepend all creation factors and accumulate into the result."""
-    creations = [(dir_, -j) for (dir_, _), j in zip(fields, js) if j < 0]
-    states = _creation_dressing({k: v * coeff for k, v in mid.items()}, alpha, pminus)
-    for (word, label), c in states.items():
-        accumulate(out, (fock_word(word + tuple(creations)), label), c)
-
-
-def _creation_dressing(states: dict, alpha, pminus) -> dict:
-    """Apply alpha(-m) once per part m of the partition; alpha(-m) expands
-    over the c-directions."""
-    for part, mult in pminus:
-        for _ in range(mult):
-            new: dict = {}
-            for (word, label), c in states.items():
-                for i, m_i in enumerate(alpha):
-                    if m_i:
-                        accumulate(new, (fock_word(word + ((i, part),)), label), c * m_i)
-            states = new
-            if not states:
-                return states
-    return states
-
-
 def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
     out: dict = {}
     for (word, label), coeff in states.items():
@@ -347,45 +323,21 @@ def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
     return out
 
 
-def _ann_charge(cfg, states, alpha, mode: int) -> dict:
-    # alpha lies in the charge lattice, so it contracts only with d-directions
-    out: dict = {}
-    for (word, label), coeff in states.items():
-        for pos, (d2, m2) in enumerate(word):
-            if m2 != mode or d2 < cfg.nu:
-                continue
-            m_i = alpha[d2 - cfg.nu]
-            if m_i:
-                accumulate(
-                    out,
-                    (word[:pos] + word[pos + 1 :], label),
-                    coeff * mode * cfg.k * m_i,
-                )
-    return out
-
-
 def _zero_dir(ctx, states, dir_: int) -> dict:
     cfg = ctx.cfg
-    out: dict = {}
-    if dir_ < cfg.nu:
-        scalar = ctx.zero_mode_scalar_part(dir_)
-        if scalar:
-            for key, coeff in states.items():
-                accumulate(out, key, coeff * scalar)
-        return out
-    dcoeffs = tuple(
-        Fraction(int(i == dir_ - cfg.nu)) for i in range(cfg.nu)
-    )
-    for (word, label), coeff in states.items():
-        for q, lab in ctx.d_action(dcoeffs, label):
-            accumulate(out, (word, lab), coeff * q)
-    return out
+    if dir_ >= cfg.nu:
+        dcoeffs = tuple(Fraction(int(i == dir_ - cfg.nu)) for i in range(cfg.nu))
+        return _act_on_labels(states, ctx.handle.d_action, dcoeffs)
+    # a c-direction zero mode is the scalar (c_i, lam)
+    scalar = cfg.k * ctx.lam.d[dir_]
+    return {key: coeff * scalar for key, coeff in states.items()} if scalar else {}
 
 
-def _apply_charge_shift(ctx, states, alpha) -> dict:
+def _act_on_labels(states, action, arg) -> dict:
+    """Apply a label action, action(arg, label) -> [(q, label')], under each Fock word."""
     out: dict = {}
     for (word, label), coeff in states.items():
-        for q, lab in ctx.e_action(alpha, label):
+        for q, lab in action(arg, label):
             accumulate(out, (word, lab), coeff * q)
     return out
 

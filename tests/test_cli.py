@@ -58,6 +58,14 @@ def test_eval_act_on_weight(tmp_path, capsys):
     assert out == [{"coeff": "1", "point": ["1/2", "1"]}]
 
 
+def test_eval_act_on_weight_rejects_bad_record(tmp_path, capsys):
+    x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"e": [0, 1]}]}]})
+    m = write(tmp_path, "m.json", [5])
+    module = write(tmp_path, "w.json", {"kind": "weight", "lambda0": ["1/2", "0"]})
+    assert main(["--json", "eval", "act", x, m, "--module", module]) == 2
+    assert "m[0]: expected an object" in capsys.readouterr().err
+
+
 def test_decide_iso(tmp_path, capsys):
     s1 = write(tmp_path, "s1.json", {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]})
     s2 = write(
@@ -163,6 +171,17 @@ def test_unknown_config_field_rejected(tmp_path, capsys, doc, flags, message):
     cfgfile = write(tmp_path, "c.json", doc)
     assert main(["--config", cfgfile, *flags, "--json", "verify", "zhu"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite", ["omega-relations", "classification", "module-axioms", "vacuum-roundtrip"]
+)
+def test_function_module_suites_reject_k(tmp_path, capsys, suite):
+    cfgfile = write(tmp_path, "c.json", {"nu": 2, "k": 3})
+    for flags in (["--config", cfgfile], ["--k", "3"]):
+        assert main([*flags, "--json", "verify", suite]) == 2
+        err = capsys.readouterr().err
+        assert f"suite {suite} runs only at k = 1" in err and "got k = 3" in err
 
 
 def test_nu_k_overrides(tmp_path, capsys):

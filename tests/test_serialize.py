@@ -130,6 +130,28 @@ def test_module_element_invalid_label():
         module_element_from_data(doc, CFG, handle)
 
 
+@pytest.mark.parametrize(
+    "fock, path, message",
+    [
+        pytest.param([[9, 1]], "element.terms[0].fock[0]", "direction 9 out of range",
+                     id="direction-out-of-range"),
+        pytest.param([[1, 0]], "element.terms[0].fock[0]", "mode 0 must be positive",
+                     id="zero-mode"),
+        pytest.param([["x", 1]], "element.terms[0].fock[0]", "expected an integer",
+                     id="non-integer-direction"),
+    ],
+)
+def test_fock_factors_are_checked_in_both_parsers(fock, path, message):
+    handle = WeightModule(CFG, [0, 0])
+    module_doc = {"terms": [{"coeff": "1", "fock": fock, "w": [0, 0]}]}
+    velement_doc = {"terms": [{"coeff": "1", "fock": fock, "charge": [0, 0]}]}
+    for parse in (lambda: module_element_from_data(module_doc, CFG, handle),
+                  lambda: velement_from_data(velement_doc, CFG)):
+        with pytest.raises(SchemaError) as err:
+            parse()
+        assert err.value.path == path and message in str(err.value)
+
+
 def test_w_handle_dispatch():
     w = w_handle_from_data({"kind": "weight", "lambda0": ["1/2", "0"]}, CFG)
     assert w.kind == "weight" and w.lam0 == (Fraction(1, 2), Fraction(0))

@@ -189,6 +189,19 @@ def test_charge_action_on_module_state():
     assert y_coefficient(e1, 0, w0, ctx).is_zero()
 
 
+def test_target_type_checks():
+    ctx, handle = module_ctx(CFG2)
+    adj = adjoint_context(CFG2)
+    w0 = ctx.state_of_label(handle.base_label())
+    e1 = charge_element(2, (1, 0))
+    with pytest.raises(TypeError):
+        y_coefficient(e1, -1, w0, adj)
+    with pytest.raises(TypeError):
+        y_coefficient(e1, -1, vacuum(2), ctx)
+    with pytest.raises(TypeError):
+        y_coefficient(w0, -1, w0, ctx)
+
+
 def test_module_charge_power_validation():
     handle = WeightModule(CFG2, [0, 0])
     with pytest.raises(ValueError):
