@@ -31,11 +31,10 @@ from .assoc import (
 )
 from .bridge import (
     MixedSectorError,
-    RecoveryReport,
-    build_module_context,
     charge_sector,
     is_vacuum_vector,
-    recover_a_module,
+    recovered_action_cases,
+    recovered_relation_cases,
     t_operator,
     vacuum_basis,
     z_operator,
@@ -54,13 +53,11 @@ from .fock import (
 )
 from .identities import (
     ActionCache,
-    borcherds_check,
     borcherds_residual,
     d_derivative_residual,
     heisenberg_residual,
-    locality_check,
+    locality_residual,
     virasoro_residual,
-    window_triples,
 )
 from .lattice import LatticeConfig, LatticeVector
 from .laurent import CutoffError, LaurentPoly, LaurentRing
@@ -81,7 +78,7 @@ from .zhu import (
     circ_general,
     o_action_on_v0,
     zhu_embed,
-    zhu_iso_check,
+    zhu_iso_cases,
     zhu_reduce,
     zhu_star,
 )

@@ -1,36 +1,33 @@
-"""Fock modules over a coefficient module, and the inverse vacuum functor.
+"""The inverse vacuum functor on Fock modules over a coefficient module.
 
-``build_module_context`` attaches a weight vector with rational d-coordinates
-to a coefficient module, producing the operator context under which the Fock
-module M(1) tensor W carries the vertex action.  The converse direction
-starts from the vacuum space (states killed by every positive mode), dresses
-the lattice operators into z-independent transport operators, and reads the
-straightened-algebra action back off the vacuum: degree operators act by
-their zero modes and charge translations by the transport operators.
+``vertex.module_operator_context`` attaches a weight vector with rational
+d-coordinates to a coefficient module W, producing the operator context
+under which the Fock module M(1) tensor W carries the vertex action.  This
+module runs the converse direction: it starts from the vacuum space (states
+killed by every positive mode), dresses the lattice operators into
+z-independent transport operators, and reads the straightened-algebra
+action back off the vacuum: degree operators act by their zero modes and
+charge translations by the transport operators.  The recovered action and
+its straightening relations are checked as lazy sweeps of
+(where, residual) cases, each residual zero when the case holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .combination import accumulate
 from .fock import ModuleElement, charge_element, fock_weight
-from .identities import ActionCache
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
 from .vertex import (
     OperatorContext,
     apply_heisenberg_mode,
     dressing,
-    module_operator_context,
     truncation_bound,
+    y_coefficient,
 )
-
-
-# Module contexts have one constructor; the bridge's callers know it by this name.
-build_module_context = module_operator_context
 
 
 # -- vacuum space ---------------------------------------------------------------------
@@ -121,7 +118,6 @@ def z_operator(
     n: int,
     w: ModuleElement,
     mctx: OperatorContext,
-    cache: Optional[ActionCache] = None,
 ) -> ModuleElement:
     """Coefficient of the dressed lattice operator at index n.
 
@@ -138,7 +134,6 @@ def z_operator(
     charge = tuple(int(m) for m in alpha)
     inverse = tuple(-m for m in charge)
     e_alpha = charge_element(cfg.nu, charge)
-    cache = cache or ActionCache(mctx)
     out: dict = {}
     top = max((fock_weight(word) for (word, _) in w.terms), default=0) if any(charge) else 0
     for b in range(top + 1):
@@ -149,7 +144,7 @@ def z_operator(
         bound = truncation_bound(e_alpha, annihilated, mctx)
         a = 0
         while n + a - b <= bound:
-            inner = cache.act(e_alpha, n + a - b, annihilated)
+            inner = y_coefficient(e_alpha, n + a - b, annihilated, mctx)
             if not inner.is_zero():
                 for key, c in dressing(cfg, inner.terms, inverse, a, 1).items():
                     accumulate(out, key, c)
@@ -194,68 +189,61 @@ def t_operator(alpha: Sequence[int], w: ModuleElement, mctx: OperatorContext) ->
 # -- recovering the coefficient module ---------------------------------------------------
 
 
-@dataclass
-class RecoveryReport:
-    """Recovered straightened-algebra action on the vacuum slice."""
-
-    ok: bool
-    roundtrip_ok: bool
-    relations_ok: bool
-    d_table: dict = field(default_factory=dict)
-    e_table: dict = field(default_factory=dict)
-    mismatches: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
+def _unit_charges(nu: int) -> list:
+    """The charges +c_i and -c_i, in that order for each i."""
+    out = []
+    for i in range(nu):
+        plus = [0] * nu
+        plus[i] = 1
+        out.append(tuple(plus))
+        plus[i] = -1
+        out.append(tuple(plus))
+    return out
 
 
-def recover_a_module(mctx: OperatorContext, labels: Sequence) -> RecoveryReport:
-    """Tabulate zero modes and transport operators on the vacuum slice.
+def _vacuum_states(mctx: OperatorContext, labels: Sequence) -> dict:
+    return {label: mctx.state_of_label(mctx.handle.validate_label(label)) for label in labels}
 
-    Verifies that the tabulated action satisfies the straightening relations
-    and that it coincides with the original coefficient-module action under
-    the identification of the slice with the vacuum states.
+
+def recovered_action_cases(mctx: OperatorContext, labels: Sequence):
+    """Compare the recovered action with the coefficient module's own.
+
+    On the vacuum state of each label, the zero mode of d_j must act as the
+    module's d_j and the transport operator of each unit charge as the
+    module's translation.  Yields ((kind, index, label), recovered - original).
     """
     cfg = mctx.cfg
     handle = mctx.handle
-    report = RecoveryReport(ok=True, roundtrip_ok=True, relations_ok=True)
-    charges = []
-    for i in range(cfg.nu):
-        plus = [0] * cfg.nu
-        plus[i] = 1
-        charges.append(tuple(plus))
-        plus[i] = -1
-        charges.append(tuple(plus))
-    vac_states = {label: mctx.state_of_label(handle.validate_label(label)) for label in labels}
 
     def as_module_element(moves) -> ModuleElement:
         return ModuleElement({((), lab): q for q, lab in moves})
 
-    for label, state in vac_states.items():
+    for label, state in _vacuum_states(mctx, labels).items():
         for j in range(1, cfg.nu + 1):
             got = apply_heisenberg_mode(cfg.d_basis(j), 0, state, mctx)
-            want = as_module_element(
-                handle.d_action(tuple(Fraction(int(i == j - 1)) for i in range(cfg.nu)), label)
-            )
-            report.d_table[(j, label)] = got
-            if got != want:
-                report.roundtrip_ok = False
-                report.mismatches.append(("d", j, label, got, want))
-        for charge in charges:
+            unit = tuple(Fraction(int(i == j - 1)) for i in range(cfg.nu))
+            yield ("d", j, label), got - as_module_element(handle.d_action(unit, label))
+        for charge in _unit_charges(cfg.nu):
             got = t_operator(charge, state, mctx)
-            want = as_module_element(handle.e_action(charge, label))
-            report.e_table[(charge, label)] = got
-            if got != want:
-                report.roundtrip_ok = False
-                report.mismatches.append(("e", charge, label, got, want))
+            yield ("e", charge, label), got - as_module_element(handle.e_action(charge, label))
+
+
+def recovered_relation_cases(mctx: OperatorContext, labels: Sequence):
+    """The straightening relations on the recovered action.
+
+    Each degree operator commutes with a transport operator up to the
+    pairing, and transport operators compose additively in the charge.
+    Yields ((relation, indices..., label), lhs - rhs).
+    """
+    cfg = mctx.cfg
+    charges = _unit_charges(cfg.nu)
 
     def t_or_zero(charge, state):
         if state.is_zero():
             return mctx.zero_element()
         return t_operator(charge, state, mctx)
 
-    # straightening relations on the recovered action
-    for label, state in vac_states.items():
+    for label, state in _vacuum_states(mctx, labels).items():
         for j in range(1, cfg.nu + 1):
             d_j = cfg.d_basis(j)
             for charge in charges:
@@ -263,16 +251,9 @@ def recover_a_module(mctx: OperatorContext, labels: Sequence) -> RecoveryReport:
                 lhs = apply_heisenberg_mode(d_j, 0, t_state, mctx)
                 rhs = t_or_zero(charge, apply_heisenberg_mode(d_j, 0, state, mctx)) \
                     + cfg.pairing(d_j, cfg.from_charge(charge)) * t_state
-                if lhs != rhs:
-                    report.relations_ok = False
-                    report.mismatches.append(("commutator", j, charge, label))
+                yield ("commutator", j, charge, label), lhs - rhs
         for c1 in charges:
             for c2 in charges:
                 lhs = t_or_zero(c1, t_operator(c2, state, mctx))
                 total = tuple(a + b for a, b in zip(c1, c2))
-                rhs = t_operator(total, state, mctx)
-                if lhs != rhs:
-                    report.relations_ok = False
-                    report.mismatches.append(("composition", c1, c2, label))
-    report.ok = report.roundtrip_ok and report.relations_ok
-    return report
+                yield ("composition", c1, c2, label), lhs - t_operator(total, state, mctx)

@@ -1,17 +1,16 @@
 """Coefficientwise identity checkers for the vertex operator calculus.
 
-Every checker reduces its identity to finitely many exact coefficient
-extractions and reports equality over the rationals; failures carry the
-offending indices and the nonzero residual instead of raising.  A shared
-``ActionCache`` memoizes mode actions, which matters when the same states
-are swept across a window of coefficient indices.
+Every checker returns the residual of its identity at one choice of
+coefficient indices: an exact combination over the rationals that is zero
+exactly when the identity holds there.  Sweeping the indices and deciding
+pass or fail is left to the caller (``SuiteReport.sweep``).  The checkers
+that evaluate fields take an ``ActionCache``, which memoizes mode actions so
+that a sweep over a window of indices computes each u_n w once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from .fock import VElement
 from .lattice import LatticeVector
@@ -19,9 +18,9 @@ from .vertex import (
     OperatorContext,
     adjoint_context,
     apply_heisenberg_mode,
+    conformal_vector,
     gbinom,
     truncation_bound,
-    virasoro_mode,
     y_coefficient,
 )
 
@@ -52,60 +51,34 @@ class ActionCache:
         return hit
 
 
-@dataclass
-class LocalityResult:
-    ok: bool
-    order: int
-    failure: Optional[tuple] = None  # (p, q, probe_index, residual)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def locality_check(
+def locality_residual(
     u: VElement,
     v: VElement,
+    w,
+    p: int,
+    q: int,
     k_order: int,
-    window: int,
     ctx: OperatorContext,
-    probes: Sequence,
-    cache: ActionCache | None = None,
-) -> LocalityResult:
-    """Check (z1 - z2)^k [fields of u and v] commute, coefficientwise.
+    cache: ActionCache,
+):
+    """Difference of the two orderings of (z1 - z2)^k u(z1) v(z2) at (p, q).
 
-    For every probe state and every pair of coefficient indices |p|, |q|
-    bounded by the window, compares
+    Locality of order k means
 
         sum_i (-1)^i C(k, i) u_{p+k-i} (v_{q+i} w)
-        sum_i (-1)^i C(k, i) v_{q+i} (u_{p+k-i} w)
+      = sum_i (-1)^i C(k, i) v_{q+i} (u_{p+k-i} w)
 
-    and reports the first mismatch.
+    for every pair of coefficient indices.
     """
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
-    cache = cache or ActionCache(ctx)
-    for idx, w in enumerate(probes):
-        for p in range(-window, window + 1):
-            for q in range(-window, window + 1):
-                lhs = ctx.zero_element()
-                rhs = ctx.zero_element()
-                for i in range(k_order + 1):
-                    c = (-1) ** i * gbinom(k_order, i)
-                    lhs = lhs + c * cache.act(u, p + k_order - i, cache.act(v, q + i, w))
-                    rhs = rhs + c * cache.act(v, q + i, cache.act(u, p + k_order - i, w))
-                if lhs != rhs:
-                    return LocalityResult(False, k_order, (p, q, idx, lhs - rhs))
-    return LocalityResult(True, k_order)
-
-
-@dataclass
-class BorcherdsResult:
-    ok: bool
-    at: Optional[tuple] = None
-    residual: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
+    lhs = ctx.zero_element()
+    rhs = ctx.zero_element()
+    for i in range(k_order + 1):
+        c = (-1) ** i * gbinom(k_order, i)
+        lhs = lhs + c * cache.act(u, p + k_order - i, cache.act(v, q + i, w))
+        rhs = rhs + c * cache.act(v, q + i, cache.act(u, p + k_order - i, w))
+    return lhs - rhs
 
 
 def borcherds_residual(
@@ -116,7 +89,7 @@ def borcherds_residual(
     n: int,
     k: int,
     ctx: OperatorContext,
-    cache: ActionCache | None = None,
+    cache: ActionCache,
 ):
     """Difference of the two sides of the component Jacobi identity.
 
@@ -128,7 +101,6 @@ def borcherds_residual(
 
     with every sum finite by truncation.
     """
-    cache = cache or ActionCache(ctx)
     lhs = ctx.zero_element()
     i_max = max(truncation_bound(v, w, ctx) - k, truncation_bound(u, w, ctx) - m, 0)
     if n >= 0:
@@ -158,28 +130,6 @@ def borcherds_residual(
     return lhs - rhs
 
 
-def borcherds_check(
-    u: VElement,
-    v: VElement,
-    w,
-    triples: Iterable[tuple],
-    ctx: OperatorContext,
-    cache: ActionCache | None = None,
-) -> BorcherdsResult:
-    """Run the component identity over the given (m, n, k) index triples."""
-    cache = cache or ActionCache(ctx)
-    for m, n, k in triples:
-        res = borcherds_residual(u, v, w, m, n, k, ctx, cache)
-        if not res.is_zero():
-            return BorcherdsResult(False, (m, n, k), res)
-    return BorcherdsResult(True)
-
-
-def window_triples(window: int) -> list[tuple]:
-    r = range(-window, window + 1)
-    return [(m, n, k) for m in r for n in r for k in r]
-
-
 def heisenberg_residual(
     h1: LatticeVector,
     m: int,
@@ -196,19 +146,17 @@ def heisenberg_residual(
     return lhs
 
 
-def virasoro_residual(m: int, n: int, s, ctx: OperatorContext, cache: ActionCache | None = None):
+def virasoro_residual(m: int, n: int, s, ctx: OperatorContext, cache: ActionCache):
     """[L(m), L(n)] s minus (m-n) L(m+n) s minus the central term.
 
     The central term is (m^3 - m)/6 * delta_{m+n,0} * nu * s, i.e. central
     charge 2*nu in the standard normalization.
     """
-    if cache is None:
-        L = lambda a, x: virasoro_mode(a, x, ctx)
-    else:
-        from .vertex import conformal_vector
+    omega = conformal_vector(ctx.cfg)
 
-        omega = conformal_vector(ctx.cfg)
-        L = lambda a, x: cache.act(omega, a + 1, x)
+    def L(a, x):
+        return cache.act(omega, a + 1, x)
+
     lhs = L(m, L(n, s)) - L(n, L(m, s))
     rhs = (m - n) * L(m + n, s)
     if m + n == 0:
@@ -216,8 +164,10 @@ def virasoro_residual(m: int, n: int, s, ctx: OperatorContext, cache: ActionCach
     return lhs - rhs
 
 
-def d_derivative_residual(u: VElement, n: int, w, ctx: OperatorContext, cache: ActionCache | None = None):
-    """(L(-1)u)_n w + n * u_{n-1} w, which must vanish identically."""
-    cache = cache or ActionCache(ctx)
-    du = virasoro_mode(-1, u, adjoint_context(ctx.cfg))
+def d_derivative_residual(u: VElement, n: int, w, ctx: OperatorContext, cache: ActionCache):
+    """(L(-1)u)_n w + n * u_{n-1} w, which must vanish identically.
+
+    L(-1)u is the zeroth product of the conformal vector with u.
+    """
+    du = cache.adjoint_product(conformal_vector(ctx.cfg), 0, u)
     return cache.act(du, n, w) + n * cache.act(u, n - 1, w)

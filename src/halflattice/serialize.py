@@ -296,19 +296,6 @@ def w_handle_from_data(doc, cfg: LatticeConfig, path: str = "W"):
     raise SchemaError(f"{path}.kind", f"unknown coefficient module kind {kind!r}")
 
 
-def module_context_from_data(doc, cfg: LatticeConfig, path: str = "context"):
-    from .bridge import build_module_context
-
-    doc = _expect_dict(doc, path)
-    coords = _expect_list(doc.get("lambda"), f"{path}.lambda", cfg.nu)
-    lam = cfg.vector(d=[parse_fraction(x, f"{path}.lambda") for x in coords])
-    handle = w_handle_from_data(doc.get("W"), cfg, f"{path}.W")
-    try:
-        return build_module_context(cfg, lam, handle)
-    except ValueError as exc:
-        raise SchemaError(f"{path}.lambda", str(exc)) from None
-
-
 # -- dispatcher --------------------------------------------------------------------------
 
 

@@ -2,9 +2,11 @@
 
 Each suite builds its desk-scale instances, sweeps the advertised identity
 over probe states and coefficient windows with exact arithmetic, and returns
-a ``SuiteReport`` whose check records are sorted by id.  Reports depend only
-on (config, seed); wall time is tracked but excluded from the serialized
-report so byte-identical reruns stay byte-identical.
+a ``SuiteReport`` whose check records are sorted by id.  A check is a lazy
+stream of (where, residual) cases decided by ``SuiteReport.sweep``: the
+first truthy residual fails it, and so does a stream with no case at all.
+Reports depend only on (config, seed); wall time is tracked but excluded
+from the serialized report so byte-identical reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .assoc import (
     simplicity_witness,
 )
 from .bridge import (
-    build_module_context,
     charge_sector,
     is_vacuum_vector,
-    recover_a_module,
+    recovered_action_cases,
+    recovered_relation_cases,
     vacuum_basis,
     z_operator,
 )
@@ -42,7 +44,7 @@ from .identities import (
     borcherds_residual,
     d_derivative_residual,
     heisenberg_residual,
-    locality_check,
+    locality_residual,
     virasoro_residual,
 )
 from .lattice import LatticeConfig
@@ -59,6 +61,7 @@ from .vertex import (
     adjoint_context,
     apply_heisenberg_mode,
     conformal_vector,
+    module_operator_context,
     truncation_bound,
     y_coefficient,
 )
@@ -66,7 +69,7 @@ from .zhu import (
     circ_general,
     o_action_on_v0,
     zhu_embed,
-    zhu_iso_check,
+    zhu_iso_cases,
     zhu_reduce,
 )
 
@@ -115,6 +118,22 @@ class SuiteReport:
 
     def add(self, check_id: str, ok: bool, residual="") -> None:
         self.checks.append(CheckRecord(check_id, bool(ok), str(residual) if residual else ""))
+
+    def sweep(self, check_id: str, cases) -> None:
+        """Decide a check from its lazy (where, residual) cases.
+
+        A truthy residual (a nonzero combination, a failed comparison, a
+        message) fails the check at its first such case, recorded as the
+        (where, residual) pair; a check that evaluated no case fails as
+        vacuous.
+        """
+        evaluated = 0
+        for where, res in cases:
+            if res:
+                self.add(check_id, False, (where, res))
+                return
+            evaluated += 1
+        self.add(check_id, evaluated > 0, "" if evaluated else "vacuous: no case evaluated")
 
     def finish(self) -> "SuiteReport":
         self.checks.sort(key=lambda c: c.check_id)
@@ -176,8 +195,8 @@ def _generators(cfg: LatticeConfig) -> list[tuple[str, VElement]]:
 def _first_failure(cases):
     """The first (where, residual) of a lazy sweep whose residual is truthy, else None.
 
-    Nonzero combinations and failed comparisons are truthy, so the sweep
-    stops at its first failing case.
+    For the checks that expect a failure; every other check is decided by
+    ``SuiteReport.sweep``.
     """
     return next(((where, res) for where, res in cases if res), None)
 
@@ -203,10 +222,10 @@ def _module_contexts(cfg: LatticeConfig, lam_vectors=None):
     out = []
     for lam in lam_vectors:
         weight = WeightModule(cfg, [Fraction(1, 2)] + [0] * (cfg.nu - 1))
-        out.append(("weight", build_module_context(cfg, lam, weight)))
+        out.append(("weight", module_operator_context(cfg, lam, weight)))
         if cfg.k == 1:
             omega = OmegaModule(cfg, _default_omega_spec(cfg.nu))
-            out.append(("omega", build_module_context(cfg, lam, omega)))
+            out.append(("omega", module_operator_context(cfg, lam, omega)))
     return out
 
 
@@ -227,13 +246,11 @@ def suite_heisenberg(config: SuiteConfig) -> SuiteReport:
     for i in range(cfg.ndirs):
         for j in range(cfg.ndirs):
             h1, h2 = cfg.dir_vector(i), cfg.dir_vector(j)
-            fail = _first_failure(
+            report.sweep(f"bracket/{cfg.dir_name(i)}:{cfg.dir_name(j)}", (
                 ((m, n, idx), heisenberg_residual(h1, m, h2, n, s, ctx))
                 for m, n in itertools.product(window, window)
                 for idx, s in enumerate(probes)
-            )
-            cid = f"bracket/{cfg.dir_name(i)}:{cfg.dir_name(j)}"
-            report.add(cid, fail is None, fail or "")
+            ))
     return report.finish()
 
 
@@ -245,7 +262,7 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
     cfg = LatticeConfig(nu, k)
     report = SuiteReport("locality", config.echo(nu, k))
     rng = random.Random(config.seed)
-    window = config.jacobi_window
+    window = range(-config.jacobi_window, config.jacobi_window + 1)
     heis = _generators(cfg)[: 2 * cfg.nu]
     charges = _generators(cfg)[2 * cfg.nu :]
 
@@ -262,23 +279,22 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
                 rand_module_element(rng, cfg, ctx.handle, max_weight=2)
                 for _ in range(2)
             ]
-        for (n1, u), (n2, v) in itertools.product(heis, heis):
-            res = locality_check(u, v, 2, window, ctx, probes, cache)
-            report.add(f"order2/{ctx_name}/{n1}:{n2}", res.ok, res.failure or "")
-        for (n1, u), (n2, v) in itertools.product(heis, charges):
-            res = locality_check(u, v, 1, window, ctx, probes, cache)
-            report.add(f"order1/{ctx_name}/{n1}:{n2}", res.ok, res.failure or "")
-        for (n1, u), (n2, v) in itertools.product(charges, charges):
-            res = locality_check(u, v, 0, window, ctx, probes, cache)
-            report.add(f"order0/{ctx_name}/{n1}:{n2}", res.ok, res.failure or "")
-        # order k-1 must fail on a pair with nonzero pairing
-        u = heis[0][1]          # c1(-1)
-        v = heis[1][1]          # d1(-1)
-        res = locality_check(u, v, 1, window, ctx, probes, cache)
+
+        def cases(u, v, order):
+            for idx, w in enumerate(probes):
+                for p in window:
+                    for q in window:
+                        yield (p, q, idx), locality_residual(u, v, w, p, q, order, ctx, cache)
+
+        for order, left, right in ((2, heis, heis), (1, heis, charges), (0, charges, charges)):
+            for (n1, u), (n2, v) in itertools.product(left, right):
+                report.sweep(f"order{order}/{ctx_name}/{n1}:{n2}", cases(u, v, order))
+        # order k-1 must fail on a pair with nonzero pairing: c1(-1), d1(-1)
+        fail = _first_failure(cases(heis[0][1], heis[1][1], 1))
         report.add(
             f"underprovisioned-order-detected/{ctx_name}/c1:d1",
-            not res.ok,
-            "" if not res.ok else "order-1 locality unexpectedly held",
+            fail is not None,
+            "" if fail is not None else "order-1 locality unexpectedly held",
         )
     return report.finish()
 
@@ -298,11 +314,10 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
     ctx = adjoint_context(cfg)
     cache = ActionCache(ctx)
     for (n1, u), (n2, v), (n3, w) in itertools.product(gens, gens, gens):
-        fail = _first_failure(
+        report.sweep(f"adjoint/{n1}:{n2}:{n3}", (
             ((m, n, kk), borcherds_residual(u, v, w, m, n, kk, ctx, cache))
             for m, n, kk in triples
-        )
-        report.add(f"adjoint/{n1}:{n2}:{n3}", fail is None, fail or "")
+        ))
 
     for kind, mctx in _module_contexts(cfg):
         mcache = ActionCache(mctx)
@@ -311,12 +326,11 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
             rand_module_element(rng, cfg, mctx.handle, max_weight=2),
         ]
         for (n1, u), (n2, v) in itertools.product(gens, gens):
-            fail = _first_failure(
+            report.sweep(f"module-{kind}/{n1}:{n2}", (
                 (((m, n, kk), widx), borcherds_residual(u, v, w, m, n, kk, mctx, mcache))
                 for widx, w in enumerate(wprobes)
                 for m, n, kk in triples
-            )
-            report.add(f"module-{kind}/{n1}:{n2}", fail is None, fail or "")
+            ))
     return report.finish()
 
 
@@ -339,11 +353,10 @@ def suite_virasoro(config: SuiteConfig) -> SuiteReport:
             ("dressed", fock_element(nu, [(0, 1), (nu, 1)], [0] * (nu - 1) + [1])),
         ]
         for name, s in canonical:
-            fail = _first_failure(
+            report.sweep(f"nu{nu}/grid/{name}", (
                 ((m, n), virasoro_residual(m, n, s, ctx, cache))
                 for m, n in itertools.product(grid, grid)
-            )
-            report.add(f"nu{nu}/grid/{name}", fail is None, fail or "")
+            ))
 
         def seeded_probes():
             for idx in range(config.probe_count):
@@ -352,8 +365,7 @@ def suite_virasoro(config: SuiteConfig) -> SuiteReport:
                     m, n = rng.randint(-4, 4), rng.randint(-4, 4)
                     yield (idx, m, n), virasoro_residual(m, n, s, ctx, cache)
 
-        fail = _first_failure(seeded_probes())
-        report.add(f"nu{nu}/seeded-probes", fail is None, fail or "")
+        report.sweep(f"nu{nu}/seeded-probes", seeded_probes())
         one = vacuum(nu)
         got = cache.act(conformal_vector(cfg), 3, cache.act(conformal_vector(cfg), -1, one))
         want = nu * one
@@ -387,8 +399,7 @@ def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
                     for widx, w in enumerate(targets):
                         yield (uidx, n, widx), d_derivative_residual(u, n, w, ctx, cache)
 
-        fail = _first_failure(cases())
-        report.add(f"translation-derivative/{ctx_name}", fail is None, fail or "")
+        report.sweep(f"translation-derivative/{ctx_name}", cases())
     return report.finish()
 
 
@@ -405,8 +416,7 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
     if nu >= 2:
         ring = LaurentRing(nu, 2)
         t1, t2 = ring.variable(1), ring.variable(2)
-        fs = (t1 * t2, t1 * t2) + tuple(ring.zero() for _ in range(0))
-        specs.append(OmegaSpec(nu, 3, fs, tuple(Fraction(2) for _ in range(nu - 2))))
+        specs.append(OmegaSpec(nu, 3, (t1 * t2, t1 * t2), (Fraction(2),) * (nu - 2)))
 
     def relation_cases(spec):
         for trial in range(config.probe_count * 2):
@@ -418,8 +428,7 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
             yield (trial, j, charge), act_on_omega_module(rel, f, spec)
 
     for sidx, spec in enumerate(specs):
-        fail = _first_failure(relation_cases(spec))
-        report.add(f"defining-relation/spec{sidx}", fail is None, fail or "")
+        report.sweep(f"defining-relation/spec{sidx}", relation_cases(spec))
 
     # shift identity: the scaled substitution pulls t - m out of a product
     ring1 = LaurentRing(1, 0)
@@ -434,8 +443,7 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
                 rhs = (t - ring1.constant(m)) * ((a**m) * f.shift(1, m))
                 yield (m, trial), lhs != rhs
 
-    fail = _first_failure(shift_cases())
-    report.add("shift-identity", fail is None, fail or "")
+    report.sweep("shift-identity", shift_cases())
 
     # symmetric-derivation failure makes the degree operators non-commuting
     if nu >= 2:
@@ -461,8 +469,7 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
                     comm = BElement.d(i) * BElement.d(j) - BElement.d(j) * BElement.d(i)
                     yield (trial, i, j), act_on_omega_module(comm, f, good)
 
-        fail = _first_failure(commutator_cases())
-        report.add("symmetric-spec-commutator-vanishes", fail is None, fail or "")
+        report.sweep("symmetric-spec-commutator-vanishes", commutator_cases())
     return report.finish()
 
 
@@ -513,15 +520,18 @@ def _classification_pairs(nu: int) -> list[tuple[str, OmegaSpec, OmegaSpec, bool
     r1 = LaurentRing(nu, 1)
     t1 = r1.variable(1)
     tail = tuple(Fraction(2) for _ in range(nu - 1))
-    tail3 = tuple(Fraction(3) for _ in range(nu - 1))
+    if nu >= 2:
+        mismatch = (OmegaSpec(nu, 2, (t1,), tail),
+                    OmegaSpec(nu, 2, (t1,), (Fraction(3),) * (nu - 1)))
+    else:  # a cutoff-2 spec at nu = 1 has no shift constants to mismatch
+        mismatch = (OmegaSpec(1, 1, (), (Fraction(2),)), OmegaSpec(1, 1, (), (Fraction(3),)))
     pairs = [
         ("integer-shift", OmegaSpec(nu, 2, (t1,), tail),
          OmegaSpec(nu, 2, (t1 + 3,), tail), True),
         ("negative-shift", OmegaSpec(nu, 2, (2 * t1**2,), tail),
          OmegaSpec(nu, 2, (2 * t1**2 - 2,), tail), True),
         ("equal", OmegaSpec(nu, 2, (t1,), tail), OmegaSpec(nu, 2, (t1,), tail), True),
-        ("constant-mismatch", OmegaSpec(nu, 2, (t1,), tail),
-         OmegaSpec(nu, 2, (t1,), tail3), False),
+        ("constant-mismatch", *mismatch, False),
         ("half-integer-shift", OmegaSpec(nu, 2, (t1,), tail),
          OmegaSpec(nu, 2, (t1 + Fraction(1, 2),), tail), False),
         ("non-constant-difference", OmegaSpec(nu, 2, (t1,), tail),
@@ -550,7 +560,6 @@ def _classification_pairs(nu: int) -> list[tuple[str, OmegaSpec, OmegaSpec, bool
 
 def suite_classification(config: SuiteConfig) -> SuiteReport:
     nu = _unimodular_nu(config, "classification")
-    cfg = LatticeConfig(nu, 1)
     report = SuiteReport("classification", config.echo(nu, 1))
     rng = random.Random(config.seed)
 
@@ -576,8 +585,7 @@ def suite_classification(config: SuiteConfig) -> SuiteReport:
             for j in range(1, mu):
                 yield (trial, j), P.degree_derivation(j) + parts[j - 1] != spec.f_of(j)
 
-    fail = _first_failure(potential_cases())
-    report.add("potential-roundtrip", fail is None, fail or "")
+    report.sweep("potential-roundtrip", potential_cases())
 
     def witness_cases(spec):
         for trial in range(25):
@@ -591,12 +599,13 @@ def suite_classification(config: SuiteConfig) -> SuiteReport:
                 yield trial, "zero result"
             elif witness.replay(f) != spec.ring.constant(witness.result):
                 yield trial, "replay mismatch"
+            else:
+                yield trial, ""
 
     specs = [_default_omega_spec(nu)]
     specs.append(OmegaSpec(nu, 1, (), tuple(Fraction(i + 1, 2) for i in range(nu))))
     for sidx, spec in enumerate(specs):
-        fail = _first_failure(witness_cases(spec))
-        report.add(f"simplicity-witness/spec{sidx}", fail is None, fail or "")
+        report.sweep(f"simplicity-witness/spec{sidx}", witness_cases(spec))
     return report.finish()
 
 
@@ -623,31 +632,28 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
             base = ctx.state_of_label(ctx.handle.base_label())
             probes = [base, rand_module_element(rng, cfg, ctx.handle, max_weight=2)]
 
-            fail = _first_failure(
+            report.sweep(f"truncation/{tag}", (
                 ((name, widx, n), y_coefficient(u, n, w, ctx))
                 for name, u in gens
                 for widx, w in enumerate(probes)
                 for bound in [truncation_bound(u, w, ctx)]
                 for n in range(bound + 1, bound + 4)
-            )
-            report.add(f"truncation/{tag}", fail is None, fail or "")
+            ))
 
             one = vacuum(nu)
-            fail = _first_failure(
+            report.sweep(f"identity-field/{tag}", (
                 ((widx, n), y_coefficient(one, n, w, ctx) != (w if n == -1 else ctx.zero_element()))
                 for widx, w in enumerate(probes)
                 for n in window
-            )
-            report.add(f"identity-field/{tag}", fail is None, fail or "")
+            ))
 
-            fail = _first_failure(
+            report.sweep(f"jacobi-window/{tag}", (
                 ((gens[gi][0], gens[gj][0], widx, (m, n, kk)),
                  borcherds_residual(gens[gi][1], gens[gj][1], w, m, n, kk, ctx, cache))
                 for gi, gj in pair_sample
                 for widx, w in enumerate(probes)
                 for m, n, kk in triples
-            )
-            report.add(f"jacobi-window/{tag}", fail is None, fail or "")
+            ))
     return report.finish()
 
 
@@ -658,7 +664,6 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
     nu = _unimodular_nu(config, "vacuum-roundtrip")
     cfg = LatticeConfig(nu, 1)
     report = SuiteReport("vacuum-roundtrip", config.echo(nu, 1))
-    rng = random.Random(config.seed)
 
     for kind, mctx in _module_contexts(cfg):
         handle = mctx.handle
@@ -669,9 +674,8 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
             len(basis) == len(labels) and all(is_vacuum_vector(v, mctx) for v in basis),
             "" if len(basis) == len(labels) else f"{len(basis)} vs {len(labels)}",
         )
-        rec = recover_a_module(mctx, labels[:3])
-        report.add(f"recovered-action/{kind}", rec.roundtrip_ok, rec.mismatches[:1] or "")
-        report.add(f"recovered-relations/{kind}", rec.relations_ok, rec.mismatches[:1] or "")
+        report.sweep(f"recovered-action/{kind}", recovered_action_cases(mctx, labels[:3]))
+        report.sweep(f"recovered-relations/{kind}", recovered_relation_cases(mctx, labels[:3]))
 
         alpha = (1,) + (0,) * (nu - 1)
         w = mctx.state_of_label(handle.base_label())
@@ -684,8 +688,7 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
                     bw = apply_heisenberg_mode(beta, m, w, mctx)
                     for n in range(-3, 2):
                         lhs = apply_heisenberg_mode(beta, m, z_of[n], mctx)
-                        rhs = (z_operator(alpha, n, bw, mctx) if not bw.is_zero()
-                               else mctx.zero_element())
+                        rhs = z_operator(alpha, n, bw, mctx)
                         want = (
                             cfg.pairing(beta, cfg.from_charge(alpha)) * z_of[n]
                             if m == 0
@@ -693,18 +696,15 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
                         )
                         yield (bdir, m, n), lhs - rhs != want
 
-        fail = _first_failure(commutation_cases())
-        report.add(f"dressing-commutation/{kind}", fail is None, fail or "")
+        report.sweep(f"dressing-commutation/{kind}", commutation_cases())
 
         a0w = apply_heisenberg_mode(cfg.from_charge(alpha), 0, w, mctx)
 
         def derivative_cases():
             for n in range(-3, 2):
-                lhs = z_operator(alpha, n, a0w, mctx) if not a0w.is_zero() else mctx.zero_element()
-                yield n, lhs != (-n - 1) * z_operator(alpha, n, w, mctx)
+                yield n, z_operator(alpha, n, a0w, mctx) != (-n - 1) * z_operator(alpha, n, w, mctx)
 
-        fail = _first_failure(derivative_cases())
-        report.add(f"dressing-derivative/{kind}", fail is None, fail or "")
+        report.sweep(f"dressing-derivative/{kind}", derivative_cases())
 
         def coherence_cases():
             for label in labels[:3]:
@@ -714,8 +714,7 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
                     sector = charge_sector(unit, state, mctx)
                     yield (label, i, sector), (cfg.k * sector).denominator != 1
 
-        fail = _first_failure(coherence_cases())
-        report.add(f"weight-coherence/{kind}", fail is None, fail or "")
+        report.sweep(f"weight-coherence/{kind}", coherence_cases())
     return report.finish()
 
 
@@ -739,8 +738,7 @@ def suite_zhu(config: SuiteConfig) -> SuiteReport:
                         want = want + m * fock_element(nu, [(i, 1)], total)
                 yield (a1, b1), got != want
 
-    fail = _first_failure(circle_cases())
-    report.add("charge-circle-product", fail is None, fail or "")
+    report.sweep("charge-circle-product", circle_cases())
 
     def ideal_cases(trials, max_weight, depths):
         for trial in range(trials):
@@ -749,18 +747,15 @@ def suite_zhu(config: SuiteConfig) -> SuiteReport:
             for n in depths:
                 yield (trial, n), zhu_reduce(cfg, circ_general(cfg, u, v, n))
 
-    fail = _first_failure(ideal_cases(config.probe_count, 3, [0]))
-    report.add("ideal-membership", fail is None, fail or "")
-    fail = _first_failure(ideal_cases(10, 2, range(3)))
-    report.add("deep-ideal-membership", fail is None, fail or "")
+    report.sweep("ideal-membership", ideal_cases(config.probe_count, 3, [0]))
+    report.sweep("deep-ideal-membership", ideal_cases(10, 2, range(3)))
 
     pairs = [
         (rand_a_element(rng, cfg, d_degree=3, charge_bound=3),
          rand_a_element(rng, cfg, d_degree=3, charge_bound=3))
         for _ in range(config.probe_count)
     ]
-    iso = zhu_iso_check(cfg, pairs)
-    report.add("product-identification", iso.ok, iso.failures[:1] or "")
+    report.sweep("product-identification", zhu_iso_cases(cfg, pairs))
 
     ring = LaurentRing(nu, nu)
     grid = [tuple(e) for e in itertools.product(range(4), repeat=nu)]
@@ -773,8 +768,7 @@ def suite_zhu(config: SuiteConfig) -> SuiteReport:
             v = zhu_embed(a)
             yield (trial, a), not any(o_action_on_v0(cfg, v, ring.monomial(e)) for e in grid)
 
-    fail = _first_failure(injectivity_cases())
-    report.add("bottom-level-injectivity", fail is None, fail or "")
+    report.sweep("bottom-level-injectivity", injectivity_cases())
     return report.finish()
 
 

@@ -192,3 +192,31 @@ def test_nu_k_overrides(tmp_path, capsys):
     assert main(["--nu", "1", "--json", "eval", "product", u, "0", v]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"terms": [{"charge": [1], "coeff": "-1", "fock": []}]}
+
+
+def test_classification_at_nu_one(capsys):
+    assert main(["--nu", "1", "--json", "verify", "classification"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["failed"] == 0
+
+
+def test_vacuous_check_fails(capsys):
+    # at nu = 1 and seed 512 every potential-roundtrip trial draws cutoff 1,
+    # which has no multiplier to decompose
+    assert main(["--nu", "1", "--seed", "512", "--json", "verify", "classification"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    failed = [c for c in data["checks"] if c["status"] == "fail"]
+    assert failed == [{"id": "potential-roundtrip", "status": "fail",
+                       "residual": "vacuous: no case evaluated"}]
+
+
+def test_sweep_decides_a_check():
+    report = SuiteReport("stub", {})
+    report.sweep("empty", [])
+    report.sweep("passing", [((0,), 0), ((1,), False)])
+    report.sweep("failing", [((0,), 0), ((1,), "bad"), ((2,), "later")])
+    assert [(c.check_id, c.ok, c.residual) for c in report.finish().checks] == [
+        ("empty", False, "vacuous: no case evaluated"),
+        ("failing", False, "((1,), 'bad')"),
+        ("passing", True, ""),
+    ]

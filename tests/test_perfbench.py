@@ -1,0 +1,35 @@
+"""The benchmark in perfbench/ still finds the layers and workloads it names.
+
+perfbench rebinds package functions by (module, qualified name) and builds
+its workloads from the package's public suites; a rename in the package
+would otherwise only show as a "not traced" line in a benchmark run.
+"""
+
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str) -> dict:
+    """A perfbench script's globals, executed from source so nothing is written there."""
+    path = PERFBENCH / f"{name}.py"
+    namespace = {"__name__": f"perfbench_{name}"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
+
+
+def test_every_traced_layer_resolves():
+    tracer = _load("tracer")
+    for module_name, qualname in tracer["TRACED"]:
+        target = importlib.import_module(f"{tracer['PACKAGE']}.{module_name}")
+        for part in qualname.split("."):
+            target = getattr(target, part)
+        assert callable(target), f"{module_name}.{qualname}"
+
+
+def test_every_workload_plans():
+    workloads = _load("workloads")
+    for name in workloads["NAMES"]:
+        calls = workloads["plan"](name, 7)
+        assert calls and all(callable(call) for _, call in calls), name
