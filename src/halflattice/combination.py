@@ -27,11 +27,11 @@ def accumulate(data: dict, key, value) -> None:
 class Combination:
     """Finitely supported rational combination over hashable term keys."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping):
         self.terms = {t: Fraction(c) for t, c in terms.items() if c}
-        self._key = None
+        self._hash = None
 
     def shape(self):
         """What besides the terms two combinations must share; None by default."""
@@ -75,16 +75,13 @@ class Combination:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def key(self):
-        """Hashable canonical form, usable as a cache key."""
-        if self._key is None:
-            self._key = (type(self).__name__, self.shape(), tuple(sorted(self.terms.items())))
-        return self._key
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         return self.shape() == other.shape() and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        """Computed once: a combination must not be mutated after it is hashed."""
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self.shape(), frozenset(self.terms.items())))
+        return self._hash

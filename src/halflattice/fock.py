@@ -31,7 +31,16 @@ def fock_word(factors: Iterable) -> FockWord:
         if mode < 1:
             raise ValueError(f"creation mode {mode} must be a positive integer")
         out.append((dir_, mode))
-    return tuple(sorted(out, key=lambda f: (-f[1], f[0])))
+    return tuple(sorted(out, key=_factor_order))
+
+
+def merge_words(word: FockWord, other: FockWord) -> FockWord:
+    """Canonical product of two canonical Fock monomials."""
+    return tuple(sorted(word + other, key=_factor_order))
+
+
+def _factor_order(factor: tuple) -> tuple:
+    return (-factor[1], factor[0])
 
 
 def fock_weight(word: FockWord) -> int:

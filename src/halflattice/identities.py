@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .combination import accumulate
 from .fock import VElement
 from .lattice import LatticeVector
 from .vertex import (
@@ -35,7 +36,7 @@ class ActionCache:
         self._products: dict = {}
 
     def act(self, u: VElement, n: int, w):
-        key = (u.key(), n, w.key())
+        key = (u, n, w)
         hit = self._acts.get(key)
         if hit is None:
             hit = y_coefficient(u, n, w, self.ctx)
@@ -43,7 +44,7 @@ class ActionCache:
         return hit
 
     def adjoint_product(self, u: VElement, n: int, v: VElement) -> VElement:
-        key = (u.key(), n, v.key())
+        key = (u, n, v)
         hit = self._products.get(key)
         if hit is None:
             hit = y_coefficient(u, n, v, self.adj)
@@ -72,13 +73,12 @@ def locality_residual(
     """
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
-    lhs = ctx.zero_element()
-    rhs = ctx.zero_element()
+    out: dict = {}
     for i in range(k_order + 1):
         c = (-1) ** i * gbinom(k_order, i)
-        lhs = lhs + c * cache.act(u, p + k_order - i, cache.act(v, q + i, w))
-        rhs = rhs + c * cache.act(v, q + i, cache.act(u, p + k_order - i, w))
-    return lhs - rhs
+        _add_into(out, c, cache.act(u, p + k_order - i, cache.act(v, q + i, w)))
+        _add_into(out, -c, cache.act(v, q + i, cache.act(u, p + k_order - i, w)))
+    return ctx.element(out)
 
 
 def borcherds_residual(
@@ -101,19 +101,17 @@ def borcherds_residual(
 
     with every sum finite by truncation.
     """
-    lhs = ctx.zero_element()
+    out: dict = {}
     i_max = max(truncation_bound(v, w, ctx) - k, truncation_bound(u, w, ctx) - m, 0)
     if n >= 0:
         i_max = min(i_max, n)
-    sign_n = (-1) ** n
+    sign_n = -1 if n % 2 else 1
     for i in range(i_max + 1):
         c = (-1) ** i * gbinom(n, i)
         if not c:
             continue
-        t1 = cache.act(u, m + n - i, cache.act(v, k + i, w))
-        t2 = cache.act(v, n + k - i, cache.act(u, m + i, w))
-        lhs = lhs + c * (t1 - sign_n * t2)
-    rhs = ctx.zero_element()
+        _add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)))
+        _add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)))
     # the inner product u_{n+i} v lives in the adjoint context, so its
     # truncation bound must be taken there
     j_max = max(truncation_bound(u, v, cache.adj) - n, 0)
@@ -126,8 +124,14 @@ def borcherds_residual(
         inner = cache.adjoint_product(u, n + i, v)
         if inner.is_zero():
             continue
-        rhs = rhs + c * cache.act(inner, m + k - i, w)
-    return lhs - rhs
+        _add_into(out, -c, cache.act(inner, m + k - i, w))
+    return ctx.element(out)
+
+
+def _add_into(data: dict, c: int, element) -> None:
+    """Add c times element into the terms dict data, in place."""
+    for t, x in element.terms.items():
+        accumulate(data, t, c * x)
 
 
 def heisenberg_residual(

@@ -19,7 +19,14 @@ Targets are selected by an ``OperatorContext``, which acts on M(1) tensor W
 for a coefficient module W handled by duck-typed label actions.  The adjoint
 is the weight module through the origin: the algebra acting on itself is
 M(1) tensor C[L_C] at weight zero.  ``dressing`` is the one expansion of
-E^{+-}(-alpha, z), shared with the transport operators of the bridge.
+E^{+-}(-alpha, z), shared with the transport operators of the bridge, and
+it uses two cached closed forms instead of a sum over partitions.  The
+z^p coefficient of E^-(-alpha, z) is the complete symmetric function h_p of
+the power sums alpha(-m) (Macdonald, Symmetric Functions and Hall
+Polynomials, I.2), built by Newton's identity once per (alpha, p).
+E^+(-alpha, z) shifts each d_i(-m) factor by -k alpha_i z^(-m), so its
+z^(-p) coefficient on a word removes the sets of d-factors of total mode
+p, with the product of their -k alpha_i, cached per (word, alpha, k, p).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from math import comb, factorial
 
 from .assoc import WeightModule
 from .combination import accumulate
-from .fock import ModuleElement, VElement, fock_weight, fock_word
+from .fock import ModuleElement, VElement, fock_weight, fock_word, merge_words
 from .lattice import LatticeConfig, LatticeVector
 
 
@@ -47,22 +54,26 @@ class OperatorContext:
     acts by its pairing with it, and its states are ``VElement``s.
     """
 
-    __slots__ = ("cfg", "lam", "handle", "zero")
+    __slots__ = ("cfg", "lam", "handle", "zero", "_powers")
 
     def __init__(self, cfg: LatticeConfig, lam: LatticeVector, handle, zero):
         self.cfg = cfg
         self.lam = lam
         self.handle = handle
         self.zero = zero
+        self._powers: dict = {}
 
     def charge_power(self, charge: tuple) -> int:
-        """Exponent of the scalar power shift z^alpha for this target."""
-        value = self.cfg.k * sum(m * lam_d for m, lam_d in zip(charge, self.lam.d))
-        if value.denominator != 1:
-            raise ValueError(
-                f"charge {charge} pairs non-integrally ({value}) with weight {self.lam}"
-            )
-        return int(value)
+        """Exponent of the scalar power shift z^alpha for this target (memoized)."""
+        power = self._powers.get(charge)
+        if power is None:
+            value = self.cfg.k * sum(m * lam_d for m, lam_d in zip(charge, self.lam.d))
+            if value.denominator != 1:
+                raise ValueError(
+                    f"charge {charge} pairs non-integrally ({value}) with weight {self.lam}"
+                )
+            power = self._powers[charge] = int(value)
+        return power
 
     def element(self, terms: dict):
         return self.zero._make(terms)
@@ -145,30 +156,6 @@ def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
 # -- combinatorial helpers ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple:
-    """All partitions of n >= 0 as tuples of (part, multiplicity), parts descending."""
-
-    def gen(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for mult in range(remaining // part, 0, -1):
-                for rest in gen(remaining - part * mult, part - 1):
-                    yield ((part, mult),) + rest
-
-    return tuple(gen(n, n))
-
-
-def _exp_coeff(partition: tuple, sign: int) -> Fraction:
-    """Coefficient of a multiset term of exp(sign * sum_m h(-+m) z^{...} / m)."""
-    value = Fraction(1)
-    for part, mult in partition:
-        value *= Fraction(sign, part) ** mult / factorial(mult)
-    return value
-
-
 def gbinom(top: int, k: int) -> int:
     """Generalized binomial coefficient with integer (possibly negative) top."""
     if k < 0:
@@ -184,46 +171,73 @@ def gbinom(top: int, k: int) -> int:
 # -- the exponential dressing ---------------------------------------------------------
 
 
-def dressing(cfg: LatticeConfig, states: dict, alpha, p: int, side: int) -> dict:
+def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) -> dict:
     """Level p of exp(side * sum_{m>0} alpha(-side*m) z^{side*m} / m) on states.
 
-    Level p is the coefficient of z^(side*p), summed over the partitions of p.
-    side = 1 is the creation half E^-(-alpha, z): alpha(-m) prepends one
-    c-direction factor per nonzero entry of alpha.  side = -1 is the
-    annihilation half E^+(-alpha, z): alpha lies in the charge lattice, so
-    alpha(m) contracts only with d-direction factors, each by m k alpha_i.
-    Both states and the result map (Fock word, label) keys to coefficients;
-    level 0 is the identity and returns states itself.
+    Level p is the coefficient of z^(side*p), in one of two closed forms.
+    side = 1 is the creation half E^-(-alpha, z): the alpha(-m) commute, so
+    level p is the complete symmetric function h_p of the power sums
+    alpha(-m) (Macdonald, Symmetric Functions and Hall Polynomials, I.2),
+    a fixed combination of c-direction creation words merged into each
+    state.  side = -1 is the annihilation half E^+(-alpha, z): alpha lies in
+    the charge lattice, so alpha(m) removes one d_i(-m) factor with weight
+    m k alpha_i, and the exponential shifts every d_i(-m) factor by
+    -k alpha_i z^(-m); level p removes each set of d-factors of total mode p
+    with the product of their -k alpha_i.  Both states and the result map
+    (Fock word, label) keys to coefficients; level 0 is the identity and
+    returns states itself.
     """
     if p == 0:
         return states
     out: dict = {}
-    for partition in _partitions(p):
-        coeff = _exp_coeff(partition, side)
-        cur = {key: coeff * c for key, c in states.items()}
-        for part, mult in partition:
-            for _ in range(mult):
-                if not cur:
-                    break
-                new: dict = {}
-                for (word, label), c in cur.items():
-                    if side > 0:
-                        for i, m_i in enumerate(alpha):
-                            if m_i:
-                                accumulate(new, (fock_word(word + ((i, part),)), label), c * m_i)
-                    else:
-                        for pos, (d2, m2) in enumerate(word):
-                            m_i = alpha[d2 - cfg.nu] if m2 == part and d2 >= cfg.nu else 0
-                            if m_i:
-                                rest = word[:pos] + word[pos + 1 :]
-                                accumulate(new, (rest, label), c * part * cfg.k * m_i)
-                cur = new
-        if not out:
-            out = cur
-            continue
-        for key, c in cur.items():
-            accumulate(out, key, c)
+    if side > 0:
+        level = _creation_level(alpha, p)
+        for (word, label), c in states.items():
+            for creations, q in level:
+                accumulate(out, (merge_words(word, creations), label), c * q)
+    else:
+        for (word, label), c in states.items():
+            for rest, q in _annihilation_level(word, alpha, cfg.k, p):
+                accumulate(out, (rest, label), c * q)
     return out
+
+
+@lru_cache(maxsize=None)
+def _creation_level(alpha: tuple, p: int) -> tuple:
+    """h_p of the power sums alpha(-m) as (canonical word, coefficient) pairs.
+
+    Newton's identity p h_p = sum_{m=1..p} alpha(-m) h_(p-m) builds each
+    level from the lower ones, all cached.
+    """
+    if p == 0:
+        return (((), Fraction(1)),)
+    out: dict = {}
+    for m in range(1, p + 1):
+        for word, c in _creation_level(alpha, p - m):
+            for i, a_i in enumerate(alpha):
+                if a_i:
+                    accumulate(out, merge_words(word, ((i, m),)), c * a_i)
+    return tuple((word, c / p) for word, c in out.items())
+
+
+@lru_cache(maxsize=None)
+def _annihilation_level(word: tuple, alpha: tuple, k: int, p: int) -> tuple:
+    """Level p of E^+(-alpha, z) on one word, as (remaining word, coefficient) pairs."""
+    nu = len(alpha)
+    out: dict = {}
+
+    def remove(start: int, left: int, kept: tuple, coeff: int):
+        if left == 0:
+            accumulate(out, kept + word[start:], coeff)
+            return
+        for pos in range(start, len(word)):
+            dir_, mode = word[pos]
+            a_i = alpha[dir_ - nu] if dir_ >= nu else 0
+            if a_i and mode <= left:
+                remove(pos + 1, left - mode, kept + word[start:pos], -k * a_i * coeff)
+
+    remove(0, p, (), 1)
+    return tuple(out.items())
 
 
 # -- the coefficient engine -----------------------------------------------------------

@@ -242,3 +242,17 @@ def test_borcherds_in_module_context():
     for _ in range(3):
         w = rand_module_element(rng, CFG2, handle, max_weight=2)
         assert borcherds_holds(u, v, w, ctx, cache)
+
+
+def test_borcherds_adjoint_generators_at_negative_n():
+    # (-1)^n at n < 0 must stay an exact integer sign
+    ctx = adjoint_context(CFG1)
+    cache = ActionCache(ctx)
+    gens = [
+        fock_element(1, [(0, 1)]),
+        fock_element(1, [(1, 1)]),
+        charge_element(1, (1,)),
+        charge_element(1, (-1,)),
+    ]
+    for u, v, w in itertools.product(gens, repeat=3):
+        assert borcherds_holds(u, v, w, ctx, cache)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,10 +6,13 @@ from math import factorial
 import pytest
 
 from halflattice.assoc import WeightModule
+from halflattice.combination import accumulate
 from halflattice.fock import (
     VElement,
     charge_element,
     fock_element,
+    fock_word,
+    module_state,
     vacuum,
     weight_of,
 )
@@ -18,6 +22,7 @@ from halflattice.vertex import (
     adjoint_context,
     apply_heisenberg_mode,
     conformal_vector,
+    dressing,
     module_operator_context,
     nth_product,
     truncation_bound,
@@ -292,3 +297,79 @@ def test_translation_derivative_property():
         du = virasoro_mode(-1, u, ctx)
         for n in range(-3, 4):
             assert y_coefficient(du, n, w, ctx) == -n * y_coefficient(u, n - 1, w, ctx)
+
+
+# -- the exponential dressing --------------------------------------------------------
+
+
+def partition_sum_dressing(cfg, states, alpha, p, side):
+    """Reference expansion of the dressing: level p summed over the partitions of p.
+
+    Each partition (part, mult) contributes prod (side/part)^mult / mult! times
+    the modes alpha(-side*part) applied one at a time.
+    """
+
+    def partitions(n, largest):
+        if n == 0:
+            yield ()
+            return
+        for part in range(min(n, largest), 0, -1):
+            for mult in range(n // part, 0, -1):
+                for rest in partitions(n - part * mult, part - 1):
+                    yield ((part, mult),) + rest
+
+    out = {}
+    for partition in partitions(p, p):
+        coeff = Fraction(1)
+        for part, mult in partition:
+            coeff *= Fraction(side, part) ** mult / factorial(mult)
+        cur = {key: coeff * c for key, c in states.items()}
+        for part, mult in partition:
+            for _ in range(mult):
+                new = {}
+                for (word, label), c in cur.items():
+                    if side > 0:
+                        for i, m_i in enumerate(alpha):
+                            if m_i:
+                                accumulate(new, (fock_word(word + ((i, part),)), label), c * m_i)
+                    else:
+                        for pos, (d2, m2) in enumerate(word):
+                            m_i = alpha[d2 - cfg.nu] if m2 == part and d2 >= cfg.nu else 0
+                            if m_i:
+                                rest = word[:pos] + word[pos + 1 :]
+                                accumulate(new, (rest, label), c * part * cfg.k * m_i)
+                cur = new
+        for key, c in cur.items():
+            accumulate(out, key, c)
+    return out
+
+
+def dressing_states(nu):
+    """States over words with repeated c- and d-factors, with charge and module labels."""
+    c1, d1, dn = 0, nu, 2 * nu - 1
+    words = [
+        [],
+        [(d1, 1), (d1, 1), (c1, 1)],
+        [(d1, 2), (dn, 1), (d1, 1), (c1, 2), (c1, 2)],
+        [(dn, 3), (d1, 2), (d1, 2), (dn, 1), (d1, 1), (c1, 1), (c1, 1)],
+    ]
+    charge = (1,) + (-1,) * (nu - 1)
+    v = VElement(nu, {(fock_word(f), charge if i % 2 else (0,) * nu): Fraction(i + 1, 2)
+                      for i, f in enumerate(words)})
+    label = (Fraction(1, 2),) * nu
+    m = module_state(label, words[2], Fraction(-3)) + module_state(label, words[3], 2)
+    return [v.terms, m.terms]
+
+
+@pytest.mark.parametrize("nu,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_dressing_matches_partition_sum(nu, k):
+    cfg = LatticeConfig(nu=nu, k=k)
+    nonzero = {1: 0, -1: 0}
+    for states in dressing_states(nu):
+        for alpha in itertools.product(range(-2, 3), repeat=nu):
+            for p in range(6):
+                for side in (1, -1):
+                    expected = partition_sum_dressing(cfg, states, alpha, p, side)
+                    assert dressing(cfg, states, alpha, p, side) == expected, (alpha, p, side)
+                    nonzero[side] += p > 0 and bool(expected)
+    assert nonzero[1] and nonzero[-1]
