@@ -73,14 +73,13 @@ def vacuum_basis(
         for n in range(1, level + 1):
             lower = {word: i for i, word in enumerate(_fock_level(cfg, level - n))}
             for dir_ in range(cfg.ndirs):
-                h = cfg.dir_vector(dir_)
                 table = [[Fraction(0)] * len(basis) for _ in lower]
                 touched = False
                 for word, col in index.items():
                     for pos, (d2, m2) in enumerate(word):
                         if m2 != n:
                             continue
-                        pair = cfg.pairing(h, cfg.dir_vector(d2))
+                        pair = cfg.dir_pairing(dir_, d2)
                         if pair:
                             rest = word[:pos] + word[pos + 1 :]
                             table[lower[rest]][col] += n * pair

@@ -11,9 +11,9 @@ Subcommands:
     verify SUITE                        run a named verification suite
 
 Every subcommand accepts ``--config FILE`` (JSON with nu, k, mode_window,
-jacobi_window, probe_count, max_degree, seed) and ``--json`` for canonical
-machine-readable output on stdout.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 bad input.
+jacobi_window, probe_count, max_degree, seed) and ``--json``, before or after
+the subcommand, for canonical machine-readable output on stdout.  Exit
+codes: 0 all checks pass, 1 a check failed, 2 bad input.
 """
 
 from __future__ import annotations
@@ -244,36 +244,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, default=None, help="pairing constant override")
     parser.add_argument("--seed", type=int, default=None, help="probe seed override")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --json may also follow the subcommand; there an absent flag sets nothing
+    late = argparse.ArgumentParser(add_help=False)
+    late.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                      help="machine-readable output")
 
     ev = sub.add_parser("eval", help="evaluate a product or action")
     evsub = ev.add_subparsers(dest="what", required=True)
-    p = evsub.add_parser("product", help="algebra product u_n v")
+    p = evsub.add_parser("product", parents=[late], help="algebra product u_n v")
     p.add_argument("u"), p.add_argument("n", type=int), p.add_argument("v")
     p.set_defaults(func=_cmd_eval_product)
-    p = evsub.add_parser("zhu", help="star product with its reduced class")
+    p = evsub.add_parser("zhu", parents=[late], help="star product with its reduced class")
     p.add_argument("u"), p.add_argument("v")
     p.set_defaults(func=_cmd_eval_zhu)
-    p = evsub.add_parser("act", help="act on a coefficient module")
+    p = evsub.add_parser("act", parents=[late], help="act on a coefficient module")
     p.add_argument("x"), p.add_argument("m")
     p.add_argument("--module", required=True, help="coefficient module JSON")
     p.set_defaults(func=_cmd_eval_act)
 
     de = sub.add_parser("decide", help="classification decisions")
     desub = de.add_subparsers(dest="what", required=True)
-    p = desub.add_parser("iso", help="decide isomorphism of function modules")
+    p = desub.add_parser("iso", parents=[late], help="decide isomorphism of function modules")
     p.add_argument("spec1"), p.add_argument("spec2")
     p.set_defaults(func=_cmd_decide_iso)
-    p = desub.add_parser("amodule", help="does the spec descend to commuting d's")
+    p = desub.add_parser("amodule", parents=[late], help="does the spec descend to commuting d's")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_decide_amodule)
 
     wi = sub.add_parser("witness", help="constructive reductions")
     wisub = wi.add_subparsers(dest="what", required=True)
-    p = wisub.add_parser("simplicity", help="reduction witness to the cyclic symbol")
+    p = wisub.add_parser("simplicity", parents=[late], help="reduction witness to the cyclic symbol")
     p.add_argument("spec"), p.add_argument("f")
     p.set_defaults(func=_cmd_witness_simplicity)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", parents=[late], help="run a verification suite")
     p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -4,8 +4,8 @@ Every checker returns the residual of its identity at one choice of
 coefficient indices: an exact combination over the rationals that is zero
 exactly when the identity holds there.  Sweeping the indices and deciding
 pass or fail is left to the caller (``SuiteReport.sweep``).  The checkers
-that evaluate fields take an ``ActionCache``, which memoizes mode actions so
-that a sweep over a window of indices computes each u_n w once.
+that evaluate fields or Heisenberg modes take an ``ActionCache``, which
+memoizes mode actions so that a sweep computes each u_n w or h(n) s once.
 """
 
 from __future__ import annotations
@@ -27,13 +27,15 @@ from .vertex import (
 
 
 class ActionCache:
-    """Memoized u_n w evaluation for one context (plus its adjoint side)."""
+    """Memoized u_n w, adjoint products u_n v and Heisenberg modes h(n) s for
+    one context (plus its adjoint side), keyed by their arguments."""
 
     def __init__(self, ctx: OperatorContext):
         self.ctx = ctx
         self.adj = adjoint_context(ctx.cfg)
         self._acts: dict = {}
         self._products: dict = {}
+        self._modes: dict = {}
 
     def act(self, u: VElement, n: int, w):
         key = (u, n, w)
@@ -49,6 +51,13 @@ class ActionCache:
         if hit is None:
             hit = y_coefficient(u, n, v, self.adj)
             self._products[key] = hit
+        return hit
+
+    def mode(self, h: LatticeVector, n: int, s):
+        key = (h, n, s)
+        hit = self._modes.get(key)
+        if hit is None:
+            hit = self._modes[key] = apply_heisenberg_mode(h, n, s, self.ctx)
         return hit
 
 
@@ -141,13 +150,18 @@ def heisenberg_residual(
     n: int,
     s,
     ctx: OperatorContext,
+    cache: ActionCache,
 ):
-    """[h1(m), h2(n)] s minus m (h1, h2) delta_{m+n,0} s."""
-    lhs = apply_heisenberg_mode(h1, m, apply_heisenberg_mode(h2, n, s, ctx), ctx)
-    lhs = lhs - apply_heisenberg_mode(h2, n, apply_heisenberg_mode(h1, m, s, ctx), ctx)
+    """[h1(m), h2(n)] s minus m (h1, h2) delta_{m+n,0} s.
+
+    Only the inner actions h2(n) s and h1(m) s, which a sweep repeats, are cached.
+    """
+    out: dict = {}
+    _add_into(out, 1, apply_heisenberg_mode(h1, m, cache.mode(h2, n, s), ctx))
+    _add_into(out, -1, apply_heisenberg_mode(h2, n, cache.mode(h1, m, s), ctx))
     if m + n == 0:
-        lhs = lhs - m * ctx.cfg.pairing(h1, h2) * s
-    return lhs
+        _add_into(out, -m * ctx.cfg.pairing(h1, h2), s)
+    return ctx.element(out)
 
 
 def virasoro_residual(m: int, n: int, s, ctx: OperatorContext, cache: ActionCache):

@@ -238,16 +238,18 @@ def suite_heisenberg(config: SuiteConfig) -> SuiteReport:
     report = SuiteReport("heisenberg", config.echo(nu, k))
     rng = random.Random(config.seed)
     ctx = adjoint_context(cfg)
+    cache = ActionCache(ctx)
     probes = [
         rand_velement(rng, cfg, n_terms=2, max_weight=config.max_degree)
         for _ in range(config.probe_count)
     ]
     window = range(-config.mode_window, config.mode_window + 1)
-    for i in range(cfg.ndirs):
-        for j in range(cfg.ndirs):
-            h1, h2 = cfg.dir_vector(i), cfg.dir_vector(j)
+    # one vector per direction, so cache keys match by identity
+    dirs = [cfg.dir_vector(i) for i in range(cfg.ndirs)]
+    for i, h1 in enumerate(dirs):
+        for j, h2 in enumerate(dirs):
             report.sweep(f"bracket/{cfg.dir_name(i)}:{cfg.dir_name(j)}", (
-                ((m, n, idx), heisenberg_residual(h1, m, h2, n, s, ctx))
+                ((m, n, idx), heisenberg_residual(h1, m, h2, n, s, ctx, cache))
                 for m, n in itertools.product(window, window)
                 for idx, s in enumerate(probes)
             ))
@@ -573,8 +575,9 @@ def suite_classification(config: SuiteConfig) -> SuiteReport:
                    "" if brute == (decided is not None) else f"brute={brute}")
 
     def potential_cases():
+        # cutoff 1 has no multiplier to decompose, so the trials cycle 2..nu+1
         for trial in range(10):
-            mu = rng.randint(1, nu + 1)
+            mu = 2 + trial % nu
             spec = rand_a_module_spec(rng, nu, mu)
             ok_flag, _ = is_a_module_spec(spec)
             got = decompose_potential(spec)

@@ -9,7 +9,10 @@ with the exponential dressing of the lattice operator for e^alpha:
 
 Nothing here materializes a series: ``y_coefficient`` extracts one z-power
 of the product applied to one state, enumerating exactly the finitely many
-mode combinations that can contribute.  Normal ordering places creation
+mode combinations that can contribute.  A single mode of one lattice
+direction (creation, contraction or zero mode) has one rule, shared by the
+field modes of ``y_coefficient`` and by ``apply_heisenberg_mode``, which
+sums it over the coordinates of h.  Normal ordering places creation
 modes and the charge shift to the left of zero modes, which sit to the left
 of annihilation modes; the scalar power z^alpha acts as z to the pairing of
 alpha with the module weight (zero on the algebra itself, where the charge
@@ -116,40 +119,16 @@ def module_operator_context(cfg: LatticeConfig, lam: LatticeVector, handle) -> O
 def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
     """Apply the mode h(n) to a state.
 
-    Negative modes prepend creation factors, positive modes contract against
-    matching creation factors via [h(m), h'(-m)] = m (h, h'), and the zero
-    mode splits into the scalar pairing of the c-part with the module weight
-    plus the coefficient-module action of the d-part.
+    The mode is linear in h: the sum, over the nonzero coordinates x of h,
+    of x times the mode of that coordinate's direction (``_mode_dir``).
     """
-    cfg = ctx.cfg
-    if h.nu != cfg.nu:
+    if h.nu != ctx.cfg.nu:
         raise ValueError("vector rank does not match the lattice")
     out: dict = {}
-    if n < 0:
-        mode = -n
-        for (word, label), coeff in s.terms.items():
-            for i in range(cfg.nu):
-                if h.c[i]:
-                    accumulate(out, (fock_word(word + ((i, mode),)), label), coeff * h.c[i])
-                if h.d[i]:
-                    accumulate(out, (fock_word(word + ((cfg.nu + i, mode),)), label), coeff * h.d[i])
-    elif n > 0:
-        for (word, label), coeff in s.terms.items():
-            for pos, (dir_, mode) in enumerate(word):
-                if mode != n:
-                    continue
-                pair = cfg.pairing(h, cfg.dir_vector(dir_))
-                if pair:
-                    rest = word[:pos] + word[pos + 1 :]
-                    accumulate(out, (rest, label), coeff * n * pair)
-    else:
-        for (word, label), coeff in s.terms.items():
-            scalar = cfg.k * sum(a * b for a, b in zip(h.c, ctx.lam.d))
-            if scalar:
-                accumulate(out, (word, label), coeff * scalar)
-            if any(h.d):
-                for q, lab in ctx.handle.d_action(tuple(h.d), label):
-                    accumulate(out, (word, lab), coeff * q)
+    for dir_, x in enumerate(h.c + h.d):
+        if x:
+            for key, c in _mode_dir(ctx, s.terms, dir_, n).items():
+                accumulate(out, key, x * c)
     return ctx.element(out)
 
 
@@ -274,22 +253,23 @@ def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
                 states = {(wfock, label): cu * cw * field_coeff}
                 for (dir_, _), j in zip(fields, js):
                     if j > 0 and states:
-                        states = _ann_dir(cfg, states, dir_, j)
+                        states = _mode_dir(ctx, states, dir_, j)
                 if not states:
                     continue
-                creations = tuple((dir_, -j) for (dir_, _), j in zip(fields, js) if j < 0)
+                creations = merge_words((), tuple(
+                    (dir_, -j) for (dir_, _), j in zip(fields, js) if j < 0))
                 for a in range(max(0, -p_low), a_max + 1):
                     mid = dressing(cfg, states, alpha, a, -1)
                     # zero modes act before the charge shift
                     for (dir_, _), j in zip(fields, js):
                         if j == 0 and mid:
-                            mid = _zero_dir(ctx, mid, dir_)
+                            mid = _mode_dir(ctx, mid, dir_, 0)
                     if not mid:
                         continue
                     if not alpha_zero:
                         mid = _act_on_labels(mid, ctx.handle.e_action, alpha)
                     for (word, lab), c in dressing(cfg, mid, alpha, p_low + a, 1).items():
-                        accumulate(out, (fock_word(word + creations), lab), c)
+                        accumulate(out, (merge_words(word, creations), lab), c)
     return ctx.element(out)
 
 
@@ -323,6 +303,16 @@ def _field_assignments(fields, budget: int, e_target: int, u_weight: int):
                 yield (j,) + rest, rc
 
     yield from rec(0, 0, budget, Fraction(1))
+
+
+def _mode_dir(ctx, states, dir_: int, n: int) -> dict:
+    """The mode n of one direction on states: a creation factor at n < 0, a
+    contraction via [h(m), h'(-m)] = m (h, h') at n > 0, else the zero mode."""
+    if n < 0:
+        return {(merge_words(word, ((dir_, -n),)), label): c for (word, label), c in states.items()}
+    if n > 0:
+        return _ann_dir(ctx.cfg, states, dir_, n)
+    return _zero_dir(ctx, states, dir_)
 
 
 def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:

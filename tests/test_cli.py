@@ -200,14 +200,66 @@ def test_classification_at_nu_one(capsys):
     assert data["failed"] == 0
 
 
-def test_vacuous_check_fails(capsys):
-    # at nu = 1 and seed 512 every potential-roundtrip trial draws cutoff 1,
-    # which has no multiplier to decompose
-    assert main(["--nu", "1", "--seed", "512", "--json", "verify", "classification"]) == 1
+@pytest.mark.parametrize("nu, seed", [(2, 5019), (1, 512)])
+def test_classification_seeds_that_drew_only_cutoff_one(capsys, nu, seed):
+    # potential-roundtrip once drew its cutoffs at random, and at these seeds
+    # every trial drew cutoff 1, which has no multiplier to decompose
+    flags = ["--nu", str(nu), "--seed", str(seed)]
+    assert main([*flags, "--json", "verify", "classification"]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == 0
+
+
+def test_vacuous_check_fails(monkeypatch, capsys):
+    def vacuous(config):
+        report = SuiteReport("stub", {})
+        report.sweep("no-cases", [])
+        report.sweep("one-case", [((0,), 0)])
+        return report.finish()
+
+    monkeypatch.setitem(SUITES, "stub", vacuous)
+    assert main(["--json", "verify", "stub"]) == 1
     data = json.loads(capsys.readouterr().out)
     failed = [c for c in data["checks"] if c["status"] == "fail"]
-    assert failed == [{"id": "potential-roundtrip", "status": "fail",
+    assert failed == [{"id": "no-cases", "status": "fail",
                        "residual": "vacuous: no case evaluated"}]
+
+
+def test_json_flag_after_the_subcommand(tmp_path, capsys):
+    cfgfile = write(tmp_path, "c.json", {"mode_window": 0, "probe_count": 2})
+    assert main(["--config", cfgfile, "--json", "verify", "heisenberg"]) == 0
+    before = capsys.readouterr().out
+    assert main(["--config", cfgfile, "verify", "heisenberg", "--json"]) == 0
+    assert capsys.readouterr().out == before
+    assert json.loads(before)["passed"] == 16
+    u = write(tmp_path, "u.json", charge_doc((1, 0)))
+    v = write(tmp_path, "v.json", charge_doc((0, 1)))
+    assert main(["eval", "product", u, "-2", v, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"terms": [{"charge": [1, 1], "coeff": "1", "fock": [[0, 1]]}]}
+    # without the flag in either place the output is text
+    assert main(["--config", cfgfile, "verify", "heisenberg"]) == 0
+    assert capsys.readouterr().out.startswith("suite heisenberg: 16/16")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "heisenberg", "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify", "heisenberg", "--nu", "1"], "unrecognized arguments: --nu 1"),
+        (["eval", "zhu", "u.json", "v.json", "--json=1"], "ignored explicit argument '1'"),
+    ],
+)
+def test_other_flags_after_the_subcommand_are_rejected(capsys, argv, message):
+    # only --json may follow the subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_json_after_the_subcommand_keeps_input_errors(capsys):
+    assert main(["verify", "bogus", "--json"]) == 2
+    assert "unknown suite" in capsys.readouterr().err
 
 
 def test_sweep_decides_a_check():

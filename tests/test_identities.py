@@ -214,10 +214,11 @@ def test_locality_failure_detected_below_true_order():
 
 def test_heisenberg_residual_zero_and_nonzero():
     ctx = adjoint_context(CFG2)
+    cache = ActionCache(ctx)
     s = fock_element(2, [(2, 1)])
-    assert heisenberg_residual(CFG2.c_basis(1), 1, CFG2.d_basis(1), -1, s, ctx).is_zero()
+    assert heisenberg_residual(CFG2.c_basis(1), 1, CFG2.d_basis(1), -1, s, ctx, cache).is_zero()
     # dropping the central term would leave m(h,h')s behind
-    bad = heisenberg_residual(CFG2.c_basis(1), 2, CFG2.d_basis(1), -2, vacuum(2), ctx)
+    bad = heisenberg_residual(CFG2.c_basis(1), 2, CFG2.d_basis(1), -2, vacuum(2), ctx, cache)
     assert bad.is_zero()
 
 

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from halflattice.assoc import WeightModule
+from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule
 from halflattice.combination import accumulate
 from halflattice.fock import (
     VElement,
@@ -17,7 +17,8 @@ from halflattice.fock import (
     weight_of,
 )
 from halflattice.lattice import LatticeConfig
-from halflattice.probes import rand_velement
+from halflattice.laurent import LaurentRing
+from halflattice.probes import rand_module_element, rand_velement
 from halflattice.vertex import (
     adjoint_context,
     apply_heisenberg_mode,
@@ -85,6 +86,81 @@ def test_mixed_direction_vector_mode():
     got = apply_heisenberg_mode(h, -2, vacuum(2), ctx)
     want = fock_element(2, [(0, 2)]) + 2 * fock_element(2, [(2, 2)])
     assert got == want
+
+
+def loop_heisenberg_mode(h, n, s, ctx):
+    """The former hand-written body of apply_heisenberg_mode, kept as the oracle
+    for the per-direction kernel: one loop per sign of n, pairing through
+    LatticeVector arithmetic."""
+    cfg = ctx.cfg
+    out: dict = {}
+    if n < 0:
+        mode = -n
+        for (word, label), coeff in s.terms.items():
+            for i in range(cfg.nu):
+                if h.c[i]:
+                    accumulate(out, (fock_word(word + ((i, mode),)), label), coeff * h.c[i])
+                if h.d[i]:
+                    accumulate(out, (fock_word(word + ((cfg.nu + i, mode),)), label), coeff * h.d[i])
+    elif n > 0:
+        for (word, label), coeff in s.terms.items():
+            for pos, (dir_, mode) in enumerate(word):
+                if mode != n:
+                    continue
+                pair = cfg.pairing(h, cfg.dir_vector(dir_))
+                if pair:
+                    rest = word[:pos] + word[pos + 1 :]
+                    accumulate(out, (rest, label), coeff * n * pair)
+    else:
+        for (word, label), coeff in s.terms.items():
+            scalar = cfg.k * sum(a * b for a, b in zip(h.c, ctx.lam.d))
+            if scalar:
+                accumulate(out, (word, label), coeff * scalar)
+            if any(h.d):
+                for q, lab in ctx.handle.d_action(tuple(h.d), label):
+                    accumulate(out, (word, lab), coeff * q)
+    return ctx.element(out)
+
+
+def kernel_oracle_targets(cfg, rng):
+    """(context, states) for the adjoint, a weight module at a weight with
+    nonzero (c_i, lam), and, at k = 1, a function module."""
+    lam = cfg.vector(d=[Fraction(i + 1, cfg.k) for i in range(cfg.nu)])
+    weight = WeightModule(cfg, [Fraction(1, 2)] + [0] * (cfg.nu - 1))
+    contexts = [adjoint_context(cfg), module_operator_context(cfg, lam, weight)]
+    if cfg.k == 1:
+        ring = LaurentRing(cfg.nu, 1)
+        spec = OmegaSpec(cfg.nu, 2, (ring.variable(1),),
+                         tuple(Fraction(i + 2) for i in range(cfg.nu - 1)))
+        contexts.append(module_operator_context(cfg, lam, OmegaModule(cfg, spec)))
+    out = []
+    for ctx in contexts:
+        if isinstance(ctx.zero, VElement):
+            states = [rand_velement(rng, cfg, max_weight=4) for _ in range(4)]
+        else:
+            states = [rand_module_element(rng, cfg, ctx.handle, max_weight=4) for _ in range(4)]
+        out.append((ctx, states))
+    return out
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, -1])
+def test_mode_kernel_matches_loop_oracle(nu, k):
+    cfg = LatticeConfig(nu, k)
+    rng = random.Random(100 * nu + k)
+    coords = (0, 1, -2, Fraction(1, 2), Fraction(-3, 4))
+    vectors = [cfg.vector(c=[rng.choice(coords) for _ in range(nu)],
+                          d=[rng.choice(coords) for _ in range(nu)]) for _ in range(4)]
+    vectors.append(cfg.vector(c=[Fraction(2, 3)] * nu, d=[Fraction(-5, 7)] * nu))
+    nonzero = {-1: 0, 0: 0, 1: 0}
+    for ctx, states in kernel_oracle_targets(cfg, rng):
+        for h in vectors:
+            for s in states:
+                for n in range(-3, 4):
+                    want = loop_heisenberg_mode(h, n, s, ctx)
+                    assert apply_heisenberg_mode(h, n, s, ctx) == want, (h, n, s)
+                    nonzero[(n > 0) - (n < 0)] += bool(want)
+    assert all(nonzero.values())
 
 
 # -- the coefficient engine ---------------------------------------------------------
