@@ -47,9 +47,7 @@ from .fock import (
     fock_weight,
     fock_word,
     homogeneous_components,
-    module_state,
     vacuum,
-    weight_of,
 )
 from .identities import (
     ActionCache,
@@ -61,7 +59,7 @@ from .identities import (
 )
 from .lattice import LatticeConfig, LatticeVector
 from .laurent import CutoffError, LaurentPoly, LaurentRing
-from .serialize import SchemaError, parse_element
+from .serialize import SchemaError
 from .suites import SuiteConfig, SuiteReport, run_verification
 from .vertex import (
     OperatorContext,
@@ -71,7 +69,6 @@ from .vertex import (
     module_operator_context,
     nth_product,
     truncation_bound,
-    virasoro_mode,
     y_coefficient,
 )
 from .zhu import (

@@ -251,8 +251,6 @@ class WeightModule:
             raise ValueError(f"base point needs {cfg.nu} coordinates")
         self.lam0 = tuple(Fraction(x) for x in coords)
 
-    kind = "weight"
-
     def base_label(self) -> tuple:
         return self.lam0
 
@@ -267,12 +265,12 @@ class WeightModule:
     def e_action(self, charge: tuple, label: tuple):
         return [(Fraction(1), tuple(a + m for a, m in zip(label, charge)))]
 
-    def d_action(self, dcoeffs: tuple, label: tuple):
-        scalar = self.cfg.k * sum(q * x for q, x in zip(dcoeffs, label))
+    def d_action(self, j: int, label: tuple):
+        scalar = self.cfg.k * label[j - 1]
         return [(scalar, label)] if scalar else []
 
-    def probe_labels(self, radius: int = 1) -> list[tuple]:
-        box = range(-radius, radius + 1)
+    def probe_labels(self) -> list[tuple]:
+        box = range(-1, 2)
         out = []
         for alpha in itertools.product(box, repeat=self.cfg.nu):
             out.append(tuple(a + m for a, m in zip(self.lam0, alpha)))
@@ -291,10 +289,7 @@ def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> 
                     if g[0] == "e":
                         moves = module.e_action(g[1], lab)
                     else:
-                        dcoeffs = tuple(
-                            Fraction(int(i == g[1] - 1)) for i in range(module.cfg.nu)
-                        )
-                        moves = module.d_action(dcoeffs, lab)
+                        moves = module.d_action(g[1], lab)
                     for q, lab2 in moves:
                         accumulate(new, lab2, q * c)
                 states = new
@@ -414,8 +409,6 @@ class OmegaModule:
         self.cfg = cfg
         self.spec = spec
 
-    kind = "omega"
-
     def base_label(self) -> tuple:
         return (0,) * self.spec.nu
 
@@ -426,15 +419,9 @@ class OmegaModule:
         poly = omega_e_act(self.spec, charge, self.spec.ring.monomial(label))
         return [(c, e) for e, c in poly.sorted_terms()]
 
-    def d_action(self, dcoeffs: tuple, label: tuple):
-        out: dict = {}
-        mono = self.spec.ring.monomial(label)
-        for j, q in enumerate(dcoeffs, start=1):
-            if not q:
-                continue
-            for e, c in omega_d_act(self.spec, j, mono).terms.items():
-                accumulate(out, e, q * c)
-        return [(c, e) for e, c in sorted(out.items())]
+    def d_action(self, j: int, label: tuple):
+        poly = omega_d_act(self.spec, j, self.spec.ring.monomial(label))
+        return [(c, e) for e, c in poly.sorted_terms()]
 
     def probe_labels(self, laurent_radius: int = 1, poly_degree: int = 2) -> list[tuple]:
         ranges = []

@@ -220,8 +220,7 @@ def recovered_action_cases(mctx: OperatorContext, labels: Sequence):
     for label, state in _vacuum_states(mctx, labels).items():
         for j in range(1, cfg.nu + 1):
             got = apply_heisenberg_mode(cfg.d_basis(j), 0, state, mctx)
-            unit = tuple(Fraction(int(i == j - 1)) for i in range(cfg.nu))
-            yield ("d", j, label), got - as_module_element(handle.d_action(unit, label))
+            yield ("d", j, label), got - as_module_element(handle.d_action(j, label))
         for charge in _unit_charges(cfg.nu):
             got = t_operator(charge, state, mctx)
             yield ("e", charge, label), got - as_module_element(handle.e_action(charge, label))
@@ -239,7 +238,7 @@ def recovered_relation_cases(mctx: OperatorContext, labels: Sequence):
 
     def t_or_zero(charge, state):
         if state.is_zero():
-            return mctx.zero_element()
+            return mctx.zero
         return t_operator(charge, state, mctx)
 
     for label, state in _vacuum_states(mctx, labels).items():

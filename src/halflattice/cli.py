@@ -4,7 +4,7 @@ Subcommands:
 
     eval product   U.json N V.json      algebra product u_n v
     eval zhu       U.json V.json        star product, raw and reduced
-    eval act       X.json F.json        straightened-algebra action on a module
+    eval act       X.json F.json --module W.json  straightened-algebra action on a module
     decide iso     SPEC1.json SPEC2.json
     decide amodule SPEC.json
     witness simplicity SPEC.json F.json
@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .assoc import (
+    OmegaModule,
     act_on_omega_module,
     act_on_weight_module,
     decompose_potential,
@@ -72,7 +73,7 @@ def _suite_config(args) -> SuiteConfig:
         doc = _load_doc(args.config)
         if not isinstance(doc, dict):
             raise SchemaError(args.config, "config must be a JSON object")
-        known = {"nu", "k", "mode_window", "jacobi_window", "probe_count", "max_degree", "seed"}
+        known = {f.name for f in fields(SuiteConfig)}
         unknown = set(doc) - known
         if unknown:
             raise SchemaError(args.config, f"unknown config fields: {sorted(unknown)}")
@@ -134,7 +135,7 @@ def _cmd_eval_act(args) -> int:
     cfg = _lattice(config)
     x = b_element_from_data(_load_doc(args.x), cfg, "x")
     handle = w_handle_from_data(_load_doc(args.module), cfg, "module")
-    if handle.kind == "omega":
+    if isinstance(handle, OmegaModule):
         f = laurent_from_data(_load_doc(args.m), handle.spec.ring, "m")
         result = act_on_omega_module(x, f, handle.spec)
         payload = laurent_to_data(result)

@@ -108,26 +108,7 @@ def fock_element(nu: int, factors: Iterable, charge: Iterable[int] = None, coeff
     return VElement(nu, {(word, tuple(int(m) for m in charge)): Fraction(coeff)})
 
 
-def module_state(label, factors: Iterable = (), coeff=1) -> ModuleElement:
-    return ModuleElement({(fock_word(factors), label): Fraction(coeff)})
-
-
 # -- grading ----------------------------------------------------------------------
-
-
-def weight_of(v: VElement):
-    """Common weight of a homogeneous element, else None.
-
-    Charges contribute nothing since the charge lattice is isotropic, so the
-    weight of each term is the weight of its Fock part.  The zero element is
-    homogeneous of weight zero by convention.
-    """
-    weights = {fock_weight(word) for (word, _charge) in v.terms}
-    if not weights:
-        return 0
-    if len(weights) > 1:
-        return None
-    return weights.pop()
 
 
 def homogeneous_components(v: VElement) -> dict[int, VElement]:

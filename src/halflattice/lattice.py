@@ -58,26 +58,6 @@ class LatticeVector:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.c) and all(a == 0 for a in self.d)
 
-    def in_charge_lattice(self) -> bool:
-        """True when the vector lies in the integer span of the c_i."""
-        return all(a.denominator == 1 for a in self.c) and all(a == 0 for a in self.d)
-
-    def in_dual_lattice(self) -> bool:
-        """True when the vector lies in the integer span of the d_i."""
-        return all(a == 0 for a in self.c) and all(a.denominator == 1 for a in self.d)
-
-    def in_fractional_dual(self, k: int) -> bool:
-        """True when the vector lies in (1/k) times the d-span."""
-        return all(a == 0 for a in self.c) and all(
-            (k * a).denominator == 1 for a in self.d
-        )
-
-    def charge(self) -> tuple[int, ...]:
-        """Integer c-coordinates; only valid on charge-lattice vectors."""
-        if not self.in_charge_lattice():
-            raise ValueError(f"{self} is not a charge-lattice vector")
-        return tuple(int(a) for a in self.c)
-
     def _check(self, other: "LatticeVector") -> None:
         if self.nu != other.nu:
             raise ValueError(f"rank mismatch: {self.nu} vs {other.nu}")

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .assoc import AElement, BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector, gen_d, gen_e
+from .assoc import BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector, gen_d, gen_e
 from .combination import accumulate
-from .fock import ModuleElement, VElement, fock_word
+from .fock import VElement, fock_word
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
@@ -98,118 +98,44 @@ def velement_to_data(v: VElement) -> dict:
     return {"terms": terms}
 
 
-def _fock_from_data(doc, cfg: LatticeConfig, path: str):
-    """Canonical Fock word from a list of [direction, mode] pairs."""
-    fock = []
-    for j, pair in enumerate(_expect_list(doc, path)):
-        where = f"{path}[{j}]"
-        pair = _expect_list(pair, where, 2)
-        dir_, mode = _int(pair[0], where), _int(pair[1], where)
-        if not 0 <= dir_ < cfg.ndirs:
-            raise SchemaError(where, f"direction {dir_} out of range 0..{cfg.ndirs - 1}")
-        if mode < 1:
-            raise SchemaError(where, f"mode {mode} must be positive")
-        fock.append((dir_, mode))
-    return fock_word(fock)
-
-
 def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VElement:
     doc = _expect_dict(doc, path)
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc.get("terms"), f"{path}.terms")):
         rec = _expect_dict(rec, f"{path}.terms[{i}]")
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}.terms[{i}].coeff")
-        word = _fock_from_data(rec.get("fock", []), cfg, f"{path}.terms[{i}].fock")
+        fock = []
+        for j, pair in enumerate(_expect_list(rec.get("fock", []), f"{path}.terms[{i}].fock")):
+            where = f"{path}.terms[{i}].fock[{j}]"
+            pair = _expect_list(pair, where, 2)
+            dir_, mode = _int(pair[0], where), _int(pair[1], where)
+            if not 0 <= dir_ < cfg.ndirs:
+                raise SchemaError(where, f"direction {dir_} out of range 0..{cfg.ndirs - 1}")
+            if mode < 1:
+                raise SchemaError(where, f"mode {mode} must be positive")
+            fock.append((dir_, mode))
         charge = _expect_list(rec.get("charge"), f"{path}.terms[{i}].charge", cfg.nu)
         charge = tuple(_int(m, f"{path}.terms[{i}].charge") for m in charge)
-        accumulate(terms, (word, charge), coeff)
+        accumulate(terms, (fock_word(fock), charge), coeff)
     return VElement(cfg.nu, terms)
 
 
-def module_element_to_data(m: ModuleElement, handle) -> dict:
-    terms = []
-    for (word, label), coeff in sorted(m.terms.items(), key=lambda kv: repr(kv[0])):
-        terms.append(
-            {
-                "coeff": format_fraction(coeff),
-                "fock": [[d, mm] for d, mm in word],
-                "w": _label_to_data(label, handle),
-            }
-        )
-    return {"terms": terms}
-
-
-def _label_to_data(label, handle):
-    if handle.kind == "weight":
-        return [format_fraction(x) for x in label]
-    return list(label)
-
-
-def _label_from_data(doc, handle, path: str):
-    if handle.kind == "weight":
-        coords = _expect_list(doc, path, handle.cfg.nu)
-        label = tuple(parse_fraction(x, path) for x in coords)
-    else:
-        exps = _expect_list(doc, path, handle.spec.nu)
-        label = tuple(_int(e, path) for e in exps)
-    try:
-        return handle.validate_label(label)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
-
-
-def weight_vector_from_data(doc, handle, path: str = "m") -> WeightVector:
+def weight_vector_from_data(doc, handle: WeightModule, path: str = "m") -> WeightVector:
     """A weight-module vector from a list of {coeff, point} records."""
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc, path)):
         rec = _expect_dict(rec, f"{path}[{i}]")
-        label = _label_from_data(rec.get("point"), handle, f"{path}[{i}].point")
+        where = f"{path}[{i}].point"
+        coords = _expect_list(rec.get("point"), where, handle.cfg.nu)
+        try:
+            label = handle.validate_label(tuple(parse_fraction(x, where) for x in coords))
+        except ValueError as exc:
+            raise SchemaError(where, str(exc)) from None
         accumulate(terms, label, parse_fraction(rec.get("coeff", 1), f"{path}[{i}].coeff"))
     return WeightVector(terms)
 
 
-def module_element_from_data(doc, cfg: LatticeConfig, handle, path: str = "element") -> ModuleElement:
-    doc = _expect_dict(doc, path)
-    terms: dict = {}
-    for i, rec in enumerate(_expect_list(doc.get("terms"), f"{path}.terms")):
-        rec = _expect_dict(rec, f"{path}.terms[{i}]")
-        coeff = parse_fraction(rec.get("coeff", 1), f"{path}.terms[{i}].coeff")
-        word = _fock_from_data(rec.get("fock", []), cfg, f"{path}.terms[{i}].fock")
-        label = _label_from_data(rec.get("w"), handle, f"{path}.terms[{i}].w")
-        accumulate(terms, (word, label), coeff)
-    return ModuleElement(terms)
-
-
 # -- straightened-algebra elements -----------------------------------------------------
-
-
-def a_element_to_data(a: AElement) -> dict:
-    return {
-        "terms": [
-            {
-                "coeff": format_fraction(c),
-                "charge": list(charge),
-                "d_exponents": list(dexp),
-            }
-            for (charge, dexp), c in sorted(a.terms.items())
-        ]
-    }
-
-
-def a_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> AElement:
-    doc = _expect_dict(doc, path)
-    terms: dict = {}
-    for i, rec in enumerate(_expect_list(doc.get("terms"), f"{path}.terms")):
-        rec = _expect_dict(rec, f"{path}.terms[{i}]")
-        coeff = parse_fraction(rec.get("coeff", 1), f"{path}.terms[{i}].coeff")
-        charge = _expect_list(rec.get("charge"), f"{path}.terms[{i}].charge", cfg.nu)
-        dexp = _expect_list(rec.get("d_exponents"), f"{path}.terms[{i}].d_exponents", cfg.nu)
-        dexp = [_int(e, f"{path}.terms[{i}].d_exponents") for e in dexp]
-        if any(e < 0 for e in dexp):
-            raise SchemaError(f"{path}.terms[{i}].d_exponents", "exponents must be nonnegative")
-        key = (tuple(_int(m, "charge") for m in charge), tuple(dexp))
-        accumulate(terms, key, coeff)
-    return AElement(cfg.nu, terms)
 
 
 def b_element_to_data(x: BElement) -> dict:
@@ -233,21 +159,19 @@ def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> BElem
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}.words[{i}].coeff")
         word = []
         for j, fac in enumerate(_expect_list(rec.get("factors", []), f"{path}.words[{i}].factors")):
-            fac = _expect_dict(fac, f"{path}.words[{i}].factors[{j}]")
-            if "e" in fac:
-                charge = _expect_list(fac["e"], f"{path}.words[{i}].factors[{j}].e", cfg.nu)
-                word.append(gen_e([_int(m, "charge entry") for m in charge]))
-            elif "d" in fac:
-                idx = _int(fac["d"], f"{path}.words[{i}].factors[{j}].d")
+            where = f"{path}.words[{i}].factors[{j}]"
+            fac = _expect_dict(fac, where)
+            if set(fac) == {"e"}:
+                charge = _expect_list(fac["e"], f"{where}.e", cfg.nu)
+                word.append(gen_e([_int(m, f"{where}.e") for m in charge]))
+            elif set(fac) == {"d"}:
+                idx = _int(fac["d"], f"{where}.d")
                 if not 1 <= idx <= cfg.nu:
-                    raise SchemaError(
-                        f"{path}.words[{i}].factors[{j}].d",
-                        f"index {idx} out of range 1..{cfg.nu}",
-                    )
+                    raise SchemaError(f"{where}.d", f"index {idx} out of range 1..{cfg.nu}")
                 word.append(gen_d(idx))
             else:
                 raise SchemaError(
-                    f"{path}.words[{i}].factors[{j}]", "factor needs an 'e' or 'd' key"
+                    where, f"factor needs exactly one key, 'e' or 'd', got {sorted(fac)}"
                 )
         key = tuple(word)
         accumulate(words, key, coeff)
@@ -255,14 +179,6 @@ def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> BElem
 
 
 # -- module specs ---------------------------------------------------------------------
-
-
-def omega_spec_to_data(spec: OmegaSpec) -> dict:
-    return {
-        "mu": spec.mu,
-        "f": [laurent_to_data(fj) for fj in spec.f],
-        "a": [format_fraction(x) for x in spec.a],
-    }
 
 
 def omega_spec_from_data(doc, cfg: LatticeConfig, path: str = "spec") -> OmegaSpec:
@@ -294,23 +210,3 @@ def w_handle_from_data(doc, cfg: LatticeConfig, path: str = "W"):
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from None
     raise SchemaError(f"{path}.kind", f"unknown coefficient module kind {kind!r}")
-
-
-# -- dispatcher --------------------------------------------------------------------------
-
-
-def parse_element(doc, kind: str, cfg: LatticeConfig, handle=None):
-    """Parse one of the documented element kinds, or raise a SchemaError."""
-    if kind == "velement":
-        return velement_from_data(doc, cfg)
-    if kind == "module":
-        if not handle:
-            raise SchemaError("element", "module elements need a coefficient module")
-        return module_element_from_data(doc, cfg, handle)
-    if kind == "omega-spec":
-        return omega_spec_from_data(doc, cfg)
-    if kind == "a-element":
-        return a_element_from_data(doc, cfg)
-    if kind == "b-element":
-        return b_element_from_data(doc, cfg)
-    raise SchemaError("kind", f"unknown element kind {kind!r}")

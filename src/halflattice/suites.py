@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -91,15 +91,7 @@ class SuiteConfig:
                 default_k if self.k is None else self.k)
 
     def echo(self, nu: int, k: int) -> dict:
-        return {
-            "nu": nu,
-            "k": k,
-            "mode_window": self.mode_window,
-            "jacobi_window": self.jacobi_window,
-            "probe_count": self.probe_count,
-            "max_degree": self.max_degree,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "nu": nu, "k": k}
 
 
 @dataclass
@@ -500,14 +492,7 @@ def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec,
         relations.append(BElement.e(charge) - spec1.a_of(j) * BElement.one())
 
     ring2 = spec2.ring
-    ranges = []
-    for j in range(spec2.nu):
-        if j < spec2.mu - 1:
-            ranges.append(range(-laurent_radius, laurent_radius + 1))
-        else:
-            ranges.append(range(poly_degree + 1))
-    basis = [tuple(e) for e in itertools.product(*ranges)]
-    col = {e: i for i, e in enumerate(basis)}
+    basis = OmegaModule(LatticeConfig(spec2.nu, 1), spec2).probe_labels(laurent_radius, poly_degree)
 
     rows = []
     for rel in relations:
@@ -645,7 +630,7 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
 
             one = vacuum(nu)
             report.sweep(f"identity-field/{tag}", (
-                ((widx, n), y_coefficient(one, n, w, ctx) != (w if n == -1 else ctx.zero_element()))
+                ((widx, n), y_coefficient(one, n, w, ctx) != (w if n == -1 else ctx.zero))
                 for widx, w in enumerate(probes)
                 for n in window
             ))
@@ -695,7 +680,7 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
                         want = (
                             cfg.pairing(beta, cfg.from_charge(alpha)) * z_of[n]
                             if m == 0
-                            else mctx.zero_element()
+                            else mctx.zero
                         )
                         yield (bdir, m, n), lhs - rhs != want
 

@@ -49,12 +49,13 @@ class OperatorContext:
 
     A context carries the weight vector lam (rational d-coordinates pairing
     integrally with every charge), a coefficient-module handle exposing
-    ``e_action(charge, label)`` and ``d_action(dcoeffs, label)``, both
-    returning lists of (coefficient, label) pairs, and the zero state of the
-    target space, from which every result is built.  The adjoint is the
-    weight module through the origin: the algebra acting on itself is
-    M(1) tensor C[L_C] at lam = 0, where e_beta translates a charge and d_i
-    acts by its pairing with it, and its states are ``VElement``s.
+    ``e_action(charge, label)`` and ``d_action(j, label)`` for the 1-based
+    index j of d_j, both returning lists of (coefficient, label) pairs, and
+    the zero state of the target space, from which every result is built.
+    The adjoint is the weight module through the origin: the algebra acting
+    on itself is M(1) tensor C[L_C] at lam = 0, where e_beta translates a
+    charge and d_i acts by its pairing with it, and its states are
+    ``VElement``s.
     """
 
     __slots__ = ("cfg", "lam", "handle", "zero", "_powers")
@@ -81,11 +82,8 @@ class OperatorContext:
     def element(self, terms: dict):
         return self.zero._make(terms)
 
-    def zero_element(self):
-        return self.zero
-
-    def state_of_label(self, label, factors=()):
-        return self.element({(fock_word(factors), label): Fraction(1)})
+    def state_of_label(self, label):
+        return self.element({((), label): Fraction(1)})
 
 
 def adjoint_context(cfg: LatticeConfig) -> OperatorContext:
@@ -282,7 +280,7 @@ def _field_assignments(fields, budget: int, e_target: int, u_weight: int):
     """
     s = len(fields)
     if s == 0:
-        yield (), Fraction(1)
+        yield (), 1
         return
     floor_total = -e_target - budget - u_weight  # required sum of modes
     suffix_max = [0] * (s + 1)
@@ -302,7 +300,7 @@ def _field_assignments(fields, budget: int, e_target: int, u_weight: int):
             for rest, rc in rec(i + 1, partial + j, ann_left - max(j, 0), coeff * c):
                 yield (j,) + rest, rc
 
-    yield from rec(0, 0, budget, Fraction(1))
+    yield from rec(0, 0, budget, 1)
 
 
 def _mode_dir(ctx, states, dir_: int, n: int) -> dict:
@@ -330,8 +328,7 @@ def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
 def _zero_dir(ctx, states, dir_: int) -> dict:
     cfg = ctx.cfg
     if dir_ >= cfg.nu:
-        dcoeffs = tuple(Fraction(int(i == dir_ - cfg.nu)) for i in range(cfg.nu))
-        return _act_on_labels(states, ctx.handle.d_action, dcoeffs)
+        return _act_on_labels(states, ctx.handle.d_action, dir_ - cfg.nu + 1)
     # a c-direction zero mode is the scalar (c_i, lam)
     scalar = cfg.k * ctx.lam.d[dir_]
     return {key: coeff * scalar for key, coeff in states.items()} if scalar else {}
@@ -379,8 +376,3 @@ def conformal_vector(cfg: LatticeConfig) -> VElement:
         word = fock_word(((i, 1), (cfg.nu + i, 1)))
         terms[(word, (0,) * cfg.nu)] = q
     return VElement(cfg.nu, terms)
-
-
-def virasoro_mode(n: int, s, ctx: OperatorContext):
-    """L(n) s, the z^(-n-2) coefficient of the conformal field."""
-    return y_coefficient(conformal_vector(ctx.cfg), n + 1, s, ctx)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .assoc import AElement
 from .combination import accumulate
-from .fock import VElement, homogeneous_components
+from .fock import VElement, homogeneous_components, merge_words
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 from .vertex import adjoint_context, y_coefficient
@@ -91,8 +91,7 @@ def zhu_embed(a: AElement) -> VElement:
         word = []
         for i, e in enumerate(dexp):
             word.extend([(a.nu + i, 1)] * e)
-        word = tuple(sorted(word, key=lambda f: (-f[1], f[0])))
-        terms[(word, charge)] = coeff
+        terms[(merge_words((), tuple(word)), charge)] = coeff
     return VElement(a.nu, terms)
 
 

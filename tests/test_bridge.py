@@ -115,7 +115,7 @@ def test_z_of_zero_charge_is_identity_at_minus_one():
     w = mctx.state_of_label(mctx.handle.base_label())
     for n in range(-3, 3):
         got = z_operator((0, 0), n, w, mctx)
-        assert got == (w if n == -1 else mctx.zero_element())
+        assert got == (w if n == -1 else mctx.zero)
 
 
 def test_z_preserves_vacuum_space():
@@ -135,7 +135,7 @@ def test_z_derivative_identity():
     alpha = (1, 0)
     a0w = apply_heisenberg_mode(CFG.from_charge(alpha), 0, w, ctx)
     for n in range(-4, 2):
-        lhs = z_operator(alpha, n, a0w, mctx) if not a0w.is_zero() else ctx.zero_element()
+        lhs = z_operator(alpha, n, a0w, mctx) if not a0w.is_zero() else ctx.zero
         assert lhs == (-n - 1) * z_operator(alpha, n, w, mctx)
 
 
@@ -150,7 +150,7 @@ def test_z_commutes_with_nonzero_modes():
             bw = apply_heisenberg_mode(beta, m, w, ctx)
             for n in range(-3, 2):
                 lhs = apply_heisenberg_mode(beta, m, z_operator(alpha, n, w, mctx), ctx)
-                rhs = z_operator(alpha, n, bw, mctx) if not bw.is_zero() else ctx.zero_element()
+                rhs = z_operator(alpha, n, bw, mctx) if not bw.is_zero() else ctx.zero
                 assert lhs == rhs
 
 
@@ -166,7 +166,7 @@ def test_zero_mode_commutator_with_z():
         for n in range(-3, 2):
             zw = z_operator(alpha, n, w, mctx)
             lhs = apply_heisenberg_mode(beta, 0, zw, ctx)
-            rhs = z_operator(alpha, n, bw, mctx) if not bw.is_zero() else ctx.zero_element()
+            rhs = z_operator(alpha, n, bw, mctx) if not bw.is_zero() else ctx.zero
             assert lhs - rhs == pair * zw
 
 
@@ -212,7 +212,7 @@ def test_mixed_sector_rejected():
     assert charge_sector((1, 0), base + other, mctx) == 1
     assert charge_sector(CFG.d_basis(1), base, mctx) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        charge_sector((1, 0), ctx.zero_element(), mctx)
+        charge_sector((1, 0), ctx.zero, mctx)
 
 
 # -- recovering the coefficient module ------------------------------------------------------
@@ -242,7 +242,7 @@ def test_module_axioms_on_built_module():
     for w in probes:
         for n in range(-3, 3):
             got = y_coefficient(u, n, w, ctx)
-            assert got == (w if n == -1 else ctx.zero_element())
+            assert got == (w if n == -1 else ctx.zero)
     from halflattice.fock import charge_element, fock_element
 
     gens = [fock_element(2, [(2, 1)]), charge_element(2, (1, 0)), charge_element(2, (0, -1))]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -272,3 +273,43 @@ def test_sweep_decides_a_check():
         ("failing", False, "((1,), 'bad')"),
         ("passing", True, ""),
     ]
+
+
+@pytest.mark.parametrize(
+    "factor, path, message",
+    [
+        pytest.param({"e": [1, "x"]}, "x.words[0].factors[0].e", "expected an integer",
+                     id="bad-charge-entry"),
+        pytest.param({"e": [1, 0], "d": 1}, "x.words[0].factors[0]",
+                     "factor needs exactly one key", id="e-and-d"),
+    ],
+)
+def test_eval_act_rejects_bad_factor(tmp_path, capsys, factor, path, message):
+    x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [factor]}]})
+    m = write(tmp_path, "m.json", [{"coeff": "1", "point": ["1/2", "0"]}])
+    module = write(tmp_path, "w.json", {"kind": "weight", "lambda0": ["1/2", "0"]})
+    assert main(["--json", "eval", "act", x, m, "--module", module]) == 2
+    assert f"input error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_module_docstring_matches_the_parser():
+    import dataclasses
+    import re
+
+    from halflattice import cli
+
+    listing = cli.__doc__.split("Subcommands:")[1].split("Every subcommand")[0]
+    lines = listing.strip().splitlines()
+    assert len(lines) == 7
+    parser = cli.build_parser()
+    for line in lines:
+        tokens = line.split()
+        command = list(itertools.takewhile(lambda t: re.fullmatch("[a-z]+", t), tokens))
+        rest = tokens[len(command):]
+        args = list(itertools.takewhile(lambda t: re.fullmatch(r"[A-Z][\w.]*|--[a-z]+", t), rest))
+        argv = command + ["0" if a == "N" else a for a in args]
+        assert callable(parser.parse_args(argv).func), line
+
+    listed = re.search(r"JSON with ([^)]*)\)", cli.__doc__).group(1)
+    names = [name.strip() for name in listed.split(",")]
+    assert names == [f.name for f in dataclasses.fields(SuiteConfig)]

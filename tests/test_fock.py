@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from halflattice.assoc import WeightModule
 from halflattice.fock import (
     VElement,
     charge_element,
@@ -9,10 +10,10 @@ from halflattice.fock import (
     fock_weight,
     fock_word,
     homogeneous_components,
-    module_state,
     vacuum,
-    weight_of,
 )
+from halflattice.lattice import LatticeConfig
+from halflattice.vertex import apply_heisenberg_mode, module_operator_context
 
 
 def test_fock_word_canonical_order():
@@ -35,15 +36,15 @@ def test_fock_weight():
 
 
 def test_weight_examples():
-    assert weight_of(vacuum(2)) == 0
-    assert weight_of(charge_element(2, (1, 0))) == 0
-    assert weight_of(fock_element(2, [(0, 2), (2, 1)], (0, 1))) == 3
+    assert list(homogeneous_components(vacuum(2))) == [0]
+    assert list(homogeneous_components(charge_element(2, (1, 0)))) == [0]
+    assert list(homogeneous_components(fock_element(2, [(0, 2), (2, 1)], (0, 1)))) == [3]
 
 
 def test_weight_inhomogeneous_marker():
     v = vacuum(2) + fock_element(2, [(0, 1)])
-    assert weight_of(v) is None
-    assert weight_of(VElement(2, {})) == 0
+    assert list(homogeneous_components(v)) == [0, 1]
+    assert homogeneous_components(VElement(2, {})) == {}
 
 
 def test_homogeneous_components():
@@ -77,7 +78,11 @@ def test_rank_mismatch_rejected():
 
 
 def test_module_state():
-    s = module_state(("x",), [(0, 2)], coeff=Fraction(1, 3))
+    # a creation mode on the unit state of an opaque label
+    cfg = LatticeConfig(nu=1, k=1)
+    ctx = module_operator_context(cfg, cfg.zero(), WeightModule(cfg))
+    w = ctx.state_of_label(("x",))
+    s = Fraction(1, 3) * apply_heisenberg_mode(cfg.dir_vector(0), -2, w, ctx)
     ((word, label),) = s.terms
     assert word == ((0, 2),) and label == ("x",)
     assert s.terms[(word, label)] == Fraction(1, 3)

@@ -57,7 +57,7 @@ def series_oracle(u, v, w, ctx, window):
     series.  Keys inside the window are complete.
     """
     cache = ActionCache(ctx)
-    zero = ctx.zero_element()
+    zero = ctx.zero
     b_vw = truncation_bound(v, w, ctx)
     b_uw = truncation_bound(u, w, ctx)
     b_uv = truncation_bound(u, v, cache.adj)

@@ -8,13 +8,13 @@ import pytest
 from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule
 from halflattice.combination import accumulate
 from halflattice.fock import (
+    ModuleElement,
     VElement,
     charge_element,
     fock_element,
     fock_word,
-    module_state,
+    homogeneous_components,
     vacuum,
-    weight_of,
 )
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
@@ -27,13 +27,17 @@ from halflattice.vertex import (
     module_operator_context,
     nth_product,
     truncation_bound,
-    virasoro_mode,
     y_coefficient,
 )
 
 CFG1 = LatticeConfig(nu=1, k=1)
 CFG2 = LatticeConfig(nu=2, k=1)
 CFG2K = LatticeConfig(nu=2, k=2)
+
+
+def l_mode(n, s, ctx):
+    """L(n) s, the z^(-n-2) coefficient of the conformal field."""
+    return y_coefficient(conformal_vector(ctx.cfg), n + 1, s, ctx)
 
 
 def heis_mode_product(cfg, direction, n, v):
@@ -116,9 +120,10 @@ def loop_heisenberg_mode(h, n, s, ctx):
             scalar = cfg.k * sum(a * b for a, b in zip(h.c, ctx.lam.d))
             if scalar:
                 accumulate(out, (word, label), coeff * scalar)
-            if any(h.d):
-                for q, lab in ctx.handle.d_action(tuple(h.d), label):
-                    accumulate(out, (word, lab), coeff * q)
+            for j, x in enumerate(h.d, start=1):
+                if x:
+                    for q, lab in ctx.handle.d_action(j, label):
+                        accumulate(out, (word, lab), coeff * x * q)
     return ctx.element(out)
 
 
@@ -245,7 +250,7 @@ def test_charge_ladder_matches_translation_derivative():
         n_der = -m - 1
         expected = e1
         for _ in range(n_der):
-            expected = virasoro_mode(-1, expected, ctx)
+            expected = l_mode(-1, expected, ctx)
         expected = Fraction(1, factorial(n_der)) * transport_charge(expected, (1, 1))
         assert nth_product(CFG2, e1, m, e2) == expected
 
@@ -297,8 +302,6 @@ def test_heisenberg_bracket_in_module():
     ctx, handle = module_ctx(CFG2)
     rng = random.Random(13)
     labels = handle.probe_labels()
-    from halflattice.fock import ModuleElement
-
     for _ in range(10):
         s = ModuleElement({(((0, 1), (3, 1))[: rng.randint(0, 2)], rng.choice(labels)): Fraction(1)})
         i, j = rng.randrange(4), rng.randrange(4)
@@ -306,7 +309,7 @@ def test_heisenberg_bracket_in_module():
         h1, h2 = CFG2.dir_vector(i), CFG2.dir_vector(j)
         lhs = apply_heisenberg_mode(h1, m, apply_heisenberg_mode(h2, n, s, ctx), ctx)
         lhs = lhs - apply_heisenberg_mode(h2, n, apply_heisenberg_mode(h1, m, s, ctx), ctx)
-        want = m * CFG2.pairing(h1, h2) * s if m + n == 0 else ctx.zero_element()
+        want = m * CFG2.pairing(h1, h2) * s if m + n == 0 else ctx.zero
         assert lhs == want
 
 
@@ -316,7 +319,7 @@ def test_heisenberg_bracket_in_module():
 def test_conformal_vector_weight():
     for nu in (1, 2, 3):
         cfg = LatticeConfig(nu, 1)
-        assert weight_of(conformal_vector(cfg)) == 2
+        assert list(homogeneous_components(conformal_vector(cfg))) == [2]
 
 
 def test_l0_reads_the_weight():
@@ -324,27 +327,27 @@ def test_l0_reads_the_weight():
     rng = random.Random(17)
     for _ in range(8):
         u = rand_velement(rng, CFG2, n_terms=1, max_weight=5)
-        wt = weight_of(u)
-        assert virasoro_mode(0, u, ctx) == wt * u
+        (wt,) = homogeneous_components(u)
+        assert l_mode(0, u, ctx) == wt * u
 
 
 def test_l_regular_on_degree_zero_generator():
     ctx = adjoint_context(CFG2)
     for n in range(-1, 4):
-        assert virasoro_mode(n, vacuum(2), ctx).is_zero()
+        assert l_mode(n, vacuum(2), ctx).is_zero()
 
 
 def test_l_minus_one_on_charge():
     ctx = adjoint_context(CFG2)
     e1 = charge_element(2, (1, 0))
-    assert virasoro_mode(-1, e1, ctx) == fock_element(2, [(0, 1)], (1, 0))
+    assert l_mode(-1, e1, ctx) == fock_element(2, [(0, 1)], (1, 0))
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_central_term_on_vacuum(nu):
     cfg = LatticeConfig(nu, 1)
     ctx = adjoint_context(cfg)
-    got = virasoro_mode(2, virasoro_mode(-2, vacuum(nu), ctx), ctx)
+    got = l_mode(2, l_mode(-2, vacuum(nu), ctx), ctx)
     assert got == nu * vacuum(nu)
 
 
@@ -354,10 +357,10 @@ def test_virasoro_bracket_spot_checks():
     for _ in range(6):
         s = rand_velement(rng, CFG2, max_weight=3)
         m, n = rng.randint(-4, 4), rng.randint(-4, 4)
-        lhs = virasoro_mode(m, virasoro_mode(n, s, ctx), ctx) - virasoro_mode(
-            n, virasoro_mode(m, s, ctx), ctx
+        lhs = l_mode(m, l_mode(n, s, ctx), ctx) - l_mode(
+            n, l_mode(m, s, ctx), ctx
         )
-        rhs = (m - n) * virasoro_mode(m + n, s, ctx)
+        rhs = (m - n) * l_mode(m + n, s, ctx)
         if m + n == 0:
             rhs = rhs + Fraction((m**3 - m) * 2, 6) * s
         assert lhs == rhs
@@ -370,7 +373,7 @@ def test_translation_derivative_property():
     for _ in range(6):
         u = rand_velement(rng, CFG2, max_weight=3)
         w = rand_velement(rng, CFG2, max_weight=3)
-        du = virasoro_mode(-1, u, ctx)
+        du = l_mode(-1, u, ctx)
         for n in range(-3, 4):
             assert y_coefficient(du, n, w, ctx) == -n * y_coefficient(u, n - 1, w, ctx)
 
@@ -433,7 +436,8 @@ def dressing_states(nu):
     v = VElement(nu, {(fock_word(f), charge if i % 2 else (0,) * nu): Fraction(i + 1, 2)
                       for i, f in enumerate(words)})
     label = (Fraction(1, 2),) * nu
-    m = module_state(label, words[2], Fraction(-3)) + module_state(label, words[3], 2)
+    m = ModuleElement({(fock_word(words[2]), label): Fraction(-3),
+                       (fock_word(words[3]), label): Fraction(2)})
     return [v.terms, m.terms]
 
 
