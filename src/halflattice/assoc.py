@@ -259,7 +259,8 @@ class WeightModule:
         if len(label) != self.cfg.nu:
             raise ValueError(f"label needs {self.cfg.nu} coordinates")
         if any((a - b).denominator != 1 for a, b in zip(label, self.lam0)):
-            raise ValueError(f"label {label} is not in the charge coset of {self.lam0}")
+            raise ValueError(f"label ({', '.join(map(str, label))}) is not in the charge "
+                             f"coset of ({', '.join(map(str, self.lam0))})")
         return label
 
     def e_action(self, charge: tuple, label: tuple):

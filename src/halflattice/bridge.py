@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combination import accumulate
-from .fock import ModuleElement, charge_element, fock_weight
+from .fock import ModuleElement, charge_element, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
 from .vertex import (
@@ -35,20 +35,11 @@ from .vertex import (
 
 def _fock_level(cfg: LatticeConfig, weight: int) -> list:
     """All Fock monomials of the given weight, canonically ordered."""
-    ndirs = cfg.ndirs
-
-    def gen(remaining: int, max_mode: int):
-        if remaining == 0:
-            yield ()
-            return
-        for mode in range(min(remaining, max_mode), 0, -1):
-            for dir_ in range(ndirs):
-                for rest in gen(remaining - mode, mode):
-                    if rest and (rest[0][1] == mode and rest[0][0] < dir_):
-                        continue
-                    yield ((dir_, mode),) + rest
-
-    return sorted(set(gen(weight, weight)))
+    if weight == 0:
+        return [()]
+    return sorted({merge_words(((dir_, mode),), rest)
+                   for mode in range(1, weight + 1) for dir_ in range(cfg.ndirs)
+                   for rest in _fock_level(cfg, weight - mode)})
 
 
 def vacuum_basis(
@@ -60,32 +51,28 @@ def vacuum_basis(
 
     The conditions are homogeneous in the Fock weight and do not touch the
     coefficient-module labels, so each weight level is solved once on the
-    pure Fock space and tensored with the label slice.  For the built
-    modules only the weight-zero level survives, so the result is the slice
-    itself under the unit Fock factor.
+    pure Fock space and tensored with the label slice.  A positive mode
+    never reads the label slot, so one ``apply_heisenberg_mode`` call per
+    (mode, direction) on the whole level, with each monomial's column index
+    in its label slot, yields the sparse condition rows: one per lower
+    monomial.  The solutions are read off the unique reduced echelon form,
+    so they do not depend on the row order.  For the built modules only the
+    weight-zero level survives, so the result is the slice itself under the
+    unit Fock factor.
     """
     cfg = mctx.cfg
     fock_solutions: list[dict] = [{(): Fraction(1)}]  # level 0
     for level in range(1, degree_bound + 1):
         basis = _fock_level(cfg, level)
-        index = {word: i for i, word in enumerate(basis)}
+        columns = mctx.element({(word, col): 1 for col, word in enumerate(basis)})
         rows = []
         for n in range(1, level + 1):
-            lower = {word: i for i, word in enumerate(_fock_level(cfg, level - n))}
             for dir_ in range(cfg.ndirs):
-                table = [[Fraction(0)] * len(basis) for _ in lower]
-                touched = False
-                for word, col in index.items():
-                    for pos, (d2, m2) in enumerate(word):
-                        if m2 != n:
-                            continue
-                        pair = cfg.dir_pairing(dir_, d2)
-                        if pair:
-                            rest = word[:pos] + word[pos + 1 :]
-                            table[lower[rest]][col] += n * pair
-                            touched = True
-                if touched:
-                    rows.extend(table)
+                image = apply_heisenberg_mode(cfg.dir_vector(dir_), n, columns, mctx)
+                by_lower: dict = {}
+                for (lower, col), c in image.terms.items():
+                    by_lower.setdefault(lower, {})[col] = c
+                rows.extend(by_lower.values())
         for vec in nullspace(rows, len(basis)):
             fock_solutions.append(
                 {basis[i]: c for i, c in enumerate(vec) if c}
@@ -190,14 +177,7 @@ def t_operator(alpha: Sequence[int], w: ModuleElement, mctx: OperatorContext) ->
 
 def _unit_charges(nu: int) -> list:
     """The charges +c_i and -c_i, in that order for each i."""
-    out = []
-    for i in range(nu):
-        plus = [0] * nu
-        plus[i] = 1
-        out.append(tuple(plus))
-        plus[i] = -1
-        out.append(tuple(plus))
-    return out
+    return [tuple(sign * (j == i) for j in range(nu)) for i in range(nu) for sign in (1, -1)]
 
 
 def _vacuum_states(mctx: OperatorContext, labels: Sequence) -> dict:

@@ -78,16 +78,13 @@ def locality_residual(
         sum_i (-1)^i C(k, i) u_{p+k-i} (v_{q+i} w)
       = sum_i (-1)^i C(k, i) v_{q+i} (u_{p+k-i} w)
 
-    for every pair of coefficient indices.
+    for every pair of coefficient indices.  Their difference is the
+    commutator side of the component Jacobi identity at (m, n, k) =
+    (p, k, q), after i -> k - i in the second sum.
     """
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
-    out: dict = {}
-    for i in range(k_order + 1):
-        c = (-1) ** i * gbinom(k_order, i)
-        _add_into(out, c, cache.act(u, p + k_order - i, cache.act(v, q + i, w)))
-        _add_into(out, -c, cache.act(v, q + i, cache.act(u, p + k_order - i, w)))
-    return ctx.element(out)
+    return ctx.element(_commutator_sum(u, v, w, p, k_order, q, ctx, cache))
 
 
 def borcherds_residual(
@@ -110,17 +107,7 @@ def borcherds_residual(
 
     with every sum finite by truncation.
     """
-    out: dict = {}
-    i_max = max(truncation_bound(v, w, ctx) - k, truncation_bound(u, w, ctx) - m, 0)
-    if n >= 0:
-        i_max = min(i_max, n)
-    sign_n = -1 if n % 2 else 1
-    for i in range(i_max + 1):
-        c = (-1) ** i * gbinom(n, i)
-        if not c:
-            continue
-        _add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)))
-        _add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)))
+    out = _commutator_sum(u, v, w, m, n, k, ctx, cache)
     # the inner product u_{n+i} v lives in the adjoint context, so its
     # truncation bound must be taken there
     j_max = max(truncation_bound(u, v, cache.adj) - n, 0)
@@ -135,6 +122,23 @@ def borcherds_residual(
             continue
         _add_into(out, -c, cache.act(inner, m + k - i, w))
     return ctx.element(out)
+
+
+def _commutator_sum(u, v, w, m: int, n: int, k: int, ctx, cache) -> dict:
+    """sum_{i>=0} (-1)^i C(n,i) [u_{m+n-i} (v_{k+i} w) - (-1)^n v_{n+k-i} (u_{m+i} w)]
+    as a terms dict, cut off where both inner actions vanish by truncation."""
+    out: dict = {}
+    i_max = max(truncation_bound(v, w, ctx) - k, truncation_bound(u, w, ctx) - m, 0)
+    if n >= 0:
+        i_max = min(i_max, n)
+    sign_n = -1 if n % 2 else 1
+    for i in range(i_max + 1):
+        c = (-1) ** i * gbinom(n, i)
+        if not c:
+            continue
+        _add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)))
+        _add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)))
+    return out
 
 
 def _add_into(data: dict, c: int, element) -> None:

@@ -97,12 +97,6 @@ class LaurentPoly(Combination):
         """Terms in the canonical (lexicographic) order."""
         return sorted(self.terms.items())
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
-
-    def monomials(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
-
     def is_constant(self) -> bool:
         zero = (0,) * self.ring.nvars
         return all(e == zero for e in self.terms)
@@ -110,7 +104,7 @@ class LaurentPoly(Combination):
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.coefficient((0,) * self.ring.nvars)
+        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
     def max_variable(self) -> int:
         """Largest 1-based variable index with a nonzero exponent; 0 if none."""

@@ -2,7 +2,8 @@
 
 Rationals travel as the text "p/q", or "p" when the denominator is one.
 Diagnostics name the offending field by path so CLI users can locate schema
-violations without reading tracebacks.
+violations without reading tracebacks.  A record with a key its schema does
+not list is rejected, so a misspelled key cannot fall back to a default.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def _expect_dict(doc, path: str) -> dict:
     return doc
 
 
+def _expect_record(doc, path: str, keys: tuple) -> dict:
+    """An object with no key outside keys; absent optional keys keep their defaults."""
+    doc = _expect_dict(doc, path)
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
+    return doc
+
+
 def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {value!r}")
@@ -72,7 +82,7 @@ def laurent_to_data(f: LaurentPoly) -> list:
 def laurent_from_data(doc, ring: LaurentRing, path: str = "poly") -> LaurentPoly:
     out = ring.zero()
     for i, rec in enumerate(_expect_list(doc, path)):
-        rec = _expect_dict(rec, f"{path}[{i}]")
+        rec = _expect_record(rec, f"{path}[{i}]", ("coeff", "exponents"))
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}[{i}].coeff")
         exps = _expect_list(rec.get("exponents"), f"{path}[{i}].exponents", ring.nvars)
         try:
@@ -99,10 +109,10 @@ def velement_to_data(v: VElement) -> dict:
 
 
 def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VElement:
-    doc = _expect_dict(doc, path)
+    doc = _expect_record(doc, path, ("terms",))
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc.get("terms"), f"{path}.terms")):
-        rec = _expect_dict(rec, f"{path}.terms[{i}]")
+        rec = _expect_record(rec, f"{path}.terms[{i}]", ("coeff", "fock", "charge"))
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}.terms[{i}].coeff")
         fock = []
         for j, pair in enumerate(_expect_list(rec.get("fock", []), f"{path}.terms[{i}].fock")):
@@ -124,7 +134,7 @@ def weight_vector_from_data(doc, handle: WeightModule, path: str = "m") -> Weigh
     """A weight-module vector from a list of {coeff, point} records."""
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc, path)):
-        rec = _expect_dict(rec, f"{path}[{i}]")
+        rec = _expect_record(rec, f"{path}[{i}]", ("coeff", "point"))
         where = f"{path}[{i}].point"
         coords = _expect_list(rec.get("point"), where, handle.cfg.nu)
         try:
@@ -152,10 +162,10 @@ def b_element_to_data(x: BElement) -> dict:
 
 
 def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> BElement:
-    doc = _expect_dict(doc, path)
+    doc = _expect_record(doc, path, ("words",))
     words: dict = {}
     for i, rec in enumerate(_expect_list(doc.get("words"), f"{path}.words")):
-        rec = _expect_dict(rec, f"{path}.words[{i}]")
+        rec = _expect_record(rec, f"{path}.words[{i}]", ("coeff", "factors"))
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}.words[{i}].coeff")
         word = []
         for j, fac in enumerate(_expect_list(rec.get("factors", []), f"{path}.words[{i}].factors")):
@@ -182,7 +192,7 @@ def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> BElem
 
 
 def omega_spec_from_data(doc, cfg: LatticeConfig, path: str = "spec") -> OmegaSpec:
-    doc = _expect_dict(doc, path)
+    doc = _expect_record(doc, path, ("mu", "f", "a"))
     mu = _int(doc.get("mu"), f"{path}.mu")
     if not 1 <= mu <= cfg.nu + 1:
         raise SchemaError(f"{path}.mu", f"mu {mu} out of range 1..{cfg.nu + 1}")
@@ -201,10 +211,12 @@ def w_handle_from_data(doc, cfg: LatticeConfig, path: str = "W"):
     doc = _expect_dict(doc, path)
     kind = doc.get("kind")
     if kind == "weight":
+        doc = _expect_record(doc, path, ("kind", "lambda0"))
         coords = _expect_list(doc.get("lambda0", [0] * cfg.nu), f"{path}.lambda0", cfg.nu)
         return WeightModule(cfg, [parse_fraction(x, f"{path}.lambda0") for x in coords])
     if kind == "omega":
-        spec = omega_spec_from_data(doc, cfg, path)
+        doc = _expect_record(doc, path, ("kind", "mu", "f", "a"))
+        spec = omega_spec_from_data({k: v for k, v in doc.items() if k != "kind"}, cfg, path)
         try:
             return OmegaModule(cfg, spec)
         except ValueError as exc:

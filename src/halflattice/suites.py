@@ -470,8 +470,7 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
 # -- suite: classification --------------------------------------------------------------------------
 
 
-def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec,
-                    laurent_radius: int = 3, poly_degree: int = 3) -> bool:
+def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec) -> bool:
     """Windowed search for a nonzero homomorphism between function modules.
 
     A homomorphism is determined by the image v of the cyclic symbol, and v
@@ -481,7 +480,8 @@ def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec,
     at and above it.  The relations are imposed exactly on a windowed basis
     of the target; since both modules are simple, a nonzero solution exists
     precisely when the modules are isomorphic (with window margins covering
-    the shifts).
+    the shifts), here Laurent exponents -3..3 and polynomial exponents 0..3.
+    Each relation gives one sparse row per monomial of its images.
     """
     relations = []
     for j in range(1, spec1.mu):
@@ -491,15 +491,15 @@ def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec,
         charge[j - 1] = 1
         relations.append(BElement.e(charge) - spec1.a_of(j) * BElement.one())
 
-    ring2 = spec2.ring
-    basis = OmegaModule(LatticeConfig(spec2.nu, 1), spec2).probe_labels(laurent_radius, poly_degree)
+    basis = OmegaModule(LatticeConfig(spec2.nu, 1), spec2).probe_labels(3, 3)
 
     rows = []
     for rel in relations:
-        images = [act_on_omega_module(rel, ring2.monomial(e), spec2) for e in basis]
-        support = sorted({m for img in images for m in img.monomials()})
-        for mono in support:
-            rows.append([img.coefficient(mono) for img in images])
+        by_monomial: dict = {}
+        for col, e in enumerate(basis):
+            for mono, c in act_on_omega_module(rel, spec2.ring.monomial(e), spec2).terms.items():
+                by_monomial.setdefault(mono, {})[col] = c
+        rows.extend(by_monomial.values())
     return bool(nullspace(rows, len(basis)))
 
 

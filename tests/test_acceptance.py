@@ -3,11 +3,15 @@
 One test per criterion; each prints a single pass/fail line (visible with
 ``pytest -s`` and in the failure report otherwise) and asserts that the
 corresponding verification suite is fully green.  Zero tolerance everywhere:
-all comparisons are exact rational equalities.
+all comparisons are exact rational equalities.  A bounded seed sweep runs
+the fast suites at contiguous seeds from 0.
 """
 
 import hashlib
 import json
+from dataclasses import replace
+
+import pytest
 
 from halflattice.suites import SuiteConfig, run_verification
 
@@ -131,3 +135,19 @@ def test_criterion_10_degree_zero_quotient():
     ids = {c.check_id for c in report.checks}
     assert {"charge-circle-product", "ideal-membership",
             "product-identification", "bottom-level-injectivity"} <= ids
+
+
+SWEEP = [(suite, nu, range(10)) for nu in (1, 2)
+         for suite in ("classification", "omega-relations", "vacuum-roundtrip")]
+SWEEP.append(("classification", 3, range(2)))
+
+
+@pytest.mark.parametrize("suite, nu, seeds", SWEEP, ids=[f"{s}-nu{n}" for s, n, _ in SWEEP])
+def test_seed_sweep(suite, nu, seeds):
+    # contiguous seeds from 0: a report must not depend on a lucky draw
+    failing = {}
+    for seed in seeds:
+        report = run_verification(suite, replace(CONFIG, nu=nu, seed=seed))
+        if not report.ok:
+            failing[seed] = report.summary_lines()[1:]
+    assert not failing, failing

@@ -67,6 +67,41 @@ def test_eval_act_on_weight_rejects_bad_record(tmp_path, capsys):
     assert "m[0]: expected an object" in capsys.readouterr().err
 
 
+def test_eval_product_rejects_misspelled_term_key(tmp_path, capsys):
+    u = write(tmp_path, "u.json", {"terms": [{"cofef": "5", "fock": [], "charge": [1, 0]}]})
+    v = write(tmp_path, "v.json", charge_doc((0, 1)))
+    assert main(["eval", "product", u, "-2", v]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: u.terms[0].cofef: unknown key" in captured.err
+
+
+def test_eval_act_rejects_misspelled_module_key(tmp_path, capsys):
+    x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"e": [0, 1]}]}]})
+    m = write(tmp_path, "m.json", [{"coeff": "1", "point": ["1/2", "0"]}])
+    module = write(tmp_path, "w.json", {"kind": "weight", "lambd0": ["1/2", "0"]})
+    assert main(["--json", "eval", "act", x, m, "--module", module]) == 2
+    assert "input error: module.lambd0: unknown key" in capsys.readouterr().err
+
+
+def test_decide_iso_rejects_kind_in_a_spec(tmp_path, capsys):
+    doc = {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]}
+    s1 = write(tmp_path, "s1.json", {**doc, "kind": "omega"})
+    s2 = write(tmp_path, "s2.json", doc)
+    assert main(["decide", "iso", s1, s2]) == 2
+    assert "input error: spec1.kind: unknown key" in capsys.readouterr().err
+
+
+def test_eval_act_label_error_prints_rationals(tmp_path, capsys):
+    x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"e": [0, 1]}]}]})
+    m = write(tmp_path, "m.json", [{"coeff": "1", "point": ["0", "0"]}])
+    module = write(tmp_path, "w.json", {"kind": "weight", "lambda0": ["1/2", "0"]})
+    assert main(["eval", "act", x, m, "--module", module]) == 2
+    err = capsys.readouterr().err
+    assert "m[0].point: label (0, 0) is not in the charge coset of (1/2, 0)" in err
+    assert "Fraction(" not in err
+
+
 def test_decide_iso(tmp_path, capsys):
     s1 = write(tmp_path, "s1.json", {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]})
     s2 = write(

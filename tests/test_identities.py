@@ -212,6 +212,28 @@ def test_locality_failure_detected_below_true_order():
     assert p + q == -1 and not residual.is_zero()
 
 
+def test_locality_residual_is_the_full_untruncated_sum():
+    # locality_residual runs the truncated commutator loop of the component
+    # identity; the literal sum over every i in 0..k must give the same element
+    rng = random.Random(3)
+    ctx = adjoint_context(CFG2)
+    cache = ActionCache(ctx)
+    nonzero = 0
+    for _ in range(40):
+        u, v, w = (rand_velement(rng, CFG2, n_terms=2, max_weight=2, charge_bound=1)
+                   for _ in range(3))
+        p, q, order = rng.randint(-2, 1), rng.randint(-2, 1), rng.randint(0, 2)
+        full = ctx.zero
+        for i in range(order + 1):
+            c = (-1) ** i * gbinom(order, i)
+            full = full + c * (cache.act(u, p + order - i, cache.act(v, q + i, w))
+                               - cache.act(v, q + i, cache.act(u, p + order - i, w)))
+        residual = locality_residual(u, v, w, p, q, order, ctx, cache)
+        assert residual == full
+        nonzero += bool(residual)
+    assert nonzero  # some draws are below their locality order
+
+
 def test_heisenberg_residual_zero_and_nonzero():
     ctx = adjoint_context(CFG2)
     cache = ActionCache(ctx)

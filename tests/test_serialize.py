@@ -134,3 +134,54 @@ def test_w_handle_dispatch():
     assert isinstance(o, OmegaModule) and o.spec.mu == 2
     with pytest.raises(SchemaError):
         w_handle_from_data({"kind": "nope"}, CFG)
+
+
+RING = LaurentRing(2, 1)
+SPEC_DOC = {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, path",
+    [
+        pytest.param(lambda d: laurent_from_data(d, RING),
+                     [{"coef": "2", "exponents": [1, 0]}], "poly[0].coef", id="laurent-term"),
+        pytest.param(lambda d: velement_from_data(d, CFG),
+                     {"terms": [], "extra": 1}, "element.extra", id="velement"),
+        pytest.param(lambda d: velement_from_data(d, CFG),
+                     {"terms": [{"cofef": "5", "fock": [], "charge": [1, 0]}]},
+                     "element.terms[0].cofef", id="velement-term"),
+        pytest.param(lambda d: weight_vector_from_data(d, WeightModule(CFG)),
+                     [{"coeff": "1", "point": ["0", "0"], "pt": 1}], "m[0].pt",
+                     id="weight-vector-record"),
+        pytest.param(lambda d: b_element_from_data(d, CFG),
+                     {"word": []}, "element.word", id="b-element"),
+        pytest.param(lambda d: b_element_from_data(d, CFG),
+                     {"words": [{"coeff": "1", "factor": []}]}, "element.words[0].factor",
+                     id="b-word"),
+        pytest.param(lambda d: omega_spec_from_data(d, CFG),
+                     {**SPEC_DOC, "kind": "omega"}, "spec.kind", id="spec-with-kind"),
+        pytest.param(lambda d: w_handle_from_data(d, CFG),
+                     {"kind": "weight", "lambd0": ["1/2", "0"]}, "W.lambd0", id="weight-module"),
+        pytest.param(lambda d: w_handle_from_data(d, CFG),
+                     {**SPEC_DOC, "kind": "omega", "nu": 2}, "W.nu", id="omega-module"),
+    ],
+)
+def test_unknown_keys_are_rejected_by_path(parse, doc, path):
+    with pytest.raises(SchemaError) as err:
+        parse(doc)
+    assert err.value.path == path and "unknown key" in str(err.value)
+
+
+def test_optional_keys_keep_their_defaults():
+    assert velement_from_data({"terms": [{"charge": [1, 0]}]}, CFG) == charge_element(2, (1, 0))
+    assert laurent_from_data([{"exponents": [1, 0]}], RING) == RING.variable(1)
+    assert w_handle_from_data({"kind": "weight"}, CFG).lam0 == (0, 0)
+    assert b_element_from_data({"words": [{}]}, CFG) == BElement.one()
+    assert omega_spec_from_data({"mu": 1, "a": ["1", "2"]}, CFG).f == ()
+
+
+def test_label_outside_the_coset_prints_rationals():
+    handle = WeightModule(CFG, [Fraction(1, 2), 0])
+    with pytest.raises(SchemaError) as err:
+        weight_vector_from_data([{"point": ["0", "0"]}], handle)
+    assert str(err.value) == "m[0].point: label (0, 0) is not in the charge coset of (1/2, 0)"
