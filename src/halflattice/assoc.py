@@ -113,7 +113,9 @@ class AElement(Combination):
         return self.nu
 
     def _make(self, terms: Mapping) -> "AElement":
-        return AElement(self.nu, terms)
+        new = super()._make(terms)
+        new.nu = self.nu
+        return new
 
     @staticmethod
     def monomial(nu: int, charge=None, dexp=None, coeff=1) -> "AElement":

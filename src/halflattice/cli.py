@@ -11,9 +11,10 @@ Subcommands:
     verify SUITE                        run a named verification suite
 
 Every subcommand accepts ``--config FILE`` (JSON with nu, k, mode_window,
-jacobi_window, probe_count, max_degree, seed) and ``--json``, before or after
-the subcommand, for canonical machine-readable output on stdout.  Exit
-codes: 0 all checks pass, 1 a check failed, 2 bad input.
+jacobi_window, probe_count, max_degree, seed) and ``--json``, for canonical
+machine-readable output on stdout, before the subcommand; only ``--json``
+may also follow it.  Exit codes: 0 all checks pass, 1 a check failed, 2 bad
+input.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ elements, weight-module vectors and Laurent polynomials.  ``Combination``
 holds that map in ``terms``, which never stores a zero, and gives it the
 vector-space operations.  Subclasses add only what differs: key validation,
 the shape that must agree before two combinations are added or compared (a
-rank or a ring), their own products, and their printing.
+rank or a ring), their own products, and their printing.  Key validation runs
+only in the public constructors: ``_make`` builds a combination from terms
+the package computed itself and skips it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,16 @@ class Combination:
         return None
 
     def _make(self, terms: Mapping):
-        """A combination of this class and shape with the given terms."""
-        return type(self)(terms)
+        """A combination of this class and shape with terms the package built.
+
+        The keys are trusted, so the subclass's key validation is skipped;
+        zeros are still dropped and every value is held as a ``Fraction``.
+        Subclasses with a shape copy it onto the result.
+        """
+        new = object.__new__(type(self))
+        new.terms = {t: c if type(c) is Fraction else Fraction(c) for t, c in terms.items() if c}
+        new._hash = None
+        return new
 
     def _check(self, other) -> None:
         if type(other) is not type(self):

@@ -70,7 +70,9 @@ class VElement(Combination):
         return self.nu
 
     def _make(self, terms: Mapping) -> "VElement":
-        return VElement(self.nu, terms)
+        new = super()._make(terms)
+        new.nu = self.nu
+        return new
 
     def __str__(self) -> str:
         return _format_terms(self.terms, self.nu, _charge_str)

@@ -9,7 +9,7 @@ c_i and the dual directions are spanned by the d_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,10 +27,16 @@ class LatticeVector:
 
     c: tuple[Fraction, ...]
     d: tuple[Fraction, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.c) != len(self.d):
             raise ValueError("c- and d-coordinate lists must have equal length")
+        # vectors key the operator caches, so hash the 2*nu Fractions once
+        object.__setattr__(self, "_hash", hash((self.c, self.d)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nu(self) -> int:

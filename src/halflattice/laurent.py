@@ -89,7 +89,9 @@ class LaurentPoly(Combination):
         return self.ring
 
     def _make(self, terms: Mapping) -> "LaurentPoly":
-        return LaurentPoly(self.ring, terms)
+        new = super()._make(terms)
+        new.ring = self.ring
+        return new
 
     # -- container-ish access -------------------------------------------------
 

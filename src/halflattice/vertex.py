@@ -8,15 +8,25 @@ with the exponential dressing of the lattice operator for e^alpha:
     E^{+-}(beta, z) = exp( sum_{n in +-N} beta(n) z^{-n} / n ).
 
 Nothing here materializes a series: ``y_coefficient`` extracts one z-power
-of the product applied to one state, enumerating exactly the finitely many
-mode combinations that can contribute.  A single mode of one lattice
-direction (creation, contraction or zero mode) has one rule, shared by the
-field modes of ``y_coefficient`` and by ``apply_heisenberg_mode``, which
-sums it over the coordinates of h.  Normal ordering places creation
+of the product applied to one state.  Normal ordering places creation
 modes and the charge shift to the left of zero modes, which sit to the left
 of annihilation modes; the scalar power z^alpha acts as z to the pairing of
 alpha with the module weight (zero on the algebra itself, where the charge
-lattice is isotropic).
+lattice is isotropic).  So each coefficient splits in two halves.  The
+annihilation half is enumerated by annihilation pattern: each field of u
+either creates or acts with a mode j >= 0, and for each pattern and
+annihilation level a the field annihilators, the annihilation dressing, the
+zero modes and the charge shift run once.  The creation half, everything
+left of the charge shift, depends only on the creating fields, alpha and the
+z-power L it must supply, and is the cached closed form
+
+    sum over m_i >= n_i, sum m_i <= L, of
+        prod_i C(m_i-1, n_i-1) h_i(-m_i)  *  h_(L - sum m_i)(alpha),
+
+where h_p(alpha) is level p of the creation dressing below.  A single mode
+of one lattice direction (creation, contraction or zero mode) has one rule,
+shared by the field modes of ``y_coefficient`` and by
+``apply_heisenberg_mode``, which sums it over the coordinates of h.
 
 Targets are selected by an ``OperatorContext``, which acts on M(1) tensor W
 for a coefficient module W handled by duck-typed label actions.  The adjoint
@@ -223,84 +233,105 @@ def _annihilation_level(word: tuple, alpha: tuple, k: int, p: int) -> tuple:
 def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
     """The coefficient u_n w of z^(-n-1) in the field of u applied to w.
 
-    Each field assignment applies, right to left: the field annihilators,
-    the annihilation dressing at level a, the zero modes, the charge shift,
-    the creation dressing at the level that balances z, and the field
-    creations.
+    For each term h_1(-n_1)...h_s(-n_s) e^alpha of u and each term of w of
+    Fock weight b, the field h_i(-n_i) contributes its modes
+    gbinom(-j-1, n_i-1) h_i(j) z^(-j-n_i), and the sum splits in two halves.
+    The annihilation half runs once per annihilation pattern (each field
+    either creates or acts with a mode j >= 0, the positive modes drawing at
+    most b) and per annihilation level a: the field annihilators, the
+    annihilation dressing at level a, the zero modes and the charge shift.
+    The creation half depends only on the creating fields, alpha and the
+    level L = -n-1-p0 + wt(u) + (sum of positive modes) + a that balances z,
+    where z^p0 is the scalar charge power: it is the cached closed form
+    ``_creation_half``.  The annihilation results that meet the same creation
+    half are summed first, and each distinct half is merged once into every
+    word of its sum.
     """
     if not isinstance(u, VElement):
         raise TypeError("the acting state must be a VElement")
     if type(w) is not type(ctx.zero):
         raise TypeError(f"targets of this context must be {type(ctx.zero).__name__}s")
     cfg = ctx.cfg
-    out: dict = {}
+    halves: dict = {}  # (creating fields, alpha, L) -> (creation half, states it acts on)
     for (ufock, alpha), cu in u.terms.items():
-        p0 = ctx.charge_power(alpha)
-        fields = list(ufock)
-        u_weight = fock_weight(ufock)
-        alpha_zero = not any(alpha)
+        base = fock_weight(ufock) - n - 1 - ctx.charge_power(alpha)
+        charged = any(alpha)
         for (wfock, label), cw in w.terms.items():
             budget = fock_weight(wfock)
-            e_target = -n - 1 - p0
-            for js, field_coeff in _field_assignments(fields, budget, e_target, u_weight):
-                # creation level of the dressing is p_low + a at annihilation level a
-                p_low = e_target + sum(j + nn for j, (_, nn) in zip(js, fields))
-                a_max = 0 if alpha_zero else budget - sum(j for j in js if j > 0)
-                if p_low + a_max < 0 or (alpha_zero and p_low != 0):
-                    continue
-                states = {(wfock, label): cu * cw * field_coeff}
-                for (dir_, _), j in zip(fields, js):
-                    if j > 0 and states:
-                        states = _mode_dir(ctx, states, dir_, j)
-                if not states:
-                    continue
-                creations = merge_words((), tuple(
-                    (dir_, -j) for (dir_, _), j in zip(fields, js) if j < 0))
-                for a in range(max(0, -p_low), a_max + 1):
+            if base + budget < 0:  # n lies past the truncation bound
+                continue
+            cuw = cu * cw
+            for js, coeff in _annihilation_patterns(ufock, budget):
+                creating = tuple(f for f, j in zip(ufock, js) if j is None)
+                drawn = sum(j for j in js if j)
+                low = max(0, sum(m for _, m in creating) - base - drawn)
+                states = None
+                for a in range(low, (budget - drawn if charged else 0) + 1):
+                    level = base + drawn + a
+                    half = (_creation_half(creating, alpha, level) if creating
+                            else _creation_level(alpha, level))
+                    if not half:
+                        continue
+                    if states is None:
+                        states = {(wfock, label): cuw * coeff}
+                        for (dir_, _), j in zip(ufock, js):
+                            if j and states:
+                                states = _mode_dir(ctx, states, dir_, j)
                     mid = dressing(cfg, states, alpha, a, -1)
                     # zero modes act before the charge shift
-                    for (dir_, _), j in zip(fields, js):
+                    for (dir_, _), j in zip(ufock, js):
                         if j == 0 and mid:
                             mid = _mode_dir(ctx, mid, dir_, 0)
-                    if not mid:
-                        continue
-                    if not alpha_zero:
+                    if mid and charged:
                         mid = _act_on_labels(mid, ctx.handle.e_action, alpha)
-                    for (word, lab), c in dressing(cfg, mid, alpha, p_low + a, 1).items():
-                        accumulate(out, (merge_words(word, creations), lab), c)
+                    into = halves.setdefault((creating, alpha, level), (half, {}))[1]
+                    for key, c in mid.items():
+                        accumulate(into, key, c)
+    out: dict = {}
+    for half, mid in halves.values():
+        for (word, lab), c in mid.items():
+            for created, q in half:
+                accumulate(out, (merge_words(word, created), lab), c * q)
     return ctx.element(out)
 
 
-def _field_assignments(fields, budget: int, e_target: int, u_weight: int):
-    """Yield mode assignments (j_1..j_s) with their derivative-field coefficients.
+def _annihilation_patterns(fields: tuple, budget: int):
+    """Yield (js, coefficient) for every annihilation pattern of the fields.
 
-    Feasibility: positive modes may not overdraw the annihilation budget of
-    the target's Fock weight, and the final creation weight required of the
-    exponential dressing must come out nonnegative.
+    js[i] is None where field i creates and its mode j >= 0 otherwise; the
+    positive modes sum to at most budget.  The coefficient is the product
+    of the derivative-field weights gbinom(-j-1, n_i-1) of the fields that
+    do not create (never zero for j >= 0).
     """
-    s = len(fields)
-    if s == 0:
+    if not fields:
         yield (), 1
         return
-    floor_total = -e_target - budget - u_weight  # required sum of modes
-    suffix_max = [0] * (s + 1)
-    for i in range(s - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + budget
+    n_i = fields[0][1]
+    for j in (None, *range(budget + 1)):
+        c = 1 if j is None else gbinom(-j - 1, n_i - 1)
+        for rest, rc in _annihilation_patterns(fields[1:], budget - (j or 0)):
+            yield (j, *rest), c * rc
 
-    def rec(i: int, partial: int, ann_left: int, coeff):
-        if i == s:
-            yield (), coeff
-            return
-        _, n_i = fields[i]
-        lo = floor_total - partial - suffix_max[i + 1]
-        for j in range(lo, ann_left + 1):
-            c = gbinom(-j - 1, n_i - 1)
-            if not c:
-                continue
-            for rest, rc in rec(i + 1, partial + j, ann_left - max(j, 0), coeff * c):
-                yield (j,) + rest, rc
 
-    yield from rec(0, 0, budget, 1)
+@lru_cache(maxsize=None)
+def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
+    """The creation half at level L for creating fields (direction, n_i).
+
+    It is the sum, over modes m_i >= n_i with sum m_i <= L, of
+    prod C(m_i-1, n_i-1) h_i(-m_i) times h_(L - sum m_i) of the power sums
+    alpha(-m), as (canonical word, coefficient) pairs; the last field reads
+    ``_creation_level`` directly.
+    """
+    (dir_, n_i), rest = fields[0], fields[1:]
+    top = level - sum(m for _, m in rest)
+    out: dict = {}
+    for m in range(n_i, top + 1):
+        tail = (_creation_half(rest, alpha, level - m) if rest
+                else _creation_level(alpha, level - m))
+        weight = comb(m - 1, n_i - 1)
+        for word, q in tail:
+            accumulate(out, merge_words(word, ((dir_, m),)), weight * q)
+    return tuple(out.items())
 
 
 def _mode_dir(ctx, states, dir_: int, n: int) -> dict:

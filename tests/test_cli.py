@@ -283,6 +283,7 @@ def test_json_flag_after_the_subcommand(tmp_path, capsys):
         (["verify", "heisenberg", "--bogus"], "unrecognized arguments: --bogus"),
         (["verify", "heisenberg", "--nu", "1"], "unrecognized arguments: --nu 1"),
         (["eval", "zhu", "u.json", "v.json", "--json=1"], "ignored explicit argument '1'"),
+        (["verify", "zhu", "--config", "c.json"], "unrecognized arguments: --config c.json"),
     ],
 )
 def test_other_flags_after_the_subcommand_are_rejected(capsys, argv, message):

@@ -72,6 +72,20 @@ def test_linear_combination_arithmetic():
     assert hash(a) == hash(charge_element(2, (1, 0)))
 
 
+def test_trusted_results_drop_zeros_and_hold_fractions():
+    # engine results skip key validation but keep the Combination invariants
+    x = fock_element(2, [(0, 1)], (1, 0), Fraction(3, 2)) + charge_element(2, (0, 1), 2)
+    zero = x * 0
+    assert zero.is_zero() and zero.nu == 2 and zero == VElement(2, {})
+    neg = -x
+    assert neg.nu == 2 and neg + x == zero
+    assert all(type(c) is Fraction for c in neg.terms.values())
+    made = x._make({((), (0, 0)): 2, (((0, 1),), (1, 0)): 0, (((2, 1),), (0, 0)): Fraction(0)})
+    assert made.terms == {((), (0, 0)): Fraction(1) * 2}
+    assert type(made.terms[((), (0, 0))]) is Fraction and made.nu == 2
+    assert made == VElement(2, {((), (0, 0)): 2}) and hash(made) == hash(2 * vacuum(2))
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         vacuum(2) + vacuum(3)

@@ -24,6 +24,7 @@ from halflattice.vertex import (
     apply_heisenberg_mode,
     conformal_vector,
     dressing,
+    gbinom,
     module_operator_context,
     nth_product,
     truncation_bound,
@@ -127,9 +128,9 @@ def loop_heisenberg_mode(h, n, s, ctx):
     return ctx.element(out)
 
 
-def kernel_oracle_targets(cfg, rng):
-    """(context, states) for the adjoint, a weight module at a weight with
-    nonzero (c_i, lam), and, at k = 1, a function module."""
+def oracle_contexts(cfg):
+    """The adjoint, a weight module at a weight with nonzero (c_i, lam), and,
+    at k = 1, a function module."""
     lam = cfg.vector(d=[Fraction(i + 1, cfg.k) for i in range(cfg.nu)])
     weight = WeightModule(cfg, [Fraction(1, 2)] + [0] * (cfg.nu - 1))
     contexts = [adjoint_context(cfg), module_operator_context(cfg, lam, weight)]
@@ -138,8 +139,13 @@ def kernel_oracle_targets(cfg, rng):
         spec = OmegaSpec(cfg.nu, 2, (ring.variable(1),),
                          tuple(Fraction(i + 2) for i in range(cfg.nu - 1)))
         contexts.append(module_operator_context(cfg, lam, OmegaModule(cfg, spec)))
+    return contexts
+
+
+def kernel_oracle_targets(cfg, rng):
+    """(context, states) over ``oracle_contexts``, four random states each."""
     out = []
-    for ctx in contexts:
+    for ctx in oracle_contexts(cfg):
         if isinstance(ctx.zero, VElement):
             states = [rand_velement(rng, cfg, max_weight=4) for _ in range(4)]
         else:
@@ -311,6 +317,127 @@ def test_heisenberg_bracket_in_module():
         lhs = lhs - apply_heisenberg_mode(h2, n, apply_heisenberg_mode(h1, m, s, ctx), ctx)
         want = m * CFG2.pairing(h1, h2) * s if m + n == 0 else ctx.zero
         assert lhs == want
+
+
+# -- the assignment oracle ----------------------------------------------------------
+
+
+def field_assignments(fields, budget: int, e_target: int, u_weight: int):
+    """Mode assignments (j_1..j_s) of the fields with their derivative-field
+    coefficients; positive modes may not overdraw the budget, and the
+    creation level of the dressing must be able to come out nonnegative."""
+    s = len(fields)
+    floor_total = -e_target - budget - u_weight  # required sum of modes
+
+    def rec(i: int, partial: int, ann_left: int, coeff):
+        if i == s:
+            yield (), coeff
+            return
+        lo = floor_total - partial - (s - 1 - i) * budget
+        for j in range(lo, ann_left + 1):
+            c = gbinom(-j - 1, fields[i][1] - 1)
+            if c:
+                for rest, rc in rec(i + 1, partial + j, ann_left - max(j, 0), coeff * c):
+                    yield (j,) + rest, rc
+
+    yield from rec(0, 0, budget, 1)
+
+
+def assignment_y_coefficient(u, n, w, ctx):
+    """The former engine of y_coefficient, kept as the oracle for its two
+    halves: one pass per full field-mode assignment, applying right to left
+    the field annihilators, the annihilation dressing at level a, the zero
+    modes, the charge shift, the creation dressing at the level that balances
+    z and the field creations, with every field mode taken from
+    ``apply_heisenberg_mode``."""
+    cfg = ctx.cfg
+    units = [cfg.dir_vector(i) for i in range(cfg.ndirs)]
+
+    def mode(dir_, j, s):
+        return apply_heisenberg_mode(units[dir_], j, s, ctx)
+
+    out = {}
+    for (ufock, alpha), cu in u.terms.items():
+        fields = list(ufock)
+        e_target = -n - 1 - ctx.charge_power(alpha)
+        charged = any(alpha)
+        for (wfock, label), cw in w.terms.items():
+            budget = sum(m for _, m in wfock)
+            u_weight = sum(m for _, m in ufock)
+            for js, coeff in field_assignments(fields, budget, e_target, u_weight):
+                p_low = e_target + sum(j + n_i for j, (_, n_i) in zip(js, fields))
+                a_max = budget - sum(j for j in js if j > 0) if charged else 0
+                s = ctx.element({(wfock, label): cu * cw * coeff})
+                for (dir_, _), j in zip(fields, js):
+                    if j > 0:
+                        s = mode(dir_, j, s)
+                for a in range(max(0, -p_low), a_max + 1):
+                    mid = ctx.element(dressing(cfg, s.terms, alpha, a, -1))
+                    for (dir_, _), j in zip(fields, js):
+                        if j == 0:
+                            mid = mode(dir_, 0, mid)
+                    shifted = {}
+                    for (word, lab), c in mid.terms.items():
+                        moves = ctx.handle.e_action(alpha, lab) if charged else [(1, lab)]
+                        for q, lab2 in moves:
+                            accumulate(shifted, (word, lab2), c * q)
+                    created = ctx.element(dressing(cfg, shifted, alpha, p_low + a, 1))
+                    for (dir_, _), j in zip(fields, js):
+                        if j < 0:
+                            created = mode(dir_, j, created)
+                    for key, c in created.terms.items():
+                        accumulate(out, key, c)
+    return ctx.element(out)
+
+
+def oracle_actors(nu):
+    """Actors with repeated factors and field modes 2 and 3, charged and not."""
+    c1, d1, dn = 0, nu, 2 * nu - 1
+    charge = (1,) + (-1,) * (nu - 1)
+    return [
+        fock_element(nu, [(c1, 2), (c1, 2)], charge)
+        + fock_element(nu, [(dn, 3), (d1, 1)], None, Fraction(1, 2)),
+        fock_element(nu, [(d1, 3), (c1, 1)], (-1,) + (0,) * (nu - 1), Fraction(-2, 3)),
+        fock_element(nu, [(dn, 2), (dn, 2)]),
+        charge_element(nu, (2,) + (1,) * (nu - 1), Fraction(3, 2)),
+    ]
+
+
+def oracle_targets(ctx):
+    """Two multi-term targets on the context's labels.  The actors can
+    annihilate every factor of the heaviest terms, so that near the
+    truncation bound the creating fields reach modes m > n_i."""
+    nu = ctx.cfg.nu
+    c1, cn, d1, dn = 0, nu - 1, nu, 2 * nu - 1
+    words = [(), ((d1, 2), (dn, 1)), ((cn, 1), (c1, 1), (d1, 1)), ((dn, 1), (c1, 1))]
+    if isinstance(ctx.zero, VElement):
+        labels = [(0,) * nu, (-1,) + (1,) * (nu - 1), (1,) * nu]
+    else:
+        labels = ctx.handle.probe_labels()[:3]
+    out = []
+    for start in (0, 1):
+        terms = {(fock_word(words[start + i]), labels[(start + i) % len(labels)]):
+                 Fraction(2 * i - 3, i + 1) for i in range(3)}
+        out.append(ctx.element(terms))
+    return out
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, -1])
+def test_y_coefficient_matches_assignment_oracle(nu, k):
+    cfg = LatticeConfig(nu, k)
+    nonzero = past_bound = 0
+    for ctx in oracle_contexts(cfg):
+        for w in oracle_targets(ctx):
+            assert len(w) > 1
+            for u in oracle_actors(nu):
+                bound = truncation_bound(u, w, ctx)
+                for n in range(bound - 4, bound + 2):
+                    want = assignment_y_coefficient(u, n, w, ctx)
+                    assert y_coefficient(u, n, w, ctx) == want, (u, n, w)
+                    nonzero += bool(want)
+                    past_bound += n > bound
+    assert nonzero and past_bound
 
 
 # -- conformal structure ---------------------------------------------------------------
