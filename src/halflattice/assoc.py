@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .combination import Combination, accumulate
+from .combination import Combination, accumulate, rational
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
@@ -51,7 +51,7 @@ class BElement(Combination):
 
     @staticmethod
     def one() -> "BElement":
-        return BElement({(): Fraction(1)})
+        return BElement({(): 1})
 
     @staticmethod
     def zero() -> "BElement":
@@ -59,11 +59,11 @@ class BElement(Combination):
 
     @staticmethod
     def e(charge: Iterable[int]) -> "BElement":
-        return BElement({(gen_e(charge),): Fraction(1)})
+        return BElement({(gen_e(charge),): 1})
 
     @staticmethod
     def d(j: int) -> "BElement":
-        return BElement({(gen_d(j),): Fraction(1)})
+        return BElement({(gen_d(j),): 1})
 
     def __mul__(self, other) -> "BElement":
         if not isinstance(other, BElement):
@@ -121,7 +121,7 @@ class AElement(Combination):
     def monomial(nu: int, charge=None, dexp=None, coeff=1) -> "AElement":
         charge = tuple(charge) if charge is not None else (0,) * nu
         dexp = tuple(dexp) if dexp is not None else (0,) * nu
-        return AElement(nu, {(charge, dexp): Fraction(coeff)})
+        return AElement(nu, {(charge, dexp): coeff})
 
     def mul(self, other: "AElement", cfg: LatticeConfig) -> "AElement":
         """Product in the straightened algebra with commuting d's.
@@ -139,7 +139,7 @@ class AElement(Combination):
                 for J in itertools.product(*(range(k_i + 1) for k_i in K)):
                     coeff = c1 * c2
                     for k_i, j_i, p_i in zip(K, J, pair):
-                        coeff *= comb(k_i, j_i) * Fraction(p_i) ** (k_i - j_i)
+                        coeff *= comb(k_i, j_i) * p_i ** (k_i - j_i)
                     if not coeff:
                         continue
                     dexp = tuple(j + l for j, l in zip(J, L))
@@ -226,7 +226,7 @@ class WeightVector(Combination):
 
     @staticmethod
     def point(p, coeff=1) -> "WeightVector":
-        return WeightVector({tuple(Fraction(x) for x in p): Fraction(coeff)})
+        return WeightVector({tuple(rational(x) for x in p): coeff})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -241,7 +241,8 @@ class WeightVector(Combination):
 class WeightModule:
     """The span of lattice points lam0 + alpha, alpha in the charge lattice.
 
-    Labels are the c-coordinates of the points (tuples of rationals).  The
+    Labels are the c-coordinates of the points (tuples of rationals, each
+    an ``int`` when integral, as combination values are).  The
     translations act by addition and each d_i acts diagonally by its pairing
     with the point, for any value of the pairing constant.
     """
@@ -251,13 +252,13 @@ class WeightModule:
         coords = list(lam0_coords) if lam0_coords is not None else [0] * cfg.nu
         if len(coords) != cfg.nu:
             raise ValueError(f"base point needs {cfg.nu} coordinates")
-        self.lam0 = tuple(Fraction(x) for x in coords)
+        self.lam0 = tuple(rational(x) for x in coords)
 
     def base_label(self) -> tuple:
         return self.lam0
 
     def validate_label(self, label) -> tuple:
-        label = tuple(Fraction(x) for x in label)
+        label = tuple(rational(x) for x in label)
         if len(label) != self.cfg.nu:
             raise ValueError(f"label needs {self.cfg.nu} coordinates")
         if any((a - b).denominator != 1 for a, b in zip(label, self.lam0)):
@@ -266,10 +267,10 @@ class WeightModule:
         return label
 
     def e_action(self, charge: tuple, label: tuple):
-        return [(Fraction(1), tuple(a + m for a, m in zip(label, charge)))]
+        return [(1, tuple(a + m for a, m in zip(label, charge)))]
 
     def d_action(self, j: int, label: tuple):
-        scalar = self.cfg.k * label[j - 1]
+        scalar = rational(self.cfg.k * label[j - 1])
         return [(scalar, label)] if scalar else []
 
     def probe_labels(self) -> list[tuple]:
@@ -471,7 +472,7 @@ def decompose_potential(spec: OmegaSpec):
                 continue
             if exps[jj] == 0:
                 return None  # not in the image of D_j on this monomial
-            candidate = coeff / exps[jj]
+            candidate = rational(Fraction(coeff, exps[jj]))
             seen = p_terms.get(exps)
             if seen is None:
                 p_terms[exps] = candidate

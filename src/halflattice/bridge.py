@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .combination import accumulate
+from .combination import accumulate, rational
 from .fock import ModuleElement, charge_element, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
@@ -61,7 +61,7 @@ def vacuum_basis(
     unit Fock factor.
     """
     cfg = mctx.cfg
-    fock_solutions: list[dict] = [{(): Fraction(1)}]  # level 0
+    fock_solutions: list[dict] = [{(): 1}]  # level 0
     for level in range(1, degree_bound + 1):
         basis = _fock_level(cfg, level)
         columns = mctx.element({(word, col): 1 for col, word in enumerate(basis)})
@@ -142,11 +142,12 @@ class MixedSectorError(ValueError):
     """A state mixes distinct zero-mode eigenvalue sectors."""
 
 
-def charge_sector(direction, w: ModuleElement, mctx: OperatorContext) -> Fraction:
+def charge_sector(direction, w: ModuleElement, mctx: OperatorContext):
     """Eigenvalue of the zero mode of a lattice vector on w.
 
     Accepts a charge tuple or a general lattice vector; raises when the
-    state is not an eigenvector (it mixes sectors).
+    state is not an eigenvector (it mixes sectors).  The eigenvalue is
+    normalized like a coefficient: an ``int`` when it is integral.
     """
     cfg = mctx.cfg
     vec = direction if isinstance(direction, LatticeVector) else cfg.from_charge(direction)
@@ -154,7 +155,7 @@ def charge_sector(direction, w: ModuleElement, mctx: OperatorContext) -> Fractio
         raise ValueError("the zero state has no sector")
     image = apply_heisenberg_mode(vec, 0, w, mctx)
     key, coeff = next(iter(w.terms.items()))
-    ratio = image.terms.get(key, Fraction(0)) / coeff
+    ratio = rational(Fraction(image.terms.get(key, 0), coeff))
     if image != ratio * w:
         raise MixedSectorError(f"state mixes zero-mode sectors of {vec}")
     return ratio

@@ -9,21 +9,53 @@ the shape that must agree before two combinations are added or compared (a
 rank or a ring), their own products, and their printing.  Key validation runs
 only in the public constructors: ``_make`` builds a combination from terms
 the package computed itself and skips it.
+
+Values are integer-first: a value is an ``int`` when it is integral and a
+``Fraction`` with denominator > 1 otherwise, never a float.  ``rational``
+is the one normalizer, applied wherever a combination is built.  Almost
+every coefficient the package meets is an integer, and ``int`` arithmetic
+runs at machine speed where ``Fraction`` arithmetic is pure Python.  Since
+``Fraction(3) == 3`` and the two hash alike, equality, hashing and the
+printed "p/q" text do not depend on which type holds a value.  The price
+is that ``/`` on two ``int``s is a float: every division of coefficients
+is written ``Fraction(a, b)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping
 
 
+def rational(value):
+    """An exact value in canonical form: an ``int`` when it is integral, else
+    a ``Fraction`` with denominator > 1.  A float, or anything else that is
+    not a rational number, raises ``TypeError``."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        if not isinstance(value, Rational):
+            raise TypeError(f"coefficients are exact rationals, got {type(value).__name__} {value!r}")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def accumulate(data: dict, key, value) -> None:
-    """Add value to data[key] in place, dropping the key when the sum is zero."""
-    new = data.get(key, 0) + value
+    """Add value to data[key] in place, dropping the key when the sum is zero.
+
+    A new key stores value as it is; only an update adds.
+    """
+    old = data.get(key)
+    if old is None:
+        if value:
+            data[key] = value
+        return
+    new = old + value
     if new:
         data[key] = new
     else:
-        data.pop(key, None)
+        del data[key]
 
 
 class Combination:
@@ -32,7 +64,7 @@ class Combination:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping):
-        self.terms = {t: Fraction(c) for t, c in terms.items() if c}
+        self.terms = {t: q for t, c in terms.items() if (q := rational(c))}
         self._hash = None
 
     def shape(self):
@@ -43,11 +75,15 @@ class Combination:
         """A combination of this class and shape with terms the package built.
 
         The keys are trusted, so the subclass's key validation is skipped;
-        zeros are still dropped and every value is held as a ``Fraction``.
-        Subclasses with a shape copy it onto the result.
+        zeros are still dropped and every value is normalized by
+        ``rational``.  Values the package computes are sums and products of
+        normalized values, which stay ``int`` exactly while no proper
+        fraction enters, so the common ``int`` case is passed through
+        untouched.  Subclasses with a shape copy it onto the result.
         """
         new = object.__new__(type(self))
-        new.terms = {t: c if type(c) is Fraction else Fraction(c) for t, c in terms.items() if c}
+        new.terms = {t: q for t, c in terms.items()
+                     if (q := c if type(c) is int else rational(c))}
         new._hash = None
         return new
 
@@ -71,7 +107,7 @@ class Combination:
         return self._make({t: -c for t, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        q = Fraction(scalar)
+        q = rational(scalar)
         return self._make({t: q * c for t, c in self.terms.items()})
 
     __rmul__ = __mul__

@@ -13,7 +13,6 @@ opaque coefficient-module label in place of the charge.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .combination import Combination
@@ -96,18 +95,18 @@ class ModuleElement(Combination):
 
 def vacuum(nu: int) -> VElement:
     """The degree-zero generator: empty Fock part at charge zero."""
-    return VElement(nu, {((), (0,) * nu): Fraction(1)})
+    return VElement(nu, {((), (0,) * nu): 1})
 
 
 def charge_element(nu: int, charge: Iterable[int], coeff=1) -> VElement:
-    return VElement(nu, {((), tuple(int(m) for m in charge)): Fraction(coeff)})
+    return VElement(nu, {((), tuple(int(m) for m in charge)): coeff})
 
 
 def fock_element(nu: int, factors: Iterable, charge: Iterable[int] = None, coeff=1) -> VElement:
     if charge is None:
         charge = (0,) * nu
     word = fock_word(factors)
-    return VElement(nu, {(word, tuple(int(m) for m in charge)): Fraction(coeff)})
+    return VElement(nu, {(word, tuple(int(m) for m in charge)): coeff})
 
 
 # -- grading ----------------------------------------------------------------------
@@ -117,7 +116,7 @@ def homogeneous_components(v: VElement) -> dict[int, VElement]:
     buckets: dict[int, dict] = {}
     for (word, charge), coeff in v.terms.items():
         buckets.setdefault(fock_weight(word), {})[(word, charge)] = coeff
-    return {n: VElement(v.nu, data) for n, data in sorted(buckets.items())}
+    return {n: v._make(data) for n, data in sorted(buckets.items())}
 
 
 # -- printing ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The ambient rational space has basis c_1..c_nu, d_1..d_nu.  Both families
 are isotropic: (c_i, c_j) = (d_i, d_j) = 0, and the only nonzero pairings
 are (c_i, d_j) = k*delta_ij for a fixed nonzero integer k.  Vectors carry
-exact rational coordinates; the charge lattice is the integer span of the
-c_i and the dual directions are spanned by the d_i.
+exact rational coordinates, held like combination values (an ``int`` when
+integral); the charge lattice is the integer span of the c_i and the dual
+directions are spanned by the d_i.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .combination import rational
 
-def _coords(values: Iterable, nu: int, what: str) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(v) for v in values)
+
+def _coords(values: Iterable, nu: int, what: str) -> tuple:
+    out = tuple(values)
     if len(out) != nu:
         raise ValueError(f"{what} must have {nu} coordinates, got {len(out)}")
     return out
@@ -25,14 +28,16 @@ def _coords(values: Iterable, nu: int, what: str) -> tuple[Fraction, ...]:
 class LatticeVector:
     """Vector sum(c[i]*c_{i+1}) + sum(d[i]*d_{i+1}) with rational coords."""
 
-    c: tuple[Fraction, ...]
-    d: tuple[Fraction, ...]
+    c: tuple
+    d: tuple
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.c) != len(self.d):
             raise ValueError("c- and d-coordinate lists must have equal length")
-        # vectors key the operator caches, so hash the 2*nu Fractions once
+        object.__setattr__(self, "c", tuple(rational(a) for a in self.c))
+        object.__setattr__(self, "d", tuple(rational(a) for a in self.d))
+        # vectors key the operator caches, so hash the 2*nu coordinates once
         object.__setattr__(self, "_hash", hash((self.c, self.d)))
 
     def __hash__(self) -> int:
@@ -56,7 +61,7 @@ class LatticeVector:
         return LatticeVector(tuple(-a for a in self.c), tuple(-a for a in self.d))
 
     def __rmul__(self, scalar) -> "LatticeVector":
-        q = Fraction(scalar)
+        q = rational(scalar)
         return LatticeVector(tuple(q * a for a in self.c), tuple(q * a for a in self.d))
 
     __mul__ = __rmul__
@@ -139,19 +144,16 @@ class LatticeConfig:
 
     # -- the bilinear form ----------------------------------------------------
 
-    def pairing(self, u: LatticeVector, v: LatticeVector) -> Fraction:
-        """Bilinear extension of (c_i, d_j) = k*delta_ij."""
+    def pairing(self, u: LatticeVector, v: LatticeVector) -> int | Fraction:
+        """Bilinear extension of (c_i, d_j) = k*delta_ij, normalized like a
+        combination value."""
         if u.nu != self.nu or v.nu != self.nu:
             raise ValueError(
                 f"vector rank mismatch: pairing on rank {self.nu} lattice "
                 f"got ranks {u.nu} and {v.nu}"
             )
-        total = Fraction(0)
-        for a, b in zip(u.c, v.d):
-            total += a * b
-        for a, b in zip(u.d, v.c):
-            total += a * b
-        return self.k * total
+        total = sum(a * b for a, b in zip(u.c, v.d)) + sum(a * b for a, b in zip(u.d, v.c))
+        return rational(self.k * total)
 
     def dir_pairing(self, i: int, j: int) -> int:
         """Pairing of two direction indices; k on (c_i, d_i) pairs, else 0."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .combination import Combination, accumulate
+from .combination import Combination, accumulate, rational
 
 
 class CutoffError(ValueError):
@@ -52,17 +52,14 @@ class LaurentRing:
         return self.constant(1)
 
     def constant(self, value) -> "LaurentPoly":
-        q = Fraction(value)
-        if q == 0:
-            return self.zero()
-        return LaurentPoly(self, {(0,) * self.nvars: q})
+        return LaurentPoly(self, {(0,) * self.nvars: value})
 
     def variable(self, j: int) -> "LaurentPoly":
         """The variable t_j, 1-based."""
         return self.monomial([int(i == j - 1) for i in range(self.nvars)])
 
     def monomial(self, exps: Iterable[int], coeff=1) -> "LaurentPoly":
-        q = Fraction(coeff)
+        q = rational(coeff)
         if q == 0:
             return self.zero()
         return LaurentPoly(self, {self.check_exponents(exps): q})
@@ -70,7 +67,7 @@ class LaurentRing:
     def from_terms(self, terms: Mapping) -> "LaurentPoly":
         data = {}
         for exps, coeff in terms.items():
-            q = Fraction(coeff)
+            q = rational(coeff)
             if q:
                 data[self.check_exponents(exps)] = q
         return LaurentPoly(self, data)
@@ -95,7 +92,7 @@ class LaurentPoly(Combination):
 
     # -- container-ish access -------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms in the canonical (lexicographic) order."""
         return sorted(self.terms.items())
 
@@ -103,10 +100,10 @@ class LaurentPoly(Combination):
         zero = (0,) * self.ring.nvars
         return all(e == zero for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
+        return self.terms.get((0,) * self.ring.nvars, 0)
 
     def max_variable(self) -> int:
         """Largest 1-based variable index with a nonzero exponent; 0 if none."""
@@ -146,7 +143,7 @@ class LaurentPoly(Combination):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(data, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return LaurentPoly(self.ring, data)
+        return self._make(data)
 
     __rmul__ = __mul__
 
@@ -190,7 +187,7 @@ class LaurentPoly(Combination):
             e = exps[jj]
             for i in range(e + 1):
                 new = exps[:jj] + (i,) + exps[jj + 1 :]
-                accumulate(data, new, coeff * comb(e, i) * Fraction(-m) ** (e - i))
+                accumulate(data, new, coeff * comb(e, i) * (-m) ** (e - i))
         return LaurentPoly(self.ring, data)
 
     def degree_derivation(self, j: int) -> "LaurentPoly":

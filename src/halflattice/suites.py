@@ -38,6 +38,7 @@ from .bridge import (
     vacuum_basis,
     z_operator,
 )
+from .combination import Combination
 from .fock import VElement, charge_element, fock_element, vacuum
 from .identities import (
     ActionCache,
@@ -109,6 +110,19 @@ class SuiteReport:
     wall_time_s: float = 0.0
 
     def add(self, check_id: str, ok: bool, residual="") -> None:
+        """Record a check; a residual is kept as bounded text.
+
+        A combination, alone or as the residual of a (where, residual) pair,
+        reads as its term count and its first three terms in printing
+        order, after the failing index where there is one; any other
+        residual is kept as str(residual).
+        """
+        where, res = residual if isinstance(residual, tuple) and len(residual) == 2 else (None, residual)
+        if isinstance(res, Combination) and res:
+            first = dict(sorted(res.terms.items(), key=lambda kv: repr(kv[0]))[:3])
+            text = (f"{len(res)} term{'s' if len(res) > 1 else ''}: {res._make(first)}"
+                    + (" + ..." if len(res) > 3 else ""))
+            residual = text if where is None else f"at {where!r}: {text}"
         self.checks.append(CheckRecord(check_id, bool(ok), str(residual) if residual else ""))
 
     def sweep(self, check_id: str, cases) -> None:

@@ -49,7 +49,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .assoc import WeightModule
-from .combination import accumulate
+from .combination import accumulate, rational
 from .fock import ModuleElement, VElement, fock_weight, fock_word, merge_words
 from .lattice import LatticeConfig, LatticeVector
 
@@ -93,11 +93,16 @@ class OperatorContext:
         return self.zero._make(terms)
 
     def state_of_label(self, label):
-        return self.element({((), label): Fraction(1)})
+        return self.element({((), label): 1})
 
 
+@lru_cache(maxsize=None)
 def adjoint_context(cfg: LatticeConfig) -> OperatorContext:
-    """The algebra acting on itself: the weight module through the origin."""
+    """The algebra acting on itself: the weight module through the origin.
+
+    Built once per lattice and shared: a context holds only its lattice, the
+    module, the zero state and a memo of charge powers.
+    """
     return OperatorContext(cfg, cfg.zero(), WeightModule(cfg), VElement(cfg.nu, {}))
 
 
@@ -197,14 +202,14 @@ def _creation_level(alpha: tuple, p: int) -> tuple:
     level from the lower ones, all cached.
     """
     if p == 0:
-        return (((), Fraction(1)),)
+        return (((), 1),)
     out: dict = {}
     for m in range(1, p + 1):
         for word, c in _creation_level(alpha, p - m):
             for i, a_i in enumerate(alpha):
                 if a_i:
                     accumulate(out, merge_words(word, ((i, m),)), c * a_i)
-    return tuple((word, c / p) for word, c in out.items())
+    return tuple((word, rational(Fraction(c, p))) for word, c in out.items())
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +265,7 @@ def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
             budget = fock_weight(wfock)
             if base + budget < 0:  # n lies past the truncation bound
                 continue
-            cuw = cu * cw
+            cuw = rational(cu * cw)
             for js, coeff in _annihilation_patterns(ufock, budget):
                 creating = tuple(f for f, j in zip(ufock, js) if j is None)
                 drawn = sum(j for j in js if j)
@@ -331,7 +336,7 @@ def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
         weight = comb(m - 1, n_i - 1)
         for word, q in tail:
             accumulate(out, merge_words(word, ((dir_, m),)), weight * q)
-    return tuple(out.items())
+    return tuple((word, rational(q)) for word, q in out.items())
 
 
 def _mode_dir(ctx, states, dir_: int, n: int) -> dict:
@@ -361,7 +366,7 @@ def _zero_dir(ctx, states, dir_: int) -> dict:
     if dir_ >= cfg.nu:
         return _act_on_labels(states, ctx.handle.d_action, dir_ - cfg.nu + 1)
     # a c-direction zero mode is the scalar (c_i, lam)
-    scalar = cfg.k * ctx.lam.d[dir_]
+    scalar = rational(cfg.k * ctx.lam.d[dir_])
     return {key: coeff * scalar for key, coeff in states.items()} if scalar else {}
 
 

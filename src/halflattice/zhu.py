@@ -38,7 +38,7 @@ def _residue_sum(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VEleme
             c = comb(wt, i)
             for t, q in y_coefficient(part, i - n - 2, v, ctx).terms.items():
                 accumulate(out, t, c * q)
-    return VElement(cfg.nu, out)
+    return ctx.element(out)
 
 
 def zhu_star(cfg: LatticeConfig, u: VElement, v: VElement) -> VElement:

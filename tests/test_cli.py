@@ -4,6 +4,7 @@ import json
 import pytest
 
 from halflattice.cli import main
+from halflattice.fock import VElement, vacuum
 from halflattice.suites import SUITES, SuiteConfig, SuiteReport
 
 
@@ -309,6 +310,23 @@ def test_sweep_decides_a_check():
         ("failing", False, "((1,), 'bad')"),
         ("passing", True, ""),
     ]
+
+
+def test_combination_residuals_are_bounded():
+    # a failing combination reads as its term count, its first three terms
+    # and the failing index, however many terms it has
+    big = VElement(1, {(((0, m),), (0,)): m for m in range(1, 1001)})
+    report = SuiteReport("stub", {})
+    report.sweep("huge", [((0, 1), VElement(1, {})), ((2, 5), big)])
+    report.add("bare", False, big)
+    report.add("small", False, ((3,), vacuum(1)))
+    report.finish()
+    bare, huge, small = (c.residual for c in report.checks)
+    first = "c1(-1) + 10*c1(-10) + 100*c1(-100)"
+    assert huge == f"at (2, 5): 1000 terms: {first} + ..."
+    assert bare == f"1000 terms: {first} + ..."
+    assert small == "at (3,): 1 term: 1"
+    assert len(str(big)) > 10_000
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,12 @@ from halflattice.fock import (
     vacuum,
 )
 from halflattice.lattice import LatticeConfig
-from halflattice.vertex import apply_heisenberg_mode, module_operator_context
+from halflattice.vertex import (
+    adjoint_context,
+    apply_heisenberg_mode,
+    module_operator_context,
+    y_coefficient,
+)
 
 
 def test_fock_word_canonical_order():
@@ -72,18 +77,50 @@ def test_linear_combination_arithmetic():
     assert hash(a) == hash(charge_element(2, (1, 0)))
 
 
-def test_trusted_results_drop_zeros_and_hold_fractions():
-    # engine results skip key validation but keep the Combination invariants
-    x = fock_element(2, [(0, 1)], (1, 0), Fraction(3, 2)) + charge_element(2, (0, 1), 2)
+def canonical(values) -> bool:
+    """Every value is an int exactly when it is integral, else a proper Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in values)
+
+
+def test_trusted_results_drop_zeros_and_hold_canonical_values():
+    # every way of building a combination keeps the Combination invariants:
+    # no zeros, an int for each integral value and a Fraction only for a
+    # proper denominator
+    x = VElement(2, {(((0, 1),), (1, 0)): Fraction(3, 2), ((), (0, 1)): Fraction(4, 2),
+                     ((), (1, 1)): 0, ((), (2, 0)): Fraction(0)})
+    assert x.terms == {(((0, 1),), (1, 0)): Fraction(3, 2), ((), (0, 1)): 2}
+    assert type(x.terms[((), (0, 1))]) is int and canonical(x.terms.values())
+    y = fock_element(2, [(0, 1)], (1, 0), Fraction(1, 2)) + charge_element(2, (0, 1), 3)
+    total, diff, neg = x + y, x - y, -x
+    assert total.terms == {(((0, 1),), (1, 0)): 2, ((), (0, 1)): 5}
+    assert diff.terms == {(((0, 1),), (1, 0)): 1, ((), (0, 1)): -1}
+    assert neg.nu == 2 and neg + x == VElement(2, {})
+    for scalar in (2, Fraction(2, 3), Fraction(6, 3), True):
+        assert canonical((x * scalar).terms.values()) and canonical((scalar * x).terms.values())
+    assert (x * Fraction(2, 3)).terms == {(((0, 1),), (1, 0)): 1, ((), (0, 1)): Fraction(4, 3)}
     zero = x * 0
     assert zero.is_zero() and zero.nu == 2 and zero == VElement(2, {})
-    neg = -x
-    assert neg.nu == 2 and neg + x == zero
-    assert all(type(c) is Fraction for c in neg.terms.values())
-    made = x._make({((), (0, 0)): 2, (((0, 1),), (1, 0)): 0, (((2, 1),), (0, 0)): Fraction(0)})
-    assert made.terms == {((), (0, 0)): Fraction(1) * 2}
-    assert type(made.terms[((), (0, 0))]) is Fraction and made.nu == 2
-    assert made == VElement(2, {((), (0, 0)): 2}) and hash(made) == hash(2 * vacuum(2))
+    for c in (total, diff, neg, zero):
+        assert canonical(c.terms.values())
+    made = x._make({((), (0, 0)): Fraction(4, 2), (((0, 1),), (1, 0)): 0,
+                    (((2, 1),), (0, 0)): Fraction(0), ((), (1, 0)): Fraction(-1, 3)})
+    assert made.terms == {((), (0, 0)): 2, ((), (1, 0)): Fraction(-1, 3)}
+    assert canonical(made.terms.values()) and made.nu == 2
+    assert made == VElement(2, {((), (0, 0)): 2, ((), (1, 0)): Fraction(-1, 3)})
+    assert hash(x._make({((), (0, 0)): Fraction(2)})) == hash(2 * vacuum(2))
+    # the engine's results: the field of x on a target, and a Heisenberg mode
+    cfg = LatticeConfig(nu=2, k=2)
+    ctx = adjoint_context(cfg)
+    w = fock_element(2, [(2, 1), (3, 2)], (0, 1), Fraction(1, 3)) + charge_element(2, (1, 0), 2)
+    for n in range(-4, 3):
+        got = y_coefficient(x, n, w, ctx)
+        assert canonical(got.terms.values()), n
+    for dir_ in range(cfg.ndirs):
+        for n in range(-2, 3):
+            h = Fraction(1, 2) * cfg.dir_vector(dir_)
+            got = apply_heisenberg_mode(h, n, w, ctx)
+            assert canonical(got.terms.values()), (dir_, n)
+    assert any(type(c) is int for c in y_coefficient(x, -2, w, ctx).terms.values())
 
 
 def test_rank_mismatch_rejected():

@@ -88,7 +88,7 @@ def series_oracle(u, v, w, ctx, window):
                         two_sided[(e0, e1, e2)] = two_sided[(e0, e1, e2)] + coeff * outer
         # second product: operators of v outside those of u, opposite sign
         for i in range(0, b_uw + window + 2):
-            coeff = (-1) ** (r + i) * gbinom(r, i)
+            coeff = (-1 if (r + i) % 2 else 1) * gbinom(r, i)  # r + i may be negative
             if not coeff:
                 continue
             for e1 in range(-window, window + 1):
