@@ -80,7 +80,7 @@ class BElement(Combination):
         if not self.terms:
             return "0"
         chunks = []
-        for word, coeff in sorted(self.terms.items(), key=lambda kv: repr(kv[0])):
+        for word, coeff in self.sorted_terms():
             name = "*".join(
                 f"e[{','.join(map(str, g[1]))}]" if g[0] == "e" else f"d{g[1]}"
                 for g in word
@@ -146,11 +146,14 @@ class AElement(Combination):
                     accumulate(data, (charge, dexp), coeff)
         return AElement(self.nu, data)
 
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items())
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for (charge, dexp), coeff in sorted(self.terms.items()):
+        for (charge, dexp), coeff in self.sorted_terms():
             factors = []
             if any(charge):
                 factors.append(f"e[{','.join(map(str, charge))}]")
@@ -228,11 +231,14 @@ class WeightVector(Combination):
     def point(p, coeff=1) -> "WeightVector":
         return WeightVector({tuple(rational(x) for x in p): coeff})
 
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items())
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(
-            f"({c})*e^[{','.join(map(str, p))}]" for p, c in sorted(self.terms.items())
+            f"({c})*e^[{','.join(map(str, p))}]" for p, c in self.sorted_terms()
         )
 
     __repr__ = __str__
@@ -281,26 +287,30 @@ class WeightModule:
         return out
 
 
+def act_on_labels(states: dict, action, arg) -> dict:
+    """A label action, a module's e_action(charge, label) or d_action(j,
+    label) -> [(q, label')], under each Fock word of (word, label) states:
+    e_beta and d_j on the coefficient module, for the vertex engine and for
+    ``act_on_weight_module``, whose states have empty words."""
+    out: dict = {}
+    for (word, label), coeff in states.items():
+        for q, lab in action(arg, label):
+            accumulate(out, (word, lab), coeff * q)
+    return out
+
+
 def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> WeightVector:
     """Linear extension of the generator actions, words applied right to left."""
     out: dict = {}
     for word, coeff in x.terms.items():
-        for label, c0 in m.terms.items():
-            states = {module.validate_label(label): coeff * c0}
-            for g in reversed(word):
-                new: dict = {}
-                for lab, c in states.items():
-                    if g[0] == "e":
-                        moves = module.e_action(g[1], lab)
-                    else:
-                        moves = module.d_action(g[1], lab)
-                    for q, lab2 in moves:
-                        accumulate(new, lab2, q * c)
-                states = new
-                if not states:
-                    break
-            for lab, c in states.items():
-                accumulate(out, lab, c)
+        states = {((), module.validate_label(label)): coeff * c0 for label, c0 in m.terms.items()}
+        for g in reversed(word):
+            action = module.e_action if g[0] == "e" else module.d_action
+            states = act_on_labels(states, action, g[1])
+            if not states:
+                break
+        for (_, lab), c in states.items():
+            accumulate(out, lab, c)
     return WeightVector(out)
 
 
@@ -312,8 +322,8 @@ class OmegaSpec:
     """Parameters (mu, f_1..f_{mu-1}, a_mu..a_nu) of a function module.
 
     The f_j are Laurent polynomials in t_1..t_{mu-1} only and the a_i are
-    nonzero rationals.  Both degenerate shapes are allowed: mu = 1 has no
-    multipliers and mu = nu + 1 has no shift constants.
+    nonzero rationals, normalized by ``rational``.  Both degenerate shapes
+    are allowed: mu = 1 has no multipliers and mu = nu + 1 none of the a_i.
     """
 
     nu: int
@@ -323,7 +333,7 @@ class OmegaSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "f", tuple(self.f))
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
+        object.__setattr__(self, "a", tuple(rational(x) for x in self.a))
         if not 1 <= self.mu <= self.nu + 1:
             raise ValueError("mu must lie in 1..nu+1")
         if len(self.f) != self.mu - 1:
@@ -344,7 +354,7 @@ class OmegaSpec:
     def ring(self) -> LaurentRing:
         return LaurentRing(self.nu, self.mu - 1)
 
-    def a_of(self, j: int) -> Fraction:
+    def a_of(self, j: int) -> int | Fraction:
         """Shift constant a_j for a polynomial variable index j >= mu."""
         return self.a[j - self.mu]
 
@@ -363,9 +373,9 @@ def omega_e_act(spec: OmegaSpec, charge: tuple, f: LaurentPoly) -> LaurentPoly:
         raise ValueError("polynomial does not live in the module ring")
     out = f
     for i in range(spec.mu, spec.nu + 1):
-        m_i = charge[i - 1]
+        m_i, a_i = charge[i - 1], spec.a_of(i)
         if m_i:
-            out = (spec.a_of(i) ** m_i) * out.shift(i, m_i)
+            out = (a_i ** m_i if m_i > 0 else Fraction(1, a_i ** -m_i)) * out.shift(i, m_i)
     exps = [charge[i] if i < spec.mu - 1 else 0 for i in range(spec.nu)]
     if any(exps):
         out = spec.ring.monomial(exps) * out
@@ -592,13 +602,29 @@ def mult_b_element(spec: OmegaSpec, f: LaurentPoly) -> BElement:
     return BElement(words)
 
 
+def cyclic_relations(spec: OmegaSpec) -> list[tuple[int, BElement]]:
+    """The relations (j, x) with x * symbol = 0 that define the cyclic symbol:
+    x = d_j - mult(f_j) for j < mu and x = e_{c_j} - a_j for j >= mu.  The
+    reduction witness and the windowed isomorphism search both read them."""
+    out = []
+    for j in range(1, spec.nu + 1):
+        if j < spec.mu:
+            out.append((j, BElement.d(j) - mult_b_element(spec, spec.f_of(j))))
+        else:
+            charge = [0] * spec.nu
+            charge[j - 1] = 1
+            out.append((j, BElement.e(charge) - spec.a_of(j) * BElement.one()))
+    return out
+
+
 def simplicity_witness(spec: OmegaSpec, f: LaurentPoly) -> SimplicityWitness:
     """Explicit operators reducing a nonzero element to a multiple of the symbol.
 
     Laurent variables are cleared by a positive translation and then lowered
     with the derivative operator e_{-c_j} (d_j - mult f_j), which sends g to
     dg/dt_j; polynomial variables are lowered with the difference operator
-    a_j^{-1} e_{c_j} - 1.  Both strictly reduce the top degree, so the
+    a_j^{-1} e_{c_j} - 1.  Both are multiples of a cyclic relation
+    (``cyclic_relations``) and strictly reduce the top degree, so the
     process ends at a nonzero constant multiple of the cyclic symbol.
     """
     if f.is_zero():
@@ -607,31 +633,22 @@ def simplicity_witness(spec: OmegaSpec, f: LaurentPoly) -> SimplicityWitness:
         raise ValueError("element does not live in the module ring")
     steps = []
     g = f
-    for j in range(1, spec.mu):
-        low = g.deg_minus(j)
-        if low < 0:
-            charge = [0] * spec.nu
-            charge[j - 1] = -low
-            elem = BElement.e(charge)
-            steps.append(WitnessStep("clear", j, elem))
-            g = act_on_omega_module(elem, g, spec)
-        top = g.deg_plus(j)
-        if top > 0:
-            charge = [0] * spec.nu
+    for j, rel in cyclic_relations(spec):
+        charge = [0] * spec.nu
+        if j < spec.mu:
+            low = g.deg_minus(j)
+            if low < 0:
+                charge[j - 1] = -low
+                elem = BElement.e(charge)
+                steps.append(WitnessStep("clear", j, elem))
+                g = act_on_omega_module(elem, g, spec)
             charge[j - 1] = -1
-            elem = BElement.e(charge) * (BElement.d(j) - mult_b_element(spec, spec.f_of(j)))
-            for _ in range(top):
-                steps.append(WitnessStep("derive", j, elem))
-                g = act_on_omega_module(elem, g, spec)
-    for j in range(spec.mu, spec.nu + 1):
-        top = g.deg_plus(j)
-        if top > 0:
-            charge = [0] * spec.nu
-            charge[j - 1] = 1
-            elem = (1 / spec.a_of(j)) * BElement.e(charge) - BElement.one()
-            for _ in range(top):
-                steps.append(WitnessStep("difference", j, elem))
-                g = act_on_omega_module(elem, g, spec)
+            kind, elem = "derive", BElement.e(charge) * rel
+        else:
+            kind, elem = "difference", Fraction(1, spec.a_of(j)) * rel
+        for _ in range(g.deg_plus(j)):
+            steps.append(WitnessStep(kind, j, elem))
+            g = act_on_omega_module(elem, g, spec)
     if not g.is_constant():
         raise AssertionError(f"reduction left a non-constant remainder {g}")
     value = g.constant_value()

@@ -71,6 +71,11 @@ class Combination:
         """What besides the terms two combinations must share; None by default."""
         return None
 
+    def sorted_terms(self) -> list:
+        """The terms in printing order: by the repr of each key, unless a
+        subclass prints its keys in their own order."""
+        return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
+
     def _make(self, terms: Mapping):
         """A combination of this class and shape with terms the package built.
 

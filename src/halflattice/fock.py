@@ -74,7 +74,7 @@ class VElement(Combination):
         return new
 
     def __str__(self) -> str:
-        return _format_terms(self.terms, self.nu, _charge_str)
+        return _format_terms(self.sorted_terms(), self.nu, _charge_str)
 
     __repr__ = __str__
 
@@ -85,7 +85,8 @@ class ModuleElement(Combination):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return _format_terms(self.terms, None, lambda lab: f"w[{lab}]")
+        return _format_terms(self.sorted_terms(), None,
+                             lambda lab: f"w[({', '.join(map(str, lab))})]")
 
     __repr__ = __str__
 
@@ -145,11 +146,11 @@ def _fock_str(word: FockWord, nu) -> str:
     return "".join(names)
 
 
-def _format_terms(terms, nu, label_fmt) -> str:
+def _format_terms(terms: list, nu, label_fmt) -> str:
     if not terms:
         return "0"
     chunks = []
-    for (word, label), coeff in sorted(terms.items(), key=lambda kv: repr(kv[0])):
+    for (word, label), coeff in terms:
         body = _fock_str(word, nu)
         lab = label_fmt(label)
         piece = body + ("" if lab == "1" and body else lab)

@@ -115,8 +115,6 @@ def borcherds_residual(
         j_max = min(j_max, m)
     for i in range(j_max + 1):
         c = gbinom(m, i)
-        if not c:
-            continue
         inner = cache.adjoint_product(u, n + i, v)
         if inner.is_zero():
             continue
@@ -134,8 +132,6 @@ def _commutator_sum(u, v, w, m: int, n: int, k: int, ctx, cache) -> dict:
     sign_n = -1 if n % 2 else 1
     for i in range(i_max + 1):
         c = (-1) ** i * gbinom(n, i)
-        if not c:
-            continue
         _add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)))
         _add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)))
     return out

@@ -113,7 +113,7 @@ def rand_a_module_spec(rng: random.Random, nu: int, mu: int) -> OmegaSpec:
     fs = []
     for j in range(1, mu):
         pure_exps = [0] * nu
-        pure_exps[j - 1] = rng.randint(-1, 2) if j <= mu - 1 else 0
+        pure_exps[j - 1] = rng.randint(-1, 2)
         pure = ring.monomial(pure_exps, rand_fraction(rng))
         fs.append(potential.degree_derivation(j) + pure)
     a = tuple(rand_fraction(rng, max_num=4, nonzero=True) for _ in range(nu - mu + 1))

@@ -24,10 +24,10 @@ from .assoc import (
     OmegaSpec,
     WeightModule,
     act_on_omega_module,
+    cyclic_relations,
     decompose_potential,
     is_a_module_spec,
     iso_decide,
-    mult_b_element,
     simplicity_witness,
 )
 from .bridge import (
@@ -119,7 +119,7 @@ class SuiteReport:
         """
         where, res = residual if isinstance(residual, tuple) and len(residual) == 2 else (None, residual)
         if isinstance(res, Combination) and res:
-            first = dict(sorted(res.terms.items(), key=lambda kv: repr(kv[0]))[:3])
+            first = dict(res.sorted_terms()[:3])
             text = (f"{len(res)} term{'s' if len(res) > 1 else ''}: {res._make(first)}"
                     + (" + ..." if len(res) > 3 else ""))
             residual = text if where is None else f"at {where!r}: {text}"
@@ -235,6 +235,14 @@ def _module_contexts(cfg: LatticeConfig, lam_vectors=None):
     return out
 
 
+def _probe_states(rng: random.Random, cfg: LatticeConfig, ctx, count: int) -> list:
+    """count seeded target states of a context: algebra states of Fock weight
+    at most 3 in the adjoint, module states of Fock weight at most 2 otherwise."""
+    if isinstance(ctx.zero, VElement):
+        return [rand_velement(rng, cfg, max_weight=3) for _ in range(count)]
+    return [rand_module_element(rng, cfg, ctx.handle, max_weight=2) for _ in range(count)]
+
+
 # -- suite: heisenberg ---------------------------------------------------------------------
 
 
@@ -278,15 +286,7 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
 
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
-        if ctx_name == "adjoint":
-            probes = [vacuum(cfg.nu)] + [
-                rand_velement(rng, cfg, max_weight=3) for _ in range(2)
-            ]
-        else:
-            probes = [ctx.state_of_label(ctx.handle.base_label())] + [
-                rand_module_element(rng, cfg, ctx.handle, max_weight=2)
-                for _ in range(2)
-            ]
+        probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, cfg, ctx, 2)
 
         def cases(u, v, order):
             for idx, w in enumerate(probes):
@@ -329,10 +329,7 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
 
     for kind, mctx in _module_contexts(cfg):
         mcache = ActionCache(mctx)
-        wprobes = [
-            mctx.state_of_label(mctx.handle.base_label()),
-            rand_module_element(rng, cfg, mctx.handle, max_weight=2),
-        ]
+        wprobes = [mctx.state_of_label(mctx.handle.base_label())] + _probe_states(rng, cfg, mctx, 1)
         for (n1, u), (n2, v) in itertools.product(gens, gens):
             report.sweep(f"module-{kind}/{n1}:{n2}", (
                 (((m, n, kk), widx), borcherds_residual(u, v, w, m, n, kk, mctx, mcache))
@@ -395,10 +392,7 @@ def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
     contexts = [("adjoint", adjoint_context(cfg))] + _module_contexts(cfg)
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
-        if ctx_name == "adjoint":
-            targets = [rand_velement(rng, cfg, max_weight=3) for _ in range(4)]
-        else:
-            targets = [rand_module_element(rng, cfg, ctx.handle, max_weight=2) for _ in range(3)]
+        targets = _probe_states(rng, cfg, ctx, 4 if ctx_name == "adjoint" else 3)
 
         def cases():
             for uidx in range(8):
@@ -495,20 +489,13 @@ def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec) -> bool:
     of the target; since both modules are simple, a nonzero solution exists
     precisely when the modules are isomorphic (with window margins covering
     the shifts), here Laurent exponents -3..3 and polynomial exponents 0..3.
-    Each relation gives one sparse row per monomial of its images.
+    Each relation (``cyclic_relations``) gives one sparse row per monomial of
+    its images.
     """
-    relations = []
-    for j in range(1, spec1.mu):
-        relations.append(BElement.d(j) - mult_b_element(spec1, spec1.f_of(j)))
-    for j in range(spec1.mu, spec1.nu + 1):
-        charge = [0] * spec1.nu
-        charge[j - 1] = 1
-        relations.append(BElement.e(charge) - spec1.a_of(j) * BElement.one())
-
     basis = OmegaModule(LatticeConfig(spec2.nu, 1), spec2).probe_labels(3, 3)
 
     rows = []
-    for rel in relations:
+    for _, rel in cyclic_relations(spec1):
         by_monomial: dict = {}
         for col, e in enumerate(basis):
             for mono, c in act_on_omega_module(rel, spec2.ring.monomial(e), spec2).terms.items():
@@ -631,8 +618,7 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
         for kind, ctx in _module_contexts(cfg, [lam]):
             tag = f"lam{lam_idx}-{kind}"
             cache = ActionCache(ctx)
-            base = ctx.state_of_label(ctx.handle.base_label())
-            probes = [base, rand_module_element(rng, cfg, ctx.handle, max_weight=2)]
+            probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, cfg, ctx, 1)
 
             report.sweep(f"truncation/{tag}", (
                 ((name, widx, n), y_coefficient(u, n, w, ctx))

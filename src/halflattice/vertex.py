@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .assoc import WeightModule
+from .assoc import WeightModule, act_on_labels
 from .combination import accumulate, rational
 from .fock import ModuleElement, VElement, fock_weight, fock_word, merge_words
 from .lattice import LatticeConfig, LatticeVector
@@ -57,36 +57,37 @@ from .lattice import LatticeConfig, LatticeVector
 class OperatorContext:
     """Where vertex operators act: the Fock module M(1) tensor W at weight lam.
 
-    A context carries the weight vector lam (rational d-coordinates pairing
-    integrally with every charge), a coefficient-module handle exposing
-    ``e_action(charge, label)`` and ``d_action(j, label)`` for the 1-based
-    index j of d_j, both returning lists of (coefficient, label) pairs, and
-    the zero state of the target space, from which every result is built.
-    The adjoint is the weight module through the origin: the algebra acting
-    on itself is M(1) tensor C[L_C] at lam = 0, where e_beta translates a
-    charge and d_i acts by its pairing with it, and its states are
-    ``VElement``s.
+    A context carries the weight vector lam, a coefficient-module handle
+    exposing ``e_action(charge, label)`` and ``d_action(j, label)`` for the
+    1-based index j of d_j, both returning lists of (coefficient, label)
+    pairs, and the zero state of the target space, from which every result
+    is built.  It owns the integer pairings (c_i, lam) = k lam_i, the c_i
+    zero-mode scalars behind every charge power z^alpha, and rejects a lam
+    whose pairing with some c_i is not an integer.  The adjoint is the weight
+    module through the origin: the algebra acting on itself is M(1) tensor
+    C[L_C] at lam = 0, where e_beta translates a charge and d_i acts by its
+    pairing with it, and its states are ``VElement``s.
     """
 
-    __slots__ = ("cfg", "lam", "handle", "zero", "_powers")
+    __slots__ = ("cfg", "lam", "handle", "zero", "pairings", "_powers")
 
     def __init__(self, cfg: LatticeConfig, lam: LatticeVector, handle, zero):
         self.cfg = cfg
         self.lam = lam
         self.handle = handle
         self.zero = zero
+        self.pairings = tuple(rational(cfg.k * lam_i) for lam_i in lam.d)
+        for i, value in enumerate(self.pairings):
+            if type(value) is not int:
+                raise ValueError(f"(c{i + 1}, lam) = {value} is not an integer; "
+                                 "module weights must pair integrally with every charge")
         self._powers: dict = {}
 
     def charge_power(self, charge: tuple) -> int:
         """Exponent of the scalar power shift z^alpha for this target (memoized)."""
         power = self._powers.get(charge)
         if power is None:
-            value = self.cfg.k * sum(m * lam_d for m, lam_d in zip(charge, self.lam.d))
-            if value.denominator != 1:
-                raise ValueError(
-                    f"charge {charge} pairs non-integrally ({value}) with weight {self.lam}"
-                )
-            power = self._powers[charge] = int(value)
+            power = self._powers[charge] = sum(m * p for m, p in zip(charge, self.pairings))
         return power
 
     def element(self, terms: dict):
@@ -116,13 +117,6 @@ def module_operator_context(cfg: LatticeConfig, lam: LatticeVector, handle) -> O
         raise ValueError("weight vector rank does not match the lattice")
     if any(a != 0 for a in lam.c):
         raise ValueError("module weights must have zero c-coordinates")
-    for i in range(cfg.nu):
-        value = cfg.pairing(cfg.c_basis(i + 1), lam)
-        if value.denominator != 1:
-            raise ValueError(
-                f"(c{i + 1}, lam) = {value} is not an integer; "
-                "module weights must pair integrally with every charge"
-            )
     return OperatorContext(cfg, lam, handle, ModuleElement({}))
 
 
@@ -273,8 +267,7 @@ def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
                 states = None
                 for a in range(low, (budget - drawn if charged else 0) + 1):
                     level = base + drawn + a
-                    half = (_creation_half(creating, alpha, level) if creating
-                            else _creation_level(alpha, level))
+                    half = _creation_half(creating, alpha, level)
                     if not half:
                         continue
                     if states is None:
@@ -288,7 +281,7 @@ def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
                         if j == 0 and mid:
                             mid = _mode_dir(ctx, mid, dir_, 0)
                     if mid and charged:
-                        mid = _act_on_labels(mid, ctx.handle.e_action, alpha)
+                        mid = act_on_labels(mid, ctx.handle.e_action, alpha)
                     into = halves.setdefault((creating, alpha, level), (half, {}))[1]
                     for key, c in mid.items():
                         accumulate(into, key, c)
@@ -324,17 +317,17 @@ def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
 
     It is the sum, over modes m_i >= n_i with sum m_i <= L, of
     prod C(m_i-1, n_i-1) h_i(-m_i) times h_(L - sum m_i) of the power sums
-    alpha(-m), as (canonical word, coefficient) pairs; the last field reads
-    ``_creation_level`` directly.
+    alpha(-m), as (canonical word, coefficient) pairs; with no creating
+    fields it is ``_creation_level`` at L.
     """
+    if not fields:
+        return _creation_level(alpha, level)
     (dir_, n_i), rest = fields[0], fields[1:]
     top = level - sum(m for _, m in rest)
     out: dict = {}
     for m in range(n_i, top + 1):
-        tail = (_creation_half(rest, alpha, level - m) if rest
-                else _creation_level(alpha, level - m))
         weight = comb(m - 1, n_i - 1)
-        for word, q in tail:
+        for word, q in _creation_half(rest, alpha, level - m):
             accumulate(out, merge_words(word, ((dir_, m),)), weight * q)
     return tuple((word, rational(q)) for word, q in out.items())
 
@@ -364,19 +357,10 @@ def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
 def _zero_dir(ctx, states, dir_: int) -> dict:
     cfg = ctx.cfg
     if dir_ >= cfg.nu:
-        return _act_on_labels(states, ctx.handle.d_action, dir_ - cfg.nu + 1)
+        return act_on_labels(states, ctx.handle.d_action, dir_ - cfg.nu + 1)
     # a c-direction zero mode is the scalar (c_i, lam)
-    scalar = rational(cfg.k * ctx.lam.d[dir_])
+    scalar = ctx.pairings[dir_]
     return {key: coeff * scalar for key, coeff in states.items()} if scalar else {}
-
-
-def _act_on_labels(states, action, arg) -> dict:
-    """Apply a label action, action(arg, label) -> [(q, label')], under each Fock word."""
-    out: dict = {}
-    for (word, label), coeff in states.items():
-        for q, lab in action(arg, label):
-            accumulate(out, (word, lab), coeff * q)
-    return out
 
 
 # -- derived operations -----------------------------------------------------------------
@@ -388,16 +372,22 @@ def nth_product(cfg: LatticeConfig, u: VElement, n: int, v: VElement) -> VElemen
 
 
 def truncation_bound(u: VElement, w, ctx: OperatorContext) -> int:
-    """Smallest B with u_n w = 0 for every n > B, from the weight balance."""
+    """Smallest B with u_n w = 0 for every n > B, from the weight balance.
+
+    B is the max over term pairs of wt_u + wt_w - 1 - p0, with z^p0 the
+    u-term's charge power, so B = max(wt_u - p0) + max(wt_w) - 1.  Plain loops
+    take the two maxima: the checkers call this three times per residual.
+    """
     if u.is_zero() or w.is_zero():
         return -1
-    best = None
-    for (ufock, alpha), _ in u.terms.items():
-        p0 = ctx.charge_power(alpha)
-        for (wfock, _), _ in w.terms.items():
-            bound = fock_weight(ufock) + fock_weight(wfock) - 1 - p0
-            best = bound if best is None else max(best, bound)
-    return best
+    top_u = top_w = None
+    for ufock, alpha in u.terms:
+        b = fock_weight(ufock) - ctx.charge_power(alpha)
+        top_u = b if top_u is None else max(top_u, b)
+    for wfock, _ in w.terms:
+        b = fock_weight(wfock)
+        top_w = b if top_w is None else max(top_w, b)
+    return top_u + top_w - 1
 
 
 def conformal_vector(cfg: LatticeConfig) -> VElement:

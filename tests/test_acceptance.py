@@ -3,8 +3,9 @@
 One test per criterion; each prints a single pass/fail line (visible with
 ``pytest -s`` and in the failure report otherwise) and asserts that the
 corresponding verification suite is fully green.  Zero tolerance everywhere:
-all comparisons are exact rational equalities.  A bounded seed sweep runs
-the fast suites at contiguous seeds from 0.
+all comparisons are exact rational equalities.  Each criterion also pins the
+work its suite evaluated (``WORK``).  A bounded seed sweep runs the fast
+suites at contiguous seeds from 0.
 """
 
 import hashlib
@@ -13,7 +14,10 @@ from dataclasses import replace
 
 import pytest
 
-from halflattice.suites import SuiteConfig, run_verification
+from halflattice import suites
+from halflattice.assoc import OmegaSpec
+from halflattice.combination import Combination
+from halflattice.suites import SuiteConfig, SuiteReport, run_verification
 
 CONFIG = SuiteConfig()  # desk scale defaults: windows 3/6, 50 probes, seed 7
 
@@ -37,9 +41,70 @@ GOLDEN = {
     "zhu": "c41b27de0789a007b34f8fabde60d02a55db62d466eedf87002d7114cf5bf4da",
 }
 
+# (records, sha256) of the work each suite evaluates at CONFIG: one record per
+# probe draw (a ``rand_*`` call made by the suite) and one per case of every
+# sweep, as (check id, where), in evaluation order.  The text of a record is
+# built from terms, keys and str() of each value (see ``_text``), so neither a
+# printing change nor an int/Fraction switch moves it; a change to the draws,
+# their order, or the cases a sweep evaluates does.
+WORK = {
+    "borcherds": (43906, "3c00e996d7050bd5aaa3550d9daedbd987d8ed93e6430a50c0b1ff333cedde17"),
+    "classification": (125, "75d251b1570eef684db6a28714f4bb8fcd9b0fe4c2d9c7e03855741da58d8fe4"),
+    "d-derivative": (594, "5bc773c7f35779aaf1ff4d8689c076d3dc8957e5b502944b0f926d59c4cca503"),
+    "heisenberg": (135250, "30a72509b94be7676e6cad2b82d7b0624a2cc2b3fffd1d705612e732110ccabd"),
+    "locality": (21174, "c677afdf72951639e7a9f8abe21277f7c0c898b38aae6dbf51f230b31d16d971"),
+    "module-axioms": (11228, "f27439875edf0bde2142d6bbea2d98f2ea646f5e0d94086c132170a93122303c"),
+    "omega-relations": (622, "c04f67359575ec17db98853885b810570dfd6b711a035e0c105b097824d8e737"),
+    "vacuum-roundtrip": (402, "0ea9e34aaa9babbcada213488ce2e2a894f47770066a60827abe82ac024208a4"),
+    "virasoro": (1329, "3656be330d650434ae31633f29a314d9d9da4ad4321acb180a02bfd1f380a8f1"),
+    "zhu": (1007, "446265722e8551731fe56556440b54695a6d118ca283da4b4c380ee7dc3842fe"),
+}
+
+_DRAWS = ("rand_a_element", "rand_a_module_spec", "rand_module_element",
+          "rand_nonzero_laurent", "rand_velement")
+
+
+def _text(x) -> str:
+    if isinstance(x, Combination):
+        terms = sorted(f"{_text(key)}:{value}" for key, value in x.terms.items())
+        return f"{type(x).__name__}[{' + '.join(terms)}]"
+    if isinstance(x, OmegaSpec):
+        return f"OmegaSpec(mu={x.mu};f=({','.join(map(_text, x.f))});a=({','.join(map(str, x.a))}))"
+    if isinstance(x, (tuple, list)):
+        return f"({','.join(map(_text, x))})"
+    return str(x)
+
+
+def _recorded(suite: str):
+    """Run a suite at CONFIG, recording its probe draws and swept cases."""
+    records = []
+    sweep = SuiteReport.sweep
+
+    def recording_sweep(report, check_id, cases):
+        def traced():
+            for where, res in cases:
+                records.append(f"case {check_id} {_text(where)}")
+                yield where, res
+        return sweep(report, check_id, traced())
+
+    def recording(name, draw):
+        def wrapped(*args, **kwargs):
+            got = draw(*args, **kwargs)
+            records.append(f"draw {name} {_text(got)}")
+            return got
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuiteReport, "sweep", recording_sweep)
+        for name in _DRAWS:
+            mp.setattr(suites, name, recording(name, getattr(suites, name)))
+        report = run_verification(suite, CONFIG)
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    return report, (len(records), digest)
+
 
 def _run(criterion: str, suite: str):
-    report = run_verification(suite, CONFIG)
+    report, work = _recorded(suite)
     status = "PASS" if report.ok else "FAIL"
     print(f"{status} {criterion}: {report.passed}/{len(report.checks)} checks "
           f"({report.wall_time_s:.1f}s)")
@@ -49,6 +114,7 @@ def _run(criterion: str, suite: str):
     assert report.ok, f"{criterion}: {report.failed} checks failed"
     canonical = json.dumps(report.to_data(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN[suite]
+    assert work == WORK[suite], f"{criterion}: evaluated work {work} changed"
     return report
 
 

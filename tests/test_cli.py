@@ -5,6 +5,7 @@ import pytest
 
 from halflattice.cli import main
 from halflattice.fock import VElement, vacuum
+from halflattice.laurent import LaurentRing
 from halflattice.suites import SUITES, SuiteConfig, SuiteReport
 
 
@@ -320,12 +321,18 @@ def test_combination_residuals_are_bounded():
     report.sweep("huge", [((0, 1), VElement(1, {})), ((2, 5), big)])
     report.add("bare", False, big)
     report.add("small", False, ((3,), vacuum(1)))
+    # a Laurent polynomial prints by exponent, not by the repr of its keys
+    ring = LaurentRing(1, 1)
+    poly = ring.from_terms({(e,): 1 for e in (-1, 0, 2, 3, 10)})
+    assert str(poly) == "t1^-1 + 1 + t1^2 + t1^3 + t1^10"
+    report.add("tail", False, ((0,), poly))
     report.finish()
-    bare, huge, small = (c.residual for c in report.checks)
+    bare, huge, small, tail = (c.residual for c in report.checks)
     first = "c1(-1) + 10*c1(-10) + 100*c1(-100)"
     assert huge == f"at (2, 5): 1000 terms: {first} + ..."
     assert bare == f"1000 terms: {first} + ..."
     assert small == "at (3,): 1 term: 1"
+    assert tail == "at (0,): 5 terms: t1^-1 + 1 + t1^2 + ..."
     assert len(str(big)) > 10_000
 
 

@@ -11,7 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import OmegaSpec, WeightModule, decompose_potential, simplicity_witness
+from halflattice.assoc import (
+    OmegaSpec,
+    WeightModule,
+    decompose_potential,
+    omega_e_act,
+    simplicity_witness,
+)
 from halflattice.bridge import charge_sector
 from halflattice.combination import rational
 from halflattice.fock import VElement, charge_element, fock_element, vacuum
@@ -44,6 +50,14 @@ def test_rational_normalizes_and_rejects_floats():
         vacuum(2) * 0.5
     with pytest.raises(TypeError):
         vacuum(2)._make({((), (0, 0)): 2.0})
+    # the sparse rows of nullspace and the shift constants of a function
+    # module take the same values: a float is not read as its binary expansion
+    with pytest.raises(TypeError):
+        nullspace([{0: 0.1, 1: 1}], 2)
+    with pytest.raises(TypeError):
+        nullspace([{0: 1, 1: 0.0}], 2)
+    with pytest.raises(TypeError):
+        OmegaSpec(1, 1, (), (0.1,))
 
 
 def test_charge_sector_with_a_proper_fraction_ratio():
@@ -85,6 +99,17 @@ def test_witness_difference_step_divides_exactly():
         assert canonical(step.element.terms.values())
     assert witness.replay(spec.ring.variable(1)) == spec.ring.constant(witness.result)
     assert exact([witness.result])
+
+
+def test_translation_by_a_negative_charge_divides_exactly():
+    # e_{-c_1} on an integer-valued spec (a_1 = 2) scales by a_1^(-1) = 1/2
+    spec = OmegaSpec(1, 1, (), (Fraction(2),))
+    assert spec.a == (2,) and type(spec.a[0]) is int
+    got = omega_e_act(spec, (-1,), spec.ring.one())
+    assert got == spec.ring.constant(Fraction(1, 2))
+    assert canonical(got.terms.values())
+    got = omega_e_act(spec, (-2,), spec.ring.variable(1))
+    assert canonical(got.terms.values()) and Fraction(1, 4) in got.terms.values()
 
 
 def test_zhu_star_on_integer_states():

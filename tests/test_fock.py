@@ -137,3 +137,15 @@ def test_module_state():
     ((word, label),) = s.terms
     assert word == ((0, 2),) and label == ("x",)
     assert s.terms[(word, label)] == Fraction(1, 3)
+
+
+def test_module_state_labels_print_as_rationals():
+    # each label coordinate prints with str, as the weight-module errors do
+    cfg = LatticeConfig(nu=2, k=1)
+    handle = WeightModule(cfg, [Fraction(1, 2), 0])
+    ctx = module_operator_context(cfg, cfg.zero(), handle)
+    w = ctx.state_of_label(handle.base_label())
+    assert str(w) == "w[(1/2, 0)]"
+    s = apply_heisenberg_mode(cfg.dir_vector(2), -1, w, ctx)
+    assert str(s) == "h2(-1)w[(1/2, 0)]"
+    assert "Fraction" not in str(2 * w + s)

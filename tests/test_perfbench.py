@@ -1,11 +1,14 @@
 """The benchmark in perfbench/ still finds the layers and workloads it names.
 
 perfbench rebinds package functions by (module, qualified name) and builds
-its workloads from the package's public suites; a rename in the package
-would otherwise only show as a "not traced" line in a benchmark run.
+its workloads from the package's public suites and checkers; a rename or a
+signature change in the package would otherwise only show as a "not traced"
+line or a failed gate in a benchmark run.
 """
 
 import importlib
+import json
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -33,3 +36,16 @@ def test_every_workload_plans():
     for name in workloads["NAMES"]:
         calls = workloads["plan"](name, 7)
         assert calls and all(callable(call) for _, call in calls), name
+
+
+def test_every_workload_passes_its_expected_checks():
+    # one sample per workload at seed 7, gated the way perfbench/run.py gates
+    # it: the passing (suite, check id) multiset equals perfbench/expected.json
+    workloads = _load("workloads")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    for name in workloads["NAMES"]:
+        passing = Counter()
+        for _, call in workloads["plan"](name, 7):
+            report = call()
+            passing.update((report.suite, c.check_id) for c in report.checks if c.ok)
+        assert passing == Counter(map(tuple, expected[name])), name
