@@ -15,7 +15,9 @@ pairing.  Function modules ("omega modules", built at k = 1) are Laurent
 polynomials in t_1..t_{mu-1} times polynomials in t_mu..t_nu acting on a
 cyclic symbol: e_alpha multiplies by a monomial in the Laurent variables and
 shifts the polynomial ones, d_j acts as the degree derivation plus a fixed
-multiplier f_j for j < mu and as multiplication by t_j for j >= mu.
+multiplier f_j for j < mu and as multiplication by t_j for j >= mu.  Each
+module is defined once, by its label actions, which ``act_on_labels``
+applies for the algebra action and the vertex engine alike.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .combination import Combination, accumulate, rational
+from .combination import Combination, accumulate, integer, rational
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
@@ -34,11 +36,11 @@ BGen = tuple
 
 
 def gen_e(charge: Iterable[int]) -> BGen:
-    return ("e", tuple(int(m) for m in charge))
+    return ("e", tuple(integer(m) for m in charge))
 
 
 def gen_d(j: int) -> BGen:
-    return ("d", int(j))
+    return ("d", integer(j))
 
 
 class BElement(Combination):
@@ -97,11 +99,11 @@ class AElement(Combination):
     __slots__ = ("nu",)
 
     def __init__(self, nu: int, terms: Mapping):
-        self.nu = int(nu)
+        self.nu = integer(nu)
         checked = {}
         for (charge, dexp), coeff in terms.items():
-            charge = tuple(int(m) for m in charge)
-            dexp = tuple(int(e) for e in dexp)
+            charge = tuple(integer(m) for m in charge)
+            dexp = tuple(integer(e) for e in dexp)
             if len(charge) != self.nu or len(dexp) != self.nu:
                 raise ValueError(f"keys must have {self.nu} entries")
             if any(e < 0 for e in dexp):
@@ -290,8 +292,8 @@ class WeightModule:
 def act_on_labels(states: dict, action, arg) -> dict:
     """A label action, a module's e_action(charge, label) or d_action(j,
     label) -> [(q, label')], under each Fock word of (word, label) states:
-    e_beta and d_j on the coefficient module, for the vertex engine and for
-    ``act_on_weight_module``, whose states have empty words."""
+    the one place a module acts, for the vertex engine and for the algebra
+    action of ``_act_on_module``, whose states have empty words."""
     out: dict = {}
     for (word, label), coeff in states.items():
         for q, lab in action(arg, label):
@@ -299,19 +301,24 @@ def act_on_labels(states: dict, action, arg) -> dict:
     return out
 
 
-def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> WeightVector:
-    """Linear extension of the generator actions, words applied right to left."""
+def _act_on_module(x: BElement, vector: Mapping, module) -> dict:
+    """x on a module vector {label: coefficient}, by linear extension of the
+    module's label actions, each word applied right to left."""
+    states = {((), label): c for label, c in vector.items()}
     out: dict = {}
     for word, coeff in x.terms.items():
-        states = {((), module.validate_label(label)): coeff * c0 for label, c0 in m.terms.items()}
+        acted = states
         for g in reversed(word):
-            action = module.e_action if g[0] == "e" else module.d_action
-            states = act_on_labels(states, action, g[1])
-            if not states:
-                break
-        for (_, lab), c in states.items():
-            accumulate(out, lab, c)
-    return WeightVector(out)
+            acted = act_on_labels(acted, module.e_action if g[0] == "e" else module.d_action, g[1])
+        for (_, lab), c in acted.items():
+            accumulate(out, lab, coeff * c)
+    return out
+
+
+def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> WeightVector:
+    """The straightened algebra on a weight module, through its label actions."""
+    vector = {module.validate_label(p): c for p, c in m.terms.items()}
+    return WeightVector(_act_on_module(x, vector, module))
 
 
 # -- function modules ----------------------------------------------------------------
@@ -324,6 +331,7 @@ class OmegaSpec:
     The f_j are Laurent polynomials in t_1..t_{mu-1} only and the a_i are
     nonzero rationals, normalized by ``rational``.  Both degenerate shapes
     are allowed: mu = 1 has no multipliers and mu = nu + 1 none of the a_i.
+    The ring of the module's elements, ``ring``, is built once.
     """
 
     nu: int
@@ -340,7 +348,8 @@ class OmegaSpec:
             raise ValueError(f"expected {self.mu - 1} multiplier polynomials")
         if len(self.a) != self.nu - self.mu + 1:
             raise ValueError(f"expected {self.nu - self.mu + 1} shift constants")
-        ring = self.ring
+        ring = LaurentRing(self.nu, self.mu - 1)
+        object.__setattr__(self, "ring", ring)
         for j, fj in enumerate(self.f, start=1):
             if not isinstance(fj, LaurentPoly) or fj.ring != ring:
                 raise ValueError(f"f_{j} must live in {ring}")
@@ -349,10 +358,6 @@ class OmegaSpec:
         for i, a_i in enumerate(self.a, start=self.mu):
             if a_i == 0:
                 raise ValueError(f"a_{i} must be nonzero")
-
-    @property
-    def ring(self) -> LaurentRing:
-        return LaurentRing(self.nu, self.mu - 1)
 
     def a_of(self, j: int) -> int | Fraction:
         """Shift constant a_j for a polynomial variable index j >= mu."""
@@ -394,22 +399,14 @@ def omega_d_act(spec: OmegaSpec, j: int, f: LaurentPoly) -> LaurentPoly:
 
 
 def act_on_omega_module(x: BElement, f: LaurentPoly, spec: OmegaSpec) -> LaurentPoly:
-    out = spec.ring.zero()
-    for word, coeff in x.terms.items():
-        g = f
-        for gen in reversed(word):
-            if gen[0] == "e":
-                g = omega_e_act(spec, gen[1], g)
-            else:
-                g = omega_d_act(spec, gen[1], g)
-            if g.is_zero():
-                break
-        out = out + coeff * g
-    return out
+    """The straightened algebra on a function module, through its ``OmegaModule``."""
+    if f.ring != spec.ring:
+        raise ValueError("polynomial does not live in the module ring")
+    return f._make(_act_on_module(x, f.terms, OmegaModule(LatticeConfig(spec.nu, 1), spec)))
 
 
 class OmegaModule:
-    """Label-level wrapper of a function module for the vertex engine.
+    """The label actions of a function module, its one definition.
 
     Labels are the exponent vectors of the monomial basis.  Built only at
     k = 1, where the straightening relation matches the module actions.
@@ -430,11 +427,11 @@ class OmegaModule:
         return self.spec.ring.check_exponents(label)
 
     def e_action(self, charge: tuple, label: tuple):
-        poly = omega_e_act(self.spec, charge, self.spec.ring.monomial(label))
+        poly = omega_e_act(self.spec, charge, LaurentPoly(self.spec.ring, {label: 1}))
         return [(c, e) for e, c in poly.sorted_terms()]
 
     def d_action(self, j: int, label: tuple):
-        poly = omega_d_act(self.spec, j, self.spec.ring.monomial(label))
+        poly = omega_d_act(self.spec, j, LaurentPoly(self.spec.ring, {label: 1}))
         return [(c, e) for e, c in poly.sorted_terms()]
 
     def probe_labels(self, laurent_radius: int = 1, poly_degree: int = 2) -> list[tuple]:

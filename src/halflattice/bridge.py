@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .combination import accumulate, rational
+from .combination import accumulate, integer, rational
 from .fock import ModuleElement, charge_element, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
@@ -117,7 +117,7 @@ def z_operator(
     truncation.
     """
     cfg = mctx.cfg
-    charge = tuple(int(m) for m in alpha)
+    charge = tuple(integer(m) for m in alpha)
     inverse = tuple(-m for m in charge)
     e_alpha = charge_element(cfg.nu, charge)
     out: dict = {}
@@ -162,15 +162,12 @@ def charge_sector(direction, w: ModuleElement, mctx: OperatorContext):
 
 
 def t_operator(alpha: Sequence[int], w: ModuleElement, mctx: OperatorContext) -> ModuleElement:
-    """The z-independent transport operator on a vacuum weight sector.
-
-    Strips the definite power z^(alpha, sector weight) off the dressed
-    operator, leaving a single coefficient.
-    """
-    shift = charge_sector(alpha, w, mctx)
-    if shift.denominator != 1:
-        raise MixedSectorError(f"sector pairing {shift} is not an integer")
-    return z_operator(alpha, -1 - int(shift), w, mctx)
+    """The z-independent transport operator: the coefficient of the dressed
+    operator at the definite power z^(alpha, lam), the context's
+    ``charge_power``, since alpha(0) is that scalar on the whole Fock module.
+    It is linear in w, so it is zero on the zero state."""
+    charge = tuple(integer(m) for m in alpha)
+    return z_operator(charge, -1 - mctx.charge_power(charge), w, mctx)
 
 
 # -- recovering the coefficient module ---------------------------------------------------
@@ -216,23 +213,17 @@ def recovered_relation_cases(mctx: OperatorContext, labels: Sequence):
     """
     cfg = mctx.cfg
     charges = _unit_charges(cfg.nu)
-
-    def t_or_zero(charge, state):
-        if state.is_zero():
-            return mctx.zero
-        return t_operator(charge, state, mctx)
-
     for label, state in _vacuum_states(mctx, labels).items():
         for j in range(1, cfg.nu + 1):
             d_j = cfg.d_basis(j)
             for charge in charges:
                 t_state = t_operator(charge, state, mctx)
                 lhs = apply_heisenberg_mode(d_j, 0, t_state, mctx)
-                rhs = t_or_zero(charge, apply_heisenberg_mode(d_j, 0, state, mctx)) \
+                rhs = t_operator(charge, apply_heisenberg_mode(d_j, 0, state, mctx), mctx) \
                     + cfg.pairing(d_j, cfg.from_charge(charge)) * t_state
                 yield ("commutator", j, charge, label), lhs - rhs
         for c1 in charges:
             for c2 in charges:
-                lhs = t_or_zero(c1, t_operator(c2, state, mctx))
+                lhs = t_operator(c1, t_operator(c2, state, mctx), mctx)
                 total = tuple(a + b for a, b in zip(c1, c2))
                 yield ("composition", c1, c2, label), lhs - t_operator(total, state, mctx)

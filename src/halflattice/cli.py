@@ -85,6 +85,8 @@ def _suite_config(args) -> SuiteConfig:
                 raise SchemaError(path, f"expected an integer, got {value!r}")
             if name in lower and value < lower[name]:
                 raise SchemaError(path, f"must be at least {lower[name]}, got {value}")
+            if name == "k" and value == 0:
+                raise SchemaError(path, "k must be a nonzero integer")
         config = replace(config, **doc)
     if getattr(args, "nu", None) is not None:
         config = replace(config, nu=args.nu)

@@ -41,6 +41,16 @@ def rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def integer(value) -> int:
+    """An exact integer entry of a key (a charge, direction, mode or exponent):
+    an ``int`` passes through untouched and a whole ``Fraction`` becomes its
+    numerator; a float or a proper fraction raises ``TypeError``."""
+    q = value if type(value) is int else rational(value)
+    if type(q) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return q
+
+
 def accumulate(data: dict, key, value) -> None:
     """Add value to data[key] in place, dropping the key when the sum is zero.
 

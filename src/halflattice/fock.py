@@ -8,23 +8,24 @@ direction, and its weight is the sum of the modes.
 
 A ``VElement`` is a rational linear combination of (Fock monomial, charge)
 pairs with charges in the integer c-span; a ``ModuleElement`` carries an
-opaque coefficient-module label in place of the charge.
+opaque coefficient-module label in place of the charge.  Both constructors
+put every word through ``fock_word`` and merge the keys that then coincide.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .combination import Combination
+from .combination import Combination, accumulate, integer, rational
 
 FockWord = tuple  # tuple[tuple[int, int], ...]
 
 
 def fock_word(factors: Iterable) -> FockWord:
-    """Canonical Fock monomial from (direction, mode) pairs."""
+    """Canonical Fock monomial from (direction, mode) pairs of integers."""
     out = []
     for dir_, mode in factors:
-        dir_, mode = int(dir_), int(mode)
+        dir_, mode = integer(dir_), integer(mode)
         if dir_ < 0:
             raise ValueError(f"direction index {dir_} must be nonnegative")
         if mode < 1:
@@ -52,17 +53,17 @@ class VElement(Combination):
     __slots__ = ("nu",)
 
     def __init__(self, nu: int, terms: Mapping):
-        self.nu = int(nu)
-        checked = {}
+        self.nu = integer(nu)
+        checked: dict = {}
         for (word, charge), coeff in terms.items():
-            word = tuple(word)
-            charge = tuple(int(m) for m in charge)
+            word = fock_word(word)
+            charge = tuple(integer(m) for m in charge)
             if len(charge) != self.nu:
                 raise ValueError(f"charge {charge} must have {self.nu} entries")
             for dir_, _ in word:
                 if dir_ >= 2 * self.nu:
                     raise ValueError(f"direction index {dir_} out of range for nu={self.nu}")
-            checked[(word, charge)] = coeff
+            accumulate(checked, (word, charge), rational(coeff))
         super().__init__(checked)
 
     def shape(self) -> int:
@@ -84,6 +85,12 @@ class ModuleElement(Combination):
 
     __slots__ = ()
 
+    def __init__(self, terms: Mapping):
+        checked: dict = {}
+        for (word, label), coeff in terms.items():
+            accumulate(checked, (fock_word(word), label), rational(coeff))
+        super().__init__(checked)
+
     def __str__(self) -> str:
         return _format_terms(self.sorted_terms(), None,
                              lambda lab: f"w[({', '.join(map(str, lab))})]")
@@ -100,14 +107,13 @@ def vacuum(nu: int) -> VElement:
 
 
 def charge_element(nu: int, charge: Iterable[int], coeff=1) -> VElement:
-    return VElement(nu, {((), tuple(int(m) for m in charge)): coeff})
+    return VElement(nu, {((), tuple(charge)): coeff})
 
 
 def fock_element(nu: int, factors: Iterable, charge: Iterable[int] = None, coeff=1) -> VElement:
     if charge is None:
         charge = (0,) * nu
-    word = fock_word(factors)
-    return VElement(nu, {(word, tuple(int(m) for m in charge)): coeff})
+    return VElement(nu, {(fock_word(factors), tuple(charge)): coeff})
 
 
 # -- grading ----------------------------------------------------------------------

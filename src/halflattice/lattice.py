@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .combination import rational
+from .combination import integer, rational
 
 
 def _coords(values: Iterable, nu: int, what: str) -> tuple:
@@ -118,7 +118,7 @@ class LatticeConfig:
         return self.vector(d=[int(j == i - 1) for j in range(self.nu)])
 
     def from_charge(self, charge: Sequence[int]) -> LatticeVector:
-        charge = tuple(int(m) for m in charge)
+        charge = tuple(integer(m) for m in charge)
         if len(charge) != self.nu:
             raise ValueError(f"charge must have {self.nu} entries")
         return self.vector(c=charge)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .combination import Combination, accumulate, rational
+from .combination import Combination, accumulate, integer, rational
 
 
 class CutoffError(ValueError):
@@ -35,7 +35,7 @@ class LaurentRing:
             raise ValueError("nlaurent must lie in 0..nvars")
 
     def check_exponents(self, exps: Iterable[int]) -> tuple[int, ...]:
-        out = tuple(int(e) for e in exps)
+        out = tuple(integer(e) for e in exps)
         if len(out) != self.nvars:
             raise ValueError(f"exponent vector must have {self.nvars} entries")
         for j in range(self.nlaurent, self.nvars):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .assoc import AElement, OmegaSpec
 from .combination import accumulate
-from .fock import ModuleElement, VElement, fock_word
+from .fock import ModuleElement, VElement
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
@@ -38,7 +38,7 @@ def rand_fock_factors(rng: random.Random, nu: int, max_weight: int, max_mode: in
         mode = rng.randint(1, min(max_mode, budget))
         factors.append((rng.randrange(2 * nu), mode))
         budget -= mode
-    return fock_word(factors)
+    return tuple(factors)
 
 
 def rand_velement(

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .assoc import BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector, gen_d, gen_e
 from .combination import accumulate
-from .fock import VElement, fock_word
+from .fock import VElement
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
@@ -126,7 +126,7 @@ def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VEleme
             fock.append((dir_, mode))
         charge = _expect_list(rec.get("charge"), f"{path}.terms[{i}].charge", cfg.nu)
         charge = tuple(_int(m, f"{path}.terms[{i}].charge") for m in charge)
-        accumulate(terms, (fock_word(fock), charge), coeff)
+        accumulate(terms, (tuple(fock), charge), coeff)
     return VElement(cfg.nu, terms)
 
 

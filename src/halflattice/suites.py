@@ -110,7 +110,7 @@ class SuiteReport:
     wall_time_s: float = 0.0
 
     def add(self, check_id: str, ok: bool, residual="") -> None:
-        """Record a check; a residual is kept as bounded text.
+        """Record a check; a failing check keeps its residual as bounded text.
 
         A combination, alone or as the residual of a (where, residual) pair,
         reads as its term count and its first three terms in printing
@@ -123,7 +123,7 @@ class SuiteReport:
             text = (f"{len(res)} term{'s' if len(res) > 1 else ''}: {res._make(first)}"
                     + (" + ..." if len(res) > 3 else ""))
             residual = text if where is None else f"at {where!r}: {text}"
-        self.checks.append(CheckRecord(check_id, bool(ok), str(residual) if residual else ""))
+        self.checks.append(CheckRecord(check_id, bool(ok), "" if ok or not residual else str(residual)))
 
     def sweep(self, check_id: str, cases) -> None:
         """Decide a check from its lazy (where, residual) cases.
@@ -139,7 +139,7 @@ class SuiteReport:
                 self.add(check_id, False, (where, res))
                 return
             evaluated += 1
-        self.add(check_id, evaluated > 0, "" if evaluated else "vacuous: no case evaluated")
+        self.add(check_id, evaluated > 0, "vacuous: no case evaluated")
 
     def finish(self) -> "SuiteReport":
         self.checks.sort(key=lambda c: c.check_id)
@@ -302,7 +302,7 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
         report.add(
             f"underprovisioned-order-detected/{ctx_name}/c1:d1",
             fail is not None,
-            "" if fail is not None else "order-1 locality unexpectedly held",
+            "order-1 locality unexpectedly held",
         )
     return report.finish()
 
@@ -372,10 +372,10 @@ def suite_virasoro(config: SuiteConfig) -> SuiteReport:
 
         report.sweep(f"nu{nu}/seeded-probes", seeded_probes())
         one = vacuum(nu)
-        got = cache.act(conformal_vector(cfg), 3, cache.act(conformal_vector(cfg), -1, one))
+        omega = conformal_vector(cfg)
+        got = cache.act(omega, 3, cache.act(omega, -1, one))
         want = nu * one
-        report.add(f"nu{nu}/central-charge-on-vacuum", got == want,
-                   "" if got == want else got - want)
+        report.add(f"nu{nu}/central-charge-on-vacuum", got == want, got - want)
     return report.finish()
 
 
@@ -461,7 +461,7 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
             for f in [rand_nonzero_laurent(rng, bad.ring, n_terms=2, exp_bound=2)]
         )
         report.add("non-symmetric-spec-commutator-nonzero", witness is not None,
-                   "" if witness is not None else "commutator vanished on all probes")
+                   "commutator vanished on all probes")
         good = rand_a_module_spec(rng, nu, 3)
 
         def commutator_cases():
@@ -554,11 +554,9 @@ def suite_classification(config: SuiteConfig) -> SuiteReport:
     for name, s1, s2, expect in _classification_pairs(nu):
         decided = iso_decide(s1, s2)
         ok = (decided is not None) == expect
-        report.add(f"iso-decide/{name}", ok,
-                   "" if ok else f"decided={decided} expected-iso={expect}")
+        report.add(f"iso-decide/{name}", ok, f"decided={decided} expected-iso={expect}")
         brute = brute_force_iso(s1, s2)
-        report.add(f"iso-brute-agree/{name}", brute == (decided is not None),
-                   "" if brute == (decided is not None) else f"brute={brute}")
+        report.add(f"iso-brute-agree/{name}", brute == (decided is not None), f"brute={brute}")
 
     def potential_cases():
         # cutoff 1 has no multiplier to decompose, so the trials cycle 2..nu+1
@@ -657,11 +655,9 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
         handle = mctx.handle
         labels = handle.probe_labels()[:4]
         basis = vacuum_basis(mctx, min(config.max_degree, 3), labels)
-        report.add(
-            f"vacuum-slice/{kind}",
-            len(basis) == len(labels) and all(is_vacuum_vector(v, mctx) for v in basis),
-            "" if len(basis) == len(labels) else f"{len(basis)} vs {len(labels)}",
-        )
+        stray = [i for i, v in enumerate(basis) if not is_vacuum_vector(v, mctx)]
+        report.add(f"vacuum-slice/{kind}", len(basis) == len(labels) and not stray,
+                   f"{len(basis)} basis vectors for {len(labels)} labels; not vacuum: {stray}")
         report.sweep(f"recovered-action/{kind}", recovered_action_cases(mctx, labels[:3]))
         report.sweep(f"recovered-relations/{kind}", recovered_relation_cases(mctx, labels[:3]))
 

@@ -50,7 +50,7 @@ from math import comb, factorial
 
 from .assoc import WeightModule, act_on_labels
 from .combination import accumulate, rational
-from .fock import ModuleElement, VElement, fock_weight, fock_word, merge_words
+from .fock import ModuleElement, VElement, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 
 
@@ -390,15 +390,13 @@ def truncation_bound(u: VElement, w, ctx: OperatorContext) -> int:
     return top_u + top_w - 1
 
 
+@lru_cache(maxsize=None)
 def conformal_vector(cfg: LatticeConfig) -> VElement:
     """(1/k) sum_i c_i(-1) d_i(-1) applied to the degree-zero generator.
 
     In an orthonormal basis this is the usual sum of squares; the hyperbolic
     Gram matrix of the c/d basis turns that sum into paired c/d factors.
+    Built once per lattice, like ``adjoint_context``.
     """
-    terms = {}
     q = Fraction(1, cfg.k)
-    for i in range(cfg.nu):
-        word = fock_word(((i, 1), (cfg.nu + i, 1)))
-        terms[(word, (0,) * cfg.nu)] = q
-    return VElement(cfg.nu, terms)
+    return VElement(cfg.nu, {(((i, 1), (cfg.nu + i, 1)), (0,) * cfg.nu): q for i in range(cfg.nu)})

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .assoc import AElement
 from .combination import accumulate
-from .fock import VElement, homogeneous_components, merge_words
+from .fock import VElement, homogeneous_components
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 from .vertex import adjoint_context, y_coefficient
@@ -86,13 +86,10 @@ def zhu_reduce(cfg: LatticeConfig, v: VElement) -> AElement:
 
 def zhu_embed(a: AElement) -> VElement:
     """Charge times d-monomial, realized with depth-one modes."""
-    terms = {}
-    for (charge, dexp), coeff in a.terms.items():
-        word = []
-        for i, e in enumerate(dexp):
-            word.extend([(a.nu + i, 1)] * e)
-        terms[(merge_words((), tuple(word)), charge)] = coeff
-    return VElement(a.nu, terms)
+    return VElement(a.nu, {
+        (tuple((a.nu + i, 1) for i, e in enumerate(dexp) for _ in range(e)), charge): coeff
+        for (charge, dexp), coeff in a.terms.items()
+    })
 
 
 def zhu_iso_cases(cfg: LatticeConfig, pairs: Sequence[tuple]):

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -197,6 +196,30 @@ def test_function_module_representation_property():
         direct = act_on_omega_module(x, act_on_omega_module(y, f, spec), spec)
         nf = a_normal_form(x * y, CFG2, "B")
         assert act_on_omega_module(nf, f, spec) == direct
+
+
+def test_function_module_action_matches_the_polynomial_actions():
+    # oracle: each word's generators applied right to left to the whole
+    # polynomial, against the shared loop over monomial labels
+    rng = random.Random(79)
+    spec = spec_mu2(a2=Fraction(2, 3))
+    for _ in range(40):
+        x = _random_word(rng, rng.randint(0, 3)) - Fraction(1, 2) * _random_word(rng, 2)
+        f = rand_nonzero_laurent(rng, R21, n_terms=3, exp_bound=2)
+        want = R21.zero()
+        for word, coeff in x.terms.items():
+            g = f
+            for kind, arg in reversed(word):
+                g = omega_e_act(spec, arg, g) if kind == "e" else omega_d_act(spec, arg, g)
+            want = want + coeff * g
+        assert act_on_omega_module(x, f, spec) == want
+
+
+def test_function_module_action_checks_the_ring_once():
+    # the empty word applies no generator, and the ring is still checked
+    for x in (BElement.one(), BElement.d(1)):
+        with pytest.raises(ValueError, match="module ring"):
+            act_on_omega_module(x, LaurentRing(2, 0).one(), spec_mu2())
 
 
 def test_shift_identity():

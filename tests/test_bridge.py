@@ -199,6 +199,15 @@ def test_transport_composition():
             assert lhs == t_operator(total, w, mctx)
 
 
+def test_transport_is_linear_and_zero_on_the_zero_state():
+    # the z-power is the context's charge power, so no state is asked for
+    # its sector: the zero state maps to zero and scalars pass through
+    for mctx in (weight_mctx(), omega_mctx()):
+        assert t_operator((1, 0), mctx.zero, mctx) == mctx.zero
+        w = mctx.state_of_label(mctx.handle.base_label())
+        assert t_operator((1, 0), Fraction(2, 3) * w, mctx) == Fraction(2, 3) * t_operator((1, 0), w, mctx)
+
+
 def test_mixed_sector_rejected():
     # two labels carry different degree-operator eigenvalues, so their sum
     # is not an eigenvector of the d-direction zero mode

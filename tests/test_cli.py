@@ -193,6 +193,7 @@ def test_schema_error_exit_code(tmp_path, capsys):
         pytest.param({"k": True}, [], "c.json.k: expected an integer", id="bool-k"),
         pytest.param({"seed": "7"}, [], "c.json.seed: expected an integer", id="string-seed"),
         pytest.param({"nu": 0}, [], "c.json.nu: must be at least 1", id="zero-nu"),
+        pytest.param({"k": 0}, [], "c.json.k: k must be a nonzero integer", id="zero-k"),
         pytest.param({"probe_count": -5}, [], "c.json.probe_count: must be at least 1",
             id="negative-probe-count"),
         pytest.param({"probe_count": 0}, [], "c.json.probe_count: must be at least 1",

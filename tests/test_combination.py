@@ -12,15 +12,18 @@ from fractions import Fraction
 import pytest
 
 from halflattice.assoc import (
+    AElement,
     OmegaSpec,
     WeightModule,
     decompose_potential,
+    gen_d,
+    gen_e,
     omega_e_act,
     simplicity_witness,
 )
-from halflattice.bridge import charge_sector
-from halflattice.combination import rational
-from halflattice.fock import VElement, charge_element, fock_element, vacuum
+from halflattice.bridge import charge_sector, z_operator
+from halflattice.combination import integer, rational
+from halflattice.fock import VElement, charge_element, fock_element, fock_word, vacuum
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
 from halflattice.linalg import nullspace
@@ -58,6 +61,43 @@ def test_rational_normalizes_and_rejects_floats():
         nullspace([{0: 1, 1: 0.0}], 2)
     with pytest.raises(TypeError):
         OmegaSpec(1, 1, (), (0.1,))
+
+
+def test_integer_passes_ints_and_whole_fractions():
+    assert integer(3) == 3 and type(integer(Fraction(6, 3))) is int and integer(Fraction(6, 3)) == 2
+    assert type(integer(True)) is int
+    for bad in (1.0, 1.9, Fraction(1, 2), "1", None):
+        with pytest.raises(TypeError):
+            integer(bad)
+    # a whole Fraction in a key is the same key as its int
+    assert charge_element(2, (Fraction(2), 0)) == charge_element(2, (2, 0))
+    assert list(charge_element(2, (Fraction(2), 0)).terms) == [((), (2, 0))]
+    assert type(next(iter(charge_element(2, (Fraction(2), 0)).terms))[1][0]) is int
+
+
+def _weight_state():
+    cfg = LatticeConfig(nu=2, k=1)
+    ctx = module_operator_context(cfg, cfg.zero(), WeightModule(cfg))
+    return ctx.state_of_label((0, 0)), ctx
+
+
+# one site family each: a float or a proper fraction in a key used to be
+# truncated by int(), so e^{1.9 c1 - 0.5 c2} printed as e^{c1}
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: fock_word([(0, 1.7)]), id="fock-word"),
+    pytest.param(lambda: charge_element(2, [1.9, -0.5]), id="fock-charge"),
+    pytest.param(lambda: fock_element(1, [(0, 1)], [Fraction(1, 2)]), id="fock-element"),
+    pytest.param(lambda: VElement(Fraction(3, 2), {}), id="fock-rank"),
+    pytest.param(lambda: gen_e([1.5, 0]), id="assoc-translation"),
+    pytest.param(lambda: gen_d(1.0), id="assoc-degree-index"),
+    pytest.param(lambda: AElement(1, {((1,), (0.5,)): 1}), id="assoc-normal-form"),
+    pytest.param(lambda: z_operator((0.5, 0), 0, *_weight_state()), id="bridge-charge"),
+    pytest.param(lambda: LatticeConfig(2, 1).from_charge([0.5, 0]), id="lattice-charge"),
+    pytest.param(lambda: LaurentRing(2, 1).monomial([1.2, 0]), id="laurent-exponents"),
+])
+def test_integer_keys_reject_floats_and_proper_fractions(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_charge_sector_with_a_proper_fraction_ratio():

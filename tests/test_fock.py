@@ -4,6 +4,7 @@ import pytest
 
 from halflattice.assoc import WeightModule
 from halflattice.fock import (
+    ModuleElement,
     VElement,
     charge_element,
     fock_element,
@@ -65,6 +66,28 @@ def test_velement_invariants():
         VElement(2, {((), (1,)): Fraction(1)})  # short charge
     with pytest.raises(ValueError):
         VElement(2, {(((4, 1),), (0, 0)): Fraction(1)})  # direction out of range
+
+
+def test_constructors_canonicalize_words():
+    # a word in any factor order is the same key as its canonical form
+    assert VElement(1, {(((0, 1), (1, 2)), (0,)): 1}) == fock_element(1, [(0, 1), (1, 2)])
+    assert list(VElement(1, {(((0, 1), (1, 2)), (0,)): 1}).terms) == [(((1, 2), (0, 1)), (0,))]
+    lab = (0,)
+    assert ModuleElement({(((0, 1), (1, 2)), lab): 1}) == ModuleElement({(((1, 2), (0, 1)), lab): 1})
+    # keys that coincide once canonical are merged, and cancel to zero
+    x = VElement(2, {(((0, 1), (2, 1)), (0, 0)): 1, (((2, 1), (0, 1)), (0, 0)): Fraction(-2, 2)})
+    assert x.is_zero()
+    m = ModuleElement({(((0, 1), (1, 2)), lab): Fraction(1, 2), (((1, 2), (0, 1)), lab): 3})
+    assert m.terms == {(((1, 2), (0, 1)), lab): Fraction(7, 2)}
+
+
+@pytest.mark.parametrize("word", [((-1, 1),), ((0, 0),), ((0, 1), (1, -2))],
+                         ids=["negative-direction", "zero-mode", "negative-mode"])
+def test_constructors_reject_invalid_factors(word):
+    with pytest.raises(ValueError):
+        VElement(1, {(word, (0,)): 1})
+    with pytest.raises(ValueError):
+        ModuleElement({(word, (0,)): 1})
 
 
 def test_linear_combination_arithmetic():

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from halflattice.assoc import WeightModule
-from halflattice.fock import VElement, charge_element, fock_element, vacuum
+from halflattice.fock import charge_element, fock_element, vacuum
 from halflattice.identities import (
     ActionCache,
     borcherds_residual,

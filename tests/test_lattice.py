@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from halflattice.assoc import WeightModule
-from halflattice.lattice import LatticeConfig, LatticeVector
+from halflattice.lattice import LatticeConfig
 from halflattice.vertex import module_operator_context
 
 

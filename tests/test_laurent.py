@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halflattice.laurent import CutoffError, LaurentPoly, LaurentRing
+from halflattice.laurent import CutoffError, LaurentRing
 
 R21 = LaurentRing(nvars=2, nlaurent=1)  # t1 Laurent, t2 polynomial
 R20 = LaurentRing(nvars=2, nlaurent=0)  # both polynomial

@@ -1,10 +1,9 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import AElement, a_normal_form
+from halflattice.assoc import AElement
 from halflattice.fock import VElement, charge_element, fock_element, vacuum
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
