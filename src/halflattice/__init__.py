@@ -62,6 +62,7 @@ from .laurent import CutoffError, LaurentPoly, LaurentRing
 from .serialize import SchemaError
 from .suites import SuiteConfig, SuiteReport, run_verification
 from .vertex import (
+    Field,
     OperatorContext,
     adjoint_context,
     apply_heisenberg_mode,

@@ -21,13 +21,7 @@ from .combination import accumulate, integer, rational
 from .fock import ModuleElement, charge_element, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
-from .vertex import (
-    OperatorContext,
-    apply_heisenberg_mode,
-    dressing,
-    truncation_bound,
-    y_coefficient,
-)
+from .vertex import Field, OperatorContext, apply_heisenberg_mode, dressing
 
 
 # -- vacuum space ---------------------------------------------------------------------
@@ -126,11 +120,10 @@ def z_operator(
         states = dressing(cfg, w.terms, inverse, b, -1)
         if not states:
             continue
-        annihilated = mctx.element(states)
-        bound = truncation_bound(e_alpha, annihilated, mctx)
+        field = Field(e_alpha, mctx.element(states), mctx)
         a = 0
-        while n + a - b <= bound:
-            inner = y_coefficient(e_alpha, n + a - b, annihilated, mctx)
+        while n + a - b <= field.bound:
+            inner = field.coefficient(n + a - b)
             if not inner.is_zero():
                 for key, c in dressing(cfg, inner.terms, inverse, a, 1).items():
                     accumulate(out, key, c)

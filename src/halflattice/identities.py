@@ -4,8 +4,11 @@ Every checker returns the residual of its identity at one choice of
 coefficient indices: an exact combination over the rationals that is zero
 exactly when the identity holds there.  Sweeping the indices and deciding
 pass or fail is left to the caller (``SuiteReport.sweep``).  The checkers
-that evaluate fields or Heisenberg modes take an ``ActionCache``, which
-memoizes mode actions so that a sweep computes each u_n w or h(n) s once.
+that evaluate fields or Heisenberg modes take an ``ActionCache`` built for
+their context, and raise ``ValueError`` on a cache built for another one.
+The cache prepares one ``Field`` per (u, w), so a sweep takes each
+truncation bound once, shares each pair's annihilation side across every n,
+and computes each u_n w or h(n) s once.
 """
 
 from __future__ import annotations
@@ -16,42 +19,45 @@ from .combination import accumulate
 from .fock import VElement
 from .lattice import LatticeVector
 from .vertex import (
+    Field,
     OperatorContext,
     adjoint_context,
     apply_heisenberg_mode,
     conformal_vector,
     gbinom,
-    truncation_bound,
-    y_coefficient,
 )
 
 
 class ActionCache:
-    """Memoized u_n w, adjoint products u_n v and Heisenberg modes h(n) s for
-    one context (plus its adjoint side), keyed by their arguments."""
+    """Memoized fields, their coefficients and Heisenberg modes for one
+    context (plus its adjoint side).
+
+    It prepares one ``Field`` per (u, w) in the context and one per (u, v)
+    in the adjoint, each with a table of the coefficients computed so far,
+    keyed by n.  The checkers read the fields' truncation bounds, so a bound
+    is taken once per pair, and every coefficient shares its pair's
+    annihilation halves.  Heisenberg modes h(n) s are keyed by their
+    arguments.
+    """
 
     def __init__(self, ctx: OperatorContext):
         self.ctx = ctx
         self.adj = adjoint_context(ctx.cfg)
-        self._acts: dict = {}
-        self._products: dict = {}
+        self._fields: dict = {}  # (u, w) -> (Field in ctx, {n: u_n w})
+        self._adjoint: dict = {}  # (u, v) -> (Field in the adjoint, {n: u_n v})
         self._modes: dict = {}
 
+    def field(self, u: VElement, w) -> Field:
+        return _prepared(self._fields, u, w, self.ctx)[0]
+
+    def adjoint_field(self, u: VElement, v: VElement) -> Field:
+        return _prepared(self._adjoint, u, v, self.adj)[0]
+
     def act(self, u: VElement, n: int, w):
-        key = (u, n, w)
-        hit = self._acts.get(key)
-        if hit is None:
-            hit = y_coefficient(u, n, w, self.ctx)
-            self._acts[key] = hit
-        return hit
+        return _coefficient(self._fields, u, n, w, self.ctx)
 
     def adjoint_product(self, u: VElement, n: int, v: VElement) -> VElement:
-        key = (u, n, v)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = y_coefficient(u, n, v, self.adj)
-            self._products[key] = hit
-        return hit
+        return _coefficient(self._adjoint, u, n, v, self.adj)
 
     def mode(self, h: LatticeVector, n: int, s):
         key = (h, n, s)
@@ -59,6 +65,28 @@ class ActionCache:
         if hit is None:
             hit = self._modes[key] = apply_heisenberg_mode(h, n, s, self.ctx)
         return hit
+
+
+def _prepared(fields: dict, u: VElement, w, ctx: OperatorContext) -> tuple:
+    """The (field, table) entry of (u, w), prepared on first use."""
+    entry = fields.get((u, w))
+    if entry is None:
+        entry = fields[(u, w)] = (Field(u, w, ctx), {})
+    return entry
+
+
+def _coefficient(fields: dict, u: VElement, n: int, w, ctx: OperatorContext):
+    """u_n w from the table of its prepared field, computed on first use."""
+    field, table = _prepared(fields, u, w, ctx)
+    hit = table.get(n)
+    if hit is None:
+        hit = table[n] = field.coefficient(n)
+    return hit
+
+
+def _check_cache(ctx: OperatorContext, cache: ActionCache) -> None:
+    if cache.ctx is not ctx:
+        raise ValueError("the action cache was built for another context")
 
 
 def locality_residual(
@@ -84,6 +112,7 @@ def locality_residual(
     """
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
+    _check_cache(ctx, cache)
     return ctx.element(_commutator_sum(u, v, w, p, k_order, q, ctx, cache))
 
 
@@ -107,10 +136,11 @@ def borcherds_residual(
 
     with every sum finite by truncation.
     """
+    _check_cache(ctx, cache)
     out = _commutator_sum(u, v, w, m, n, k, ctx, cache)
     # the inner product u_{n+i} v lives in the adjoint context, so its
     # truncation bound must be taken there
-    j_max = max(truncation_bound(u, v, cache.adj) - n, 0)
+    j_max = max(cache.adjoint_field(u, v).bound - n, 0)
     if m >= 0:
         j_max = min(j_max, m)
     for i in range(j_max + 1):
@@ -126,7 +156,7 @@ def _commutator_sum(u, v, w, m: int, n: int, k: int, ctx, cache) -> dict:
     """sum_{i>=0} (-1)^i C(n,i) [u_{m+n-i} (v_{k+i} w) - (-1)^n v_{n+k-i} (u_{m+i} w)]
     as a terms dict, cut off where both inner actions vanish by truncation."""
     out: dict = {}
-    i_max = max(truncation_bound(v, w, ctx) - k, truncation_bound(u, w, ctx) - m, 0)
+    i_max = max(cache.field(v, w).bound - k, cache.field(u, w).bound - m, 0)
     if n >= 0:
         i_max = min(i_max, n)
     sign_n = -1 if n % 2 else 1
@@ -156,6 +186,7 @@ def heisenberg_residual(
 
     Only the inner actions h2(n) s and h1(m) s, which a sweep repeats, are cached.
     """
+    _check_cache(ctx, cache)
     out: dict = {}
     _add_into(out, 1, apply_heisenberg_mode(h1, m, cache.mode(h2, n, s), ctx))
     _add_into(out, -1, apply_heisenberg_mode(h2, n, cache.mode(h1, m, s), ctx))
@@ -170,6 +201,7 @@ def virasoro_residual(m: int, n: int, s, ctx: OperatorContext, cache: ActionCach
     The central term is (m^3 - m)/6 * delta_{m+n,0} * nu * s, i.e. central
     charge 2*nu in the standard normalization.
     """
+    _check_cache(ctx, cache)
     omega = conformal_vector(ctx.cfg)
 
     def L(a, x):
@@ -187,5 +219,6 @@ def d_derivative_residual(u: VElement, n: int, w, ctx: OperatorContext, cache: A
 
     L(-1)u is the zeroth product of the conformal vector with u.
     """
+    _check_cache(ctx, cache)
     du = cache.adjoint_product(conformal_vector(ctx.cfg), 0, u)
     return cache.act(du, n, w) + n * cache.act(u, n - 1, w)

@@ -59,12 +59,11 @@ from .probes import (
     rand_velement,
 )
 from .vertex import (
+    Field,
     adjoint_context,
     apply_heisenberg_mode,
     conformal_vector,
     module_operator_context,
-    truncation_bound,
-    y_coefficient,
 )
 from .zhu import (
     circ_general,
@@ -619,17 +618,18 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
             probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, cfg, ctx, 1)
 
             report.sweep(f"truncation/{tag}", (
-                ((name, widx, n), y_coefficient(u, n, w, ctx))
+                ((name, widx, n), field.coefficient(n))
                 for name, u in gens
                 for widx, w in enumerate(probes)
-                for bound in [truncation_bound(u, w, ctx)]
-                for n in range(bound + 1, bound + 4)
+                for field in [Field(u, w, ctx)]
+                for n in range(field.bound + 1, field.bound + 4)
             ))
 
             one = vacuum(nu)
             report.sweep(f"identity-field/{tag}", (
-                ((widx, n), y_coefficient(one, n, w, ctx) != (w if n == -1 else ctx.zero))
+                ((widx, n), field.coefficient(n) != (w if n == -1 else ctx.zero))
                 for widx, w in enumerate(probes)
+                for field in [Field(one, w, ctx)]
                 for n in window
             ))
 

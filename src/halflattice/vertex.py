@@ -7,26 +7,31 @@ with the exponential dressing of the lattice operator for e^alpha:
     E^-(-alpha, z) E^+(-alpha, z) e^alpha z^alpha,
     E^{+-}(beta, z) = exp( sum_{n in +-N} beta(n) z^{-n} / n ).
 
-Nothing here materializes a series: ``y_coefficient`` extracts one z-power
-of the product applied to one state.  Normal ordering places creation
-modes and the charge shift to the left of zero modes, which sit to the left
-of annihilation modes; the scalar power z^alpha acts as z to the pairing of
-alpha with the module weight (zero on the algebra itself, where the charge
-lattice is isotropic).  So each coefficient splits in two halves.  The
-annihilation half is enumerated by annihilation pattern: each field of u
-either creates or acts with a mode j >= 0, and for each pattern and
-annihilation level a the field annihilators, the annihilation dressing, the
-zero modes and the charge shift run once.  The creation half, everything
-left of the charge shift, depends only on the creating fields, alpha and the
-z-power L it must supply, and is the cached closed form
+Nothing here materializes a series: a ``Field`` prepares the field of u on
+one state w, and ``coefficient(n)`` extracts one z-power of it.  Normal
+ordering places creation modes and the charge shift to the left of zero
+modes, which sit to the left of annihilation modes; the scalar power z^alpha
+acts as z to the pairing of alpha with the module weight (zero on the
+algebra itself, where the charge lattice is isotropic).  So each coefficient
+splits in two halves.  The annihilation half is enumerated by annihilation
+pattern: each field of u either creates or acts with a mode j >= 0.  A
+positive mode contracts only with a factor of the same mode in the partner
+direction (c_i with d_i), so the patterns offer a field only the modes
+that the target word holds in its partner direction; every pattern left out
+would annihilate the state.  For each pattern and annihilation level a the
+field annihilators, the annihilation dressing, the zero modes and the charge
+shift run once per prepared field, whatever n is asked: none of them depends
+on n.  The creation half, everything left of the charge shift, depends only
+on the creating fields, alpha and the z-power L it must supply, and is the
+cached closed form
 
     sum over m_i >= n_i, sum m_i <= L, of
         prod_i C(m_i-1, n_i-1) h_i(-m_i)  *  h_(L - sum m_i)(alpha),
 
 where h_p(alpha) is level p of the creation dressing below.  A single mode
 of one lattice direction (creation, contraction or zero mode) has one rule,
-shared by the field modes of ``y_coefficient`` and by
-``apply_heisenberg_mode``, which sums it over the coordinates of h.
+shared by the field modes of a ``Field`` and by ``apply_heisenberg_mode``,
+which sums it over the coordinates of h.
 
 Targets are selected by an ``OperatorContext``, which acts on M(1) tensor W
 for a coefficient module W handled by duck-typed label actions.  The adjoint
@@ -229,86 +234,124 @@ def _annihilation_level(word: tuple, alpha: tuple, k: int, p: int) -> tuple:
 # -- the coefficient engine -----------------------------------------------------------
 
 
-def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
-    """The coefficient u_n w of z^(-n-1) in the field of u applied to w.
+class Field:
+    """The field of u prepared on w: every coefficient u_n w from one setup.
 
     For each term h_1(-n_1)...h_s(-n_s) e^alpha of u and each term of w of
     Fock weight b, the field h_i(-n_i) contributes its modes
     gbinom(-j-1, n_i-1) h_i(j) z^(-j-n_i), and the sum splits in two halves.
-    The annihilation half runs once per annihilation pattern (each field
-    either creates or acts with a mode j >= 0, the positive modes drawing at
-    most b) and per annihilation level a: the field annihilators, the
-    annihilation dressing at level a, the zero modes and the charge shift.
-    The creation half depends only on the creating fields, alpha and the
-    level L = -n-1-p0 + wt(u) + (sum of positive modes) + a that balances z,
-    where z^p0 is the scalar charge power: it is the cached closed form
-    ``_creation_half``.  The annihilation results that meet the same creation
-    half are summed first, and each distinct half is merged once into every
-    word of its sum.
+    The setup enumerates the rows once: a term pair and an annihilation
+    pattern (each field either creates or acts with a mode j >= 0, the
+    positive modes drawing at most b).  A row's annihilation half at level a
+    (the field annihilators, the annihilation dressing at level a, the zero
+    modes and the charge shift) does not depend on n, so the setup runs it
+    once per (row, a).  Only the creation half depends on n: it is the
+    cached closed form ``_creation_half`` of the creating fields and alpha
+    at the level L = J - n that balances z, where
+    J = wt(u) - 1 - p0 + (sum of positive modes) + a and z^p0 is the scalar
+    charge power.  The annihilation halves are summed per (creating fields,
+    alpha, J), and only the nonzero sums are kept.  ``coefficient(n)``
+    merges each sum whose creation half at J - n is nonzero into every word
+    of that sum.  ``bound`` is the truncation bound of the pair, taken once.
     """
-    if not isinstance(u, VElement):
-        raise TypeError("the acting state must be a VElement")
-    if type(w) is not type(ctx.zero):
-        raise TypeError(f"targets of this context must be {type(ctx.zero).__name__}s")
-    cfg = ctx.cfg
-    halves: dict = {}  # (creating fields, alpha, L) -> (creation half, states it acts on)
-    for (ufock, alpha), cu in u.terms.items():
-        base = fock_weight(ufock) - n - 1 - ctx.charge_power(alpha)
-        charged = any(alpha)
-        for (wfock, label), cw in w.terms.items():
-            budget = fock_weight(wfock)
-            if base + budget < 0:  # n lies past the truncation bound
-                continue
-            cuw = rational(cu * cw)
-            for js, coeff in _annihilation_patterns(ufock, budget):
-                creating = tuple(f for f, j in zip(ufock, js) if j is None)
-                drawn = sum(j for j in js if j)
-                low = max(0, sum(m for _, m in creating) - base - drawn)
-                states = None
-                for a in range(low, (budget - drawn if charged else 0) + 1):
-                    level = base + drawn + a
-                    half = _creation_half(creating, alpha, level)
-                    if not half:
-                        continue
-                    if states is None:
-                        states = {(wfock, label): cuw * coeff}
-                        for (dir_, _), j in zip(ufock, js):
-                            if j and states:
-                                states = _mode_dir(ctx, states, dir_, j)
-                    mid = dressing(cfg, states, alpha, a, -1)
-                    # zero modes act before the charge shift
+
+    __slots__ = ("ctx", "bound", "_groups")
+
+    def __init__(self, u: VElement, w, ctx: OperatorContext):
+        if not isinstance(u, VElement):
+            raise TypeError("the acting state must be a VElement")
+        if type(w) is not type(ctx.zero):
+            raise TypeError(f"targets of this context must be {type(ctx.zero).__name__}s")
+        self.ctx = ctx
+        self.bound = truncation_bound(u, w, ctx)
+        cfg = ctx.cfg
+        sums: dict = {}  # (creating fields, alpha, J) -> summed annihilation halves
+        for (ufock, alpha), cu in u.terms.items():
+            top = fock_weight(ufock) - 1 - ctx.charge_power(alpha)
+            charged = any(alpha)
+            for (wfock, label), cw in w.terms.items():
+                budget = fock_weight(wfock)
+                cuw = rational(cu * cw)
+                for js, coeff in _annihilation_patterns(ufock, wfock, cfg.nu):
+                    states = {(wfock, label): cuw * coeff}
                     for (dir_, _), j in zip(ufock, js):
-                        if j == 0 and mid:
-                            mid = _mode_dir(ctx, mid, dir_, 0)
-                    if mid and charged:
-                        mid = act_on_labels(mid, ctx.handle.e_action, alpha)
-                    into = halves.setdefault((creating, alpha, level), (half, {}))[1]
-                    for key, c in mid.items():
-                        accumulate(into, key, c)
-    out: dict = {}
-    for half, mid in halves.values():
-        for (word, lab), c in mid.items():
-            for created, q in half:
-                accumulate(out, (merge_words(word, created), lab), c * q)
-    return ctx.element(out)
+                        if j and states:
+                            states = _mode_dir(ctx, states, dir_, j)
+                    if not states:
+                        continue
+                    creating = tuple(f for f, j in zip(ufock, js) if j is None)
+                    drawn = sum(j for j in js if j)
+                    for a in range((budget - drawn if charged else 0) + 1):
+                        mid = dressing(cfg, states, alpha, a, -1)
+                        # zero modes act before the charge shift
+                        for (dir_, _), j in zip(ufock, js):
+                            if j == 0 and mid:
+                                mid = _mode_dir(ctx, mid, dir_, 0)
+                        if mid and charged:
+                            mid = act_on_labels(mid, ctx.handle.e_action, alpha)
+                        if mid:
+                            into = sums.setdefault((creating, alpha, top + drawn + a), {})
+                            for key, c in mid.items():
+                                accumulate(into, key, c)
+        # the creation half at level J - n is zero below the creating fields' weight
+        self._groups = tuple(
+            (creating, alpha, shift, sum(m for _, m in creating), tuple(mid.items()))
+            for (creating, alpha, shift), mid in sums.items() if mid
+        )
+
+    def coefficient(self, n: int):
+        """The coefficient u_n w of z^(-n-1)."""
+        out: dict = {}
+        for creating, alpha, shift, weight, mid in self._groups:
+            if shift - n < weight:
+                continue
+            half = _creation_half(creating, alpha, shift - n)
+            for (word, lab), c in mid:
+                for created, q in half:
+                    accumulate(out, (merge_words(word, created), lab), c * q)
+        return self.ctx.element(out)
 
 
-def _annihilation_patterns(fields: tuple, budget: int):
-    """Yield (js, coefficient) for every annihilation pattern of the fields.
+def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
+    """The coefficient u_n w of z^(-n-1) in the field of u applied to w.
+
+    One coefficient of a ``Field`` prepared for this pair alone; callers
+    that ask several n of one (u, w) prepare the field once instead.
+    """
+    return Field(u, w, ctx).coefficient(n)
+
+
+def _annihilation_patterns(fields: tuple, word: tuple, nu: int):
+    """Yield (js, coefficient) for every annihilation pattern of the fields on word.
 
     js[i] is None where field i creates and its mode j >= 0 otherwise; the
-    positive modes sum to at most budget.  The coefficient is the product
-    of the derivative-field weights gbinom(-j-1, n_i-1) of the fields that
-    do not create (never zero for j >= 0).
+    positive modes sum to at most the weight of word.  A mode j > 0 of a
+    direction contracts only with a factor of mode j in its partner
+    direction (c_i with d_i), and annihilators never create factors, so a
+    positive j is offered only where word has such a factor: every other
+    pattern leaves the empty state.  The coefficient is the product of the
+    derivative-field weights gbinom(-j-1, n_i-1) of the fields that do not
+    create (never zero for j >= 0).
     """
-    if not fields:
-        yield (), 1
-        return
-    n_i = fields[0][1]
-    for j in (None, *range(budget + 1)):
-        c = 1 if j is None else gbinom(-j - 1, n_i - 1)
-        for rest, rc in _annihilation_patterns(fields[1:], budget - (j or 0)):
-            yield (j, *rest), c * rc
+    partner_modes: dict = {}  # direction -> ascending modes it can contract with
+    for dir_, mode in reversed(word):
+        modes = partner_modes.setdefault(dir_ + nu if dir_ < nu else dir_ - nu, [])
+        if not modes or modes[-1] != mode:
+            modes.append(mode)
+
+    def patterns(i: int, budget: int):
+        if i == len(fields):
+            yield (), 1
+            return
+        dir_, n_i = fields[i]
+        for j in (None, 0, *partner_modes.get(dir_, ())):
+            if j and j > budget:
+                break
+            c = 1 if j is None else gbinom(-j - 1, n_i - 1)
+            for rest, rc in patterns(i + 1, budget - (j or 0)):
+                yield (j, *rest), c * rc
+
+    yield from patterns(0, fock_weight(word))
 
 
 @lru_cache(maxsize=None)
@@ -375,8 +418,8 @@ def truncation_bound(u: VElement, w, ctx: OperatorContext) -> int:
     """Smallest B with u_n w = 0 for every n > B, from the weight balance.
 
     B is the max over term pairs of wt_u + wt_w - 1 - p0, with z^p0 the
-    u-term's charge power, so B = max(wt_u - p0) + max(wt_w) - 1.  Plain loops
-    take the two maxima: the checkers call this three times per residual.
+    u-term's charge power, so B = max(wt_u - p0) + max(wt_w) - 1.  A ``Field``
+    takes it once per (u, w), as its ``bound``.
     """
     if u.is_zero() or w.is_zero():
         return -1

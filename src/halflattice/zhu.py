@@ -26,7 +26,7 @@ from .combination import accumulate
 from .fock import VElement, homogeneous_components
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
-from .vertex import adjoint_context, y_coefficient
+from .vertex import Field, adjoint_context
 
 
 def _residue_sum(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VElement:
@@ -34,9 +34,10 @@ def _residue_sum(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VEleme
     ctx = adjoint_context(cfg)
     out: dict = {}
     for wt, part in homogeneous_components(u).items():
+        field = Field(part, v, ctx)
         for i in range(wt + 1):
             c = comb(wt, i)
-            for t, q in y_coefficient(part, i - n - 2, v, ctx).terms.items():
+            for t, q in field.coefficient(i - n - 2).terms.items():
                 accumulate(out, t, c * q)
     return ctx.element(out)
 

@@ -12,6 +12,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from halflattice.assoc import WeightModule
 from halflattice.fock import charge_element, fock_element, vacuum
 from halflattice.identities import (
@@ -21,6 +23,7 @@ from halflattice.identities import (
     gbinom,
     heisenberg_residual,
     locality_residual,
+    virasoro_residual,
 )
 from halflattice.lattice import LatticeConfig
 from halflattice.probes import rand_module_element, rand_velement
@@ -279,3 +282,22 @@ def test_borcherds_adjoint_generators_at_negative_n():
     ]
     for u, v, w in itertools.product(gens, repeat=3):
         assert borcherds_holds(u, v, w, ctx, cache)
+
+
+def test_checkers_reject_a_cache_built_for_another_context():
+    # the checkers read truncation bounds from the cache's fields, so a cache
+    # of another context would silently compute there
+    ctx = adjoint_context(CFG2)
+    other = module_operator_context(CFG2, CFG2.d_basis(1), WeightModule(CFG2, [Fraction(1, 2), 0]))
+    u, v = charge_element(2, (1, 0)), fock_element(2, [(2, 1)])
+    calls = [
+        lambda cache: borcherds_residual(u, v, u, 0, 0, 0, ctx, cache),
+        lambda cache: locality_residual(u, v, u, 0, 0, 1, ctx, cache),
+        lambda cache: heisenberg_residual(CFG2.c_basis(1), 1, CFG2.d_basis(1), -1, v, ctx, cache),
+        lambda cache: virasoro_residual(1, -1, v, ctx, cache),
+        lambda cache: d_derivative_residual(u, 0, v, ctx, cache),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="another context"):
+            call(ActionCache(other))
+        assert call(ActionCache(ctx)).is_zero()

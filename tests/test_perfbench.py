@@ -49,3 +49,28 @@ def test_every_workload_passes_its_expected_checks():
             report = call()
             passing.update((report.suite, c.check_id) for c in report.checks if c.ok)
         assert passing == Counter(map(tuple, expected[name])), name
+
+
+def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
+    # The number of coefficients computed and the terms they hold, at seed 7.
+    # perfbench's tracer counts them at vertex.y_coefficient, which the
+    # cache's prepared fields bypass; these are the counts it read when every
+    # cache miss went through y_coefficient.
+    from halflattice.vertex import Field
+
+    workloads = _load("workloads")
+    coefficient = Field.coefficient
+    counts = [0, 0]
+
+    def counted(self, n):
+        result = coefficient(self, n)
+        counts[0] += 1
+        counts[1] += len(result)
+        return result
+
+    monkeypatch.setattr(Field, "coefficient", counted)
+    for name, want in (("jacobi", [2808, 5144]), ("dressing", [100, 2121])):
+        counts[:] = [0, 0]
+        for _, call in workloads["plan"](name, 7):
+            call()
+        assert counts == want, name

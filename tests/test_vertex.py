@@ -12,6 +12,7 @@ from halflattice.fock import (
     VElement,
     charge_element,
     fock_element,
+    fock_weight,
     fock_word,
     homogeneous_components,
     vacuum,
@@ -20,6 +21,8 @@ from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
 from halflattice.probes import rand_module_element, rand_velement
 from halflattice.vertex import (
+    Field,
+    _annihilation_patterns,
     adjoint_context,
     apply_heisenberg_mode,
     conformal_vector,
@@ -425,19 +428,66 @@ def oracle_targets(ctx):
 @pytest.mark.parametrize("nu", [1, 2])
 @pytest.mark.parametrize("k", [1, 2, -1])
 def test_y_coefficient_matches_assignment_oracle(nu, k):
+    # one prepared field per (u, w) answers its whole window, ascending and
+    # then descending; the oracle enumerates unpruned assignments, so it also
+    # checks the contraction pruning of the annihilation patterns
     cfg = LatticeConfig(nu, k)
     nonzero = past_bound = 0
     for ctx in oracle_contexts(cfg):
         for w in oracle_targets(ctx):
             assert len(w) > 1
             for u in oracle_actors(nu):
-                bound = truncation_bound(u, w, ctx)
-                for n in range(bound - 4, bound + 2):
-                    want = assignment_y_coefficient(u, n, w, ctx)
+                field = Field(u, w, ctx)
+                bound = field.bound
+                assert bound == truncation_bound(u, w, ctx)
+                window = range(bound - 4, bound + 2)
+                wants = {n: assignment_y_coefficient(u, n, w, ctx) for n in window}
+                for n in [*window, *reversed(window)]:
+                    assert field.coefficient(n) == wants[n], (u, n, w)
+                for n, want in wants.items():
                     assert y_coefficient(u, n, w, ctx) == want, (u, n, w)
                     nonzero += bool(want)
                     past_bound += n > bound
     assert nonzero and past_bound
+
+
+def unpruned_patterns(fields, budget: int):
+    """The annihilation patterns without contraction pruning: every field is
+    offered None and each mode 0..budget, the positive modes summing to at
+    most budget."""
+    if not fields:
+        yield (), 1
+        return
+    n_i = fields[0][1]
+    for j in (None, *range(budget + 1)):
+        c = 1 if j is None else gbinom(-j - 1, n_i - 1)
+        for rest, rc in unpruned_patterns(fields[1:], budget - (j or 0)):
+            yield (j, *rest), c * rc
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("k", [1, -1])
+def test_pruned_patterns_drop_only_annihilated_states(nu, k):
+    cfg = LatticeConfig(nu, k)
+    units = [cfg.dir_vector(i) for i in range(cfg.ndirs)]
+    kept = dropped = 0
+    for ctx in oracle_contexts(cfg):
+        for w in oracle_targets(ctx):
+            for u in oracle_actors(nu):
+                for ufock, _ in u.terms:
+                    for wfock, label in w.terms:
+                        pruned = dict(_annihilation_patterns(ufock, wfock, nu))
+                        full = dict(unpruned_patterns(ufock, fock_weight(wfock)))
+                        assert pruned.items() <= full.items()
+                        for js in full.keys() - pruned.keys():
+                            s = ctx.element({(wfock, label): 1})
+                            for (dir_, _), j in zip(ufock, js):
+                                if j:
+                                    s = apply_heisenberg_mode(units[dir_], j, s, ctx)
+                            assert s.is_zero(), (ufock, wfock, js)
+                        kept += len(pruned)
+                        dropped += len(full) - len(pruned)
+    assert kept and dropped
 
 
 # -- conformal structure ---------------------------------------------------------------
