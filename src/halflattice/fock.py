@@ -111,9 +111,11 @@ def charge_element(nu: int, charge: Iterable[int], coeff=1) -> VElement:
 
 
 def fock_element(nu: int, factors: Iterable, charge: Iterable[int] = None, coeff=1) -> VElement:
+    """The monomial of the (direction, mode) factors at the charge (zero by
+    default); the constructor validates and sorts the factors once."""
     if charge is None:
         charge = (0,) * nu
-    return VElement(nu, {(fock_word(factors), tuple(charge)): coeff})
+    return VElement(nu, {(tuple(map(tuple, factors)), tuple(charge)): coeff})
 
 
 # -- grading ----------------------------------------------------------------------

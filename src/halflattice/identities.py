@@ -6,9 +6,14 @@ exactly when the identity holds there.  Sweeping the indices and deciding
 pass or fail is left to the caller (``SuiteReport.sweep``).  The checkers
 that evaluate fields or Heisenberg modes take an ``ActionCache`` built for
 their context, and raise ``ValueError`` on a cache built for another one.
-The cache prepares one ``Field`` per (u, w), so a sweep takes each
-truncation bound once, shares each pair's annihilation side across every n,
-and computes each u_n w or h(n) s once.
+The cache prepares one ``Field`` per (u, w), so a sweep shares each pair's
+annihilation side across every n and computes each u_n w or h(n) s once.
+The Borcherds and locality residuals of a triple (u, v, w) read one memo of
+it by integer index: its truncation bounds, taken once per triple, and the
+prepared outer fields on its inner products, so a repeated product is found
+without hashing a state.  Where an inner product is zero the memo prepares
+no outer field and the residuals skip the term, as they skip every empty
+product instead of adding it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .vertex import (
     apply_heisenberg_mode,
     conformal_vector,
     gbinom,
+    truncation_bound,
 )
 
 
@@ -34,30 +40,32 @@ class ActionCache:
 
     It prepares one ``Field`` per (u, w) in the context and one per (u, v)
     in the adjoint, each with a table of the coefficients computed so far,
-    keyed by n.  The checkers read the fields' truncation bounds, so a bound
-    is taken once per pair, and every coefficient shares its pair's
-    annihilation halves.  Heisenberg modes h(n) s are keyed by their
-    arguments.
+    keyed by n; when the context is the adjoint itself, the two are one
+    table.  Every coefficient shares its pair's annihilation halves.
+    Heisenberg modes h(n) s are keyed by their arguments.
+
+    ``triple(u, v, w)`` is the memo that the Borcherds and locality
+    residuals of one triple read by integer index: the truncation bounds of
+    (u, w), (v, w) and, in the adjoint, (u, v), and for each inner index b
+    the prepared entries of the outer fields u on v_b w, v on u_b w and
+    u_b v on w.  An entry shares its table with ``act``.  A zero inner
+    product is stored as None and prepares no outer field, since x_a 0 = 0.
     """
 
     def __init__(self, ctx: OperatorContext):
         self.ctx = ctx
         self.adj = adjoint_context(ctx.cfg)
         self._fields: dict = {}  # (u, w) -> (Field in ctx, {n: u_n w})
-        self._adjoint: dict = {}  # (u, v) -> (Field in the adjoint, {n: u_n v})
+        # (u, v) -> (Field in the adjoint, {n: u_n v})
+        self._adjoint: dict = self._fields if ctx is self.adj else {}
         self._modes: dict = {}
-
-    def field(self, u: VElement, w) -> Field:
-        return _prepared(self._fields, u, w, self.ctx)[0]
-
-    def adjoint_field(self, u: VElement, v: VElement) -> Field:
-        return _prepared(self._adjoint, u, v, self.adj)[0]
+        self._triples: dict = {}  # (u, v, w) -> its memo, see triple
 
     def act(self, u: VElement, n: int, w):
-        return _coefficient(self._fields, u, n, w, self.ctx)
+        return _coefficient(_prepared(self._fields, u, w, self.ctx), n)
 
     def adjoint_product(self, u: VElement, n: int, v: VElement) -> VElement:
-        return _coefficient(self._adjoint, u, n, v, self.adj)
+        return _coefficient(_prepared(self._adjoint, u, v, self.adj), n)
 
     def mode(self, h: LatticeVector, n: int, s):
         key = (h, n, s)
@@ -65,6 +73,44 @@ class ActionCache:
         if hit is None:
             hit = self._modes[key] = apply_heisenberg_mode(h, n, s, self.ctx)
         return hit
+
+    def triple(self, u: VElement, v: VElement, w) -> tuple:
+        """The memo of (u, v, w): (b_uw, b_vw, b_uv, u_on_vw, v_on_uw, uv_on_w)."""
+        key = (u, v, w)
+        memo = self._triples.get(key)
+        if memo is None:
+            # the closures hold the tables, not the cache, so that the cache
+            # is freed by reference counting, not by a cycle collection
+            fields, adjoint, ctx, adj = self._fields, self._adjoint, self.ctx, self.adj
+            memo = self._triples[key] = (
+                truncation_bound(u, w, ctx),
+                truncation_bound(v, w, ctx),
+                truncation_bound(u, v, adj),
+                _Outer(lambda b: _coefficient(_prepared(fields, v, w, ctx), b),
+                       lambda x: _prepared(fields, u, x, ctx)),
+                _Outer(lambda b: _coefficient(_prepared(fields, u, w, ctx), b),
+                       lambda x: _prepared(fields, v, x, ctx)),
+                _Outer(lambda b: _coefficient(_prepared(adjoint, u, v, adj), b),
+                       lambda x: _prepared(fields, x, w, ctx)),
+            )
+        return memo
+
+
+class _Outer(dict):
+    """Inner index b -> the entry of the outer field on the b-th inner
+    product, prepared on first use, or None when that product is zero."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, inner, outer):
+        super().__init__()
+        self._inner = inner  # b -> the inner product
+        self._outer = outer  # nonzero inner product -> its outer field's entry
+
+    def __missing__(self, b: int):
+        x = self._inner(b)
+        entry = self[b] = self._outer(x) if x.terms else None
+        return entry
 
 
 def _prepared(fields: dict, u: VElement, w, ctx: OperatorContext) -> tuple:
@@ -75,12 +121,12 @@ def _prepared(fields: dict, u: VElement, w, ctx: OperatorContext) -> tuple:
     return entry
 
 
-def _coefficient(fields: dict, u: VElement, n: int, w, ctx: OperatorContext):
-    """u_n w from the table of its prepared field, computed on first use."""
-    field, table = _prepared(fields, u, w, ctx)
+def _coefficient(entry: tuple, n: int):
+    """u_n w from the table of its prepared field entry, computed on first use."""
+    table = entry[1]
     hit = table.get(n)
     if hit is None:
-        hit = table[n] = field.coefficient(n)
+        hit = table[n] = entry[0].coefficient(n)
     return hit
 
 
@@ -113,7 +159,7 @@ def locality_residual(
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
     _check_cache(ctx, cache)
-    return ctx.element(_commutator_sum(u, v, w, p, k_order, q, ctx, cache))
+    return ctx.element(_commutator_sum(cache.triple(u, v, w), p, k_order, q))
 
 
 def borcherds_residual(
@@ -137,39 +183,45 @@ def borcherds_residual(
     with every sum finite by truncation.
     """
     _check_cache(ctx, cache)
-    out = _commutator_sum(u, v, w, m, n, k, ctx, cache)
+    memo = cache.triple(u, v, w)
+    out = _commutator_sum(memo, m, n, k)
     # the inner product u_{n+i} v lives in the adjoint context, so its
-    # truncation bound must be taken there
-    j_max = max(cache.adjoint_field(u, v).bound - n, 0)
+    # truncation bound is the one taken there
+    _, _, b_uv, _, _, uv_on_w = memo
+    j_max = max(b_uv - n, 0)
     if m >= 0:
         j_max = min(j_max, m)
     for i in range(j_max + 1):
-        c = gbinom(m, i)
-        inner = cache.adjoint_product(u, n + i, v)
-        if inner.is_zero():
-            continue
-        _add_into(out, -c, cache.act(inner, m + k - i, w))
+        entry = uv_on_w[n + i]
+        if entry is not None and (terms := _coefficient(entry, m + k - i).terms):
+            _add_into(out, -gbinom(m, i), terms)
     return ctx.element(out)
 
 
-def _commutator_sum(u, v, w, m: int, n: int, k: int, ctx, cache) -> dict:
+def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> dict:
     """sum_{i>=0} (-1)^i C(n,i) [u_{m+n-i} (v_{k+i} w) - (-1)^n v_{n+k-i} (u_{m+i} w)]
-    as a terms dict, cut off where both inner actions vanish by truncation."""
+    as a terms dict, read from the memo of (u, v, w) and cut off where both
+    inner actions vanish by truncation."""
+    b_uw, b_vw, _, u_on_vw, v_on_uw, _ = memo
     out: dict = {}
-    i_max = max(cache.field(v, w).bound - k, cache.field(u, w).bound - m, 0)
+    i_max = max(b_vw - k, b_uw - m, 0)
     if n >= 0:
         i_max = min(i_max, n)
     sign_n = -1 if n % 2 else 1
     for i in range(i_max + 1):
         c = (-1) ** i * gbinom(n, i)
-        _add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)))
-        _add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)))
+        entry = u_on_vw[k + i]
+        if entry is not None and (terms := _coefficient(entry, m + n - i).terms):
+            _add_into(out, c, terms)
+        entry = v_on_uw[m + i]
+        if entry is not None and (terms := _coefficient(entry, n + k - i).terms):
+            _add_into(out, -c * sign_n, terms)
     return out
 
 
-def _add_into(data: dict, c: int, element) -> None:
-    """Add c times element into the terms dict data, in place."""
-    for t, x in element.terms.items():
+def _add_into(data: dict, c: int, terms: dict) -> None:
+    """Add c times the terms dict terms into the terms dict data, in place."""
+    for t, x in terms.items():
         accumulate(data, t, c * x)
 
 
@@ -188,10 +240,10 @@ def heisenberg_residual(
     """
     _check_cache(ctx, cache)
     out: dict = {}
-    _add_into(out, 1, apply_heisenberg_mode(h1, m, cache.mode(h2, n, s), ctx))
-    _add_into(out, -1, apply_heisenberg_mode(h2, n, cache.mode(h1, m, s), ctx))
+    _add_into(out, 1, apply_heisenberg_mode(h1, m, cache.mode(h2, n, s), ctx).terms)
+    _add_into(out, -1, apply_heisenberg_mode(h2, n, cache.mode(h1, m, s), ctx).terms)
     if m + n == 0:
-        _add_into(out, -m * ctx.cfg.pairing(h1, h2), s)
+        _add_into(out, -m * ctx.cfg.pairing(h1, h2), s.terms)
     return ctx.element(out)
 
 

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from halflattice import identities
 from halflattice.assoc import WeightModule
-from halflattice.fock import charge_element, fock_element, vacuum
+from halflattice.fock import VElement, charge_element, fock_element, vacuum
 from halflattice.identities import (
     ActionCache,
     borcherds_residual,
@@ -27,7 +28,8 @@ from halflattice.identities import (
 )
 from halflattice.lattice import LatticeConfig
 from halflattice.probes import rand_module_element, rand_velement
-from halflattice.vertex import adjoint_context, module_operator_context, truncation_bound
+from halflattice.suites import _module_contexts
+from halflattice.vertex import Field, adjoint_context, module_operator_context, truncation_bound
 
 CFG1 = LatticeConfig(nu=1, k=1)
 CFG2 = LatticeConfig(nu=2, k=1)
@@ -301,3 +303,55 @@ def test_checkers_reject_a_cache_built_for_another_context():
         with pytest.raises(ValueError, match="another context"):
             call(ActionCache(other))
         assert call(ActionCache(ctx)).is_zero()
+
+
+def test_triple_memo_matches_a_fresh_cache_per_call():
+    # One shared cache reads each triple's memo by index; a fresh cache per
+    # call builds the memo from nothing.  The triples are interleaved index
+    # by index, and two of them differ only in the order of u and v and two
+    # only in w, so a memo read for the wrong triple changes a residual.
+    # Locality below the true order gives nonzero residuals to compare.  The
+    # module contexts are the weight and function modules the suites sweep.
+    rng = random.Random(53)
+    c1, d1 = fock_element(1, [(0, 1)]), fock_element(1, [(1, 1)])
+    ep, em = charge_element(1, (1,)), charge_element(1, (-1,))
+    nonzero = 0
+    for ctx in [adjoint_context(CFG1)] + [mctx for _, mctx in _module_contexts(CFG1)]:
+        if isinstance(ctx.zero, VElement):
+            w1, w2 = vacuum(1), rand_velement(rng, CFG1, n_terms=2, max_weight=2)
+        else:
+            w1 = ctx.state_of_label(ctx.handle.base_label())
+            w2 = rand_module_element(rng, CFG1, ctx.handle, max_weight=2)
+        triples = [(d1, ep, w1), (ep, d1, w1), (d1, ep, w2), (em, c1, w2)]
+        shared = ActionCache(ctx)
+        for m, n, k in TRIPLES2:
+            for u, v, w in triples:
+                got = borcherds_residual(u, v, w, m, n, k, ctx, shared)
+                assert got == borcherds_residual(u, v, w, m, n, k, ctx, ActionCache(ctx))
+                assert got.is_zero(), (ctx.handle, m, n, k)
+        for p, q in itertools.product(WINDOW2, WINDOW2):
+            for u, v, w in triples:
+                got = locality_residual(u, v, w, p, q, 0, ctx, shared)
+                assert got == locality_residual(u, v, w, p, q, 0, ctx, ActionCache(ctx))
+                nonzero += bool(got)
+    assert nonzero
+
+
+def test_zero_inner_product_prepares_no_outer_field(monkeypatch):
+    # v_0 1 = 0 for the Heisenberg field v, so at k = 0 the inner product
+    # v_{k+i} w of the commutator side vanishes and u must not act on it
+    ctx = adjoint_context(CFG1)
+    u, v, one = charge_element(1, (1,)), fock_element(1, [(0, 1)]), vacuum(1)
+    assert ActionCache(ctx).act(v, 0, one).is_zero()
+    prepared = []
+
+    def recording(x, y, field_ctx):
+        prepared.append((x, y))
+        return Field(x, y, field_ctx)
+
+    monkeypatch.setattr(identities, "Field", recording)
+    cache = ActionCache(ctx)
+    for m, n in itertools.product(WINDOW2, WINDOW2):
+        assert borcherds_residual(u, v, one, m, n, 0, ctx, cache).is_zero()
+        assert locality_residual(u, v, one, m, n, 1, ctx, cache).is_zero()
+    assert prepared and all(x and y for x, y in prepared)

@@ -52,25 +52,32 @@ def test_every_workload_passes_its_expected_checks():
 
 
 def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
-    # The number of coefficients computed and the terms they hold, at seed 7.
-    # perfbench's tracer counts them at vertex.y_coefficient, which the
-    # cache's prepared fields bypass; these are the counts it read when every
-    # cache miss went through y_coefficient.
+    # The fields prepared, the coefficients computed and the terms those
+    # hold, at seed 7.  perfbench's tracer counts coefficients at
+    # vertex.y_coefficient, which the cache's prepared fields bypass, so they
+    # are counted here at Field.__init__ and Field.coefficient.  On jacobi the
+    # checkers compute each adjoint product once, in the one table the
+    # adjoint context shares, and never act on a zero inner product.
     from halflattice.vertex import Field
 
     workloads = _load("workloads")
-    coefficient = Field.coefficient
-    counts = [0, 0]
+    init, coefficient = Field.__init__, Field.coefficient
+    counts = [0, 0, 0]
+
+    def counted_init(self, u, w, ctx):
+        init(self, u, w, ctx)
+        counts[0] += 1
 
     def counted(self, n):
         result = coefficient(self, n)
-        counts[0] += 1
-        counts[1] += len(result)
+        counts[1] += 1
+        counts[2] += len(result)
         return result
 
+    monkeypatch.setattr(Field, "__init__", counted_init)
     monkeypatch.setattr(Field, "coefficient", counted)
-    for name, want in (("jacobi", [2808, 5144]), ("dressing", [100, 2121])):
-        counts[:] = [0, 0]
+    for name, want in (("jacobi", [280, 2680, 5100]), ("dressing", [36, 100, 2121])):
+        counts[:] = [0, 0, 0]
         for _, call in workloads["plan"](name, 7):
             call()
         assert counts == want, name
