@@ -25,8 +25,6 @@ from .assoc import (
     is_a_module_spec,
     iso_decide,
     mult_b_element,
-    omega_d_act,
-    omega_e_act,
     simplicity_witness,
 )
 from .bridge import (

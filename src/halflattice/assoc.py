@@ -16,8 +16,9 @@ polynomials in t_1..t_{mu-1} times polynomials in t_mu..t_nu acting on a
 cyclic symbol: e_alpha multiplies by a monomial in the Laurent variables and
 shifts the polynomial ones, d_j acts as the degree derivation plus a fixed
 multiplier f_j for j < mu and as multiplication by t_j for j >= mu.  Each
-module is defined once, by its label actions, which ``act_on_labels``
-applies for the algebra action and the vertex engine alike.
+module is defined once, by its label actions on lattice points or exponent
+tuples, which ``act_on_labels`` applies for the algebra action and the
+vertex engine alike; the algebra action checks each generator's rank first.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .combination import Combination, accumulate, integer, rational
@@ -54,10 +56,6 @@ class BElement(Combination):
     @staticmethod
     def one() -> "BElement":
         return BElement({(): 1})
-
-    @staticmethod
-    def zero() -> "BElement":
-        return BElement({})
 
     @staticmethod
     def e(charge: Iterable[int]) -> "BElement":
@@ -131,8 +129,6 @@ class AElement(Combination):
         Moving the left d-monomial past the right charge costs binomial
         corrections: d^K e_b = e_b prod_i (d_i + (d_i, b))^{K_i}.
         """
-        from math import comb
-
         data: dict = {}
         for (a, K), c1 in self.terms.items():
             for (b, L), c2 in other.terms.items():
@@ -303,12 +299,18 @@ def act_on_labels(states: dict, action, arg) -> dict:
 
 def _act_on_module(x: BElement, vector: Mapping, module) -> dict:
     """x on a module vector {label: coefficient}, by linear extension of the
-    module's label actions, each word applied right to left."""
+    module's label actions, each word applied right to left.  Every
+    generator is checked against the rank here, so the label actions need
+    no check of their own."""
+    nu = module.cfg.nu
     states = {((), label): c for label, c in vector.items()}
     out: dict = {}
     for word, coeff in x.terms.items():
         acted = states
         for g in reversed(word):
+            fits = len(g[1]) == nu if g[0] == "e" else 1 <= g[1] <= nu
+            if not fits:
+                raise ValueError(f"generator {BElement({(g,): 1})} does not act at rank {nu}")
             acted = act_on_labels(acted, module.e_action if g[0] == "e" else module.d_action, g[1])
         for (_, lab), c in acted.items():
             accumulate(out, lab, coeff * c)
@@ -367,37 +369,6 @@ class OmegaSpec:
         return self.f[j - 1]
 
 
-def omega_e_act(spec: OmegaSpec, charge: tuple, f: LaurentPoly) -> LaurentPoly:
-    """Translation action on the function module.
-
-    For alpha = sum m_i c_i this multiplies by the monomial in the Laurent
-    variables and applies the scaled substitution t_i -> t_i - m_i in each
-    polynomial variable.
-    """
-    if f.ring != spec.ring:
-        raise ValueError("polynomial does not live in the module ring")
-    out = f
-    for i in range(spec.mu, spec.nu + 1):
-        m_i, a_i = charge[i - 1], spec.a_of(i)
-        if m_i:
-            out = (a_i ** m_i if m_i > 0 else Fraction(1, a_i ** -m_i)) * out.shift(i, m_i)
-    exps = [charge[i] if i < spec.mu - 1 else 0 for i in range(spec.nu)]
-    if any(exps):
-        out = spec.ring.monomial(exps) * out
-    return out
-
-
-def omega_d_act(spec: OmegaSpec, j: int, f: LaurentPoly) -> LaurentPoly:
-    """Degree operator action: t_j d/dt_j + f_j below the cutoff, else t_j."""
-    if f.ring != spec.ring:
-        raise ValueError("polynomial does not live in the module ring")
-    if not 1 <= j <= spec.nu:
-        raise ValueError(f"index {j} out of range 1..{spec.nu}")
-    if j <= spec.mu - 1:
-        return f.degree_derivation(j) + spec.f_of(j) * f
-    return spec.ring.variable(j) * f
-
-
 def act_on_omega_module(x: BElement, f: LaurentPoly, spec: OmegaSpec) -> LaurentPoly:
     """The straightened algebra on a function module, through its ``OmegaModule``."""
     if f.ring != spec.ring:
@@ -427,12 +398,30 @@ class OmegaModule:
         return self.spec.ring.check_exponents(label)
 
     def e_action(self, charge: tuple, label: tuple):
-        poly = omega_e_act(self.spec, charge, LaurentPoly(self.spec.ring, {label: 1}))
-        return [(c, e) for e, c in poly.sorted_terms()]
+        """e_alpha on t^label: the Laurent exponents add alpha's, and each
+        polynomial variable's t_i^e becomes a_i^(m_i) (t_i - m_i)^e, expanded;
+        the terms come in ascending label order."""
+        cut = self.spec.mu - 1
+        out = [(1, tuple(e + m for e, m in zip(label[:cut], charge)))]
+        for i in range(cut, self.spec.nu):
+            e, m = label[i], charge[i]
+            if not m:
+                out = [(c, lab + (e,)) for c, lab in out]
+                continue
+            scale = Fraction(self.spec.a[i - cut]) ** m
+            out = [(rational(c * scale * comb(e, p) * (-m) ** (e - p)), lab + (p,))
+                   for c, lab in out for p in range(e + 1)]
+        return out
 
     def d_action(self, j: int, label: tuple):
-        poly = omega_d_act(self.spec, j, LaurentPoly(self.spec.ring, {label: 1}))
-        return [(c, e) for e, c in poly.sorted_terms()]
+        """d_j on t^label: below the cutoff the degree e_j plus the multiplier
+        f_j's monomials, from it on a raise of t_j; in ascending label order."""
+        if j >= self.spec.mu:
+            return [(1, label[: j - 1] + (label[j - 1] + 1,) + label[j:])]
+        out = {label: label[j - 1]} if label[j - 1] else {}
+        for exps, c in self.spec.f_of(j).terms.items():
+            accumulate(out, tuple(a + b for a, b in zip(label, exps)), c)
+        return [(c, lab) for lab, c in sorted(out.items())]
 
     def probe_labels(self, laurent_radius: int = 1, poly_degree: int = 2) -> list[tuple]:
         ranges = []

@@ -46,6 +46,7 @@ from .serialize import (
     velement_to_data,
     w_handle_from_data,
     weight_vector_from_data,
+    weight_vector_to_data,
 )
 from .suites import SUITES, SuiteConfig, run_verification
 from .vertex import nth_product
@@ -142,19 +143,11 @@ def _cmd_eval_act(args) -> int:
         f = laurent_from_data(_load_doc(args.m), handle.spec.ring, "m")
         result = act_on_omega_module(x, f, handle.spec)
         payload = laurent_to_data(result)
-        text = str(result)
     else:
         m = weight_vector_from_data(_load_doc(args.m), handle, "m")
         result = act_on_weight_module(x, m, handle)
-        payload = [
-            {"coeff": format_fraction(c), "point": [format_fraction(p) for p in pt]}
-            for pt, c in sorted(result.terms.items())
-        ]
-        text = str(result)
-    if args.json:
-        print(_dump(payload))
-    else:
-        print(text)
+        payload = weight_vector_to_data(result)
+    print(_dump(payload) if args.json else result)
     return 0
 
 

@@ -136,10 +136,9 @@ def _charge_str(charge: tuple) -> str:
         return "1"
     parts = []
     for i, m in enumerate(charge):
-        if m == 1:
-            parts.append(f"c{i + 1}")
-        elif m:
-            parts.append(f"{m}c{i + 1}")
+        if m:
+            coeff = {1: "", -1: "-"}.get(m, m)  # a unit entry prints as its sign
+            parts.append(f"{coeff}c{i + 1}")
     return "e^{" + "+".join(parts).replace("+-", "-") + "}"
 
 

@@ -6,14 +6,15 @@ exactly when the identity holds there.  Sweeping the indices and deciding
 pass or fail is left to the caller (``SuiteReport.sweep``).  The checkers
 that evaluate fields or Heisenberg modes take an ``ActionCache`` built for
 their context, and raise ``ValueError`` on a cache built for another one.
-The cache prepares one ``Field`` per (u, w), so a sweep shares each pair's
-annihilation side across every n and computes each u_n w or h(n) s once.
-The Borcherds and locality residuals of a triple (u, v, w) read one memo of
-it by integer index: its truncation bounds, taken once per triple, and the
-prepared outer fields on its inner products, so a repeated product is found
-without hashing a state.  Where an inner product is zero the memo prepares
-no outer field and the residuals skip the term, as they skip every empty
-product instead of adding it.
+The cache prepares one ``Field`` per (u, w), which keeps its coefficients,
+so a sweep shares each pair's annihilation side across every n and computes
+each u_n w or h(n) s once.  The Borcherds and locality residuals of a
+triple (u, v, w) read one memo of it by integer index: the fields of its
+inner pairs, whose truncation bounds they read, and the outer fields on its
+inner products, so a repeated product is found without hashing a state.
+Where an inner product is zero the memo prepares no outer field and the
+residuals skip the term, as they skip every empty product instead of adding
+it.
 """
 
 from __future__ import annotations
@@ -30,42 +31,41 @@ from .vertex import (
     apply_heisenberg_mode,
     conformal_vector,
     gbinom,
-    truncation_bound,
 )
 
 
 class ActionCache:
-    """Memoized fields, their coefficients and Heisenberg modes for one
-    context (plus its adjoint side).
+    """Memoized fields and Heisenberg modes for one context (plus its
+    adjoint side).
 
     It prepares one ``Field`` per (u, w) in the context and one per (u, v)
-    in the adjoint, each with a table of the coefficients computed so far,
-    keyed by n; when the context is the adjoint itself, the two are one
-    table.  Every coefficient shares its pair's annihilation halves.
-    Heisenberg modes h(n) s are keyed by their arguments.
+    in the adjoint, and each field keeps the coefficients it has computed;
+    when the context is the adjoint itself, the two are one table.  Every
+    coefficient shares its pair's annihilation halves.  Heisenberg modes
+    h(n) s are keyed by their arguments.
 
     ``triple(u, v, w)`` is the memo that the Borcherds and locality
-    residuals of one triple read by integer index: the truncation bounds of
-    (u, w), (v, w) and, in the adjoint, (u, v), and for each inner index b
-    the prepared entries of the outer fields u on v_b w, v on u_b w and
-    u_b v on w.  An entry shares its table with ``act``.  A zero inner
-    product is stored as None and prepares no outer field, since x_a 0 = 0.
+    residuals of one triple read by integer index: for each inner index b
+    the outer fields u on v_b w, v on u_b w and u_b v on w, which are the
+    table's own fields.  The truncation bounds are read off the inner pair
+    fields (v, w), (u, w) and, in the adjoint, (u, v); the adjoint one is
+    prepared only when a residual asks for it.  A zero inner product is
+    stored as None and prepares no outer field, since x_a 0 = 0.
     """
 
     def __init__(self, ctx: OperatorContext):
         self.ctx = ctx
         self.adj = adjoint_context(ctx.cfg)
-        self._fields: dict = {}  # (u, w) -> (Field in ctx, {n: u_n w})
-        # (u, v) -> (Field in the adjoint, {n: u_n v})
-        self._adjoint: dict = self._fields if ctx is self.adj else {}
+        self._fields: dict = {}  # (u, w) -> Field in ctx
+        self._adjoint: dict = self._fields if ctx is self.adj else {}  # (u, v) -> Field in adj
         self._modes: dict = {}
         self._triples: dict = {}  # (u, v, w) -> its memo, see triple
 
     def act(self, u: VElement, n: int, w):
-        return _coefficient(_prepared(self._fields, u, w, self.ctx), n)
+        return _field(self._fields, u, w, self.ctx).coefficient(n)
 
     def adjoint_product(self, u: VElement, n: int, v: VElement) -> VElement:
-        return _coefficient(_prepared(self._adjoint, u, v, self.adj), n)
+        return _field(self._adjoint, u, v, self.adj).coefficient(n)
 
     def mode(self, h: LatticeVector, n: int, s):
         key = (h, n, s)
@@ -75,59 +75,51 @@ class ActionCache:
         return hit
 
     def triple(self, u: VElement, v: VElement, w) -> tuple:
-        """The memo of (u, v, w): (b_uw, b_vw, b_uv, u_on_vw, v_on_uw, uv_on_w)."""
+        """The memo of (u, v, w): the ``_Outer`` maps (u_on_vw, v_on_uw, uv_on_w)."""
         key = (u, v, w)
         memo = self._triples.get(key)
         if memo is None:
-            # the closures hold the tables, not the cache, so that the cache
+            # the maps hold the tables, not the cache, so that the cache
             # is freed by reference counting, not by a cycle collection
             fields, adjoint, ctx, adj = self._fields, self._adjoint, self.ctx, self.adj
             memo = self._triples[key] = (
-                truncation_bound(u, w, ctx),
-                truncation_bound(v, w, ctx),
-                truncation_bound(u, v, adj),
-                _Outer(lambda b: _coefficient(_prepared(fields, v, w, ctx), b),
-                       lambda x: _prepared(fields, u, x, ctx)),
-                _Outer(lambda b: _coefficient(_prepared(fields, u, w, ctx), b),
-                       lambda x: _prepared(fields, v, x, ctx)),
-                _Outer(lambda b: _coefficient(_prepared(adjoint, u, v, adj), b),
-                       lambda x: _prepared(fields, x, w, ctx)),
+                _Outer((fields, v, w, ctx), lambda x: _field(fields, u, x, ctx)),
+                _Outer((fields, u, w, ctx), lambda x: _field(fields, v, x, ctx)),
+                _Outer((adjoint, u, v, adj), lambda x: _field(fields, x, w, ctx)),
             )
         return memo
 
 
 class _Outer(dict):
-    """Inner index b -> the entry of the outer field on the b-th inner
-    product, prepared on first use, or None when that product is zero."""
+    """Inner index b -> the outer field on the b-th inner product x_b y,
+    prepared on first use, or None when that product is zero.  ``inner()``
+    is the field of x on y, itself prepared on first use."""
 
-    __slots__ = ("_inner", "_outer")
+    __slots__ = ("_pair", "_inner", "_outer")
 
-    def __init__(self, inner, outer):
+    def __init__(self, pair: tuple, outer):
         super().__init__()
-        self._inner = inner  # b -> the inner product
-        self._outer = outer  # nonzero inner product -> its outer field's entry
+        self._pair = pair  # (table, x, y, ctx) of the inner field
+        self._inner = None
+        self._outer = outer  # nonzero inner product -> its outer field
+
+    def inner(self) -> Field:
+        if self._inner is None:
+            self._inner = _field(*self._pair)
+        return self._inner
 
     def __missing__(self, b: int):
-        x = self._inner(b)
+        x = self.inner().coefficient(b)
         entry = self[b] = self._outer(x) if x.terms else None
         return entry
 
 
-def _prepared(fields: dict, u: VElement, w, ctx: OperatorContext) -> tuple:
-    """The (field, table) entry of (u, w), prepared on first use."""
-    entry = fields.get((u, w))
-    if entry is None:
-        entry = fields[(u, w)] = (Field(u, w, ctx), {})
-    return entry
-
-
-def _coefficient(entry: tuple, n: int):
-    """u_n w from the table of its prepared field entry, computed on first use."""
-    table = entry[1]
-    hit = table.get(n)
-    if hit is None:
-        hit = table[n] = entry[0].coefficient(n)
-    return hit
+def _field(fields: dict, u: VElement, w, ctx: OperatorContext) -> Field:
+    """The field of (u, w) in its table, prepared on first use."""
+    field = fields.get((u, w))
+    if field is None:
+        field = fields[(u, w)] = Field(u, w, ctx)
+    return field
 
 
 def _check_cache(ctx: OperatorContext, cache: ActionCache) -> None:
@@ -187,13 +179,13 @@ def borcherds_residual(
     out = _commutator_sum(memo, m, n, k)
     # the inner product u_{n+i} v lives in the adjoint context, so its
     # truncation bound is the one taken there
-    _, _, b_uv, _, _, uv_on_w = memo
-    j_max = max(b_uv - n, 0)
+    uv_on_w = memo[2]
+    j_max = max(uv_on_w.inner().bound - n, 0)
     if m >= 0:
         j_max = min(j_max, m)
     for i in range(j_max + 1):
-        entry = uv_on_w[n + i]
-        if entry is not None and (terms := _coefficient(entry, m + k - i).terms):
+        field = uv_on_w[n + i]
+        if field is not None and (terms := field.coefficient(m + k - i).terms):
             _add_into(out, -gbinom(m, i), terms)
     return ctx.element(out)
 
@@ -202,19 +194,19 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> dict:
     """sum_{i>=0} (-1)^i C(n,i) [u_{m+n-i} (v_{k+i} w) - (-1)^n v_{n+k-i} (u_{m+i} w)]
     as a terms dict, read from the memo of (u, v, w) and cut off where both
     inner actions vanish by truncation."""
-    b_uw, b_vw, _, u_on_vw, v_on_uw, _ = memo
+    u_on_vw, v_on_uw, _ = memo
     out: dict = {}
-    i_max = max(b_vw - k, b_uw - m, 0)
+    i_max = max(u_on_vw.inner().bound - k, v_on_uw.inner().bound - m, 0)
     if n >= 0:
         i_max = min(i_max, n)
     sign_n = -1 if n % 2 else 1
     for i in range(i_max + 1):
         c = (-1) ** i * gbinom(n, i)
-        entry = u_on_vw[k + i]
-        if entry is not None and (terms := _coefficient(entry, m + n - i).terms):
+        field = u_on_vw[k + i]
+        if field is not None and (terms := field.coefficient(m + n - i).terms):
             _add_into(out, c, terms)
-        entry = v_on_uw[m + i]
-        if entry is not None and (terms := _coefficient(entry, n + k - i).terms):
+        field = v_on_uw[m + i]
+        if field is not None and (terms := field.coefficient(n + k - i).terms):
             _add_into(out, -c * sign_n, terms)
     return out
 

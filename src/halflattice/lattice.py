@@ -92,6 +92,8 @@ class LatticeConfig:
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "nu", integer(self.nu))
+        object.__setattr__(self, "k", integer(self.k))
         if self.nu < 1:
             raise ValueError("nu must be a positive integer")
         if self.k == 0:

@@ -1,5 +1,6 @@
-"""JSON schemas for elements, module specs, and configuration.
+"""JSON schemas for elements, module vectors and module specs.
 
+The configuration document is read by the CLI (``cli._suite_config``).
 Rationals travel as the text "p/q", or "p" when the denominator is one.
 Diagnostics name the offending field by path so CLI users can locate schema
 violations without reading tracebacks.  A record with a key its schema does
@@ -128,6 +129,13 @@ def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VEleme
         charge = tuple(_int(m, f"{path}.terms[{i}].charge") for m in charge)
         accumulate(terms, (tuple(fock), charge), coeff)
     return VElement(cfg.nu, terms)
+
+
+def weight_vector_to_data(m: WeightVector) -> list:
+    return [
+        {"coeff": format_fraction(c), "point": [format_fraction(p) for p in pt]}
+        for pt, c in m.sorted_terms()
+    ]
 
 
 def weight_vector_from_data(doc, handle: WeightModule, path: str = "m") -> WeightVector:

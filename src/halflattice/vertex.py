@@ -8,7 +8,8 @@ with the exponential dressing of the lattice operator for e^alpha:
     E^{+-}(beta, z) = exp( sum_{n in +-N} beta(n) z^{-n} / n ).
 
 Nothing here materializes a series: a ``Field`` prepares the field of u on
-one state w, and ``coefficient(n)`` extracts one z-power of it.  Normal
+one state w, and ``coefficient(n)`` extracts one z-power of it, which the
+field keeps for the next ask of the same n.  Normal
 ordering places creation modes and the charge shift to the left of zero
 modes, which sit to the left of annihilation modes; the scalar power z^alpha
 acts as z to the pairing of alpha with the module weight (zero on the
@@ -252,10 +253,12 @@ class Field:
     charge power.  The annihilation halves are summed per (creating fields,
     alpha, J), and only the nonzero sums are kept.  ``coefficient(n)``
     merges each sum whose creation half at J - n is nonzero into every word
-    of that sum.  ``bound`` is the truncation bound of the pair, taken once.
+    of that sum, and the field keeps each coefficient it computes, so every
+    later ask of that n is a lookup.  ``bound`` is the truncation bound of
+    the pair, taken once.
     """
 
-    __slots__ = ("ctx", "bound", "_groups")
+    __slots__ = ("ctx", "bound", "_groups", "_coefficients")
 
     def __init__(self, u: VElement, w, ctx: OperatorContext):
         if not isinstance(u, VElement):
@@ -298,9 +301,13 @@ class Field:
             (creating, alpha, shift, sum(m for _, m in creating), tuple(mid.items()))
             for (creating, alpha, shift), mid in sums.items() if mid
         )
+        self._coefficients: dict = {}  # n -> u_n w, as computed so far
 
     def coefficient(self, n: int):
-        """The coefficient u_n w of z^(-n-1)."""
+        """The coefficient u_n w of z^(-n-1), computed on the first ask of n."""
+        hit = self._coefficients.get(n)
+        if hit is not None:
+            return hit
         out: dict = {}
         for creating, alpha, shift, weight, mid in self._groups:
             if shift - n < weight:
@@ -309,7 +316,8 @@ class Field:
             for (word, lab), c in mid:
                 for created, q in half:
                     accumulate(out, (merge_words(word, created), lab), c * q)
-        return self.ctx.element(out)
+        hit = self._coefficients[n] = self.ctx.element(out)
+        return hit
 
 
 def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):

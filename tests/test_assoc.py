@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,6 @@ from halflattice.assoc import (
     is_a_module_spec,
     iso_decide,
     mult_b_element,
-    omega_d_act,
-    omega_e_act,
     simplicity_witness,
 )
 from halflattice.lattice import LatticeConfig
@@ -35,6 +34,28 @@ R22 = LaurentRing(2, 2)  # mu = 3 shapes
 
 def spec_mu2(a2=3):
     return OmegaSpec(2, 2, (R21.variable(1),), (Fraction(a2),))
+
+
+# -- oracle: the function module's generators on whole polynomials ------------------
+
+
+def poly_e_act(spec: OmegaSpec, charge: tuple, f):
+    """e_alpha multiplies by the monomial of alpha in the Laurent variables and
+    applies the scaled substitution t_i -> t_i - m_i in each polynomial one."""
+    out = f
+    for i in range(spec.mu, spec.nu + 1):
+        m_i = charge[i - 1]
+        if m_i:
+            out = Fraction(spec.a_of(i)) ** m_i * out.shift(i, m_i)
+    exps = [charge[i] if i < spec.mu - 1 else 0 for i in range(spec.nu)]
+    return spec.ring.monomial(exps) * out
+
+
+def poly_d_act(spec: OmegaSpec, j: int, f):
+    """d_j is t_j d/dt_j + f_j below the cutoff and t_j from it on."""
+    if j <= spec.mu - 1:
+        return f.degree_derivation(j) + spec.f_of(j) * f
+    return spec.ring.variable(j) * f
 
 
 # -- straightening ----------------------------------------------------------------
@@ -169,8 +190,9 @@ def test_degree_operator_at_cutoff():
 def test_negative_translation_inverts():
     spec = spec_mu2()
     f = R21.monomial((2, 1), Fraction(1, 2))
-    forward = omega_e_act(spec, (1, 2), f)
-    back = omega_e_act(spec, (-1, -2), forward)
+    forward = act_on_omega_module(BElement.e((1, 2)), f, spec)
+    assert forward == poly_e_act(spec, (1, 2), f)
+    back = act_on_omega_module(BElement.e((-1, -2)), forward, spec)
     assert back == f
 
 
@@ -210,9 +232,26 @@ def test_function_module_action_matches_the_polynomial_actions():
         for word, coeff in x.terms.items():
             g = f
             for kind, arg in reversed(word):
-                g = omega_e_act(spec, arg, g) if kind == "e" else omega_d_act(spec, arg, g)
+                g = poly_e_act(spec, arg, g) if kind == "e" else poly_d_act(spec, arg, g)
             want = want + coeff * g
         assert act_on_omega_module(x, f, spec) == want
+
+
+@pytest.mark.parametrize("x, name", [
+    (BElement.e((1,)), "e[1]"),  # a short charge
+    (BElement.e((1, 2, 3)), "e[1,2,3]"),  # a long charge, once silently cut
+    (BElement.d(3), "d3"),
+    (BElement.d(0), "d0"),
+])
+def test_generators_of_the_wrong_rank_are_rejected(x, name):
+    W = WeightModule(CFG2, [Fraction(1, 2), 0])
+    point = WeightVector.point((Fraction(1, 2), 0))
+    word = BElement.d(1) * x * BElement.e((0, 1))  # checked wherever it stands
+    for y in (x, word):
+        with pytest.raises(ValueError, match=rf"generator {re.escape(name)} does not act at rank 2"):
+            act_on_weight_module(y, point, W)
+        with pytest.raises(ValueError, match=rf"generator {re.escape(name)} does not act at rank 2"):
+            act_on_omega_module(y, R21.variable(1), spec_mu2())
 
 
 def test_function_module_action_checks_the_ring_once():
@@ -237,16 +276,29 @@ def test_shift_identity():
 
 
 def test_module_handle_label_actions_match_poly_actions():
-    spec = spec_mu2()
-    handle = OmegaModule(CFG2, spec)
-    for label in [(0, 0), (2, 1), (-1, 3)]:
-        mono = R21.monomial(label)
-        for charge in [(1, 0), (0, 1), (-2, 1)]:
-            got = sum(
-                (R21.monomial(lab, c) for c, lab in handle.e_action(charge, label)),
-                start=R21.zero(),
-            )
-            assert got == omega_e_act(spec, charge, mono)
+    # every shape: mu = 1, 2 and 3, with integer and fractional shift
+    # constants, and a constant multiplier term that cancels the degree
+    t1, t2 = R22.variable(1), R22.variable(2)
+    specs = [
+        spec_mu2(),
+        spec_mu2(a2=Fraction(-2, 3)),
+        OmegaSpec(2, 1, (), (2, Fraction(1, 2))),
+        OmegaSpec(2, 3, (t1 * t2 - Fraction(1, 2) * t1 * t1, R22.constant(2) + t2), ()),
+    ]
+    charges = [(1, 0), (0, 1), (-2, 1), (1, -2), (0, 0)]
+    for spec in specs:
+        handle = OmegaModule(CFG2, spec)
+        for label in handle.probe_labels(laurent_radius=2) + [(-1, 3), (-2, -2)]:
+            if min(label[spec.mu - 1:], default=0) < 0:
+                continue  # not a monomial of this ring
+            mono = spec.ring.monomial(label)
+            actions = [(handle.e_action(charge, label), poly_e_act(spec, charge, mono))
+                       for charge in charges]
+            actions += [(handle.d_action(j, label), poly_d_act(spec, j, mono)) for j in (1, 2)]
+            for got, want in actions:
+                labels = [lab for _, lab in got]
+                assert labels == sorted(set(labels)) and all(c for c, _ in got)
+                assert spec.ring.from_terms({lab: c for c, lab in got}) == want
 
 
 def test_omega_module_requires_unimodular_pairing():

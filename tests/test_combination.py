@@ -13,12 +13,13 @@ import pytest
 
 from halflattice.assoc import (
     AElement,
+    BElement,
     OmegaSpec,
     WeightModule,
+    act_on_omega_module,
     decompose_potential,
     gen_d,
     gen_e,
-    omega_e_act,
     simplicity_witness,
 )
 from halflattice.bridge import charge_sector, z_operator
@@ -145,10 +146,10 @@ def test_translation_by_a_negative_charge_divides_exactly():
     # e_{-c_1} on an integer-valued spec (a_1 = 2) scales by a_1^(-1) = 1/2
     spec = OmegaSpec(1, 1, (), (Fraction(2),))
     assert spec.a == (2,) and type(spec.a[0]) is int
-    got = omega_e_act(spec, (-1,), spec.ring.one())
+    got = act_on_omega_module(BElement.e((-1,)), spec.ring.one(), spec)
     assert got == spec.ring.constant(Fraction(1, 2))
     assert canonical(got.terms.values())
-    got = omega_e_act(spec, (-2,), spec.ring.variable(1))
+    got = act_on_omega_module(BElement.e((-2,)), spec.ring.variable(1), spec)
     assert canonical(got.terms.values()) and Fraction(1, 4) in got.terms.values()
 
 

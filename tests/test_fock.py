@@ -151,6 +151,12 @@ def test_rank_mismatch_rejected():
         vacuum(2) + vacuum(3)
 
 
+def test_charges_print_unit_entries_as_signs():
+    assert str(charge_element(2, (1, -1))) == "e^{c1-c2}"
+    assert str(charge_element(2, (-1, 0))) == "e^{-c1}"
+    assert str(charge_element(2, (-2, 3))) == "e^{-2c1+3c2}"
+
+
 def test_module_state():
     # a creation mode on the unit state of an opaque label
     cfg = LatticeConfig(nu=1, k=1)

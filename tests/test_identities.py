@@ -355,3 +355,24 @@ def test_zero_inner_product_prepares_no_outer_field(monkeypatch):
         assert borcherds_residual(u, v, one, m, n, 0, ctx, cache).is_zero()
         assert locality_residual(u, v, one, m, n, 1, ctx, cache).is_zero()
     assert prepared and all(x and y for x, y in prepared)
+
+
+def test_locality_prepares_no_adjoint_field(monkeypatch):
+    # locality reads no inner product u_j v, so the memo leaves the adjoint
+    # field of (u, v) unprepared until a Borcherds residual asks for it
+    (_, ctx), *_ = _module_contexts(CFG1)
+    u, v = fock_element(1, [(1, 1)]), charge_element(1, (1,))
+    w = ctx.state_of_label(ctx.handle.base_label())
+    prepared = []
+
+    def recording(x, y, field_ctx):
+        prepared.append(field_ctx)
+        return Field(x, y, field_ctx)
+
+    monkeypatch.setattr(identities, "Field", recording)
+    cache = ActionCache(ctx)
+    for p, q in itertools.product(WINDOW2, WINDOW2):
+        assert locality_residual(u, v, w, p, q, 1, ctx, cache).is_zero()
+    assert prepared and all(c is ctx for c in prepared)
+    assert borcherds_residual(u, v, w, 0, 0, 0, ctx, cache).is_zero()
+    assert cache.adj in prepared

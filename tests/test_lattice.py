@@ -77,6 +77,17 @@ def test_config_validation():
         LatticeConfig(nu=2, k=0)
 
 
+@pytest.mark.parametrize("nu, k", [(2, Fraction(1, 2)), (1.0, 1), (2, 1.0), (Fraction(3, 2), 1)])
+def test_config_rejects_non_integers(nu, k):
+    with pytest.raises(TypeError):
+        LatticeConfig(nu, k)
+
+
+def test_config_normalizes_whole_fractions():
+    cfg = LatticeConfig(Fraction(2), Fraction(-3))
+    assert cfg == LatticeConfig(2, -3) and type(cfg.nu) is int and type(cfg.k) is int
+
+
 def test_direction_indexing():
     cfg = LatticeConfig(nu=2, k=4)
     assert cfg.dir_name(0) == "c1" and cfg.dir_name(3) == "d2"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import BElement, OmegaModule, OmegaSpec, WeightModule
+from halflattice.assoc import BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector
 from halflattice.fock import charge_element, fock_element
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
@@ -18,6 +18,7 @@ from halflattice.serialize import (
     velement_to_data,
     w_handle_from_data,
     weight_vector_from_data,
+    weight_vector_to_data,
 )
 
 CFG = LatticeConfig(nu=2, k=1)
@@ -97,6 +98,14 @@ def test_omega_spec_validation():
 def test_b_element_roundtrip():
     x = BElement.d(1) * BElement.e((1, -1)) - 2 * BElement.e((0, 1))
     assert b_element_from_data(b_element_to_data(x), CFG) == x
+
+
+def test_weight_vector_roundtrip():
+    handle = WeightModule(CFG, [Fraction(1, 2), 0])
+    m = WeightVector.point((Fraction(-1, 2), 2), 3) - WeightVector.point((Fraction(1, 2), 0))
+    doc = weight_vector_to_data(m)
+    assert doc == [{"coeff": "3", "point": ["-1/2", "2"]}, {"coeff": "-1", "point": ["1/2", "0"]}]
+    assert weight_vector_from_data(doc, handle) == m
 
 
 def test_module_element_invalid_label():
