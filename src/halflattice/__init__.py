@@ -18,7 +18,6 @@ from .assoc import (
     SimplicityWitness,
     WeightModule,
     WeightVector,
-    a_normal_form,
     act_on_omega_module,
     act_on_weight_module,
     decompose_potential,

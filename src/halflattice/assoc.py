@@ -167,53 +167,6 @@ class AElement(Combination):
     __repr__ = __str__
 
 
-def a_normal_form(x: BElement, cfg: LatticeConfig, target: str = "A"):
-    """Confluent straightening of a generator-word combination.
-
-    Every swap of an adjacent (d_i, e_alpha) pair strictly reduces the number
-    of such inversions, so the rewriting terminates; charges then merge on
-    the left.  Target "B" returns the charge-left ``BElement``; with target
-    "A" the d-word is additionally sorted into a commutative exponent vector.
-    """
-    if target not in ("A", "B"):
-        raise ValueError("target must be 'A' or 'B'")
-    collected: dict = {}
-    work = list(x.terms.items())
-    while work:
-        word, coeff = work.pop()
-        for pos in range(len(word) - 1):
-            if word[pos][0] == "d" and word[pos + 1][0] == "e":
-                d_gen, e_gen = word[pos], word[pos + 1]
-                swapped = word[:pos] + (e_gen, d_gen) + word[pos + 2 :]
-                work.append((swapped, coeff))
-                scalar = cfg.k * e_gen[1][d_gen[1] - 1]  # (d_i, alpha)
-                if scalar:
-                    contracted = word[:pos] + (e_gen,) + word[pos + 2 :]
-                    work.append((contracted, coeff * scalar))
-                break
-        else:
-            charge = [0] * cfg.nu
-            dword = []
-            for g in word:
-                if g[0] == "e":
-                    charge = [a + b for a, b in zip(charge, g[1])]
-                else:
-                    dword.append(g[1])
-            accumulate(collected, (tuple(charge), tuple(dword)), coeff)
-    if target == "B":
-        return BElement({
-            ((gen_e(charge),) if any(charge) else ()) + tuple(gen_d(j) for j in dword): coeff
-            for (charge, dword), coeff in collected.items()
-        })
-    data: dict = {}
-    for (charge, dword), coeff in collected.items():
-        dexp = [0] * cfg.nu
-        for j in dword:
-            dexp[j - 1] += 1
-        accumulate(data, (charge, tuple(dexp)), coeff)
-    return AElement(cfg.nu, data)
-
-
 # -- weight modules ---------------------------------------------------------------
 
 

@@ -18,7 +18,10 @@ runs at machine speed where ``Fraction`` arithmetic is pure Python.  Since
 ``Fraction(3) == 3`` and the two hash alike, equality, hashing and the
 printed "p/q" text do not depend on which type holds a value.  The price
 is that ``/`` on two ``int``s is a float: every division of coefficients
-is written ``Fraction(a, b)``.
+is written ``Fraction(a, b)``.  Where the checkers sum many coefficients
+they go further and add ``int``s only: a prepared field keeps each
+coefficient's values as integer numerators over one denominator
+(``Field.integer_form``), and a residual divides back only what survives.
 """
 
 from __future__ import annotations

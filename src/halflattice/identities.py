@@ -13,13 +13,18 @@ triple (u, v, w) read one memo of it by integer index: the fields of its
 inner pairs, whose truncation bounds they read, and the outer fields on its
 inner products, so a repeated product is found without hashing a state.
 Where an inner product is zero the memo prepares no outer field and the
-residuals skip the term, as they skip every empty product instead of adding
-it.
+residuals skip the term.  These two residuals add their terms as ``int``s:
+each coefficient they read comes as its field's ``integer_form``, integer
+numerators over the lcm d of its denominators.  A residual sums c times
+those numerators into one dict over a running denominator D, rescaling the
+dict to lcm(D, d) when d does not divide D, and divides only the surviving
+terms back by D, so a zero residual builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .combination import accumulate
 from .fock import VElement
@@ -151,7 +156,7 @@ def locality_residual(
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
     _check_cache(ctx, cache)
-    return ctx.element(_commutator_sum(cache.triple(u, v, w), p, k_order, q))
+    return _divided(ctx, *_commutator_sum(cache.triple(u, v, w), p, k_order, q))
 
 
 def borcherds_residual(
@@ -176,7 +181,7 @@ def borcherds_residual(
     """
     _check_cache(ctx, cache)
     memo = cache.triple(u, v, w)
-    out = _commutator_sum(memo, m, n, k)
+    out, den = _commutator_sum(memo, m, n, k)
     # the inner product u_{n+i} v lives in the adjoint context, so its
     # truncation bound is the one taken there
     uv_on_w = memo[2]
@@ -185,17 +190,17 @@ def borcherds_residual(
         j_max = min(j_max, m)
     for i in range(j_max + 1):
         field = uv_on_w[n + i]
-        if field is not None and (terms := field.coefficient(m + k - i).terms):
-            _add_into(out, -gbinom(m, i), terms)
-    return ctx.element(out)
+        if field is not None:
+            den = _add_scaled(out, den, -gbinom(m, i), field.integer_form(m + k - i))
+    return _divided(ctx, out, den)
 
 
-def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> dict:
+def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
     """sum_{i>=0} (-1)^i C(n,i) [u_{m+n-i} (v_{k+i} w) - (-1)^n v_{n+k-i} (u_{m+i} w)]
-    as a terms dict, read from the memo of (u, v, w) and cut off where both
-    inner actions vanish by truncation."""
+    as (integer numerators, denominator), read from the memo of (u, v, w) and
+    cut off where both inner actions vanish by truncation."""
     u_on_vw, v_on_uw, _ = memo
-    out: dict = {}
+    out, den = {}, 1  # integer numerators over den
     i_max = max(u_on_vw.inner().bound - k, v_on_uw.inner().bound - m, 0)
     if n >= 0:
         i_max = min(i_max, n)
@@ -203,12 +208,33 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> dict:
     for i in range(i_max + 1):
         c = (-1) ** i * gbinom(n, i)
         field = u_on_vw[k + i]
-        if field is not None and (terms := field.coefficient(m + n - i).terms):
-            _add_into(out, c, terms)
+        if field is not None:
+            den = _add_scaled(out, den, c, field.integer_form(m + n - i))
         field = v_on_uw[m + i]
-        if field is not None and (terms := field.coefficient(n + k - i).terms):
-            _add_into(out, -c * sign_n, terms)
-    return out
+        if field is not None:
+            den = _add_scaled(out, den, -c * sign_n, field.integer_form(n + k - i))
+    return out, den
+
+
+def _add_scaled(out: dict, den: int, c: int, form: tuple) -> int:
+    """Add c times an integer form (terms, numerators, d) into out, integer
+    numerators over den, in place, rescaling out to lcm(den, d) first when d
+    does not divide den; return the denominator of the sum."""
+    terms, nums, d = form
+    if den % d:
+        scale = d // gcd(den, d)
+        for t in out:
+            out[t] *= scale
+        den *= scale
+    c *= den // d
+    for t, x in zip(terms, nums):
+        accumulate(out, t, c * x)
+    return den
+
+
+def _divided(ctx: OperatorContext, out: dict, den: int):
+    """The element of the integer numerators out over den."""
+    return ctx.element(out if den == 1 else {t: Fraction(x, den) for t, x in out.items()})
 
 
 def _add_into(data: dict, c: int, terms: dict) -> None:

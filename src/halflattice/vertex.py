@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .assoc import WeightModule, act_on_labels
 from .combination import accumulate, rational
@@ -254,11 +254,13 @@ class Field:
     alpha, J), and only the nonzero sums are kept.  ``coefficient(n)``
     merges each sum whose creation half at J - n is nonzero into every word
     of that sum, and the field keeps each coefficient it computes, so every
-    later ask of that n is a lookup.  ``bound`` is the truncation bound of
+    later ask of that n is a lookup.  ``integer_form(n)`` keeps beside it
+    the same terms as integer numerators over one denominator, for the
+    checkers that sum coefficients.  ``bound`` is the truncation bound of
     the pair, taken once.
     """
 
-    __slots__ = ("ctx", "bound", "_groups", "_coefficients")
+    __slots__ = ("ctx", "bound", "_groups", "_coefficients", "_integer_forms")
 
     def __init__(self, u: VElement, w, ctx: OperatorContext):
         if not isinstance(u, VElement):
@@ -302,6 +304,7 @@ class Field:
             for (creating, alpha, shift), mid in sums.items() if mid
         )
         self._coefficients: dict = {}  # n -> u_n w, as computed so far
+        self._integer_forms: dict = {}  # n -> integer_form(n), as asked so far
 
     def coefficient(self, n: int):
         """The coefficient u_n w of z^(-n-1), computed on the first ask of n."""
@@ -318,6 +321,19 @@ class Field:
                     accumulate(out, (merge_words(word, created), lab), c * q)
         hit = self._coefficients[n] = self.ctx.element(out)
         return hit
+
+    def integer_form(self, n: int) -> tuple:
+        """u_n w as (terms, numerators, d): the coefficient's own terms dict,
+        the tuple of its values times d in the dict's order, and d the lcm of
+        their denominators.  Built on the first ask of n and kept."""
+        form = self._integer_forms.get(n)
+        if form is None:
+            terms = self.coefficient(n).terms
+            d = lcm(*(x.denominator for x in terms.values()))
+            nums = tuple(terms.values()) if d == 1 else tuple(
+                x.numerator * (d // x.denominator) for x in terms.values())
+            form = self._integer_forms[n] = (terms, nums, d)
+        return form
 
 
 def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
@@ -423,11 +439,12 @@ def nth_product(cfg: LatticeConfig, u: VElement, n: int, v: VElement) -> VElemen
 
 
 def truncation_bound(u: VElement, w, ctx: OperatorContext) -> int:
-    """Smallest B with u_n w = 0 for every n > B, from the weight balance.
+    """A B with u_n w = 0 for every n > B, from the weight balance.
 
     B is the max over term pairs of wt_u + wt_w - 1 - p0, with z^p0 the
-    u-term's charge power, so B = max(wt_u - p0) + max(wt_w) - 1.  A ``Field``
-    takes it once per (u, w), as its ``bound``.
+    u-term's charge power, so B = max(wt_u - p0) + max(wt_w) - 1.  It is
+    only an upper bound: the top n with u_n w nonzero often lies below it.
+    A ``Field`` takes it once per (u, w), as its ``bound``.
     """
     if u.is_zero() or w.is_zero():
         return -1

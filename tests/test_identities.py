@@ -376,3 +376,97 @@ def test_locality_prepares_no_adjoint_field(monkeypatch):
     assert prepared and all(c is ctx for c in prepared)
     assert borcherds_residual(u, v, w, 0, 0, 0, ctx, cache).is_zero()
     assert cache.adj in prepared
+
+
+# -- the integer accumulation against the rational loop ------------------------------
+
+
+def rational_residual(u, v, w, m, n, k, ctx, cache, composed=True):
+    """Oracle: the component residual at (m, n, k) summed over the rationals,
+    adding c times each coefficient's terms into one dict with ``_add_into``.
+    Without the composed side it is locality's commutator sum.  The products
+    come from ``cache.act`` and the cutoffs from ``truncation_bound``, not
+    from the triple memo."""
+    out = {}
+    i_max = max(truncation_bound(u, w, ctx) - m, truncation_bound(v, w, ctx) - k, 0)
+    sign_n = -1 if n % 2 else 1
+    for i in range(i_max + 1 if n < 0 else n + 1):
+        c = (-1) ** i * gbinom(n, i)
+        identities._add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)).terms)
+        identities._add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)).terms)
+    if composed:
+        j_max = max(truncation_bound(u, v, cache.adj) - n, 0)
+        for i in range(j_max + 1 if m < 0 else min(j_max, m) + 1):
+            product = cache.adjoint_product(u, n + i, v)
+            identities._add_into(out, -gbinom(m, i), cache.act(product, m + k - i, w).terms)
+    return ctx.element(out)
+
+
+def test_integer_accumulation_matches_the_rational_loop(monkeypatch):
+    # Generators scaled by 1/2 and 1/3 give coefficients over 1, 2, 3 and 6,
+    # so a residual's running denominator must be raised while its dict
+    # already holds numerators; the recording below sees that happen.
+    # Locality of c1(-1) and d1(-1) at order 1, below their true order 2,
+    # gives nonzero residuals over a denominator, which must be divided back
+    # by the right one.  The Borcherds residuals run in the adjoint, weight
+    # and function-module contexts.
+    add_scaled, rescaled = identities._add_scaled, []
+
+    def recording(out, den, c, form):
+        if out and den % form[2]:
+            rescaled.append((den, form[2]))
+        return add_scaled(out, den, c, form)
+
+    monkeypatch.setattr(identities, "_add_scaled", recording)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    c1, d1 = fock_element(1, [(0, 1)]), fock_element(1, [(1, 1)])
+    ep, em = charge_element(1, (1,)), charge_element(1, (-1,))
+    adjoint = adjoint_context(CFG1)
+    cache = ActionCache(adjoint)
+    proper = 0
+    for u, v, w in [(half * c1, third * d1, vacuum(1)), (half * c1 + third * ep, d1, ep)]:
+        for p, q in itertools.product(WINDOW2, WINDOW2):
+            got = locality_residual(u, v, w, p, q, 1, adjoint, cache)
+            assert got == rational_residual(u, v, w, p, 1, q, adjoint, cache, composed=False)
+            proper += any(type(x) is Fraction for x in got.terms.values())
+    assert proper
+    rng = random.Random(59)
+    gens = [half * d1 + third * ep, third * c1 + half * em, half * ep + third * em]
+    for ctx in [adjoint] + [mctx for _, mctx in _module_contexts(CFG1)]:
+        cache = ActionCache(ctx)
+        if ctx is adjoint:
+            w = rand_velement(rng, CFG1, n_terms=2, max_weight=2)
+        else:
+            w = third * rand_module_element(rng, CFG1, ctx.handle, max_weight=2)
+        for (u, v), (m, n, k) in itertools.product(itertools.permutations(gens, 2), TRIPLES2):
+            got = borcherds_residual(u, v, w, m, n, k, ctx, cache)
+            assert got == rational_residual(u, v, w, m, n, k, ctx, cache)
+            assert got.is_zero()
+    assert rescaled
+
+
+def test_zero_residuals_on_a_warm_cache_build_no_fraction(monkeypatch):
+    # the coefficients' integer forms are kept, so a second pass over zero
+    # residuals adds integers only and divides nothing back
+    ctx = adjoint_context(CFG1)
+    cache = ActionCache(ctx)
+    u = Fraction(1, 2) * fock_element(1, [(1, 1)]) + Fraction(1, 3) * charge_element(1, (1,))
+    v = Fraction(2, 3) * charge_element(1, (-1,))
+    w = Fraction(3, 2) * fock_element(1, [(0, 1)], (1,))
+
+    def residuals():
+        for m, n, k in TRIPLES2:
+            yield borcherds_residual(u, v, w, m, n, k, ctx, cache)
+            yield locality_residual(u, v, w, m, n, 2, ctx, cache)
+
+    assert not any(residuals())
+    new, built = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert not any(residuals())
+    monkeypatch.undo()
+    assert not built

@@ -8,10 +8,14 @@ line or a failed gate in a benchmark run.
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name: str) -> dict:
@@ -84,3 +88,37 @@ def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
         for _, call in workloads["plan"](name, 7):
             call()
         assert counts == want, name
+
+
+COUNT_FRACTIONS = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+namespace = {"__name__": "perfbench_workloads"}
+exec(compile(open(sys.argv[2]).read(), sys.argv[2], "exec"), namespace)
+calls = namespace["plan"]("jacobi", 7)
+new, built = Fraction.__new__, [0]
+
+def counted(cls, *args, **kwargs):
+    built[0] += 1
+    return new(cls, *args, **kwargs)
+
+Fraction.__new__ = counted
+for _, call in calls:
+    call()
+print(built[0])
+"""
+
+
+def test_jacobi_sample_builds_the_pinned_fractions():
+    # Fractions built by one jacobi sample at seed 7, after its inputs are
+    # built, in a fresh interpreter as perfbench runs it: the engine's
+    # process-wide caches start empty.  The checkers sum integer numerators
+    # and every residual is zero, so all of these come from the engine; the
+    # count is the same under PYTHONHASHSEED 0 and 1.
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_FRACTIONS, str(ROOT / "src"), str(PERFBENCH / "workloads.py")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) == 7525
