@@ -18,12 +18,17 @@ each coefficient they read comes as its field's ``integer_form``, integer
 numerators over the lcm d of its denominators.  A residual sums c times
 those numerators into one dict over a running denominator D, rescaling the
 dict to lcm(D, d) when d does not divide D, and divides only the surviving
-terms back by D, so a zero residual builds no ``Fraction``.
+terms back by D, so a zero residual builds no ``Fraction``.  Their sums
+read each window's binomials as one row, taken once per (top, count).  The
+Heisenberg residual caches only its inner actions h(n) s; its two outer
+modes add into one terms dict through ``vertex.mode_into``, so it builds one
+element per residual.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .combination import accumulate
@@ -36,6 +41,7 @@ from .vertex import (
     apply_heisenberg_mode,
     conformal_vector,
     gbinom,
+    mode_into,
 )
 
 
@@ -188,10 +194,10 @@ def borcherds_residual(
     j_max = max(uv_on_w.inner().bound - n, 0)
     if m >= 0:
         j_max = min(j_max, m)
-    for i in range(j_max + 1):
+    for i, b in enumerate(_binomials(m, j_max + 1)):
         field = uv_on_w[n + i]
         if field is not None:
-            den = _add_scaled(out, den, -gbinom(m, i), field.integer_form(m + k - i))
+            den = _add_scaled(out, den, -b, field.integer_form(m + k - i))
     return _divided(ctx, out, den)
 
 
@@ -205,8 +211,8 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
     if n >= 0:
         i_max = min(i_max, n)
     sign_n = -1 if n % 2 else 1
-    for i in range(i_max + 1):
-        c = (-1) ** i * gbinom(n, i)
+    for i, b in enumerate(_binomials(n, i_max + 1)):
+        c = -b if i % 2 else b
         field = u_on_vw[k + i]
         if field is not None:
             den = _add_scaled(out, den, c, field.integer_form(m + n - i))
@@ -214,6 +220,13 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
         if field is not None:
             den = _add_scaled(out, den, -c * sign_n, field.integer_form(n + k - i))
     return out, den
+
+
+@lru_cache(maxsize=None)
+def _binomials(top: int, count: int) -> tuple:
+    """gbinom(top, i) for i < count: a window's binomials, taken once per
+    (top, count) rather than once per residual."""
+    return tuple(gbinom(top, i) for i in range(count))
 
 
 def _add_scaled(out: dict, den: int, c: int, form: tuple) -> int:
@@ -237,12 +250,6 @@ def _divided(ctx: OperatorContext, out: dict, den: int):
     return ctx.element(out if den == 1 else {t: Fraction(x, den) for t, x in out.items()})
 
 
-def _add_into(data: dict, c: int, terms: dict) -> None:
-    """Add c times the terms dict terms into the terms dict data, in place."""
-    for t, x in terms.items():
-        accumulate(data, t, c * x)
-
-
 def heisenberg_residual(
     h1: LatticeVector,
     m: int,
@@ -254,14 +261,22 @@ def heisenberg_residual(
 ):
     """[h1(m), h2(n)] s minus m (h1, h2) delta_{m+n,0} s.
 
-    Only the inner actions h2(n) s and h1(m) s, which a sweep repeats, are cached.
+    Only the inner actions h2(n) s and h1(m) s, which a sweep repeats, are
+    cached; taking them checks the ranks of h1 and h2 and the type of s.
+    The outer modes add h1(m) and -h2(n) on their terms straight into one
+    terms dict with ``mode_into``, so a residual builds one element.
     """
     _check_cache(ctx, cache)
+    h2s = cache.mode(h2, n, s).terms
+    h1s = cache.mode(h1, m, s).terms
     out: dict = {}
-    _add_into(out, 1, apply_heisenberg_mode(h1, m, cache.mode(h2, n, s), ctx).terms)
-    _add_into(out, -1, apply_heisenberg_mode(h2, n, cache.mode(h1, m, s), ctx).terms)
+    mode_into(out, 1, h1, m, h2s, ctx)
+    mode_into(out, -1, h2, n, h1s, ctx)
     if m + n == 0:
-        _add_into(out, -m * ctx.cfg.pairing(h1, h2), s.terms)
+        c = -m * ctx.cfg.pairing(h1, h2)
+        if c:
+            for t, x in s.terms.items():
+                accumulate(out, t, c * x)
     return ctx.element(out)
 
 

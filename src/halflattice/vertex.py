@@ -31,8 +31,11 @@ cached closed form
 
 where h_p(alpha) is level p of the creation dressing below.  A single mode
 of one lattice direction (creation, contraction or zero mode) has one rule,
-shared by the field modes of a ``Field`` and by ``apply_heisenberg_mode``,
-which sums it over the coordinates of h.
+``_mode_dir``, shared by the field modes of a ``Field`` and by ``mode_into``,
+the one sum of it over the coordinates of h.  ``mode_into`` adds h(n) on a
+terms dict into another dict in place, so a caller that composes modes, such
+as the Heisenberg residual, builds no element per mode;
+``apply_heisenberg_mode`` wraps its result in one element.
 
 Targets are selected by an ``OperatorContext``, which acts on M(1) tensor W
 for a coefficient module W handled by duck-typed label actions.  The adjoint
@@ -96,6 +99,13 @@ class OperatorContext:
             power = self._powers[charge] = sum(m * p for m, p in zip(charge, self.pairings))
         return power
 
+    def check_target(self, w) -> None:
+        """Reject a state that is not of this context's target type: the
+        adjoint acts on ``VElement``s and a module context on
+        ``ModuleElement``s, whose label slots read differently."""
+        if type(w) is not type(self.zero):
+            raise TypeError(f"targets of this context must be {type(self.zero).__name__}s")
+
     def element(self, terms: dict):
         return self.zero._make(terms)
 
@@ -130,19 +140,32 @@ def module_operator_context(cfg: LatticeConfig, lam: LatticeVector, handle) -> O
 
 
 def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
-    """Apply the mode h(n) to a state.
+    """Apply the mode h(n) to a state, as one element.
 
-    The mode is linear in h: the sum, over the nonzero coordinates x of h,
-    of x times the mode of that coordinate's direction (``_mode_dir``).
+    Raises ``ValueError`` on a vector of another rank and ``TypeError`` on a
+    state that is not of the context's target type.
     """
     if h.nu != ctx.cfg.nu:
         raise ValueError("vector rank does not match the lattice")
+    ctx.check_target(s)
     out: dict = {}
+    mode_into(out, 1, h, n, s.terms, ctx)
+    return ctx.element(out)
+
+
+def mode_into(out: dict, scale, h: LatticeVector, n: int, terms: dict, ctx: OperatorContext) -> None:
+    """Add scale times h(n) on the terms dict terms into the terms dict out, in place.
+
+    The mode is linear in h: the sum, over the nonzero coordinates x of h,
+    of x times the mode of that coordinate's direction (``_mode_dir``).
+    Neither h's rank nor the type of the state is checked here; a caller
+    that composes modes checks them once, as ``apply_heisenberg_mode`` does.
+    """
     for dir_, x in enumerate(h.c + h.d):
         if x:
-            for key, c in _mode_dir(ctx, s.terms, dir_, n).items():
+            x *= scale
+            for key, c in _mode_dir(ctx, terms, dir_, n).items():
                 accumulate(out, key, x * c)
-    return ctx.element(out)
 
 
 # -- combinatorial helpers ----------------------------------------------------------
@@ -265,8 +288,7 @@ class Field:
     def __init__(self, u: VElement, w, ctx: OperatorContext):
         if not isinstance(u, VElement):
             raise TypeError("the acting state must be a VElement")
-        if type(w) is not type(ctx.zero):
-            raise TypeError(f"targets of this context must be {type(ctx.zero).__name__}s")
+        ctx.check_target(w)
         self.ctx = ctx
         self.bound = truncation_bound(u, w, ctx)
         cfg = ctx.cfg

@@ -16,6 +16,7 @@ import pytest
 
 from halflattice import identities
 from halflattice.assoc import WeightModule
+from halflattice.combination import accumulate
 from halflattice.fock import VElement, charge_element, fock_element, vacuum
 from halflattice.identities import (
     ActionCache,
@@ -29,7 +30,14 @@ from halflattice.identities import (
 from halflattice.lattice import LatticeConfig
 from halflattice.probes import rand_module_element, rand_velement
 from halflattice.suites import _module_contexts
-from halflattice.vertex import Field, adjoint_context, module_operator_context, truncation_bound
+from halflattice.vertex import (
+    Field,
+    OperatorContext,
+    adjoint_context,
+    apply_heisenberg_mode,
+    module_operator_context,
+    truncation_bound,
+)
 
 CFG1 = LatticeConfig(nu=1, k=1)
 CFG2 = LatticeConfig(nu=2, k=1)
@@ -249,6 +257,70 @@ def test_heisenberg_residual_zero_and_nonzero():
     assert bad.is_zero()
 
 
+def bracket_oracle(h1, m, h2, n, s, ctx):
+    """Oracle: [h1(m), h2(n)] s minus m (h1, h2) delta_{m+n,0} s, composed as
+    elements from four public ``apply_heisenberg_mode`` calls."""
+    got = apply_heisenberg_mode(h1, m, apply_heisenberg_mode(h2, n, s, ctx), ctx)
+    got = got - apply_heisenberg_mode(h2, n, apply_heisenberg_mode(h1, m, s, ctx), ctx)
+    if m + n == 0:
+        got = got - m * ctx.cfg.pairing(h1, h2) * s
+    return got
+
+
+def heisenberg_contexts(rng):
+    """(context, two probe states) in the adjoint, weight and omega contexts."""
+    adjoint = adjoint_context(CFG2)
+    out = [(adjoint, [rand_velement(rng, CFG2, n_terms=2, max_weight=2) for _ in range(2)])]
+    for _, mctx in _module_contexts(CFG2):
+        out.append((mctx, [rand_module_element(rng, CFG2, mctx.handle, max_weight=2) for _ in range(2)]))
+    return out
+
+
+def test_heisenberg_residual_matches_the_element_path(monkeypatch):
+    # Mixed, non-unit vectors scale each direction's mode by something other
+    # than +-1, which the suite's unit directions never do; (a, b) = k/2.
+    # The second pass raises every central coefficient by one, in both
+    # routes, so that each m + n = 0 residual must be the same nonzero -m s.
+    a = 2 * CFG2.c_basis(1) - Fraction(1, 2) * CFG2.d_basis(2)
+    b = CFG2.d_basis(1) + 3 * CFG2.c_basis(2)
+    sweep = list(itertools.product([(a, b), (b, a), (a, a)], WINDOW2, WINDOW2))
+    pairing, nonzero = type(CFG2).pairing, 0
+    for wrong in (0, 1):
+        monkeypatch.setattr(type(CFG2), "pairing", lambda cfg, u, v: pairing(cfg, u, v) + wrong)
+        for ctx, probes in heisenberg_contexts(random.Random(61)):
+            cache = ActionCache(ctx)
+            for ((h1, h2), m, n), s in itertools.product(sweep, probes):
+                got = heisenberg_residual(h1, m, h2, n, s, ctx, cache)
+                assert got == bracket_oracle(h1, m, h2, n, s, ctx)
+                assert got == (-wrong * m * s if m + n == 0 else ctx.zero)
+                nonzero += bool(got)
+    assert nonzero
+
+
+def test_heisenberg_residual_builds_one_element(monkeypatch):
+    # each residual wraps its one terms dict once; only the inner actions,
+    # cached per (h, n, s), build an element of their own
+    element, built = OperatorContext.element, []
+
+    def counting(ctx, terms):
+        built.append(ctx)
+        return element(ctx, terms)
+
+    monkeypatch.setattr(OperatorContext, "element", counting)
+    window = range(-1, 2)
+    dirs = [CFG2.dir_vector(i) for i in range(CFG2.ndirs)]
+    for ctx, probes in heisenberg_contexts(random.Random(67)):
+        cache = ActionCache(ctx)
+        built.clear()
+        residuals = 0
+        for h1, h2, m, n, s in itertools.product(dirs, dirs, window, window, probes):
+            heisenberg_residual(h1, m, h2, n, s, ctx, cache)
+            residuals += 1
+        misses = len(dirs) * len(window) * len(probes)
+        assert len(cache._modes) == misses
+        assert len(built) == residuals + misses == 16 * 9 * 2 + 24
+
+
 def test_d_derivative_residual_vanishes():
     ctx = adjoint_context(CFG2)
     cache = ActionCache(ctx)
@@ -381,9 +453,15 @@ def test_locality_prepares_no_adjoint_field(monkeypatch):
 # -- the integer accumulation against the rational loop ------------------------------
 
 
+def add_into(data, c, terms):
+    """Add c times the terms dict terms into the terms dict data, in place."""
+    for t, x in terms.items():
+        accumulate(data, t, c * x)
+
+
 def rational_residual(u, v, w, m, n, k, ctx, cache, composed=True):
     """Oracle: the component residual at (m, n, k) summed over the rationals,
-    adding c times each coefficient's terms into one dict with ``_add_into``.
+    adding c times each coefficient's terms into one dict with ``add_into``.
     Without the composed side it is locality's commutator sum.  The products
     come from ``cache.act`` and the cutoffs from ``truncation_bound``, not
     from the triple memo."""
@@ -392,13 +470,13 @@ def rational_residual(u, v, w, m, n, k, ctx, cache, composed=True):
     sign_n = -1 if n % 2 else 1
     for i in range(i_max + 1 if n < 0 else n + 1):
         c = (-1) ** i * gbinom(n, i)
-        identities._add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)).terms)
-        identities._add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)).terms)
+        add_into(out, c, cache.act(u, m + n - i, cache.act(v, k + i, w)).terms)
+        add_into(out, -c * sign_n, cache.act(v, n + k - i, cache.act(u, m + i, w)).terms)
     if composed:
         j_max = max(truncation_bound(u, v, cache.adj) - n, 0)
         for i in range(j_max + 1 if m < 0 else min(j_max, m) + 1):
             product = cache.adjoint_product(u, n + i, v)
-            identities._add_into(out, -gbinom(m, i), cache.act(product, m + k - i, w).terms)
+            add_into(out, -gbinom(m, i), cache.act(product, m + k - i, w).terms)
     return ctx.element(out)
 
 

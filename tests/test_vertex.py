@@ -285,14 +285,22 @@ def test_charge_action_on_module_state():
 
 
 def test_target_type_checks():
+    # A field and a Heisenberg mode reject a target of the wrong type through
+    # the context's one check.  Without it, d1(0) would read the charge
+    # (1, 0) of an algebra state as a function-module label, and a module's
+    # base state in the adjoint as a half-integral charge.
     ctx, handle = module_ctx(CFG2)
-    adj = adjoint_context(CFG2)
+    adj, _, omega = oracle_contexts(CFG2)
     w0 = ctx.state_of_label(handle.base_label())
     e1 = charge_element(2, (1, 0))
-    with pytest.raises(TypeError):
-        y_coefficient(e1, -1, w0, adj)
-    with pytest.raises(TypeError):
-        y_coefficient(e1, -1, vacuum(2), ctx)
+    d1 = CFG2.d_basis(1)
+    charged = fock_element(2, [(2, 1)], (1, 0))
+    for target, wrong in [(adj, w0), (ctx, vacuum(2)), (omega, charged)]:
+        for call in (lambda: y_coefficient(e1, -1, wrong, target),
+                     lambda: apply_heisenberg_mode(d1, 0, wrong, target)):
+            with pytest.raises(TypeError, match="targets of this context must be") as info:
+                call()
+            assert info.traceback[-1].name == "check_target"
     with pytest.raises(TypeError):
         y_coefficient(w0, -1, w0, ctx)
 
