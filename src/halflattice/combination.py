@@ -18,15 +18,20 @@ runs at machine speed where ``Fraction`` arithmetic is pure Python.  Since
 ``Fraction(3) == 3`` and the two hash alike, equality, hashing and the
 printed "p/q" text do not depend on which type holds a value.  The price
 is that ``/`` on two ``int``s is a float: every division of coefficients
-is written ``Fraction(a, b)``.  Where the checkers sum many coefficients
-they go further and add ``int``s only: a prepared field keeps each
-coefficient's values as integer numerators over one denominator
-(``Field.integer_form``), and a residual divides back only what survives.
+is written ``Fraction(a, b)``.  Where many values are summed, the package
+goes further and adds ``int``s only: a dict of integer numerators over one
+running denominator, which ``rescale`` raises when a value over another
+denominator arrives, divided back only for the terms that survive.  The
+vertex engine sums a field's coefficients that way from setup on, its
+cached creation closed forms are numerators over one denominator, and the
+checkers sum those coefficients' numerators (``Field.integer_form``) the
+same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 from typing import Mapping
 
@@ -69,6 +74,18 @@ def accumulate(data: dict, key, value) -> None:
         data[key] = new
     else:
         del data[key]
+
+
+def rescale(data: dict, den: int, d: int) -> int:
+    """Bring the integer numerators of data, over den, to numerators over
+    lcm(den, d) in place, and return lcm(den, d).  Nothing changes when d
+    divides den; the keys keep their order."""
+    if den % d:
+        scale = d // gcd(den, d)
+        for key in data:
+            data[key] *= scale
+        den *= scale
+    return den
 
 
 class Combination:

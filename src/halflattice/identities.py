@@ -17,7 +17,7 @@ residuals skip the term.  These two residuals add their terms as ``int``s:
 each coefficient they read comes as its field's ``integer_form``, integer
 numerators over the lcm d of its denominators.  A residual sums c times
 those numerators into one dict over a running denominator D, rescaling the
-dict to lcm(D, d) when d does not divide D, and divides only the surviving
+dict to lcm(D, d) with ``combination.rescale``, and divides only the surviving
 terms back by D, so a zero residual builds no ``Fraction``.  Their sums
 read each window's binomials as one row, taken once per (top, count).  The
 Heisenberg residual caches only its inner actions h(n) s; its two outer
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .combination import accumulate
+from .combination import accumulate, rescale
 from .fock import VElement
 from .lattice import LatticeVector
 from .vertex import (
@@ -231,14 +230,10 @@ def _binomials(top: int, count: int) -> tuple:
 
 def _add_scaled(out: dict, den: int, c: int, form: tuple) -> int:
     """Add c times an integer form (terms, numerators, d) into out, integer
-    numerators over den, in place, rescaling out to lcm(den, d) first when d
-    does not divide den; return the denominator of the sum."""
+    numerators over den, in place, rescaling out to lcm(den, d) first;
+    return the denominator of the sum."""
     terms, nums, d = form
-    if den % d:
-        scale = d // gcd(den, d)
-        for t in out:
-            out[t] *= scale
-        den *= scale
+    den = rescale(out, den, d)
     c *= den // d
     for t, x in zip(terms, nums):
         accumulate(out, t, c * x)

@@ -29,12 +29,20 @@ cached closed form
     sum over m_i >= n_i, sum m_i <= L, of
         prod_i C(m_i-1, n_i-1) h_i(-m_i)  *  h_(L - sum m_i)(alpha),
 
-where h_p(alpha) is level p of the creation dressing below.  A single mode
-of one lattice direction (creation, contraction or zero mode) has one rule,
-``_mode_dir``, shared by the field modes of a ``Field`` and by ``mode_into``,
-the one sum of it over the coordinates of h.  ``mode_into`` adds h(n) on a
-terms dict into another dict in place, so a caller that composes modes, such
-as the Heisenberg residual, builds no element per mode;
+where h_p(alpha) is level p of the creation dressing below.  A field adds
+in Python ``int``s from setup to coefficient: each annihilation half runs on
+the integer pattern coefficient, each group of them is integer numerators
+over one denominator, each creation closed form is cached as integer
+numerators over one denominator dividing L!, and a coefficient sums their
+products over one running denominator, raised by ``combination.rescale``
+where a group or half brings another.  Only a coefficient's values that are
+not whole are divided back as ``Fraction``s.
+
+A single mode of one lattice direction (creation, contraction or zero mode)
+has one rule, ``_mode_dir``, shared by the field modes of a ``Field`` and by
+``mode_into``, the one sum of it over the coordinates of h.  ``mode_into``
+adds h(n) on a terms dict into another dict in place, so a caller that
+composes modes, such as the Heisenberg residual, builds no element per mode;
 ``apply_heisenberg_mode`` wraps its result in one element.
 
 Targets are selected by an ``OperatorContext``, which acts on M(1) tensor W
@@ -46,6 +54,7 @@ it uses two cached closed forms instead of a sum over partitions.  The
 z^p coefficient of E^-(-alpha, z) is the complete symmetric function h_p of
 the power sums alpha(-m) (Macdonald, Symmetric Functions and Hall
 Polynomials, I.2), built by Newton's identity once per (alpha, p).
+``dressing`` divides the integer creation form back for its rational result.
 E^+(-alpha, z) shifts each d_i(-m) factor by -k alpha_i z^(-m), so its
 z^(-p) coefficient on a word removes the sets of d-factors of total mode
 p, with the product of their -k alpha_i, cached per (word, alpha, k, p).
@@ -55,10 +64,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .assoc import WeightModule, act_on_labels
-from .combination import accumulate, rational
+from .combination import accumulate, rational, rescale
 from .fock import ModuleElement, VElement, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 
@@ -194,11 +203,12 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
     level p is the complete symmetric function h_p of the power sums
     alpha(-m) (Macdonald, Symmetric Functions and Hall Polynomials, I.2),
     a fixed combination of c-direction creation words merged into each
-    state.  side = -1 is the annihilation half E^+(-alpha, z): alpha lies in
-    the charge lattice, so alpha(m) removes one d_i(-m) factor with weight
-    m k alpha_i, and the exponential shifts every d_i(-m) factor by
-    -k alpha_i z^(-m); level p removes each set of d-factors of total mode p
-    with the product of their -k alpha_i.  Both states and the result map
+    state, read from the integer cache ``_creation_level`` and divided back
+    by its denominator.  side = -1 is the annihilation half E^+(-alpha, z):
+    alpha lies in the charge lattice, so alpha(m) removes one d_i(-m) factor
+    with weight m k alpha_i, and the exponential shifts every d_i(-m) factor
+    by -k alpha_i z^(-m); level p removes each set of d-factors of total
+    mode p with the product of their -k alpha_i.  Both states and the result map
     (Fock word, label) keys to coefficients; level 0 is the identity and
     returns states itself.
     """
@@ -206,10 +216,12 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
         return states
     out: dict = {}
     if side > 0:
-        level = _creation_level(alpha, p)
+        level, den = _creation_level(alpha, p)
         for (word, label), c in states.items():
             for creations, q in level:
                 accumulate(out, (merge_words(word, creations), label), c * q)
+        if den > 1:
+            out = {key: rational(Fraction(c, den)) for key, c in out.items()}
     else:
         for (word, label), c in states.items():
             for rest, q in _annihilation_level(word, alpha, cfg.k, p):
@@ -219,20 +231,28 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
 
 @lru_cache(maxsize=None)
 def _creation_level(alpha: tuple, p: int) -> tuple:
-    """h_p of the power sums alpha(-m) as (canonical word, coefficient) pairs.
+    """h_p of the power sums alpha(-m) as (pairs, den): (canonical word,
+    integer numerator) pairs over one denominator den, which divides p!.
 
     Newton's identity p h_p = sum_{m=1..p} alpha(-m) h_(p-m) builds each
-    level from the lower ones, all cached.
+    level from the lower ones, all cached.  This cache is the closed form's
+    one representation: ``dressing`` divides it back for its rational
+    result, and ``_creation_half`` and ``Field.coefficient`` keep adding
+    numerators.
     """
     if p == 0:
-        return (((), 1),)
-    out: dict = {}
+        return (((), 1),), 1
+    out, den = {}, 1  # integer numerators over den
     for m in range(1, p + 1):
-        for word, c in _creation_level(alpha, p - m):
+        level, d = _creation_level(alpha, p - m)
+        den = rescale(out, den, d)
+        scale = den // d
+        for word, c in level:
             for i, a_i in enumerate(alpha):
                 if a_i:
-                    accumulate(out, merge_words(word, ((i, m),)), c * a_i)
-    return tuple((word, rational(Fraction(c, p))) for word, c in out.items())
+                    accumulate(out, merge_words(word, ((i, m),)), c * a_i * scale)
+    den = _reduce(out, den * p)
+    return tuple(out.items()), den
 
 
 @lru_cache(maxsize=None)
@@ -273,17 +293,22 @@ class Field:
     cached closed form ``_creation_half`` of the creating fields and alpha
     at the level L = J - n that balances z, where
     J = wt(u) - 1 - p0 + (sum of positive modes) + a and z^p0 is the scalar
-    charge power.  The annihilation halves are summed per (creating fields,
-    alpha, J), and only the nonzero sums are kept.  ``coefficient(n)``
-    merges each sum whose creation half at J - n is nonzero into every word
-    of that sum, and the field keeps each coefficient it computes, so every
-    later ask of that n is a lookup.  ``integer_form(n)`` keeps beside it
-    the same terms as integer numerators over one denominator, for the
-    checkers that sum coefficients.  ``bound`` is the truncation bound of
-    the pair, taken once.
+    charge power.  Each row runs on the integer pattern coefficient, and
+    the term-pair scalar cu cw is folded in only as the row is added into
+    its group: the annihilation halves are summed per (creating fields,
+    alpha, J) as integer numerators over one group denominator, which is
+    raised when cu cw or a label action brings a proper fraction (the weight
+    module's half-integer labels through ``d_action``, the function
+    module's shift constants through ``e_action``).  Only the nonzero sums
+    are kept, reduced by their gcd.  ``coefficient(n)`` merges each sum
+    whose creation half at J - n is nonzero into every word of that sum,
+    adding ``int``s, and the field keeps each coefficient it computes in one
+    table of n, beside its ``integer_form(n)``, the reduced numerators, for
+    the checkers that sum coefficients; every later ask of that n is a
+    lookup.  ``bound`` is the truncation bound of the pair, taken once.
     """
 
-    __slots__ = ("ctx", "bound", "_groups", "_coefficients", "_integer_forms")
+    __slots__ = ("ctx", "bound", "_groups", "_coefficients")
 
     def __init__(self, u: VElement, w, ctx: OperatorContext):
         if not isinstance(u, VElement):
@@ -292,15 +317,17 @@ class Field:
         self.ctx = ctx
         self.bound = truncation_bound(u, w, ctx)
         cfg = ctx.cfg
-        sums: dict = {}  # (creating fields, alpha, J) -> summed annihilation halves
+        # (creating fields, alpha, J) -> [integer numerators, denominator]
+        # of the summed annihilation halves
+        sums: dict = {}
         for (ufock, alpha), cu in u.terms.items():
             top = fock_weight(ufock) - 1 - ctx.charge_power(alpha)
             charged = any(alpha)
             for (wfock, label), cw in w.terms.items():
                 budget = fock_weight(wfock)
-                cuw = rational(cu * cw)
+                cuw = cu * cw
                 for js, coeff in _annihilation_patterns(ufock, wfock, cfg.nu):
-                    states = {(wfock, label): cuw * coeff}
+                    states = {(wfock, label): coeff}
                     for (dir_, _), j in zip(ufock, js):
                         if j and states:
                             states = _mode_dir(ctx, states, dir_, j)
@@ -317,45 +344,55 @@ class Field:
                         if mid and charged:
                             mid = act_on_labels(mid, ctx.handle.e_action, alpha)
                         if mid:
-                            into = sums.setdefault((creating, alpha, top + drawn + a), {})
-                            for key, c in mid.items():
-                                accumulate(into, key, c)
-        # the creation half at level J - n is zero below the creating fields' weight
-        self._groups = tuple(
-            (creating, alpha, shift, sum(m for _, m in creating), tuple(mid.items()))
-            for (creating, alpha, shift), mid in sums.items() if mid
-        )
-        self._coefficients: dict = {}  # n -> u_n w, as computed so far
-        self._integer_forms: dict = {}  # n -> integer_form(n), as asked so far
+                            group = sums.setdefault((creating, alpha, top + drawn + a), [{}, 1])
+                            group[1] = _fold(group[0], group[1], mid, cuw)
+        groups = []
+        for (creating, alpha, shift), (nums, den) in sums.items():
+            if nums:
+                den = _reduce(nums, den)
+                # the creation half at level J - n is zero below the creating fields' weight
+                groups.append((creating, alpha, shift, sum(m for _, m in creating),
+                               tuple(nums.items()), den))
+        self._groups = tuple(groups)
+        self._coefficients: dict = {}  # n -> (u_n w, its integer form), as computed so far
 
     def coefficient(self, n: int):
-        """The coefficient u_n w of z^(-n-1), computed on the first ask of n."""
+        """The coefficient u_n w of z^(-n-1), computed on the first ask of n:
+        integer numerators over a running denominator, reduced by their gcd
+        once, and only a value that is not whole divided back."""
         hit = self._coefficients.get(n)
-        if hit is not None:
-            return hit
-        out: dict = {}
-        for creating, alpha, shift, weight, mid in self._groups:
-            if shift - n < weight:
-                continue
-            half = _creation_half(creating, alpha, shift - n)
-            for (word, lab), c in mid:
-                for created, q in half:
-                    accumulate(out, (merge_words(word, created), lab), c * q)
-        hit = self._coefficients[n] = self.ctx.element(out)
-        return hit
+        if hit is None:
+            out, den = {}, 1  # integer numerators over den
+            for creating, alpha, shift, weight, mid, d in self._groups:
+                if shift - n < weight:
+                    continue
+                half, hd = _creation_half(creating, alpha, shift - n)
+                d *= hd
+                den = rescale(out, den, d)
+                scale = den // d
+                for (word, lab), c in mid:
+                    c *= scale
+                    for created, q in half:
+                        accumulate(out, (merge_words(word, created), lab), c * q)
+            d = _reduce(out, den)
+            nums = tuple(out.values())
+            if d > 1:
+                out = {key: x // d if x % d == 0 else Fraction(x, d) for key, x in out.items()}
+            element = self.ctx.element(out)
+            hit = self._coefficients[n] = (element, (element.terms, nums, d))
+        return hit[0]
 
     def integer_form(self, n: int) -> tuple:
         """u_n w as (terms, numerators, d): the coefficient's own terms dict,
         the tuple of its values times d in the dict's order, and d the lcm of
-        their denominators.  Built on the first ask of n and kept."""
-        form = self._integer_forms.get(n)
-        if form is None:
-            terms = self.coefficient(n).terms
-            d = lcm(*(x.denominator for x in terms.values()))
-            nums = tuple(terms.values()) if d == 1 else tuple(
-                x.numerator * (d // x.denominator) for x in terms.values())
-            form = self._integer_forms[n] = (terms, nums, d)
-        return form
+        their denominators.  These are the numerators ``coefficient(n)``
+        summed, reduced by their gcd, kept beside the coefficient in the
+        field's one table of n."""
+        hit = self._coefficients.get(n)
+        if hit is None:
+            self.coefficient(n)
+            hit = self._coefficients[n]
+        return hit[1]
 
 
 def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
@@ -406,19 +443,50 @@ def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
 
     It is the sum, over modes m_i >= n_i with sum m_i <= L, of
     prod C(m_i-1, n_i-1) h_i(-m_i) times h_(L - sum m_i) of the power sums
-    alpha(-m), as (canonical word, coefficient) pairs; with no creating
-    fields it is ``_creation_level`` at L.
+    alpha(-m).  Like ``_creation_level``, which it is at L when no field
+    creates, it is cached in its one representation, (pairs, den): (canonical
+    word, integer numerator) pairs over one denominator den, which divides L!.
     """
     if not fields:
         return _creation_level(alpha, level)
     (dir_, n_i), rest = fields[0], fields[1:]
     top = level - sum(m for _, m in rest)
-    out: dict = {}
+    out, den = {}, 1  # integer numerators over den
     for m in range(n_i, top + 1):
-        weight = comb(m - 1, n_i - 1)
-        for word, q in _creation_half(rest, alpha, level - m):
+        half, d = _creation_half(rest, alpha, level - m)
+        den = rescale(out, den, d)
+        weight = comb(m - 1, n_i - 1) * (den // d)
+        for word, q in half:
             accumulate(out, merge_words(word, ((dir_, m),)), weight * q)
-    return tuple((word, rational(q)) for word, q in out.items())
+    den = _reduce(out, den)
+    return tuple(out.items()), den
+
+
+def _reduce(nums: dict, den: int) -> int:
+    """Divide the integer numerators nums over den in place by the gcd of
+    den and all of them, and return den divided by it."""
+    g = gcd(den, *nums.values()) if den > 1 else 1
+    if g > 1:
+        for key in nums:
+            nums[key] //= g
+    return den // g
+
+
+def _fold(nums: dict, den: int, states: dict, scale) -> int:
+    """Add scale times the rational states into the integer numerators nums
+    over den, in place, and return the new den: a multiple of scale's
+    denominator times the lcm of the states', over which every product is
+    an integer numerator.  The states are a row's annihilation half, proper
+    fractions in it coming only from label actions."""
+    d = 1
+    for c in states.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    den = rescale(nums, den, d * scale.denominator)
+    f = scale.numerator * (den // scale.denominator)
+    for key, c in states.items():
+        accumulate(nums, key, c * f if type(c) is int else c.numerator * f // c.denominator)
+    return den
 
 
 def _mode_dir(ctx, states, dir_: int, n: int) -> dict:

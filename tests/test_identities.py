@@ -251,10 +251,14 @@ def test_heisenberg_residual_zero_and_nonzero():
     ctx = adjoint_context(CFG2)
     cache = ActionCache(ctx)
     s = fock_element(2, [(2, 1)])
-    assert heisenberg_residual(CFG2.c_basis(1), 1, CFG2.d_basis(1), -1, s, ctx, cache).is_zero()
-    # dropping the central term would leave m(h,h')s behind
-    bad = heisenberg_residual(CFG2.c_basis(1), 2, CFG2.d_basis(1), -2, vacuum(2), ctx, cache)
-    assert bad.is_zero()
+    c1, d1, vac = CFG2.c_basis(1), CFG2.d_basis(1), vacuum(2)
+    assert heisenberg_residual(c1, 1, d1, -1, s, ctx, cache).is_zero()
+    # on the vacuum the bare bracket [c1(2), d1(-2)] is 2 (c1, d1) times the
+    # vacuum, which is nonzero; the residual subtracts that central term
+    bare = (apply_heisenberg_mode(c1, 2, apply_heisenberg_mode(d1, -2, vac, ctx), ctx)
+            - apply_heisenberg_mode(d1, -2, apply_heisenberg_mode(c1, 2, vac, ctx), ctx))
+    assert bare == 2 * CFG2.pairing(c1, d1) * vac and not bare.is_zero()
+    assert heisenberg_residual(c1, 2, d1, -2, vac, ctx, cache).is_zero()
 
 
 def bracket_oracle(h1, m, h2, n, s, ctx):

@@ -96,7 +96,7 @@ from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 namespace = {"__name__": "perfbench_workloads"}
 exec(compile(open(sys.argv[2]).read(), sys.argv[2], "exec"), namespace)
-calls = namespace["plan"]("jacobi", 7)
+calls = namespace["plan"](sys.argv[3], 7)
 new, built = Fraction.__new__, [0]
 
 def counted(cls, *args, **kwargs):
@@ -110,15 +110,32 @@ print(built[0])
 """
 
 
-def test_jacobi_sample_builds_the_pinned_fractions():
-    # Fractions built by one jacobi sample at seed 7, after its inputs are
-    # built, in a fresh interpreter as perfbench runs it: the engine's
-    # process-wide caches start empty.  The checkers sum integer numerators
-    # and every residual is zero, so all of these come from the engine; the
-    # count is the same under PYTHONHASHSEED 0 and 1.
+def _fractions_built(workload: str) -> int:
+    """Fractions built by one sample of the workload at seed 7, after its
+    inputs are built, in a fresh interpreter as perfbench runs it: the
+    engine's process-wide caches start empty."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     out = subprocess.run(
-        [sys.executable, "-c", COUNT_FRACTIONS, str(ROOT / "src"), str(PERFBENCH / "workloads.py")],
+        [sys.executable, "-c", COUNT_FRACTIONS, str(ROOT / "src"), str(PERFBENCH / "workloads.py"),
+         workload],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert int(out.stdout) == 7525
+    return int(out.stdout)
+
+
+def test_jacobi_sample_builds_the_pinned_fractions():
+    # The checkers sum integer numerators and every residual is zero, so all
+    # of these come from the engine, which sums as integer numerators too:
+    # 3,628 are the coefficients' values that are not whole and 187 the
+    # prepared fields' term-pair scalars.  The same under PYTHONHASHSEED 0
+    # and 1.
+    assert _fractions_built("jacobi") == 3815
+
+
+def test_dressing_sample_builds_the_pinned_fractions():
+    # The engine builds 1,476 for the coefficients' values that are not
+    # whole and 54 for the prepared fields' term-pair scalars (and one for
+    # the conformal vector); the rest are the residuals' element sums and
+    # multiples of those coefficients.  The same under PYTHONHASHSEED 0
+    # and 1.
+    assert _fractions_built("dressing") == 2999

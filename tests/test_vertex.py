@@ -1,11 +1,15 @@
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 
 import pytest
 
-from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule
+from halflattice import vertex
+from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule, act_on_labels
 from halflattice.combination import accumulate
 from halflattice.fock import (
     ModuleElement,
@@ -15,6 +19,7 @@ from halflattice.fock import (
     fock_weight,
     fock_word,
     homogeneous_components,
+    merge_words,
     vacuum,
 )
 from halflattice.lattice import LatticeConfig
@@ -23,6 +28,7 @@ from halflattice.probes import rand_module_element, rand_velement
 from halflattice.vertex import (
     Field,
     _annihilation_patterns,
+    _mode_dir,
     adjoint_context,
     apply_heisenberg_mode,
     conformal_vector,
@@ -458,6 +464,119 @@ def test_y_coefficient_matches_assignment_oracle(nu, k):
                     nonzero += bool(want)
                     past_bound += n > bound
     assert nonzero and past_bound
+
+
+@lru_cache(maxsize=None)
+def rational_creation_half(fields, alpha, level):
+    """The creation half as a rational {word: coefficient} dict: with no
+    creating field h_level of the power sums alpha(-m) by Newton's identity,
+    else the sum over the first field's mode m of C(m-1, n_1-1) times the
+    rest at level - m."""
+    out = {}
+    if not fields:
+        if level == 0:
+            return {(): 1}
+        for m in range(1, level + 1):
+            for word, c in rational_creation_half((), alpha, level - m).items():
+                for i, a_i in enumerate(alpha):
+                    if a_i:
+                        accumulate(out, merge_words(word, ((i, m),)), Fraction(c * a_i, level))
+        return out
+    (dir_, n_i), rest = fields[0], fields[1:]
+    for m in range(n_i, level - sum(m for _, m in rest) + 1):
+        for word, q in rational_creation_half(rest, alpha, level - m).items():
+            accumulate(out, merge_words(word, ((dir_, m),)), comb(m - 1, n_i - 1) * q)
+    return out
+
+
+def rational_field(u, w, ctx, window):
+    """Oracle: the field's coefficients summed as rationals, n -> terms dict.
+
+    The same rows, groups and key order as ``Field``, with every value an
+    int or a ``Fraction`` from the start: the term-pair scalar enters each
+    row's states, each group sums rationals, and the creation halves are
+    rational closed forms."""
+    sums = {}
+    for (ufock, alpha), cu in u.terms.items():
+        top = fock_weight(ufock) - 1 - ctx.charge_power(alpha)
+        charged = any(alpha)
+        for (wfock, label), cw in w.terms.items():
+            for js, coeff in _annihilation_patterns(ufock, wfock, ctx.cfg.nu):
+                states = {(wfock, label): cu * cw * coeff}
+                for (dir_, _), j in zip(ufock, js):
+                    if j and states:
+                        states = _mode_dir(ctx, states, dir_, j)
+                if not states:
+                    continue
+                creating = tuple(f for f, j in zip(ufock, js) if j is None)
+                drawn = sum(j for j in js if j)
+                for a in range((fock_weight(wfock) - drawn if charged else 0) + 1):
+                    mid = dressing(ctx.cfg, states, alpha, a, -1)
+                    for (dir_, _), j in zip(ufock, js):
+                        if j == 0 and mid:
+                            mid = _mode_dir(ctx, mid, dir_, 0)
+                    if mid and charged:
+                        mid = act_on_labels(mid, ctx.handle.e_action, alpha)
+                    if mid:
+                        into = sums.setdefault((creating, alpha, top + drawn + a), {})
+                        for key, c in mid.items():
+                            accumulate(into, key, c)
+    out = {}
+    for n in window:
+        terms = out[n] = {}
+        for (creating, alpha, shift), mid in sums.items():
+            if not mid or shift - n < sum(m for _, m in creating):
+                continue
+            half = rational_creation_half(creating, alpha, shift - n)
+            for (word, lab), c in mid.items():
+                for created, q in half.items():
+                    accumulate(terms, (merge_words(word, created), lab), c * q)
+    return out
+
+
+def test_integer_field_matches_the_rational_loop(monkeypatch):
+    # u scaled by 1/2 and w by 1/3 make every term-pair scalar a proper
+    # fraction, with denominators that differ between term pairs; the weight
+    # module's half-integer base point brings fractions in through d_action
+    # and the function module's shift constants 1/2 and 2/3 through
+    # e_action.  So a group's denominator is raised while it already holds
+    # numerators, in setup and again in coefficient, and the recording below
+    # sees both.
+    rescale, rescaled = vertex.rescale, Counter()
+
+    def recording(data, den, d):
+        if data and den % d:
+            rescaled[sys._getframe(1).f_code.co_name] += 1
+        return rescale(data, den, d)
+
+    monkeypatch.setattr(vertex, "rescale", recording)
+    cfg = CFG2
+    lam = cfg.vector(d=[1, 2])
+    spec = OmegaSpec(2, 1, (), (Fraction(1, 2), Fraction(2, 3)))
+    omega = module_operator_context(cfg, lam, OmegaModule(cfg, spec))
+    contexts = oracle_contexts(cfg)[:2] + [omega]
+    proper = mixed = 0
+    for ctx in contexts:
+        for w in oracle_targets(ctx):
+            w = Fraction(1, 3) * w
+            for u in oracle_actors(2):
+                u = Fraction(1, 2) * u
+                field = Field(u, w, ctx)
+                window = range(field.bound - 4, field.bound + 2)
+                wants = rational_field(u, w, ctx, window)
+                for n in window:
+                    want = wants[n]
+                    got = field.coefficient(n).terms
+                    assert list(got.items()) == list(want.items()), (u, n, w)
+                    assert all(type(x) is int or x.denominator > 1 for x in got.values())
+                    d = lcm(*(Fraction(x).denominator for x in want.values()))
+                    nums = tuple(int(x * d) for x in want.values())
+                    terms, got_nums, got_d = field.integer_form(n)
+                    assert terms is got and (got_nums, got_d) == (nums, d), (u, n, w)
+                    proper += d > 1
+                    mixed += d > 1 and int in map(type, got.values())
+    assert proper and mixed
+    assert rescaled["_fold"] and rescaled["coefficient"]
 
 
 def unpruned_patterns(fields, budget: int):
