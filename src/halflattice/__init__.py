@@ -66,7 +66,6 @@ from .vertex import (
     conformal_vector,
     module_operator_context,
     nth_product,
-    truncation_bound,
     y_coefficient,
 )
 from .zhu import (

@@ -18,20 +18,25 @@ runs at machine speed where ``Fraction`` arithmetic is pure Python.  Since
 ``Fraction(3) == 3`` and the two hash alike, equality, hashing and the
 printed "p/q" text do not depend on which type holds a value.  The price
 is that ``/`` on two ``int``s is a float: every division of coefficients
-is written ``Fraction(a, b)``.  Where many values are summed, the package
-goes further and adds ``int``s only: a dict of integer numerators over one
-running denominator, which ``rescale`` raises when a value over another
-denominator arrives, divided back only for the terms that survive.  The
-vertex engine sums a field's coefficients that way from setup on, its
-cached creation closed forms are numerators over one denominator, and the
-checkers sum those coefficients' numerators (``Field.integer_form``) the
-same way.
+is written ``Fraction(a, b)``.
+
+Where many values are summed, the package adds ``int``s only, in one
+integer form that this module alone owns: (terms, nums, d), a dict whose
+values are rationals, the tuple of those values times d in the dict's
+order, and d the lcm of their denominators (``numerators`` builds it).  A
+sum is a dict of integer numerators over one running denominator.
+``add_scaled`` adds c times a form into it, ``rescale`` raises it to
+lcm(den, d) when a value over another denominator arrives, ``reduce``
+divides out the common gcd, and ``divided`` is the one divide-back, which
+builds a ``Fraction`` only for a value that is not whole.  The vertex
+engine's fields, its creation closed forms, the identity checkers and the
+Zhu residue sums all sum in this form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 from typing import Mapping
 
@@ -86,6 +91,48 @@ def rescale(data: dict, den: int, d: int) -> int:
             data[key] *= scale
         den *= scale
     return den
+
+
+def reduce(nums: dict, den: int) -> int:
+    """Divide the integer numerators nums over den in place by the gcd of
+    den and all of them, and return den divided by it."""
+    g = gcd(den, *nums.values()) if den > 1 else 1
+    if g > 1:
+        for key in nums:
+            nums[key] //= g
+    return den // g
+
+
+def numerators(values: dict) -> tuple:
+    """The integer form (values, nums, d) of a dict of rationals."""
+    d = 1
+    for c in values.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    return values, tuple(c * d if type(c) is int else c.numerator * (d // c.denominator)
+                         for c in values.values()), d
+
+
+def add_scaled(out: dict, den: int, c, form: tuple) -> int:
+    """Add c times the integer form (terms, nums, d) into the integer
+    numerators out over den, in place, and return the denominator of the
+    sum: out is first raised to lcm(den, d times c's denominator)."""
+    terms, nums, d = form
+    d *= c.denominator
+    den = rescale(out, den, d)
+    c = c.numerator * (den // d)
+    for t, x in zip(terms, nums):
+        accumulate(out, t, c * x)
+    return den
+
+
+def divided(nums: dict, den: int) -> dict:
+    """The values of the integer numerators nums over den: a whole one as
+    an ``int``, the rest as ``Fraction``s, in the keys' order; nums itself
+    when den is 1."""
+    if den == 1:
+        return nums
+    return {key: x // den if x % den == 0 else Fraction(x, den) for key, x in nums.items()}
 
 
 class Combination:

@@ -13,24 +13,20 @@ triple (u, v, w) read one memo of it by integer index: the fields of its
 inner pairs, whose truncation bounds they read, and the outer fields on its
 inner products, so a repeated product is found without hashing a state.
 Where an inner product is zero the memo prepares no outer field and the
-residuals skip the term.  These two residuals add their terms as ``int``s:
-each coefficient they read comes as its field's ``integer_form``, integer
-numerators over the lcm d of its denominators.  A residual sums c times
-those numerators into one dict over a running denominator D, rescaling the
-dict to lcm(D, d) with ``combination.rescale``, and divides only the surviving
-terms back by D, so a zero residual builds no ``Fraction``.  Their sums
-read each window's binomials as one row, taken once per (top, count).  The
-Heisenberg residual caches only its inner actions h(n) s; its two outer
-modes add into one terms dict through ``vertex.mode_into``, so it builds one
-element per residual.
+residuals skip the term.  The Borcherds, locality, d-derivative and Virasoro
+residuals read each coefficient as its field's ``integer_form`` and sum
+them with ``combination.add_scaled``, so a zero residual builds no
+``Fraction``.  The Borcherds and locality sums read each window's binomials
+as one row, taken once per (top, count).  The Heisenberg residual caches
+only its inner actions h(n) s; its two outer modes add into one terms dict
+through ``vertex.mode_into``, so it builds one element per residual.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .combination import accumulate, rescale
+from .combination import accumulate, add_scaled, divided, numerators
 from .fock import VElement
 from .lattice import LatticeVector
 from .vertex import (
@@ -73,6 +69,10 @@ class ActionCache:
 
     def act(self, u: VElement, n: int, w):
         return _field(self._fields, u, w, self.ctx).coefficient(n)
+
+    def form(self, u: VElement, n: int, w) -> tuple:
+        """u_n w as its field's ``integer_form``."""
+        return _field(self._fields, u, w, self.ctx).integer_form(n)
 
     def adjoint_product(self, u: VElement, n: int, v: VElement) -> VElement:
         return _field(self._adjoint, u, v, self.adj).coefficient(n)
@@ -161,7 +161,7 @@ def locality_residual(
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
     _check_cache(ctx, cache)
-    return _divided(ctx, *_commutator_sum(cache.triple(u, v, w), p, k_order, q))
+    return ctx.element(divided(*_commutator_sum(cache.triple(u, v, w), p, k_order, q)))
 
 
 def borcherds_residual(
@@ -196,8 +196,8 @@ def borcherds_residual(
     for i, b in enumerate(_binomials(m, j_max + 1)):
         field = uv_on_w[n + i]
         if field is not None:
-            den = _add_scaled(out, den, -b, field.integer_form(m + k - i))
-    return _divided(ctx, out, den)
+            den = add_scaled(out, den, -b, field.integer_form(m + k - i))
+    return ctx.element(divided(out, den))
 
 
 def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
@@ -214,10 +214,10 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
         c = -b if i % 2 else b
         field = u_on_vw[k + i]
         if field is not None:
-            den = _add_scaled(out, den, c, field.integer_form(m + n - i))
+            den = add_scaled(out, den, c, field.integer_form(m + n - i))
         field = v_on_uw[m + i]
         if field is not None:
-            den = _add_scaled(out, den, -c * sign_n, field.integer_form(n + k - i))
+            den = add_scaled(out, den, -c * sign_n, field.integer_form(n + k - i))
     return out, den
 
 
@@ -226,23 +226,6 @@ def _binomials(top: int, count: int) -> tuple:
     """gbinom(top, i) for i < count: a window's binomials, taken once per
     (top, count) rather than once per residual."""
     return tuple(gbinom(top, i) for i in range(count))
-
-
-def _add_scaled(out: dict, den: int, c: int, form: tuple) -> int:
-    """Add c times an integer form (terms, numerators, d) into out, integer
-    numerators over den, in place, rescaling out to lcm(den, d) first;
-    return the denominator of the sum."""
-    terms, nums, d = form
-    den = rescale(out, den, d)
-    c *= den // d
-    for t, x in zip(terms, nums):
-        accumulate(out, t, c * x)
-    return den
-
-
-def _divided(ctx: OperatorContext, out: dict, den: int):
-    """The element of the integer numerators out over den."""
-    return ctx.element(out if den == 1 else {t: Fraction(x, den) for t, x in out.items()})
 
 
 def heisenberg_residual(
@@ -279,19 +262,18 @@ def virasoro_residual(m: int, n: int, s, ctx: OperatorContext, cache: ActionCach
     """[L(m), L(n)] s minus (m-n) L(m+n) s minus the central term.
 
     The central term is (m^3 - m)/6 * delta_{m+n,0} * nu * s, i.e. central
-    charge 2*nu in the standard normalization.
+    charge 2*nu in the standard normalization; (m^3 - m)/6 is an integer,
+    as (m-1) m (m+1) is divisible by 6.
     """
     _check_cache(ctx, cache)
     omega = conformal_vector(ctx.cfg)
-
-    def L(a, x):
-        return cache.act(omega, a + 1, x)
-
-    lhs = L(m, L(n, s)) - L(n, L(m, s))
-    rhs = (m - n) * L(m + n, s)
+    out, den = {}, 1  # integer numerators over den
+    for c, a, b in ((1, m, n), (-1, n, m)):
+        den = add_scaled(out, den, c, cache.form(omega, a + 1, cache.act(omega, b + 1, s)))
+    den = add_scaled(out, den, n - m, cache.form(omega, m + n + 1, s))
     if m + n == 0:
-        rhs = rhs + Fraction((m**3 - m) * ctx.cfg.nu, 6) * s
-    return lhs - rhs
+        den = add_scaled(out, den, (m - m**3) // 6 * ctx.cfg.nu, numerators(s.terms))
+    return ctx.element(divided(out, den))
 
 
 def d_derivative_residual(u: VElement, n: int, w, ctx: OperatorContext, cache: ActionCache):
@@ -301,4 +283,7 @@ def d_derivative_residual(u: VElement, n: int, w, ctx: OperatorContext, cache: A
     """
     _check_cache(ctx, cache)
     du = cache.adjoint_product(conformal_vector(ctx.cfg), 0, u)
-    return cache.act(du, n, w) + n * cache.act(u, n - 1, w)
+    out, den = {}, 1  # integer numerators over den
+    den = add_scaled(out, den, 1, cache.form(du, n, w))
+    den = add_scaled(out, den, n, cache.form(u, n - 1, w))
+    return ctx.element(divided(out, den))

@@ -30,13 +30,10 @@ cached closed form
         prod_i C(m_i-1, n_i-1) h_i(-m_i)  *  h_(L - sum m_i)(alpha),
 
 where h_p(alpha) is level p of the creation dressing below.  A field adds
-in Python ``int``s from setup to coefficient: each annihilation half runs on
-the integer pattern coefficient, each group of them is integer numerators
-over one denominator, each creation closed form is cached as integer
-numerators over one denominator dividing L!, and a coefficient sums their
-products over one running denominator, raised by ``combination.rescale``
-where a group or half brings another.  Only a coefficient's values that are
-not whole are divided back as ``Fraction``s.
+in Python ``int``s from setup to coefficient, in the integer form of
+``combination``: its groups, its creation closed forms (over a denominator
+dividing L!) and each coefficient are integer numerators over one
+denominator.
 
 A single mode of one lattice direction (creation, contraction or zero mode)
 has one rule, ``_mode_dir``, shared by the field modes of a ``Field`` and by
@@ -54,7 +51,6 @@ it uses two cached closed forms instead of a sum over partitions.  The
 z^p coefficient of E^-(-alpha, z) is the complete symmetric function h_p of
 the power sums alpha(-m) (Macdonald, Symmetric Functions and Hall
 Polynomials, I.2), built by Newton's identity once per (alpha, p).
-``dressing`` divides the integer creation form back for its rational result.
 E^+(-alpha, z) shifts each d_i(-m) factor by -k alpha_i z^(-m), so its
 z^(-p) coefficient on a word removes the sets of d-factors of total mode
 p, with the product of their -k alpha_i, cached per (word, alpha, k, p).
@@ -64,10 +60,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial
 
 from .assoc import WeightModule, act_on_labels
-from .combination import accumulate, rational, rescale
+from .combination import accumulate, add_scaled, divided, numerators, rational, reduce, rescale
 from .fock import ModuleElement, VElement, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 
@@ -203,14 +199,14 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
     level p is the complete symmetric function h_p of the power sums
     alpha(-m) (Macdonald, Symmetric Functions and Hall Polynomials, I.2),
     a fixed combination of c-direction creation words merged into each
-    state, read from the integer cache ``_creation_level`` and divided back
-    by its denominator.  side = -1 is the annihilation half E^+(-alpha, z):
-    alpha lies in the charge lattice, so alpha(m) removes one d_i(-m) factor
-    with weight m k alpha_i, and the exponential shifts every d_i(-m) factor
-    by -k alpha_i z^(-m); level p removes each set of d-factors of total
-    mode p with the product of their -k alpha_i.  Both states and the result map
-    (Fock word, label) keys to coefficients; level 0 is the identity and
-    returns states itself.
+    state, read from ``_creation_level`` in ``combination``'s integer form
+    and divided back.  side = -1 is
+    the annihilation half E^+(-alpha, z): alpha lies in the charge lattice,
+    so alpha(m) removes one d_i(-m) factor with weight m k alpha_i, and the
+    exponential shifts every d_i(-m) factor by -k alpha_i z^(-m); level p
+    removes each set of d-factors of total mode p with the product of their
+    -k alpha_i.  Both states and the result map (Fock word, label) keys to
+    coefficients; level 0 is the identity and returns states itself.
     """
     if p == 0:
         return states
@@ -220,8 +216,7 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
         for (word, label), c in states.items():
             for creations, q in level:
                 accumulate(out, (merge_words(word, creations), label), c * q)
-        if den > 1:
-            out = {key: rational(Fraction(c, den)) for key, c in out.items()}
+        out = divided(out, den)
     else:
         for (word, label), c in states.items():
             for rest, q in _annihilation_level(word, alpha, cfg.k, p):
@@ -236,9 +231,8 @@ def _creation_level(alpha: tuple, p: int) -> tuple:
 
     Newton's identity p h_p = sum_{m=1..p} alpha(-m) h_(p-m) builds each
     level from the lower ones, all cached.  This cache is the closed form's
-    one representation: ``dressing`` divides it back for its rational
-    result, and ``_creation_half`` and ``Field.coefficient`` keep adding
-    numerators.
+    one representation, read by ``dressing``, ``_creation_half`` and
+    ``Field.coefficient``.
     """
     if p == 0:
         return (((), 1),), 1
@@ -251,7 +245,7 @@ def _creation_level(alpha: tuple, p: int) -> tuple:
             for i, a_i in enumerate(alpha):
                 if a_i:
                     accumulate(out, merge_words(word, ((i, m),)), c * a_i * scale)
-    den = _reduce(out, den * p)
+    den = reduce(out, den * p)
     return tuple(out.items()), den
 
 
@@ -293,19 +287,14 @@ class Field:
     cached closed form ``_creation_half`` of the creating fields and alpha
     at the level L = J - n that balances z, where
     J = wt(u) - 1 - p0 + (sum of positive modes) + a and z^p0 is the scalar
-    charge power.  Each row runs on the integer pattern coefficient, and
-    the term-pair scalar cu cw is folded in only as the row is added into
-    its group: the annihilation halves are summed per (creating fields,
-    alpha, J) as integer numerators over one group denominator, which is
-    raised when cu cw or a label action brings a proper fraction (the weight
-    module's half-integer labels through ``d_action``, the function
-    module's shift constants through ``e_action``).  Only the nonzero sums
-    are kept, reduced by their gcd.  ``coefficient(n)`` merges each sum
-    whose creation half at J - n is nonzero into every word of that sum,
-    adding ``int``s, and the field keeps each coefficient it computes in one
-    table of n, beside its ``integer_form(n)``, the reduced numerators, for
-    the checkers that sum coefficients; every later ask of that n is a
-    lookup.  ``bound`` is the truncation bound of the pair, taken once.
+    charge power.  Each row runs on the integer pattern coefficient; the
+    setup adds cu cw times it into its group, one sum per (creating fields,
+    alpha, J) in ``combination``'s integer form, and keeps the nonzero sums.
+    ``coefficient(n)`` merges each sum whose creation half at J - n is
+    nonzero into every word of that sum, adding ``int``s, and the field
+    keeps each coefficient it computes in one table of n, beside its
+    ``integer_form(n)``; every later ask of that n is a lookup.  ``bound``
+    is the truncation bound of the pair, taken once.
     """
 
     __slots__ = ("ctx", "bound", "_groups", "_coefficients")
@@ -345,11 +334,11 @@ class Field:
                             mid = act_on_labels(mid, ctx.handle.e_action, alpha)
                         if mid:
                             group = sums.setdefault((creating, alpha, top + drawn + a), [{}, 1])
-                            group[1] = _fold(group[0], group[1], mid, cuw)
+                            group[1] = add_scaled(group[0], group[1], cuw, numerators(mid))
         groups = []
         for (creating, alpha, shift), (nums, den) in sums.items():
             if nums:
-                den = _reduce(nums, den)
+                den = reduce(nums, den)
                 # the creation half at level J - n is zero below the creating fields' weight
                 groups.append((creating, alpha, shift, sum(m for _, m in creating),
                                tuple(nums.items()), den))
@@ -374,20 +363,15 @@ class Field:
                     c *= scale
                     for created, q in half:
                         accumulate(out, (merge_words(word, created), lab), c * q)
-            d = _reduce(out, den)
+            d = reduce(out, den)
             nums = tuple(out.values())
-            if d > 1:
-                out = {key: x // d if x % d == 0 else Fraction(x, d) for key, x in out.items()}
-            element = self.ctx.element(out)
+            element = self.ctx.element(divided(out, d))
             hit = self._coefficients[n] = (element, (element.terms, nums, d))
         return hit[0]
 
     def integer_form(self, n: int) -> tuple:
-        """u_n w as (terms, numerators, d): the coefficient's own terms dict,
-        the tuple of its values times d in the dict's order, and d the lcm of
-        their denominators.  These are the numerators ``coefficient(n)``
-        summed, reduced by their gcd, kept beside the coefficient in the
-        field's one table of n."""
+        """u_n w in ``combination``'s integer form, on the coefficient's own
+        terms dict: the numerators ``coefficient(n)`` summed, reduced."""
         hit = self._coefficients.get(n)
         if hit is None:
             self.coefficient(n)
@@ -458,35 +442,8 @@ def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
         weight = comb(m - 1, n_i - 1) * (den // d)
         for word, q in half:
             accumulate(out, merge_words(word, ((dir_, m),)), weight * q)
-    den = _reduce(out, den)
+    den = reduce(out, den)
     return tuple(out.items()), den
-
-
-def _reduce(nums: dict, den: int) -> int:
-    """Divide the integer numerators nums over den in place by the gcd of
-    den and all of them, and return den divided by it."""
-    g = gcd(den, *nums.values()) if den > 1 else 1
-    if g > 1:
-        for key in nums:
-            nums[key] //= g
-    return den // g
-
-
-def _fold(nums: dict, den: int, states: dict, scale) -> int:
-    """Add scale times the rational states into the integer numerators nums
-    over den, in place, and return the new den: a multiple of scale's
-    denominator times the lcm of the states', over which every product is
-    an integer numerator.  The states are a row's annihilation half, proper
-    fractions in it coming only from label actions."""
-    d = 1
-    for c in states.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    den = rescale(nums, den, d * scale.denominator)
-    f = scale.numerator * (den // scale.denominator)
-    for key, c in states.items():
-        accumulate(nums, key, c * f if type(c) is int else c.numerator * f // c.denominator)
-    return den
 
 
 def _mode_dir(ctx, states, dir_: int, n: int) -> dict:

@@ -22,7 +22,7 @@ from math import comb
 from typing import Sequence
 
 from .assoc import AElement
-from .combination import accumulate
+from .combination import accumulate, add_scaled, divided
 from .fock import VElement, homogeneous_components
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
@@ -32,14 +32,12 @@ from .vertex import Field, adjoint_context
 def _residue_sum(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VElement:
     """sum_i C(wt u, i) u_{i-n-2} v over the homogeneous parts of u."""
     ctx = adjoint_context(cfg)
-    out: dict = {}
+    out, den = {}, 1  # integer numerators over den
     for wt, part in homogeneous_components(u).items():
         field = Field(part, v, ctx)
         for i in range(wt + 1):
-            c = comb(wt, i)
-            for t, q in field.coefficient(i - n - 2).terms.items():
-                accumulate(out, t, c * q)
-    return ctx.element(out)
+            den = add_scaled(out, den, comb(wt, i), field.integer_form(i - n - 2))
+    return ctx.element(divided(out, den))
 
 
 def zhu_star(cfg: LatticeConfig, u: VElement, v: VElement) -> VElement:

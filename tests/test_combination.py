@@ -4,12 +4,15 @@ denominator, and never a float.
 ``int / int`` is a float in Python, so every site that divides coefficients
 must build ``Fraction(a, b)``.  Each test below feeds integer-valued data
 into one such site, where the quotient is a proper fraction, and checks
-every value that comes out.
+every value that comes out.  The integer form's functions are checked
+against plain ``Fraction`` arithmetic on drawn data.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from halflattice.assoc import (
     AElement,
@@ -23,7 +26,15 @@ from halflattice.assoc import (
     simplicity_witness,
 )
 from halflattice.bridge import charge_sector, z_operator
-from halflattice.combination import integer, rational
+from halflattice.combination import (
+    accumulate,
+    add_scaled,
+    divided,
+    integer,
+    numerators,
+    rational,
+    reduce,
+)
 from halflattice.fock import VElement, charge_element, fock_element, fock_word, vacuum
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
@@ -163,3 +174,71 @@ def test_zhu_star_on_integer_states():
     assert canonical(got.terms.values())
     assert got.terms[(((0, 3),), (2, 1))] == Fraction(-4, 3)
     assert got.terms[(((2, 3),), (2, 1))] == 1
+
+
+# -- the integer form against Fraction arithmetic ------------------------------------
+
+KEYS = st.integers(0, 6)
+INT_VALUES = st.dictionaries(KEYS, st.integers(-9, 9).filter(bool), max_size=5)
+# st.fractions draws whole Fractions too, which a label action can return
+MIXED_VALUES = st.dictionaries(
+    KEYS, st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6)).filter(bool),
+    max_size=5)
+SCALARS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4),
+                    st.just(Fraction(1, 1)))
+NUMERATORS = st.dictionaries(KEYS, st.integers(-30, 30), max_size=5)
+
+
+@example({})
+@given(st.one_of(INT_VALUES, MIXED_VALUES))
+def test_numerators_are_the_values_times_their_lcm(values):
+    terms, nums, d = numerators(values)
+    assert terms is values
+    assert d == lcm(*(Fraction(c).denominator for c in values.values()))
+    assert all(type(x) is int for x in nums)
+    assert [Fraction(x, d) for x in nums] == list(values.values())
+    if all(type(c) is int for c in values.values()):
+        assert (nums, d) == (tuple(values.values()), 1)
+
+
+@example([(3, {0: Fraction(1, 2), 1: 2}), (-2, {1: 3})])
+@example([(Fraction(2, 3), {0: 1}), (Fraction(-1, 6), {0: Fraction(1, 4), 2: 5})])
+@example([(Fraction(1, 1), {0: Fraction(1, 2)}), (Fraction(1, 1), {0: Fraction(-1, 2)})])
+@given(st.lists(st.tuples(SCALARS, MIXED_VALUES), max_size=4))
+def test_add_scaled_sums_like_fractions(steps):
+    out, den, want, lcm_seen = {}, 1, {}, 1
+    for c, values in steps:
+        den = add_scaled(out, den, c, numerators(values))
+        for t, x in values.items():
+            accumulate(want, t, Fraction(c) * x)
+        lcm_seen = lcm(lcm_seen, numerators(values)[2] * Fraction(c).denominator)
+        assert den == lcm_seen
+        assert all(type(x) is int for x in out.values())
+        assert [(t, Fraction(x, den)) for t, x in out.items()] == list(want.items())
+
+
+@example({}, 6)
+@example({0: 4, 1: -6}, 1)
+@given(NUMERATORS, st.integers(1, 12))
+def test_reduce_keeps_the_values_in_lowest_terms(nums, den):
+    got = dict(nums)
+    d = reduce(got, den)
+    assert list(got) == list(nums)
+    assert [Fraction(x, d) for x in got.values()] == [Fraction(x, den) for x in nums.values()]
+    if den == 1:
+        assert (got, d) == (nums, 1)
+    else:
+        assert gcd(d, *got.values()) == 1
+    if not nums:
+        assert d == 1
+
+
+@example({0: 4, 1: 3}, 2)
+@given(NUMERATORS, st.integers(1, 12))
+def test_divided_gives_whole_values_as_ints(nums, den):
+    got = divided(nums, den)
+    assert list(got) == list(nums)
+    for t, x in nums.items():
+        assert got[t] == Fraction(x, den)
+        assert type(got[t]) is (int if x % den == 0 else Fraction)
+    assert (got is nums) == (den == 1)

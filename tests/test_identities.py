@@ -492,14 +492,14 @@ def test_integer_accumulation_matches_the_rational_loop(monkeypatch):
     # gives nonzero residuals over a denominator, which must be divided back
     # by the right one.  The Borcherds residuals run in the adjoint, weight
     # and function-module contexts.
-    add_scaled, rescaled = identities._add_scaled, []
+    add_scaled, rescaled = identities.add_scaled, []
 
     def recording(out, den, c, form):
         if out and den % form[2]:
             rescaled.append((den, form[2]))
         return add_scaled(out, den, c, form)
 
-    monkeypatch.setattr(identities, "_add_scaled", recording)
+    monkeypatch.setattr(identities, "add_scaled", recording)
     half, third = Fraction(1, 2), Fraction(1, 3)
     c1, d1 = fock_element(1, [(0, 1)]), fock_element(1, [(1, 1)])
     ep, em = charge_element(1, (1,)), charge_element(1, (-1,))
@@ -529,7 +529,8 @@ def test_integer_accumulation_matches_the_rational_loop(monkeypatch):
 
 def test_zero_residuals_on_a_warm_cache_build_no_fraction(monkeypatch):
     # the coefficients' integer forms are kept, so a second pass over zero
-    # residuals adds integers only and divides nothing back
+    # residuals adds integers only and divides nothing back; the Virasoro
+    # central term is an integer multiple of s
     ctx = adjoint_context(CFG1)
     cache = ActionCache(ctx)
     u = Fraction(1, 2) * fock_element(1, [(1, 1)]) + Fraction(1, 3) * charge_element(1, (1,))
@@ -540,6 +541,8 @@ def test_zero_residuals_on_a_warm_cache_build_no_fraction(monkeypatch):
         for m, n, k in TRIPLES2:
             yield borcherds_residual(u, v, w, m, n, k, ctx, cache)
             yield locality_residual(u, v, w, m, n, 2, ctx, cache)
+            yield d_derivative_residual(u, m, w, ctx, cache)
+            yield virasoro_residual(m, n, w, ctx, cache)
 
     assert not any(residuals())
     new, built = Fraction.__new__, []

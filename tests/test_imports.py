@@ -1,19 +1,21 @@
-"""Every imported name is used.
+"""Every imported name is used, and the integer form keeps one owner.
 
 An AST scan of the package modules (but not ``__init__.py``, which imports
 to re-export) and of the test modules.  A name counts as used when it is
 read anywhere in the module, including inside a string annotation such as
-``-> "LaurentPoly"``.
+``-> "LaurentPoly"``.  A second scan keeps ``gcd`` and ``lcm`` from
+``math`` inside ``combination``, the one module that builds, raises,
+reduces and divides back integer numerators over a denominator.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(
-    [p for p in (ROOT / "src" / "halflattice").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
-)
+PACKAGE = sorted((ROOT / "src" / "halflattice").glob("*.py"))
+SOURCES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py")))
+DENOMINATOR_NAMES = {"gcd", "lcm"}
 
 
 def unused_imports(source: str) -> list:
@@ -56,3 +58,28 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def denominator_names(source: str) -> list:
+    """The names in {gcd, lcm} that the source takes from ``math``, by
+    ``from math import`` or as ``math.gcd`` / ``math.lcm``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.update(alias.name for alias in node.names if alias.name in DENOMINATOR_NAMES)
+        elif (isinstance(node, ast.Attribute) and node.attr in DENOMINATOR_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_the_scan_finds_gcd_and_lcm():
+    assert denominator_names("from math import comb, gcd\n") == ["gcd"]
+    assert denominator_names("import math\nx = math.lcm(2, 3)\n") == ["lcm"]
+    assert denominator_names("from math import comb\nx = comb(3, 1)\n") == []
+
+
+def test_only_combination_takes_gcd_or_lcm():
+    found = {path.name: denominator_names(path.read_text()) for path in PACKAGE}
+    assert found.pop("combination.py") == ["gcd", "lcm"]
+    assert not any(found.values()), found

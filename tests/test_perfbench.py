@@ -134,8 +134,7 @@ def test_jacobi_sample_builds_the_pinned_fractions():
 
 def test_dressing_sample_builds_the_pinned_fractions():
     # The engine builds 1,476 for the coefficients' values that are not
-    # whole and 54 for the prepared fields' term-pair scalars (and one for
-    # the conformal vector); the rest are the residuals' element sums and
-    # multiples of those coefficients.  The same under PYTHONHASHSEED 0
-    # and 1.
-    assert _fractions_built("dressing") == 2999
+    # whole and 54 for the prepared fields' term-pair scalars, and one is
+    # the conformal vector's 1/k.  The residuals sum integer forms and
+    # build none.  The same under PYTHONHASHSEED 0 and 1.
+    assert _fractions_built("dressing") == 1531

@@ -8,9 +8,9 @@ from math import comb, factorial, lcm
 
 import pytest
 
-from halflattice import vertex
+from halflattice import combination, vertex
 from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule, act_on_labels
-from halflattice.combination import accumulate
+from halflattice.combination import accumulate, add_scaled
 from halflattice.fock import (
     ModuleElement,
     VElement,
@@ -541,14 +541,19 @@ def test_integer_field_matches_the_rational_loop(monkeypatch):
     # and the function module's shift constants 1/2 and 2/3 through
     # e_action.  So a group's denominator is raised while it already holds
     # numerators, in setup and again in coefficient, and the recording below
-    # sees both.
-    rescale, rescaled = vertex.rescale, Counter()
+    # sees both: setup raises through combination.add_scaled, coefficient
+    # calls the rescale itself.
+    rescale, rescaled = combination.rescale, Counter()
 
     def recording(data, den, d):
         if data and den % d:
-            rescaled[sys._getframe(1).f_code.co_name] += 1
+            caller = sys._getframe(1)
+            if caller.f_code is add_scaled.__code__:
+                caller = caller.f_back
+            rescaled[caller.f_code] += 1
         return rescale(data, den, d)
 
+    monkeypatch.setattr(combination, "rescale", recording)
     monkeypatch.setattr(vertex, "rescale", recording)
     cfg = CFG2
     lam = cfg.vector(d=[1, 2])
@@ -576,7 +581,7 @@ def test_integer_field_matches_the_rational_loop(monkeypatch):
                     proper += d > 1
                     mixed += d > 1 and int in map(type, got.values())
     assert proper and mixed
-    assert rescaled["_fold"] and rescaled["coefficient"]
+    assert rescaled[Field.__init__.__code__] and rescaled[Field.coefficient.__code__]
 
 
 def unpruned_patterns(fields, budget: int):
