@@ -107,27 +107,22 @@ def z_operator(
     E^+(-alpha, z): both are the dressing of -alpha.  On a vacuum state the
     right factor is the identity; in general it contributes finitely many
     annihilation terms bounded by the state's Fock weight.  Either way the
-    coefficient at z^(-n-1) is a finite double sum, cut off by the action
-    truncation.
+    coefficient at z^(-n-1) is a finite double sum, cut off at the ``top``
+    of each prepared field, past which its coefficients vanish.
     """
     cfg = mctx.cfg
     charge = tuple(integer(m) for m in alpha)
     inverse = tuple(-m for m in charge)
     e_alpha = charge_element(cfg.nu, charge)
     out: dict = {}
-    top = max((fock_weight(word) for (word, _) in w.terms), default=0) if any(charge) else 0
-    for b in range(top + 1):
+    b_max = max((fock_weight(word) for (word, _) in w.terms), default=0) if any(charge) else 0
+    for b in range(b_max + 1):
         states = dressing(cfg, w.terms, inverse, b, -1)
-        if not states:
-            continue
         field = Field(e_alpha, mctx.element(states), mctx)
-        a = 0
-        while n + a - b <= field.bound:
-            inner = field.coefficient(n + a - b)
-            if not inner.is_zero():
-                for key, c in dressing(cfg, inner.terms, inverse, a, 1).items():
-                    accumulate(out, key, c)
-            a += 1
+        for a in range(field.top + b - n + 1):
+            inner = field.coefficient(n + a - b).terms
+            for key, c in dressing(cfg, inner, inverse, a, 1).items():
+                accumulate(out, key, c)
     return mctx.element(out)
 
 

@@ -70,7 +70,9 @@ def _load_doc(path: str):
 
 
 def _suite_config(args) -> SuiteConfig:
-    config = SuiteConfig()
+    """The suite config from the config file, then the --nu, --k and --seed
+    flags over it, every value checked by one rule and named by its source."""
+    values = []  # (where it came from, field, value)
     if args.config:
         doc = _load_doc(args.config)
         if not isinstance(doc, dict):
@@ -79,23 +81,18 @@ def _suite_config(args) -> SuiteConfig:
         unknown = set(doc) - known
         if unknown:
             raise SchemaError(args.config, f"unknown config fields: {sorted(unknown)}")
-        lower = {"nu": 1, "probe_count": 1, "mode_window": 0, "jacobi_window": 0, "max_degree": 0}
-        for name, value in doc.items():
-            path = f"{args.config}.{name}"
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SchemaError(path, f"expected an integer, got {value!r}")
-            if name in lower and value < lower[name]:
-                raise SchemaError(path, f"must be at least {lower[name]}, got {value}")
-            if name == "k" and value == 0:
-                raise SchemaError(path, "k must be a nonzero integer")
-        config = replace(config, **doc)
-    if getattr(args, "nu", None) is not None:
-        config = replace(config, nu=args.nu)
-    if getattr(args, "k", None) is not None:
-        config = replace(config, k=args.k)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    return config
+        values += [(f"{args.config}.{name}", name, value) for name, value in doc.items()]
+    values += [(f"--{name}", name, getattr(args, name)) for name in ("nu", "k", "seed")
+               if getattr(args, name) is not None]
+    lower = {"nu": 1, "probe_count": 1, "mode_window": 0, "jacobi_window": 0, "max_degree": 0}
+    for path, name, value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(path, f"expected an integer, got {value!r}")
+        if name in lower and value < lower[name]:
+            raise SchemaError(path, f"must be at least {lower[name]}, got {value}")
+        if name == "k" and value == 0:
+            raise SchemaError(path, "k must be a nonzero integer")
+    return replace(SuiteConfig(), **{name: value for _, name, value in values})
 
 
 def _lattice(config: SuiteConfig, default_nu: int = 2, default_k: int = 1) -> LatticeConfig:

@@ -21,16 +21,15 @@ is that ``/`` on two ``int``s is a float: every division of coefficients
 is written ``Fraction(a, b)``.
 
 Where many values are summed, the package adds ``int``s only, in one
-integer form that this module alone owns: (terms, nums, d), a dict whose
-values are rationals, the tuple of those values times d in the dict's
-order, and d the lcm of their denominators (``numerators`` builds it).  A
-sum is a dict of integer numerators over one running denominator.
-``add_scaled`` adds c times a form into it, ``rescale`` raises it to
-lcm(den, d) when a value over another denominator arrives, ``reduce``
-divides out the common gcd, and ``divided`` is the one divide-back, which
-builds a ``Fraction`` only for a value that is not whole.  The vertex
-engine's fields, its creation closed forms, the identity checkers and the
-Zhu residue sums all sum in this form.
+integer form that this module alone owns: (nums, d), a dict of integer
+numerators over one denominator d, the same shape as every running sum
+(``numerators`` builds it from a dict of rationals, d the lcm of their
+denominators).  ``add_scaled`` adds c times a form into a sum, ``rescale``
+raises a sum to lcm(den, d) when a value over another denominator
+arrives, ``reduce`` divides out the common gcd, and ``divided`` is the one
+divide-back, which builds a ``Fraction`` only for a value that is not
+whole.  The vertex engine's fields, its creation closed forms, the
+identity checkers and the Zhu residue sums all sum in this form.
 """
 
 from __future__ import annotations
@@ -104,24 +103,25 @@ def reduce(nums: dict, den: int) -> int:
 
 
 def numerators(values: dict) -> tuple:
-    """The integer form (values, nums, d) of a dict of rationals."""
-    d = 1
-    for c in values.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    return values, tuple(c * d if type(c) is int else c.numerator * (d // c.denominator)
-                         for c in values.values()), d
+    """The integer form (nums, d) of a dict of rationals, in the keys'
+    order: values itself over 1 when every value is an ``int``."""
+    dens = [c.denominator for c in values.values() if type(c) is not int]
+    if not dens:
+        return values, 1
+    d = lcm(*dens)
+    return {t: c * d if type(c) is int else c.numerator * (d // c.denominator)
+            for t, c in values.items()}, d
 
 
 def add_scaled(out: dict, den: int, c, form: tuple) -> int:
-    """Add c times the integer form (terms, nums, d) into the integer
-    numerators out over den, in place, and return the denominator of the
-    sum: out is first raised to lcm(den, d times c's denominator)."""
-    terms, nums, d = form
+    """Add c times the integer form (nums, d) into the integer numerators
+    out over den, in place, and return the denominator of the sum: out is
+    first raised to lcm(den, d times c's denominator)."""
+    nums, d = form
     d *= c.denominator
     den = rescale(out, den, d)
     c = c.numerator * (den // d)
-    for t, x in zip(terms, nums):
+    for t, x in nums.items():
         accumulate(out, t, c * x)
     return den
 

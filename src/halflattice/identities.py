@@ -10,14 +10,15 @@ The cache prepares one ``Field`` per (u, w), which keeps its coefficients,
 so a sweep shares each pair's annihilation side across every n and computes
 each u_n w or h(n) s once.  The Borcherds and locality residuals of a
 triple (u, v, w) read one memo of it by integer index: the fields of its
-inner pairs, whose truncation bounds they read, and the outer fields on its
-inner products, so a repeated product is found without hashing a state.
+inner pairs, at whose support tops they cut their sums, and the outer
+fields on its inner products, so a repeated product is found without
+hashing a state.
 Where an inner product is zero the memo prepares no outer field and the
 residuals skip the term.  The Borcherds, locality, d-derivative and Virasoro
-residuals read each coefficient as its field's ``integer_form`` and sum
-them with ``combination.add_scaled``, so a zero residual builds no
+residuals read each coefficient from its field's table of integer forms
+and sum them with ``combination.add_scaled``, so a zero residual builds no
 ``Fraction``.  The Borcherds and locality sums read each window's binomials
-as one row, taken once per (top, count).  The Heisenberg residual caches
+as one row, taken once per (r, last).  The Heisenberg residual caches
 only its inner actions h(n) s; its two outer modes add into one terms dict
 through ``vertex.mode_into``, so it builds one element per residual.
 """
@@ -47,16 +48,18 @@ class ActionCache:
     It prepares one ``Field`` per (u, w) in the context and one per (u, v)
     in the adjoint, and each field keeps the coefficients it has computed;
     when the context is the adjoint itself, the two are one table.  Every
-    coefficient shares its pair's annihilation halves.  Heisenberg modes
-    h(n) s are keyed by their arguments.
+    coefficient shares its pair's annihilation halves.  ``form`` reads a
+    field's table of integer forms; ``act`` and ``adjoint_product`` read
+    the elements divided back from it.  Heisenberg modes h(n) s are keyed
+    by their arguments.
 
     ``triple(u, v, w)`` is the memo that the Borcherds and locality
     residuals of one triple read by integer index: for each inner index b
     the outer fields u on v_b w, v on u_b w and u_b v on w, which are the
-    table's own fields.  The truncation bounds are read off the inner pair
-    fields (v, w), (u, w) and, in the adjoint, (u, v); the adjoint one is
-    prepared only when a residual asks for it.  A zero inner product is
-    stored as None and prepares no outer field, since x_a 0 = 0.
+    table's own fields.  The residuals' sums stop at the ``top`` of the
+    inner pair fields (v, w), (u, w) and, in the adjoint, (u, v); the
+    adjoint one is prepared only when a residual asks for it.  A zero inner
+    product is stored as None and prepares no outer field, since x_a 0 = 0.
     """
 
     def __init__(self, ctx: OperatorContext):
@@ -188,12 +191,9 @@ def borcherds_residual(
     memo = cache.triple(u, v, w)
     out, den = _commutator_sum(memo, m, n, k)
     # the inner product u_{n+i} v lives in the adjoint context, so its
-    # truncation bound is the one taken there
+    # support top is the one taken there
     uv_on_w = memo[2]
-    j_max = max(uv_on_w.inner().bound - n, 0)
-    if m >= 0:
-        j_max = min(j_max, m)
-    for i, b in enumerate(_binomials(m, j_max + 1)):
+    for i, b in enumerate(_binomials(m, uv_on_w.inner().top - n)):
         field = uv_on_w[n + i]
         if field is not None:
             den = add_scaled(out, den, -b, field.integer_form(m + k - i))
@@ -203,14 +203,12 @@ def borcherds_residual(
 def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
     """sum_{i>=0} (-1)^i C(n,i) [u_{m+n-i} (v_{k+i} w) - (-1)^n v_{n+k-i} (u_{m+i} w)]
     as (integer numerators, denominator), read from the memo of (u, v, w) and
-    cut off where both inner actions vanish by truncation."""
+    cut off past both inner fields' tops, where both inner actions vanish."""
     u_on_vw, v_on_uw, _ = memo
     out, den = {}, 1  # integer numerators over den
-    i_max = max(u_on_vw.inner().bound - k, v_on_uw.inner().bound - m, 0)
-    if n >= 0:
-        i_max = min(i_max, n)
+    i_max = max(u_on_vw.inner().top - k, v_on_uw.inner().top - m)
     sign_n = -1 if n % 2 else 1
-    for i, b in enumerate(_binomials(n, i_max + 1)):
+    for i, b in enumerate(_binomials(n, i_max)):
         c = -b if i % 2 else b
         field = u_on_vw[k + i]
         if field is not None:
@@ -222,10 +220,11 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _binomials(top: int, count: int) -> tuple:
-    """gbinom(top, i) for i < count: a window's binomials, taken once per
-    (top, count) rather than once per residual."""
-    return tuple(gbinom(top, i) for i in range(count))
+def _binomials(r: int, last: int) -> tuple:
+    """gbinom(r, i) for i = 0..last, ending at i = r for r >= 0, past which
+    they vanish: a window's binomials, taken once per (r, last) rather than
+    once per residual."""
+    return tuple(gbinom(r, i) for i in range(min(last, r) + 1 if r >= 0 else last + 1))
 
 
 def heisenberg_residual(

@@ -64,6 +64,7 @@ from .vertex import (
     apply_heisenberg_mode,
     conformal_vector,
     module_operator_context,
+    truncation_bound,
 )
 from .zhu import (
     circ_general,
@@ -617,12 +618,16 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
             cache = ActionCache(ctx)
             probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, cfg, ctx, 1)
 
+            # probes above the weight formula's bound, which is also the
+            # independent check on where the field's own support ends
             report.sweep(f"truncation/{tag}", (
-                ((name, widx, n), field.coefficient(n))
+                ((name, widx, n),
+                 f"support top {field.top} exceeds the truncation bound {bound}"
+                 if field.top > bound else field.coefficient(n))
                 for name, u in gens
                 for widx, w in enumerate(probes)
-                for field in [Field(u, w, ctx)]
-                for n in range(field.bound + 1, field.bound + 4)
+                for field, bound in [(Field(u, w, ctx), truncation_bound(u, w, ctx))]
+                for n in range(bound + 1, bound + 4)
             ))
 
             one = vacuum(nu)

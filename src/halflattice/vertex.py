@@ -8,10 +8,11 @@ with the exponential dressing of the lattice operator for e^alpha:
     E^{+-}(beta, z) = exp( sum_{n in +-N} beta(n) z^{-n} / n ).
 
 Nothing here materializes a series: a ``Field`` prepares the field of u on
-one state w, and ``coefficient(n)`` extracts one z-power of it, which the
-field keeps for the next ask of the same n.  Normal
-ordering places creation modes and the charge shift to the left of zero
-modes, which sit to the left of annihilation modes; the scalar power z^alpha
+one state w, and ``integer_form(n)`` extracts one z-power of it, which the
+field keeps for the next ask of the same n; past the field's ``top``, the
+end of its own support, every z-power is zero and nothing is computed.
+Normal ordering places creation modes and the charge shift to the left of
+zero modes, which sit to the left of annihilation modes; the scalar power z^alpha
 acts as z to the pairing of alpha with the module weight (zero on the
 algebra itself, where the charge lattice is isotropic).  So each coefficient
 splits in two halves.  The annihilation half is enumerated by annihilation
@@ -33,7 +34,7 @@ where h_p(alpha) is level p of the creation dressing below.  A field adds
 in Python ``int``s from setup to coefficient, in the integer form of
 ``combination``: its groups, its creation closed forms (over a denominator
 dividing L!) and each coefficient are integer numerators over one
-denominator.
+denominator, kept as the field's one table of n.
 
 A single mode of one lattice direction (creation, contraction or zero mode)
 has one rule, ``_mode_dir``, shared by the field modes of a ``Field`` and by
@@ -290,27 +291,28 @@ class Field:
     charge power.  Each row runs on the integer pattern coefficient; the
     setup adds cu cw times it into its group, one sum per (creating fields,
     alpha, J) in ``combination``'s integer form, and keeps the nonzero sums.
-    ``coefficient(n)`` merges each sum whose creation half at J - n is
-    nonzero into every word of that sum, adding ``int``s, and the field
-    keeps each coefficient it computes in one table of n, beside its
-    ``integer_form(n)``; every later ask of that n is a lookup.  ``bound``
-    is the truncation bound of the pair, taken once.
+    A group vanishes for n > J - (weight of its creating fields), and
+    ``top`` is the largest of these (-1 with no group): u_n w = 0 for every
+    n > top.  ``integer_form(n)`` merges each group whose creation half at
+    J - n is nonzero into every word of that group, adding ``int``s, and
+    keeps the form in the field's one table of n; ``coefficient(n)``
+    divides it back once, for callers that need an element.  Past top both
+    answer empty, computing and keeping nothing.
     """
 
-    __slots__ = ("ctx", "bound", "_groups", "_coefficients")
+    __slots__ = ("ctx", "top", "_groups", "_forms", "_elements")
 
     def __init__(self, u: VElement, w, ctx: OperatorContext):
         if not isinstance(u, VElement):
             raise TypeError("the acting state must be a VElement")
         ctx.check_target(w)
         self.ctx = ctx
-        self.bound = truncation_bound(u, w, ctx)
         cfg = ctx.cfg
         # (creating fields, alpha, J) -> [integer numerators, denominator]
         # of the summed annihilation halves
         sums: dict = {}
         for (ufock, alpha), cu in u.terms.items():
-            top = fock_weight(ufock) - 1 - ctx.charge_power(alpha)
+            j0 = fock_weight(ufock) - 1 - ctx.charge_power(alpha)  # J at no drawn mode, a = 0
             charged = any(alpha)
             for (wfock, label), cw in w.terms.items():
                 budget = fock_weight(wfock)
@@ -333,27 +335,32 @@ class Field:
                         if mid and charged:
                             mid = act_on_labels(mid, ctx.handle.e_action, alpha)
                         if mid:
-                            group = sums.setdefault((creating, alpha, top + drawn + a), [{}, 1])
+                            group = sums.setdefault((creating, alpha, j0 + drawn + a), [{}, 1])
                             group[1] = add_scaled(group[0], group[1], cuw, numerators(mid))
         groups = []
         for (creating, alpha, shift), (nums, den) in sums.items():
             if nums:
                 den = reduce(nums, den)
-                # the creation half at level J - n is zero below the creating fields' weight
-                groups.append((creating, alpha, shift, sum(m for _, m in creating),
+                # the creation half at level J - n is zero below the creating
+                # fields' weight, so the group vanishes past its own top
+                groups.append((creating, alpha, shift, shift - sum(m for _, m in creating),
                                tuple(nums.items()), den))
         self._groups = tuple(groups)
-        self._coefficients: dict = {}  # n -> (u_n w, its integer form), as computed so far
+        self.top = max((g[3] for g in groups), default=-1)
+        self._forms: dict = {}  # n -> the integer form of u_n w, as computed so far
+        self._elements: dict = {}  # n -> u_n w, for the n asked as elements
 
-    def coefficient(self, n: int):
-        """The coefficient u_n w of z^(-n-1), computed on the first ask of n:
-        integer numerators over a running denominator, reduced by their gcd
-        once, and only a value that is not whole divided back."""
-        hit = self._coefficients.get(n)
-        if hit is None:
+    def integer_form(self, n: int) -> tuple:
+        """u_n w in ``combination``'s integer form, computed on the first
+        ask of n <= top: integer numerators over a running denominator,
+        reduced by their gcd once."""
+        form = self._forms.get(n)
+        if form is None:
+            if n > self.top:
+                return {}, 1
             out, den = {}, 1  # integer numerators over den
-            for creating, alpha, shift, weight, mid, d in self._groups:
-                if shift - n < weight:
+            for creating, alpha, shift, top, mid, d in self._groups:
+                if n > top:
                     continue
                 half, hd = _creation_half(creating, alpha, shift - n)
                 d *= hd
@@ -363,20 +370,19 @@ class Field:
                     c *= scale
                     for created, q in half:
                         accumulate(out, (merge_words(word, created), lab), c * q)
-            d = reduce(out, den)
-            nums = tuple(out.values())
-            element = self.ctx.element(divided(out, d))
-            hit = self._coefficients[n] = (element, (element.terms, nums, d))
-        return hit[0]
+            form = self._forms[n] = (out, reduce(out, den))
+        return form
 
-    def integer_form(self, n: int) -> tuple:
-        """u_n w in ``combination``'s integer form, on the coefficient's own
-        terms dict: the numerators ``coefficient(n)`` summed, reduced."""
-        hit = self._coefficients.get(n)
-        if hit is None:
-            self.coefficient(n)
-            hit = self._coefficients[n]
-        return hit[1]
+    def coefficient(self, n: int):
+        """The coefficient u_n w of z^(-n-1): its integer form divided back
+        on the first ask of n, only a value that is not whole as a
+        ``Fraction``."""
+        element = self._elements.get(n)
+        if element is None:
+            if n > self.top:
+                return self.ctx.zero
+            element = self._elements[n] = self.ctx.element(divided(*self.integer_form(n)))
+        return element
 
 
 def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
@@ -490,19 +496,13 @@ def truncation_bound(u: VElement, w, ctx: OperatorContext) -> int:
 
     B is the max over term pairs of wt_u + wt_w - 1 - p0, with z^p0 the
     u-term's charge power, so B = max(wt_u - p0) + max(wt_w) - 1.  It is
-    only an upper bound: the top n with u_n w nonzero often lies below it.
-    A ``Field`` takes it once per (u, w), as its ``bound``.
+    the independent oracle for a ``Field``'s ``top``, which the engine cuts
+    its sums at and which must never exceed B; it often lies below it.
     """
     if u.is_zero() or w.is_zero():
         return -1
-    top_u = top_w = None
-    for ufock, alpha in u.terms:
-        b = fock_weight(ufock) - ctx.charge_power(alpha)
-        top_u = b if top_u is None else max(top_u, b)
-    for wfock, _ in w.terms:
-        b = fock_weight(wfock)
-        top_w = b if top_w is None else max(top_w, b)
-    return top_u + top_w - 1
+    top_u = max(fock_weight(ufock) - ctx.charge_power(alpha) for ufock, alpha in u.terms)
+    return top_u + max(fock_weight(wfock) for wfock, _ in w.terms) - 1
 
 
 @lru_cache(maxsize=None)

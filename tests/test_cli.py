@@ -187,8 +187,11 @@ def test_schema_error_exit_code(tmp_path, capsys):
     "doc, flags, message",
     [
         pytest.param({"probes": 5}, [], "unknown config fields", id="unknown-field"),
-        pytest.param({}, ["--nu", "0", "--k", "0"], "nu must be a positive integer",
+        pytest.param({}, ["--nu", "0", "--k", "0"], "--nu: must be at least 1, got 0",
             id="nu-k-zero-flags"),
+        pytest.param({}, ["--k", "0"], "--k: k must be a nonzero integer", id="zero-k-flag"),
+        pytest.param({"nu": 2}, ["--nu", "-1"], "--nu: must be at least 1, got -1",
+            id="negative-nu-flag-over-config"),
         pytest.param({"nu": 2.9}, [], "c.json.nu: expected an integer", id="float-nu"),
         pytest.param({"k": True}, [], "c.json.k: expected an integer", id="bool-k"),
         pytest.param({"seed": "7"}, [], "c.json.seed: expected an integer", id="string-seed"),
@@ -210,6 +213,13 @@ def test_unknown_config_field_rejected(tmp_path, capsys, doc, flags, message):
     cfgfile = write(tmp_path, "c.json", doc)
     assert main(["--config", cfgfile, *flags, "--json", "verify", "zhu"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_nu_flag_is_checked_before_a_suite_runs(capsys):
+    # a --nu of 0 once reached the classification suite, which failed
+    # inside the function module with no flag named
+    assert main(["--nu", "0", "--json", "verify", "classification"]) == 2
+    assert "input error: --nu: must be at least 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

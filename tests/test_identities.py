@@ -495,8 +495,8 @@ def test_integer_accumulation_matches_the_rational_loop(monkeypatch):
     add_scaled, rescaled = identities.add_scaled, []
 
     def recording(out, den, c, form):
-        if out and den % form[2]:
-            rescaled.append((den, form[2]))
+        if out and den % form[1]:
+            rescaled.append((den, form[1]))
         return add_scaled(out, den, c, form)
 
     monkeypatch.setattr(identities, "add_scaled", recording)

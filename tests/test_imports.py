@@ -5,7 +5,11 @@ to re-export) and of the test modules.  A name counts as used when it is
 read anywhere in the module, including inside a string annotation such as
 ``-> "LaurentPoly"``.  A second scan keeps ``gcd`` and ``lcm`` from
 ``math`` inside ``combination``, the one module that builds, raises,
-reduces and divides back integer numerators over a denominator.
+reduces and divides back integer numerators over a denominator.  A third
+keeps the weight formula ``truncation_bound`` an oracle: the engine cuts
+its sums at a field's own ``top``, so only ``vertex``, which defines the
+formula, and ``suites``, whose module-axioms check compares the two, name
+it, and no package module reads a ``.bound`` attribute.
 """
 
 import ast
@@ -82,4 +86,34 @@ def test_the_scan_finds_gcd_and_lcm():
 def test_only_combination_takes_gcd_or_lcm():
     found = {path.name: denominator_names(path.read_text()) for path in PACKAGE}
     assert found.pop("combination.py") == ["gcd", "lcm"]
+    assert not any(found.values()), found
+
+
+def cutoff_names(source: str) -> list:
+    """Where the source names ``truncation_bound`` (as a name, an imported
+    name or an attribute) or reads an attribute ``bound``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "bound":
+            found.add(".bound")
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+        if name == "truncation_bound":
+            found.add(name)
+    return sorted(found)
+
+
+def test_the_scan_finds_the_weight_formula_and_bound_reads():
+    assert cutoff_names("from .vertex import truncation_bound\n") == ["truncation_bound"]
+    assert cutoff_names("x = vertex.truncation_bound(u, w, ctx)\n") == ["truncation_bound"]
+    assert cutoff_names("def truncation_bound(u, w, ctx):\n    pass\n") == ["truncation_bound"]
+    assert cutoff_names("n = field.bound + 1\n") == [".bound"]
+    assert cutoff_names("n = field.top + 1\nbound = 3\n") == []
+
+
+def test_only_vertex_and_suites_name_the_weight_formula():
+    found = {path.name: cutoff_names(path.read_text()) for path in PACKAGE}
+    assert found.pop("vertex.py") == ["truncation_bound"]
+    assert found.pop("suites.py") == ["truncation_bound"]
     assert not any(found.values()), found

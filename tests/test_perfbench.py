@@ -59,14 +59,15 @@ def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
     # The fields prepared, the coefficients computed and the terms those
     # hold, at seed 7.  perfbench's tracer counts coefficients at
     # vertex.y_coefficient, which the cache's prepared fields bypass, so they
-    # are counted here at Field.__init__ and at the misses of each field's
-    # own table of coefficients.  On jacobi the checkers compute each adjoint
-    # product once, in the one table the adjoint context shares, and never
-    # act on a zero inner product.
+    # are counted here at Field.__init__ and where a field computes a
+    # coefficient's integer form: a miss of its own table at an n no larger
+    # than its top, past which it computes nothing.  On jacobi the checkers
+    # compute each adjoint product once, in the one table the adjoint
+    # context shares, and never act on a zero inner product.
     from halflattice.vertex import Field
 
     workloads = _load("workloads")
-    init, coefficient = Field.__init__, Field.coefficient
+    init, integer_form = Field.__init__, Field.integer_form
     counts = [0, 0, 0]
 
     def counted_init(self, u, w, ctx):
@@ -74,16 +75,16 @@ def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
         counts[0] += 1
 
     def counted(self, n):
-        computed = n not in self._coefficients
-        result = coefficient(self, n)
+        computed = n <= self.top and n not in self._forms
+        form = integer_form(self, n)
         if computed:
             counts[1] += 1
-            counts[2] += len(result)
-        return result
+            counts[2] += len(form[0])
+        return form
 
     monkeypatch.setattr(Field, "__init__", counted_init)
-    monkeypatch.setattr(Field, "coefficient", counted)
-    for name, want in (("jacobi", [280, 2680, 5100]), ("dressing", [36, 100, 2121])):
+    monkeypatch.setattr(Field, "integer_form", counted)
+    for name, want in (("jacobi", [280, 1524, 5100]), ("dressing", [36, 100, 2121])):
         counts[:] = [0, 0, 0]
         for _, call in workloads["plan"](name, 7):
             call()
@@ -124,17 +125,19 @@ def _fractions_built(workload: str) -> int:
 
 
 def test_jacobi_sample_builds_the_pinned_fractions():
-    # The checkers sum integer numerators and every residual is zero, so all
-    # of these come from the engine, which sums as integer numerators too:
-    # 3,628 are the coefficients' values that are not whole and 187 the
-    # prepared fields' term-pair scalars.  The same under PYTHONHASHSEED 0
-    # and 1.
-    assert _fractions_built("jacobi") == 3815
+    # The checkers sum integer forms and every residual is zero, so all of
+    # these come from the engine, which sums as integer numerators too: 187
+    # are the prepared fields' term-pair scalars and 19 the values that are
+    # not whole in the inner products divided back to elements.  The
+    # outer coefficients are read as integer forms and never divided back.
+    # The same under PYTHONHASHSEED 0 and 1.
+    assert _fractions_built("jacobi") == 206
 
 
 def test_dressing_sample_builds_the_pinned_fractions():
-    # The engine builds 1,476 for the coefficients' values that are not
-    # whole and 54 for the prepared fields' term-pair scalars, and one is
-    # the conformal vector's 1/k.  The residuals sum integer forms and
-    # build none.  The same under PYTHONHASHSEED 0 and 1.
-    assert _fractions_built("dressing") == 1531
+    # The engine builds 54 for the prepared fields' term-pair scalars and 8
+    # for the values that are not whole in the L(-1)u divided back to
+    # elements, and one is the conformal vector's 1/k.  The residuals sum
+    # integer forms, divide none back and build none.  The same under
+    # PYTHONHASHSEED 0 and 1.
+    assert _fractions_built("dressing") == 63

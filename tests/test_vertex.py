@@ -444,16 +444,19 @@ def oracle_targets(ctx):
 def test_y_coefficient_matches_assignment_oracle(nu, k):
     # one prepared field per (u, w) answers its whole window and keeps each
     # coefficient it computes; the oracle enumerates unpruned assignments, so
-    # it also checks the contraction pruning of the annihilation patterns
+    # it also checks the contraction pruning of the annihilation patterns.
+    # The window comes from the weight formula, not from the field, so the
+    # asks in (top, bound], which the field answers without computing, are
+    # checked against the oracle too.
     cfg = LatticeConfig(nu, k)
-    nonzero = past_bound = 0
+    nonzero = past_top = 0
     for ctx in oracle_contexts(cfg):
         for w in oracle_targets(ctx):
             assert len(w) > 1
             for u in oracle_actors(nu):
                 field = Field(u, w, ctx)
-                bound = field.bound
-                assert bound == truncation_bound(u, w, ctx)
+                bound = truncation_bound(u, w, ctx)
+                assert field.top <= bound, (u, w)
                 window = range(bound - 4, bound + 2)
                 wants = {n: assignment_y_coefficient(u, n, w, ctx) for n in window}
                 for n in window:
@@ -462,8 +465,8 @@ def test_y_coefficient_matches_assignment_oracle(nu, k):
                 for n, want in wants.items():
                     assert y_coefficient(u, n, w, ctx) == want, (u, n, w)
                     nonzero += bool(want)
-                    past_bound += n > bound
-    assert nonzero and past_bound
+                    past_top += field.top < n <= bound
+    assert nonzero and past_top
 
 
 @lru_cache(maxsize=None)
@@ -540,9 +543,10 @@ def test_integer_field_matches_the_rational_loop(monkeypatch):
     # module's half-integer base point brings fractions in through d_action
     # and the function module's shift constants 1/2 and 2/3 through
     # e_action.  So a group's denominator is raised while it already holds
-    # numerators, in setup and again in coefficient, and the recording below
-    # sees both: setup raises through combination.add_scaled, coefficient
-    # calls the rescale itself.
+    # numerators, in setup and again in integer_form, and the recording
+    # below sees both: setup raises through combination.add_scaled,
+    # integer_form calls the rescale itself.  The window comes from the
+    # weight formula, so it also asks past the field's top.
     rescale, rescaled = combination.rescale, Counter()
 
     def recording(data, den, d):
@@ -560,28 +564,31 @@ def test_integer_field_matches_the_rational_loop(monkeypatch):
     spec = OmegaSpec(2, 1, (), (Fraction(1, 2), Fraction(2, 3)))
     omega = module_operator_context(cfg, lam, OmegaModule(cfg, spec))
     contexts = oracle_contexts(cfg)[:2] + [omega]
-    proper = mixed = 0
+    proper = mixed = past_top = 0
     for ctx in contexts:
         for w in oracle_targets(ctx):
             w = Fraction(1, 3) * w
             for u in oracle_actors(2):
                 u = Fraction(1, 2) * u
                 field = Field(u, w, ctx)
-                window = range(field.bound - 4, field.bound + 2)
+                bound = truncation_bound(u, w, ctx)
+                assert field.top <= bound, (u, w)
+                window = range(bound - 4, bound + 2)
                 wants = rational_field(u, w, ctx, window)
                 for n in window:
                     want = wants[n]
+                    d = lcm(*(Fraction(x).denominator for x in want.values()))
+                    nums = [(t, int(x * d)) for t, x in want.items()]
+                    got_nums, got_d = field.integer_form(n)
+                    assert (list(got_nums.items()), got_d) == (nums, d), (u, n, w)
                     got = field.coefficient(n).terms
                     assert list(got.items()) == list(want.items()), (u, n, w)
                     assert all(type(x) is int or x.denominator > 1 for x in got.values())
-                    d = lcm(*(Fraction(x).denominator for x in want.values()))
-                    nums = tuple(int(x * d) for x in want.values())
-                    terms, got_nums, got_d = field.integer_form(n)
-                    assert terms is got and (got_nums, got_d) == (nums, d), (u, n, w)
                     proper += d > 1
                     mixed += d > 1 and int in map(type, got.values())
-    assert proper and mixed
-    assert rescaled[Field.__init__.__code__] and rescaled[Field.coefficient.__code__]
+                    past_top += field.top < n <= bound
+    assert proper and mixed and past_top
+    assert rescaled[Field.__init__.__code__] and rescaled[Field.integer_form.__code__]
 
 
 def unpruned_patterns(fields, budget: int):
