@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -329,6 +330,14 @@ def act_on_omega_module(x: BElement, f: LaurentPoly, spec: OmegaSpec) -> Laurent
     return f._make(_act_on_module(x, f.terms, OmegaModule(LatticeConfig(spec.nu, 1), spec)))
 
 
+@lru_cache(maxsize=None)
+def _power(a, m: int):
+    """a ** m for a nonzero rational a and an integer m, normalized by
+    ``rational``: an ``int`` for an integer a and m >= 0, so the products
+    of ``e_action`` stay ``int``s there.  Taken once per (a, m)."""
+    return rational(Fraction(a) ** m)
+
+
 class OmegaModule:
     """The label actions of a function module, its one definition.
 
@@ -361,9 +370,9 @@ class OmegaModule:
             if not m:
                 out = [(c, lab + (e,)) for c, lab in out]
                 continue
-            scale = Fraction(self.spec.a[i - cut]) ** m
-            out = [(rational(c * scale * comb(e, p) * (-m) ** (e - p)), lab + (p,))
-                   for c, lab in out for p in range(e + 1)]
+            scale = _power(self.spec.a[i - cut], m)
+            out = [(rational(cs * (comb(e, p) * (-m) ** (e - p))), lab + (p,))
+                   for cs, lab in [(c * scale, lab) for c, lab in out] for p in range(e + 1)]
         return out
 
     def d_action(self, j: int, label: tuple):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combination import accumulate, integer, rational
-from .fock import ModuleElement, charge_element, fock_weight, merge_words
+from .fock import ModuleElement, charge_element, decode, encode, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
 from .vertex import Field, OperatorContext, apply_heisenberg_mode, dressing
@@ -28,12 +28,14 @@ from .vertex import Field, OperatorContext, apply_heisenberg_mode, dressing
 
 
 def _fock_level(cfg: LatticeConfig, weight: int) -> list:
-    """All Fock monomials of the given weight, canonically ordered."""
+    """All Fock monomials of the given weight, ordered by their decoded
+    (direction, mode) pairs."""
     if weight == 0:
         return [()]
-    return sorted({merge_words(((dir_, mode),), rest)
+    return sorted({merge_words((encode(dir_, mode),), rest)
                    for mode in range(1, weight + 1) for dir_ in range(cfg.ndirs)
-                   for rest in _fock_level(cfg, weight - mode)})
+                   for rest in _fock_level(cfg, weight - mode)},
+                  key=lambda word: tuple(map(decode, word)))
 
 
 def vacuum_basis(
@@ -75,7 +77,8 @@ def vacuum_basis(
     for label in labels:
         checked = mctx.handle.validate_label(label)
         for sol in fock_solutions:
-            out.append(ModuleElement({(word, checked): c for word, c in sol.items()}))
+            # coded canonical words from the basis: the trusted path
+            out.append(mctx.element({(word, checked): c for word, c in sol.items()}))
     return out
 
 

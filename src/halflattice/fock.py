@@ -1,15 +1,23 @@
 """Fock monomials and the states they span.
 
-A Fock monomial is a finite multiset of creation factors (direction, mode)
-applied to a degree-zero slot, where the direction indexes the lattice basis
-(0..nu-1 for c_1..c_nu, nu..2nu-1 for d_1..d_nu) and the mode is a positive
-integer.  Its canonical form sorts factors by descending mode, then by
-direction, and its weight is the sum of the modes.
+A Fock monomial is a finite multiset of creation factors applied to a
+degree-zero slot.  A factor is a lattice direction and a positive integer
+mode, where the direction indexes the lattice basis (0..nu-1 for
+c_1..c_nu, nu..2nu-1 for d_1..d_nu); its weight is the mode.  A word stores
+each factor as one ``int``, its code -mode * 2**16 + direction, so a word
+is a tuple of ints and the code's natural order is the canonical order of
+factors: descending mode, then ascending direction.  A canonical word is
+its codes sorted, merging two canonical words is one plain sort, and words
+hash as tuples of ints.  ``encode`` and ``decode`` are the one way between
+a factor's (direction, mode) and its code; ``encode`` rejects a direction
+at or past ``DIRECTION_LIMIT`` = 2**16.
 
-A ``VElement`` is a rational linear combination of (Fock monomial, charge)
-pairs with charges in the integer c-span; a ``ModuleElement`` carries an
-opaque coefficient-module label in place of the charge.  Both constructors
-put every word through ``fock_word`` and merge the keys that then coincide.
+The public constructors take (direction, mode) pairs: ``fock_word``
+validates and encodes them, and a ``VElement`` or ``ModuleElement`` puts
+every word of its terms through it and merges the keys that then coincide.
+Words the package builds itself are coded and canonical already, and go
+through the trusted ``_make``.  Printing and serialization order terms by
+their decoded (direction, mode) pairs, so no output depends on the codes.
 """
 
 from __future__ import annotations
@@ -18,33 +26,63 @@ from typing import Iterable, Mapping
 
 from .combination import Combination, accumulate, integer, rational
 
-FockWord = tuple  # tuple[tuple[int, int], ...]
+FockWord = tuple  # tuple[int, ...]: factor codes in ascending order
+
+_SHIFT = 16  # bits of a code below its mode: the direction's
+DIRECTION_LIMIT = 1 << _SHIFT
+_DIRECTION_MASK = DIRECTION_LIMIT - 1
+
+
+def encode(dir_: int, mode: int) -> int:
+    """The code of the factor (direction, mode) of integers.  A direction
+    outside 0..DIRECTION_LIMIT-1 or a mode below 1 raises ``ValueError``,
+    so no word, whoever builds it, holds a factor its code misreads."""
+    if not 0 <= dir_ < DIRECTION_LIMIT:
+        raise ValueError(f"direction index {dir_} must lie in 0..{DIRECTION_LIMIT - 1}")
+    if mode < 1:
+        raise ValueError(f"creation mode {mode} must be a positive integer")
+    return dir_ - (mode << _SHIFT)
+
+
+def decode(code: int) -> tuple:
+    """The (direction, mode) of a factor code."""
+    return code & _DIRECTION_MASK, -(code >> _SHIFT)
 
 
 def fock_word(factors: Iterable) -> FockWord:
     """Canonical Fock monomial from (direction, mode) pairs of integers."""
     out = []
-    for dir_, mode in factors:
-        dir_, mode = integer(dir_), integer(mode)
-        if dir_ < 0:
-            raise ValueError(f"direction index {dir_} must be nonnegative")
-        if mode < 1:
-            raise ValueError(f"creation mode {mode} must be a positive integer")
-        out.append((dir_, mode))
-    return tuple(sorted(out, key=_factor_order))
+    for factor in factors:
+        if isinstance(factor, int):
+            raise TypeError(f"a Fock factor is a (direction, mode) pair, got the int {factor}")
+        dir_, mode = factor
+        out.append(encode(integer(dir_), integer(mode)))
+    out.sort()
+    return tuple(out)
 
 
 def merge_words(word: FockWord, other: FockWord) -> FockWord:
     """Canonical product of two canonical Fock monomials."""
-    return tuple(sorted(word + other, key=_factor_order))
-
-
-def _factor_order(factor: tuple) -> tuple:
-    return (-factor[1], factor[0])
+    return tuple(sorted(word + other))
 
 
 def fock_weight(word: FockWord) -> int:
-    return sum(mode for _, mode in word)
+    """The sum of the modes, the high part of each code as ``decode`` reads it."""
+    return -sum(code >> _SHIFT for code in word)
+
+
+def pair_key(key: tuple) -> tuple:
+    """A (word, label) term key with its word decoded to (direction, mode)
+    pairs: the key as the constructors take it, and the order of printing
+    and serialization."""
+    word, label = key
+    return tuple(map(decode, word)), label
+
+
+def _printing_order(self) -> list:
+    """The terms by the repr of each key with its word decoded to pairs, so
+    that the printed order does not depend on the codes."""
+    return sorted(self.terms.items(), key=lambda kv: repr(pair_key(kv[0])))
 
 
 class VElement(Combination):
@@ -60,7 +98,7 @@ class VElement(Combination):
             charge = tuple(integer(m) for m in charge)
             if len(charge) != self.nu:
                 raise ValueError(f"charge {charge} must have {self.nu} entries")
-            for dir_, _ in word:
+            for dir_, _ in map(decode, word):
                 if dir_ >= 2 * self.nu:
                     raise ValueError(f"direction index {dir_} out of range for nu={self.nu}")
             accumulate(checked, (word, charge), rational(coeff))
@@ -73,6 +111,8 @@ class VElement(Combination):
         new = super()._make(terms)
         new.nu = self.nu
         return new
+
+    sorted_terms = _printing_order
 
     def __str__(self) -> str:
         return _format_terms(self.sorted_terms(), self.nu, _charge_str)
@@ -90,6 +130,8 @@ class ModuleElement(Combination):
         for (word, label), coeff in terms.items():
             accumulate(checked, (fock_word(word), label), rational(coeff))
         super().__init__(checked)
+
+    sorted_terms = _printing_order
 
     def __str__(self) -> str:
         return _format_terms(self.sorted_terms(), None,
@@ -144,7 +186,7 @@ def _charge_str(charge: tuple) -> str:
 
 def _fock_str(word: FockWord, nu) -> str:
     names = []
-    for dir_, mode in word:
+    for dir_, mode in map(decode, word):
         if nu is None:
             base = f"h{dir_}"
         else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .assoc import BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector, gen_d, gen_e
 from .combination import accumulate
-from .fock import VElement
+from .fock import VElement, pair_key
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
@@ -98,11 +98,12 @@ def laurent_from_data(doc, ring: LaurentRing, path: str = "poly") -> LaurentPoly
 
 def velement_to_data(v: VElement) -> dict:
     terms = []
-    for (word, charge), coeff in sorted(v.terms.items()):
+    # in the order of the decoded keys, (direction, mode) pairs then charge
+    for (pairs, charge), coeff in sorted((pair_key(key), c) for key, c in v.terms.items()):
         terms.append(
             {
                 "coeff": format_fraction(coeff),
-                "fock": [[d, m] for d, m in word],
+                "fock": [[d, m] for d, m in pairs],
                 "charge": list(charge),
             }
         )

@@ -36,6 +36,15 @@ in Python ``int``s from setup to coefficient, in the integer form of
 dividing L!) and each coefficient are integer numerators over one
 denominator, kept as the field's one table of n.
 
+Words are ``fock``'s coded words, tuples of factor codes in canonical
+order.  The engine merges two words by one plain sort (``merge_words``),
+hashes them as tuples of ints, and builds a factor with ``fock.encode``.  A
+contraction matches codes: h(n), n > 0, removes each factor whose code is
+that of (partner direction, n).  Only a rule that reads a factor's
+direction or mode decodes it with ``fock.decode``: the annihilation
+patterns and the creation half, which read u's fields, and the
+annihilation dressing, which reads the target's d-factors.
+
 A single mode of one lattice direction (creation, contraction or zero mode)
 has one rule, ``_mode_dir``, shared by the field modes of a ``Field`` and by
 ``mode_into``, the one sum of it over the coordinates of h.  ``mode_into``
@@ -65,7 +74,7 @@ from math import comb, factorial
 
 from .assoc import WeightModule, act_on_labels
 from .combination import accumulate, add_scaled, divided, numerators, rational, reduce, rescale
-from .fock import ModuleElement, VElement, fock_weight, merge_words
+from .fock import ModuleElement, VElement, decode, encode, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 
 
@@ -242,10 +251,10 @@ def _creation_level(alpha: tuple, p: int) -> tuple:
         level, d = _creation_level(alpha, p - m)
         den = rescale(out, den, d)
         scale = den // d
+        factors = [((encode(i, m),), a_i * scale) for i, a_i in enumerate(alpha) if a_i]
         for word, c in level:
-            for i, a_i in enumerate(alpha):
-                if a_i:
-                    accumulate(out, merge_words(word, ((i, m),)), c * a_i * scale)
+            for factor, q in factors:
+                accumulate(out, merge_words(word, factor), c * q)
     den = reduce(out, den * p)
     return tuple(out.items()), den
 
@@ -261,7 +270,7 @@ def _annihilation_level(word: tuple, alpha: tuple, k: int, p: int) -> tuple:
             accumulate(out, kept + word[start:], coeff)
             return
         for pos in range(start, len(word)):
-            dir_, mode = word[pos]
+            dir_, mode = decode(word[pos])
             a_i = alpha[dir_ - nu] if dir_ >= nu else 0
             if a_i and mode <= left:
                 remove(pos + 1, left - mode, kept + word[start:pos], -k * a_i * coeff)
@@ -313,13 +322,14 @@ class Field:
         sums: dict = {}
         for (ufock, alpha), cu in u.terms.items():
             j0 = fock_weight(ufock) - 1 - ctx.charge_power(alpha)  # J at no drawn mode, a = 0
+            udirs = [dir_ for dir_, _ in map(decode, ufock)]
             charged = any(alpha)
             for (wfock, label), cw in w.terms.items():
                 budget = fock_weight(wfock)
                 cuw = cu * cw
                 for js, coeff in _annihilation_patterns(ufock, wfock, cfg.nu):
                     states = {(wfock, label): coeff}
-                    for (dir_, _), j in zip(ufock, js):
+                    for dir_, j in zip(udirs, js):
                         if j and states:
                             states = _mode_dir(ctx, states, dir_, j)
                     if not states:
@@ -329,7 +339,7 @@ class Field:
                     for a in range((budget - drawn if charged else 0) + 1):
                         mid = dressing(cfg, states, alpha, a, -1)
                         # zero modes act before the charge shift
-                        for (dir_, _), j in zip(ufock, js):
+                        for dir_, j in zip(udirs, js):
                             if j == 0 and mid:
                                 mid = _mode_dir(ctx, mid, dir_, 0)
                         if mid and charged:
@@ -343,7 +353,7 @@ class Field:
                 den = reduce(nums, den)
                 # the creation half at level J - n is zero below the creating
                 # fields' weight, so the group vanishes past its own top
-                groups.append((creating, alpha, shift, shift - sum(m for _, m in creating),
+                groups.append((creating, alpha, shift, shift - fock_weight(creating),
                                tuple(nums.items()), den))
         self._groups = tuple(groups)
         self.top = max((g[3] for g in groups), default=-1)
@@ -397,7 +407,8 @@ def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
 def _annihilation_patterns(fields: tuple, word: tuple, nu: int):
     """Yield (js, coefficient) for every annihilation pattern of the fields on word.
 
-    js[i] is None where field i creates and its mode j >= 0 otherwise; the
+    fields is u's coded word, its factors h_i(-n_i), and word a coded target
+    word.  js[i] is None where field i creates and its mode j >= 0 otherwise; the
     positive modes sum to at most the weight of word.  A mode j > 0 of a
     direction contracts only with a factor of mode j in its partner
     direction (c_i with d_i), and annihilators never create factors, so a
@@ -406,8 +417,9 @@ def _annihilation_patterns(fields: tuple, word: tuple, nu: int):
     derivative-field weights gbinom(-j-1, n_i-1) of the fields that do not
     create (never zero for j >= 0).
     """
+    fields = tuple(map(decode, fields))
     partner_modes: dict = {}  # direction -> ascending modes it can contract with
-    for dir_, mode in reversed(word):
+    for dir_, mode in map(decode, reversed(word)):
         modes = partner_modes.setdefault(dir_ + nu if dir_ < nu else dir_ - nu, [])
         if not modes or modes[-1] != mode:
             modes.append(mode)
@@ -429,7 +441,8 @@ def _annihilation_patterns(fields: tuple, word: tuple, nu: int):
 
 @lru_cache(maxsize=None)
 def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
-    """The creation half at level L for creating fields (direction, n_i).
+    """The creation half at level L for the creating fields, the coded
+    factors h_i(-n_i) of u's word that create.
 
     It is the sum, over modes m_i >= n_i with sum m_i <= L, of
     prod C(m_i-1, n_i-1) h_i(-m_i) times h_(L - sum m_i) of the power sums
@@ -439,15 +452,16 @@ def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
     """
     if not fields:
         return _creation_level(alpha, level)
-    (dir_, n_i), rest = fields[0], fields[1:]
-    top = level - sum(m for _, m in rest)
+    (dir_, n_i), rest = decode(fields[0]), fields[1:]
+    top = level - fock_weight(rest)
     out, den = {}, 1  # integer numerators over den
     for m in range(n_i, top + 1):
         half, d = _creation_half(rest, alpha, level - m)
         den = rescale(out, den, d)
         weight = comb(m - 1, n_i - 1) * (den // d)
+        factor = (encode(dir_, m),)
         for word, q in half:
-            accumulate(out, merge_words(word, ((dir_, m),)), weight * q)
+            accumulate(out, merge_words(word, factor), weight * q)
     den = reduce(out, den)
     return tuple(out.items()), den
 
@@ -456,21 +470,25 @@ def _mode_dir(ctx, states, dir_: int, n: int) -> dict:
     """The mode n of one direction on states: a creation factor at n < 0, a
     contraction via [h(m), h'(-m)] = m (h, h') at n > 0, else the zero mode."""
     if n < 0:
-        return {(merge_words(word, ((dir_, -n),)), label): c for (word, label), c in states.items()}
+        factor = (encode(dir_, -n),)
+        return {(merge_words(word, factor), label): c for (word, label), c in states.items()}
     if n > 0:
         return _ann_dir(ctx.cfg, states, dir_, n)
     return _zero_dir(ctx, states, dir_)
 
 
 def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
+    """The mode n > 0 of one direction on states: it removes each factor of
+    mode n in the partner direction (c_i with d_i, the only direction it
+    pairs with), times n and the pairing, so it compares codes only."""
+    partner_dir = dir_ + cfg.nu if dir_ < cfg.nu else dir_ - cfg.nu
+    partner, pair = encode(partner_dir, mode), cfg.dir_pairing(dir_, partner_dir)
     out: dict = {}
     for (word, label), coeff in states.items():
-        for pos, (d2, m2) in enumerate(word):
-            if m2 != mode:
-                continue
-            pair = cfg.dir_pairing(dir_, d2)
-            if pair:
-                accumulate(out, (word[:pos] + word[pos + 1 :], label), coeff * mode * pair)
+        if partner in word:
+            for pos, code in enumerate(word):
+                if code == partner:
+                    accumulate(out, (word[:pos] + word[pos + 1 :], label), coeff * mode * pair)
     return out
 
 
@@ -514,4 +532,6 @@ def conformal_vector(cfg: LatticeConfig) -> VElement:
     Built once per lattice, like ``adjoint_context``.
     """
     q = Fraction(1, cfg.k)
-    return VElement(cfg.nu, {(((i, 1), (cfg.nu + i, 1)), (0,) * cfg.nu): q for i in range(cfg.nu)})
+    # c_i(-1) d_i(-1) is canonical as written: one mode, ascending directions
+    return adjoint_context(cfg).element(
+        {((encode(i, 1), encode(cfg.nu + i, 1)), (0,) * cfg.nu): q for i in range(cfg.nu)})

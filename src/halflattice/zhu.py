@@ -18,12 +18,13 @@ degree operators; the checker verifies that identification on probe pairs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 from .assoc import AElement
 from .combination import accumulate, add_scaled, divided
-from .fock import VElement, homogeneous_components
+from .fock import VElement, decode, encode, homogeneous_components
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 from .vertex import Field, adjoint_context
@@ -70,7 +71,7 @@ def zhu_reduce(cfg: LatticeConfig, v: VElement) -> AElement:
         sign = 1
         dexp = [0] * cfg.nu
         dead = False
-        for dir_, mode in word:
+        for dir_, mode in map(decode, word):
             if dir_ < cfg.nu:
                 dead = True
                 break
@@ -83,10 +84,22 @@ def zhu_reduce(cfg: LatticeConfig, v: VElement) -> AElement:
     return AElement(cfg.nu, terms)
 
 
+@lru_cache(maxsize=None)
+def _zero(nu: int) -> VElement:
+    """The zero state of rank nu, built once: ``zhu_embed`` builds through its ``_make``."""
+    return VElement(nu, {})
+
+
 def zhu_embed(a: AElement) -> VElement:
-    """Charge times d-monomial, realized with depth-one modes."""
-    return VElement(a.nu, {
-        (tuple((a.nu + i, 1) for i, e in enumerate(dexp) for _ in range(e)), charge): coeff
+    """Charge times d-monomial, realized with depth-one modes.
+
+    Each word is canonical as built (one mode, ascending directions) and
+    distinct (charge, d-exponent) keys give distinct terms, so the element
+    takes the trusted path and no word is validated again.
+    """
+    codes = [encode(a.nu + i, 1) for i in range(a.nu)]
+    return _zero(a.nu)._make({
+        (tuple(code for code, e in zip(codes, dexp) for _ in range(e)), charge): coeff
         for (charge, dexp), coeff in a.terms.items()
     })
 

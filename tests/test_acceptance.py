@@ -17,6 +17,7 @@ import pytest
 from halflattice import suites
 from halflattice.assoc import OmegaSpec
 from halflattice.combination import Combination
+from halflattice.fock import ModuleElement, VElement, pair_key
 from halflattice.suites import SuiteConfig, SuiteReport, run_verification
 
 CONFIG = SuiteConfig()  # desk scale defaults: windows 3/6, 50 probes, seed 7
@@ -45,7 +46,8 @@ GOLDEN = {
 # probe draw (a ``rand_*`` call made by the suite) and one per case of every
 # sweep, as (check id, where), in evaluation order.  The text of a record is
 # built from terms, keys and str() of each value (see ``_text``), so neither a
-# printing change nor an int/Fraction switch moves it; a change to the draws,
+# printing change, an int/Fraction switch nor the coding of Fock words moves
+# it; a change to the draws,
 # their order, or the cases a sweep evaluates does.
 WORK = {
     "borcherds": (43906, "3c00e996d7050bd5aaa3550d9daedbd987d8ed93e6430a50c0b1ff333cedde17"),
@@ -66,7 +68,10 @@ _DRAWS = ("rand_a_element", "rand_a_module_spec", "rand_module_element",
 
 def _text(x) -> str:
     if isinstance(x, Combination):
-        terms = sorted(f"{_text(key)}:{value}" for key, value in x.terms.items())
+        # Fock words are coded; a key reads with its word as (direction, mode)
+        # pairs, the text it had when words held pairs
+        keys = pair_key if isinstance(x, (VElement, ModuleElement)) else (lambda key: key)
+        terms = sorted(f"{_text(keys(key))}:{value}" for key, value in x.terms.items())
         return f"{type(x).__name__}[{' + '.join(terms)}]"
     if isinstance(x, OmegaSpec):
         return f"OmegaSpec(mu={x.mu};f=({','.join(map(_text, x.f))});a=({','.join(map(str, x.a))}))"

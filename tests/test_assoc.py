@@ -349,6 +349,27 @@ def test_module_handle_label_actions_match_poly_actions():
                 assert spec.ring.from_terms({lab: c for c, lab in got}) == want
 
 
+def test_e_action_builds_no_fraction_on_integer_shift_constants(monkeypatch):
+    # a_i ** m is taken once per (a_i, m), and with integer shift constants
+    # and m >= 0 every product stays an int: after the first call no
+    # Fraction is built at all.  The values are checked against the
+    # polynomial actions above.
+    handle = OmegaModule(CFG2, OmegaSpec(2, 1, (), (2, -3)))
+    first = handle.e_action((2, 1), (3, 2))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    again = handle.e_action((2, 1), (3, 2))
+    monkeypatch.undo()
+    assert again == first and len(first) == 12
+    assert all(type(c) is int for c, _ in again) and not built
+
+
 def test_omega_module_requires_unimodular_pairing():
     with pytest.raises(ValueError):
         OmegaModule(CFG2K, spec_mu2())

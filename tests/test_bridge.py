@@ -6,6 +6,7 @@ import pytest
 from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule
 from halflattice.bridge import (
     MixedSectorError,
+    _fock_level,
     charge_sector,
     is_vacuum_vector,
     recovered_action_cases,
@@ -14,7 +15,7 @@ from halflattice.bridge import (
     vacuum_basis,
     z_operator,
 )
-from halflattice.fock import ModuleElement, fock_weight, vacuum
+from halflattice.fock import ModuleElement, decode, fock_weight, vacuum
 from halflattice.identities import ActionCache, borcherds_residual
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
@@ -64,6 +65,17 @@ def test_weight_with_c_part_rejected():
 
 
 # -- vacuum space -----------------------------------------------------------------
+
+
+def test_fock_level_lists_words_by_their_decoded_pairs():
+    # pinned from when words held (direction, mode) pairs: the basis order,
+    # and so the nullspace columns, follow the pairs, not the codes
+    basis = _fock_level(LatticeConfig(nu=1, k=1), 3)
+    assert [tuple(map(decode, word)) for word in basis] == [
+        ((0, 1), (0, 1), (0, 1)), ((0, 1), (0, 1), (1, 1)), ((0, 1), (1, 1), (1, 1)),
+        ((0, 2), (0, 1)), ((0, 2), (1, 1)), ((0, 3),), ((1, 1), (1, 1), (1, 1)),
+        ((1, 2), (0, 1)), ((1, 2), (1, 1)), ((1, 3),)]
+    assert sorted(basis) != basis
 
 
 def test_vacuum_basis_is_the_label_slice():

@@ -35,7 +35,7 @@ from halflattice.combination import (
     rational,
     reduce,
 )
-from halflattice.fock import VElement, charge_element, fock_element, fock_word, vacuum
+from halflattice.fock import VElement, charge_element, encode, fock_element, fock_word, vacuum
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
 from halflattice.linalg import nullspace
@@ -172,8 +172,8 @@ def test_zhu_star_on_integer_states():
     v = fock_element(2, [(2, 3)], (0, 1))
     got = zhu_star(cfg, u, v)
     assert canonical(got.terms.values())
-    assert got.terms[(((0, 3),), (2, 1))] == Fraction(-4, 3)
-    assert got.terms[(((2, 3),), (2, 1))] == 1
+    assert got.terms[((encode(0, 3),), (2, 1))] == Fraction(-4, 3)
+    assert got.terms[((encode(2, 3),), (2, 1))] == 1
 
 
 # -- the integer form against Fraction arithmetic ------------------------------------

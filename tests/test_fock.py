@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import WeightModule
+from halflattice.assoc import AElement, WeightModule
 from halflattice.fock import (
+    DIRECTION_LIMIT,
     ModuleElement,
     VElement,
     charge_element,
+    decode,
+    encode,
     fock_element,
     fock_weight,
     fock_word,
@@ -14,6 +17,7 @@ from halflattice.fock import (
     vacuum,
 )
 from halflattice.lattice import LatticeConfig
+from halflattice.zhu import zhu_embed
 from halflattice.vertex import (
     adjoint_context,
     apply_heisenberg_mode,
@@ -25,8 +29,8 @@ from halflattice.vertex import (
 def test_fock_word_canonical_order():
     # sorted by descending mode, then direction index
     word = fock_word([(3, 1), (0, 2), (1, 2)])
-    assert word == ((0, 2), (1, 2), (3, 1))
-    assert fock_word([(0, 1), (0, 1)]) == ((0, 1), (0, 1))
+    assert word == (encode(0, 2), encode(1, 2), encode(3, 1))
+    assert fock_word([(0, 1), (0, 1)]) == (encode(0, 1), encode(0, 1))
 
 
 def test_fock_word_validation():
@@ -34,6 +38,75 @@ def test_fock_word_validation():
         fock_word([(0, 0)])
     with pytest.raises(ValueError):
         fock_word([(-1, 2)])
+    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
+        fock_word([(DIRECTION_LIMIT, 1)])
+
+
+# -- the factor code -----------------------------------------------------------------
+
+TOP = DIRECTION_LIMIT - 1  # the largest direction a code holds
+BOX = [(dir_, mode) for dir_ in (0, 1, 2, 3, TOP - 1, TOP) for mode in (1, 2, 3, 5, 1000)]
+
+
+def test_factor_codes_round_trip_and_sort_canonically():
+    codes = [encode(dir_, mode) for dir_, mode in BOX]
+    assert [decode(code) for code in codes] == BOX
+    assert len(set(codes)) == len(BOX)
+    # the codes' natural order is the canonical order: descending mode, then
+    # ascending direction
+    canonical = sorted(BOX, key=lambda pair: (-pair[1], pair[0]))
+    assert [decode(code) for code in sorted(codes)] == canonical
+    assert fock_word(BOX) == tuple(sorted(codes)) == tuple(encode(*pair) for pair in canonical)
+    assert fock_weight(fock_word(BOX)) == sum(mode for _, mode in BOX)
+
+
+def test_constructors_take_pairs_up_to_the_code_limit():
+    # the largest direction is accepted and kept; the next one is rejected
+    # with an error that names it, for both element types
+    nu = DIRECTION_LIMIT // 2
+    zero = (0,) * nu
+    v = VElement(nu, {(((TOP, 2), (0, 1)), zero): 1})
+    assert list(v.terms) == [((encode(TOP, 2), encode(0, 1)), zero)]
+    m = ModuleElement({(((TOP, 1), (0, 1)), ("x",)): 1})
+    assert [tuple(map(decode, word)) for word, _ in m.terms] == [((0, 1), (TOP, 1))]
+    wide = (0,) * (nu + 1)  # a rank whose directions run past the code limit
+    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
+        VElement(nu + 1, {(((DIRECTION_LIMIT, 1),), wide): 1})
+    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
+        ModuleElement({(((DIRECTION_LIMIT, 1),), ("x",)): 1})
+    # a word the package builds past the constructors meets the same check
+    wide_d = AElement.monomial(nu + 1, dexp=(0,) * nu + (1,))
+    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
+        zhu_embed(wide_d)
+
+
+def test_public_constructors_reject_coded_factors():
+    # a word of codes is the package's own; the public constructors take
+    # (direction, mode) pairs only
+    word = fock_word([(0, 1)])
+    with pytest.raises(TypeError):
+        fock_word(word)
+    with pytest.raises(TypeError):
+        VElement(1, {(word, (0,)): 1})
+    with pytest.raises(TypeError):
+        ModuleElement({(word, (0,)): 1})
+    with pytest.raises(TypeError):
+        fock_element(1, word)
+
+
+def test_printing_follows_the_decoded_pairs():
+    # Texts pinned from when words held (direction, mode) pairs.  The terms
+    # print by the repr of their pair keys, which orders them differently
+    # from their codes.
+    v = (fock_element(2, [(0, 1)], (1, 0)) + 2 * fock_element(2, [(3, 2)])
+         + Fraction(1, 2) * fock_element(2, [(1, 1), (2, 3)], (0, -1))
+         + charge_element(2, (1, 1), -1))
+    assert str(v) == "c1(-1)e^{c1} + 1/2*d1(-3)c2(-1)e^{-c2} + 2*d2(-2) - e^{c1+c2}"
+    assert sorted(v.terms, key=repr) != [key for key, _ in v.sorted_terms()]
+    m = ModuleElement({(((0, 1),), (0,)): 1, (((1, 2),), (1,)): -3,
+                       (((1, 1), (0, 1)), (0,)): Fraction(2, 3)})
+    assert str(m) == "2/3*h0(-1)h1(-1)w[(0)] + h0(-1)w[(0)] - 3*h1(-2)w[(1)]"
+    assert sorted(m.terms, key=repr) != [key for key, _ in m.sorted_terms()]
 
 
 def test_fock_weight():
@@ -71,14 +144,14 @@ def test_velement_invariants():
 def test_constructors_canonicalize_words():
     # a word in any factor order is the same key as its canonical form
     assert VElement(1, {(((0, 1), (1, 2)), (0,)): 1}) == fock_element(1, [(0, 1), (1, 2)])
-    assert list(VElement(1, {(((0, 1), (1, 2)), (0,)): 1}).terms) == [(((1, 2), (0, 1)), (0,))]
+    assert list(VElement(1, {(((0, 1), (1, 2)), (0,)): 1}).terms) == [((encode(1, 2), encode(0, 1)), (0,))]
     lab = (0,)
     assert ModuleElement({(((0, 1), (1, 2)), lab): 1}) == ModuleElement({(((1, 2), (0, 1)), lab): 1})
     # keys that coincide once canonical are merged, and cancel to zero
     x = VElement(2, {(((0, 1), (2, 1)), (0, 0)): 1, (((2, 1), (0, 1)), (0, 0)): Fraction(-2, 2)})
     assert x.is_zero()
     m = ModuleElement({(((0, 1), (1, 2)), lab): Fraction(1, 2), (((1, 2), (0, 1)), lab): 3})
-    assert m.terms == {(((1, 2), (0, 1)), lab): Fraction(7, 2)}
+    assert m.terms == {((encode(1, 2), encode(0, 1)), lab): Fraction(7, 2)}
 
 
 @pytest.mark.parametrize("word", [((-1, 1),), ((0, 0),), ((0, 1), (1, -2))],
@@ -111,22 +184,23 @@ def test_trusted_results_drop_zeros_and_hold_canonical_values():
     # proper denominator
     x = VElement(2, {(((0, 1),), (1, 0)): Fraction(3, 2), ((), (0, 1)): Fraction(4, 2),
                      ((), (1, 1)): 0, ((), (2, 0)): Fraction(0)})
-    assert x.terms == {(((0, 1),), (1, 0)): Fraction(3, 2), ((), (0, 1)): 2}
+    c1 = (encode(0, 1),)  # the coded word c1(-1)
+    assert x.terms == {(c1, (1, 0)): Fraction(3, 2), ((), (0, 1)): 2}
     assert type(x.terms[((), (0, 1))]) is int and canonical(x.terms.values())
     y = fock_element(2, [(0, 1)], (1, 0), Fraction(1, 2)) + charge_element(2, (0, 1), 3)
     total, diff, neg = x + y, x - y, -x
-    assert total.terms == {(((0, 1),), (1, 0)): 2, ((), (0, 1)): 5}
-    assert diff.terms == {(((0, 1),), (1, 0)): 1, ((), (0, 1)): -1}
+    assert total.terms == {(c1, (1, 0)): 2, ((), (0, 1)): 5}
+    assert diff.terms == {(c1, (1, 0)): 1, ((), (0, 1)): -1}
     assert neg.nu == 2 and neg + x == VElement(2, {})
     for scalar in (2, Fraction(2, 3), Fraction(6, 3), True):
         assert canonical((x * scalar).terms.values()) and canonical((scalar * x).terms.values())
-    assert (x * Fraction(2, 3)).terms == {(((0, 1),), (1, 0)): 1, ((), (0, 1)): Fraction(4, 3)}
+    assert (x * Fraction(2, 3)).terms == {(c1, (1, 0)): 1, ((), (0, 1)): Fraction(4, 3)}
     zero = x * 0
     assert zero.is_zero() and zero.nu == 2 and zero == VElement(2, {})
     for c in (total, diff, neg, zero):
         assert canonical(c.terms.values())
-    made = x._make({((), (0, 0)): Fraction(4, 2), (((0, 1),), (1, 0)): 0,
-                    (((2, 1),), (0, 0)): Fraction(0), ((), (1, 0)): Fraction(-1, 3)})
+    made = x._make({((), (0, 0)): Fraction(4, 2), (c1, (1, 0)): 0,
+                    ((encode(2, 1),), (0, 0)): Fraction(0), ((), (1, 0)): Fraction(-1, 3)})
     assert made.terms == {((), (0, 0)): 2, ((), (1, 0)): Fraction(-1, 3)}
     assert canonical(made.terms.values()) and made.nu == 2
     assert made == VElement(2, {((), (0, 0)): 2, ((), (1, 0)): Fraction(-1, 3)})
@@ -164,7 +238,7 @@ def test_module_state():
     w = ctx.state_of_label(("x",))
     s = Fraction(1, 3) * apply_heisenberg_mode(cfg.dir_vector(0), -2, w, ctx)
     ((word, label),) = s.terms
-    assert word == ((0, 2),) and label == ("x",)
+    assert word == (encode(0, 2),) and label == ("x",)
     assert s.terms[(word, label)] == Fraction(1, 3)
 
 

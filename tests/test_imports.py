@@ -9,10 +9,14 @@ reduces and divides back integer numerators over a denominator.  A third
 keeps the weight formula ``truncation_bound`` an oracle: the engine cuts
 its sums at a field's own ``top``, so only ``vertex``, which defines the
 formula, and ``suites``, whose module-axioms check compares the two, name
-it, and no package module reads a ``.bound`` attribute.
+it, and no package module reads a ``.bound`` attribute.  A fourth keeps the
+layout of a Fock factor code, its shift and direction mask, inside
+``fock``: every other module, the tests included, reads and builds factors
+through ``fock.encode`` and ``fock.decode``.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,20 +24,26 @@ PACKAGE = sorted((ROOT / "src" / "halflattice").glob("*.py"))
 SOURCES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
                  + list((ROOT / "tests").glob("*.py")))
 DENOMINATOR_NAMES = {"gcd", "lcm"}
+CODE_LAYOUT_NAMES = {"_SHIFT", "_DIRECTION_MASK"}
+
+
+@lru_cache(maxsize=None)
+def nodes(source: str) -> tuple:
+    """Every node of the source's syntax tree, parsed once for all the scans."""
+    return tuple(ast.walk(ast.parse(source)))
 
 
 def unused_imports(source: str) -> list:
-    tree = ast.parse(source)
     imported = {}
-    for node in ast.walk(tree):
+    for node in nodes(source):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for annotation in _annotations(tree):
+    used = {node.id for node in nodes(source) if isinstance(node, ast.Name)}
+    for annotation in _annotations(nodes(source)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 inner = ast.parse(node.value, mode="eval")  # e.g. -> "LaurentPoly"
@@ -41,8 +51,8 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def _annotations(tree):
-    for node in ast.walk(tree):
+def _annotations(all_nodes):
+    for node in all_nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             yield node.returns
         elif isinstance(node, ast.arg) and node.annotation:
@@ -68,7 +78,7 @@ def denominator_names(source: str) -> list:
     """The names in {gcd, lcm} that the source takes from ``math``, by
     ``from math import`` or as ``math.gcd`` / ``math.lcm``."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes(source):
         if isinstance(node, ast.ImportFrom) and node.module == "math":
             found.update(alias.name for alias in node.names if alias.name in DENOMINATOR_NAMES)
         elif (isinstance(node, ast.Attribute) and node.attr in DENOMINATOR_NAMES
@@ -93,7 +103,7 @@ def cutoff_names(source: str) -> list:
     """Where the source names ``truncation_bound`` (as a name, an imported
     name or an attribute) or reads an attribute ``bound``."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes(source):
         if isinstance(node, ast.Attribute) and node.attr == "bound":
             found.add(".bound")
         name = (node.id if isinstance(node, ast.Name)
@@ -116,4 +126,31 @@ def test_only_vertex_and_suites_name_the_weight_formula():
     found = {path.name: cutoff_names(path.read_text()) for path in PACKAGE}
     assert found.pop("vertex.py") == ["truncation_bound"]
     assert found.pop("suites.py") == ["truncation_bound"]
+    assert not any(found.values()), found
+
+
+def code_layout_names(source: str) -> list:
+    """The names of the factor code's layout that the source names, as a
+    name, an imported name or an attribute."""
+    found = set()
+    for node in nodes(source):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in CODE_LAYOUT_NAMES:
+            found.add(name)
+    return sorted(found)
+
+
+def test_the_scan_finds_the_code_layout():
+    assert code_layout_names("from .fock import _SHIFT\n") == ["_SHIFT"]
+    assert code_layout_names("d = code & fock._DIRECTION_MASK\n") == ["_DIRECTION_MASK"]
+    assert code_layout_names("_SHIFT = 16\nm = -(c >> _SHIFT)\n") == ["_SHIFT"]
+    assert code_layout_names("dir_, mode = decode(code)\n") == []
+
+
+def test_only_fock_names_the_code_layout():
+    found = {path.name: code_layout_names(path.read_text()) for path in SOURCES + [
+        ROOT / "src" / "halflattice" / "__init__.py"]}
+    assert found.pop("fock.py") == sorted(CODE_LAYOUT_NAMES)
     assert not any(found.values()), found

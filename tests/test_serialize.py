@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from halflattice.assoc import BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector
-from halflattice.fock import charge_element, fock_element
+from halflattice.fock import charge_element, fock_element, pair_key
 from halflattice.lattice import LatticeConfig
 from halflattice.laurent import LaurentRing
 from halflattice.probes import rand_velement
@@ -22,6 +23,20 @@ from halflattice.serialize import (
 )
 
 CFG = LatticeConfig(nu=2, k=1)
+
+
+def test_velement_json_lists_terms_by_their_decoded_pairs():
+    # pinned from when words held (direction, mode) pairs: terms sort by
+    # (pairs, charge), an order their codes do not share
+    v = (fock_element(2, [(0, 1)], (1, 0)) + 2 * fock_element(2, [(3, 2)])
+         + Fraction(1, 2) * fock_element(2, [(1, 1), (2, 3)], (0, -1))
+         + charge_element(2, (1, 1), -1))
+    assert json.dumps(velement_to_data(v)) == (
+        '{"terms": [{"coeff": "-1", "fock": [], "charge": [1, 1]}, '
+        '{"coeff": "1", "fock": [[0, 1]], "charge": [1, 0]}, '
+        '{"coeff": "1/2", "fock": [[2, 3], [1, 1]], "charge": [0, -1]}, '
+        '{"coeff": "2", "fock": [[3, 2]], "charge": [0, 0]}]}')
+    assert [pair_key(key) for key in sorted(v.terms)] != sorted(map(pair_key, v.terms))
 
 
 def test_parse_single_charge_term():

@@ -15,6 +15,8 @@ from halflattice.fock import (
     ModuleElement,
     VElement,
     charge_element,
+    decode,
+    encode,
     fock_element,
     fock_weight,
     fock_word,
@@ -105,20 +107,22 @@ def test_mixed_direction_vector_mode():
 def loop_heisenberg_mode(h, n, s, ctx):
     """The former hand-written body of apply_heisenberg_mode, kept as the oracle
     for the per-direction kernel: one loop per sign of n, pairing through
-    LatticeVector arithmetic."""
+    LatticeVector arithmetic.  It reads each coded word as its (direction,
+    mode) pairs and re-canonicalizes a created word with ``fock_word``."""
     cfg = ctx.cfg
     out: dict = {}
     if n < 0:
         mode = -n
         for (word, label), coeff in s.terms.items():
+            pairs = tuple(map(decode, word))
             for i in range(cfg.nu):
                 if h.c[i]:
-                    accumulate(out, (fock_word(word + ((i, mode),)), label), coeff * h.c[i])
+                    accumulate(out, (fock_word(pairs + ((i, mode),)), label), coeff * h.c[i])
                 if h.d[i]:
-                    accumulate(out, (fock_word(word + ((cfg.nu + i, mode),)), label), coeff * h.d[i])
+                    accumulate(out, (fock_word(pairs + ((cfg.nu + i, mode),)), label), coeff * h.d[i])
     elif n > 0:
         for (word, label), coeff in s.terms.items():
-            for pos, (dir_, mode) in enumerate(word):
+            for pos, (dir_, mode) in enumerate(map(decode, word)):
                 if mode != n:
                     continue
                 pair = cfg.pairing(h, cfg.dir_vector(dir_))
@@ -252,8 +256,9 @@ def test_charge_products():
 
 
 def transport_charge(v, target):
-    """Replace every charge by the target; the Fock parts ride along."""
-    return VElement(v.nu, {(word, tuple(target)): c for (word, _), c in v.terms.items()})
+    """Replace every charge by the target; the Fock parts, coded words
+    already canonical, ride along through the trusted path."""
+    return v._make({(word, tuple(target)): c for (word, _), c in v.terms.items()})
 
 
 def test_charge_ladder_matches_translation_derivative():
@@ -375,12 +380,12 @@ def assignment_y_coefficient(u, n, w, ctx):
 
     out = {}
     for (ufock, alpha), cu in u.terms.items():
-        fields = list(ufock)
+        fields = list(map(decode, ufock))
         e_target = -n - 1 - ctx.charge_power(alpha)
         charged = any(alpha)
         for (wfock, label), cw in w.terms.items():
-            budget = sum(m for _, m in wfock)
-            u_weight = sum(m for _, m in ufock)
+            budget = sum(m for _, m in map(decode, wfock))
+            u_weight = sum(m for _, m in fields)
             for js, coeff in field_assignments(fields, budget, e_target, u_weight):
                 p_low = e_target + sum(j + n_i for j, (_, n_i) in zip(js, fields))
                 a_max = budget - sum(j for j in js if j > 0) if charged else 0
@@ -474,7 +479,7 @@ def rational_creation_half(fields, alpha, level):
     """The creation half as a rational {word: coefficient} dict: with no
     creating field h_level of the power sums alpha(-m) by Newton's identity,
     else the sum over the first field's mode m of C(m-1, n_1-1) times the
-    rest at level - m."""
+    rest at level - m.  The fields are factor codes, as ``Field`` keeps them."""
     out = {}
     if not fields:
         if level == 0:
@@ -483,12 +488,12 @@ def rational_creation_half(fields, alpha, level):
             for word, c in rational_creation_half((), alpha, level - m).items():
                 for i, a_i in enumerate(alpha):
                     if a_i:
-                        accumulate(out, merge_words(word, ((i, m),)), Fraction(c * a_i, level))
+                        accumulate(out, merge_words(word, (encode(i, m),)), Fraction(c * a_i, level))
         return out
-    (dir_, n_i), rest = fields[0], fields[1:]
-    for m in range(n_i, level - sum(m for _, m in rest) + 1):
+    (dir_, n_i), rest = decode(fields[0]), fields[1:]
+    for m in range(n_i, level - sum(m for _, m in map(decode, rest)) + 1):
         for word, q in rational_creation_half(rest, alpha, level - m).items():
-            accumulate(out, merge_words(word, ((dir_, m),)), comb(m - 1, n_i - 1) * q)
+            accumulate(out, merge_words(word, (encode(dir_, m),)), comb(m - 1, n_i - 1) * q)
     return out
 
 
@@ -506,7 +511,7 @@ def rational_field(u, w, ctx, window):
         for (wfock, label), cw in w.terms.items():
             for js, coeff in _annihilation_patterns(ufock, wfock, ctx.cfg.nu):
                 states = {(wfock, label): cu * cw * coeff}
-                for (dir_, _), j in zip(ufock, js):
+                for (dir_, _), j in zip(map(decode, ufock), js):
                     if j and states:
                         states = _mode_dir(ctx, states, dir_, j)
                 if not states:
@@ -515,7 +520,7 @@ def rational_field(u, w, ctx, window):
                 drawn = sum(j for j in js if j)
                 for a in range((fock_weight(wfock) - drawn if charged else 0) + 1):
                     mid = dressing(ctx.cfg, states, alpha, a, -1)
-                    for (dir_, _), j in zip(ufock, js):
+                    for (dir_, _), j in zip(map(decode, ufock), js):
                         if j == 0 and mid:
                             mid = _mode_dir(ctx, mid, dir_, 0)
                     if mid and charged:
@@ -528,7 +533,7 @@ def rational_field(u, w, ctx, window):
     for n in window:
         terms = out[n] = {}
         for (creating, alpha, shift), mid in sums.items():
-            if not mid or shift - n < sum(m for _, m in creating):
+            if not mid or shift - n < sum(m for _, m in map(decode, creating)):
                 continue
             half = rational_creation_half(creating, alpha, shift - n)
             for (word, lab), c in mid.items():
@@ -594,11 +599,11 @@ def test_integer_field_matches_the_rational_loop(monkeypatch):
 def unpruned_patterns(fields, budget: int):
     """The annihilation patterns without contraction pruning: every field is
     offered None and each mode 0..budget, the positive modes summing to at
-    most budget."""
+    most budget.  The fields are factor codes."""
     if not fields:
         yield (), 1
         return
-    n_i = fields[0][1]
+    n_i = decode(fields[0])[1]
     for j in (None, *range(budget + 1)):
         c = 1 if j is None else gbinom(-j - 1, n_i - 1)
         for rest, rc in unpruned_patterns(fields[1:], budget - (j or 0)):
@@ -621,7 +626,7 @@ def test_pruned_patterns_drop_only_annihilated_states(nu, k):
                         assert pruned.items() <= full.items()
                         for js in full.keys() - pruned.keys():
                             s = ctx.element({(wfock, label): 1})
-                            for (dir_, _), j in zip(ufock, js):
+                            for (dir_, _), j in zip(map(decode, ufock), js):
                                 if j:
                                     s = apply_heisenberg_mode(units[dir_], j, s, ctx)
                             assert s.is_zero(), (ufock, wfock, js)
@@ -724,12 +729,13 @@ def partition_sum_dressing(cfg, states, alpha, p, side):
             for _ in range(mult):
                 new = {}
                 for (word, label), c in cur.items():
+                    pairs = tuple(map(decode, word))
                     if side > 0:
                         for i, m_i in enumerate(alpha):
                             if m_i:
-                                accumulate(new, (fock_word(word + ((i, part),)), label), c * m_i)
+                                accumulate(new, (fock_word(pairs + ((i, part),)), label), c * m_i)
                     else:
-                        for pos, (d2, m2) in enumerate(word):
+                        for pos, (d2, m2) in enumerate(pairs):
                             m_i = alpha[d2 - cfg.nu] if m2 == part and d2 >= cfg.nu else 0
                             if m_i:
                                 rest = word[:pos] + word[pos + 1 :]
@@ -750,11 +756,11 @@ def dressing_states(nu):
         [(dn, 3), (d1, 2), (d1, 2), (dn, 1), (d1, 1), (c1, 1), (c1, 1)],
     ]
     charge = (1,) + (-1,) * (nu - 1)
-    v = VElement(nu, {(fock_word(f), charge if i % 2 else (0,) * nu): Fraction(i + 1, 2)
+    v = VElement(nu, {(tuple(f), charge if i % 2 else (0,) * nu): Fraction(i + 1, 2)
                       for i, f in enumerate(words)})
     label = (Fraction(1, 2),) * nu
-    m = ModuleElement({(fock_word(words[2]), label): Fraction(-3),
-                       (fock_word(words[3]), label): Fraction(2)})
+    m = ModuleElement({(tuple(words[2]), label): Fraction(-3),
+                       (tuple(words[3]), label): Fraction(2)})
     return [v.terms, m.terms]
 
 
