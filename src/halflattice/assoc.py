@@ -536,20 +536,6 @@ class SimplicityWitness:
         return g
 
 
-def mult_b_element(spec: OmegaSpec, f: LaurentPoly) -> BElement:
-    """Multiplication by a Laurent polynomial in t_1..t_{mu-1} as e-actions.
-
-    Valid because each e_{c_i} with i < mu acts as multiplication by t_i.
-    """
-    if f.max_variable() >= spec.mu:
-        raise ValueError("only the Laurent variables multiply via translations")
-    words = {}
-    for exps, coeff in f.sorted_terms():
-        charge = tuple(exps[i] if i < spec.mu - 1 else 0 for i in range(spec.nu))
-        words[(gen_e(charge),) if any(charge) else ()] = coeff
-    return BElement(words)
-
-
 def cyclic_relations(spec: OmegaSpec) -> list[tuple[int, BElement]]:
     """The relations (j, x) with x * symbol = 0 that define the cyclic symbol:
     x = d_j - mult(f_j) for j < mu and x = e_{c_j} - a_j for j >= mu.  The
@@ -557,7 +543,12 @@ def cyclic_relations(spec: OmegaSpec) -> list[tuple[int, BElement]]:
     out = []
     for j in range(1, spec.nu + 1):
         if j < spec.mu:
-            out.append((j, BElement.d(j) - mult_b_element(spec, spec.f_of(j))))
+            # mult(f_j) as translations: e_{c_i} acts as multiplication by t_i
+            # for i < mu, and OmegaSpec admits no f_j in t_mu or a later
+            # variable, so each monomial's exponents are its charge
+            mult = {(gen_e(exps),) if any(exps) else (): coeff
+                    for exps, coeff in spec.f_of(j).sorted_terms()}
+            out.append((j, BElement.d(j) - BElement(mult)))
         else:
             charge = [0] * spec.nu
             charge[j - 1] = 1

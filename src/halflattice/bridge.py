@@ -29,13 +29,14 @@ from .vertex import Field, OperatorContext, apply_heisenberg_mode, dressing
 
 def _fock_level(cfg: LatticeConfig, weight: int) -> list:
     """All Fock monomials of the given weight, ordered by their decoded
-    (direction, mode) pairs."""
-    if weight == 0:
-        return [()]
-    return sorted({merge_words((encode(dir_, mode),), rest)
-                   for mode in range(1, weight + 1) for dir_ in range(cfg.ndirs)
-                   for rest in _fock_level(cfg, weight - mode)},
-                  key=lambda word: tuple(map(decode, word)))
+    (direction, mode) pairs.  The levels below it are built once each,
+    bottom-up: level w puts one factor of each mode m <= w on level w - m."""
+    levels = [{()}]
+    for w in range(1, weight + 1):
+        levels.append({merge_words((encode(dir_, mode),), rest)
+                       for mode in range(1, w + 1) for dir_ in range(cfg.ndirs)
+                       for rest in levels[w - mode]})
+    return sorted(levels[weight], key=lambda word: tuple(map(decode, word)))
 
 
 def vacuum_basis(

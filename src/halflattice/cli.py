@@ -95,9 +95,8 @@ def _suite_config(args) -> SuiteConfig:
     return replace(SuiteConfig(), **{name: value for _, name, value in values})
 
 
-def _lattice(config: SuiteConfig, default_nu: int = 2, default_k: int = 1) -> LatticeConfig:
-    nu, k = config.resolved(default_nu, default_k)
-    return LatticeConfig(nu, k)
+def _lattice(config: SuiteConfig) -> LatticeConfig:
+    return LatticeConfig(*config.resolved(2, 1))
 
 
 def _cmd_eval_product(args) -> int:

@@ -13,12 +13,12 @@ from halflattice.assoc import (
     WeightVector,
     act_on_omega_module,
     act_on_weight_module,
+    cyclic_relations,
     decompose_potential,
     gen_d,
     gen_e,
     is_a_module_spec,
     iso_decide,
-    mult_b_element,
     simplicity_witness,
 )
 from halflattice.combination import accumulate
@@ -483,15 +483,18 @@ def test_iso_decide_rejections():
     assert iso_decide(s1, OmegaSpec(2, 1, (), (Fraction(1), Fraction(2)))) is None
 
 
-def test_mult_b_element_realizes_multiplication():
-    spec = spec_mu2()
+def test_cyclic_relations_realize_multiplication():
+    # d_1 acts as t_1 d/dt_1 + f_1, so d_1 - mult(f_1) leaves the degree
+    # derivation exactly when mult(f_1) multiplies by f_1; spec validation
+    # already rejects an f_1 in t_2 (test_spec_validation)
     rng = random.Random(89)
     for _ in range(10):
         f = rand_nonzero_laurent(rng, R21, n_terms=2, exp_bound=2, max_var=1)
         g = rand_nonzero_laurent(rng, R21, n_terms=2, exp_bound=2)
-        assert act_on_omega_module(mult_b_element(spec, f), g, spec) == f * g
-    with pytest.raises(ValueError):
-        mult_b_element(spec, R21.variable(2))
+        spec = OmegaSpec(2, 2, (f,), (Fraction(3),))
+        (j, rel), _ = cyclic_relations(spec)
+        assert j == 1
+        assert act_on_omega_module(rel, g, spec) == g.degree_derivation(1)
 
 
 # -- constructive simplicity -------------------------------------------------------------

@@ -1,18 +1,20 @@
-"""Every imported name is used, and the integer form keeps one owner.
+"""Every imported name is used, each public name has one import path, and
+the integer form keeps one owner.
 
-An AST scan of the package modules (but not ``__init__.py``, which imports
-to re-export) and of the test modules.  A name counts as used when it is
-read anywhere in the module, including inside a string annotation such as
-``-> "LaurentPoly"``.  A second scan keeps ``gcd`` and ``lcm`` from
-``math`` inside ``combination``, the one module that builds, raises,
-reduces and divides back integer numerators over a denominator.  A third
-keeps the weight formula ``truncation_bound`` an oracle: the engine cuts
-its sums at a field's own ``top``, so only ``vertex``, which defines the
-formula, and ``suites``, whose module-axioms check compares the two, name
-it, and no package module reads a ``.bound`` attribute.  A fourth keeps the
-layout of a Fock factor code, its shift and direction mask, inside
-``fock``: every other module, the tests included, reads and builds factors
-through ``fock.encode`` and ``fock.decode``.
+An AST scan of the package modules and of the test modules.  A name counts
+as used when it is read anywhere in the module, including inside a string
+annotation such as ``-> "LaurentPoly"``.  The package ``__init__.py``
+imports nothing, so a name is imported from the module that defines it and
+importing one module loads only the modules it needs.  A second scan keeps
+``gcd`` and ``lcm`` from ``math`` inside ``combination``, the one module
+that builds, raises, reduces and divides back integer numerators over a
+denominator.  A third keeps the weight formula ``truncation_bound`` an
+oracle: the engine cuts its sums at a field's own ``top``, so only
+``vertex``, which defines the formula, and ``suites``, whose module-axioms
+check compares the two, name it, and no package module reads a ``.bound``
+attribute.  A fourth keeps the layout of a Fock factor code, its shift and
+direction mask, inside ``fock``: every other module, the tests included,
+reads and builds factors through ``fock.encode`` and ``fock.decode``.
 """
 
 import ast
@@ -21,8 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "halflattice").glob("*.py"))
-SOURCES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
-                 + list((ROOT / "tests").glob("*.py")))
+SOURCES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
 DENOMINATOR_NAMES = {"gcd", "lcm"}
 CODE_LAYOUT_NAMES = {"_SHIFT", "_DIRECTION_MASK"}
 
@@ -72,6 +73,13 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_the_package_init_imports_nothing():
+    init = ROOT / "src" / "halflattice" / "__init__.py"
+    found = [node.lineno for node in nodes(init.read_text())
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports in __init__.py at lines {found}"
 
 
 def denominator_names(source: str) -> list:
@@ -150,7 +158,6 @@ def test_the_scan_finds_the_code_layout():
 
 
 def test_only_fock_names_the_code_layout():
-    found = {path.name: code_layout_names(path.read_text()) for path in SOURCES + [
-        ROOT / "src" / "halflattice" / "__init__.py"]}
+    found = {path.name: code_layout_names(path.read_text()) for path in SOURCES}
     assert found.pop("fock.py") == sorted(CODE_LAYOUT_NAMES)
     assert not any(found.values()), found
