@@ -9,17 +9,20 @@ translations and degree operators, the vacuum-space functor, and the
 degree-zero associative quotient.
 
 The package imports none of its modules; import each name from the module
-that defines it, e.g. ``from halflattice.vertex import Field``.  The layers:
+that defines it, e.g. ``from halflattice.vertex import Field``.  A module
+loads at import only the layers it reads; the engine is the first four.
 
-    combination, laurent, linalg  exact sparse sums, Laurent polynomials, nullspaces
-    lattice                       the rank-2*nu lattice and its pairing
-    fock                          Fock monomials and the states they span
+    combination                   exact sparse sums and their integer form
+    lattice                       the rank-2*nu lattice, its pairing, weight modules
+    fock                          Fock monomials, the states they span, label actions
     vertex                        fields: vertex-operator coefficients and modes
-    assoc                         the straightened algebra and its modules
+    identities                    residuals of the vertex-algebra identities
+    laurent, linalg               Laurent polynomials, nullspaces
+    assoc                         the straightened algebra and its function modules
     bridge                        the vacuum functor back to the algebra
     zhu                           the degree-zero quotient
-    identities                    residuals of the vertex-algebra identities
-    probes, suites                seeded probes and the verification suites
+    probes, suites                seeded probes and the verification suites, which
+                                  import the other layers when a suite runs
     serialize, cli                JSON schemas and ``python -m halflattice``
 """
 

@@ -9,16 +9,17 @@ Generators are e_alpha for charges alpha and d_1..d_nu, subject to
 other; its quotient with commuting d's has the unique normal form
 ``AElement``: a charge on the left times a commutative d-monomial.
 
-Two module families are implemented.  Weight modules are spanned by lattice
-points lam0 + alpha with e_beta translating points and d_i acting by the
-pairing.  Function modules ("omega modules", built at k = 1) are Laurent
-polynomials in t_1..t_{mu-1} times polynomials in t_mu..t_nu acting on a
-cyclic symbol: e_alpha multiplies by a monomial in the Laurent variables and
-shifts the polynomial ones, d_j acts as the degree derivation plus a fixed
-multiplier f_j for j < mu and as multiplication by t_j for j >= mu.  Each
-module is defined once, by its label actions on lattice points or exponent
-tuples, which ``act_on_labels`` applies for the algebra action and the
-vertex engine alike; the algebra action checks each generator's rank first.
+Two module families act.  Weight modules, spanned by lattice points
+lam0 + alpha, are ``lattice.WeightModule``; their vectors here are
+``WeightVector``s.  Function modules ("omega modules", built at k = 1) are
+Laurent polynomials in t_1..t_{mu-1} times polynomials in t_mu..t_nu acting
+on a cyclic symbol: e_alpha multiplies by a monomial in the Laurent
+variables and shifts the polynomial ones, d_j acts as the degree derivation
+plus a fixed multiplier f_j for j < mu and as multiplication by t_j for
+j >= mu.  Each module is defined once, by its label actions on lattice
+points or exponent tuples, which ``fock.act_on_labels`` applies for the
+algebra action and the vertex engine alike; the algebra action checks each
+generator's rank first.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .combination import Combination, accumulate, integer, rational
-from .lattice import LatticeConfig
+from .fock import act_on_labels
+from .lattice import LatticeConfig, WeightModule
 from .laurent import LaurentPoly, LaurentRing
 
 # A generator is ("e", charge tuple) or ("d", index 1..nu).
@@ -194,61 +196,6 @@ class WeightVector(Combination):
         )
 
     __repr__ = __str__
-
-
-class WeightModule:
-    """The span of lattice points lam0 + alpha, alpha in the charge lattice.
-
-    Labels are the c-coordinates of the points (tuples of rationals, each
-    an ``int`` when integral, as combination values are).  The
-    translations act by addition and each d_i acts diagonally by its pairing
-    with the point, for any value of the pairing constant.
-    """
-
-    def __init__(self, cfg: LatticeConfig, lam0_coords: Sequence = None):
-        self.cfg = cfg
-        coords = list(lam0_coords) if lam0_coords is not None else [0] * cfg.nu
-        if len(coords) != cfg.nu:
-            raise ValueError(f"base point needs {cfg.nu} coordinates")
-        self.lam0 = tuple(rational(x) for x in coords)
-
-    def base_label(self) -> tuple:
-        return self.lam0
-
-    def validate_label(self, label) -> tuple:
-        label = tuple(rational(x) for x in label)
-        if len(label) != self.cfg.nu:
-            raise ValueError(f"label needs {self.cfg.nu} coordinates")
-        if any((a - b).denominator != 1 for a, b in zip(label, self.lam0)):
-            raise ValueError(f"label ({', '.join(map(str, label))}) is not in the charge "
-                             f"coset of ({', '.join(map(str, self.lam0))})")
-        return label
-
-    def e_action(self, charge: tuple, label: tuple):
-        return [(1, tuple(a + m for a, m in zip(label, charge)))]
-
-    def d_action(self, j: int, label: tuple):
-        scalar = rational(self.cfg.k * label[j - 1])
-        return [(scalar, label)] if scalar else []
-
-    def probe_labels(self) -> list[tuple]:
-        box = range(-1, 2)
-        out = []
-        for alpha in itertools.product(box, repeat=self.cfg.nu):
-            out.append(tuple(a + m for a, m in zip(self.lam0, alpha)))
-        return out
-
-
-def act_on_labels(states: dict, action, arg) -> dict:
-    """A label action, a module's e_action(charge, label) or d_action(j,
-    label) -> [(q, label')], under each Fock word of (word, label) states:
-    the one place a module acts, for the vertex engine and for the algebra
-    action of ``_act_on_module``, whose states have empty words."""
-    out: dict = {}
-    for (word, label), coeff in states.items():
-        for q, lab in action(arg, label):
-            accumulate(out, (word, lab), coeff * q)
-    return out
 
 
 def _act_on_module(x: BElement, vector: Mapping, module) -> dict:

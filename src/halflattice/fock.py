@@ -18,6 +18,8 @@ every word of its terms through it and merges the keys that then coincide.
 Words the package builds itself are coded and canonical already, and go
 through the trusted ``_make``.  Printing and serialization order terms by
 their decoded (direction, mode) pairs, so no output depends on the codes.
+``act_on_labels`` lets a coefficient module act on the labels of
+(word, label) states, leaving each word as it is.
 """
 
 from __future__ import annotations
@@ -138,6 +140,21 @@ class ModuleElement(Combination):
                              lambda lab: f"w[({', '.join(map(str, lab))})]")
 
     __repr__ = __str__
+
+
+# -- coefficient-module actions -------------------------------------------------
+
+
+def act_on_labels(states: dict, action, arg) -> dict:
+    """A label action, a module's e_action(charge, label) or d_action(j,
+    label) -> [(q, label')], under each Fock word of (word, label) states:
+    the one place a module acts, for the vertex engine and for the algebra
+    action of ``assoc._act_on_module``, whose states have empty words."""
+    out: dict = {}
+    for (word, label), coeff in states.items():
+        for q, lab in action(arg, label):
+            accumulate(out, (word, lab), coeff * q)
+    return out
 
 
 # -- constructors ---------------------------------------------------------------

@@ -5,11 +5,14 @@ are isotropic: (c_i, c_j) = (d_i, d_j) = 0, and the only nonzero pairings
 are (c_i, d_j) = k*delta_ij for a fixed nonzero integer k.  Vectors carry
 exact rational coordinates, held like combination values (an ``int`` when
 integral); the charge lattice is the integer span of the c_i and the dual
-directions are spanned by the d_i.
+directions are spanned by the d_i.  ``WeightModule`` is the span of the
+points lam0 + alpha over the charge lattice: the coefficient module of the
+vertex engine's adjoint and weight contexts, given by its label actions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -168,3 +171,46 @@ class LatticeConfig:
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.nu:
             raise ValueError(f"basis index {i} out of range 1..{self.nu}")
+
+
+class WeightModule:
+    """The span of lattice points lam0 + alpha, alpha in the charge lattice.
+
+    Labels are the c-coordinates of the points (tuples of rationals, each
+    an ``int`` when integral, as combination values are).  The
+    translations act by addition and each d_i acts diagonally by its pairing
+    with the point, for any value of the pairing constant.
+    """
+
+    def __init__(self, cfg: LatticeConfig, lam0_coords: Sequence = None):
+        self.cfg = cfg
+        coords = list(lam0_coords) if lam0_coords is not None else [0] * cfg.nu
+        if len(coords) != cfg.nu:
+            raise ValueError(f"base point needs {cfg.nu} coordinates")
+        self.lam0 = tuple(rational(x) for x in coords)
+
+    def base_label(self) -> tuple:
+        return self.lam0
+
+    def validate_label(self, label) -> tuple:
+        label = tuple(rational(x) for x in label)
+        if len(label) != self.cfg.nu:
+            raise ValueError(f"label needs {self.cfg.nu} coordinates")
+        if any((a - b).denominator != 1 for a, b in zip(label, self.lam0)):
+            raise ValueError(f"label ({', '.join(map(str, label))}) is not in the charge "
+                             f"coset of ({', '.join(map(str, self.lam0))})")
+        return label
+
+    def e_action(self, charge: tuple, label: tuple):
+        return [(1, tuple(a + m for a, m in zip(label, charge)))]
+
+    def d_action(self, j: int, label: tuple):
+        scalar = rational(self.cfg.k * label[j - 1])
+        return [(scalar, label)] if scalar else []
+
+    def probe_labels(self) -> list[tuple]:
+        box = range(-1, 2)
+        out = []
+        for alpha in itertools.product(box, repeat=self.cfg.nu):
+            out.append(tuple(a + m for a, m in zip(self.lam0, alpha)))
+        return out

@@ -3,7 +3,9 @@
 All draws use a caller-supplied ``random.Random`` so reports are
 reproducible.  Distributions are deliberately plain: uniform small integers,
 rationals with single-digit numerators and denominators from {1, 2, 3},
-Fock weights capped by the configured desk scale.
+Fock weights capped by the configured desk scale.  The module loads only
+the layers of the Fock states it draws; the draws of algebra elements and
+function-module specs import the algebra and the Laurent rings when called.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .assoc import AElement, OmegaSpec
 from .combination import accumulate
 from .fock import ModuleElement, VElement
 from .lattice import LatticeConfig
-from .laurent import LaurentPoly, LaurentRing
 
 _DENOMINATORS = (1, 1, 2, 3)
 
@@ -78,12 +78,13 @@ def rand_module_element(
 
 def rand_laurent(
     rng: random.Random,
-    ring: LaurentRing,
+    ring,
     n_terms: int = 3,
     exp_bound: int = 2,
     max_var: int | None = None,
-) -> LaurentPoly:
-    """Random polynomial; ``max_var`` caps the 1-based variables used."""
+):
+    """A random ``LaurentPoly`` of the ``LaurentRing`` ring; ``max_var``
+    caps the 1-based variables used."""
     top = ring.nvars if max_var is None else max_var
     out = ring.zero()
     for _ in range(rng.randint(1, n_terms)):
@@ -99,15 +100,19 @@ def rand_laurent(
     return out
 
 
-def rand_nonzero_laurent(rng: random.Random, ring: LaurentRing, **kw) -> LaurentPoly:
+def rand_nonzero_laurent(rng: random.Random, ring, **kw):
     f = rand_laurent(rng, ring, **kw)
     while f.is_zero():
         f = rand_laurent(rng, ring, **kw)
     return f
 
 
-def rand_a_module_spec(rng: random.Random, nu: int, mu: int) -> OmegaSpec:
-    """A spec passing the symmetric-derivation test, built from a potential."""
+def rand_a_module_spec(rng: random.Random, nu: int, mu: int):
+    """An ``OmegaSpec`` passing the symmetric-derivation test, built from a
+    potential."""
+    from .assoc import OmegaSpec
+    from .laurent import LaurentRing
+
     ring = LaurentRing(nu, mu - 1)
     potential = rand_laurent(rng, ring, n_terms=2, exp_bound=2, max_var=mu - 1)
     fs = []
@@ -126,7 +131,10 @@ def rand_a_element(
     n_terms: int = 2,
     d_degree: int = 3,
     charge_bound: int = 3,
-) -> AElement:
+):
+    """A random ``AElement`` of the straightened algebra."""
+    from .assoc import AElement
+
     terms: dict = {}
     for _ in range(rng.randint(1, n_terms)):
         charge = rand_charge(rng, cfg.nu, charge_bound)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .assoc import BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector, gen_d, gen_e
+from .assoc import BElement, OmegaModule, OmegaSpec, WeightVector, gen_d, gen_e
 from .combination import accumulate
 from .fock import VElement, pair_key
-from .lattice import LatticeConfig
+from .lattice import LatticeConfig, WeightModule
 from .laurent import LaurentPoly, LaurentRing
 
 

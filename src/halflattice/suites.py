@@ -7,6 +7,12 @@ stream of (where, residual) cases decided by ``SuiteReport.sweep``: the
 first truthy residual fails it, and so does a stream with no case at all.
 Reports depend only on (config, seed); wall time is tracked but excluded
 from the serialized report so byte-identical reruns stay byte-identical.
+
+The module loads the engine and the checkers: ``combination``, ``fock``,
+``lattice``, ``vertex`` and ``identities``.  Every other layer (the probes,
+the straightened algebra, Laurent rings, nullspaces, the vacuum bridge and
+the Zhu quotient) is imported by the suite or helper that reads it, when it
+runs, so a run loads only the layers of the suites it runs.
 """
 
 from __future__ import annotations
@@ -18,26 +24,6 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .assoc import (
-    BElement,
-    OmegaModule,
-    OmegaSpec,
-    WeightModule,
-    act_on_omega_module,
-    cyclic_relations,
-    decompose_potential,
-    is_a_module_spec,
-    iso_decide,
-    simplicity_witness,
-)
-from .bridge import (
-    charge_sector,
-    is_vacuum_vector,
-    recovered_action_cases,
-    recovered_relation_cases,
-    vacuum_basis,
-    z_operator,
-)
 from .combination import Combination
 from .fock import VElement, charge_element, fock_element, vacuum
 from .identities import (
@@ -48,16 +34,7 @@ from .identities import (
     locality_residual,
     virasoro_residual,
 )
-from .lattice import LatticeConfig
-from .laurent import LaurentRing
-from .linalg import nullspace
-from .probes import (
-    rand_a_element,
-    rand_a_module_spec,
-    rand_module_element,
-    rand_nonzero_laurent,
-    rand_velement,
-)
+from .lattice import LatticeConfig, WeightModule
 from .vertex import (
     Field,
     adjoint_context,
@@ -65,13 +42,6 @@ from .vertex import (
     conformal_vector,
     module_operator_context,
     truncation_bound,
-)
-from .zhu import (
-    circ_general,
-    o_action_on_v0,
-    zhu_embed,
-    zhu_iso_cases,
-    zhu_reduce,
 )
 
 
@@ -216,13 +186,20 @@ def _unimodular_nu(config: SuiteConfig, suite: str) -> int:
     return nu
 
 
-def _default_omega_spec(nu: int) -> OmegaSpec:
+def _default_omega_spec(nu: int):
+    """The ``OmegaSpec`` of the suites' function module: cutoff 2,
+    multiplier t_1 and shift constants 2..nu."""
+    from .assoc import OmegaSpec
+    from .laurent import LaurentRing
+
     ring = LaurentRing(nu, 1)
     return OmegaSpec(nu, 2, (ring.variable(1),), tuple(Fraction(i + 2) for i in range(nu - 1)))
 
 
 def _module_contexts(cfg: LatticeConfig, lam_vectors=None):
     """One context per coefficient-module kind, at the given weights."""
+    from .assoc import OmegaModule
+
     if lam_vectors is None:
         lam_vectors = [cfg.d_basis(1)]
     out = []
@@ -238,6 +215,8 @@ def _module_contexts(cfg: LatticeConfig, lam_vectors=None):
 def _probe_states(rng: random.Random, cfg: LatticeConfig, ctx, count: int) -> list:
     """count seeded target states of a context: algebra states of Fock weight
     at most 3 in the adjoint, module states of Fock weight at most 2 otherwise."""
+    from .probes import rand_module_element, rand_velement
+
     if isinstance(ctx.zero, VElement):
         return [rand_velement(rng, cfg, max_weight=3) for _ in range(count)]
     return [rand_module_element(rng, cfg, ctx.handle, max_weight=2) for _ in range(count)]
@@ -247,6 +226,8 @@ def _probe_states(rng: random.Random, cfg: LatticeConfig, ctx, count: int) -> li
 
 
 def suite_heisenberg(config: SuiteConfig) -> SuiteReport:
+    from .probes import rand_velement
+
     nu, k = config.resolved(2, 2)
     cfg = LatticeConfig(nu, k)
     report = SuiteReport("heisenberg", config.echo(nu, k))
@@ -343,6 +324,8 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_virasoro(config: SuiteConfig) -> SuiteReport:
+    from .probes import rand_velement
+
     nus = [1, 2, 3] if config.nu is None else [config.nu]
     k = 1 if config.k is None else config.k
     report = SuiteReport("virasoro", config.echo(config.nu or 0, k))
@@ -383,6 +366,8 @@ def suite_virasoro(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
+    from .probes import rand_velement
+
     nu, k = config.resolved(2, 1)
     cfg = LatticeConfig(nu, k)
     report = SuiteReport("d-derivative", config.echo(nu, k))
@@ -409,6 +394,10 @@ def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
+    from .assoc import BElement, OmegaSpec, act_on_omega_module
+    from .laurent import LaurentRing
+    from .probes import rand_a_module_spec, rand_nonzero_laurent
+
     nu = _unimodular_nu(config, "omega-relations")
     cfg = LatticeConfig(nu, 1)
     report = SuiteReport("omega-relations", config.echo(nu, 1))
@@ -478,8 +467,9 @@ def suite_omega_relations(config: SuiteConfig) -> SuiteReport:
 # -- suite: classification --------------------------------------------------------------------------
 
 
-def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec) -> bool:
-    """Windowed search for a nonzero homomorphism between function modules.
+def brute_force_iso(spec1, spec2) -> bool:
+    """Windowed search for a nonzero homomorphism between the function
+    modules of two ``OmegaSpec``s.
 
     A homomorphism is determined by the image v of the cyclic symbol, and v
     must satisfy every relation the symbol satisfies: the degree operators
@@ -492,6 +482,9 @@ def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec) -> bool:
     Each relation (``cyclic_relations``) gives one sparse row per monomial of
     its images.
     """
+    from .assoc import OmegaModule, act_on_omega_module, cyclic_relations
+    from .linalg import nullspace
+
     basis = OmegaModule(LatticeConfig(spec2.nu, 1), spec2).probe_labels(3, 3)
 
     rows = []
@@ -504,7 +497,11 @@ def brute_force_iso(spec1: OmegaSpec, spec2: OmegaSpec) -> bool:
     return bool(nullspace(rows, len(basis)))
 
 
-def _classification_pairs(nu: int) -> list[tuple[str, OmegaSpec, OmegaSpec, bool]]:
+def _classification_pairs(nu: int) -> list[tuple]:
+    """(name, spec, spec, isomorphic?) for the classification checks."""
+    from .assoc import OmegaSpec
+    from .laurent import LaurentRing
+
     r1 = LaurentRing(nu, 1)
     t1 = r1.variable(1)
     tail = tuple(Fraction(2) for _ in range(nu - 1))
@@ -547,6 +544,9 @@ def _classification_pairs(nu: int) -> list[tuple[str, OmegaSpec, OmegaSpec, bool
 
 
 def suite_classification(config: SuiteConfig) -> SuiteReport:
+    from .assoc import OmegaSpec, decompose_potential, is_a_module_spec, iso_decide, simplicity_witness
+    from .probes import rand_a_module_spec, rand_nonzero_laurent
+
     nu = _unimodular_nu(config, "classification")
     report = SuiteReport("classification", config.echo(nu, 1))
     rng = random.Random(config.seed)
@@ -652,6 +652,15 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
+    from .bridge import (
+        charge_sector,
+        is_vacuum_vector,
+        recovered_action_cases,
+        recovered_relation_cases,
+        vacuum_basis,
+        z_operator,
+    )
+
     nu = _unimodular_nu(config, "vacuum-roundtrip")
     cfg = LatticeConfig(nu, 1)
     report = SuiteReport("vacuum-roundtrip", config.echo(nu, 1))
@@ -711,21 +720,23 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
 
 
 def suite_zhu(config: SuiteConfig) -> SuiteReport:
+    from .laurent import LaurentRing
+    from .probes import rand_a_element, rand_velement
+    from .zhu import circ_general, o_action_on_v0, zhu_embed, zhu_iso_cases, zhu_reduce
+
     nu, k = config.resolved(2, 1)
     cfg = LatticeConfig(nu, k)
     report = SuiteReport("zhu", config.echo(nu, k))
     rng = random.Random(config.seed)
 
     def circle_cases():
-        for a1 in itertools.product(range(-2, 3), repeat=nu):
-            for b1 in itertools.product(range(-2, 3), repeat=nu):
-                got = circ_general(cfg, charge_element(nu, a1), charge_element(nu, b1), 0)
-                want = VElement(nu, {})
+        # e^a1 o e^b1 = sum_i a1_i c_i(-1) e^(a1 + b1), over one grid of charges
+        grid = [(a, charge_element(nu, a)) for a in itertools.product(range(-2, 3), repeat=nu)]
+        for a1, ea in grid:
+            for b1, eb in grid:
                 total = tuple(x + y for x, y in zip(a1, b1))
-                for i, m in enumerate(a1):
-                    if m:
-                        want = want + m * fock_element(nu, [(i, 1)], total)
-                yield (a1, b1), got != want
+                want = VElement(nu, {(((i, 1),), total): m for i, m in enumerate(a1) if m})
+                yield (a1, b1), circ_general(cfg, ea, eb, 0) != want
 
     report.sweep("charge-circle-product", circle_cases())
 

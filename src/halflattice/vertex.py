@@ -72,10 +72,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .assoc import WeightModule, act_on_labels
 from .combination import accumulate, add_scaled, divided, numerators, rational, reduce, rescale
-from .fock import ModuleElement, VElement, decode, encode, fock_weight, merge_words
-from .lattice import LatticeConfig, LatticeVector
+from .fock import ModuleElement, VElement, act_on_labels, decode, encode, fock_weight, merge_words
+from .lattice import LatticeConfig, LatticeVector, WeightModule
 
 
 class OperatorContext:

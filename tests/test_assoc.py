@@ -9,7 +9,6 @@ from halflattice.assoc import (
     BElement,
     OmegaModule,
     OmegaSpec,
-    WeightModule,
     WeightVector,
     act_on_omega_module,
     act_on_weight_module,
@@ -22,7 +21,7 @@ from halflattice.assoc import (
     simplicity_witness,
 )
 from halflattice.combination import accumulate
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
 from halflattice.probes import rand_a_module_spec, rand_nonzero_laurent
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule
+from halflattice.assoc import OmegaModule, OmegaSpec
 from halflattice.bridge import (
     MixedSectorError,
     _fock_level,
@@ -17,7 +17,7 @@ from halflattice.bridge import (
 )
 from halflattice.fock import ModuleElement, decode, fock_weight, vacuum
 from halflattice.identities import ActionCache, borcherds_residual
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
 from halflattice.probes import rand_module_element
 from halflattice.vertex import (

@@ -18,7 +18,6 @@ from halflattice.assoc import (
     AElement,
     BElement,
     OmegaSpec,
-    WeightModule,
     act_on_omega_module,
     decompose_potential,
     gen_d,
@@ -36,7 +35,7 @@ from halflattice.combination import (
     reduce,
 )
 from halflattice.fock import VElement, charge_element, encode, fock_element, fock_word, vacuum
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
 from halflattice.linalg import nullspace
 from halflattice.vertex import module_operator_context

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import AElement, WeightModule
+from halflattice.assoc import AElement
 from halflattice.fock import (
     DIRECTION_LIMIT,
     ModuleElement,
@@ -16,7 +16,7 @@ from halflattice.fock import (
     homogeneous_components,
     vacuum,
 )
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.zhu import zhu_embed
 from halflattice.vertex import (
     adjoint_context,

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from halflattice import identities
-from halflattice.assoc import WeightModule
 from halflattice.combination import accumulate
 from halflattice.fock import VElement, charge_element, fock_element, vacuum
 from halflattice.identities import (
@@ -27,7 +26,7 @@ from halflattice.identities import (
     locality_residual,
     virasoro_residual,
 )
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.probes import rand_module_element, rand_velement
 from halflattice.suites import _module_contexts
 from halflattice.vertex import (

@@ -1,11 +1,17 @@
-"""Every imported name is used, each public name has one import path, and
-the integer form keeps one owner.
+"""Every imported name is used, each public name has one import path, each
+module loads only the layers below it, and the integer form keeps one owner.
 
-An AST scan of the package modules and of the test modules.  A name counts
-as used when it is read anywhere in the module, including inside a string
-annotation such as ``-> "LaurentPoly"``.  The package ``__init__.py``
-imports nothing, so a name is imported from the module that defines it and
-importing one module loads only the modules it needs.  A second scan keeps
+An AST scan of the package modules and of the test modules.  A name
+imported at module level counts as used when it is read anywhere in the
+module, including inside a string annotation such as ``-> "LaurentPoly"``;
+a name imported inside a function must be read inside that function.  The
+package ``__init__.py`` imports nothing, so a name is imported from the
+module that defines it.  The layers a module loads when it is imported, the
+closure of its module-level relative imports, are pinned for the engine
+(``vertex``), the checkers (``identities``), the probes and the suites:
+a suite imports any other layer inside the function that reads it, so
+importing ``suites`` does not load the layers of suites that do not run.
+A second scan keeps
 ``gcd`` and ``lcm`` from ``math`` inside ``combination``, the one module
 that builds, raises, reduces and divides back integer numerators over a
 denominator.  A third keeps the weight formula ``truncation_bound`` an
@@ -34,22 +40,44 @@ def nodes(source: str) -> tuple:
     return tuple(ast.walk(ast.parse(source)))
 
 
-def unused_imports(source: str) -> list:
-    imported = {}
-    for node in nodes(source):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_imports(scope) -> list:
+    """The import statements of a module or function, without those of the
+    functions it defines."""
+    found, stack = [], list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name that its scope never reads: the
+    module for a module-level import, else the body of the function that
+    holds the import statement."""
+    tree = nodes(source)[0]
+    found = []
+    for scope in (tree,) + tuple(n for n in nodes(source) if isinstance(n, FUNCTIONS)):
+        body = [node for stmt in scope.body for node in ast.walk(stmt)]
+        used = {node.id for node in body if isinstance(node, ast.Name)}
+        for annotation in _annotations(body):
+            for node in ast.walk(annotation):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    inner = ast.parse(node.value, mode="eval")  # e.g. -> "LaurentPoly"
+                    used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+        for node in own_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    used = {node.id for node in nodes(source) if isinstance(node, ast.Name)}
-    for annotation in _annotations(nodes(source)):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                inner = ast.parse(node.value, mode="eval")  # e.g. -> "LaurentPoly"
-                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+                if name not in used:
+                    found.append((node.lineno, name))
+    return sorted(found)
 
 
 def _annotations(all_nodes):
@@ -67,6 +95,17 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports("from a import B\nx: 'B' = 1\n") == []
 
 
+def test_the_scan_reads_a_function_import_in_its_own_function_only():
+    # read only by another function: unused where it is imported
+    assert unused_imports("def f():\n    from a import b\n\ndef g():\n    return b\n") == [(2, "b")]
+    # read by a closure of the importing function, or by any function
+    # when imported at module level: used
+    assert unused_imports("def f():\n    from a import b\n    return lambda: b\n") == []
+    assert unused_imports("def f():\n    from a import b\n\n    def g():\n        return b\n"
+                          "    return g\n") == []
+    assert unused_imports("from a import b\n\ndef g():\n    return b\n") == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = []
     for path in SOURCES:
@@ -80,6 +119,29 @@ def test_the_package_init_imports_nothing():
     found = [node.lineno for node in nodes(init.read_text())
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports in __init__.py at lines {found}"
+
+
+def loaded_layers(module: str) -> set:
+    """The package modules that importing ``module`` loads, by the closure of
+    the module-level relative imports (``from .x import y``), itself excluded."""
+    seen, todo = set(), [module]
+    while todo:
+        path = ROOT / "src" / "halflattice" / f"{todo.pop()}.py"
+        for node in own_imports(nodes(path.read_text())[0]):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                layer = node.module.split(".")[0]
+                if layer not in seen:
+                    seen.add(layer)
+                    todo.append(layer)
+    return seen - {module}
+
+
+def test_each_module_loads_only_the_layers_it_pins():
+    engine = {"combination", "fock", "lattice"}
+    assert loaded_layers("vertex") == engine
+    assert loaded_layers("identities") == engine | {"vertex"}
+    assert loaded_layers("probes") == engine
+    assert loaded_layers("suites") == engine | {"identities", "vertex"}
 
 
 def denominator_names(source: str) -> list:

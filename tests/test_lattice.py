@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from halflattice.assoc import WeightModule
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.vertex import module_operator_context
 
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import BElement, OmegaModule, OmegaSpec, WeightModule, WeightVector
+from halflattice.assoc import BElement, OmegaModule, OmegaSpec, WeightVector
 from halflattice.fock import charge_element, fock_element, pair_key
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
 from halflattice.probes import rand_velement
 from halflattice.serialize import (

@@ -9,11 +9,12 @@ from math import comb, factorial, lcm
 import pytest
 
 from halflattice import combination, vertex
-from halflattice.assoc import OmegaModule, OmegaSpec, WeightModule, act_on_labels
+from halflattice.assoc import OmegaModule, OmegaSpec
 from halflattice.combination import accumulate, add_scaled
 from halflattice.fock import (
     ModuleElement,
     VElement,
+    act_on_labels,
     charge_element,
     decode,
     encode,
@@ -24,7 +25,7 @@ from halflattice.fock import (
     merge_words,
     vacuum,
 )
-from halflattice.lattice import LatticeConfig
+from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
 from halflattice.probes import rand_module_element, rand_velement
 from halflattice.vertex import (
