@@ -11,12 +11,13 @@ other; its quotient with commuting d's has the unique normal form
 
 Two module families act.  Weight modules, spanned by lattice points
 lam0 + alpha, are ``lattice.WeightModule``; their vectors here are
-``WeightVector``s.  Function modules ("omega modules", built at k = 1) are
+``WeightVector``s.  Function modules ("omega modules") are ``OmegaSpec``s:
 Laurent polynomials in t_1..t_{mu-1} times polynomials in t_mu..t_nu acting
 on a cyclic symbol: e_alpha multiplies by a monomial in the Laurent
 variables and shifts the polynomial ones, d_j acts as the degree derivation
 plus a fixed multiplier f_j for j < mu and as multiplication by t_j for
-j >= mu.  Each module is defined once, by its label actions on lattice
+j >= mu.  Each module is one object that carries its lattice ``cfg`` (for
+a function module, always k = 1) and defines its label actions on lattice
 points or exponent tuples, which ``fock.act_on_labels`` applies for the
 algebra action and the vertex engine alike; the algebra action checks each
 generator's rank first.
@@ -227,14 +228,25 @@ def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> 
 # -- function modules ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _power(a, m: int):
+    """a ** m for a nonzero rational a and an integer m, normalized by
+    ``rational``: an ``int`` for an integer a and m >= 0, so the products
+    of ``e_action`` stay ``int``s there.  Taken once per (a, m)."""
+    return rational(Fraction(a) ** m)
+
+
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Parameters (mu, f_1..f_{mu-1}, a_mu..a_nu) of a function module.
+    """A function module: its parameters (mu, f_1..f_{mu-1}, a_mu..a_nu) and
+    its label actions, the module's one definition.
 
     The f_j are Laurent polynomials in t_1..t_{mu-1} only and the a_i are
     nonzero rationals, normalized by ``rational``.  Both degenerate shapes
     are allowed: mu = 1 has no multipliers and mu = nu + 1 none of the a_i.
-    The ring of the module's elements, ``ring``, is built once.
+    Labels are the exponents of the monomials of ``ring``.  The lattice is
+    ``cfg`` = ``LatticeConfig(nu, 1)``: function modules exist only at k = 1,
+    where the straightening relation matches the module actions.
     """
 
     nu: int
@@ -253,6 +265,7 @@ class OmegaSpec:
             raise ValueError(f"expected {self.nu - self.mu + 1} shift constants")
         ring = LaurentRing(self.nu, self.mu - 1)
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "cfg", LatticeConfig(self.nu, 1))
         for j, fj in enumerate(self.f, start=1):
             if not isinstance(fj, LaurentPoly) or fj.ring != ring:
                 raise ValueError(f"f_{j} must live in {ring}")
@@ -269,55 +282,24 @@ class OmegaSpec:
     def f_of(self, j: int) -> LaurentPoly:
         return self.f[j - 1]
 
-
-def act_on_omega_module(x: BElement, f: LaurentPoly, spec: OmegaSpec) -> LaurentPoly:
-    """The straightened algebra on a function module, through its ``OmegaModule``."""
-    if f.ring != spec.ring:
-        raise ValueError("polynomial does not live in the module ring")
-    return f._make(_act_on_module(x, f.terms, OmegaModule(LatticeConfig(spec.nu, 1), spec)))
-
-
-@lru_cache(maxsize=None)
-def _power(a, m: int):
-    """a ** m for a nonzero rational a and an integer m, normalized by
-    ``rational``: an ``int`` for an integer a and m >= 0, so the products
-    of ``e_action`` stay ``int``s there.  Taken once per (a, m)."""
-    return rational(Fraction(a) ** m)
-
-
-class OmegaModule:
-    """The label actions of a function module, its one definition.
-
-    Labels are the exponent vectors of the monomial basis.  Built only at
-    k = 1, where the straightening relation matches the module actions.
-    """
-
-    def __init__(self, cfg: LatticeConfig, spec: OmegaSpec):
-        if cfg.k != 1:
-            raise ValueError("function modules are defined for k = 1 only")
-        if cfg.nu != spec.nu:
-            raise ValueError("rank mismatch between lattice and module spec")
-        self.cfg = cfg
-        self.spec = spec
-
     def base_label(self) -> tuple:
-        return (0,) * self.spec.nu
+        return (0,) * self.nu
 
     def validate_label(self, label) -> tuple:
-        return self.spec.ring.check_exponents(label)
+        return self.ring.check_exponents(label)
 
     def e_action(self, charge: tuple, label: tuple):
         """e_alpha on t^label: the Laurent exponents add alpha's, and each
         polynomial variable's t_i^e becomes a_i^(m_i) (t_i - m_i)^e, expanded;
         the terms come in ascending label order."""
-        cut = self.spec.mu - 1
+        cut = self.mu - 1
         out = [(1, tuple(e + m for e, m in zip(label[:cut], charge)))]
-        for i in range(cut, self.spec.nu):
+        for i in range(cut, self.nu):
             e, m = label[i], charge[i]
             if not m:
                 out = [(c, lab + (e,)) for c, lab in out]
                 continue
-            scale = _power(self.spec.a[i - cut], m)
+            scale = _power(self.a[i - cut], m)
             out = [(rational(cs * (comb(e, p) * (-m) ** (e - p))), lab + (p,))
                    for cs, lab in [(c * scale, lab) for c, lab in out] for p in range(e + 1)]
         return out
@@ -325,21 +307,28 @@ class OmegaModule:
     def d_action(self, j: int, label: tuple):
         """d_j on t^label: below the cutoff the degree e_j plus the multiplier
         f_j's monomials, from it on a raise of t_j; in ascending label order."""
-        if j >= self.spec.mu:
+        if j >= self.mu:
             return [(1, label[: j - 1] + (label[j - 1] + 1,) + label[j:])]
         out = {label: label[j - 1]} if label[j - 1] else {}
-        for exps, c in self.spec.f_of(j).terms.items():
+        for exps, c in self.f_of(j).terms.items():
             accumulate(out, tuple(a + b for a, b in zip(label, exps)), c)
         return [(c, lab) for lab, c in sorted(out.items())]
 
     def probe_labels(self, laurent_radius: int = 1, poly_degree: int = 2) -> list[tuple]:
         ranges = []
-        for j in range(self.spec.nu):
-            if j < self.spec.mu - 1:
+        for j in range(self.nu):
+            if j < self.mu - 1:
                 ranges.append(range(-laurent_radius, laurent_radius + 1))
             else:
                 ranges.append(range(poly_degree + 1))
         return [tuple(e) for e in itertools.product(*ranges)]
+
+
+def act_on_omega_module(x: BElement, f: LaurentPoly, spec: OmegaSpec) -> LaurentPoly:
+    """The straightened algebra on a function module, through its label actions."""
+    if f.ring != spec.ring:
+        raise ValueError("polynomial does not live in the module ring")
+    return f._make(_act_on_module(x, f.terms, spec))
 
 
 # -- classification ------------------------------------------------------------------
@@ -383,8 +372,8 @@ def decompose_potential(spec: OmegaSpec):
                 p_terms[exps] = candidate
             elif seen != candidate:
                 return None
-    P = ring.from_terms(p_terms)
-    P_list = [ring.from_terms(t) for t in pures]
+    P = LaurentPoly(ring, p_terms)
+    P_list = [LaurentPoly(ring, t) for t in pures]
     for j in range(1, spec.mu):
         if P.degree_derivation(j) + P_list[j - 1] != spec.f_of(j):
             return None

@@ -1,15 +1,16 @@
 """The inverse vacuum functor on Fock modules over a coefficient module.
 
 ``vertex.module_operator_context`` attaches a weight vector with rational
-d-coordinates to a coefficient module W, producing the operator context
-under which the Fock module M(1) tensor W carries the vertex action.  This
-module runs the converse direction: it starts from the vacuum space (states
-killed by every positive mode), dresses the lattice operators into
-z-independent transport operators, and reads the straightened-algebra
-action back off the vacuum: degree operators act by their zero modes and
-charge translations by the transport operators.  The recovered action and
-its straightening relations are checked as lazy sweeps of
-(where, residual) cases, each residual zero when the case holds.
+d-coordinates to a coefficient module W, a ``lattice.WeightModule`` or an
+``assoc.OmegaSpec``, producing the operator context, on W's lattice, under
+which the Fock module M(1) tensor W carries the vertex action.  This module
+runs the converse direction: it starts from the vacuum space (states killed
+by every positive mode), dresses the lattice operators into z-independent
+transport operators, and reads the straightened-algebra action back off the
+vacuum: degree operators act by their zero modes and charge translations by
+the transport operators.  The recovered action and its straightening
+relations are checked as lazy sweeps of (where, residual) cases, each
+residual zero when the case holds.
 """
 
 from __future__ import annotations

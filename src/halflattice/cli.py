@@ -14,7 +14,8 @@ Every subcommand accepts ``--config FILE`` (JSON with nu, k, mode_window,
 jacobi_window, probe_count, max_degree, seed) and ``--json``, for canonical
 machine-readable output on stdout, before the subcommand; only ``--json``
 may also follow it.  Exit codes: 0 all checks pass, 1 a check failed, 2 bad
-input.
+input.  The module loads the suites and the parsers; each command imports
+the other layers it reads when it runs.
 """
 
 from __future__ import annotations
@@ -24,15 +25,6 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from .assoc import (
-    OmegaModule,
-    act_on_omega_module,
-    act_on_weight_module,
-    decompose_potential,
-    is_a_module_spec,
-    iso_decide,
-    simplicity_witness,
-)
 from .lattice import LatticeConfig
 from .serialize import (
     SchemaError,
@@ -49,8 +41,6 @@ from .serialize import (
     weight_vector_to_data,
 )
 from .suites import SUITES, SuiteConfig, run_verification
-from .vertex import nth_product
-from .zhu import zhu_embed, zhu_reduce, zhu_star
 
 
 def _dump(data) -> str:
@@ -100,6 +90,8 @@ def _lattice(config: SuiteConfig) -> LatticeConfig:
 
 
 def _cmd_eval_product(args) -> int:
+    from .vertex import nth_product
+
     config = _suite_config(args)
     cfg = _lattice(config)
     u = velement_from_data(_load_doc(args.u), cfg, "u")
@@ -113,6 +105,8 @@ def _cmd_eval_product(args) -> int:
 
 
 def _cmd_eval_zhu(args) -> int:
+    from .zhu import zhu_embed, zhu_reduce, zhu_star
+
     config = _suite_config(args)
     cfg = _lattice(config)
     u = velement_from_data(_load_doc(args.u), cfg, "u")
@@ -131,13 +125,15 @@ def _cmd_eval_zhu(args) -> int:
 
 
 def _cmd_eval_act(args) -> int:
+    from .assoc import OmegaSpec, act_on_omega_module, act_on_weight_module
+
     config = _suite_config(args)
     cfg = _lattice(config)
     x = b_element_from_data(_load_doc(args.x), cfg, "x")
     handle = w_handle_from_data(_load_doc(args.module), cfg, "module")
-    if isinstance(handle, OmegaModule):
-        f = laurent_from_data(_load_doc(args.m), handle.spec.ring, "m")
-        result = act_on_omega_module(x, f, handle.spec)
+    if isinstance(handle, OmegaSpec):
+        f = laurent_from_data(_load_doc(args.m), handle.ring, "m")
+        result = act_on_omega_module(x, f, handle)
         payload = laurent_to_data(result)
     else:
         m = weight_vector_from_data(_load_doc(args.m), handle, "m")
@@ -148,6 +144,8 @@ def _cmd_eval_act(args) -> int:
 
 
 def _cmd_decide_iso(args) -> int:
+    from .assoc import iso_decide
+
     config = _suite_config(args)
     cfg = _lattice(config)
     s1 = omega_spec_from_data(_load_doc(args.spec1), cfg, "spec1")
@@ -165,6 +163,8 @@ def _cmd_decide_iso(args) -> int:
 
 
 def _cmd_decide_amodule(args) -> int:
+    from .assoc import decompose_potential, is_a_module_spec
+
     config = _suite_config(args)
     cfg = _lattice(config)
     spec = omega_spec_from_data(_load_doc(args.spec), cfg, "spec")
@@ -189,6 +189,8 @@ def _cmd_decide_amodule(args) -> int:
 
 
 def _cmd_witness_simplicity(args) -> int:
+    from .assoc import simplicity_witness
+
     config = _suite_config(args)
     cfg = _lattice(config)
     spec = omega_spec_from_data(_load_doc(args.spec), cfg, "spec")

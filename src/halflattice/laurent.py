@@ -62,25 +62,21 @@ class LaurentRing:
         q = rational(coeff)
         if q == 0:
             return self.zero()
-        return LaurentPoly(self, {self.check_exponents(exps): q})
-
-    def from_terms(self, terms: Mapping) -> "LaurentPoly":
-        data = {}
-        for exps, coeff in terms.items():
-            q = rational(coeff)
-            if q:
-                data[self.check_exponents(exps)] = q
-        return LaurentPoly(self, data)
+        return LaurentPoly(self, {tuple(exps): q})
 
 
 class LaurentPoly(Combination):
-    """Immutable sparse Laurent polynomial over the rationals."""
+    """Immutable sparse Laurent polynomial over the rationals.  The constructor
+    checks each key against the ring and adds up keys that then coincide."""
 
     __slots__ = ("ring",)
 
-    def __init__(self, ring: LaurentRing, terms: dict):
+    def __init__(self, ring: LaurentRing, terms: Mapping):
         self.ring = ring
-        super().__init__(terms)
+        checked: dict = {}
+        for exps, coeff in terms.items():
+            accumulate(checked, ring.check_exponents(exps), rational(coeff))
+        super().__init__(checked)
 
     def shape(self) -> LaurentRing:
         return self.ring
@@ -188,17 +184,14 @@ class LaurentPoly(Combination):
             for i in range(e + 1):
                 new = exps[:jj] + (i,) + exps[jj + 1 :]
                 accumulate(data, new, coeff * comb(e, i) * (-m) ** (e - i))
-        return LaurentPoly(self.ring, data)
+        return self._make(data)
 
     def degree_derivation(self, j: int) -> "LaurentPoly":
         """The operator t_j * d/dt_j: scales each term by its t_j exponent."""
         if not 1 <= j <= self.ring.nvars:
             raise ValueError(f"variable index {j} out of range")
         jj = j - 1
-        return LaurentPoly(
-            self.ring,
-            {e: c * e[jj] for e, c in self.terms.items() if e[jj]},
-        )
+        return self._make({e: c * e[jj] for e, c in self.terms.items() if e[jj]})
 
     def deg_plus(self, j: int) -> int:
         """Top t_j exponent, with deg_plus(0) = 0 by convention."""

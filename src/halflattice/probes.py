@@ -60,16 +60,16 @@ def rand_velement(
 
 def rand_module_element(
     rng: random.Random,
-    cfg: LatticeConfig,
     handle,
     n_terms: int = 2,
     max_weight: int = 3,
 ) -> ModuleElement:
+    """A random state of M(1) tensor W at the rank of W = ``handle``'s lattice."""
     labels = handle.probe_labels()
     terms: dict = {}
     for _ in range(rng.randint(1, n_terms)):
         key = (
-            rand_fock_factors(rng, cfg.nu, max_weight),
+            rand_fock_factors(rng, handle.cfg.nu, max_weight),
             handle.validate_label(rng.choice(labels)),
         )
         accumulate(terms, key, rand_fraction(rng, nonzero=True))

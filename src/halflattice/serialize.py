@@ -5,17 +5,17 @@ Rationals travel as the text "p/q", or "p" when the denominator is one.
 Diagnostics name the offending field by path so CLI users can locate schema
 violations without reading tracebacks.  A record with a key its schema does
 not list is rejected, so a misspelled key cannot fall back to a default.
+The module loads only the engine; each parser imports the straightened
+algebra or the Laurent rings when it builds one of their objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .assoc import BElement, OmegaModule, OmegaSpec, WeightVector, gen_d, gen_e
 from .combination import accumulate
 from .fock import VElement, pair_key
 from .lattice import LatticeConfig, WeightModule
-from .laurent import LaurentPoly, LaurentRing
 
 
 class SchemaError(ValueError):
@@ -74,13 +74,14 @@ def _int(value, path: str) -> int:
 # -- Laurent polynomials ----------------------------------------------------------
 
 
-def laurent_to_data(f: LaurentPoly) -> list:
+def laurent_to_data(f) -> list:
     return [
         {"coeff": format_fraction(c), "exponents": list(e)} for e, c in f.sorted_terms()
     ]
 
 
-def laurent_from_data(doc, ring: LaurentRing, path: str = "poly") -> LaurentPoly:
+def laurent_from_data(doc, ring, path: str = "poly"):
+    """A ``LaurentPoly`` of the ``LaurentRing`` ring from {coeff, exponents} records."""
     out = ring.zero()
     for i, rec in enumerate(_expect_list(doc, path)):
         rec = _expect_record(rec, f"{path}[{i}]", ("coeff", "exponents"))
@@ -132,15 +133,17 @@ def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VEleme
     return VElement(cfg.nu, terms)
 
 
-def weight_vector_to_data(m: WeightVector) -> list:
+def weight_vector_to_data(m) -> list:
     return [
         {"coeff": format_fraction(c), "point": [format_fraction(p) for p in pt]}
         for pt, c in m.sorted_terms()
     ]
 
 
-def weight_vector_from_data(doc, handle: WeightModule, path: str = "m") -> WeightVector:
-    """A weight-module vector from a list of {coeff, point} records."""
+def weight_vector_from_data(doc, handle: WeightModule, path: str = "m"):
+    """An ``assoc.WeightVector`` of the module from {coeff, point} records."""
+    from .assoc import WeightVector
+
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc, path)):
         rec = _expect_record(rec, f"{path}[{i}]", ("coeff", "point"))
@@ -157,7 +160,7 @@ def weight_vector_from_data(doc, handle: WeightModule, path: str = "m") -> Weigh
 # -- straightened-algebra elements -----------------------------------------------------
 
 
-def b_element_to_data(x: BElement) -> dict:
+def b_element_to_data(x) -> dict:
     words = []
     for word, coeff in sorted(x.terms.items(), key=lambda kv: repr(kv[0])):
         factors = []
@@ -170,7 +173,10 @@ def b_element_to_data(x: BElement) -> dict:
     return {"words": words}
 
 
-def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> BElement:
+def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element"):
+    """An ``assoc.BElement`` from a {words} record."""
+    from .assoc import BElement, gen_d, gen_e
+
     doc = _expect_record(doc, path, ("words",))
     words: dict = {}
     for i, rec in enumerate(_expect_list(doc.get("words"), f"{path}.words")):
@@ -200,7 +206,11 @@ def b_element_from_data(doc, cfg: LatticeConfig, path: str = "element") -> BElem
 # -- module specs ---------------------------------------------------------------------
 
 
-def omega_spec_from_data(doc, cfg: LatticeConfig, path: str = "spec") -> OmegaSpec:
+def omega_spec_from_data(doc, cfg: LatticeConfig, path: str = "spec"):
+    """An ``assoc.OmegaSpec`` of rank cfg.nu from a {mu, f, a} record."""
+    from .assoc import OmegaSpec
+    from .laurent import LaurentRing
+
     doc = _expect_record(doc, path, ("mu", "f", "a"))
     mu = _int(doc.get("mu"), f"{path}.mu")
     if not 1 <= mu <= cfg.nu + 1:
@@ -217,6 +227,7 @@ def omega_spec_from_data(doc, cfg: LatticeConfig, path: str = "spec") -> OmegaSp
 
 
 def w_handle_from_data(doc, cfg: LatticeConfig, path: str = "W"):
+    """A ``WeightModule`` on cfg, or an ``assoc.OmegaSpec``, which needs k = 1."""
     doc = _expect_dict(doc, path)
     kind = doc.get("kind")
     if kind == "weight":
@@ -226,8 +237,7 @@ def w_handle_from_data(doc, cfg: LatticeConfig, path: str = "W"):
     if kind == "omega":
         doc = _expect_record(doc, path, ("kind", "mu", "f", "a"))
         spec = omega_spec_from_data({k: v for k, v in doc.items() if k != "kind"}, cfg, path)
-        try:
-            return OmegaModule(cfg, spec)
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from None
+        if cfg.k != 1:
+            raise SchemaError(path, "function modules are defined for k = 1 only")
+        return spec
     raise SchemaError(f"{path}.kind", f"unknown coefficient module kind {kind!r}")

@@ -198,28 +198,25 @@ def _default_omega_spec(nu: int):
 
 def _module_contexts(cfg: LatticeConfig, lam_vectors=None):
     """One context per coefficient-module kind, at the given weights."""
-    from .assoc import OmegaModule
-
     if lam_vectors is None:
         lam_vectors = [cfg.d_basis(1)]
     out = []
     for lam in lam_vectors:
         weight = WeightModule(cfg, [Fraction(1, 2)] + [0] * (cfg.nu - 1))
-        out.append(("weight", module_operator_context(cfg, lam, weight)))
+        out.append(("weight", module_operator_context(lam, weight)))
         if cfg.k == 1:
-            omega = OmegaModule(cfg, _default_omega_spec(cfg.nu))
-            out.append(("omega", module_operator_context(cfg, lam, omega)))
+            out.append(("omega", module_operator_context(lam, _default_omega_spec(cfg.nu))))
     return out
 
 
-def _probe_states(rng: random.Random, cfg: LatticeConfig, ctx, count: int) -> list:
+def _probe_states(rng: random.Random, ctx, count: int) -> list:
     """count seeded target states of a context: algebra states of Fock weight
     at most 3 in the adjoint, module states of Fock weight at most 2 otherwise."""
     from .probes import rand_module_element, rand_velement
 
     if isinstance(ctx.zero, VElement):
-        return [rand_velement(rng, cfg, max_weight=3) for _ in range(count)]
-    return [rand_module_element(rng, cfg, ctx.handle, max_weight=2) for _ in range(count)]
+        return [rand_velement(rng, ctx.cfg, max_weight=3) for _ in range(count)]
+    return [rand_module_element(rng, ctx.handle, max_weight=2) for _ in range(count)]
 
 
 # -- suite: heisenberg ---------------------------------------------------------------------
@@ -267,7 +264,7 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
 
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
-        probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, cfg, ctx, 2)
+        probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, ctx, 2)
 
         def cases(u, v, order):
             for idx, w in enumerate(probes):
@@ -310,7 +307,7 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
 
     for kind, mctx in _module_contexts(cfg):
         mcache = ActionCache(mctx)
-        wprobes = [mctx.state_of_label(mctx.handle.base_label())] + _probe_states(rng, cfg, mctx, 1)
+        wprobes = [mctx.state_of_label(mctx.handle.base_label())] + _probe_states(rng, mctx, 1)
         for (n1, u), (n2, v) in itertools.product(gens, gens):
             report.sweep(f"module-{kind}/{n1}:{n2}", (
                 (((m, n, kk), widx), borcherds_residual(u, v, w, m, n, kk, mctx, mcache))
@@ -377,7 +374,7 @@ def suite_d_derivative(config: SuiteConfig) -> SuiteReport:
     contexts = [("adjoint", adjoint_context(cfg))] + _module_contexts(cfg)
     for ctx_name, ctx in contexts:
         cache = ActionCache(ctx)
-        targets = _probe_states(rng, cfg, ctx, 4 if ctx_name == "adjoint" else 3)
+        targets = _probe_states(rng, ctx, 4 if ctx_name == "adjoint" else 3)
 
         def cases():
             for uidx in range(8):
@@ -482,10 +479,10 @@ def brute_force_iso(spec1, spec2) -> bool:
     Each relation (``cyclic_relations``) gives one sparse row per monomial of
     its images.
     """
-    from .assoc import OmegaModule, act_on_omega_module, cyclic_relations
+    from .assoc import act_on_omega_module, cyclic_relations
     from .linalg import nullspace
 
-    basis = OmegaModule(LatticeConfig(spec2.nu, 1), spec2).probe_labels(3, 3)
+    basis = spec2.probe_labels(3, 3)
 
     rows = []
     for _, rel in cyclic_relations(spec1):
@@ -616,7 +613,7 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
         for kind, ctx in _module_contexts(cfg, [lam]):
             tag = f"lam{lam_idx}-{kind}"
             cache = ActionCache(ctx)
-            probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, cfg, ctx, 1)
+            probes = [ctx.state_of_label(ctx.handle.base_label())] + _probe_states(rng, ctx, 1)
 
             # probes above the weight formula's bound, which is also the
             # independent check on where the field's own support ends

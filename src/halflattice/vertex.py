@@ -81,10 +81,11 @@ class OperatorContext:
     """Where vertex operators act: the Fock module M(1) tensor W at weight lam.
 
     A context carries the weight vector lam, a coefficient-module handle
-    exposing ``e_action(charge, label)`` and ``d_action(j, label)`` for the
-    1-based index j of d_j, both returning lists of (coefficient, label)
-    pairs, and the zero state of the target space, from which every result
-    is built.  It owns the integer pairings (c_i, lam) = k lam_i, the c_i
+    exposing its lattice ``cfg``, which the context takes as its own, and
+    ``e_action(charge, label)`` and ``d_action(j, label)`` for the 1-based
+    index j of d_j, both returning lists of (coefficient, label) pairs, and
+    the zero state of the target space, from which every result is built.
+    It owns the integer pairings (c_i, lam) = k lam_i, the c_i
     zero-mode scalars behind every charge power z^alpha, and rejects a lam
     whose pairing with some c_i is not an integer.  The adjoint is the weight
     module through the origin: the algebra acting on itself is M(1) tensor
@@ -94,8 +95,8 @@ class OperatorContext:
 
     __slots__ = ("cfg", "lam", "handle", "zero", "pairings", "_powers")
 
-    def __init__(self, cfg: LatticeConfig, lam: LatticeVector, handle, zero):
-        self.cfg = cfg
+    def __init__(self, lam: LatticeVector, handle, zero):
+        self.cfg = cfg = handle.cfg
         self.lam = lam
         self.handle = handle
         self.zero = zero
@@ -134,20 +135,21 @@ def adjoint_context(cfg: LatticeConfig) -> OperatorContext:
     Built once per lattice and shared: a context holds only its lattice, the
     module, the zero state and a memo of charge powers.
     """
-    return OperatorContext(cfg, cfg.zero(), WeightModule(cfg), VElement(cfg.nu, {}))
+    return OperatorContext(cfg.zero(), WeightModule(cfg), VElement(cfg.nu, {}))
 
 
-def module_operator_context(cfg: LatticeConfig, lam: LatticeVector, handle) -> OperatorContext:
+def module_operator_context(lam: LatticeVector, handle) -> OperatorContext:
     """Validate the weight vector and attach the coefficient module.
 
-    The weight must have zero c-coordinates and pair integrally with every
-    charge, which pins its d-coordinates to multiples of 1/k.
+    The context takes the module's lattice.  The weight must have its rank,
+    zero c-coordinates and pair integrally with every charge, which pins its
+    d-coordinates to multiples of 1/k.
     """
-    if lam.nu != cfg.nu:
-        raise ValueError("weight vector rank does not match the lattice")
+    if lam.nu != handle.cfg.nu:
+        raise ValueError("weight vector rank does not match the module's lattice")
     if any(a != 0 for a in lam.c):
         raise ValueError("module weights must have zero c-coordinates")
-    return OperatorContext(cfg, lam, handle, ModuleElement({}))
+    return OperatorContext(lam, handle, ModuleElement({}))
 
 
 # -- Heisenberg modes --------------------------------------------------------------

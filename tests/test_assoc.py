@@ -7,7 +7,6 @@ import pytest
 from halflattice.assoc import (
     AElement,
     BElement,
-    OmegaModule,
     OmegaSpec,
     WeightVector,
     act_on_omega_module,
@@ -22,8 +21,9 @@ from halflattice.assoc import (
 )
 from halflattice.combination import accumulate
 from halflattice.lattice import LatticeConfig, WeightModule
-from halflattice.laurent import LaurentRing
+from halflattice.laurent import LaurentPoly, LaurentRing
 from halflattice.probes import rand_a_module_spec, rand_nonzero_laurent
+from halflattice.vertex import module_operator_context
 
 CFG2 = LatticeConfig(nu=2, k=1)
 CFG2K = LatticeConfig(nu=2, k=3)
@@ -334,18 +334,17 @@ def test_module_handle_label_actions_match_poly_actions():
     ]
     charges = [(1, 0), (0, 1), (-2, 1), (1, -2), (0, 0)]
     for spec in specs:
-        handle = OmegaModule(CFG2, spec)
-        for label in handle.probe_labels(laurent_radius=2) + [(-1, 3), (-2, -2)]:
+        for label in spec.probe_labels(laurent_radius=2) + [(-1, 3), (-2, -2)]:
             if min(label[spec.mu - 1:], default=0) < 0:
                 continue  # not a monomial of this ring
             mono = spec.ring.monomial(label)
-            actions = [(handle.e_action(charge, label), poly_e_act(spec, charge, mono))
+            actions = [(spec.e_action(charge, label), poly_e_act(spec, charge, mono))
                        for charge in charges]
-            actions += [(handle.d_action(j, label), poly_d_act(spec, j, mono)) for j in (1, 2)]
+            actions += [(spec.d_action(j, label), poly_d_act(spec, j, mono)) for j in (1, 2)]
             for got, want in actions:
                 labels = [lab for _, lab in got]
                 assert labels == sorted(set(labels)) and all(c for c, _ in got)
-                assert spec.ring.from_terms({lab: c for c, lab in got}) == want
+                assert LaurentPoly(spec.ring, {lab: c for c, lab in got}) == want
 
 
 def test_e_action_builds_no_fraction_on_integer_shift_constants(monkeypatch):
@@ -353,8 +352,8 @@ def test_e_action_builds_no_fraction_on_integer_shift_constants(monkeypatch):
     # and m >= 0 every product stays an int: after the first call no
     # Fraction is built at all.  The values are checked against the
     # polynomial actions above.
-    handle = OmegaModule(CFG2, OmegaSpec(2, 1, (), (2, -3)))
-    first = handle.e_action((2, 1), (3, 2))
+    spec = OmegaSpec(2, 1, (), (2, -3))
+    first = spec.e_action((2, 1), (3, 2))
     built = []
     new = Fraction.__new__
 
@@ -363,15 +362,21 @@ def test_e_action_builds_no_fraction_on_integer_shift_constants(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    again = handle.e_action((2, 1), (3, 2))
+    again = spec.e_action((2, 1), (3, 2))
     monkeypatch.undo()
     assert again == first and len(first) == 12
     assert all(type(c) is int for c, _ in again) and not built
 
 
-def test_omega_module_requires_unimodular_pairing():
-    with pytest.raises(ValueError):
-        OmegaModule(CFG2K, spec_mu2())
+def test_a_context_on_a_function_module_is_at_k_1():
+    # the spec carries the lattice its contexts take, at k = 1 for every
+    # rank and cutoff, so no context can put a function module at another k
+    rng = random.Random(3)
+    specs = [spec_mu2(), OmegaSpec(1, 1, (), (2,))]
+    specs += [rand_a_module_spec(rng, nu, mu) for nu in (1, 2, 3) for mu in range(1, nu + 2)]
+    for spec in specs:
+        ctx = module_operator_context(LatticeConfig(spec.nu, 1).d_basis(1), spec)
+        assert ctx.cfg == spec.cfg == LatticeConfig(spec.nu, 1)
 
 
 def test_spec_validation():

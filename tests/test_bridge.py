@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import OmegaModule, OmegaSpec
+from halflattice.assoc import OmegaSpec
 from halflattice.bridge import (
     MixedSectorError,
     _fock_level,
@@ -32,13 +32,13 @@ CFG = LatticeConfig(nu=2, k=1)
 
 def weight_mctx(cfg=CFG, lam=None):
     handle = WeightModule(cfg, [Fraction(1, 2)] + [0] * (cfg.nu - 1))
-    return module_operator_context(cfg, lam or cfg.d_basis(1), handle)
+    return module_operator_context(lam or cfg.d_basis(1), handle)
 
 
 def omega_mctx(lam=None):
     ring = LaurentRing(2, 1)
     spec = OmegaSpec(2, 2, (ring.variable(1),), (Fraction(3),))
-    return module_operator_context(CFG, lam or CFG.d_basis(1), OmegaModule(CFG, spec))
+    return module_operator_context(lam or CFG.d_basis(1), spec)
 
 
 # -- context validation ----------------------------------------------------------
@@ -259,7 +259,7 @@ def test_module_axioms_on_built_module():
     ctx = mctx
     rng = random.Random(7)
     u = vacuum(2)
-    probes = [ctx.state_of_label((0, 0)), rand_module_element(rng, CFG, mctx.handle, max_weight=2)]
+    probes = [ctx.state_of_label((0, 0)), rand_module_element(rng, mctx.handle, max_weight=2)]
     for w in probes:
         for n in range(-3, 3):
             got = y_coefficient(u, n, w, ctx)
@@ -289,7 +289,7 @@ def test_dressed_states_stay_inside_the_fock_module():
 
     gens = [fock_element(2, [(0, 1)]), charge_element(2, (1, 0))]
     for _ in range(5):
-        w = rand_module_element(rng, CFG, mctx.handle, max_weight=2)
+        w = rand_module_element(rng, mctx.handle, max_weight=2)
         for g in gens:
             for n in range(-2, 3):
                 out = y_coefficient(g, n, w, ctx)

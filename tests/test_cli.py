@@ -5,7 +5,7 @@ import pytest
 
 from halflattice.cli import main
 from halflattice.fock import VElement, vacuum
-from halflattice.laurent import LaurentRing
+from halflattice.laurent import LaurentPoly, LaurentRing
 from halflattice.suites import SUITES, SuiteConfig, SuiteReport
 
 
@@ -50,6 +50,22 @@ def test_eval_act_on_omega(tmp_path, capsys):
         {"coeff": "1", "exponents": [1, 0]},
         {"coeff": "1", "exponents": [2, 0]},
     ]
+
+
+def test_eval_act_rejects_a_function_module_at_k_other_than_1(tmp_path, capsys):
+    # the spec parses, then the module record is refused: function modules
+    # exist only at k = 1
+    x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"d": 1}]}]})
+    f = write(tmp_path, "f.json", [{"coeff": "1", "exponents": [1, 0]}])
+    module = write(
+        tmp_path, "w.json",
+        {"kind": "omega", "mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]},
+    )
+    for flags in ([], ["--json"]):
+        assert main(["--k", "2", *flags, "eval", "act", x, f, "--module", module]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: module: function modules are defined for k = 1 only\n"
 
 
 def test_eval_act_on_weight(tmp_path, capsys):
@@ -334,7 +350,7 @@ def test_combination_residuals_are_bounded():
     report.add("small", False, ((3,), vacuum(1)))
     # a Laurent polynomial prints by exponent, not by the repr of its keys
     ring = LaurentRing(1, 1)
-    poly = ring.from_terms({(e,): 1 for e in (-1, 0, 2, 3, 10)})
+    poly = LaurentPoly(ring, {(e,): 1 for e in (-1, 0, 2, 3, 10)})
     assert str(poly) == "t1^-1 + 1 + t1^2 + t1^3 + t1^10"
     report.add("tail", False, ((0,), poly))
     report.finish()

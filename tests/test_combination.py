@@ -88,7 +88,7 @@ def test_integer_passes_ints_and_whole_fractions():
 
 def _weight_state():
     cfg = LatticeConfig(nu=2, k=1)
-    ctx = module_operator_context(cfg, cfg.zero(), WeightModule(cfg))
+    ctx = module_operator_context(cfg.zero(), WeightModule(cfg))
     return ctx.state_of_label((0, 0)), ctx
 
 
@@ -116,7 +116,7 @@ def test_charge_sector_with_a_proper_fraction_ratio():
     # makes the image coefficient the integer 1, so the ratio is 1 / 2
     cfg = LatticeConfig(nu=2, k=1)
     handle = WeightModule(cfg, [Fraction(1, 2), 0])
-    ctx = module_operator_context(cfg, cfg.zero(), handle)
+    ctx = module_operator_context(cfg.zero(), handle)
     w = 2 * ctx.state_of_label(handle.base_label())
     assert exact(w.terms.values()) and type(next(iter(w.terms.values()))) is int
     ratio = charge_sector(cfg.d_basis(1), w, ctx)

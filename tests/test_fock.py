@@ -234,7 +234,7 @@ def test_charges_print_unit_entries_as_signs():
 def test_module_state():
     # a creation mode on the unit state of an opaque label
     cfg = LatticeConfig(nu=1, k=1)
-    ctx = module_operator_context(cfg, cfg.zero(), WeightModule(cfg))
+    ctx = module_operator_context(cfg.zero(), WeightModule(cfg))
     w = ctx.state_of_label(("x",))
     s = Fraction(1, 3) * apply_heisenberg_mode(cfg.dir_vector(0), -2, w, ctx)
     ((word, label),) = s.terms
@@ -246,7 +246,7 @@ def test_module_state_labels_print_as_rationals():
     # each label coordinate prints with str, as the weight-module errors do
     cfg = LatticeConfig(nu=2, k=1)
     handle = WeightModule(cfg, [Fraction(1, 2), 0])
-    ctx = module_operator_context(cfg, cfg.zero(), handle)
+    ctx = module_operator_context(cfg.zero(), handle)
     w = ctx.state_of_label(handle.base_label())
     assert str(w) == "w[(1/2, 0)]"
     s = apply_heisenberg_mode(cfg.dir_vector(2), -1, w, ctx)

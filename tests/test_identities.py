@@ -154,7 +154,7 @@ def test_series_oracle_validates_component_extraction():
 
 def test_series_oracle_on_module_target():
     handle = WeightModule(CFG1, [Fraction(1, 2)])
-    ctx = module_operator_context(CFG1, CFG1.d_basis(1), handle)
+    ctx = module_operator_context(CFG1.d_basis(1), handle)
     u = charge_element(1, (1,))
     v = fock_element(1, [(0, 1)])          # c1(-1)
     w = ctx.state_of_label(handle.base_label())
@@ -275,7 +275,7 @@ def heisenberg_contexts(rng):
     adjoint = adjoint_context(CFG2)
     out = [(adjoint, [rand_velement(rng, CFG2, n_terms=2, max_weight=2) for _ in range(2)])]
     for _, mctx in _module_contexts(CFG2):
-        out.append((mctx, [rand_module_element(rng, CFG2, mctx.handle, max_weight=2) for _ in range(2)]))
+        out.append((mctx, [rand_module_element(rng, mctx.handle, max_weight=2) for _ in range(2)]))
     return out
 
 
@@ -337,13 +337,13 @@ def test_d_derivative_residual_vanishes():
 
 def test_borcherds_in_module_context():
     handle = WeightModule(CFG2, [Fraction(1, 2), 0])
-    ctx = module_operator_context(CFG2, CFG2.d_basis(1), handle)
+    ctx = module_operator_context(CFG2.d_basis(1), handle)
     cache = ActionCache(ctx)
     rng = random.Random(41)
     u = charge_element(2, (1, 0))
     v = charge_element(2, (-1, 0))
     for _ in range(3):
-        w = rand_module_element(rng, CFG2, handle, max_weight=2)
+        w = rand_module_element(rng, handle, max_weight=2)
         assert borcherds_holds(u, v, w, ctx, cache)
 
 
@@ -365,7 +365,7 @@ def test_checkers_reject_a_cache_built_for_another_context():
     # the checkers read truncation bounds from the cache's fields, so a cache
     # of another context would silently compute there
     ctx = adjoint_context(CFG2)
-    other = module_operator_context(CFG2, CFG2.d_basis(1), WeightModule(CFG2, [Fraction(1, 2), 0]))
+    other = module_operator_context(CFG2.d_basis(1), WeightModule(CFG2, [Fraction(1, 2), 0]))
     u, v = charge_element(2, (1, 0)), fock_element(2, [(2, 1)])
     calls = [
         lambda cache: borcherds_residual(u, v, u, 0, 0, 0, ctx, cache),
@@ -396,7 +396,7 @@ def test_triple_memo_matches_a_fresh_cache_per_call():
             w1, w2 = vacuum(1), rand_velement(rng, CFG1, n_terms=2, max_weight=2)
         else:
             w1 = ctx.state_of_label(ctx.handle.base_label())
-            w2 = rand_module_element(rng, CFG1, ctx.handle, max_weight=2)
+            w2 = rand_module_element(rng, ctx.handle, max_weight=2)
         triples = [(d1, ep, w1), (ep, d1, w1), (d1, ep, w2), (em, c1, w2)]
         shared = ActionCache(ctx)
         for m, n, k in TRIPLES2:
@@ -518,7 +518,7 @@ def test_integer_accumulation_matches_the_rational_loop(monkeypatch):
         if ctx is adjoint:
             w = rand_velement(rng, CFG1, n_terms=2, max_weight=2)
         else:
-            w = third * rand_module_element(rng, CFG1, ctx.handle, max_weight=2)
+            w = third * rand_module_element(rng, ctx.handle, max_weight=2)
         for (u, v), (m, n, k) in itertools.product(itertools.permutations(gens, 2), TRIPLES2):
             got = borcherds_residual(u, v, w, m, n, k, ctx, cache)
             assert got == rational_residual(u, v, w, m, n, k, ctx, cache)

@@ -8,9 +8,10 @@ a name imported inside a function must be read inside that function.  The
 package ``__init__.py`` imports nothing, so a name is imported from the
 module that defines it.  The layers a module loads when it is imported, the
 closure of its module-level relative imports, are pinned for the engine
-(``vertex``), the checkers (``identities``), the probes and the suites:
-a suite imports any other layer inside the function that reads it, so
-importing ``suites`` does not load the layers of suites that do not run.
+(``vertex``), the checkers (``identities``), the probes, the suites, the
+parsers (``serialize``) and the CLI: a suite or a command imports any other
+layer inside the function that reads it, so importing ``suites`` or ``cli``
+does not load the layers of suites or commands that do not run.
 A second scan keeps
 ``gcd`` and ``lcm`` from ``math`` inside ``combination``, the one module
 that builds, raises, reduces and divides back integer numerators over a
@@ -142,6 +143,8 @@ def test_each_module_loads_only_the_layers_it_pins():
     assert loaded_layers("identities") == engine | {"vertex"}
     assert loaded_layers("probes") == engine
     assert loaded_layers("suites") == engine | {"identities", "vertex"}
+    assert loaded_layers("serialize") == engine
+    assert loaded_layers("cli") == engine | {"identities", "vertex", "suites", "serialize"}
 
 
 def denominator_names(source: str) -> list:

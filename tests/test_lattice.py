@@ -63,7 +63,7 @@ def test_charge_lattice_is_isotropic():
 def test_fractional_dual_pairs_integrally():
     cfg = LatticeConfig(nu=2, k=3)
     lam = cfg.vector(d=[Fraction(1, 3), Fraction(-2, 3)])
-    module_operator_context(cfg, lam, WeightModule(cfg))  # accepts lam as a module weight
+    module_operator_context(lam, WeightModule(cfg))  # accepts lam as a module weight
     for charge in [(1, 0), (0, 1), (4, -7)]:
         value = cfg.pairing(cfg.from_charge(charge), lam)
         assert value.denominator == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halflattice.laurent import CutoffError, LaurentRing
+from halflattice.laurent import CutoffError, LaurentPoly, LaurentRing
 
 R21 = LaurentRing(nvars=2, nlaurent=1)  # t1 Laurent, t2 polynomial
 R20 = LaurentRing(nvars=2, nlaurent=0)  # both polynomial
@@ -114,6 +114,17 @@ def test_cutoff_enforced():
     with pytest.raises(CutoffError):
         R21.monomial((0, -1))
     R21.monomial((-5, 0))  # Laurent side is fine
+
+
+def test_constructor_checks_its_keys():
+    # a negative exponent of a polynomial variable and a key of the wrong
+    # length are refused; a whole Fraction exponent is stored as an int
+    with pytest.raises(CutoffError):
+        LaurentPoly(R21, {(0, -1): 1, (1, 2): 2})
+    with pytest.raises(ValueError, match="2 entries"):
+        LaurentPoly(R21, {(0, 1): 1, (1, 2, 3): 2})
+    f = LaurentPoly(R21, {(Fraction(-1), 2): Fraction(4, 2)})
+    assert f == R21.monomial((-1, 2), 2) and type(next(iter(f.terms))[0]) is int
 
 
 def test_no_zero_terms_stored():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from halflattice.assoc import BElement, OmegaModule, OmegaSpec, WeightVector
+from halflattice.assoc import BElement, OmegaSpec, WeightVector
 from halflattice.fock import charge_element, fock_element, pair_key
 from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
@@ -155,7 +155,7 @@ def test_w_handle_dispatch():
         {"kind": "omega", "mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]},
         CFG,
     )
-    assert isinstance(o, OmegaModule) and o.spec.mu == 2
+    assert isinstance(o, OmegaSpec) and o.mu == 2
     with pytest.raises(SchemaError):
         w_handle_from_data({"kind": "nope"}, CFG)
 

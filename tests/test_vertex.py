@@ -9,7 +9,7 @@ from math import comb, factorial, lcm
 import pytest
 
 from halflattice import combination, vertex
-from halflattice.assoc import OmegaModule, OmegaSpec
+from halflattice.assoc import OmegaSpec
 from halflattice.combination import accumulate, add_scaled
 from halflattice.fock import (
     ModuleElement,
@@ -147,12 +147,12 @@ def oracle_contexts(cfg):
     at k = 1, a function module."""
     lam = cfg.vector(d=[Fraction(i + 1, cfg.k) for i in range(cfg.nu)])
     weight = WeightModule(cfg, [Fraction(1, 2)] + [0] * (cfg.nu - 1))
-    contexts = [adjoint_context(cfg), module_operator_context(cfg, lam, weight)]
+    contexts = [adjoint_context(cfg), module_operator_context(lam, weight)]
     if cfg.k == 1:
         ring = LaurentRing(cfg.nu, 1)
         spec = OmegaSpec(cfg.nu, 2, (ring.variable(1),),
                          tuple(Fraction(i + 2) for i in range(cfg.nu - 1)))
-        contexts.append(module_operator_context(cfg, lam, OmegaModule(cfg, spec)))
+        contexts.append(module_operator_context(lam, spec))
     return contexts
 
 
@@ -163,7 +163,7 @@ def kernel_oracle_targets(cfg, rng):
         if isinstance(ctx.zero, VElement):
             states = [rand_velement(rng, cfg, max_weight=4) for _ in range(4)]
         else:
-            states = [rand_module_element(rng, cfg, ctx.handle, max_weight=4) for _ in range(4)]
+            states = [rand_module_element(rng, ctx.handle, max_weight=4) for _ in range(4)]
         out.append((ctx, states))
     return out
 
@@ -282,7 +282,7 @@ def test_charge_ladder_matches_translation_derivative():
 def module_ctx(cfg, lam=None):
     handle = WeightModule(cfg, [0] * cfg.nu)
     lam = lam if lam is not None else cfg.d_basis(1)
-    return module_operator_context(cfg, lam, handle), handle
+    return module_operator_context(lam, handle), handle
 
 
 def test_charge_action_on_module_state():
@@ -320,11 +320,24 @@ def test_target_type_checks():
 def test_module_charge_power_validation():
     handle = WeightModule(CFG2, [0, 0])
     with pytest.raises(ValueError):
-        module_operator_context(CFG2, CFG2.vector(d=[Fraction(1, 2), 0]), handle)
+        module_operator_context(CFG2.vector(d=[Fraction(1, 2), 0]), handle)
     cfg = LatticeConfig(2, 2)
     handle = WeightModule(cfg, [0, 0])
-    ctx = module_operator_context(cfg, cfg.vector(d=[Fraction(1, 2), 0]), handle)
+    ctx = module_operator_context(cfg.vector(d=[Fraction(1, 2), 0]), handle)
     assert ctx.charge_power((1, 0)) == 1
+
+
+def test_a_context_takes_its_lattice_from_its_module():
+    # the module is the one source of k and the rank: d1(0) on the point
+    # (1, 0) of a k = 2 module scales it by the module's k, which is the
+    # context's, and a weight of another rank than the module's is refused
+    handle = WeightModule(LatticeConfig(2, 2), [1, 0])
+    ctx = module_operator_context(CFG2.zero(), handle)
+    assert ctx.cfg is handle.cfg and ctx.cfg.k == 2
+    w = ctx.state_of_label((1, 0))
+    assert apply_heisenberg_mode(ctx.cfg.d_basis(1), 0, w, ctx) == 2 * w
+    with pytest.raises(ValueError, match="rank"):
+        module_operator_context(LatticeConfig(3, 2).zero(), handle)
 
 
 def test_heisenberg_bracket_in_module():
@@ -568,7 +581,7 @@ def test_integer_field_matches_the_rational_loop(monkeypatch):
     cfg = CFG2
     lam = cfg.vector(d=[1, 2])
     spec = OmegaSpec(2, 1, (), (Fraction(1, 2), Fraction(2, 3)))
-    omega = module_operator_context(cfg, lam, OmegaModule(cfg, spec))
+    omega = module_operator_context(lam, spec)
     contexts = oracle_contexts(cfg)[:2] + [omega]
     proper = mixed = past_top = 0
     for ctx in contexts:
