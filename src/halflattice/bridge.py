@@ -207,16 +207,17 @@ def recovered_relation_cases(mctx: OperatorContext, labels: Sequence):
     cfg = mctx.cfg
     charges = _unit_charges(cfg.nu)
     for label, state in _vacuum_states(mctx, labels).items():
+        t_of = {charge: t_operator(charge, state, mctx) for charge in charges}
         for j in range(1, cfg.nu + 1):
             d_j = cfg.d_basis(j)
             for charge in charges:
-                t_state = t_operator(charge, state, mctx)
+                t_state = t_of[charge]
                 lhs = apply_heisenberg_mode(d_j, 0, t_state, mctx)
                 rhs = t_operator(charge, apply_heisenberg_mode(d_j, 0, state, mctx), mctx) \
                     + cfg.pairing(d_j, cfg.from_charge(charge)) * t_state
                 yield ("commutator", j, charge, label), lhs - rhs
         for c1 in charges:
             for c2 in charges:
-                lhs = t_operator(c1, t_operator(c2, state, mctx), mctx)
+                lhs = t_operator(c1, t_of[c2], mctx)
                 total = tuple(a + b for a, b in zip(c1, c2))
                 yield ("composition", c1, c2, label), lhs - t_operator(total, state, mctx)

@@ -29,11 +29,17 @@ def _coords(values: Iterable, nu: int, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class LatticeVector:
-    """Vector sum(c[i]*c_{i+1}) + sum(d[i]*d_{i+1}) with rational coords."""
+    """Vector sum(c[i]*c_{i+1}) + sum(d[i]*d_{i+1}) with rational coords.
+
+    ``support`` holds the (direction index, coordinate) pairs of the nonzero
+    coordinates in direction order (c_1..c_nu are 0..nu-1, d_1..d_nu are
+    nu..2nu-1), which the pairing and the Heisenberg modes read.
+    """
 
     c: tuple
     d: tuple
     _hash: int = field(init=False, repr=False, compare=False)
+    support: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.c) != len(self.d):
@@ -42,6 +48,8 @@ class LatticeVector:
         object.__setattr__(self, "d", tuple(rational(a) for a in self.d))
         # vectors key the operator caches, so hash the 2*nu coordinates once
         object.__setattr__(self, "_hash", hash((self.c, self.d)))
+        object.__setattr__(self, "support",
+                           tuple((i, a) for i, a in enumerate(self.c + self.d) if a))
 
     def __hash__(self) -> int:
         return self._hash
@@ -157,16 +165,9 @@ class LatticeConfig:
                 f"vector rank mismatch: pairing on rank {self.nu} lattice "
                 f"got ranks {u.nu} and {v.nu}"
             )
-        total = sum(a * b for a, b in zip(u.c, v.d)) + sum(a * b for a, b in zip(u.d, v.c))
+        # only a c_i/d_i pair of the two supports pairs nonzero
+        total = sum(a * b for i, a in u.support for j, b in v.support if abs(i - j) == self.nu)
         return rational(self.k * total)
-
-    def dir_pairing(self, i: int, j: int) -> int:
-        """Pairing of two direction indices; k on (c_i, d_i) pairs, else 0."""
-        if i > j:
-            i, j = j, i
-        if i < self.nu <= j and j - self.nu == i:
-            return self.k
-        return 0
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.nu:

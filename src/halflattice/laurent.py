@@ -59,10 +59,9 @@ class LaurentRing:
         return self.monomial([int(i == j - 1) for i in range(self.nvars)])
 
     def monomial(self, exps: Iterable[int], coeff=1) -> "LaurentPoly":
-        q = rational(coeff)
-        if q == 0:
-            return self.zero()
-        return LaurentPoly(self, {tuple(exps): q})
+        """coeff times the monomial of exps; the exponents are checked even
+        when coeff is zero."""
+        return LaurentPoly(self, {tuple(exps): coeff})
 
 
 class LaurentPoly(Combination):

@@ -697,7 +697,7 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
 
         def derivative_cases():
             for n in range(-3, 2):
-                yield n, z_operator(alpha, n, a0w, mctx) != (-n - 1) * z_operator(alpha, n, w, mctx)
+                yield n, z_operator(alpha, n, a0w, mctx) != (-n - 1) * z_of[n]
 
         report.sweep(f"dressing-derivative/{kind}", derivative_cases())
 

@@ -46,9 +46,11 @@ patterns and the creation half, which read u's fields, and the
 annihilation dressing, which reads the target's d-factors.
 
 A single mode of one lattice direction (creation, contraction or zero mode)
-has one rule, ``_mode_dir``, shared by the field modes of a ``Field`` and by
-``mode_into``, the one sum of it over the coordinates of h.  ``mode_into``
-adds h(n) on a terms dict into another dict in place, so a caller that
+has one rule, ``_dir_mode``, which adds x times that mode on a terms dict
+straight into a caller's dict, with the scalar that multiplies every term
+folded once before the term loop.  A ``Field`` runs it into a fresh dict for
+its contraction and zero modes; ``mode_into`` runs it over the nonzero
+coordinates of h, its ``support``, into the caller's dict, so a caller that
 composes modes, such as the Heisenberg residual, builds no element per mode;
 ``apply_heisenberg_mode`` wraps its result in one element.
 
@@ -172,16 +174,14 @@ def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
 def mode_into(out: dict, scale, h: LatticeVector, n: int, terms: dict, ctx: OperatorContext) -> None:
     """Add scale times h(n) on the terms dict terms into the terms dict out, in place.
 
-    The mode is linear in h: the sum, over the nonzero coordinates x of h,
-    of x times the mode of that coordinate's direction (``_mode_dir``).
-    Neither h's rank nor the type of the state is checked here; a caller
-    that composes modes checks them once, as ``apply_heisenberg_mode`` does.
+    The mode is linear in h: the sum, over the (direction, coordinate x)
+    pairs of ``h.support``, of x times the mode of that direction, which
+    ``_dir_mode`` adds straight into out.  Neither h's rank nor the type of
+    the state is checked here; a caller that composes modes checks them
+    once, as ``apply_heisenberg_mode`` does.
     """
-    for dir_, x in enumerate(h.c + h.d):
-        if x:
-            x *= scale
-            for key, c in _mode_dir(ctx, terms, dir_, n).items():
-                accumulate(out, key, x * c)
+    for dir_, x in h.support:
+        _dir_mode(out, x * scale, dir_, n, terms, ctx)
 
 
 # -- combinatorial helpers ----------------------------------------------------------
@@ -332,7 +332,7 @@ class Field:
                     states = {(wfock, label): coeff}
                     for dir_, j in zip(udirs, js):
                         if j and states:
-                            states = _mode_dir(ctx, states, dir_, j)
+                            states = _dir_mode({}, 1, dir_, j, states, ctx)
                     if not states:
                         continue
                     creating = tuple(f for f, j in zip(ufock, js) if j is None)
@@ -342,7 +342,7 @@ class Field:
                         # zero modes act before the charge shift
                         for dir_, j in zip(udirs, js):
                             if j == 0 and mid:
-                                mid = _mode_dir(ctx, mid, dir_, 0)
+                                mid = _dir_mode({}, 1, dir_, 0, mid, ctx)
                         if mid and charged:
                             mid = act_on_labels(mid, ctx.handle.e_action, alpha)
                         if mid:
@@ -467,39 +467,37 @@ def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
     return tuple(out.items()), den
 
 
-def _mode_dir(ctx, states, dir_: int, n: int) -> dict:
-    """The mode n of one direction on states: a creation factor at n < 0, a
-    contraction via [h(m), h'(-m)] = m (h, h') at n > 0, else the zero mode."""
+def _dir_mode(out: dict, x, dir_: int, n: int, states: dict, ctx: OperatorContext) -> dict:
+    """Add x times the mode n of one direction on states into out, in place,
+    and return out.
+
+    At n < 0 the mode creates a factor.  At n > 0 it contracts via
+    [h(m), h'(-m)] = m (h, h'): it removes each factor of mode n in the
+    partner direction (c_i with d_i, the only direction it pairs with, by
+    k), so it compares codes only.  At n = 0 a c-direction mode is the
+    scalar (c_i, lam) and a d-direction mode acts on the labels.  The scalar
+    that multiplies every term is folded into x before the term loop.
+    """
+    nu = ctx.cfg.nu
     if n < 0:
         factor = (encode(dir_, -n),)
-        return {(merge_words(word, factor), label): c for (word, label), c in states.items()}
-    if n > 0:
-        return _ann_dir(ctx.cfg, states, dir_, n)
-    return _zero_dir(ctx, states, dir_)
-
-
-def _ann_dir(cfg, states, dir_: int, mode: int) -> dict:
-    """The mode n > 0 of one direction on states: it removes each factor of
-    mode n in the partner direction (c_i with d_i, the only direction it
-    pairs with), times n and the pairing, so it compares codes only."""
-    partner_dir = dir_ + cfg.nu if dir_ < cfg.nu else dir_ - cfg.nu
-    partner, pair = encode(partner_dir, mode), cfg.dir_pairing(dir_, partner_dir)
-    out: dict = {}
-    for (word, label), coeff in states.items():
-        if partner in word:
-            for pos, code in enumerate(word):
-                if code == partner:
-                    accumulate(out, (word[:pos] + word[pos + 1 :], label), coeff * mode * pair)
+        for (word, label), c in states.items():
+            accumulate(out, (merge_words(word, factor), label), c * x)
+    elif n > 0:
+        partner = encode(dir_ + nu if dir_ < nu else dir_ - nu, n)
+        x *= n * ctx.cfg.k
+        for (word, label), c in states.items():
+            if partner in word:
+                for pos, code in enumerate(word):
+                    if code == partner:
+                        accumulate(out, (word[:pos] + word[pos + 1 :], label), c * x)
+    elif dir_ >= nu:
+        for key, c in act_on_labels(states, ctx.handle.d_action, dir_ - nu + 1).items():
+            accumulate(out, key, c * x)
+    elif x := x * ctx.pairings[dir_]:  # the scalar (c_i, lam)
+        for key, c in states.items():
+            accumulate(out, key, c * x)
     return out
-
-
-def _zero_dir(ctx, states, dir_: int) -> dict:
-    cfg = ctx.cfg
-    if dir_ >= cfg.nu:
-        return act_on_labels(states, ctx.handle.d_action, dir_ - cfg.nu + 1)
-    # a c-direction zero mode is the scalar (c_i, lam)
-    scalar = ctx.pairings[dir_]
-    return {key: coeff * scalar for key, coeff in states.items()} if scalar else {}
 
 
 # -- derived operations -----------------------------------------------------------------

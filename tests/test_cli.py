@@ -68,6 +68,25 @@ def test_eval_act_rejects_a_function_module_at_k_other_than_1(tmp_path, capsys):
         assert captured.err == "input error: module: function modules are defined for k = 1 only\n"
 
 
+def test_eval_act_checks_the_exponents_of_a_zero_coefficient(tmp_path, capsys):
+    # t2 is polynomial-only on the cutoff-2 function module: the record is
+    # refused by the same path and text whether its coefficient is 1 or 0
+    x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"d": 1}]}]})
+    module = write(
+        tmp_path, "w.json",
+        {"kind": "omega", "mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]},
+    )
+    errors = []
+    for coeff in ("1", "0"):
+        f = write(tmp_path, f"f{coeff}.json", [{"coeff": coeff, "exponents": [1, -1]}])
+        assert main(["eval", "act", x, f, "--module", module]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        "input error: m[0].exponents: variable t2 is polynomial-only but has exponent -1\n")
+
+
 def test_eval_act_on_weight(tmp_path, capsys):
     x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"e": [0, 1]}]}]})
     m = write(tmp_path, "m.json", [{"coeff": "1", "point": ["1/2", "0"]}])

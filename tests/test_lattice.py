@@ -52,6 +52,32 @@ def test_pairing_symmetric_bilinear(c1, d1, c2, d2, scalar):
     assert cfg.pairing(u + w, v) == cfg.pairing(u, v) + cfg.pairing(w, v)
 
 
+def dense_pairing(cfg, u, v):
+    """Oracle: the bilinear formula over every coordinate, k times
+    sum_i (u.c_i v.d_i + u.d_i v.c_i)."""
+    total = sum(a * b for a, b in zip(u.c, v.d)) + sum(a * b for a, b in zip(u.d, v.c))
+    return cfg.k * total
+
+
+sparse_coords = st.lists(
+    st.one_of(st.just(0), st.integers(-4, 4),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    min_size=3, max_size=3,
+)
+
+
+@given(sparse_coords, sparse_coords, sparse_coords, sparse_coords, st.sampled_from([1, 2, -1, -3]))
+def test_support_and_sparse_pairing_match_the_dense_coordinates(c1, d1, c2, d2, k):
+    cfg = LatticeConfig(nu=3, k=k)
+    u, v = cfg.vector(c=c1, d=d1), cfg.vector(c=c2, d=d2)
+    for vec, coords in ((u, c1 + d1), (v, c2 + d2)):
+        assert vec.support == tuple((i, a) for i, a in enumerate(coords) if a != 0)
+        assert all(type(a) is int or a.denominator > 1 for _, a in vec.support)
+    got = cfg.pairing(u, v)
+    assert got == dense_pairing(cfg, u, v)
+    assert type(got) is int or got.denominator > 1
+
+
 def test_charge_lattice_is_isotropic():
     cfg = LatticeConfig(nu=3, k=2)
     charges = [cfg.from_charge(t) for t in [(1, 0, 0), (2, -1, 3), (0, 5, -2)]]
@@ -92,7 +118,3 @@ def test_direction_indexing():
     assert cfg.dir_name(0) == "c1" and cfg.dir_name(3) == "d2"
     assert cfg.dir_vector(1) == cfg.c_basis(2)
     assert cfg.dir_vector(2) == cfg.d_basis(1)
-    assert cfg.dir_pairing(0, 2) == 4
-    assert cfg.dir_pairing(2, 0) == 4
-    assert cfg.dir_pairing(0, 3) == 0
-    assert cfg.dir_pairing(0, 1) == 0

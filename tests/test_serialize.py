@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from halflattice.assoc import BElement, OmegaSpec, WeightVector
 from halflattice.fock import charge_element, fock_element, pair_key
@@ -90,6 +91,23 @@ def test_laurent_cutoff_violation_reported():
     ring = LaurentRing(2, 1)
     with pytest.raises(SchemaError):
         laurent_from_data([{"coeff": "1", "exponents": [0, -1]}], ring)
+
+
+@given(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+       st.fractions(min_value=-3, max_value=3, max_denominator=3))
+def test_a_zero_coefficient_does_not_decide_whether_a_record_parses(exponents, coeff):
+    # the exponents are checked against the ring's cutoff whatever the
+    # coefficient, so a zero record is refused exactly where a nonzero one is
+    ring = LaurentRing(2, 1)
+
+    def accepted(c):
+        try:
+            laurent_from_data([{"coeff": str(c), "exponents": exponents}], ring)
+        except SchemaError:
+            return False
+        return True
+
+    assert accepted(0) == accepted(coeff) == (exponents[1] >= 0)
 
 
 def test_omega_spec_roundtrip():

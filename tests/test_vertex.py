@@ -31,7 +31,6 @@ from halflattice.probes import rand_module_element, rand_velement
 from halflattice.vertex import (
     Field,
     _annihilation_patterns,
-    _mode_dir,
     adjoint_context,
     apply_heisenberg_mode,
     conformal_vector,
@@ -186,6 +185,28 @@ def test_mode_kernel_matches_loop_oracle(nu, k):
                     assert apply_heisenberg_mode(h, n, s, ctx) == want, (h, n, s)
                     nonzero[(n > 0) - (n < 0)] += bool(want)
     assert all(nonzero.values())
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_a_mode_is_the_sum_of_its_direction_modes(nu):
+    # The heisenberg suite applies only unit vectors.  A vector with several
+    # nonzero coordinates, none of them 1, acts as the sum over its support
+    # of each coordinate times its direction's mode, in the adjoint and in
+    # both module contexts, at every sign of n.
+    cfg = LatticeConfig(nu, 1)
+    h = cfg.vector(c=[Fraction(2, 3), -2][:nu], d=[3, Fraction(-1, 2)][:nu])
+    nonzero = Counter()
+    targets = kernel_oracle_targets(cfg, random.Random(70 + nu))
+    for place, (ctx, states) in enumerate(targets):
+        for s in states:
+            for n in range(-2, 3):
+                want = ctx.zero
+                for i, x in h.support:
+                    want = want + x * apply_heisenberg_mode(cfg.dir_vector(i), n, s, ctx)
+                got = apply_heisenberg_mode(h, n, s, ctx)
+                assert got == want, (n, s)
+                nonzero[place, (n > 0) - (n < 0)] += bool(got)
+    assert len(nonzero) == 9 and all(nonzero.values()), nonzero
 
 
 # -- the coefficient engine ---------------------------------------------------------
@@ -511,6 +532,12 @@ def rational_creation_half(fields, alpha, level):
     return out
 
 
+def unit_mode(ctx, states, dir_, j):
+    """The mode j of one direction on a terms dict, through the public
+    ``apply_heisenberg_mode`` on that direction's unit vector."""
+    return apply_heisenberg_mode(ctx.cfg.dir_vector(dir_), j, ctx.element(states), ctx).terms
+
+
 def rational_field(u, w, ctx, window):
     """Oracle: the field's coefficients summed as rationals, n -> terms dict.
 
@@ -527,7 +554,7 @@ def rational_field(u, w, ctx, window):
                 states = {(wfock, label): cu * cw * coeff}
                 for (dir_, _), j in zip(map(decode, ufock), js):
                     if j and states:
-                        states = _mode_dir(ctx, states, dir_, j)
+                        states = unit_mode(ctx, states, dir_, j)
                 if not states:
                     continue
                 creating = tuple(f for f, j in zip(ufock, js) if j is None)
@@ -536,7 +563,7 @@ def rational_field(u, w, ctx, window):
                     mid = dressing(ctx.cfg, states, alpha, a, -1)
                     for (dir_, _), j in zip(map(decode, ufock), js):
                         if j == 0 and mid:
-                            mid = _mode_dir(ctx, mid, dir_, 0)
+                            mid = unit_mode(ctx, mid, dir_, 0)
                     if mid and charged:
                         mid = act_on_labels(mid, ctx.handle.e_action, alpha)
                     if mid:
