@@ -50,12 +50,22 @@ def gen_d(j: int) -> BGen:
 
 
 class BElement(Combination):
-    """Rational combination of generator words in the free d-version."""
+    """Rational combination of generator words in the free d-version.  A
+    word is a tuple of generators, each checked by ``gen_e`` or ``gen_d``;
+    the terms print in the order of the repr of their words."""
 
     __slots__ = ()
 
     def __init__(self, terms: Mapping):
-        super().__init__({tuple(w): c for w, c in terms.items()})
+        super().__init__(terms)
+
+    def _key(self, word) -> tuple:
+        if any(kind not in ("e", "d") for kind, _ in word):
+            raise ValueError(f"a generator is ('e', charge) or ('d', j), got the word {word!r}")
+        return tuple(gen_e(arg) if kind == "e" else gen_d(arg) for kind, arg in word)
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
 
     @staticmethod
     def one() -> "BElement":
@@ -76,7 +86,7 @@ class BElement(Combination):
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 accumulate(data, w1 + w2, c1 * c2)
-        return BElement(data)
+        return self._make(data)
 
     __rmul__ = __mul__
 
@@ -92,34 +102,26 @@ class BElement(Combination):
             chunks.append(f"({coeff})*{name}" if coeff != 1 else name)
         return " + ".join(chunks)
 
-    __repr__ = __str__
-
 
 class AElement(Combination):
-    """Normal form: finitely supported map (charge, d-exponents) -> rational."""
+    """Normal form: finitely supported map (charge, d-exponents) -> rational, of rank nu."""
 
-    __slots__ = ("nu",)
+    __slots__ = ()
 
     def __init__(self, nu: int, terms: Mapping):
-        self.nu = integer(nu)
-        checked = {}
-        for (charge, dexp), coeff in terms.items():
-            charge = tuple(integer(m) for m in charge)
-            dexp = tuple(integer(e) for e in dexp)
-            if len(charge) != self.nu or len(dexp) != self.nu:
-                raise ValueError(f"keys must have {self.nu} entries")
-            if any(e < 0 for e in dexp):
-                raise ValueError("d-exponents must be nonnegative")
-            checked[(charge, dexp)] = coeff
-        super().__init__(checked)
+        super().__init__(terms, integer(nu))
 
-    def shape(self) -> int:
-        return self.nu
+    nu = property(lambda self: self.shape)
 
-    def _make(self, terms: Mapping) -> "AElement":
-        new = super()._make(terms)
-        new.nu = self.nu
-        return new
+    def _key(self, key) -> tuple:
+        charge, dexp = key
+        charge = tuple(integer(m) for m in charge)
+        dexp = tuple(integer(e) for e in dexp)
+        if len(charge) != self.shape or len(dexp) != self.shape:
+            raise ValueError(f"keys must have {self.shape} entries")
+        if any(e < 0 for e in dexp):
+            raise ValueError("d-exponents must be nonnegative")
+        return charge, dexp
 
     @staticmethod
     def monomial(nu: int, charge=None, dexp=None, coeff=1) -> "AElement":
@@ -148,9 +150,6 @@ class AElement(Combination):
                     accumulate(data, (charge, dexp), coeff)
         return AElement(self.nu, data)
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -168,26 +167,25 @@ class AElement(Combination):
             chunks.append(name if coeff == 1 else f"({coeff})*{name}")
         return " + ".join(chunks)
 
-    __repr__ = __str__
-
 
 # -- weight modules ---------------------------------------------------------------
 
 
 class WeightVector(Combination):
-    """Rational combination of lattice points of a weight module."""
+    """Rational combination of lattice points of a weight module; each
+    coordinate of a point is normalized by ``rational``."""
 
     __slots__ = ()
 
     def __init__(self, terms: Mapping):
-        super().__init__({tuple(p): c for p, c in terms.items()})
+        super().__init__(terms)
+
+    def _key(self, p) -> tuple:
+        return tuple(rational(x) for x in p)
 
     @staticmethod
     def point(p, coeff=1) -> "WeightVector":
-        return WeightVector({tuple(rational(x) for x in p): coeff})
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
+        return WeightVector({tuple(p): coeff})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -195,8 +193,6 @@ class WeightVector(Combination):
         return " + ".join(
             f"({c})*e^[{','.join(map(str, p))}]" for p, c in self.sorted_terms()
         )
-
-    __repr__ = __str__
 
 
 def _act_on_module(x: BElement, vector: Mapping, module) -> dict:

@@ -210,10 +210,11 @@ def recovered_relation_cases(mctx: OperatorContext, labels: Sequence):
         t_of = {charge: t_operator(charge, state, mctx) for charge in charges}
         for j in range(1, cfg.nu + 1):
             d_j = cfg.d_basis(j)
+            d_state = apply_heisenberg_mode(d_j, 0, state, mctx)
             for charge in charges:
                 t_state = t_of[charge]
                 lhs = apply_heisenberg_mode(d_j, 0, t_state, mctx)
-                rhs = t_operator(charge, apply_heisenberg_mode(d_j, 0, state, mctx), mctx) \
+                rhs = t_operator(charge, d_state, mctx) \
                     + cfg.pairing(d_j, cfg.from_charge(charge)) * t_state
                 yield ("commutator", j, charge, label), lhs - rhs
         for c1 in charges:

@@ -3,12 +3,13 @@
 Every object the package computes with is a finitely supported map from
 hashable term keys to rationals: Fock and module states, straightened-algebra
 elements, weight-module vectors and Laurent polynomials.  ``Combination``
-holds that map in ``terms``, which never stores a zero, and gives it the
-vector-space operations.  Subclasses add only what differs: key validation,
-the shape that must agree before two combinations are added or compared (a
-rank or a ring), their own products, and their printing.  Key validation runs
-only in the public constructors: ``_make`` builds a combination from terms
-the package computed itself and skips it.
+holds that map in ``terms``, which never stores a zero, and its ``shape``,
+what two combinations must share before they are added or compared (a rank,
+a ring, or None), and gives it the vector-space operations.  The public
+constructor puts every key through the subclass's ``_key`` and adds up the
+keys that then coincide; a subclass states only that check, its own
+products and its printing.  ``_make`` builds a combination of the same
+class and shape from terms the package computed itself and skips ``_key``.
 
 Values are integer-first: a value is an ``int`` when it is integral and a
 ``Fraction`` with denominator > 1 otherwise, never a float.  ``rational``
@@ -136,44 +137,57 @@ def divided(nums: dict, den: int) -> dict:
 
 
 class Combination:
-    """Finitely supported rational combination over hashable term keys."""
+    """Finitely supported rational combination over hashable term keys, of
+    one ``shape``.  A subclass's public constructor passes its terms and
+    shape to ``__init__``, which checks every key with ``_key`` and every
+    value with ``rational`` and adds up the keys that then coincide."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "shape", "_hash")
 
-    def __init__(self, terms: Mapping):
-        self.terms = {t: q for t, c in terms.items() if (q := rational(c))}
+    def __init__(self, terms: Mapping, shape=None):
+        self.shape = shape
+        checked: dict = {}
+        for t, c in terms.items():
+            accumulate(checked, self._key(t), rational(c))
+        self.terms = checked
         self._hash = None
 
-    def shape(self):
-        """What besides the terms two combinations must share; None by default."""
-        return None
+    def _key(self, t):
+        """The key in canonical form, or an error; any key passes by default."""
+        return t
 
     def sorted_terms(self) -> list:
-        """The terms in printing order: by the repr of each key, unless a
+        """The terms in printing order: the keys' natural order, unless a
         subclass prints its keys in their own order."""
-        return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
+        return sorted(self.terms.items())
+
+    def __str__(self) -> str:
+        return f"{type(self).__name__}({self.terms})"
+
+    def __repr__(self) -> str:
+        return str(self)
 
     def _make(self, terms: Mapping):
         """A combination of this class and shape with terms the package built.
 
-        The keys are trusted, so the subclass's key validation is skipped;
-        zeros are still dropped and every value is normalized by
-        ``rational``.  Values the package computes are sums and products of
-        normalized values, which stay ``int`` exactly while no proper
-        fraction enters, so the common ``int`` case is passed through
-        untouched.  Subclasses with a shape copy it onto the result.
+        The keys are trusted, so ``_key`` is skipped; zeros are still
+        dropped and every value is normalized by ``rational``.  Values the
+        package computes are sums and products of normalized values, which
+        stay ``int`` exactly while no proper fraction enters, so the common
+        ``int`` case is passed through untouched.
         """
         new = object.__new__(type(self))
         new.terms = {t: q for t, c in terms.items()
                      if (q := c if type(c) is int else rational(c))}
+        new.shape = self.shape
         new._hash = None
         return new
 
     def _check(self, other) -> None:
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if other.shape() != self.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+        if other.shape != self.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __add__(self, other):
         self._check(other)
@@ -206,10 +220,10 @@ class Combination:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.shape() == other.shape() and self.terms == other.terms
+        return self.shape == other.shape and self.terms == other.terms
 
     def __hash__(self) -> int:
         """Computed once: a combination must not be mutated after it is hashed."""
         if self._hash is None:
-            self._hash = hash((type(self).__name__, self.shape(), frozenset(self.terms.items())))
+            self._hash = hash((type(self).__name__, self.shape, frozenset(self.terms.items())))
         return self._hash

@@ -12,12 +12,13 @@ hash as tuples of ints.  ``encode`` and ``decode`` are the one way between
 a factor's (direction, mode) and its code; ``encode`` rejects a direction
 at or past ``DIRECTION_LIMIT`` = 2**16.
 
-The public constructors take (direction, mode) pairs: ``fock_word``
-validates and encodes them, and a ``VElement`` or ``ModuleElement`` puts
-every word of its terms through it and merges the keys that then coincide.
-Words the package builds itself are coded and canonical already, and go
-through the trusted ``_make``.  Printing and serialization order terms by
-their decoded (direction, mode) pairs, so no output depends on the codes.
+The public constructors take (direction, mode) pairs: the ``_key`` of a
+``VElement`` or ``ModuleElement`` puts every word through ``fock_word``,
+which validates and encodes it, and the combination core merges the keys
+that then coincide.  Words the package builds itself are coded and
+canonical already, and go through the core's trusted ``_make``.  Printing
+and serialization order terms by their decoded (direction, mode) pairs, so
+no output depends on the codes.
 ``act_on_labels`` lets a coefficient module act on the labels of
 (word, label) states, leaving each word as it is.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .combination import Combination, accumulate, integer, rational
+from .combination import Combination, accumulate, integer
 
 FockWord = tuple  # tuple[int, ...]: factor codes in ascending order
 
@@ -88,38 +89,30 @@ def _printing_order(self) -> list:
 
 
 class VElement(Combination):
-    """Element of the half-lattice algebra: Fock part tensor a charge."""
+    """Element of the half-lattice algebra: Fock part tensor a charge, of rank nu."""
 
-    __slots__ = ("nu",)
+    __slots__ = ()
 
     def __init__(self, nu: int, terms: Mapping):
-        self.nu = integer(nu)
-        checked: dict = {}
-        for (word, charge), coeff in terms.items():
-            word = fock_word(word)
-            charge = tuple(integer(m) for m in charge)
-            if len(charge) != self.nu:
-                raise ValueError(f"charge {charge} must have {self.nu} entries")
-            for dir_, _ in map(decode, word):
-                if dir_ >= 2 * self.nu:
-                    raise ValueError(f"direction index {dir_} out of range for nu={self.nu}")
-            accumulate(checked, (word, charge), rational(coeff))
-        super().__init__(checked)
+        super().__init__(terms, integer(nu))
 
-    def shape(self) -> int:
-        return self.nu
+    nu = property(lambda self: self.shape)
 
-    def _make(self, terms: Mapping) -> "VElement":
-        new = super()._make(terms)
-        new.nu = self.nu
-        return new
+    def _key(self, key) -> tuple:
+        word, charge = key
+        word = fock_word(word)
+        charge = tuple(integer(m) for m in charge)
+        if len(charge) != self.shape:
+            raise ValueError(f"charge {charge} must have {self.shape} entries")
+        for dir_, _ in map(decode, word):
+            if dir_ >= 2 * self.shape:
+                raise ValueError(f"direction index {dir_} out of range for nu={self.shape}")
+        return word, charge
 
     sorted_terms = _printing_order
 
     def __str__(self) -> str:
-        return _format_terms(self.sorted_terms(), self.nu, _charge_str)
-
-    __repr__ = __str__
+        return _format_terms(self.sorted_terms(), self.shape, _charge_str)
 
 
 class ModuleElement(Combination):
@@ -128,18 +121,17 @@ class ModuleElement(Combination):
     __slots__ = ()
 
     def __init__(self, terms: Mapping):
-        checked: dict = {}
-        for (word, label), coeff in terms.items():
-            accumulate(checked, (fock_word(word), label), rational(coeff))
-        super().__init__(checked)
+        super().__init__(terms)
+
+    def _key(self, key) -> tuple:
+        word, label = key
+        return fock_word(word), label
 
     sorted_terms = _printing_order
 
     def __str__(self) -> str:
         return _format_terms(self.sorted_terms(), None,
                              lambda lab: f"w[({', '.join(map(str, lab))})]")
-
-    __repr__ = __str__
 
 
 # -- coefficient-module actions -------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .combination import Combination, accumulate, integer, rational
+from .combination import Combination, accumulate, integer
 
 
 class CutoffError(ValueError):
@@ -65,31 +65,20 @@ class LaurentRing:
 
 
 class LaurentPoly(Combination):
-    """Immutable sparse Laurent polynomial over the rationals.  The constructor
-    checks each key against the ring and adds up keys that then coincide."""
+    """Immutable sparse Laurent polynomial over the rationals; its shape is its
+    ring, against which the constructor checks each key."""
 
-    __slots__ = ("ring",)
+    __slots__ = ()
 
     def __init__(self, ring: LaurentRing, terms: Mapping):
-        self.ring = ring
-        checked: dict = {}
-        for exps, coeff in terms.items():
-            accumulate(checked, ring.check_exponents(exps), rational(coeff))
-        super().__init__(checked)
+        super().__init__(terms, ring)
 
-    def shape(self) -> LaurentRing:
-        return self.ring
+    ring = property(lambda self: self.shape)
 
-    def _make(self, terms: Mapping) -> "LaurentPoly":
-        new = super()._make(terms)
-        new.ring = self.ring
-        return new
+    def _key(self, exps) -> tuple:
+        return self.shape.check_exponents(exps)
 
     # -- container-ish access -------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        """Terms in the canonical (lexicographic) order."""
-        return sorted(self.terms.items())
 
     def is_constant(self) -> bool:
         zero = (0,) * self.ring.nvars
@@ -228,5 +217,3 @@ class LaurentPoly(Combination):
                 chunks.append(str(coeff) + "*" + "*".join(factors))
         out = " + ".join(chunks)
         return out.replace("+ -", "- ")
-
-    __repr__ = __str__

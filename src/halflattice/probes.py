@@ -85,8 +85,10 @@ def rand_laurent(
 ):
     """A random ``LaurentPoly`` of the ``LaurentRing`` ring; ``max_var``
     caps the 1-based variables used."""
+    from .laurent import LaurentPoly
+
     top = ring.nvars if max_var is None else max_var
-    out = ring.zero()
+    terms: dict = {}
     for _ in range(rng.randint(1, n_terms)):
         exps = []
         for j in range(ring.nvars):
@@ -96,8 +98,8 @@ def rand_laurent(
                 exps.append(rng.randint(-exp_bound, exp_bound))
             else:
                 exps.append(rng.randint(0, exp_bound))
-        out = out + ring.monomial(exps, rand_fraction(rng, nonzero=True))
-    return out
+        accumulate(terms, tuple(exps), rand_fraction(rng, nonzero=True))
+    return LaurentPoly(ring, terms)
 
 
 def rand_nonzero_laurent(rng: random.Random, ring, **kw):

@@ -81,17 +81,22 @@ def laurent_to_data(f) -> list:
 
 
 def laurent_from_data(doc, ring, path: str = "poly"):
-    """A ``LaurentPoly`` of the ``LaurentRing`` ring from {coeff, exponents} records."""
-    out = ring.zero()
+    """A ``LaurentPoly`` of the ``LaurentRing`` ring from {coeff, exponents}
+    records.  Each record's exponents are checked before its term is
+    collected, so a zero coefficient does not hide a bad key."""
+    from .laurent import LaurentPoly
+
+    terms: dict = {}
     for i, rec in enumerate(_expect_list(doc, path)):
         rec = _expect_record(rec, f"{path}[{i}]", ("coeff", "exponents"))
         coeff = parse_fraction(rec.get("coeff", 1), f"{path}[{i}].coeff")
         exps = _expect_list(rec.get("exponents"), f"{path}[{i}].exponents", ring.nvars)
         try:
-            out = out + ring.monomial([_int(e, f"{path}[{i}].exponents") for e in exps], coeff)
+            exps = ring.check_exponents([_int(e, f"{path}[{i}].exponents") for e in exps])
         except ValueError as exc:
             raise SchemaError(f"{path}[{i}].exponents", str(exc)) from None
-    return out
+        accumulate(terms, exps, coeff)
+    return LaurentPoly(ring, terms)
 
 
 # -- algebra elements ----------------------------------------------------------------
@@ -162,7 +167,7 @@ def weight_vector_from_data(doc, handle: WeightModule, path: str = "m"):
 
 def b_element_to_data(x) -> dict:
     words = []
-    for word, coeff in sorted(x.terms.items(), key=lambda kv: repr(kv[0])):
+    for word, coeff in x.sorted_terms():
         factors = []
         for g in word:
             if g[0] == "e":

@@ -5,7 +5,10 @@ denominator, and never a float.
 must build ``Fraction(a, b)``.  Each test below feeds integer-valued data
 into one such site, where the quotient is a proper fraction, and checks
 every value that comes out.  The integer form's functions are checked
-against plain ``Fraction`` arithmetic on drawn data.
+against plain ``Fraction`` arithmetic on drawn data.  The combination core
+is checked once for each of its six subclasses: the public constructor
+refuses a bad key whatever its coefficient and adds up keys that coincide
+once checked, and the trusted builder keeps the class and the shape.
 """
 
 from fractions import Fraction
@@ -18,6 +21,7 @@ from halflattice.assoc import (
     AElement,
     BElement,
     OmegaSpec,
+    WeightVector,
     act_on_omega_module,
     decompose_potential,
     gen_d,
@@ -34,9 +38,17 @@ from halflattice.combination import (
     rational,
     reduce,
 )
-from halflattice.fock import VElement, charge_element, encode, fock_element, fock_word, vacuum
+from halflattice.fock import (
+    ModuleElement,
+    VElement,
+    charge_element,
+    encode,
+    fock_element,
+    fock_word,
+    vacuum,
+)
 from halflattice.lattice import LatticeConfig, WeightModule
-from halflattice.laurent import LaurentRing
+from halflattice.laurent import LaurentPoly, LaurentRing
 from halflattice.linalg import nullspace
 from halflattice.vertex import module_operator_context
 from halflattice.zhu import zhu_star
@@ -84,6 +96,81 @@ def test_integer_passes_ints_and_whole_fractions():
     assert charge_element(2, (Fraction(2), 0)) == charge_element(2, (2, 0))
     assert list(charge_element(2, (Fraction(2), 0)).terms) == [((), (2, 0))]
     assert type(next(iter(charge_element(2, (Fraction(2), 0)).terms))[1][0]) is int
+
+
+# -- the combination core: one constructor, one shape -----------------------------
+
+# For each subclass: its public constructor at one shape, two raw keys that
+# coincide once checked (Fock words in two factor orders, whole Fractions)
+# and their checked form, the bad keys with the error each raises, and the
+# constructor at another shape (None when the class has only the shape None).
+CORE_CASES = [
+    pytest.param(
+        lambda terms: VElement(2, terms),
+        (((2, 1), (0, 2)), (1, 0)), (((0, 2), (2, 1)), (Fraction(1), 0)),
+        ((encode(0, 2), encode(2, 1)), (1, 0)),
+        [((((0, 1),), (1,)), ValueError), ((((4, 1),), (0, 0)), ValueError),
+         ((((0, 1.0),), (0, 0)), TypeError), ((((0, 0),), (0, 0)), ValueError)],
+        lambda terms: VElement(3, terms), id="VElement"),
+    pytest.param(
+        ModuleElement,
+        (((1, 1), (0, 2)), "w"), (((0, 2), (Fraction(1), 1)), "w"),
+        ((encode(0, 2), encode(1, 1)), "w"),
+        [((((0, 0),), "w"), ValueError), (((0,), "w"), TypeError),
+         ((((0, Fraction(1, 2)),), "w"), TypeError)],
+        None, id="ModuleElement"),
+    pytest.param(
+        BElement,
+        (("d", Fraction(2)), ("e", (1, 0))), (("d", 2), ("e", (Fraction(1), 0))),
+        (("d", 2), ("e", (1, 0))),
+        [((("x", 1),), ValueError), ((("d", 1.0),), TypeError),
+         ((("e", (0.5, 0)),), TypeError)],
+        None, id="BElement"),
+    pytest.param(
+        lambda terms: AElement(2, terms),
+        ((1, 0), (2, 0)), ((Fraction(1), 0), (Fraction(4, 2), 0)), ((1, 0), (2, 0)),
+        [(((1, 0), (-1, 0)), ValueError), (((1,), (0, 0)), ValueError),
+         (((0.5, 0), (0, 0)), TypeError)],
+        lambda terms: AElement(3, terms), id="AElement"),
+    pytest.param(
+        WeightVector,
+        (Fraction(1, 2), Fraction(2, 2)), (Fraction(1, 2), 1), (Fraction(1, 2), 1),
+        [((0.5, 0), TypeError), (("1/2", 0), TypeError)],
+        None, id="WeightVector"),
+    pytest.param(
+        lambda terms: LaurentPoly(LaurentRing(2, 1), terms),
+        (Fraction(-2), 1), (-2, Fraction(3, 3)), (-2, 1),
+        [((1, -1), ValueError), ((1.0, 0), TypeError), ((1,), ValueError)],
+        lambda terms: LaurentPoly(LaurentRing(2, 2), terms), id="LaurentPoly"),
+]
+
+
+@pytest.mark.parametrize("build, raw, twin, key, bad_keys, build_other", CORE_CASES)
+def test_the_core_checks_adds_and_keeps_the_shape(build, raw, twin, key, bad_keys, build_other):
+    # a bad key is refused whatever its coefficient, zero included
+    for bad, error in bad_keys:
+        for coeff in (0, 1):
+            with pytest.raises(error):
+                build({bad: coeff})
+    # keys that coincide once checked are one term in checked form, their
+    # coefficients added (a whole Fraction is already the same dict key)
+    given = {raw: 2, twin: Fraction(1, 2)}
+    x = build(given)
+    assert x.terms == {key: sum(given.values())} and repr(list(x.terms)) == repr([key])
+    assert build({raw: 3}) == build({twin: 3}) == 3 * x._make({key: 1})
+    # the trusted builder keeps the class and the shape
+    made = x._make({key: 3})
+    assert type(made) is type(x) and made.shape == x.shape and made == build({raw: 3})
+    assert repr(x) == str(x) and repr(made) == str(made)
+    if build_other is None:
+        assert x.shape is None
+        return
+    # adding across shapes is refused with the text the shapes print
+    other = build_other({})
+    with pytest.raises(ValueError) as err:
+        x + other
+    assert str(err.value) == f"shape mismatch: {x.shape} vs {other.shape}"
+    assert x != other and x._make(x.terms) == x
 
 
 def _weight_state():

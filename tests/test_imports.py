@@ -22,6 +22,11 @@ check compares the two, name it, and no package module reads a ``.bound``
 attribute.  A fourth keeps the layout of a Fock factor code, its shift and
 direction mask, inside ``fock``: every other module, the tests included,
 reads and builds factors through ``fock.encode`` and ``fock.decode``.
+A fifth keeps the combination core the one owner of a combination's shape,
+its trusted builder and its repr: no ``Combination`` subclass in the
+package defines ``_make``, ``shape`` or ``__repr__``, and a subclass's
+``__init__`` only passes its terms and shape to ``super().__init__``, so
+each key is checked in the subclass's ``_key`` and nowhere else.
 """
 
 import ast
@@ -33,6 +38,7 @@ PACKAGE = sorted((ROOT / "src" / "halflattice").glob("*.py"))
 SOURCES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
 DENOMINATOR_NAMES = {"gcd", "lcm"}
 CODE_LAYOUT_NAMES = {"_SHIFT", "_DIRECTION_MASK"}
+CORE_NAMES = {"_make", "shape", "__repr__"}
 
 
 @lru_cache(maxsize=None)
@@ -226,3 +232,69 @@ def test_only_fock_names_the_code_layout():
     found = {path.name: code_layout_names(path.read_text()) for path in SOURCES}
     assert found.pop("fock.py") == sorted(CODE_LAYOUT_NAMES)
     assert not any(found.values()), found
+
+
+def combination_classes(source: str) -> list:
+    """The classes of the source that name ``Combination`` as a base."""
+    return [node for node in nodes(source) if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "Combination" for b in node.bases)]
+
+
+def only_calls_super_init(fn) -> bool:
+    """The function's body, past a docstring, is one ``super().__init__(...)``
+    call whose arguments hold no comprehension or lambda."""
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Expr):
+        return False
+    call = body[0].value
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__init__" and isinstance(call.func.value, ast.Call)
+            and isinstance(call.func.value.func, ast.Name) and call.func.value.func.id == "super"
+            and not any(isinstance(n, (ast.comprehension, ast.Lambda)) for n in ast.walk(call)))
+
+
+def core_regrowth(source: str) -> list:
+    """(class, name) for each ``Combination`` subclass of the source that
+    defines or assigns a name of ``CORE_NAMES``, or whose ``__init__`` does
+    more than pass its arguments to ``super().__init__``."""
+    found = []
+    for cls in combination_classes(source):
+        for stmt in cls.body:
+            if isinstance(stmt, FUNCTIONS):
+                names = [stmt.name]
+                if stmt.name == "__init__" and not only_calls_super_init(stmt):
+                    found.append((cls.name, "__init__"))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [(cls.name, name) for name in names if name in CORE_NAMES]
+    return found
+
+
+def test_the_scan_finds_a_regrown_core():
+    head = "class V(Combination):\n"
+    assert core_regrowth(head + "    __repr__ = __str__\n") == [("V", "__repr__")]
+    assert core_regrowth(head + "    def shape(self):\n        return 2\n") == [("V", "shape")]
+    assert core_regrowth(head + "    def _make(self, terms):\n        pass\n") == [("V", "_make")]
+    assert core_regrowth(head + "    def __init__(self, nu, terms):\n        self.nu = nu\n"
+                         "        super().__init__(terms)\n") == [("V", "__init__")]
+    assert core_regrowth(head + "    def __init__(self, terms):\n"
+                         "        super().__init__({tuple(w): c for w, c in terms.items()})\n"
+                         ) == [("V", "__init__")]
+    assert core_regrowth(head + "    def __init__(self, nu, terms):\n"
+                         "        super().__init__(terms, integer(nu))\n"
+                         "    nu = property(lambda self: self.shape)\n") == []
+    assert core_regrowth("class W:\n    __repr__ = __str__\n") == []
+
+
+def test_the_combination_core_is_the_one_owner():
+    classes = [cls.name for path in PACKAGE for cls in combination_classes(path.read_text())]
+    assert sorted(classes) == ["AElement", "BElement", "LaurentPoly", "ModuleElement",
+                               "VElement", "WeightVector"]
+    found = [f"{path.name}: {cls}.{name}" for path in PACKAGE
+             for cls, name in core_regrowth(path.read_text())]
+    assert not found, found

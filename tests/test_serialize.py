@@ -93,21 +93,68 @@ def test_laurent_cutoff_violation_reported():
         laurent_from_data([{"coeff": "1", "exponents": [0, -1]}], ring)
 
 
-@given(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
-       st.fractions(min_value=-3, max_value=3, max_denominator=3))
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def accepted(parse, coeff) -> bool:
+    """Whether the record that parse builds at this coefficient is accepted."""
+    try:
+        parse(coeff)
+    except SchemaError:
+        return False
+    return True
+
+
+# In each parser the keys of a record are checked whatever its coefficient,
+# so a zero record is refused exactly where a nonzero one is.
+
+@given(st.lists(st.integers(-2, 2), min_size=2, max_size=2), COEFFS)
 def test_a_zero_coefficient_does_not_decide_whether_a_record_parses(exponents, coeff):
-    # the exponents are checked against the ring's cutoff whatever the
-    # coefficient, so a zero record is refused exactly where a nonzero one is
-    ring = LaurentRing(2, 1)
+    # t2 is polynomial-only: a negative exponent there is refused
+    def parse(c):
+        return laurent_from_data([{"coeff": str(c), "exponents": exponents}], LaurentRing(2, 1))
 
-    def accepted(c):
-        try:
-            laurent_from_data([{"coeff": str(c), "exponents": exponents}], ring)
-        except SchemaError:
-            return False
-        return True
+    assert accepted(parse, 0) == accepted(parse, coeff) == (exponents[1] >= 0)
 
-    assert accepted(0) == accepted(coeff) == (exponents[1] >= 0)
+
+@given(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 3)), max_size=3),
+       st.lists(st.integers(-2, 2), min_size=1, max_size=3), COEFFS)
+def test_a_zero_coefficient_does_not_decide_whether_a_state_parses(fock, charge, coeff):
+    def parse(c):
+        doc = {"terms": [{"coeff": str(c), "fock": [list(f) for f in fock], "charge": charge}]}
+        return velement_from_data(doc, CFG)
+
+    valid = all(0 <= d < CFG.ndirs and m >= 1 for d, m in fock) and len(charge) == CFG.nu
+    assert accepted(parse, 0) == accepted(parse, coeff) == valid
+
+
+GENERATORS = st.one_of(
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(lambda charge: {"e": charge}),
+    st.integers(-1, 3).map(lambda j: {"d": j}),
+    st.just({"x": 1}))
+
+
+@given(st.lists(GENERATORS, max_size=3), COEFFS)
+def test_a_zero_coefficient_does_not_decide_whether_a_word_parses(factors, coeff):
+    def parse(c):
+        return b_element_from_data({"words": [{"coeff": str(c), "factors": factors}]}, CFG)
+
+    valid = all(len(f["e"]) == CFG.nu if "e" in f else 1 <= f.get("d", 0) <= CFG.nu
+                for f in factors)
+    assert accepted(parse, 0) == accepted(parse, coeff) == valid
+
+
+@given(st.lists(st.fractions(-2, 2, max_denominator=2), min_size=1, max_size=3), COEFFS)
+def test_a_zero_coefficient_does_not_decide_whether_a_point_parses(point, coeff):
+    # the point must lie in the charge coset of (1/2, 0)
+    handle = WeightModule(CFG, [Fraction(1, 2), 0])
+
+    def parse(c):
+        return weight_vector_from_data([{"coeff": str(c), "point": list(map(str, point))}], handle)
+
+    valid = (len(point) == CFG.nu and (point[0] - Fraction(1, 2)).denominator == 1
+             and point[1].denominator == 1)
+    assert accepted(parse, 0) == accepted(parse, coeff) == valid
 
 
 def test_omega_spec_roundtrip():
