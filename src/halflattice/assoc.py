@@ -133,8 +133,10 @@ class AElement(Combination):
         """Product in the straightened algebra with commuting d's.
 
         Moving the left d-monomial past the right charge costs binomial
-        corrections: d^K e_b = e_b prod_i (d_i + (d_i, b))^{K_i}.
+        corrections: d^K e_b = e_b prod_i (d_i + (d_i, b))^{K_i}.  Both
+        factors have one rank, so the keys built here take the trusted path.
         """
+        self._check(other)
         data: dict = {}
         for (a, K), c1 in self.terms.items():
             for (b, L), c2 in other.terms.items():
@@ -148,7 +150,7 @@ class AElement(Combination):
                         continue
                     dexp = tuple(j + l for j, l in zip(J, L))
                     accumulate(data, (charge, dexp), coeff)
-        return AElement(self.nu, data)
+        return self._make(data)
 
     def __str__(self) -> str:
         if not self.terms:

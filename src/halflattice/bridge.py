@@ -172,7 +172,7 @@ def _unit_charges(nu: int) -> list:
 
 
 def _vacuum_states(mctx: OperatorContext, labels: Sequence) -> dict:
-    return {label: mctx.state_of_label(mctx.handle.validate_label(label)) for label in labels}
+    return {label: mctx.state_of_label(label) for label in labels}
 
 
 def recovered_action_cases(mctx: OperatorContext, labels: Sequence):
@@ -186,7 +186,7 @@ def recovered_action_cases(mctx: OperatorContext, labels: Sequence):
     handle = mctx.handle
 
     def as_module_element(moves) -> ModuleElement:
-        return ModuleElement({((), lab): q for q, lab in moves})
+        return ModuleElement(handle, {((), lab): q for q, lab in moves})
 
     for label, state in _vacuum_states(mctx, labels).items():
         for j in range(1, cfg.nu + 1):

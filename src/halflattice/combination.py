@@ -5,7 +5,9 @@ hashable term keys to rationals: Fock and module states, straightened-algebra
 elements, weight-module vectors and Laurent polynomials.  ``Combination``
 holds that map in ``terms``, which never stores a zero, and its ``shape``,
 what two combinations must share before they are added or compared (a rank,
-a ring, or None), and gives it the vector-space operations.  The public
+a ring, a coefficient module, or None), and gives it the vector-space
+operations.  ``_check`` is the one test of class and shape, and an operator
+context's target check too.  The public
 constructor puts every key through the subclass's ``_key`` and adds up the
 keys that then coincide; a subclass states only that check, its own
 products and its printing.  ``_make`` builds a combination of the same

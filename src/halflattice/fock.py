@@ -15,10 +15,11 @@ at or past ``DIRECTION_LIMIT`` = 2**16.
 The public constructors take (direction, mode) pairs: the ``_key`` of a
 ``VElement`` or ``ModuleElement`` puts every word through ``fock_word``,
 which validates and encodes it, and the combination core merges the keys
-that then coincide.  Words the package builds itself are coded and
-canonical already, and go through the core's trusted ``_make``.  Printing
-and serialization order terms by their decoded (direction, mode) pairs, so
-no output depends on the codes.
+that then coincide.  A ``ModuleElement``'s shape is its coefficient module,
+which checks each label, so states of two modules never add.  Words the
+package builds itself are coded and canonical already, and go through the
+core's trusted ``_make``.  Printing and serialization order terms by their
+decoded (direction, mode) pairs, so no output depends on the codes.
 ``act_on_labels`` lets a coefficient module act on the labels of
 (word, label) states, leaving each word as it is.
 """
@@ -116,16 +117,18 @@ class VElement(Combination):
 
 
 class ModuleElement(Combination):
-    """Fock part tensor an opaque coefficient-module basis label."""
+    """Fock part tensor a basis label of its coefficient module, its shape: a
+    ``lattice.WeightModule`` or an ``assoc.OmegaSpec``, whose ``validate_label``
+    checks each label."""
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping):
-        super().__init__(terms)
+    def __init__(self, module, terms: Mapping):
+        super().__init__(terms, module)
 
     def _key(self, key) -> tuple:
         word, label = key
-        return fock_word(word), label
+        return fock_word(word), self.shape.validate_label(label)
 
     sorted_terms = _printing_order
 

@@ -77,9 +77,6 @@ class LatticeVector:
 
     __mul__ = __rmul__
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.c) and all(a == 0 for a in self.d)
-
     def _check(self, other: "LatticeVector") -> None:
         if self.nu != other.nu:
             raise ValueError(f"rank mismatch: {self.nu} vs {other.nu}")
@@ -189,6 +186,9 @@ class WeightModule:
         if len(coords) != cfg.nu:
             raise ValueError(f"base point needs {cfg.nu} coordinates")
         self.lam0 = tuple(rational(x) for x in coords)
+
+    def __repr__(self) -> str:
+        return f"WeightModule({self.cfg}, ({', '.join(map(str, self.lam0))}))"
 
     def base_label(self) -> tuple:
         return self.lam0

@@ -100,8 +100,8 @@ class LaurentPoly(Combination):
         return top
 
     # -- ring operations -------------------------------------------------------
-    # + and - accept rational scalars as constants; the combination core
-    # checks that both sides live in the same ring.
+    # p + q, q + p and p - q accept a rational scalar q as a constant; the
+    # combination core checks that both sides live in the same ring.
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -115,9 +115,6 @@ class LaurentPoly(Combination):
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return self._coerce(other) - self
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -142,13 +139,6 @@ class LaurentPoly(Combination):
             base = base * base
             n >>= 1
         return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
-        return super().__eq__(other)
-
-    __hash__ = Combination.__hash__
 
     # -- the two structural operators ------------------------------------------
 

@@ -70,10 +70,10 @@ def rand_module_element(
     for _ in range(rng.randint(1, n_terms)):
         key = (
             rand_fock_factors(rng, handle.cfg.nu, max_weight),
-            handle.validate_label(rng.choice(labels)),
+            rng.choice(labels),
         )
         accumulate(terms, key, rand_fraction(rng, nonzero=True))
-    return ModuleElement(terms)
+    return ModuleElement(handle, terms)
 
 
 def rand_laurent(

@@ -703,7 +703,7 @@ def suite_vacuum_roundtrip(config: SuiteConfig) -> SuiteReport:
 
         def coherence_cases():
             for label in labels[:3]:
-                state = mctx.state_of_label(handle.validate_label(label))
+                state = mctx.state_of_label(label)
                 for i in range(nu):
                     unit = tuple(int(t == i) for t in range(nu))
                     sector = charge_sector(unit, state, mctx)

@@ -86,10 +86,12 @@ class OperatorContext:
     exposing its lattice ``cfg``, which the context takes as its own, and
     ``e_action(charge, label)`` and ``d_action(j, label)`` for the 1-based
     index j of d_j, both returning lists of (coefficient, label) pairs, and
-    the zero state of the target space, from which every result is built.
-    It owns the integer pairings (c_i, lam) = k lam_i, the c_i
-    zero-mode scalars behind every charge power z^alpha, and rejects a lam
-    whose pairing with some c_i is not an integer.  The adjoint is the weight
+    the zero state of the target space, from which every result is built
+    and whose ``_check`` is the one target check: a ``VElement`` of the
+    context's rank, or a ``ModuleElement`` of its module.  It owns the
+    integer pairings (c_i, lam) = k lam_i, the c_i zero-mode scalars behind
+    every charge power z^alpha, and rejects a lam whose pairing with some
+    c_i is not an integer.  The adjoint is the weight
     module through the origin: the algebra acting on itself is M(1) tensor
     C[L_C] at lam = 0, where e_beta translates a charge and d_i acts by its
     pairing with it, and its states are ``VElement``s.
@@ -116,18 +118,11 @@ class OperatorContext:
             power = self._powers[charge] = sum(m * p for m, p in zip(charge, self.pairings))
         return power
 
-    def check_target(self, w) -> None:
-        """Reject a state that is not of this context's target type: the
-        adjoint acts on ``VElement``s and a module context on
-        ``ModuleElement``s, whose label slots read differently."""
-        if type(w) is not type(self.zero):
-            raise TypeError(f"targets of this context must be {type(self.zero).__name__}s")
-
     def element(self, terms: dict):
         return self.zero._make(terms)
 
     def state_of_label(self, label):
-        return self.element({((), label): 1})
+        return self.element({((), self.handle.validate_label(label)): 1})
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +146,7 @@ def module_operator_context(lam: LatticeVector, handle) -> OperatorContext:
         raise ValueError("weight vector rank does not match the module's lattice")
     if any(a != 0 for a in lam.c):
         raise ValueError("module weights must have zero c-coordinates")
-    return OperatorContext(lam, handle, ModuleElement({}))
+    return OperatorContext(lam, handle, ModuleElement(handle, {}))
 
 
 # -- Heisenberg modes --------------------------------------------------------------
@@ -160,12 +155,12 @@ def module_operator_context(lam: LatticeVector, handle) -> OperatorContext:
 def apply_heisenberg_mode(h: LatticeVector, n: int, s, ctx: OperatorContext):
     """Apply the mode h(n) to a state, as one element.
 
-    Raises ``ValueError`` on a vector of another rank and ``TypeError`` on a
-    state that is not of the context's target type.
+    Raises ``ValueError`` on a vector of another rank, and the target check
+    of ``ctx.zero._check`` on a state that is not a target of the context.
     """
     if h.nu != ctx.cfg.nu:
         raise ValueError("vector rank does not match the lattice")
-    ctx.check_target(s)
+    ctx.zero._check(s)
     out: dict = {}
     mode_into(out, 1, h, n, s.terms, ctx)
     return ctx.element(out)
@@ -176,9 +171,9 @@ def mode_into(out: dict, scale, h: LatticeVector, n: int, terms: dict, ctx: Oper
 
     The mode is linear in h: the sum, over the (direction, coordinate x)
     pairs of ``h.support``, of x times the mode of that direction, which
-    ``_dir_mode`` adds straight into out.  Neither h's rank nor the type of
-    the state is checked here; a caller that composes modes checks them
-    once, as ``apply_heisenberg_mode`` does.
+    ``_dir_mode`` adds straight into out.  Neither h's rank nor the state's
+    class and shape is checked here; a caller that composes modes checks
+    them once, as ``apply_heisenberg_mode`` does.
     """
     for dir_, x in h.support:
         _dir_mode(out, x * scale, dir_, n, terms, ctx)
@@ -307,7 +302,8 @@ class Field:
     J - n is nonzero into every word of that group, adding ``int``s, and
     keeps the form in the field's one table of n; ``coefficient(n)``
     divides it back once, for callers that need an element.  Past top both
-    answer empty, computing and keeping nothing.
+    answer empty, computing and keeping nothing.  u is a ``VElement`` of
+    the context's rank, and w passes the target check ``ctx.zero._check``.
     """
 
     __slots__ = ("ctx", "top", "_groups", "_forms", "_elements")
@@ -315,7 +311,9 @@ class Field:
     def __init__(self, u: VElement, w, ctx: OperatorContext):
         if not isinstance(u, VElement):
             raise TypeError("the acting state must be a VElement")
-        ctx.check_target(w)
+        if u.nu != ctx.cfg.nu:
+            raise ValueError(f"the acting state has rank {u.nu}, the context {ctx.cfg.nu}")
+        ctx.zero._check(w)
         self.ctx = ctx
         cfg = ctx.cfg
         # (creating fields, alpha, J) -> [integer numerators, denominator]

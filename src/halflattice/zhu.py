@@ -64,8 +64,11 @@ def zhu_reduce(cfg: LatticeConfig, v: VElement) -> AElement:
     factor contributes (-1)^(m-1) and lands at depth one; a charge-direction
     factor then kills its term since those depth-one modes lie in the ideal.
     The two rules strictly decrease (total depth, then c-factor count), so
-    the result is independent of application order.
+    the result is independent of application order.  v must have the
+    lattice's rank; the keys are then built here and take the trusted path.
     """
+    if v.nu != cfg.nu:
+        raise ValueError(f"the state has rank {v.nu}, the lattice {cfg.nu}")
     terms: dict = {}
     for (word, charge), coeff in v.terms.items():
         sign = 1
@@ -81,7 +84,7 @@ def zhu_reduce(cfg: LatticeConfig, v: VElement) -> AElement:
         if dead:
             continue
         accumulate(terms, (charge, tuple(dexp)), sign * coeff)
-    return AElement(cfg.nu, terms)
+    return AElement(cfg.nu, {})._make(terms)
 
 
 @lru_cache(maxsize=None)

@@ -191,7 +191,7 @@ def test_transport_is_the_label_translation():
         label = handle.base_label()
         w = mctx.state_of_label(label)
         got = t_operator((1, 0), w, mctx)
-        want = ModuleElement({((), lab): q for q, lab in handle.e_action((1, 0), label)})
+        want = ModuleElement(handle, {((), lab): q for q, lab in handle.e_action((1, 0), label)})
         assert got == want
 
 

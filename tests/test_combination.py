@@ -6,9 +6,10 @@ must build ``Fraction(a, b)``.  Each test below feeds integer-valued data
 into one such site, where the quotient is a proper fraction, and checks
 every value that comes out.  The integer form's functions are checked
 against plain ``Fraction`` arithmetic on drawn data.  The combination core
-is checked once for each of its six subclasses: the public constructor
-refuses a bad key whatever its coefficient and adds up keys that coincide
-once checked, and the trusted builder keeps the class and the shape.
+is checked once for each of its six subclasses, and module states once for
+each kind of module: the public constructor refuses a bad key whatever its
+coefficient and adds up keys that coincide once checked, and the trusted
+builder keeps the class and the shape.
 """
 
 from fractions import Fraction
@@ -48,7 +49,7 @@ from halflattice.fock import (
     vacuum,
 )
 from halflattice.lattice import LatticeConfig, WeightModule
-from halflattice.laurent import LaurentPoly, LaurentRing
+from halflattice.laurent import CutoffError, LaurentPoly, LaurentRing
 from halflattice.linalg import nullspace
 from halflattice.vertex import module_operator_context
 from halflattice.zhu import zhu_star
@@ -104,6 +105,12 @@ def test_integer_passes_ints_and_whole_fractions():
 # coincide once checked (Fock words in two factor orders, whole Fractions)
 # and their checked form, the bad keys with the error each raises, and the
 # constructor at another shape (None when the class has only the shape None).
+# A module state's shape is its module, which checks its labels: a point
+# outside the weight module's coset, a label of the wrong length, and a
+# negative exponent of a polynomial-only variable are refused.
+HALF = (Fraction(1, 2), 0)
+WEIGHT = WeightModule(LatticeConfig(2, 1), HALF)
+OMEGA = OmegaSpec(2, 2, (LaurentRing(2, 1).variable(1),), (2,))
 CORE_CASES = [
     pytest.param(
         lambda terms: VElement(2, terms),
@@ -113,12 +120,20 @@ CORE_CASES = [
          ((((0, 1.0),), (0, 0)), TypeError), ((((0, 0),), (0, 0)), ValueError)],
         lambda terms: VElement(3, terms), id="VElement"),
     pytest.param(
-        ModuleElement,
-        (((1, 1), (0, 2)), "w"), (((0, 2), (Fraction(1), 1)), "w"),
-        ((encode(0, 2), encode(1, 1)), "w"),
-        [((((0, 0),), "w"), ValueError), (((0,), "w"), TypeError),
-         ((((0, Fraction(1, 2)),), "w"), TypeError)],
-        None, id="ModuleElement"),
+        lambda terms: ModuleElement(WEIGHT, terms),
+        (((1, 1), (0, 2)), (Fraction(3, 2), 0)),
+        (((0, 2), (Fraction(1), 1)), (Fraction(3, 2), Fraction(0))),
+        ((encode(0, 2), encode(1, 1)), (Fraction(3, 2), 0)),
+        [((((0, 0),), HALF), ValueError), (((0,), HALF), TypeError),
+         ((((0, Fraction(1, 2)),), HALF), TypeError), (((), (1, 0)), ValueError),
+         (((), (Fraction(1, 2),)), ValueError), (((), (0.5, 0)), TypeError)],
+        lambda terms: ModuleElement(OMEGA, terms), id="ModuleElement"),
+    pytest.param(
+        lambda terms: ModuleElement(OMEGA, terms),
+        (((1, 1),), (-1, 2)), (((Fraction(1), 1),), (Fraction(-1), Fraction(4, 2))),
+        ((encode(1, 1),), (-1, 2)),
+        [(((), (0, -1)), CutoffError), (((), (0,)), ValueError), (((), (0, 1.0)), TypeError)],
+        lambda terms: ModuleElement(WEIGHT, terms), id="ModuleElement-omega"),
     pytest.param(
         BElement,
         (("d", Fraction(2)), ("e", (1, 0))), (("d", 2), ("e", (Fraction(1), 0))),

@@ -45,6 +45,7 @@ def test_fock_word_validation():
 # -- the factor code -----------------------------------------------------------------
 
 TOP = DIRECTION_LIMIT - 1  # the largest direction a code holds
+W1 = WeightModule(LatticeConfig(nu=1, k=1))  # the module of the rank-1 module states
 BOX = [(dir_, mode) for dir_ in (0, 1, 2, 3, TOP - 1, TOP) for mode in (1, 2, 3, 5, 1000)]
 
 
@@ -67,13 +68,13 @@ def test_constructors_take_pairs_up_to_the_code_limit():
     zero = (0,) * nu
     v = VElement(nu, {(((TOP, 2), (0, 1)), zero): 1})
     assert list(v.terms) == [((encode(TOP, 2), encode(0, 1)), zero)]
-    m = ModuleElement({(((TOP, 1), (0, 1)), ("x",)): 1})
+    m = ModuleElement(W1, {(((TOP, 1), (0, 1)), (0,)): 1})
     assert [tuple(map(decode, word)) for word, _ in m.terms] == [((0, 1), (TOP, 1))]
     wide = (0,) * (nu + 1)  # a rank whose directions run past the code limit
     with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
         VElement(nu + 1, {(((DIRECTION_LIMIT, 1),), wide): 1})
     with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
-        ModuleElement({(((DIRECTION_LIMIT, 1),), ("x",)): 1})
+        ModuleElement(W1, {(((DIRECTION_LIMIT, 1),), (0,)): 1})
     # a word the package builds past the constructors meets the same check
     wide_d = AElement.monomial(nu + 1, dexp=(0,) * nu + (1,))
     with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
@@ -89,7 +90,7 @@ def test_public_constructors_reject_coded_factors():
     with pytest.raises(TypeError):
         VElement(1, {(word, (0,)): 1})
     with pytest.raises(TypeError):
-        ModuleElement({(word, (0,)): 1})
+        ModuleElement(W1, {(word, (0,)): 1})
     with pytest.raises(TypeError):
         fock_element(1, word)
 
@@ -103,8 +104,8 @@ def test_printing_follows_the_decoded_pairs():
          + charge_element(2, (1, 1), -1))
     assert str(v) == "c1(-1)e^{c1} + 1/2*d1(-3)c2(-1)e^{-c2} + 2*d2(-2) - e^{c1+c2}"
     assert sorted(v.terms, key=repr) != [key for key, _ in v.sorted_terms()]
-    m = ModuleElement({(((0, 1),), (0,)): 1, (((1, 2),), (1,)): -3,
-                       (((1, 1), (0, 1)), (0,)): Fraction(2, 3)})
+    m = ModuleElement(W1, {(((0, 1),), (0,)): 1, (((1, 2),), (1,)): -3,
+                           (((1, 1), (0, 1)), (0,)): Fraction(2, 3)})
     assert str(m) == "2/3*h0(-1)h1(-1)w[(0)] + h0(-1)w[(0)] - 3*h1(-2)w[(1)]"
     assert sorted(m.terms, key=repr) != [key for key, _ in m.sorted_terms()]
 
@@ -146,11 +147,12 @@ def test_constructors_canonicalize_words():
     assert VElement(1, {(((0, 1), (1, 2)), (0,)): 1}) == fock_element(1, [(0, 1), (1, 2)])
     assert list(VElement(1, {(((0, 1), (1, 2)), (0,)): 1}).terms) == [((encode(1, 2), encode(0, 1)), (0,))]
     lab = (0,)
-    assert ModuleElement({(((0, 1), (1, 2)), lab): 1}) == ModuleElement({(((1, 2), (0, 1)), lab): 1})
+    assert (ModuleElement(W1, {(((0, 1), (1, 2)), lab): 1})
+            == ModuleElement(W1, {(((1, 2), (0, 1)), lab): 1}))
     # keys that coincide once canonical are merged, and cancel to zero
     x = VElement(2, {(((0, 1), (2, 1)), (0, 0)): 1, (((2, 1), (0, 1)), (0, 0)): Fraction(-2, 2)})
     assert x.is_zero()
-    m = ModuleElement({(((0, 1), (1, 2)), lab): Fraction(1, 2), (((1, 2), (0, 1)), lab): 3})
+    m = ModuleElement(W1, {(((0, 1), (1, 2)), lab): Fraction(1, 2), (((1, 2), (0, 1)), lab): 3})
     assert m.terms == {((encode(1, 2), encode(0, 1)), lab): Fraction(7, 2)}
 
 
@@ -160,7 +162,7 @@ def test_constructors_reject_invalid_factors(word):
     with pytest.raises(ValueError):
         VElement(1, {(word, (0,)): 1})
     with pytest.raises(ValueError):
-        ModuleElement({(word, (0,)): 1})
+        ModuleElement(W1, {(word, (0,)): 1})
 
 
 def test_linear_combination_arithmetic():
@@ -232,14 +234,18 @@ def test_charges_print_unit_entries_as_signs():
 
 
 def test_module_state():
-    # a creation mode on the unit state of an opaque label
+    # a creation mode on the unit state of a label, which the module checks:
+    # a label that is no point of the module is refused
     cfg = LatticeConfig(nu=1, k=1)
     ctx = module_operator_context(cfg.zero(), WeightModule(cfg))
-    w = ctx.state_of_label(("x",))
+    w = ctx.state_of_label((Fraction(2, 2),))
     s = Fraction(1, 3) * apply_heisenberg_mode(cfg.dir_vector(0), -2, w, ctx)
     ((word, label),) = s.terms
-    assert word == (encode(0, 2),) and label == ("x",)
-    assert s.terms[(word, label)] == Fraction(1, 3)
+    assert word == (encode(0, 2),) and label == (1,) and type(label[0]) is int
+    assert s.terms[(word, label)] == Fraction(1, 3) and s.shape is ctx.handle
+    for bad, error in [(("x",), TypeError), ((0, 0), ValueError), ((Fraction(1, 2),), ValueError)]:
+        with pytest.raises(error):
+            ctx.state_of_label(bad)
 
 
 def test_module_state_labels_print_as_rationals():

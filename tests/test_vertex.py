@@ -319,9 +319,10 @@ def test_charge_action_on_module_state():
 
 def test_target_type_checks():
     # A field and a Heisenberg mode reject a target of the wrong type through
-    # the context's one check.  Without it, d1(0) would read the charge
-    # (1, 0) of an algebra state as a function-module label, and a module's
-    # base state in the adjoint as a half-integral charge.
+    # the context's one check, the combination core's ``_check`` on its zero
+    # state.  Without it, d1(0) would read the charge (1, 0) of an algebra
+    # state as a function-module label, and a module's base state in the
+    # adjoint as a half-integral charge.
     ctx, handle = module_ctx(CFG2)
     adj, _, omega = oracle_contexts(CFG2)
     w0 = ctx.state_of_label(handle.base_label())
@@ -331,11 +332,39 @@ def test_target_type_checks():
     for target, wrong in [(adj, w0), (ctx, vacuum(2)), (omega, charged)]:
         for call in (lambda: y_coefficient(e1, -1, wrong, target),
                      lambda: apply_heisenberg_mode(d1, 0, wrong, target)):
-            with pytest.raises(TypeError, match="targets of this context must be") as info:
+            with pytest.raises(TypeError, match="cannot combine") as info:
                 call()
-            assert info.traceback[-1].name == "check_target"
+            assert info.traceback[-1].name == "_check"
     with pytest.raises(TypeError):
         y_coefficient(w0, -1, w0, ctx)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["adjoint", "weight", "omega"])
+def test_a_context_refuses_what_is_not_its_own(which):
+    # Each misuse below ran silently while a module state had no shape and a
+    # context checked only a target's class: an acting state of another
+    # rank, whose d1 read as d2 and gave 0; a target of another rank or
+    # module; a label the module does not have; and the sum of states of two
+    # modules.  Each now raises, and the same calls at the right rank,
+    # module and label hold.
+    contexts = oracle_contexts(CFG2)
+    ctx = contexts[which]
+    other = [adjoint_context(LatticeConfig(3, 1)), contexts[2], contexts[1]][which]
+    base = ctx.state_of_label(ctx.handle.base_label())
+    foreign = other.state_of_label(other.handle.base_label())
+    w = apply_heisenberg_mode(CFG2.c_basis(1), -1, base, ctx)
+    d1 = fock_element(2, [(2, 1)])
+    assert Field(d1, w, ctx).coefficient(1) == CFG2.k * base  # d1(1) c1(-1) = k
+    bad_label = [(Fraction(1, 2), 0), (0, 0), (0, -1)][which]
+    calls = [lambda: Field(fock_element(3, [(3, 1)]), w, ctx),
+             lambda: Field(d1, foreign, ctx),
+             lambda: apply_heisenberg_mode(CFG2.d_basis(1), 0, foreign, ctx),
+             lambda: ctx.state_of_label(bad_label)]
+    if which:  # two ranks of the algebra already refused to add
+        calls.append(lambda: base + foreign)
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_module_charge_power_validation():
@@ -366,7 +395,7 @@ def test_heisenberg_bracket_in_module():
     rng = random.Random(13)
     labels = handle.probe_labels()
     for _ in range(10):
-        s = ModuleElement({(((0, 1), (3, 1))[: rng.randint(0, 2)], rng.choice(labels)): Fraction(1)})
+        s = ModuleElement(handle, {(((0, 1), (3, 1))[: rng.randint(0, 2)], rng.choice(labels)): Fraction(1)})
         i, j = rng.randrange(4), rng.randrange(4)
         m, n = rng.randint(-3, 3), rng.randint(-3, 3)
         h1, h2 = CFG2.dir_vector(i), CFG2.dir_vector(j)
@@ -800,8 +829,8 @@ def dressing_states(nu):
     v = VElement(nu, {(tuple(f), charge if i % 2 else (0,) * nu): Fraction(i + 1, 2)
                       for i, f in enumerate(words)})
     label = (Fraction(1, 2),) * nu
-    m = ModuleElement({(tuple(words[2]), label): Fraction(-3),
-                       (tuple(words[3]), label): Fraction(2)})
+    m = ModuleElement(WeightModule(LatticeConfig(nu, 1), label),
+                      {(tuple(words[2]), label): Fraction(-3), (tuple(words[3]), label): Fraction(2)})
     return [v.terms, m.terms]
 
 

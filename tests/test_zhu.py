@@ -61,6 +61,19 @@ def test_reduce_examples():
     assert zhu_reduce(CFG, e1) == AElement(2, {((1, 0), (0, 0)): 1})
 
 
+def test_products_and_reductions_refuse_another_rank():
+    # a product's and a reduction's keys are built by the package, so the
+    # rank is checked once up front, for the zero element too
+    a2, a3 = AElement.monomial(2, charge=(1, 0)), AElement.monomial(3, dexp=(1, 0, 0))
+    for x, y in [(a2, a3), (a3, a2), (AElement(2, {}), AElement(3, {}))]:
+        with pytest.raises(ValueError, match="shape mismatch: "):
+            x.mul(y, CFG)
+    for v in [fock_element(3, [(3, 1)]), VElement(3, {})]:
+        with pytest.raises(ValueError, match="rank 3, the lattice 2"):
+            zhu_reduce(CFG, v)
+    assert a2.mul(a2, CFG) == AElement(2, {((2, 0), (0, 0)): 1})
+
+
 def test_reduce_depth_sign():
     # a depth-m mode contributes (-1)^(m-1) at depth one
     for m in range(1, 5):
