@@ -10,17 +10,19 @@ other; its quotient with commuting d's has the unique normal form
 ``AElement``: a charge on the left times a commutative d-monomial.
 
 Two module families act.  Weight modules, spanned by lattice points
-lam0 + alpha, are ``lattice.WeightModule``; their vectors here are
-``WeightVector``s.  Function modules ("omega modules") are ``OmegaSpec``s:
-Laurent polynomials in t_1..t_{mu-1} times polynomials in t_mu..t_nu acting
-on a cyclic symbol: e_alpha multiplies by a monomial in the Laurent
-variables and shifts the polynomial ones, d_j acts as the degree derivation
-plus a fixed multiplier f_j for j < mu and as multiplication by t_j for
-j >= mu.  Each module is one object that carries its lattice ``cfg`` (for
-a function module, always k = 1) and defines its label actions on lattice
-points or exponent tuples, which ``fock.act_on_labels`` applies for the
-algebra action and the vertex engine alike; the algebra action checks each
-generator's rank first.
+lam0 + alpha, are ``lattice.WeightModule``s.  Function modules ("omega
+modules") are ``OmegaSpec``s: Laurent polynomials in t_1..t_{mu-1} times
+polynomials in t_mu..t_nu acting on a cyclic symbol: e_alpha multiplies by
+a monomial in the Laurent variables and shifts the polynomial ones, d_j
+acts as the degree derivation plus a fixed multiplier f_j for j < mu and as
+multiplication by t_j for j >= mu.  Each module is one object that carries
+its lattice ``cfg`` (for a function module, always k = 1) and defines its
+label actions on lattice points or exponent tuples.  A vector of either
+module is a ``fock.ModuleElement`` of it at the empty Fock word, the vacuum
+slice that ``bridge.vacuum_basis`` returns.  ``act_on_module`` is the one
+action of the algebra on module states: it checks each generator's rank and
+applies its label action by ``fock.act_on_labels`` under each Fock word.
+``act_on_omega_module`` is its face on a function module's polynomials.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from math import comb
 from typing import Iterable, Mapping, Optional
 
 from .combination import Combination, accumulate, integer, rational
-from .fock import act_on_labels
-from .lattice import LatticeConfig, WeightModule
+from .fock import ModuleElement, act_on_labels
+from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
 
 # A generator is ("e", charge tuple) or ("d", index 1..nu).
@@ -170,40 +172,15 @@ class AElement(Combination):
         return " + ".join(chunks)
 
 
-# -- weight modules ---------------------------------------------------------------
+# -- the action on module states ---------------------------------------------------
 
 
-class WeightVector(Combination):
-    """Rational combination of lattice points of a weight module; each
-    coordinate of a point is normalized by ``rational``."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping):
-        super().__init__(terms)
-
-    def _key(self, p) -> tuple:
-        return tuple(rational(x) for x in p)
-
-    @staticmethod
-    def point(p, coeff=1) -> "WeightVector":
-        return WeightVector({tuple(p): coeff})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({c})*e^[{','.join(map(str, p))}]" for p, c in self.sorted_terms()
-        )
-
-
-def _act_on_module(x: BElement, vector: Mapping, module) -> dict:
-    """x on a module vector {label: coefficient}, by linear extension of the
-    module's label actions, each word applied right to left.  Every
-    generator is checked against the rank here, so the label actions need
-    no check of their own."""
+def _act(x: BElement, states: dict, module) -> dict:
+    """x on (word, label) states of the module, by linear extension of its
+    label actions, each word of x applied right to left.  Every generator
+    is checked against the rank here, so the label actions need no check
+    of their own."""
     nu = module.cfg.nu
-    states = {((), label): c for label, c in vector.items()}
     out: dict = {}
     for word, coeff in x.terms.items():
         acted = states
@@ -211,16 +188,19 @@ def _act_on_module(x: BElement, vector: Mapping, module) -> dict:
             fits = len(g[1]) == nu if g[0] == "e" else 1 <= g[1] <= nu
             if not fits:
                 raise ValueError(f"generator {BElement({(g,): 1})} does not act at rank {nu}")
-            acted = act_on_labels(acted, module.e_action if g[0] == "e" else module.d_action, g[1])
-        for (_, lab), c in acted.items():
-            accumulate(out, lab, coeff * c)
+            acted = act_on_labels({}, 1, acted,
+                                  module.e_action if g[0] == "e" else module.d_action, g[1])
+        for key, c in acted.items():
+            accumulate(out, key, coeff * c)
     return out
 
 
-def act_on_weight_module(x: BElement, m: WeightVector, module: WeightModule) -> WeightVector:
-    """The straightened algebra on a weight module, through its label actions."""
-    vector = {module.validate_label(p): c for p, c in m.terms.items()}
-    return WeightVector(_act_on_module(x, vector, module))
+def act_on_module(x: BElement, state: ModuleElement) -> ModuleElement:
+    """x on a module state, through the label actions of its module, under
+    each Fock word.  A state of another class raises ``TypeError``."""
+    if not isinstance(state, ModuleElement):
+        raise TypeError(f"the algebra acts on a ModuleElement, got {type(state).__name__}")
+    return state._make(_act(x, state.terms, state.shape))
 
 
 # -- function modules ----------------------------------------------------------------
@@ -323,10 +303,11 @@ class OmegaSpec:
 
 
 def act_on_omega_module(x: BElement, f: LaurentPoly, spec: OmegaSpec) -> LaurentPoly:
-    """The straightened algebra on a function module, through its label actions."""
+    """``act_on_module``'s rule on a polynomial's terms at the empty word."""
     if f.ring != spec.ring:
         raise ValueError("polynomial does not live in the module ring")
-    return f._make(_act_on_module(x, f.terms, spec))
+    acted = _act(x, {((), label): c for label, c in f.terms.items()}, spec)
+    return f._make({label: c for (_, label), c in acted.items()})
 
 
 # -- classification ------------------------------------------------------------------

@@ -8,9 +8,10 @@ runs the converse direction: it starts from the vacuum space (states killed
 by every positive mode), dresses the lattice operators into z-independent
 transport operators, and reads the straightened-algebra action back off the
 vacuum: degree operators act by their zero modes and charge translations by
-the transport operators.  The recovered action and its straightening
-relations are checked as lazy sweeps of (where, residual) cases, each
-residual zero when the case holds.
+the transport operators.  The recovered action is compared with the
+algebra's own action on the vacuum states, ``assoc.act_on_module``, and it
+and its straightening relations are checked as lazy sweeps of (where,
+residual) cases, each residual zero when the case holds.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .assoc import BElement, act_on_module
 from .combination import accumulate, integer, rational
 from .fock import ModuleElement, charge_element, decode, encode, fock_weight, merge_words
 from .lattice import LatticeConfig, LatticeVector
 from .linalg import nullspace
-from .vertex import Field, OperatorContext, apply_heisenberg_mode, dressing
+from .vertex import Field, OperatorContext, apply_heisenberg_mode, dressing, mode_into
 
 
 # -- vacuum space ---------------------------------------------------------------------
@@ -50,25 +52,27 @@ def vacuum_basis(
     The conditions are homogeneous in the Fock weight and do not touch the
     coefficient-module labels, so each weight level is solved once on the
     pure Fock space and tensored with the label slice.  A positive mode
-    never reads the label slot, so one ``apply_heisenberg_mode`` call per
-    (mode, direction) on the whole level, with each monomial's column index
-    in its label slot, yields the sparse condition rows: one per lower
-    monomial.  The solutions are read off the unique reduced echelon form,
-    so they do not depend on the row order.  For the built modules only the
-    weight-zero level survives, so the result is the slice itself under the
-    unit Fock factor.
+    never reads the label slot, so one ``mode_into`` per (mode, direction)
+    on a plain terms dict of the whole level, with each monomial's column
+    index in its label slot, yields the sparse condition rows: one per lower
+    monomial.  No state is built from those terms, as their labels are not
+    the module's.  The solutions are read off the unique reduced echelon
+    form, so they do not depend on the row order.  For the built modules
+    only the weight-zero level survives, so the result is the slice itself
+    under the unit Fock factor.
     """
     cfg = mctx.cfg
     fock_solutions: list[dict] = [{(): 1}]  # level 0
     for level in range(1, degree_bound + 1):
         basis = _fock_level(cfg, level)
-        columns = mctx.element({(word, col): 1 for col, word in enumerate(basis)})
+        columns = {(word, col): 1 for col, word in enumerate(basis)}
         rows = []
         for n in range(1, level + 1):
             for dir_ in range(cfg.ndirs):
-                image = apply_heisenberg_mode(cfg.dir_vector(dir_), n, columns, mctx)
+                image: dict = {}
+                mode_into(image, 1, cfg.dir_vector(dir_), n, columns, mctx)
                 by_lower: dict = {}
-                for (lower, col), c in image.terms.items():
+                for (lower, col), c in image.items():
                     by_lower.setdefault(lower, {})[col] = c
                 rows.extend(by_lower.values())
         for vec in nullspace(rows, len(basis)):
@@ -176,25 +180,21 @@ def _vacuum_states(mctx: OperatorContext, labels: Sequence) -> dict:
 
 
 def recovered_action_cases(mctx: OperatorContext, labels: Sequence):
-    """Compare the recovered action with the coefficient module's own.
+    """Compare the recovered action with the algebra's own on the module.
 
-    On the vacuum state of each label, the zero mode of d_j must act as the
-    module's d_j and the transport operator of each unit charge as the
-    module's translation.  Yields ((kind, index, label), recovered - original).
+    On the vacuum state of each label, the zero mode of d_j must act as d_j
+    and the transport operator of each unit charge as its translation e_c,
+    both by ``assoc.act_on_module``.  Yields ((kind, index, label),
+    recovered - original).
     """
     cfg = mctx.cfg
-    handle = mctx.handle
-
-    def as_module_element(moves) -> ModuleElement:
-        return ModuleElement(handle, {((), lab): q for q, lab in moves})
-
     for label, state in _vacuum_states(mctx, labels).items():
         for j in range(1, cfg.nu + 1):
             got = apply_heisenberg_mode(cfg.d_basis(j), 0, state, mctx)
-            yield ("d", j, label), got - as_module_element(handle.d_action(j, label))
+            yield ("d", j, label), got - act_on_module(BElement.d(j), state)
         for charge in _unit_charges(cfg.nu):
             got = t_operator(charge, state, mctx)
-            yield ("e", charge, label), got - as_module_element(handle.e_action(charge, label))
+            yield ("e", charge, label), got - act_on_module(BElement.e(charge), state)
 
 
 def recovered_relation_cases(mctx: OperatorContext, labels: Sequence):

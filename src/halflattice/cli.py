@@ -125,7 +125,7 @@ def _cmd_eval_zhu(args) -> int:
 
 
 def _cmd_eval_act(args) -> int:
-    from .assoc import OmegaSpec, act_on_omega_module, act_on_weight_module
+    from .assoc import OmegaSpec, act_on_module, act_on_omega_module
 
     config = _suite_config(args)
     cfg = _lattice(config)
@@ -137,7 +137,7 @@ def _cmd_eval_act(args) -> int:
         payload = laurent_to_data(result)
     else:
         m = weight_vector_from_data(_load_doc(args.m), handle, "m")
-        result = act_on_weight_module(x, m, handle)
+        result = act_on_module(x, m)
         payload = weight_vector_to_data(result)
     print(_dump(payload) if args.json else result)
     return 0

@@ -14,14 +14,14 @@ at or past ``DIRECTION_LIMIT`` = 2**16.
 
 The public constructors take (direction, mode) pairs: the ``_key`` of a
 ``VElement`` or ``ModuleElement`` puts every word through ``fock_word``,
-which validates and encodes it, and the combination core merges the keys
-that then coincide.  A ``ModuleElement``'s shape is its coefficient module,
-which checks each label, so states of two modules never add.  Words the
-package builds itself are coded and canonical already, and go through the
-core's trusted ``_make``.  Printing and serialization order terms by their
-decoded (direction, mode) pairs, so no output depends on the codes.
-``act_on_labels`` lets a coefficient module act on the labels of
-(word, label) states, leaving each word as it is.
+which validates and encodes it against the rank, and the combination core
+merges the keys that then coincide.  A ``ModuleElement``'s shape is its
+coefficient module, which checks each label and gives the rank, so states
+of two modules never add.  Words the package builds itself are coded and
+canonical already, and go through the core's trusted ``_make``.  Printing
+and serialization order terms by their decoded (direction, mode) pairs, so
+no output depends on the codes.  ``act_on_labels`` is the one place a
+coefficient module acts, on the labels under each word, in place.
 """
 
 from __future__ import annotations
@@ -53,14 +53,17 @@ def decode(code: int) -> tuple:
     return code & _DIRECTION_MASK, -(code >> _SHIFT)
 
 
-def fock_word(factors: Iterable) -> FockWord:
-    """Canonical Fock monomial from (direction, mode) pairs of integers."""
+def fock_word(factors: Iterable, nu: int) -> FockWord:
+    """Canonical Fock monomial of rank nu from (direction, mode) pairs of
+    integers; a direction at or past 2 nu raises ``ValueError``."""
     out = []
     for factor in factors:
         if isinstance(factor, int):
             raise TypeError(f"a Fock factor is a (direction, mode) pair, got the int {factor}")
-        dir_, mode = factor
-        out.append(encode(integer(dir_), integer(mode)))
+        dir_, mode = map(integer, factor)
+        if dir_ >= 2 * nu:
+            raise ValueError(f"direction index {dir_} out of range for nu={nu}")
+        out.append(encode(dir_, mode))
     out.sort()
     return tuple(out)
 
@@ -101,14 +104,10 @@ class VElement(Combination):
 
     def _key(self, key) -> tuple:
         word, charge = key
-        word = fock_word(word)
         charge = tuple(integer(m) for m in charge)
         if len(charge) != self.shape:
             raise ValueError(f"charge {charge} must have {self.shape} entries")
-        for dir_, _ in map(decode, word):
-            if dir_ >= 2 * self.shape:
-                raise ValueError(f"direction index {dir_} out of range for nu={self.shape}")
-        return word, charge
+        return fock_word(word, self.shape), charge
 
     sorted_terms = _printing_order
 
@@ -119,7 +118,7 @@ class VElement(Combination):
 class ModuleElement(Combination):
     """Fock part tensor a basis label of its coefficient module, its shape: a
     ``lattice.WeightModule`` or an ``assoc.OmegaSpec``, whose ``validate_label``
-    checks each label."""
+    checks each label and whose lattice ``cfg`` gives the rank of each word."""
 
     __slots__ = ()
 
@@ -128,7 +127,7 @@ class ModuleElement(Combination):
 
     def _key(self, key) -> tuple:
         word, label = key
-        return fock_word(word), self.shape.validate_label(label)
+        return fock_word(word, self.shape.cfg.nu), self.shape.validate_label(label)
 
     sorted_terms = _printing_order
 
@@ -140,15 +139,16 @@ class ModuleElement(Combination):
 # -- coefficient-module actions -------------------------------------------------
 
 
-def act_on_labels(states: dict, action, arg) -> dict:
-    """A label action, a module's e_action(charge, label) or d_action(j,
-    label) -> [(q, label')], under each Fock word of (word, label) states:
-    the one place a module acts, for the vertex engine and for the algebra
-    action of ``assoc._act_on_module``, whose states have empty words."""
-    out: dict = {}
+def act_on_labels(out: dict, x, states: dict, action, arg) -> dict:
+    """Add x times a label action, a module's e_action(charge, label) or
+    d_action(j, label) -> [(q, label')], under each Fock word of the
+    (word, label) states into out, in place, and return out: the one place
+    a module acts, for the vertex engine and ``assoc.act_on_module``.  x
+    scales each q, except at x = 1, where the product would only copy q."""
+    scaled = x != 1
     for (word, label), coeff in states.items():
         for q, lab in action(arg, label):
-            accumulate(out, (word, lab), coeff * q)
+            accumulate(out, (word, lab), coeff * (q * x if scaled else q))
     return out
 
 

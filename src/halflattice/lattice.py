@@ -177,7 +177,8 @@ class WeightModule:
     Labels are the c-coordinates of the points (tuples of rationals, each
     an ``int`` when integral, as combination values are).  The
     translations act by addition and each d_i acts diagonally by its pairing
-    with the point, for any value of the pairing constant.
+    with the point, for any value of the pairing constant.  Two modules on
+    equal lattices with equal base points are equal, so their states add.
     """
 
     def __init__(self, cfg: LatticeConfig, lam0_coords: Sequence = None):
@@ -189,6 +190,12 @@ class WeightModule:
 
     def __repr__(self) -> str:
         return f"WeightModule({self.cfg}, ({', '.join(map(str, self.lam0))}))"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is WeightModule and (self.cfg, self.lam0) == (other.cfg, other.lam0)
+
+    def __hash__(self) -> int:
+        return hash((self.cfg, self.lam0))
 
     def base_label(self) -> tuple:
         return self.lam0

@@ -2,6 +2,7 @@
 
 The configuration document is read by the CLI (``cli._suite_config``).
 Rationals travel as the text "p/q", or "p" when the denominator is one.
+A weight-module vector is a ``fock.ModuleElement`` at the empty Fock word.
 Diagnostics name the offending field by path so CLI users can locate schema
 violations without reading tracebacks.  A record with a key its schema does
 not list is rejected, so a misspelled key cannot fall back to a default.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combination import accumulate
-from .fock import VElement, pair_key
+from .fock import ModuleElement, VElement, pair_key
 from .lattice import LatticeConfig, WeightModule
 
 
@@ -138,17 +139,20 @@ def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VEleme
     return VElement(cfg.nu, terms)
 
 
-def weight_vector_to_data(m) -> list:
+def weight_vector_to_data(m: ModuleElement) -> list:
+    """The {coeff, point} records of a weight-module state, by label; a
+    state with a Fock factor, which they cannot hold, raises ``ValueError``."""
+    if any(word for word, _ in m.terms):
+        raise ValueError(f"a weight vector lies at the empty Fock word, got {m}")
     return [
         {"coeff": format_fraction(c), "point": [format_fraction(p) for p in pt]}
-        for pt, c in m.sorted_terms()
+        for (_, pt), c in sorted(m.terms.items())
     ]
 
 
-def weight_vector_from_data(doc, handle: WeightModule, path: str = "m"):
-    """An ``assoc.WeightVector`` of the module from {coeff, point} records."""
-    from .assoc import WeightVector
-
+def weight_vector_from_data(doc, handle: WeightModule, path: str = "m") -> ModuleElement:
+    """The state of the weight module at the empty Fock word from {coeff,
+    point} records, each point checked by the module, path-named."""
     terms: dict = {}
     for i, rec in enumerate(_expect_list(doc, path)):
         rec = _expect_record(rec, f"{path}[{i}]", ("coeff", "point"))
@@ -158,8 +162,8 @@ def weight_vector_from_data(doc, handle: WeightModule, path: str = "m"):
             label = handle.validate_label(tuple(parse_fraction(x, where) for x in coords))
         except ValueError as exc:
             raise SchemaError(where, str(exc)) from None
-        accumulate(terms, label, parse_fraction(rec.get("coeff", 1), f"{path}[{i}].coeff"))
-    return WeightVector(terms)
+        accumulate(terms, ((), label), parse_fraction(rec.get("coeff", 1), f"{path}[{i}].coeff"))
+    return ModuleElement(handle, terms)
 
 
 # -- straightened-algebra elements -----------------------------------------------------

@@ -342,7 +342,7 @@ class Field:
                             if j == 0 and mid:
                                 mid = _dir_mode({}, 1, dir_, 0, mid, ctx)
                         if mid and charged:
-                            mid = act_on_labels(mid, ctx.handle.e_action, alpha)
+                            mid = act_on_labels({}, 1, mid, ctx.handle.e_action, alpha)
                         if mid:
                             group = sums.setdefault((creating, alpha, j0 + drawn + a), [{}, 1])
                             group[1] = add_scaled(group[0], group[1], cuw, numerators(mid))
@@ -473,8 +473,9 @@ def _dir_mode(out: dict, x, dir_: int, n: int, states: dict, ctx: OperatorContex
     [h(m), h'(-m)] = m (h, h'): it removes each factor of mode n in the
     partner direction (c_i with d_i, the only direction it pairs with, by
     k), so it compares codes only.  At n = 0 a c-direction mode is the
-    scalar (c_i, lam) and a d-direction mode acts on the labels.  The scalar
-    that multiplies every term is folded into x before the term loop.
+    scalar (c_i, lam) and a d-direction mode acts on the labels, adding into
+    out through ``fock.act_on_labels``.  The scalar that multiplies every
+    term is folded into x before the term loop.
     """
     nu = ctx.cfg.nu
     if n < 0:
@@ -490,8 +491,7 @@ def _dir_mode(out: dict, x, dir_: int, n: int, states: dict, ctx: OperatorContex
                     if code == partner:
                         accumulate(out, (word[:pos] + word[pos + 1 :], label), c * x)
     elif dir_ >= nu:
-        for key, c in act_on_labels(states, ctx.handle.d_action, dir_ - nu + 1).items():
-            accumulate(out, key, c * x)
+        act_on_labels(out, x, states, ctx.handle.d_action, dir_ - nu + 1)
     elif x := x * ctx.pairings[dir_]:  # the scalar (c_i, lam)
         for key, c in states.items():
             accumulate(out, key, c * x)

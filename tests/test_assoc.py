@@ -8,9 +8,8 @@ from halflattice.assoc import (
     AElement,
     BElement,
     OmegaSpec,
-    WeightVector,
+    act_on_module,
     act_on_omega_module,
-    act_on_weight_module,
     cyclic_relations,
     decompose_potential,
     gen_d,
@@ -20,6 +19,7 @@ from halflattice.assoc import (
     simplicity_witness,
 )
 from halflattice.combination import accumulate
+from halflattice.fock import ModuleElement, fock_element
 from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentPoly, LaurentRing
 from halflattice.probes import rand_a_module_spec, rand_nonzero_laurent
@@ -173,19 +173,24 @@ def test_a_element_product_matches_straightened_word_product():
 # -- weight modules -----------------------------------------------------------------
 
 
+def point(W, label, coeff=1) -> ModuleElement:
+    """The weight vector coeff * label: the module state at the empty word."""
+    return ModuleElement(W, {((), label): coeff})
+
+
 def test_weight_module_actions():
     W = WeightModule(CFG2, [Fraction(1, 2), 0])
-    m = WeightVector.point(W.lam0)
-    shifted = act_on_weight_module(BElement.e((0, 1)), m, W)
-    assert shifted == WeightVector.point((Fraction(1, 2), Fraction(1)))
-    got = act_on_weight_module(BElement.d(1), m, W)
+    m = point(W, W.lam0)
+    shifted = act_on_module(BElement.e((0, 1)), m)
+    assert shifted == point(W, (Fraction(1, 2), Fraction(1)))
+    got = act_on_module(BElement.d(1), m)
     assert got == Fraction(1, 2) * m
 
 
 def test_weight_module_diagonal_action_with_k():
     W = WeightModule(CFG2K, [Fraction(1, 2), 0])
-    m = WeightVector.point(W.lam0)
-    assert act_on_weight_module(BElement.d(1), m, W) == Fraction(3, 2) * m
+    m = point(W, W.lam0)
+    assert act_on_module(BElement.d(1), m) == Fraction(3, 2) * m
 
 
 def test_weight_module_representation_property():
@@ -195,23 +200,23 @@ def test_weight_module_representation_property():
         x = _random_word(rng, rng.randint(1, 3))
         y = _random_word(rng, rng.randint(1, 3))
         label = rng.choice(W.probe_labels())
-        m = WeightVector.point(label)
-        direct = act_on_weight_module(x, act_on_weight_module(y, m, W), W)
+        m = point(W, label)
+        direct = act_on_module(x, act_on_module(y, m))
         nf = a_normal_form(x * y, CFG2K, "B")
-        assert act_on_weight_module(nf, m, W) == direct
+        assert act_on_module(nf, m) == direct
 
 
 def test_cyclic_span_is_invariant():
     # the translation orbit of a weight vector is closed under all generators
     W = WeightModule(CFG2, [Fraction(1, 2), 0])
-    m = WeightVector.point(W.lam0)
+    m = point(W, W.lam0)
     orbit_charges = [(1, 0), (0, -2), (-1, 1)]
     for charge in orbit_charges:
-        v = act_on_weight_module(BElement.e(charge), m, W)
+        v = act_on_module(BElement.e(charge), m)
         for g in [BElement.d(1), BElement.d(2), BElement.e((1, 1))]:
-            image = act_on_weight_module(g, v, W)
-            for point in image.terms:
-                assert all((a - b).denominator == 1 for a, b in zip(point, W.lam0))
+            image = act_on_module(g, v)
+            for word, label in image.terms:
+                assert word == () and all((a - b).denominator == 1 for a, b in zip(label, W.lam0))
 
 
 # -- function modules ----------------------------------------------------------------
@@ -292,11 +297,11 @@ def test_function_module_action_matches_the_polynomial_actions():
 ])
 def test_generators_of_the_wrong_rank_are_rejected(x, name):
     W = WeightModule(CFG2, [Fraction(1, 2), 0])
-    point = WeightVector.point((Fraction(1, 2), 0))
+    m = point(W, (Fraction(1, 2), 0))
     word = BElement.d(1) * x * BElement.e((0, 1))  # checked wherever it stands
     for y in (x, word):
         with pytest.raises(ValueError, match=rf"generator {re.escape(name)} does not act at rank 2"):
-            act_on_weight_module(y, point, W)
+            act_on_module(y, m)
         with pytest.raises(ValueError, match=rf"generator {re.escape(name)} does not act at rank 2"):
             act_on_omega_module(y, R21.variable(1), spec_mu2())
 
@@ -306,6 +311,27 @@ def test_function_module_action_checks_the_ring_once():
     for x in (BElement.one(), BElement.d(1)):
         with pytest.raises(ValueError, match="module ring"):
             act_on_omega_module(x, LaurentRing(2, 0).one(), spec_mu2())
+
+
+def test_the_action_takes_module_states_only():
+    # a VElement is a state of the algebra itself, not of a coefficient module
+    for x in (BElement.one(), BElement.d(1)):
+        with pytest.raises(TypeError, match="ModuleElement, got VElement"):
+            act_on_module(x, fock_element(2, [(0, 1)]))
+
+
+def test_function_module_polynomials_act_as_module_states():
+    # act_on_omega_module is act_on_module on the polynomial's terms at the
+    # empty word, for words of every generator and for the empty word
+    rng = random.Random(67)
+    for _ in range(20):
+        spec = rand_a_module_spec(rng, 2, rng.randint(1, 3))
+        f = rand_nonzero_laurent(rng, spec.ring, n_terms=3, exp_bound=2)
+        state = ModuleElement(spec, {((), label): c for label, c in f.terms.items()})
+        for x in (BElement.one(), _random_word(rng, rng.randint(1, 3))):
+            got = act_on_module(x, state)
+            want = act_on_omega_module(x, f, spec)
+            assert got == ModuleElement(spec, {((), label): c for label, c in want.terms.items()})
 
 
 def test_shift_identity():

@@ -96,6 +96,16 @@ def test_eval_act_on_weight(tmp_path, capsys):
     assert out == [{"coeff": "1", "point": ["1/2", "1"]}]
 
 
+def test_eval_act_on_weight_prints_the_module_state(tmp_path, capsys):
+    # the text form of a weight vector is the module state at the empty word
+    x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"e": [0, 1]}]},
+                                             {"coeff": "2", "factors": [{"d": 1}]}]})
+    m = write(tmp_path, "m.json", [{"coeff": "1", "point": ["1/2", "0"]}])
+    module = write(tmp_path, "w.json", {"kind": "weight", "lambda0": ["1/2", "0"]})
+    assert main(["eval", "act", x, m, "--module", module]) == 0
+    assert capsys.readouterr().out == "w[(1/2, 0)] + w[(1/2, 1)]\n"
+
+
 def test_eval_act_on_weight_rejects_bad_record(tmp_path, capsys):
     x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"e": [0, 1]}]}]})
     m = write(tmp_path, "m.json", [5])

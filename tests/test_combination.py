@@ -6,7 +6,7 @@ must build ``Fraction(a, b)``.  Each test below feeds integer-valued data
 into one such site, where the quotient is a proper fraction, and checks
 every value that comes out.  The integer form's functions are checked
 against plain ``Fraction`` arithmetic on drawn data.  The combination core
-is checked once for each of its six subclasses, and module states once for
+is checked once for each of its five subclasses, and module states once for
 each kind of module: the public constructor refuses a bad key whatever its
 coefficient and adds up keys that coincide once checked, and the trusted
 builder keeps the class and the shape.
@@ -22,7 +22,6 @@ from halflattice.assoc import (
     AElement,
     BElement,
     OmegaSpec,
-    WeightVector,
     act_on_omega_module,
     decompose_potential,
     gen_d,
@@ -105,9 +104,10 @@ def test_integer_passes_ints_and_whole_fractions():
 # coincide once checked (Fock words in two factor orders, whole Fractions)
 # and their checked form, the bad keys with the error each raises, and the
 # constructor at another shape (None when the class has only the shape None).
-# A module state's shape is its module, which checks its labels: a point
-# outside the weight module's coset, a label of the wrong length, and a
-# negative exponent of a polynomial-only variable are refused.
+# A module state's shape is its module, which checks its labels and gives the
+# rank of its words: a point outside the weight module's coset, a label of the
+# wrong length, a negative exponent of a polynomial-only variable, and a
+# direction past 2 nu are refused.
 HALF = (Fraction(1, 2), 0)
 WEIGHT = WeightModule(LatticeConfig(2, 1), HALF)
 OMEGA = OmegaSpec(2, 2, (LaurentRing(2, 1).variable(1),), (2,))
@@ -126,13 +126,15 @@ CORE_CASES = [
         ((encode(0, 2), encode(1, 1)), (Fraction(3, 2), 0)),
         [((((0, 0),), HALF), ValueError), (((0,), HALF), TypeError),
          ((((0, Fraction(1, 2)),), HALF), TypeError), (((), (1, 0)), ValueError),
-         (((), (Fraction(1, 2),)), ValueError), (((), (0.5, 0)), TypeError)],
+         (((), (Fraction(1, 2),)), ValueError), (((), (0.5, 0)), TypeError),
+         ((((5, 1),), HALF), ValueError)],
         lambda terms: ModuleElement(OMEGA, terms), id="ModuleElement"),
     pytest.param(
         lambda terms: ModuleElement(OMEGA, terms),
         (((1, 1),), (-1, 2)), (((Fraction(1), 1),), (Fraction(-1), Fraction(4, 2))),
         ((encode(1, 1),), (-1, 2)),
-        [(((), (0, -1)), CutoffError), (((), (0,)), ValueError), (((), (0, 1.0)), TypeError)],
+        [(((), (0, -1)), CutoffError), (((), (0,)), ValueError), (((), (0, 1.0)), TypeError),
+         ((((4, 1),), (0, 0)), ValueError)],
         lambda terms: ModuleElement(WEIGHT, terms), id="ModuleElement-omega"),
     pytest.param(
         BElement,
@@ -147,11 +149,6 @@ CORE_CASES = [
         [(((1, 0), (-1, 0)), ValueError), (((1,), (0, 0)), ValueError),
          (((0.5, 0), (0, 0)), TypeError)],
         lambda terms: AElement(3, terms), id="AElement"),
-    pytest.param(
-        WeightVector,
-        (Fraction(1, 2), Fraction(2, 2)), (Fraction(1, 2), 1), (Fraction(1, 2), 1),
-        [((0.5, 0), TypeError), (("1/2", 0), TypeError)],
-        None, id="WeightVector"),
     pytest.param(
         lambda terms: LaurentPoly(LaurentRing(2, 1), terms),
         (Fraction(-2), 1), (-2, Fraction(3, 3)), (-2, 1),
@@ -188,6 +185,23 @@ def test_the_core_checks_adds_and_keeps_the_shape(build, raw, twin, key, bad_key
     assert x != other and x._make(x.terms) == x
 
 
+def test_states_of_equal_weight_modules_add():
+    # two contexts built from equal modules share one shape; another base
+    # point is another shape
+    cfg = LatticeConfig(2, 1)
+    first, second = (module_operator_context(cfg.zero(), WeightModule(cfg, HALF))
+                     for _ in range(2))
+    assert first.handle is not second.handle and first.handle == second.handle
+    assert hash(first.handle) == hash(second.handle)
+    total = first.state_of_label(HALF) + second.state_of_label(HALF)
+    assert total == 2 * first.state_of_label(HALF) and total.shape == second.handle
+    other = module_operator_context(cfg.zero(), WeightModule(cfg, (Fraction(3, 2), 0)))
+    assert other.handle != first.handle
+    with pytest.raises(ValueError) as err:
+        first.state_of_label(HALF) + other.state_of_label(HALF)
+    assert str(err.value) == f"shape mismatch: {first.handle} vs {other.handle}"
+
+
 def _weight_state():
     cfg = LatticeConfig(nu=2, k=1)
     ctx = module_operator_context(cfg.zero(), WeightModule(cfg))
@@ -197,7 +211,7 @@ def _weight_state():
 # one site family each: a float or a proper fraction in a key used to be
 # truncated by int(), so e^{1.9 c1 - 0.5 c2} printed as e^{c1}
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: fock_word([(0, 1.7)]), id="fock-word"),
+    pytest.param(lambda: fock_word([(0, 1.7)], 1), id="fock-word"),
     pytest.param(lambda: charge_element(2, [1.9, -0.5]), id="fock-charge"),
     pytest.param(lambda: fock_element(1, [(0, 1)], [Fraction(1, 2)]), id="fock-element"),
     pytest.param(lambda: VElement(Fraction(3, 2), {}), id="fock-rank"),

@@ -28,18 +28,22 @@ from halflattice.vertex import (
 
 def test_fock_word_canonical_order():
     # sorted by descending mode, then direction index
-    word = fock_word([(3, 1), (0, 2), (1, 2)])
+    word = fock_word([(3, 1), (0, 2), (1, 2)], 2)
     assert word == (encode(0, 2), encode(1, 2), encode(3, 1))
-    assert fock_word([(0, 1), (0, 1)]) == (encode(0, 1), encode(0, 1))
+    assert fock_word([(0, 1), (0, 1)], 1) == (encode(0, 1), encode(0, 1))
 
 
 def test_fock_word_validation():
     with pytest.raises(ValueError):
-        fock_word([(0, 0)])
+        fock_word([(0, 0)], 1)
     with pytest.raises(ValueError):
-        fock_word([(-1, 2)])
-    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
-        fock_word([(DIRECTION_LIMIT, 1)])
+        fock_word([(-1, 2)], 1)
+    # a direction past the rank, and one past the code limit at a rank that
+    # reaches it
+    with pytest.raises(ValueError, match="direction index 4 out of range for nu=2"):
+        fock_word([(0, 1), (4, 1)], 2)
+    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} must lie in"):
+        fock_word([(DIRECTION_LIMIT, 1)], DIRECTION_LIMIT)
 
 
 # -- the factor code -----------------------------------------------------------------
@@ -57,8 +61,9 @@ def test_factor_codes_round_trip_and_sort_canonically():
     # ascending direction
     canonical = sorted(BOX, key=lambda pair: (-pair[1], pair[0]))
     assert [decode(code) for code in sorted(codes)] == canonical
-    assert fock_word(BOX) == tuple(sorted(codes)) == tuple(encode(*pair) for pair in canonical)
-    assert fock_weight(fock_word(BOX)) == sum(mode for _, mode in BOX)
+    word = fock_word(BOX, DIRECTION_LIMIT // 2)
+    assert word == tuple(sorted(codes)) == tuple(encode(*pair) for pair in canonical)
+    assert fock_weight(word) == sum(mode for _, mode in BOX)
 
 
 def test_constructors_take_pairs_up_to_the_code_limit():
@@ -68,13 +73,13 @@ def test_constructors_take_pairs_up_to_the_code_limit():
     zero = (0,) * nu
     v = VElement(nu, {(((TOP, 2), (0, 1)), zero): 1})
     assert list(v.terms) == [((encode(TOP, 2), encode(0, 1)), zero)]
-    m = ModuleElement(W1, {(((TOP, 1), (0, 1)), (0,)): 1})
+    m = ModuleElement(WeightModule(LatticeConfig(nu, 1)), {(((TOP, 1), (0, 1)), zero): 1})
     assert [tuple(map(decode, word)) for word, _ in m.terms] == [((0, 1), (TOP, 1))]
     wide = (0,) * (nu + 1)  # a rank whose directions run past the code limit
-    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
+    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} must lie in"):
         VElement(nu + 1, {(((DIRECTION_LIMIT, 1),), wide): 1})
-    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
-        ModuleElement(W1, {(((DIRECTION_LIMIT, 1),), (0,)): 1})
+    with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} must lie in"):
+        ModuleElement(WeightModule(LatticeConfig(nu + 1, 1)), {(((DIRECTION_LIMIT, 1),), wide): 1})
     # a word the package builds past the constructors meets the same check
     wide_d = AElement.monomial(nu + 1, dexp=(0,) * nu + (1,))
     with pytest.raises(ValueError, match=f"direction index {DIRECTION_LIMIT} "):
@@ -84,9 +89,9 @@ def test_constructors_take_pairs_up_to_the_code_limit():
 def test_public_constructors_reject_coded_factors():
     # a word of codes is the package's own; the public constructors take
     # (direction, mode) pairs only
-    word = fock_word([(0, 1)])
+    word = fock_word([(0, 1)], 1)
     with pytest.raises(TypeError):
-        fock_word(word)
+        fock_word(word, 1)
     with pytest.raises(TypeError):
         VElement(1, {(word, (0,)): 1})
     with pytest.raises(TypeError):
@@ -112,7 +117,7 @@ def test_printing_follows_the_decoded_pairs():
 
 def test_fock_weight():
     assert fock_weight(()) == 0
-    assert fock_weight(fock_word([(0, 2), (3, 1)])) == 3
+    assert fock_weight(fock_word([(0, 2), (3, 1)], 2)) == 3
 
 
 def test_weight_examples():

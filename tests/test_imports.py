@@ -26,7 +26,10 @@ A fifth keeps the combination core the one owner of a combination's shape,
 its trusted builder and its repr: no ``Combination`` subclass in the
 package defines ``_make``, ``shape`` or ``__repr__``, and a subclass's
 ``__init__`` only passes its terms and shape to ``super().__init__``, so
-each key is checked in the subclass's ``_key`` and nowhere else.
+each key is checked in the subclass's ``_key`` and nowhere else.  A sixth
+keeps ``fock.act_on_labels`` the one place a coefficient module acts: the
+package reads a module's ``e_action`` or ``d_action`` only as an argument of
+``act_on_labels``, so no other function calls one.
 """
 
 import ast
@@ -294,7 +297,37 @@ def test_the_scan_finds_a_regrown_core():
 def test_the_combination_core_is_the_one_owner():
     classes = [cls.name for path in PACKAGE for cls in combination_classes(path.read_text())]
     assert sorted(classes) == ["AElement", "BElement", "LaurentPoly", "ModuleElement",
-                               "VElement", "WeightVector"]
+                               "VElement"]
     found = [f"{path.name}: {cls}.{name}" for path in PACKAGE
              for cls, name in core_regrowth(path.read_text())]
     assert not found, found
+
+
+LABEL_ACTIONS = {"e_action", "d_action"}
+
+
+def label_action_reads(source: str) -> list:
+    """The lines where the source reads an ``e_action`` or a ``d_action``,
+    as an attribute or a name, anywhere but inside an argument of a call to
+    ``act_on_labels``: a call of a label action, or one handed elsewhere."""
+    passed = set()
+    for node in nodes(source):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "act_on_labels"):
+            passed.update(id(inner) for arg in node.args for inner in ast.walk(arg))
+    return sorted(node.lineno for node in nodes(source) if id(node) not in passed
+                  and (isinstance(node, ast.Attribute) and node.attr in LABEL_ACTIONS
+                       or isinstance(node, ast.Name) and node.id in LABEL_ACTIONS))
+
+
+def test_the_scan_finds_a_label_action_read():
+    assert label_action_reads("m.e_action(c, lab)\n") == [1]
+    assert label_action_reads("x = 1\nf(d_action)\n") == [2]
+    assert label_action_reads("act_on_labels({}, 1, s, m.d_action, j)\n") == []
+    assert label_action_reads("act_on_labels({}, 1, s, m.e_action if e else m.d_action, j)\n") == []
+    assert label_action_reads("def e_action(self, charge, label):\n    return []\n") == []
+
+
+def test_only_act_on_labels_applies_a_label_action():
+    found = {path.name: label_action_reads(path.read_text()) for path in PACKAGE}
+    assert not any(found.values()), found

@@ -145,9 +145,10 @@ def test_dressing_sample_builds_the_pinned_fractions():
 
 def test_modes_sample_builds_the_pinned_fractions():
     # The probes draw 73 rational coefficients, the central terms of the
-    # m + n = 0 residuals build 224, the label actions of the d-direction
-    # zero modes 566, and the rest are the mode terms' products and sums on
-    # the probes' coefficients: 2,410 products in the one mode rule, whose
-    # scalar is folded before its term loop, and 1,398 sums.  The same
-    # under PYTHONHASHSEED 0 and 1.
-    assert _fractions_built("modes") == 4671
+    # m + n = 0 residuals build 224, and the rest are the mode terms'
+    # products and sums on the probes' coefficients, in the one mode rule,
+    # whose scalar is folded before its term loop.  The d-direction zero
+    # mode adds its label action into the caller's dict with its scalar
+    # folded into each integer label scalar, so it copies no coefficient.
+    # The same under PYTHONHASHSEED 0 and 1.
+    assert _fractions_built("modes") == 4105

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from halflattice.assoc import BElement, OmegaSpec, WeightVector
-from halflattice.fock import charge_element, fock_element, pair_key
+from halflattice.assoc import BElement, OmegaSpec
+from halflattice.fock import ModuleElement, charge_element, fock_element, pair_key
 from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
 from halflattice.probes import rand_velement
@@ -181,11 +181,20 @@ def test_b_element_roundtrip():
 
 
 def test_weight_vector_roundtrip():
+    # a weight vector is the module state at the empty word; the records
+    # come in ascending label order
     handle = WeightModule(CFG, [Fraction(1, 2), 0])
-    m = WeightVector.point((Fraction(-1, 2), 2), 3) - WeightVector.point((Fraction(1, 2), 0))
+    m = ModuleElement(handle, {((), (Fraction(1, 2), 0)): -1, ((), (Fraction(-1, 2), 2)): 3})
     doc = weight_vector_to_data(m)
     assert doc == [{"coeff": "3", "point": ["-1/2", "2"]}, {"coeff": "-1", "point": ["1/2", "0"]}]
     assert weight_vector_from_data(doc, handle) == m
+
+
+def test_a_weight_vector_has_no_fock_factor():
+    handle = WeightModule(CFG, [Fraction(1, 2), 0])
+    m = ModuleElement(handle, {(((0, 1),), (Fraction(1, 2), 0)): 1})
+    with pytest.raises(ValueError, match="empty Fock word"):
+        weight_vector_to_data(m)
 
 
 def test_module_element_invalid_label():

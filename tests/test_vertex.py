@@ -9,7 +9,7 @@ from math import comb, factorial, lcm
 import pytest
 
 from halflattice import combination, vertex
-from halflattice.assoc import OmegaSpec
+from halflattice.assoc import BElement, OmegaSpec, act_on_module
 from halflattice.combination import accumulate, add_scaled
 from halflattice.fock import (
     ModuleElement,
@@ -117,9 +117,10 @@ def loop_heisenberg_mode(h, n, s, ctx):
             pairs = tuple(map(decode, word))
             for i in range(cfg.nu):
                 if h.c[i]:
-                    accumulate(out, (fock_word(pairs + ((i, mode),)), label), coeff * h.c[i])
+                    accumulate(out, (fock_word(pairs + ((i, mode),), cfg.nu), label), coeff * h.c[i])
                 if h.d[i]:
-                    accumulate(out, (fock_word(pairs + ((cfg.nu + i, mode),)), label), coeff * h.d[i])
+                    accumulate(out, (fock_word(pairs + ((cfg.nu + i, mode),), cfg.nu), label),
+                               coeff * h.d[i])
     elif n > 0:
         for (word, label), coeff in s.terms.items():
             for pos, (dir_, mode) in enumerate(map(decode, word)):
@@ -165,6 +166,34 @@ def kernel_oracle_targets(cfg, rng):
             states = [rand_module_element(rng, ctx.handle, max_weight=4) for _ in range(4)]
         out.append((ctx, states))
     return out
+
+
+@pytest.mark.parametrize("k", [1, 2, -1])
+def test_the_algebra_acts_on_the_labels_under_each_word(k):
+    # on module states with Fock factors, each generator is its module's
+    # label action under every word, the words untouched, and a combination
+    # of generators acts linearly
+    cfg = LatticeConfig(2, k)
+    rng = random.Random(41 + k)
+    for ctx in oracle_contexts(cfg)[1:]:
+        module = ctx.handle
+        gens = [(BElement.d(j), module.d_action, j) for j in (1, 2)]
+        gens += [(BElement.e(c), module.e_action, c) for c in [(1, 0), (0, -1), (-1, 2)]]
+        for _ in range(4):
+            s = rand_module_element(rng, module, n_terms=3, max_weight=3)
+            assert any(word for word, _ in s.terms)
+            images = []
+            for x, action, arg in gens:
+                want: dict = {}
+                for (word, label), c in s.terms.items():
+                    for q, lab in action(arg, label):
+                        accumulate(want, (word, lab), c * q)
+                got = act_on_module(x, s)
+                assert got == ctx.element(want)
+                assert {word for word, _ in got.terms} <= {word for word, _ in s.terms}
+                images.append(got)
+            x = 2 * gens[0][0] - Fraction(1, 3) * gens[3][0]
+            assert act_on_module(x, s) == 2 * images[0] - Fraction(1, 3) * images[3]
 
 
 @pytest.mark.parametrize("nu", [1, 2])
@@ -502,7 +531,7 @@ def oracle_targets(ctx):
         labels = ctx.handle.probe_labels()[:3]
     out = []
     for start in (0, 1):
-        terms = {(fock_word(words[start + i]), labels[(start + i) % len(labels)]):
+        terms = {(fock_word(words[start + i], nu), labels[(start + i) % len(labels)]):
                  Fraction(2 * i - 3, i + 1) for i in range(3)}
         out.append(ctx.element(terms))
     return out
@@ -594,7 +623,7 @@ def rational_field(u, w, ctx, window):
                         if j == 0 and mid:
                             mid = unit_mode(ctx, mid, dir_, 0)
                     if mid and charged:
-                        mid = act_on_labels(mid, ctx.handle.e_action, alpha)
+                        mid = act_on_labels({}, 1, mid, ctx.handle.e_action, alpha)
                     if mid:
                         into = sums.setdefault((creating, alpha, top + drawn + a), {})
                         for key, c in mid.items():
@@ -803,7 +832,7 @@ def partition_sum_dressing(cfg, states, alpha, p, side):
                     if side > 0:
                         for i, m_i in enumerate(alpha):
                             if m_i:
-                                accumulate(new, (fock_word(pairs + ((i, part),)), label), c * m_i)
+                                accumulate(new, (fock_word(pairs + ((i, part),), cfg.nu), label), c * m_i)
                     else:
                         for pos, (d2, m2) in enumerate(pairs):
                             m_i = alpha[d2 - cfg.nu] if m2 == part and d2 >= cfg.nu else 0
