@@ -53,8 +53,8 @@ def gen_d(j: int) -> BGen:
 
 class BElement(Combination):
     """Rational combination of generator words in the free d-version.  A
-    word is a tuple of generators, each checked by ``gen_e`` or ``gen_d``;
-    the terms print in the order of the repr of their words."""
+    word is a tuple of generators, each checked by ``gen_e`` or ``gen_d``,
+    and prints as its factors e[...] and d_j joined by "*"."""
 
     __slots__ = ()
 
@@ -65,9 +65,6 @@ class BElement(Combination):
         if any(kind not in ("e", "d") for kind, _ in word):
             raise ValueError(f"a generator is ('e', charge) or ('d', j), got the word {word!r}")
         return tuple(gen_e(arg) if kind == "e" else gen_d(arg) for kind, arg in word)
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
 
     @staticmethod
     def one() -> "BElement":
@@ -92,17 +89,9 @@ class BElement(Combination):
 
     __rmul__ = __mul__
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for word, coeff in self.sorted_terms():
-            name = "*".join(
-                f"e[{','.join(map(str, g[1]))}]" if g[0] == "e" else f"d{g[1]}"
-                for g in word
-            ) or "1"
-            chunks.append(f"({coeff})*{name}" if coeff != 1 else name)
-        return " + ".join(chunks)
+    def _name(self, word) -> str:
+        return "*".join(f"e[{','.join(map(str, arg))}]" if kind == "e" else f"d{arg}"
+                        for kind, arg in word)
 
 
 class AElement(Combination):
@@ -154,22 +143,11 @@ class AElement(Combination):
                     accumulate(data, (charge, dexp), coeff)
         return self._make(data)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (charge, dexp), coeff in self.sorted_terms():
-            factors = []
-            if any(charge):
-                factors.append(f"e[{','.join(map(str, charge))}]")
-            for i, e in enumerate(dexp):
-                if e == 1:
-                    factors.append(f"d{i + 1}")
-                elif e:
-                    factors.append(f"d{i + 1}^{e}")
-            name = "*".join(factors) or "1"
-            chunks.append(name if coeff == 1 else f"({coeff})*{name}")
-        return " + ".join(chunks)
+    def _name(self, key) -> str:
+        charge, dexp = key
+        factors = [f"e[{','.join(map(str, charge))}]"] if any(charge) else []
+        factors += [f"d{i + 1}" if e == 1 else f"d{i + 1}^{e}" for i, e in enumerate(dexp) if e]
+        return "*".join(factors)
 
 
 # -- the action on module states ---------------------------------------------------

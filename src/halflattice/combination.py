@@ -10,8 +10,12 @@ operations.  ``_check`` is the one test of class and shape, and an operator
 context's target check too.  The public
 constructor puts every key through the subclass's ``_key`` and adds up the
 keys that then coincide; a subclass states only that check, its own
-products and its printing.  ``_make`` builds a combination of the same
-class and shape from terms the package computed itself and skips ``_key``.
+products and ``_name``, the text of one monomial ("" for the unit).  The
+core owns the order of terms, the natural order of ``_order`` of each key
+(the key itself unless a subclass decodes it), and the one printer, which
+puts each coefficient before its ``_name``.  ``_make`` builds a combination
+of the same class and shape from terms the package computed itself and
+skips ``_key``.
 
 Values are integer-first: a value is an ``int`` when it is integral and a
 ``Fraction`` with denominator > 1 otherwise, never a float.  ``rational``
@@ -158,13 +162,29 @@ class Combination:
         """The key in canonical form, or an error; any key passes by default."""
         return t
 
+    @staticmethod
+    def _order(key):
+        """What a term sorts by: the key itself, unless a subclass decodes it."""
+        return key
+
     def sorted_terms(self) -> list:
-        """The terms in printing order: the keys' natural order, unless a
-        subclass prints its keys in their own order."""
-        return sorted(self.terms.items())
+        """The terms in the natural order of ``_order`` of their keys: the
+        one order of printing and of the JSON writers."""
+        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
 
     def __str__(self) -> str:
-        return f"{type(self).__name__}({self.terms})"
+        """The terms in ``sorted_terms`` order, each by the subclass's
+        ``_name`` of its key: the name at coefficient 1, -name at -1, else
+        c*name, and the coefficient alone for the unit monomial, whose name
+        is ""; "0" when there are none."""
+        chunks = []
+        for key, c in self.sorted_terms():
+            name = self._name(key)
+            if not name:
+                chunks.append(str(c))
+            else:
+                chunks.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
+        return " + ".join(chunks).replace("+ -", "- ") or "0"
 
     def __repr__(self) -> str:
         return str(self)

@@ -18,10 +18,12 @@ which validates and encodes it against the rank, and the combination core
 merges the keys that then coincide.  A ``ModuleElement``'s shape is its
 coefficient module, which checks each label and gives the rank, so states
 of two modules never add.  Words the package builds itself are coded and
-canonical already, and go through the core's trusted ``_make``.  Printing
-and serialization order terms by their decoded (direction, mode) pairs, so
-no output depends on the codes.  ``act_on_labels`` is the one place a
-coefficient module acts, on the labels under each word, in place.
+canonical already, and go through the core's trusted ``_make``.  Both
+classes order their terms by ``pair_key``, each word decoded to its
+(direction, mode) pairs, so no printed or serialized order depends on the
+codes.  Both name a factor c_i(-mode) or d_i(-mode) from the rank, and a
+module state names its label w[(...)].  ``act_on_labels`` is the one place
+a coefficient module acts, on the labels under each word, in place.
 """
 
 from __future__ import annotations
@@ -80,16 +82,10 @@ def fock_weight(word: FockWord) -> int:
 
 def pair_key(key: tuple) -> tuple:
     """A (word, label) term key with its word decoded to (direction, mode)
-    pairs: the key as the constructors take it, and the order of printing
-    and serialization."""
+    pairs: the key as the constructors take it, and the ``_order`` of the
+    states' terms."""
     word, label = key
     return tuple(map(decode, word)), label
-
-
-def _printing_order(self) -> list:
-    """The terms by the repr of each key with its word decoded to pairs, so
-    that the printed order does not depend on the codes."""
-    return sorted(self.terms.items(), key=lambda kv: repr(pair_key(kv[0])))
 
 
 class VElement(Combination):
@@ -109,10 +105,11 @@ class VElement(Combination):
             raise ValueError(f"charge {charge} must have {self.shape} entries")
         return fock_word(word, self.shape), charge
 
-    sorted_terms = _printing_order
+    _order = staticmethod(pair_key)
 
-    def __str__(self) -> str:
-        return _format_terms(self.sorted_terms(), self.shape, _charge_str)
+    def _name(self, key) -> str:
+        word, charge = key
+        return _fock_str(word, self.shape) + _charge_str(charge)
 
 
 class ModuleElement(Combination):
@@ -129,11 +126,11 @@ class ModuleElement(Combination):
         word, label = key
         return fock_word(word, self.shape.cfg.nu), self.shape.validate_label(label)
 
-    sorted_terms = _printing_order
+    _order = staticmethod(pair_key)
 
-    def __str__(self) -> str:
-        return _format_terms(self.sorted_terms(), None,
-                             lambda lab: f"w[({', '.join(map(str, lab))})]")
+    def _name(self, key) -> str:
+        word, label = key
+        return _fock_str(word, self.shape.cfg.nu) + f"w[({', '.join(map(str, label))})]"
 
 
 # -- coefficient-module actions -------------------------------------------------
@@ -186,41 +183,16 @@ def homogeneous_components(v: VElement) -> dict[int, VElement]:
 
 
 def _charge_str(charge: tuple) -> str:
-    if all(m == 0 for m in charge):
-        return "1"
+    """e^{...} of a nonzero charge; "" at charge zero."""
     parts = []
     for i, m in enumerate(charge):
         if m:
             coeff = {1: "", -1: "-"}.get(m, m)  # a unit entry prints as its sign
             parts.append(f"{coeff}c{i + 1}")
-    return "e^{" + "+".join(parts).replace("+-", "-") + "}"
+    return "e^{" + "+".join(parts).replace("+-", "-") + "}" if parts else ""
 
 
-def _fock_str(word: FockWord, nu) -> str:
-    names = []
-    for dir_, mode in map(decode, word):
-        if nu is None:
-            base = f"h{dir_}"
-        else:
-            base = f"c{dir_ + 1}" if dir_ < nu else f"d{dir_ - nu + 1}"
-        names.append(f"{base}(-{mode})")
-    return "".join(names)
-
-
-def _format_terms(terms: list, nu, label_fmt) -> str:
-    if not terms:
-        return "0"
-    chunks = []
-    for (word, label), coeff in terms:
-        body = _fock_str(word, nu)
-        lab = label_fmt(label)
-        piece = body + ("" if lab == "1" and body else lab)
-        if not piece:
-            piece = "1"
-        if coeff == 1:
-            chunks.append(piece)
-        elif coeff == -1:
-            chunks.append("-" + piece)
-        else:
-            chunks.append(f"{coeff}*{piece}")
-    return " + ".join(chunks).replace("+ -", "- ")
+def _fock_str(word: FockWord, nu: int) -> str:
+    """The factors as c_i(-mode) or d_i(-mode) at rank nu."""
+    return "".join(f"{'c' if dir_ < nu else 'd'}{dir_ % nu + 1}(-{mode})"
+                   for dir_, mode in map(decode, word))

@@ -3,8 +3,9 @@
 Variables are numbered 1..nvars.  The first ``nlaurent`` of them are Laurent
 variables (negative exponents allowed); the rest are ordinary polynomial
 variables whose exponents must stay nonnegative.  Exponent vectors are the
-dictionary keys, zero coefficients are never stored, and printing follows a
-fixed lexicographic term order so output is reproducible.
+dictionary keys and zero coefficients are never stored.  Terms print and
+serialize in the combination core's order, lexicographic on the exponent
+vectors, each monomial as t1^e1*t2^e2..., so output is reproducible.
 """
 
 from __future__ import annotations
@@ -185,25 +186,6 @@ class LaurentPoly(Combination):
         jj = j - 1
         return min(e[jj] for e in self.terms)
 
-    # -- printing ----------------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exps, coeff in self.sorted_terms():
-            factors = [
-                f"t{j + 1}" if e == 1 else f"t{j + 1}^{e}"
-                for j, e in enumerate(exps)
-                if e
-            ]
-            if not factors:
-                chunks.append(str(coeff))
-            elif coeff == 1:
-                chunks.append("*".join(factors))
-            elif coeff == -1:
-                chunks.append("-" + "*".join(factors))
-            else:
-                chunks.append(str(coeff) + "*" + "*".join(factors))
-        out = " + ".join(chunks)
-        return out.replace("+ -", "- ")
+    def _name(self, exps) -> str:
+        return "*".join(f"t{j + 1}" if e == 1 else f"t{j + 1}^{e}"
+                        for j, e in enumerate(exps) if e)

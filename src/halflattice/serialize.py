@@ -104,9 +104,11 @@ def laurent_from_data(doc, ring, path: str = "poly"):
 
 
 def velement_to_data(v: VElement) -> dict:
+    """The {coeff, fock, charge} records of an element, in ``sorted_terms``
+    order: by the decoded (direction, mode) pairs, then the charge."""
     terms = []
-    # in the order of the decoded keys, (direction, mode) pairs then charge
-    for (pairs, charge), coeff in sorted((pair_key(key), c) for key, c in v.terms.items()):
+    for key, coeff in v.sorted_terms():
+        pairs, charge = pair_key(key)
         terms.append(
             {
                 "coeff": format_fraction(coeff),
@@ -140,13 +142,14 @@ def velement_from_data(doc, cfg: LatticeConfig, path: str = "element") -> VEleme
 
 
 def weight_vector_to_data(m: ModuleElement) -> list:
-    """The {coeff, point} records of a weight-module state, by label; a
-    state with a Fock factor, which they cannot hold, raises ``ValueError``."""
+    """The {coeff, point} records of a weight-module state in ``sorted_terms``
+    order, by label; a state with a Fock factor, which they cannot hold,
+    raises ``ValueError``."""
     if any(word for word, _ in m.terms):
         raise ValueError(f"a weight vector lies at the empty Fock word, got {m}")
     return [
         {"coeff": format_fraction(c), "point": [format_fraction(p) for p in pt]}
-        for (_, pt), c in sorted(m.terms.items())
+        for (_, pt), c in m.sorted_terms()
     ]
 
 

@@ -129,6 +129,17 @@ def test_free_version_keeps_word_order():
     assert anf == AElement.monomial(2, dexp=(1, 1))
 
 
+def test_straightened_elements_print_by_the_core_rule():
+    # words in their natural order, d2 before d10 and the unit word first,
+    # each coefficient by the one rule of the combination core
+    x = BElement.d(10) + BElement.d(2) - BElement.d(1) * BElement.d(10)
+    assert str(x) == "-d1*d10 + d2 + d10"
+    assert str(Fraction(3, 2) * BElement.e((0, 1)) - BElement.one()) == "-1 + 3/2*e[0,1]"
+    y = AElement(2, {((-2, 2), (0, 0)): 3, ((-1, 2), (1, 1)): -2, ((0, 0), (0, 0)): 2})
+    assert str(y) == "3*e[-2,2] - 2*e[-1,2]*d1*d2 + 2"
+    assert str(BElement({})) == str(AElement(2, {})) == "0"
+
+
 def _random_word(rng, length):
     gens = []
     for _ in range(length):

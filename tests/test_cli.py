@@ -27,6 +27,24 @@ def test_eval_product(tmp_path, capsys):
     assert out == {"terms": [{"charge": [1, 1], "coeff": "1", "fock": [[0, 1]]}]}
 
 
+def test_eval_product_json_bytes(tmp_path, capsys):
+    # negative charges and a mode-2 factor; the records come in the order of
+    # the decoded (direction, mode) pairs, then the charge
+    u = write(tmp_path, "u.json", {"terms": [
+        {"coeff": "1", "fock": [[0, 2]], "charge": [-1, 0]},
+        {"coeff": "-2", "fock": [], "charge": [-2, 1]}]})
+    v = write(tmp_path, "v.json", {"terms": [{"coeff": "1/2", "fock": [[3, 1]], "charge": [1, -1]}]})
+    assert main(["--json", "eval", "product", u, "-1", v]) == 0
+    assert capsys.readouterr().out == (
+        '{"terms":[{"charge":[-1,0],"coeff":"-2","fock":[[0,1]]},'
+        '{"charge":[0,-1],"coeff":"1/2","fock":[[0,2],[3,1]]},'
+        '{"charge":[-1,0],"coeff":"1","fock":[[1,1]]},'
+        '{"charge":[-1,0],"coeff":"-1","fock":[[3,1]]}]}\n')
+    assert main(["eval", "product", u, "-1", v]) == 0
+    assert capsys.readouterr().out == (
+        "-2*c1(-1)e^{-c1} + 1/2*c1(-2)d2(-1)e^{-c2} + c2(-1)e^{-c1} - d2(-1)e^{-c1}\n")
+
+
 def test_eval_zhu_emits_raw_and_reduced(tmp_path, capsys):
     u = write(tmp_path, "u.json", {"terms": [{"coeff": "1", "fock": [[2, 1]], "charge": [0, 0]}]})
     v = write(tmp_path, "v.json", charge_doc((1, 0)))
@@ -104,6 +122,24 @@ def test_eval_act_on_weight_prints_the_module_state(tmp_path, capsys):
     module = write(tmp_path, "w.json", {"kind": "weight", "lambda0": ["1/2", "0"]})
     assert main(["eval", "act", x, m, "--module", module]) == 0
     assert capsys.readouterr().out == "w[(1/2, 0)] + w[(1/2, 1)]\n"
+
+
+def test_eval_act_on_half_integer_weights_json_bytes(tmp_path, capsys):
+    # the records come by label, numerically: -3/2 before -1/2
+    x = write(tmp_path, "x.json", {"words": [
+        {"coeff": "1", "factors": [{"e": [-1, 2]}]},
+        {"coeff": "-3", "factors": [{"d": 2}, {"e": [1, -2]}]},
+        {"coeff": "1/2", "factors": [{"d": 1}, {"d": 1}]}]})
+    m = write(tmp_path, "m.json", [{"coeff": "1", "point": ["1/2", "0"]},
+                                   {"coeff": "-3", "point": ["-1/2", "1"]},
+                                   {"coeff": "5", "point": ["3/2", "-2"]}])
+    module = write(tmp_path, "w.json", {"kind": "weight", "lambda0": ["1/2", "0"]})
+    assert main(["--json", "eval", "act", x, m, "--module", module]) == 0
+    assert capsys.readouterr().out == (
+        '[{"coeff":"-3","point":["-3/2","3"]},{"coeff":"-3/8","point":["-1/2","1"]},'
+        '{"coeff":"1","point":["-1/2","2"]},{"coeff":"-9","point":["1/2","-1"]},'
+        '{"coeff":"41/8","point":["1/2","0"]},{"coeff":"93/8","point":["3/2","-2"]},'
+        '{"coeff":"60","point":["5/2","-4"]}]\n')
 
 
 def test_eval_act_on_weight_rejects_bad_record(tmp_path, capsys):
@@ -192,6 +228,18 @@ def test_witness_simplicity(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["replay_matches"] and out["result"] == "-1"
     assert [s["kind"] for s in out["steps"]] == ["derive", "difference"]
+    # the words come in their natural order: ("d", j) before ("e", charge),
+    # and the unit word first
+    assert [s["element"]["words"] for s in out["steps"]] == [
+        [{"coeff": "1", "factors": [{"e": [-1, 0]}, {"d": 1}]},
+         {"coeff": "-1", "factors": [{"e": [-1, 0]}, {"e": [1, 0]}]}],
+        [{"coeff": "-1", "factors": []}, {"coeff": "1/2", "factors": [{"e": [0, 1]}]}],
+    ]
+    assert main(["witness", "simplicity", spec, f]) == 0
+    assert capsys.readouterr().out == (
+        "2 steps reduce the element to -1 * symbol\n"
+        "  [0] derive on t1: e[-1,0]*d1 - e[-1,0]*e[1,0]\n"
+        "  [1] difference on t2: -1 + 1/2*e[0,1]\n")
 
 
 def test_verify_unknown_suite_is_input_error(capsys):
@@ -384,7 +432,7 @@ def test_combination_residuals_are_bounded():
     report.add("tail", False, ((0,), poly))
     report.finish()
     bare, huge, small, tail = (c.residual for c in report.checks)
-    first = "c1(-1) + 10*c1(-10) + 100*c1(-100)"
+    first = "c1(-1) + 2*c1(-2) + 3*c1(-3)"
     assert huge == f"at (2, 5): 1000 terms: {first} + ..."
     assert bare == f"1000 terms: {first} + ..."
     assert small == "at (3,): 1 term: 1"

@@ -101,18 +101,29 @@ def test_public_constructors_reject_coded_factors():
 
 
 def test_printing_follows_the_decoded_pairs():
-    # Texts pinned from when words held (direction, mode) pairs.  The terms
-    # print by the repr of their pair keys, which orders them differently
-    # from their codes.
+    # The terms print in the natural order of their pair keys, the empty
+    # word first, which orders them differently from their codes.
     v = (fock_element(2, [(0, 1)], (1, 0)) + 2 * fock_element(2, [(3, 2)])
          + Fraction(1, 2) * fock_element(2, [(1, 1), (2, 3)], (0, -1))
          + charge_element(2, (1, 1), -1))
-    assert str(v) == "c1(-1)e^{c1} + 1/2*d1(-3)c2(-1)e^{-c2} + 2*d2(-2) - e^{c1+c2}"
+    assert str(v) == "-e^{c1+c2} + c1(-1)e^{c1} + 1/2*d1(-3)c2(-1)e^{-c2} + 2*d2(-2)"
+    assert sorted(v.terms) != [key for key, _ in v.sorted_terms()]
     assert sorted(v.terms, key=repr) != [key for key, _ in v.sorted_terms()]
     m = ModuleElement(W1, {(((0, 1),), (0,)): 1, (((1, 2),), (1,)): -3,
                            (((1, 1), (0, 1)), (0,)): Fraction(2, 3)})
-    assert str(m) == "2/3*h0(-1)h1(-1)w[(0)] + h0(-1)w[(0)] - 3*h1(-2)w[(1)]"
+    assert str(m) == "c1(-1)w[(0)] + 2/3*c1(-1)d1(-1)w[(0)] - 3*d1(-2)w[(1)]"
+    assert sorted(m.terms) != [key for key, _ in m.sorted_terms()]
     assert sorted(m.terms, key=repr) != [key for key, _ in m.sorted_terms()]
+
+
+def test_module_states_print_their_labels_in_numeric_order():
+    # -3/2 before -1/2, and -2 before -1 in the second coordinate, though
+    # their texts sort the other way
+    handle = WeightModule(LatticeConfig(nu=2, k=1), [Fraction(1, 2), 0])
+    m = ModuleElement(handle, {((), (Fraction(3, 2), -1)): 1, ((), (Fraction(-1, 2), 1)): 1,
+                               ((), (Fraction(3, 2), -2)): Fraction(5, 2),
+                               ((), (Fraction(-3, 2), 2)): -9})
+    assert str(m) == "-9*w[(-3/2, 2)] + w[(-1/2, 1)] + 5/2*w[(3/2, -2)] + w[(3/2, -1)]"
 
 
 def test_fock_weight():
@@ -254,12 +265,13 @@ def test_module_state():
 
 
 def test_module_state_labels_print_as_rationals():
-    # each label coordinate prints with str, as the weight-module errors do
+    # each label coordinate prints with str, as the weight-module errors do,
+    # and a factor by its name at the module's rank: direction 2 is d1
     cfg = LatticeConfig(nu=2, k=1)
     handle = WeightModule(cfg, [Fraction(1, 2), 0])
     ctx = module_operator_context(cfg.zero(), handle)
     w = ctx.state_of_label(handle.base_label())
     assert str(w) == "w[(1/2, 0)]"
     s = apply_heisenberg_mode(cfg.dir_vector(2), -1, w, ctx)
-    assert str(s) == "h2(-1)w[(1/2, 0)]"
+    assert str(s) == "d1(-1)w[(1/2, 0)]"
     assert "Fraction" not in str(2 * w + s)

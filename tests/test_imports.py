@@ -23,8 +23,10 @@ attribute.  A fourth keeps the layout of a Fock factor code, its shift and
 direction mask, inside ``fock``: every other module, the tests included,
 reads and builds factors through ``fock.encode`` and ``fock.decode``.
 A fifth keeps the combination core the one owner of a combination's shape,
-its trusted builder and its repr: no ``Combination`` subclass in the
-package defines ``_make``, ``shape`` or ``__repr__``, and a subclass's
+its trusted builder, its order of terms and its printer: no ``Combination``
+subclass in the package defines ``_make``, ``shape``, ``__repr__``,
+``__str__`` or ``sorted_terms`` (it states ``_order`` and ``_name``
+instead), and a subclass's
 ``__init__`` only passes its terms and shape to ``super().__init__``, so
 each key is checked in the subclass's ``_key`` and nowhere else.  A sixth
 keeps ``fock.act_on_labels`` the one place a coefficient module acts: the
@@ -41,7 +43,7 @@ PACKAGE = sorted((ROOT / "src" / "halflattice").glob("*.py"))
 SOURCES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
 DENOMINATOR_NAMES = {"gcd", "lcm"}
 CODE_LAYOUT_NAMES = {"_SHIFT", "_DIRECTION_MASK"}
-CORE_NAMES = {"_make", "shape", "__repr__"}
+CORE_NAMES = {"_make", "shape", "__repr__", "__str__", "sorted_terms"}
 
 
 @lru_cache(maxsize=None)
@@ -283,6 +285,8 @@ def test_the_scan_finds_a_regrown_core():
     assert core_regrowth(head + "    __repr__ = __str__\n") == [("V", "__repr__")]
     assert core_regrowth(head + "    def shape(self):\n        return 2\n") == [("V", "shape")]
     assert core_regrowth(head + "    def _make(self, terms):\n        pass\n") == [("V", "_make")]
+    assert core_regrowth(head + "    def __str__(self):\n        return 'v'\n") == [("V", "__str__")]
+    assert core_regrowth(head + "    sorted_terms = _printing_order\n") == [("V", "sorted_terms")]
     assert core_regrowth(head + "    def __init__(self, nu, terms):\n        self.nu = nu\n"
                          "        super().__init__(terms)\n") == [("V", "__init__")]
     assert core_regrowth(head + "    def __init__(self, terms):\n"

@@ -1,14 +1,21 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from halflattice.assoc import BElement, OmegaSpec
+from halflattice.assoc import BElement, OmegaSpec, gen_d, gen_e
 from halflattice.fock import ModuleElement, charge_element, fock_element, pair_key
 from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.laurent import LaurentRing
-from halflattice.probes import rand_velement
+from halflattice.probes import (
+    rand_charge,
+    rand_fraction,
+    rand_laurent,
+    rand_module_element,
+    rand_velement,
+)
 from halflattice.serialize import (
     SchemaError,
     b_element_from_data,
@@ -38,6 +45,40 @@ def test_velement_json_lists_terms_by_their_decoded_pairs():
         '{"coeff": "1/2", "fock": [[2, 3], [1, 1]], "charge": [0, -1]}, '
         '{"coeff": "2", "fock": [[3, 2]], "charge": [0, 0]}]}')
     assert [pair_key(key) for key in sorted(v.terms)] != sorted(map(pair_key, v.terms))
+
+
+def _b_element(rng):
+    """A BElement of four drawn words of up to two generators, d_j up to j = 12."""
+    def word():
+        return tuple(gen_e(rand_charge(rng, 2)) if rng.random() < 0.5 else gen_d(rng.randint(1, 12))
+                     for _ in range(rng.randint(0, 2)))
+    return BElement({word(): rand_fraction(rng, nonzero=True) for _ in range(4)})
+
+
+HALF = WeightModule(CFG, [Fraction(1, 2), 0])
+
+# (draw, the writer's records): a state of the weight module at the empty word
+WRITERS = {
+    "velement": (lambda rng: rand_velement(rng, CFG, n_terms=4),
+                 lambda x: velement_to_data(x)["terms"]),
+    "weight-vector": (lambda rng: rand_module_element(rng, HALF, n_terms=4, max_weight=0),
+                      weight_vector_to_data),
+    "laurent": (lambda rng: rand_laurent(rng, LaurentRing(2, 1), n_terms=4), laurent_to_data),
+    "b-element": (_b_element, lambda x: b_element_to_data(x)["words"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_text_and_json_share_the_one_term_order(name):
+    # the writer's records, and the printed terms, are those of the one-term
+    # combinations taken in sorted_terms order
+    draw, records = WRITERS[name]
+    rng = random.Random(11)
+    for _ in range(20):
+        x = draw(rng)
+        singles = [x._make({key: c}) for key, c in x.sorted_terms()]
+        assert records(x) == [rec for one in singles for rec in records(one)]
+        assert str(x) == " + ".join(map(str, singles)).replace("+ -", "- ")
 
 
 def test_parse_single_charge_term():
@@ -73,8 +114,6 @@ def test_bad_rational():
 
 
 def test_velement_roundtrip():
-    import random
-
     rng = random.Random(3)
     for _ in range(10):
         v = rand_velement(rng, CFG, n_terms=3, max_weight=4)
