@@ -125,9 +125,11 @@ class AElement(Combination):
 
         Moving the left d-monomial past the right charge costs binomial
         corrections: d^K e_b = e_b prod_i (d_i + (d_i, b))^{K_i}.  Both
-        factors have one rank, so the keys built here take the trusted path.
+        factors have the lattice's rank, so the keys built here are trusted.
         """
         self._check(other)
+        if self.nu != cfg.nu:
+            raise ValueError(f"the elements have rank {self.nu}, the lattice {cfg.nu}")
         data: dict = {}
         for (a, K), c1 in self.terms.items():
             for (b, L), c2 in other.terms.items():

@@ -30,6 +30,8 @@ class LaurentRing:
     nlaurent: int
 
     def __post_init__(self):
+        object.__setattr__(self, "nvars", integer(self.nvars))
+        object.__setattr__(self, "nlaurent", integer(self.nlaurent))
         if self.nvars < 0:
             raise ValueError("nvars must be nonnegative")
         if not 0 <= self.nlaurent <= self.nvars:

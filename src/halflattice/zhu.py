@@ -14,6 +14,7 @@ deeper modes lower by h(-n-1) ~ -h(-n), and any c-direction factor lies in
 the span of the residue products, so it dies.  The resulting normal forms
 multiply exactly like the straightened algebra on charge translations and
 degree operators; the checker verifies that identification on probe pairs.
+The quotient acts on a top level through the engine's zero modes, ``zero_mode``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from typing import Sequence
 
 from .assoc import AElement
 from .combination import accumulate, add_scaled, divided
-from .fock import VElement, decode, encode, homogeneous_components
+from .fock import VElement, decode, encode, fock_weight, homogeneous_components
 from .lattice import LatticeConfig
-from .laurent import LaurentPoly, LaurentRing
-from .vertex import Field, adjoint_context
+from .vertex import Field, OperatorContext, adjoint_context
 
 
 def _residue_sum(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VElement:
@@ -118,11 +118,11 @@ def zhu_iso_cases(cfg: LatticeConfig, pairs: Sequence[tuple]):
     reduced difference of the two sides.
     """
 
-    def star_reduced(x, y):
-        return zhu_reduce(cfg, zhu_star(cfg, zhu_embed(x), zhu_embed(y)))
+    def star(x, y):
+        return zhu_star(cfg, zhu_embed(x), zhu_embed(y))
 
     for a, b in pairs:
-        yield ("product", a, b), star_reduced(a, b) - a.mul(b, cfg)
+        yield ("product", a, b), zhu_reduce(cfg, star(a, b)) - a.mul(b, cfg)
 
     nu = cfg.nu
     unit_charges = [tuple(int(t == i) for t in range(nu)) for i in range(nu)]
@@ -131,42 +131,29 @@ def zhu_iso_cases(cfg: LatticeConfig, pairs: Sequence[tuple]):
 
     for i, di in enumerate(d_units):
         for dj in d_units:
-            lhs = zhu_star(cfg, zhu_embed(di), zhu_embed(dj))
-            rhs = zhu_star(cfg, zhu_embed(dj), zhu_embed(di))
-            yield ("d-commute", di, dj), zhu_reduce(cfg, lhs - rhs)
+            yield ("d-commute", di, dj), zhu_reduce(cfg, star(di, dj) - star(dj, di))
         for c, ea in zip(unit_charges, e_units):
-            diff = zhu_star(cfg, zhu_embed(di), zhu_embed(ea)) - zhu_star(
-                cfg, zhu_embed(ea), zhu_embed(di)
-            )
             want = AElement(nu, {(c, (0,) * nu): cfg.k * c[i]})
-            yield ("straightening", di, ea), zhu_reduce(cfg, diff) - want
+            yield ("straightening", di, ea), zhu_reduce(cfg, star(di, ea) - star(ea, di)) - want
     for c1, e1 in zip(unit_charges, e_units):
         for c2, e2 in zip(unit_charges, e_units):
             total = tuple(x + y for x, y in zip(c1, c2))
             want = AElement(nu, {(total, (0,) * nu): 1})
-            yield ("translation-product", e1, e2), star_reduced(e1, e2) - want
+            yield ("translation-product", e1, e2), zhu_reduce(cfg, star(e1, e2)) - want
 
 
-def o_action_on_v0(cfg: LatticeConfig, v: VElement, p: LaurentPoly) -> LaurentPoly:
-    """Action of the degree-zero modes of a normal form on the bottom level.
+def zero_mode(v: VElement, w, ctx: OperatorContext):
+    """The zero mode o(v) on w, the coefficient of v that keeps w's weight.
 
-    The bottom level is the charge group algebra, identified with Laurent
-    polynomials in t_1..t_nu.  A depth-one d_i mode acts as k times the
-    degree derivation and a charge translation acts as multiplication by its
-    monomial; the translation applies after the derivations, matching the
-    charge-left normal form.
-    """
-    ring = LaurentRing(cfg.nu, cfg.nu)
-    if p.ring != ring:
-        raise ValueError(f"the bottom level is {ring}, got {p.ring}")
-    out = ring.zero()
-    nf = zhu_reduce(cfg, v)
-    if zhu_embed(nf) != v:
-        raise ValueError("the acting element must be a normal-form representative")
-    for (charge, dexp), coeff in nf.terms.items():
-        g = p
-        for i, e in enumerate(dexp):
-            for _ in range(e):
-                g = cfg.k * g.degree_derivation(i + 1)
-        out = out + coeff * (ring.monomial(charge) * g)
-    return out
+    A term of Fock weight m and charge alpha acts by its coefficient at
+    n = m - 1 - ``ctx.charge_power(alpha)``, one ``Field`` per n.  This is
+    Zhu's action (JAMS 9, 1996) only on a top level: the adjoint's
+    Fock-weight-0 states are one, but not a weight context's at lam != 0,
+    where z^(alpha, lam) shifts the grading."""
+    parts: dict = {}  # n -> the terms of v that act by u_n
+    for (word, alpha), c in v.terms.items():
+        parts.setdefault(fock_weight(word) - 1 - ctx.charge_power(alpha), {})[word, alpha] = c
+    out, den = {}, 1  # integer numerators over den
+    for n, terms in parts.items():
+        den = add_scaled(out, den, 1, Field(v._make(terms), w, ctx).integer_form(n))
+    return ctx.element(divided(out, den))

@@ -155,3 +155,15 @@ def test_max_variable():
 def test_string_is_deterministic():
     f = R22.monomial((1, -1), 3) - R22.one()
     assert str(f) == "-1 + 3*t1*t2^-1"
+
+
+@pytest.mark.parametrize("nvars, nlaurent", [(2, 1.5), (2.0, 1), (2, Fraction(1, 2)), (1.0, 0)])
+def test_ring_rejects_non_integer_counts(nvars, nlaurent):
+    with pytest.raises(TypeError):
+        LaurentRing(nvars, nlaurent)
+
+
+def test_ring_normalizes_whole_fractions():
+    ring = LaurentRing(Fraction(2), Fraction(1))
+    assert ring == LaurentRing(2, 1) and type(ring.nvars) is int and type(ring.nlaurent) is int
+    assert hash(ring) == hash(LaurentRing(2, 1))
