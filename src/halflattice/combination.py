@@ -63,11 +63,12 @@ def rational(value):
 def integer(value) -> int:
     """An exact integer entry of a key (a charge, direction, mode or exponent):
     an ``int`` passes through untouched and a whole ``Fraction`` becomes its
-    numerator; a float or a proper fraction raises ``TypeError``."""
-    q = value if type(value) is int else rational(value)
-    if type(q) is not int:
+    numerator; a float, a string or a proper fraction raises ``TypeError``."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Rational) or value.denominator != 1:
         raise TypeError(f"expected an integer, got {value!r}")
-    return q
+    return int(value.numerator)
 
 
 def accumulate(data: dict, key, value) -> None:

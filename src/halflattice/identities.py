@@ -14,7 +14,9 @@ inner pairs, at whose support tops they cut their sums, and the outer
 fields on its inner products, so a repeated product is found without
 hashing a state.
 Where an inner product is zero the memo prepares no outer field and the
-residuals skip the term.  The Borcherds, locality, d-derivative and Virasoro
+residuals skip the term; past an outer field's ``top`` its form is empty,
+so they read none there either, and a residual with no terms is the
+context's shared zero.  The Borcherds, locality, d-derivative and Virasoro
 residuals read each coefficient from its field's table of integer forms
 and sum them with ``combination.add_scaled``, so a zero residual builds no
 ``Fraction``.  The Borcherds and locality sums read each window's binomials
@@ -195,7 +197,7 @@ def borcherds_residual(
     uv_on_w = memo[2]
     for i, b in enumerate(_binomials(m, uv_on_w.inner().top - n)):
         field = uv_on_w[n + i]
-        if field is not None:
+        if field is not None and m + k - i <= field.top:
             den = add_scaled(out, den, -b, field.integer_form(m + k - i))
     return ctx.element(divided(out, den))
 
@@ -211,10 +213,10 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
     for i, b in enumerate(_binomials(n, i_max)):
         c = -b if i % 2 else b
         field = u_on_vw[k + i]
-        if field is not None:
+        if field is not None and m + n - i <= field.top:
             den = add_scaled(out, den, c, field.integer_form(m + n - i))
         field = v_on_uw[m + i]
-        if field is not None:
+        if field is not None and n + k - i <= field.top:
             den = add_scaled(out, den, -c * sign_n, field.integer_form(n + k - i))
     return out, den
 

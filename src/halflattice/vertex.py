@@ -119,7 +119,8 @@ class OperatorContext:
         return power
 
     def element(self, terms: dict):
-        return self.zero._make(terms)
+        """The element of terms, or the shared ``zero`` for none (never mutated)."""
+        return self.zero._make(terms) if terms else self.zero
 
     def state_of_label(self, label):
         return self.element({((), self.handle.validate_label(label)): 1})
@@ -302,8 +303,9 @@ class Field:
     J - n is nonzero into every word of that group, adding ``int``s, and
     keeps the form in the field's one table of n; ``coefficient(n)``
     divides it back once, for callers that need an element.  Past top both
-    answer empty, computing and keeping nothing.  u is a ``VElement`` of
-    the context's rank, and w passes the target check ``ctx.zero._check``.
+    answer empty, computing and keeping nothing, so the sums of forms read
+    none there.  u is a ``VElement`` of the context's rank, and w passes the
+    target check ``ctx.zero._check``.
     """
 
     __slots__ = ("ctx", "top", "_groups", "_forms", "_elements")
@@ -475,13 +477,14 @@ def _dir_mode(out: dict, x, dir_: int, n: int, states: dict, ctx: OperatorContex
     k), so it compares codes only.  At n = 0 a c-direction mode is the
     scalar (c_i, lam) and a d-direction mode acts on the labels, adding into
     out through ``fock.act_on_labels``.  The scalar that multiplies every
-    term is folded into x before the term loop.
+    term is folded into x before the term loop; at x = 1 the creation and
+    c-direction zero modes add each coefficient itself, copying none.
     """
     nu = ctx.cfg.nu
     if n < 0:
         factor = (encode(dir_, -n),)
         for (word, label), c in states.items():
-            accumulate(out, (merge_words(word, factor), label), c * x)
+            accumulate(out, (merge_words(word, factor), label), c if x == 1 else c * x)
     elif n > 0:
         partner = encode(dir_ + nu if dir_ < nu else dir_ - nu, n)
         x *= n * ctx.cfg.k
@@ -494,7 +497,7 @@ def _dir_mode(out: dict, x, dir_: int, n: int, states: dict, ctx: OperatorContex
         act_on_labels(out, x, states, ctx.handle.d_action, dir_ - nu + 1)
     elif x := x * ctx.pairings[dir_]:  # the scalar (c_i, lam)
         for key, c in states.items():
-            accumulate(out, key, c * x)
+            accumulate(out, key, c if x == 1 else c * x)
     return out
 
 

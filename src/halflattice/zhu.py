@@ -31,12 +31,13 @@ from .vertex import Field, OperatorContext, adjoint_context
 
 
 def _residue_sum(cfg: LatticeConfig, u: VElement, v: VElement, n: int) -> VElement:
-    """sum_i C(wt u, i) u_{i-n-2} v over the homogeneous parts of u."""
+    """sum_i C(wt u, i) u_{i-n-2} v over the homogeneous parts of u, up to
+    each part's field top, past which u_{i-n-2} v = 0."""
     ctx = adjoint_context(cfg)
     out, den = {}, 1  # integer numerators over den
     for wt, part in homogeneous_components(u).items():
         field = Field(part, v, ctx)
-        for i in range(wt + 1):
+        for i in range(min(wt, field.top + n + 2) + 1):
             den = add_scaled(out, den, comb(wt, i), field.integer_form(i - n - 2))
     return ctx.element(divided(out, den))
 

@@ -98,6 +98,19 @@ def test_integer_passes_ints_and_whole_fractions():
     assert type(next(iter(charge_element(2, (Fraction(2), 0)).terms))[1][0]) is int
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: LaurentRing(2, 1.5), id="ring-count"),
+    pytest.param(lambda: LatticeConfig(1.0, 1), id="lattice-rank"),
+    pytest.param(lambda: LaurentRing(2, 1).monomial([1.0, 0]), id="laurent-exponent"),
+    pytest.param(lambda: integer("2"), id="string"),
+])
+def test_non_integer_key_entries_say_an_integer_was_expected(build):
+    # a float or a string is not a rational either, but the entry asks for
+    # an integer, so the message must not speak of coefficients
+    with pytest.raises(TypeError, match="expected an integer"):
+        build()
+
+
 # -- the combination core: one constructor, one shape -----------------------------
 
 # For each subclass: its public constructor at one shape, two raw keys that

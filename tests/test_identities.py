@@ -11,12 +11,13 @@ else relies on the component form.
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from halflattice import identities
 from halflattice.combination import accumulate
-from halflattice.fock import VElement, charge_element, fock_element, vacuum
+from halflattice.fock import VElement, charge_element, fock_element, homogeneous_components, vacuum
 from halflattice.identities import (
     ActionCache,
     borcherds_residual,
@@ -35,8 +36,10 @@ from halflattice.vertex import (
     adjoint_context,
     apply_heisenberg_mode,
     module_operator_context,
+    nth_product,
     truncation_bound,
 )
+from halflattice.zhu import circ_general, zhu_star
 
 CFG1 = LatticeConfig(nu=1, k=1)
 CFG2 = LatticeConfig(nu=2, k=1)
@@ -235,15 +238,20 @@ def test_locality_residual_is_the_full_untruncated_sum():
         u, v, w = (rand_velement(rng, CFG2, n_terms=2, max_weight=2, charge_bound=1)
                    for _ in range(3))
         p, q, order = rng.randint(-2, 1), rng.randint(-2, 1), rng.randint(0, 2)
-        full = ctx.zero
-        for i in range(order + 1):
-            c = (-1) ** i * gbinom(order, i)
-            full = full + c * (cache.act(u, p + order - i, cache.act(v, q + i, w))
-                               - cache.act(v, q + i, cache.act(u, p + order - i, w)))
         residual = locality_residual(u, v, w, p, q, order, ctx, cache)
-        assert residual == full
+        assert residual == untruncated_locality(u, v, w, p, q, order, ctx, cache)
         nonzero += bool(residual)
     assert nonzero  # some draws are below their locality order
+
+
+def untruncated_locality(u, v, w, p, q, order, ctx, cache):
+    """Oracle: the locality difference as the literal sum over every i in 0..order."""
+    full = ctx.zero
+    for i in range(order + 1):
+        c = (-1) ** i * gbinom(order, i)
+        full = full + c * (cache.act(u, p + order - i, cache.act(v, q + i, w))
+                           - cache.act(v, q + i, cache.act(u, p + order - i, w)))
+    return full
 
 
 def test_heisenberg_residual_zero_and_nonzero():
@@ -554,3 +562,56 @@ def test_zero_residuals_on_a_warm_cache_build_no_fraction(monkeypatch):
     assert not any(residuals())
     monkeypatch.undo()
     assert not built
+
+
+def test_sums_read_no_form_past_a_fields_top(monkeypatch):
+    # Past its top a field's form is empty, so the Borcherds and locality
+    # sums and the Zhu residue sums never ask for one there.  With such a
+    # read made to raise, they must still equal their oracles, which take
+    # elements through Field.coefficient and cut off at truncation_bound.
+    # Locality of d1(-1) and c1(-1) at order 1, below their true order 2,
+    # gives nonzero residuals; an empty result is the context's shared zero.
+    integer_form = Field.integer_form
+
+    def bounded(self, n):
+        if n > self.top:
+            raise AssertionError(f"a form read at n = {n} past top {self.top}")
+        return integer_form(self, n)
+
+    monkeypatch.setattr(Field, "integer_form", bounded)
+    rng = random.Random(61)
+    c1, d1 = fock_element(1, [(0, 1)]), fock_element(1, [(1, 1)])
+    ep, em = charge_element(1, (1,)), charge_element(1, (-1,))
+    pairs = [(d1, c1), (ep, d1), (em + c1, ep), (d1 + ep, em)]
+    nonzero = 0
+    for ctx in [adjoint_context(CFG1)] + [mctx for _, mctx in _module_contexts(CFG1)]:
+        assert ctx.element({}) is ctx.zero
+        cache = ActionCache(ctx)
+        if isinstance(ctx.zero, VElement):
+            w = rand_velement(rng, CFG1, n_terms=2, max_weight=2)
+        else:
+            w = rand_module_element(rng, ctx.handle, max_weight=2)
+        for u, v in pairs:
+            for m, n, k in TRIPLES2:
+                got = borcherds_residual(u, v, w, m, n, k, ctx, cache)
+                assert got == rational_residual(u, v, w, m, n, k, ctx, cache), (m, n, k)
+                assert got.is_zero()
+            for p, q in itertools.product(WINDOW2, WINDOW2):
+                got = locality_residual(u, v, w, p, q, 1, ctx, cache)
+                assert got == untruncated_locality(u, v, w, p, q, 1, ctx, cache), (p, q)
+                nonzero += bool(got)
+                if not got:
+                    assert got is ctx.zero
+    assert nonzero
+    nonzero = 0
+    for _ in range(6):
+        u, v = (rand_velement(rng, CFG2, n_terms=2, max_weight=2, charge_bound=1) for _ in range(2))
+        for n in (-1, 0, 1):
+            got = zhu_star(CFG2, u, v) if n < 0 else circ_general(CFG2, u, v, n)
+            want = VElement(2, {})
+            for wt, part in homogeneous_components(u).items():
+                for i in range(wt + 1):
+                    want = want + comb(wt, i) * nth_product(CFG2, part, i - n - 2, v)
+            assert got == want, n
+            nonzero += bool(got)
+    assert nonzero

@@ -56,19 +56,21 @@ def test_every_workload_passes_its_expected_checks():
 
 
 def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
-    # The fields prepared, the coefficients computed and the terms those
-    # hold, at seed 7.  perfbench's tracer counts coefficients at
-    # vertex.y_coefficient, which the cache's prepared fields bypass, so they
-    # are counted here at Field.__init__ and where a field computes a
+    # The fields prepared, the coefficients computed, the terms those hold
+    # and the forms read, at seed 7.  perfbench's tracer counts coefficients
+    # at vertex.y_coefficient, which the cache's prepared fields bypass, so
+    # they are counted here at Field.__init__ and where a field computes a
     # coefficient's integer form: a miss of its own table at an n no larger
-    # than its top, past which it computes nothing.  On jacobi the checkers
-    # compute each adjoint product once, in the one table the adjoint
-    # context shares, and never act on a zero inner product.
+    # than its top, past which it computes nothing.  Every integer_form call
+    # is a form read.  On jacobi the checkers compute each adjoint product
+    # once, in the one table the adjoint context shares, never act on a zero
+    # inner product and read no form past its field's top, which would be
+    # empty: 6,936 of the 18,040 reads they made before were such.
     from halflattice.vertex import Field
 
     workloads = _load("workloads")
     init, integer_form = Field.__init__, Field.integer_form
-    counts = [0, 0, 0]
+    counts = [0, 0, 0, 0]
 
     def counted_init(self, u, w, ctx):
         init(self, u, w, ctx)
@@ -77,6 +79,7 @@ def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
     def counted(self, n):
         computed = n <= self.top and n not in self._forms
         form = integer_form(self, n)
+        counts[3] += 1
         if computed:
             counts[1] += 1
             counts[2] += len(form[0])
@@ -84,8 +87,8 @@ def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
 
     monkeypatch.setattr(Field, "__init__", counted_init)
     monkeypatch.setattr(Field, "integer_form", counted)
-    for name, want in (("jacobi", [280, 1524, 5100]), ("dressing", [36, 100, 2121])):
-        counts[:] = [0, 0, 0]
+    for name, want in (("jacobi", [280, 1524, 5100, 11104]), ("dressing", [36, 100, 2121, 100])):
+        counts[:] = [0, 0, 0, 0]
         for _, call in workloads["plan"](name, 7):
             call()
         assert counts == want, name
@@ -149,6 +152,9 @@ def test_modes_sample_builds_the_pinned_fractions():
     # products and sums on the probes' coefficients, in the one mode rule,
     # whose scalar is folded before its term loop.  The d-direction zero
     # mode adds its label action into the caller's dict with its scalar
-    # folded into each integer label scalar, so it copies no coefficient.
-    # The same under PYTHONHASHSEED 0 and 1.
-    assert _fractions_built("modes") == 4105
+    # folded into each integer label scalar, so it copies no coefficient;
+    # the creation and c-direction zero modes add a coefficient itself at
+    # scalar 1.  The 600 creation products at scalar -1 still build one
+    # each, since a negated Fraction is a new one.  The same under
+    # PYTHONHASHSEED 0 and 1.
+    assert _fractions_built("modes") == 3393
