@@ -234,10 +234,15 @@ class OmegaSpec:
                 raise ValueError(f"a_{i} must be nonzero")
 
     def a_of(self, j: int) -> int | Fraction:
-        """Shift constant a_j for a polynomial variable index j >= mu."""
+        """Shift constant a_j for a polynomial variable index j in mu..nu."""
+        if not self.mu <= j <= self.nu:
+            raise ValueError(f"a_{j}: the shift constant index must lie in {self.mu}..{self.nu}")
         return self.a[j - self.mu]
 
     def f_of(self, j: int) -> LaurentPoly:
+        """Multiplier polynomial f_j for a Laurent variable index j in 1..mu-1."""
+        if not 1 <= j < self.mu:
+            raise ValueError(f"f_{j}: the multiplier index must lie in 1..{self.mu - 1}")
         return self.f[j - 1]
 
     def base_label(self) -> tuple:

@@ -109,10 +109,11 @@ class LatticeConfig:
 
     # -- vector constructors -------------------------------------------------
 
-    def vector(self, c: Sequence = (), d: Sequence = ()) -> LatticeVector:
-        cc = list(c) + [0] * (self.nu - len(list(c)))
-        dd = list(d) + [0] * (self.nu - len(list(d)))
-        return LatticeVector(_coords(cc, self.nu, "c"), _coords(dd, self.nu, "d"))
+    def vector(self, c: Sequence | None = None, d: Sequence | None = None) -> LatticeVector:
+        """The vector of nu c- and nu d-coordinates; an omitted family is zero."""
+        zeros = (0,) * self.nu
+        return LatticeVector(zeros if c is None else _coords(c, self.nu, "c"),
+                             zeros if d is None else _coords(d, self.nu, "d"))
 
     def zero(self) -> LatticeVector:
         return self.vector()

@@ -57,9 +57,16 @@ class LaurentRing:
     def constant(self, value) -> "LaurentPoly":
         return LaurentPoly(self, {(0,) * self.nvars: value})
 
+    def index(self, j: int) -> int:
+        """The position of the 1-based variable t_j in an exponent vector."""
+        if not 1 <= j <= self.nvars:
+            raise ValueError(f"variable index {j} out of range 1..{self.nvars}")
+        return j - 1
+
     def variable(self, j: int) -> "LaurentPoly":
         """The variable t_j, 1-based."""
-        return self.monomial([int(i == j - 1) for i in range(self.nvars)])
+        jj = self.index(j)
+        return self.monomial([int(i == jj) for i in range(self.nvars)])
 
     def monomial(self, exps: Iterable[int], coeff=1) -> "LaurentPoly":
         """coeff times the monomial of exps; the exponents are checked even
@@ -152,13 +159,11 @@ class LaurentPoly(Combination):
         variable the substitution would not be a Laurent polynomial.
         Negative m performs the inverse substitution t_j -> t_j + |m|.
         """
-        if not 1 <= j <= self.ring.nvars:
-            raise ValueError(f"variable index {j} out of range")
+        jj = self.ring.index(j)
         if j <= self.ring.nlaurent:
             raise CutoffError(f"shift is undefined for Laurent variable t{j}")
         if m == 0:
             return self
-        jj = j - 1
         data: dict = {}
         for exps, coeff in self.terms.items():
             e = exps[jj]
@@ -169,24 +174,18 @@ class LaurentPoly(Combination):
 
     def degree_derivation(self, j: int) -> "LaurentPoly":
         """The operator t_j * d/dt_j: scales each term by its t_j exponent."""
-        if not 1 <= j <= self.ring.nvars:
-            raise ValueError(f"variable index {j} out of range")
-        jj = j - 1
+        jj = self.ring.index(j)
         return self._make({e: c * e[jj] for e, c in self.terms.items() if e[jj]})
 
     def deg_plus(self, j: int) -> int:
-        """Top t_j exponent, with deg_plus(0) = 0 by convention."""
-        if not self.terms:
-            return 0
-        jj = j - 1
-        return max(e[jj] for e in self.terms)
+        """Top t_j exponent, 0 on the zero polynomial by convention."""
+        jj = self.ring.index(j)
+        return max((e[jj] for e in self.terms), default=0)
 
     def deg_minus(self, j: int) -> int:
-        """Bottom t_j exponent, with deg_minus(0) = 0 by convention."""
-        if not self.terms:
-            return 0
-        jj = j - 1
-        return min(e[jj] for e in self.terms)
+        """Bottom t_j exponent, 0 on the zero polynomial by convention."""
+        jj = self.ring.index(j)
+        return min((e[jj] for e in self.terms), default=0)
 
     def _name(self, exps) -> str:
         return "*".join(f"t{j + 1}" if e == 1 else f"t{j + 1}^{e}"

@@ -20,12 +20,14 @@ pattern: each field of u either creates or acts with a mode j >= 0.  A
 positive mode contracts only with a factor of the same mode in the partner
 direction (c_i with d_i), so the patterns offer a field only the modes
 that the target word holds in its partner direction; every pattern left out
-would annihilate the state.  For each pattern and annihilation level a the
-field annihilators, the annihilation dressing, the zero modes and the charge
-shift run once per prepared field, whatever n is asked: none of them depends
-on n.  The creation half, everything left of the charge shift, depends only
-on the creating fields, alpha and the z-power L it must supply, and is the
-cached closed form
+would annihilate the state.  Per pattern the contractions and zero modes,
+then the charge shift, run once, and the annihilation dressing once per
+level a; none depends on n.  The contractions and the dressing act on words
+only, the zero modes and the charge shift on labels only, so each of the
+first two commutes with each of the last two; the zero modes still act
+before the charge shift, with which they do not commute.  The creation
+half, everything left of the charge shift, depends only on the creating
+fields, alpha and the z-power L it must supply, and is the cached closed form
 
     sum over m_i >= n_i, sum m_i <= L, of
         prod_i C(m_i-1, n_i-1) h_i(-m_i)  *  h_(L - sum m_i)(alpha),
@@ -39,10 +41,10 @@ denominator, kept as the field's one table of n.
 Words are ``fock``'s coded words, tuples of factor codes in canonical
 order.  The engine merges two words by one plain sort (``merge_words``),
 hashes them as tuples of ints, and builds a factor with ``fock.encode``.  A
-contraction matches codes: h(n), n > 0, removes each factor whose code is
-that of (partner direction, n).  Only a rule that reads a factor's
-direction or mode decodes it with ``fock.decode``: the annihilation
-patterns and the creation half, which read u's fields, and the
+contraction matches codes: h(n), n > 0, removes one factor whose code is that
+of (partner direction, n) and scales by how many the word holds.  Only a rule
+that reads a factor's direction or mode decodes it with ``fock.decode``: the
+annihilation patterns and the creation half, which read u's fields, and the
 annihilation dressing, which reads the target's d-factors.
 
 A single mode of one lattice direction (creation, contraction or zero mode)
@@ -287,10 +289,10 @@ class Field:
     gbinom(-j-1, n_i-1) h_i(j) z^(-j-n_i), and the sum splits in two halves.
     The setup enumerates the rows once: a term pair and an annihilation
     pattern (each field either creates or acts with a mode j >= 0, the
-    positive modes drawing at most b).  A row's annihilation half at level a
-    (the field annihilators, the annihilation dressing at level a, the zero
-    modes and the charge shift) does not depend on n, so the setup runs it
-    once per (row, a).  Only the creation half depends on n: it is the
+    positive modes drawing at most b).  A row's annihilation half does not
+    depend on n: the setup runs the contractions and zero modes, then the
+    charge shift, once per row, and the annihilation dressing once per (row,
+    a).  Only the creation half depends on n: it is the
     cached closed form ``_creation_half`` of the creating fields and alpha
     at the level L = J - n that balances z, where
     J = wt(u) - 1 - p0 + (sum of positive modes) + a and z^p0 is the scalar
@@ -331,20 +333,17 @@ class Field:
                 for js, coeff in _annihilation_patterns(ufock, wfock, cfg.nu):
                     states = {(wfock, label): coeff}
                     for dir_, j in zip(udirs, js):
-                        if j and states:
+                        if j is not None and states:
                             states = _dir_mode({}, 1, dir_, j, states, ctx)
+                    # zero modes act before the charge shift
+                    if states and charged:
+                        states = act_on_labels({}, 1, states, ctx.handle.e_action, alpha)
                     if not states:
                         continue
                     creating = tuple(f for f, j in zip(ufock, js) if j is None)
                     drawn = sum(j for j in js if j)
                     for a in range((budget - drawn if charged else 0) + 1):
                         mid = dressing(cfg, states, alpha, a, -1)
-                        # zero modes act before the charge shift
-                        for dir_, j in zip(udirs, js):
-                            if j == 0 and mid:
-                                mid = _dir_mode({}, 1, dir_, 0, mid, ctx)
-                        if mid and charged:
-                            mid = act_on_labels({}, 1, mid, ctx.handle.e_action, alpha)
                         if mid:
                             group = sums.setdefault((creating, alpha, j0 + drawn + a), [{}, 1])
                             group[1] = add_scaled(group[0], group[1], cuw, numerators(mid))
@@ -472,11 +471,11 @@ def _dir_mode(out: dict, x, dir_: int, n: int, states: dict, ctx: OperatorContex
     and return out.
 
     At n < 0 the mode creates a factor.  At n > 0 it contracts via
-    [h(m), h'(-m)] = m (h, h'): it removes each factor of mode n in the
-    partner direction (c_i with d_i, the only direction it pairs with, by
-    k), so it compares codes only.  At n = 0 a c-direction mode is the
-    scalar (c_i, lam) and a d-direction mode acts on the labels, adding into
-    out through ``fock.act_on_labels``.  The scalar that multiplies every
+    [h(n), h'(-n)^m] = m n (h, h') h'(-n)^(m-1): it removes one factor of
+    mode n in the partner direction (c_i with d_i, paired by k) and scales
+    by the m the word holds, comparing codes only.  At n = 0 a c-direction
+    mode is the scalar (c_i, lam) and a d-direction mode acts on the labels,
+    adding into out through ``fock.act_on_labels``.  The scalar that multiplies every
     term is folded into x before the term loop; at x = 1 the creation and
     c-direction zero modes add each coefficient itself, copying none.
     """
@@ -490,9 +489,9 @@ def _dir_mode(out: dict, x, dir_: int, n: int, states: dict, ctx: OperatorContex
         x *= n * ctx.cfg.k
         for (word, label), c in states.items():
             if partner in word:
-                for pos, code in enumerate(word):
-                    if code == partner:
-                        accumulate(out, (word[:pos] + word[pos + 1 :], label), c * x)
+                pos, m = word.index(partner), word.count(partner)
+                accumulate(out, (word[:pos] + word[pos + 1 :], label),
+                           c * x if m == 1 else c * (x * m))
     elif dir_ >= nu:
         act_on_labels(out, x, states, ctx.handle.d_action, dir_ - nu + 1)
     elif x := x * ctx.pairings[dir_]:  # the scalar (c_i, lam)

@@ -19,7 +19,6 @@ The quotient acts on a top level through the engine's zero modes, ``zero_mode``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -88,12 +87,6 @@ def zhu_reduce(cfg: LatticeConfig, v: VElement) -> AElement:
     return AElement(cfg.nu, {})._make(terms)
 
 
-@lru_cache(maxsize=None)
-def _zero(nu: int) -> VElement:
-    """The zero state of rank nu, built once: ``zhu_embed`` builds through its ``_make``."""
-    return VElement(nu, {})
-
-
 def zhu_embed(a: AElement) -> VElement:
     """Charge times d-monomial, realized with depth-one modes.
 
@@ -102,7 +95,7 @@ def zhu_embed(a: AElement) -> VElement:
     takes the trusted path and no word is validated again.
     """
     codes = [encode(a.nu + i, 1) for i in range(a.nu)]
-    return _zero(a.nu)._make({
+    return VElement(a.nu, {})._make({
         (tuple(code for code, e in zip(codes, dexp) for _ in range(e)), charge): coeff
         for (charge, dexp), coeff in a.terms.items()
     })

@@ -427,6 +427,18 @@ def test_spec_validation():
     OmegaSpec(1, 2, (LaurentRing(1, 1).variable(1),), ())
 
 
+def test_spec_parameters_are_read_only_at_their_indices():
+    # a_j exists for j in mu..nu and f_j for j in 1..mu-1; no index wraps
+    spec = OmegaSpec(2, 2, (R21.variable(1),), (2,))
+    assert spec.a_of(2) == 2 and spec.f_of(1) == R21.variable(1)
+    for j in (0, 1, 3, -1):
+        with pytest.raises(ValueError, match=rf"a_{j}: the shift constant index must lie in 2\.\.2"):
+            spec.a_of(j)
+    for j in (0, 2, -1):
+        with pytest.raises(ValueError, match=rf"f_{j}: the multiplier index must lie in 1\.\.1"):
+            spec.f_of(j)
+
+
 # -- classification -------------------------------------------------------------------
 
 

@@ -95,6 +95,19 @@ def test_fractional_dual_pairs_integrally():
         assert value.denominator == 1
 
 
+def test_vector_pads_only_an_omitted_family():
+    cfg = LatticeConfig(nu=3, k=1)
+    with pytest.raises(ValueError, match="c must have 3 coordinates, got 1"):
+        cfg.vector(c=[1])
+    with pytest.raises(ValueError, match="d must have 3 coordinates, got 2"):
+        cfg.vector(d=[2, 5])
+    with pytest.raises(ValueError, match="c must have 3 coordinates, got 0"):
+        cfg.vector(c=[])
+    v = cfg.vector(d=[2, 5, 0])
+    assert v.c == (0, 0, 0) and v.d == (2, 5, 0)
+    assert cfg.vector() == cfg.zero() == cfg.vector(c=[0] * 3, d=[0] * 3)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LatticeConfig(nu=0, k=1)

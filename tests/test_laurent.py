@@ -167,3 +167,17 @@ def test_ring_normalizes_whole_fractions():
     ring = LaurentRing(Fraction(2), Fraction(1))
     assert ring == LaurentRing(2, 1) and type(ring.nvars) is int and type(ring.nlaurent) is int
     assert hash(ring) == hash(LaurentRing(2, 1))
+
+
+def test_variable_indices_are_checked_by_the_ring():
+    # t_j is 1-based: an index outside 1..nvars neither wraps nor defaults
+    f = R21.monomial([1, 3])
+    assert R21.variable(2) == R21.monomial([0, 1]) and f.deg_plus(2) == f.deg_minus(2) == 3
+    for j in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"variable index {j} out of range 1..2"):
+            R21.variable(j)
+        for read in (f.deg_plus, f.deg_minus, f.degree_derivation, R21.zero().deg_plus):
+            with pytest.raises(ValueError, match=f"variable index {j} out of range 1..2"):
+                read(j)
+        with pytest.raises(ValueError, match=f"variable index {j} out of range 1..2"):
+            f.shift(j, 1)

@@ -65,12 +65,17 @@ def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
     # is a form read.  On jacobi the checkers compute each adjoint product
     # once, in the one table the adjoint context shares, never act on a zero
     # inner product and read no form past its field's top, which would be
-    # empty: 6,936 of the 18,040 reads they made before were such.
+    # empty: 6,936 of the 18,040 reads they made before were such.  The
+    # last two counts are the calls to vertex.dressing and
+    # vertex.act_on_labels: a field runs its zero modes and charge shift once
+    # per annihilation pattern, not once per level a, which cut them from
+    # 988 and 440 on jacobi and from 2,014 and 800 on dressing.
+    from halflattice import vertex
     from halflattice.vertex import Field
 
     workloads = _load("workloads")
     init, integer_form = Field.__init__, Field.integer_form
-    counts = [0, 0, 0, 0]
+    counts = [0] * 6
 
     def counted_init(self, u, w, ctx):
         init(self, u, w, ctx)
@@ -85,10 +90,19 @@ def test_fixed_shape_workloads_extract_the_pinned_coefficients(monkeypatch):
             counts[2] += len(form[0])
         return form
 
+    def calls(slot, rule):
+        def counted_rule(*args):
+            counts[slot] += 1
+            return rule(*args)
+        return counted_rule
+
     monkeypatch.setattr(Field, "__init__", counted_init)
     monkeypatch.setattr(Field, "integer_form", counted)
-    for name, want in (("jacobi", [280, 1524, 5100, 11104]), ("dressing", [36, 100, 2121, 100])):
-        counts[:] = [0, 0, 0, 0]
+    monkeypatch.setattr(vertex, "dressing", calls(4, vertex.dressing))
+    monkeypatch.setattr(vertex, "act_on_labels", calls(5, vertex.act_on_labels))
+    for name, want in (("jacobi", [280, 1524, 5100, 11104, 644, 370]),
+                       ("dressing", [36, 100, 2121, 100, 842, 504])):
+        counts[:] = [0] * 6
         for _, call in workloads["plan"](name, 7):
             call()
         assert counts == want, name
@@ -155,6 +169,8 @@ def test_modes_sample_builds_the_pinned_fractions():
     # folded into each integer label scalar, so it copies no coefficient;
     # the creation and c-direction zero modes add a coefficient itself at
     # scalar 1.  The 600 creation products at scalar -1 still build one
-    # each, since a negated Fraction is a new one.  The same under
-    # PYTHONHASHSEED 0 and 1.
-    assert _fractions_built("modes") == 3393
+    # each, since a negated Fraction is a new one.  A contraction removes one
+    # factor per distinct partner factor and scales by its multiplicity, so a
+    # repeated factor builds one product, not one per occurrence (124 fewer
+    # than 3,393).  The same under PYTHONHASHSEED 0 and 1.
+    assert _fractions_built("modes") == 3269
