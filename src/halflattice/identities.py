@@ -13,24 +13,38 @@ triple (u, v, w) read one memo of it by integer index: the fields of its
 inner pairs, at whose support tops they cut their sums, and the outer
 fields on its inner products, so a repeated product is found without
 hashing a state.
+The memo also holds the triple's weight top C.  A term of u_j x has Fock
+weight wt u + wt x - j - 1 - p0(alpha_u), with z^p0 the context's charge
+power (the balance of ``vertex.truncation_bound``), so every term on both
+sides of the component identity at (m, n, k) has Fock weight
+wt u + wt v + wt w - m - n - k - 2 - p0_u - p0_v.  In a module context the
+inner product u_b v is taken in the adjoint, where it has weight
+wt u + wt v - b - 1, and its charge alpha_u + alpha_v has the charge power
+p0_u + p0_v, so the associator side balances the same way.  A Fock weight
+is never negative, so both sides vanish when m + n + k exceeds
+C = max(wt u - p0) + max(wt v - p0) + max(wt w) - 2, and the Borcherds
+and locality residuals return the shared zero there before they touch a
+field; a zero u, v or w cuts every index.
 Where an inner product is zero the memo prepares no outer field and the
 residuals skip the term; past an outer field's ``top`` its form is empty,
 so they read none there either, and a residual with no terms is the
 context's shared zero.  The Borcherds, locality, d-derivative and Virasoro
-residuals read each coefficient from its field's table of integer forms
-and sum them with ``combination.add_scaled``, so a zero residual builds no
-``Fraction``.  The Borcherds and locality sums read each window's binomials
-as one row, taken once per (r, last).  The Heisenberg residual caches
-only its inner actions h(n) s; its two outer modes add into one terms dict
-through ``vertex.mode_into``, so it builds one element per residual.
+residuals read each coefficient from its field's table of integer forms,
+none past the field's ``top``, and sum them with ``combination.add_scaled``,
+so a zero residual builds no ``Fraction``.  The Borcherds and locality sums
+read each window's binomials as one row, taken once per (r, last).  The
+Heisenberg residual caches only its inner actions h(n) s; its two outer
+modes add into one terms dict through ``vertex.mode_into``, so it builds
+one element per residual.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import inf
 
 from .combination import accumulate, add_scaled, divided, numerators
-from .fock import VElement
+from .fock import VElement, fock_weight
 from .lattice import LatticeVector
 from .vertex import (
     Field,
@@ -50,10 +64,10 @@ class ActionCache:
     It prepares one ``Field`` per (u, w) in the context and one per (u, v)
     in the adjoint, and each field keeps the coefficients it has computed;
     when the context is the adjoint itself, the two are one table.  Every
-    coefficient shares its pair's annihilation halves.  ``form`` reads a
-    field's table of integer forms; ``act`` and ``adjoint_product`` read
-    the elements divided back from it.  Heisenberg modes h(n) s are keyed
-    by their arguments.
+    coefficient shares its pair's annihilation halves.  ``add_form`` adds
+    from a field's table of integer forms, reading none past its ``top``;
+    ``act`` and ``adjoint_product`` read the elements divided back from
+    it.  Heisenberg modes h(n) s are keyed by their arguments.
 
     ``triple(u, v, w)`` is the memo that the Borcherds and locality
     residuals of one triple read by integer index: for each inner index b
@@ -62,6 +76,10 @@ class ActionCache:
     inner pair fields (v, w), (u, w) and, in the adjoint, (u, v); the
     adjoint one is prepared only when a residual asks for it.  A zero inner
     product is stored as None and prepares no outer field, since x_a 0 = 0.
+    The memo's last entry is the triple's weight top C, taken once from the
+    terms' Fock weights and ``ctx.charge_power``: past it, at
+    m + n + k > C, both sides of the component identity vanish (see the
+    module docstring), so the residuals read nothing there.
     """
 
     def __init__(self, ctx: OperatorContext):
@@ -75,9 +93,12 @@ class ActionCache:
     def act(self, u: VElement, n: int, w):
         return _field(self._fields, u, w, self.ctx).coefficient(n)
 
-    def form(self, u: VElement, n: int, w) -> tuple:
-        """u_n w as its field's ``integer_form``."""
-        return _field(self._fields, u, w, self.ctx).integer_form(n)
+    def add_form(self, out: dict, den: int, c, u: VElement, n: int, w) -> int:
+        """Add c times u_n w, as its field's ``integer_form``, into the
+        integer numerators out over den and return their new denominator;
+        past the field's ``top`` u_n w = 0 and no form is read."""
+        field = _field(self._fields, u, w, self.ctx)
+        return add_scaled(out, den, c, field.integer_form(n)) if n <= field.top else den
 
     def adjoint_product(self, u: VElement, n: int, v: VElement) -> VElement:
         return _field(self._adjoint, u, v, self.adj).coefficient(n)
@@ -90,17 +111,25 @@ class ActionCache:
         return hit
 
     def triple(self, u: VElement, v: VElement, w) -> tuple:
-        """The memo of (u, v, w): the ``_Outer`` maps (u_on_vw, v_on_uw, uv_on_w)."""
+        """The memo of (u, v, w): the ``_Outer`` maps (u_on_vw, v_on_uw,
+        uv_on_w) and the triple's weight top, -inf when u, v or w is zero."""
         key = (u, v, w)
         memo = self._triples.get(key)
         if memo is None:
             # the maps hold the tables, not the cache, so that the cache
             # is freed by reference counting, not by a cycle collection
             fields, adjoint, ctx, adj = self._fields, self._adjoint, self.ctx, self.adj
+            top = -inf
+            if u and v and w:
+                power = ctx.charge_power
+                top = (max(fock_weight(word) - power(alpha) for word, alpha in u.terms)
+                       + max(fock_weight(word) - power(alpha) for word, alpha in v.terms)
+                       + max(fock_weight(word) for word, _ in w.terms) - 2)
             memo = self._triples[key] = (
                 _Outer((fields, v, w, ctx), lambda x: _field(fields, u, x, ctx)),
                 _Outer((fields, u, w, ctx), lambda x: _field(fields, v, x, ctx)),
                 _Outer((adjoint, u, v, adj), lambda x: _field(fields, x, w, ctx)),
+                top,
             )
         return memo
 
@@ -161,12 +190,16 @@ def locality_residual(
 
     for every pair of coefficient indices.  Their difference is the
     commutator side of the component Jacobi identity at (m, n, k) =
-    (p, k, q), after i -> k - i in the second sum.
+    (p, k, q), after i -> k - i in the second sum, so it is zero past the
+    triple's weight top.
     """
     if k_order < 0:
         raise ValueError("locality order must be nonnegative")
     _check_cache(ctx, cache)
-    return ctx.element(divided(*_commutator_sum(cache.triple(u, v, w), p, k_order, q)))
+    memo = cache.triple(u, v, w)
+    if p + k_order + q > memo[3]:
+        return ctx.zero
+    return ctx.element(divided(*_commutator_sum(memo, p, k_order, q)))
 
 
 def borcherds_residual(
@@ -187,10 +220,13 @@ def borcherds_residual(
                                    - (-1)^n v_{n+k-i} (u_{m+i} w) ]
       = sum_{i>=0} C(m,i) (u_{n+i} v)_{m+k-i} w
 
-    with every sum finite by truncation.
+    with every sum finite by truncation, and both sides zero past the
+    triple's weight top.
     """
     _check_cache(ctx, cache)
     memo = cache.triple(u, v, w)
+    if m + n + k > memo[3]:
+        return ctx.zero
     out, den = _commutator_sum(memo, m, n, k)
     # the inner product u_{n+i} v lives in the adjoint context, so its
     # support top is the one taken there
@@ -206,7 +242,7 @@ def _commutator_sum(memo: tuple, m: int, n: int, k: int) -> tuple:
     """sum_{i>=0} (-1)^i C(n,i) [u_{m+n-i} (v_{k+i} w) - (-1)^n v_{n+k-i} (u_{m+i} w)]
     as (integer numerators, denominator), read from the memo of (u, v, w) and
     cut off past both inner fields' tops, where both inner actions vanish."""
-    u_on_vw, v_on_uw, _ = memo
+    u_on_vw, v_on_uw, _, _ = memo
     out, den = {}, 1  # integer numerators over den
     i_max = max(u_on_vw.inner().top - k, v_on_uw.inner().top - m)
     sign_n = -1 if n % 2 else 1
@@ -270,8 +306,8 @@ def virasoro_residual(m: int, n: int, s, ctx: OperatorContext, cache: ActionCach
     omega = conformal_vector(ctx.cfg)
     out, den = {}, 1  # integer numerators over den
     for c, a, b in ((1, m, n), (-1, n, m)):
-        den = add_scaled(out, den, c, cache.form(omega, a + 1, cache.act(omega, b + 1, s)))
-    den = add_scaled(out, den, n - m, cache.form(omega, m + n + 1, s))
+        den = cache.add_form(out, den, c, omega, a + 1, cache.act(omega, b + 1, s))
+    den = cache.add_form(out, den, n - m, omega, m + n + 1, s)
     if m + n == 0:
         den = add_scaled(out, den, (m - m**3) // 6 * ctx.cfg.nu, numerators(s.terms))
     return ctx.element(divided(out, den))
@@ -285,6 +321,6 @@ def d_derivative_residual(u: VElement, n: int, w, ctx: OperatorContext, cache: A
     _check_cache(ctx, cache)
     du = cache.adjoint_product(conformal_vector(ctx.cfg), 0, u)
     out, den = {}, 1  # integer numerators over den
-    den = add_scaled(out, den, 1, cache.form(du, n, w))
-    den = add_scaled(out, den, n, cache.form(u, n - 1, w))
+    den = cache.add_form(out, den, 1, du, n, w)
+    den = cache.add_form(out, den, n, u, n - 1, w)
     return ctx.element(divided(out, den))

@@ -120,12 +120,12 @@ class LatticeConfig:
 
     def c_basis(self, i: int) -> LatticeVector:
         """Basis vector c_i, 1-based."""
-        self._check_index(i)
+        i = self._check_index(i)
         return self.vector(c=[int(j == i - 1) for j in range(self.nu)])
 
     def d_basis(self, i: int) -> LatticeVector:
         """Basis vector d_i, 1-based."""
-        self._check_index(i)
+        i = self._check_index(i)
         return self.vector(d=[int(j == i - 1) for j in range(self.nu)])
 
     def from_charge(self, charge: Sequence[int]) -> LatticeVector:
@@ -167,9 +167,12 @@ class LatticeConfig:
         total = sum(a * b for i, a in u.support for j, b in v.support if abs(i - j) == self.nu)
         return rational(self.k * total)
 
-    def _check_index(self, i: int) -> None:
+    def _check_index(self, i: int) -> int:
+        """The 1-based basis index i as an ``int``, checked by ``integer``."""
+        i = integer(i)
         if not 1 <= i <= self.nu:
             raise ValueError(f"basis index {i} out of range 1..{self.nu}")
+        return i
 
 
 class WeightModule:

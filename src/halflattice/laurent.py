@@ -58,7 +58,9 @@ class LaurentRing:
         return LaurentPoly(self, {(0,) * self.nvars: value})
 
     def index(self, j: int) -> int:
-        """The position of the 1-based variable t_j in an exponent vector."""
+        """The position of the 1-based variable t_j in an exponent vector;
+        j must be an integer (``combination.integer``)."""
+        j = integer(j)
         if not 1 <= j <= self.nvars:
             raise ValueError(f"variable index {j} out of range 1..{self.nvars}")
         return j - 1

@@ -514,7 +514,9 @@ def truncation_bound(u: VElement, w, ctx: OperatorContext) -> int:
     B is the max over term pairs of wt_u + wt_w - 1 - p0, with z^p0 the
     u-term's charge power, so B = max(wt_u - p0) + max(wt_w) - 1.  It is
     the independent oracle for a ``Field``'s ``top``, which the engine cuts
-    its sums at and which must never exceed B; it often lies below it.
+    its sums at and which must never exceed B; it often lies below it.  The
+    same balance, summed over u and v, gives the weight top of a triple
+    (u, v, w) past which ``identities.ActionCache.triple``'s residuals vanish.
     """
     if u.is_zero() or w.is_zero():
         return -1

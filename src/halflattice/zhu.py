@@ -140,7 +140,8 @@ def zero_mode(v: VElement, w, ctx: OperatorContext):
     """The zero mode o(v) on w, the coefficient of v that keeps w's weight.
 
     A term of Fock weight m and charge alpha acts by its coefficient at
-    n = m - 1 - ``ctx.charge_power(alpha)``, one ``Field`` per n.  This is
+    n = m - 1 - ``ctx.charge_power(alpha)``, one ``Field`` per n, whose
+    form it reads only at n <= the field's ``top``.  This is
     Zhu's action (JAMS 9, 1996) only on a top level: the adjoint's
     Fock-weight-0 states are one, but not a weight context's at lam != 0,
     where z^(alpha, lam) shifts the grading."""
@@ -149,5 +150,7 @@ def zero_mode(v: VElement, w, ctx: OperatorContext):
         parts.setdefault(fock_weight(word) - 1 - ctx.charge_power(alpha), {})[word, alpha] = c
     out, den = {}, 1  # integer numerators over den
     for n, terms in parts.items():
-        den = add_scaled(out, den, 1, Field(v._make(terms), w, ctx).integer_form(n))
+        field = Field(v._make(terms), w, ctx)
+        if n <= field.top:
+            den = add_scaled(out, den, 1, field.integer_form(n))
     return ctx.element(divided(out, den))

@@ -17,7 +17,14 @@ import pytest
 
 from halflattice import identities
 from halflattice.combination import accumulate
-from halflattice.fock import VElement, charge_element, fock_element, homogeneous_components, vacuum
+from halflattice.fock import (
+    VElement,
+    charge_element,
+    fock_element,
+    fock_weight,
+    homogeneous_components,
+    vacuum,
+)
 from halflattice.identities import (
     ActionCache,
     borcherds_residual,
@@ -38,8 +45,9 @@ from halflattice.vertex import (
     module_operator_context,
     nth_product,
     truncation_bound,
+    y_coefficient,
 )
-from halflattice.zhu import circ_general, zhu_star
+from halflattice.zhu import circ_general, zero_mode, zhu_star
 
 CFG1 = LatticeConfig(nu=1, k=1)
 CFG2 = LatticeConfig(nu=2, k=1)
@@ -442,7 +450,8 @@ def test_zero_inner_product_prepares_no_outer_field(monkeypatch):
 
 def test_locality_prepares_no_adjoint_field(monkeypatch):
     # locality reads no inner product u_j v, so the memo leaves the adjoint
-    # field of (u, v) unprepared until a Borcherds residual asks for it
+    # field of (u, v) unprepared until a Borcherds residual asks for it; the
+    # triple's weight top is -2, so that residual is asked at or below it
     (_, ctx), *_ = _module_contexts(CFG1)
     u, v = fock_element(1, [(1, 1)]), charge_element(1, (1,))
     w = ctx.state_of_label(ctx.handle.base_label())
@@ -457,7 +466,7 @@ def test_locality_prepares_no_adjoint_field(monkeypatch):
     for p, q in itertools.product(WINDOW2, WINDOW2):
         assert locality_residual(u, v, w, p, q, 1, ctx, cache).is_zero()
     assert prepared and all(c is ctx for c in prepared)
-    assert borcherds_residual(u, v, w, 0, 0, 0, ctx, cache).is_zero()
+    assert borcherds_residual(u, v, w, -2, -2, -2, ctx, cache).is_zero()
     assert cache.adj in prepared
 
 
@@ -565,10 +574,11 @@ def test_zero_residuals_on_a_warm_cache_build_no_fraction(monkeypatch):
 
 
 def test_sums_read_no_form_past_a_fields_top(monkeypatch):
-    # Past its top a field's form is empty, so the Borcherds and locality
-    # sums and the Zhu residue sums never ask for one there.  With such a
-    # read made to raise, they must still equal their oracles, which take
-    # elements through Field.coefficient and cut off at truncation_bound.
+    # Past its top a field's form is empty, so the Borcherds, locality,
+    # d-derivative and Virasoro sums, the Zhu residue sums and the zero
+    # modes never ask for one there.  With such a read made to raise, they
+    # must still equal their oracles, which take elements through
+    # Field.coefficient and cut off at truncation_bound, or vanish.
     # Locality of d1(-1) and c1(-1) at order 1, below their true order 2,
     # gives nonzero residuals; an empty result is the context's shared zero.
     integer_form = Field.integer_form
@@ -602,6 +612,18 @@ def test_sums_read_no_form_past_a_fields_top(monkeypatch):
                 nonzero += bool(got)
                 if not got:
                     assert got is ctx.zero
+            for n in WINDOW2:
+                assert d_derivative_residual(u, n, w, ctx, cache) is ctx.zero
+        for m, n in itertools.product(WINDOW2, WINDOW2):
+            assert virasoro_residual(m, n, w, ctx, cache) is ctx.zero
+        for x in (u + v for u, v in pairs):
+            got = zero_mode(x, w, ctx)
+            want = ctx.zero
+            for term, c in x.terms.items():
+                n = fock_weight(term[0]) - 1 - ctx.charge_power(term[1])
+                want = want + c * y_coefficient(x._make({term: 1}), n, w, ctx)
+            assert got == want
+            nonzero += bool(got)
     assert nonzero
     nonzero = 0
     for _ in range(6):
@@ -615,3 +637,72 @@ def test_sums_read_no_form_past_a_fields_top(monkeypatch):
             assert got == want, n
             nonzero += bool(got)
     assert nonzero
+
+
+def associator_side(u, v, w, m, n, k, ctx, cache):
+    """Oracle: sum_i C(m, i) (u_{n+i} v)_{m+k-i} w over every i up to the
+    product's ``truncation_bound``, with the inner product from ``nth_product``."""
+    out = {}
+    j_max = max(truncation_bound(u, v, cache.adj) - n, 0)
+    for i in range(j_max + 1 if m < 0 else min(j_max, m) + 1):
+        product = nth_product(ctx.cfg, u, n + i, v)
+        add_into(out, gbinom(m, i), cache.act(product, m + k - i, w).terms)
+    return ctx.element(out)
+
+
+@pytest.mark.parametrize("nu, k", [(1, 1), (2, 1), (1, 2), (1, -1)])
+def test_residuals_vanish_past_their_triples_weight_top(monkeypatch, nu, k):
+    # Every term of both sides at (m, n, j) has Fock weight C - (m + n + j),
+    # with C = max(wt u - p0) + max(wt v - p0) + max(wt w) - 2 read off the
+    # two fields' truncation bounds, so past C each side vanishes on its own
+    # and both residuals are the shared zero, read without a form.  The
+    # oracles take no memo and no weight top.  At m + n + j = C some side is
+    # nonzero, some Borcherds residual reads a form and some locality
+    # residual of d1(-1) and c1(-1) below their order 2 is nonzero, so C is
+    # not loose and a top one too small fails here.
+    cfg = LatticeConfig(nu=nu, k=k)
+    rng = random.Random(67 + 10 * nu + k)
+    integer_form, reads = Field.integer_form, []
+
+    def counted(self, n):
+        reads.append(n)
+        return integer_form(self, n)
+
+    monkeypatch.setattr(Field, "integer_form", counted)
+    c1, d1 = fock_element(nu, [(0, 1)]), fock_element(nu, [(nu, 1)])
+    at_top = read_at_top = local_at_top = past = 0
+    for ctx in [adjoint_context(cfg)] + [mctx for _, mctx in _module_contexts(cfg)]:
+        cache = ActionCache(ctx)
+        pairs = [(d1, c1)] + [
+            tuple(rand_velement(rng, cfg, n_terms=2, max_weight=2, charge_bound=1) for _ in "uv")
+            for _ in range(2)]
+        for u, v in pairs:
+            if isinstance(ctx.zero, VElement):
+                w = rand_velement(rng, cfg, n_terms=2, max_weight=1, charge_bound=1)
+            else:
+                w = rand_module_element(rng, ctx.handle, max_weight=1)
+            top = (truncation_bound(u, w, ctx) + truncation_bound(v, w, ctx)
+                   - max(fock_weight(word) for word, _ in w.terms))
+            for m, n, j in TRIPLES2:
+                if m + n + j < top:
+                    continue
+                commutator = rational_residual(u, v, w, m, n, j, ctx, cache, composed=False)
+                associator = associator_side(u, v, w, m, n, j, ctx, cache)
+                del reads[:]
+                got = borcherds_residual(u, v, w, m, n, j, ctx, cache)
+                assert got == commutator - associator, (m, n, j)
+                if m + n + j > top:
+                    past += 1
+                    assert commutator.is_zero() and associator.is_zero(), (m, n, j)
+                    assert got is ctx.zero and not reads
+                    if n >= 0:
+                        assert untruncated_locality(u, v, w, m, j, n, ctx, cache).is_zero()
+                        assert locality_residual(u, v, w, m, j, n, ctx, cache) is ctx.zero
+                else:
+                    at_top += bool(commutator or associator)
+                    read_at_top += bool(reads)
+                    if n >= 0:
+                        got = locality_residual(u, v, w, m, j, n, ctx, cache)
+                        assert got == untruncated_locality(u, v, w, m, j, n, ctx, cache)
+                        local_at_top += bool(got)
+    assert past and at_top and read_at_top and local_at_top

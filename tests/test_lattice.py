@@ -131,3 +131,14 @@ def test_direction_indexing():
     assert cfg.dir_name(0) == "c1" and cfg.dir_name(3) == "d2"
     assert cfg.dir_vector(1) == cfg.c_basis(2)
     assert cfg.dir_vector(2) == cfg.d_basis(1)
+
+
+@pytest.mark.parametrize("i", [1.0, 1.5, Fraction(1, 2), "1"])
+def test_basis_indices_must_be_integers(i):
+    cfg = LatticeConfig(nu=2, k=1)
+    for basis in (cfg.c_basis, cfg.d_basis):
+        with pytest.raises(TypeError, match="expected an integer"):
+            basis(i)
+    assert cfg.c_basis(Fraction(2)) == cfg.c_basis(2) and cfg.d_basis(True) == cfg.d_basis(1)
+    with pytest.raises(ValueError, match="basis index 3 out of range 1..2"):
+        cfg.c_basis(3)

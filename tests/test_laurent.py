@@ -181,3 +181,16 @@ def test_variable_indices_are_checked_by_the_ring():
                 read(j)
         with pytest.raises(ValueError, match=f"variable index {j} out of range 1..2"):
             f.shift(j, 1)
+
+
+@pytest.mark.parametrize("j", [1.0, 1.5, Fraction(3, 2), "1"])
+def test_variable_indices_must_be_integers(j):
+    # a float or a proper fraction neither reads t1 nor fails on a tuple
+    # index; a whole Fraction and a bool are integers, as in every key entry
+    f = R21.monomial([1, 3])
+    for read in (R21.variable, f.deg_plus, f.deg_minus, f.degree_derivation):
+        with pytest.raises(TypeError, match="expected an integer"):
+            read(j)
+    with pytest.raises(TypeError, match="expected an integer"):
+        f.shift(j, 1)
+    assert R21.variable(Fraction(2)) == R21.variable(2) and R21.variable(True) == R21.variable(1)
