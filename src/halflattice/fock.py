@@ -21,9 +21,9 @@ of two modules never add.  Words the package builds itself are coded and
 canonical already, and go through the core's trusted ``_make``.  Both
 classes order their terms by ``pair_key``, each word decoded to its
 (direction, mode) pairs, so no printed or serialized order depends on the
-codes.  Both name a factor c_i(-mode) or d_i(-mode) from the rank, and a
-module state names its label w[(...)].  ``act_on_labels`` is the one place
-a coefficient module acts, on the labels under each word, in place.
+codes.  Both name a factor c_i(-mode) or d_i(-mode) by ``lattice.dir_name``,
+and a module state names its label w[(...)].  ``act_on_labels`` is the one
+place a coefficient module acts, on the labels under each word, in place.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .combination import Combination, accumulate, integer
+from .lattice import dir_name
 
 FockWord = tuple  # tuple[int, ...]: factor codes in ascending order
 
@@ -194,5 +195,4 @@ def _charge_str(charge: tuple) -> str:
 
 def _fock_str(word: FockWord, nu: int) -> str:
     """The factors as c_i(-mode) or d_i(-mode) at rank nu."""
-    return "".join(f"{'c' if dir_ < nu else 'd'}{dir_ % nu + 1}(-{mode})"
-                   for dir_, mode in map(decode, word))
+    return "".join(f"{dir_name(dir_, nu)}(-{mode})" for dir_, mode in map(decode, word))

@@ -65,9 +65,10 @@ class ActionCache:
     in the adjoint, and each field keeps the coefficients it has computed;
     when the context is the adjoint itself, the two are one table.  Every
     coefficient shares its pair's annihilation halves.  ``add_form`` adds
-    from a field's table of integer forms, reading none past its ``top``;
-    ``act`` and ``adjoint_product`` read the elements divided back from
-    it.  Heisenberg modes h(n) s are keyed by their arguments.
+    from a field's table of integer forms, reading none at a zero scalar or
+    past its ``top``; ``act`` and ``adjoint_product`` read the elements
+    divided back from it.  Heisenberg modes h(n) s are keyed by their
+    arguments.
 
     ``triple(u, v, w)`` is the memo that the Borcherds and locality
     residuals of one triple read by integer index: for each inner index b
@@ -96,7 +97,10 @@ class ActionCache:
     def add_form(self, out: dict, den: int, c, u: VElement, n: int, w) -> int:
         """Add c times u_n w, as its field's ``integer_form``, into the
         integer numerators out over den and return their new denominator;
-        past the field's ``top`` u_n w = 0 and no form is read."""
+        at c = 0, or past the field's ``top``, where u_n w = 0, no form is
+        read."""
+        if not c:
+            return den
         field = _field(self._fields, u, w, self.ctx)
         return add_scaled(out, den, c, field.integer_form(n)) if n <= field.top else den
 

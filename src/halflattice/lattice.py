@@ -2,22 +2,26 @@
 
 The ambient rational space has basis c_1..c_nu, d_1..d_nu.  Both families
 are isotropic: (c_i, c_j) = (d_i, d_j) = 0, and the only nonzero pairings
-are (c_i, d_j) = k*delta_ij for a fixed nonzero integer k.  Vectors carry
-exact rational coordinates, held like combination values (an ``int`` when
-integral); the charge lattice is the integer span of the c_i and the dual
-directions are spanned by the d_i.  ``WeightModule`` is the span of the
-points lam0 + alpha over the charge lattice: the coefficient module of the
-vertex engine's adjoint and weight contexts, given by its label actions.
+are (c_i, d_j) = k*delta_ij for a fixed nonzero integer k.  A vector is
+one of the combination core's combinations: ``LatticeVector`` maps direction
+indices (0..nu-1 for c_1..c_nu, nu..2nu-1 for d_1..d_nu) to its nonzero
+rational coordinates, and the core gives it its arithmetic, its rank check,
+equality, hashing and printing.  The charge lattice is the integer span of
+the c_i and the dual directions are spanned by the d_i.  ``WeightModule``
+is the span of the points lam0 + alpha over the charge lattice: the
+coefficient module of the vertex engine's adjoint and weight contexts, given
+by its label actions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
-from .combination import integer, rational
+from .combination import Combination, integer, rational
 
 
 def _coords(values: Iterable, nu: int, what: str) -> tuple:
@@ -27,69 +31,54 @@ def _coords(values: Iterable, nu: int, what: str) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """Vector sum(c[i]*c_{i+1}) + sum(d[i]*d_{i+1}) with rational coords.
+def dir_name(idx: int, nu: int) -> str:
+    """The name of direction idx at rank nu: c1..c{nu} for 0..nu-1, then
+    d1..d{nu} for nu..2nu-1; the one spelling of a vector's terms, of a Fock
+    factor and of the Heisenberg check ids."""
+    return f"{'c' if idx < nu else 'd'}{idx % nu + 1}"
 
-    ``support`` holds the (direction index, coordinate) pairs of the nonzero
-    coordinates in direction order (c_1..c_nu are 0..nu-1, d_1..d_nu are
-    nu..2nu-1), which the pairing and the Heisenberg modes read.
+
+class LatticeVector(Combination):
+    """A vector of the rank-nu lattice, its shape: the combination of the
+    directions 0..2nu-1 (c_1..c_nu, then d_1..d_nu) with rational
+    coordinates.
+
+    ``support`` holds its (direction, coordinate) pairs in direction order,
+    which the pairing and the Heisenberg modes read; it is taken once, since
+    vectors key the operator caches and act many times.
     """
 
-    c: tuple
-    d: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
-    support: tuple = field(init=False, repr=False, compare=False)
+    def __init__(self, nu: int, terms: Mapping):
+        super().__init__(terms, integer(nu))
 
-    def __post_init__(self):
-        if len(self.c) != len(self.d):
-            raise ValueError("c- and d-coordinate lists must have equal length")
-        object.__setattr__(self, "c", tuple(rational(a) for a in self.c))
-        object.__setattr__(self, "d", tuple(rational(a) for a in self.d))
-        # vectors key the operator caches, so hash the 2*nu coordinates once
-        object.__setattr__(self, "_hash", hash((self.c, self.d)))
-        object.__setattr__(self, "support",
-                           tuple((i, a) for i, a in enumerate(self.c + self.d) if a))
+    nu = property(lambda self: self.shape)
+
+    def _key(self, idx) -> int:
+        idx = integer(idx)
+        if not 0 <= idx < 2 * self.shape:
+            raise ValueError(f"direction index {idx} out of range 0..{2 * self.shape - 1}")
+        return idx
 
     def __hash__(self) -> int:
-        return self._hash
+        # the core's cached hash, read by this class's own code: a mode-cache
+        # key hashes a vector beside a state, and a __hash__ that both classes
+        # share misses CPython's per-site attribute cache on every lookup
+        return self._hash if self._hash is not None else Combination.__hash__(self)
+
+    def _name(self, idx) -> str:
+        return dir_name(idx, self.shape)
 
     @property
-    def nu(self) -> int:
-        return len(self.c)
+    def c(self) -> tuple:
+        return tuple(self.terms.get(i, 0) for i in range(self.shape))
 
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        self._check(other)
-        return LatticeVector(
-            tuple(a + b for a, b in zip(self.c, other.c)),
-            tuple(a + b for a, b in zip(self.d, other.d)),
-        )
+    @property
+    def d(self) -> tuple:
+        return tuple(self.terms.get(i, 0) for i in range(self.shape, 2 * self.shape))
 
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return self + (-other)
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(tuple(-a for a in self.c), tuple(-a for a in self.d))
-
-    def __rmul__(self, scalar) -> "LatticeVector":
-        q = rational(scalar)
-        return LatticeVector(tuple(q * a for a in self.c), tuple(q * a for a in self.d))
-
-    __mul__ = __rmul__
-
-    def _check(self, other: "LatticeVector") -> None:
-        if self.nu != other.nu:
-            raise ValueError(f"rank mismatch: {self.nu} vs {other.nu}")
-
-    def __str__(self) -> str:
-        parts = []
-        for i, a in enumerate(self.c):
-            if a:
-                parts.append(f"{a}*c{i + 1}")
-        for i, a in enumerate(self.d):
-            if a:
-                parts.append(f"{a}*d{i + 1}")
-        return " + ".join(parts) if parts else "0"
+    @cached_property
+    def support(self) -> tuple:
+        return tuple(sorted(self.terms.items()))
 
 
 @dataclass(frozen=True)
@@ -111,22 +100,22 @@ class LatticeConfig:
 
     def vector(self, c: Sequence | None = None, d: Sequence | None = None) -> LatticeVector:
         """The vector of nu c- and nu d-coordinates; an omitted family is zero."""
-        zeros = (0,) * self.nu
-        return LatticeVector(zeros if c is None else _coords(c, self.nu, "c"),
-                             zeros if d is None else _coords(d, self.nu, "d"))
+        terms = {}
+        for start, values, what in ((0, c, "c"), (self.nu, d, "d")):
+            if values is not None:
+                terms.update(enumerate(_coords(values, self.nu, what), start))
+        return LatticeVector(self.nu, terms)
 
     def zero(self) -> LatticeVector:
-        return self.vector()
+        return LatticeVector(self.nu, {})
 
     def c_basis(self, i: int) -> LatticeVector:
         """Basis vector c_i, 1-based."""
-        i = self._check_index(i)
-        return self.vector(c=[int(j == i - 1) for j in range(self.nu)])
+        return self.dir_vector(self._check_index(i) - 1)
 
     def d_basis(self, i: int) -> LatticeVector:
         """Basis vector d_i, 1-based."""
-        i = self._check_index(i)
-        return self.vector(d=[int(j == i - 1) for j in range(self.nu)])
+        return self.dir_vector(self.nu + self._check_index(i) - 1)
 
     def from_charge(self, charge: Sequence[int]) -> LatticeVector:
         charge = tuple(integer(m) for m in charge)
@@ -142,29 +131,25 @@ class LatticeConfig:
         return 2 * self.nu
 
     def dir_vector(self, idx: int) -> LatticeVector:
-        if not 0 <= idx < self.ndirs:
-            raise ValueError(f"direction index {idx} out of range 0..{self.ndirs - 1}")
-        if idx < self.nu:
-            return self.c_basis(idx + 1)
-        return self.d_basis(idx - self.nu + 1)
-
-    def dir_name(self, idx: int) -> str:
-        if idx < self.nu:
-            return f"c{idx + 1}"
-        return f"d{idx - self.nu + 1}"
+        """Basis vector of direction idx, 0-based; ``LatticeVector._key``
+        checks the range."""
+        return LatticeVector(self.nu, {idx: 1})
 
     # -- the bilinear form ----------------------------------------------------
 
     def pairing(self, u: LatticeVector, v: LatticeVector) -> int | Fraction:
         """Bilinear extension of (c_i, d_j) = k*delta_ij, normalized like a
         combination value."""
-        if u.nu != self.nu or v.nu != self.nu:
+        if u.shape != self.nu or v.shape != self.nu:
             raise ValueError(
                 f"vector rank mismatch: pairing on rank {self.nu} lattice "
                 f"got ranks {u.nu} and {v.nu}"
             )
-        # only a c_i/d_i pair of the two supports pairs nonzero
-        total = sum(a * b for i, a in u.support for j, b in v.support if abs(i - j) == self.nu)
+        # a direction pairs only with its partner, c_i with d_i
+        nu, coords, total = self.nu, v.terms, 0
+        for i, a in u.support:
+            if b := coords.get(i + nu if i < nu else i - nu):
+                total += a * b
         return rational(self.k * total)
 
     def _check_index(self, i: int) -> int:

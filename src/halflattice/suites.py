@@ -34,7 +34,7 @@ from .identities import (
     locality_residual,
     virasoro_residual,
 )
-from .lattice import LatticeConfig, WeightModule
+from .lattice import LatticeConfig, WeightModule, dir_name
 from .vertex import (
     Field,
     adjoint_context,
@@ -240,7 +240,7 @@ def suite_heisenberg(config: SuiteConfig) -> SuiteReport:
     dirs = [cfg.dir_vector(i) for i in range(cfg.ndirs)]
     for i, h1 in enumerate(dirs):
         for j, h2 in enumerate(dirs):
-            report.sweep(f"bracket/{cfg.dir_name(i)}:{cfg.dir_name(j)}", (
+            report.sweep(f"bracket/{dir_name(i, nu)}:{dir_name(j, nu)}", (
                 ((m, n, idx), heisenberg_residual(h1, m, h2, n, s, ctx, cache))
                 for m, n in itertools.product(window, window)
                 for idx, s in enumerate(probes)

@@ -6,7 +6,7 @@ must build ``Fraction(a, b)``.  Each test below feeds integer-valued data
 into one such site, where the quotient is a proper fraction, and checks
 every value that comes out.  The integer form's functions are checked
 against plain ``Fraction`` arithmetic on drawn data.  The combination core
-is checked once for each of its five subclasses, and module states once for
+is checked once for each of its six subclasses, and module states once for
 each kind of module: the public constructor refuses a bad key whatever its
 coefficient and adds up keys that coincide once checked, and the trusted
 builder keeps the class and the shape.
@@ -47,7 +47,7 @@ from halflattice.fock import (
     fock_word,
     vacuum,
 )
-from halflattice.lattice import LatticeConfig, WeightModule
+from halflattice.lattice import LatticeConfig, LatticeVector, WeightModule
 from halflattice.laurent import CutoffError, LaurentPoly, LaurentRing
 from halflattice.linalg import nullspace
 from halflattice.vertex import module_operator_context
@@ -120,7 +120,10 @@ def test_non_integer_key_entries_say_an_integer_was_expected(build):
 # A module state's shape is its module, which checks its labels and gives the
 # rank of its words: a point outside the weight module's coset, a label of the
 # wrong length, a negative exponent of a polynomial-only variable, and a
-# direction past 2 nu are refused.
+# direction past 2 nu are refused.  A lattice vector's keys are its directions
+# 0..2nu-1, so 2nu and -1 are out of range and a float or a string is no
+# direction; its shape is the rank, and adding across ranks reads
+# "shape mismatch: 2 vs 3".
 HALF = (Fraction(1, 2), 0)
 WEIGHT = WeightModule(LatticeConfig(2, 1), HALF)
 OMEGA = OmegaSpec(2, 2, (LaurentRing(2, 1).variable(1),), (2,))
@@ -167,6 +170,11 @@ CORE_CASES = [
         (Fraction(-2), 1), (-2, Fraction(3, 3)), (-2, 1),
         [((1, -1), ValueError), ((1.0, 0), TypeError), ((1,), ValueError)],
         lambda terms: LaurentPoly(LaurentRing(2, 2), terms), id="LaurentPoly"),
+    pytest.param(
+        lambda terms: LatticeVector(2, terms),
+        Fraction(1), 1, 1,
+        [(4, ValueError), (-1, ValueError), (1.0, TypeError), ("x", TypeError)],
+        lambda terms: LatticeVector(3, terms), id="LatticeVector"),
 ]
 
 

@@ -42,6 +42,7 @@ from halflattice.vertex import (
     OperatorContext,
     adjoint_context,
     apply_heisenberg_mode,
+    conformal_vector,
     module_operator_context,
     nth_product,
     truncation_bound,
@@ -349,6 +350,22 @@ def test_d_derivative_residual_vanishes():
         w = rand_velement(rng, CFG2, max_weight=2)
         for n in range(-2, 3):
             assert d_derivative_residual(u, n, w, ctx, cache).is_zero()
+
+
+def test_a_zero_scalar_reads_no_form():
+    # At n = 0 the d-derivative residual adds 0 times u_{-1} w, and at m = n
+    # the Virasoro residual adds 0 times L(2m) s: on a fresh cache neither
+    # form is computed, though each lies within its field's top.
+    ctx = adjoint_context(CFG2)
+    u, w = fock_element(2, [(0, 1)]), fock_element(2, [(0, 1), (2, 1)], (1, 0))
+    cache = ActionCache(ctx)
+    assert d_derivative_residual(u, 0, w, ctx, cache) is ctx.zero
+    assert Field(u, w, ctx).top >= -1
+    field = cache._fields.get((u, w))
+    assert field is None or -1 not in field._forms
+    assert virasoro_residual(1, 1, w, ctx, cache) is ctx.zero
+    field = cache._fields[(conformal_vector(CFG2), w)]
+    assert field.top >= 3 and 2 in field._forms and 3 not in field._forms
 
 
 def test_borcherds_in_module_context():

@@ -300,8 +300,8 @@ def test_the_scan_finds_a_regrown_core():
 
 def test_the_combination_core_is_the_one_owner():
     classes = [cls.name for path in PACKAGE for cls in combination_classes(path.read_text())]
-    assert sorted(classes) == ["AElement", "BElement", "LaurentPoly", "ModuleElement",
-                               "VElement"]
+    assert sorted(classes) == ["AElement", "BElement", "LatticeVector", "LaurentPoly",
+                               "ModuleElement", "VElement"]
     found = [f"{path.name}: {cls}.{name}" for path in PACKAGE
              for cls, name in core_regrowth(path.read_text())]
     assert not found, found

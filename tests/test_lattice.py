@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from halflattice.lattice import LatticeConfig, WeightModule
+from halflattice.fock import fock_element
+from halflattice.lattice import LatticeConfig, LatticeVector, WeightModule, dir_name
 from halflattice.vertex import module_operator_context
 
 
@@ -78,6 +79,44 @@ def test_support_and_sparse_pairing_match_the_dense_coordinates(c1, d1, c2, d2, 
     assert type(got) is int or got.denominator > 1
 
 
+@given(sparse_coords, sparse_coords, sparse_coords, sparse_coords,
+       st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+def test_vector_arithmetic_matches_the_coordinate_tuples(c1, d1, c2, d2, q):
+    # the core's +, -, negation and scalar products against coordinate-wise
+    # arithmetic; a sum holds its terms in the order the summands bring
+    # them, and support still lists them in direction order
+    cfg = LatticeConfig(nu=3, k=1)
+    x, y = tuple(c1 + d1), tuple(c2 + d2)
+    u, v = cfg.vector(c=c1, d=d1), cfg.vector(c=c2, d=d2)
+    backwards = LatticeVector(3, dict(reversed(list(enumerate(y)))))
+    assert backwards == v
+    cases = [
+        (u + v, [a + b for a, b in zip(x, y)]),
+        (v + u, [a + b for a, b in zip(x, y)]),
+        (backwards + u, [a + b for a, b in zip(x, y)]),
+        (u - v, [a - b for a, b in zip(x, y)]),
+        (-u, [-a for a in x]),
+        (q * u, [q * a for a in x]),
+        (u * q, [q * a for a in x]),
+        (backwards, y),
+    ]
+    for vec, coords in cases:
+        assert vec.c + vec.d == tuple(coords) and vec.nu == 3
+        assert vec.support == tuple((i, a) for i, a in enumerate(coords) if a != 0)
+        assert all(type(a) is int or a.denominator > 1 for _, a in vec.support)
+    assert (cfg.d_basis(2) + cfg.c_basis(1)).support == ((0, 1), (4, 1))
+
+
+def test_vectors_print_and_check_directions_through_the_core():
+    cfg = LatticeConfig(nu=2, k=1)
+    v = cfg.vector(c=[1, 0], d=[2, Fraction(-1, 2)])
+    assert str(v) == repr(v) == "c1 + 2*d1 - 1/2*d2"
+    assert str(cfg.zero()) == "0" and str(cfg.dir_vector(2) - cfg.c_basis(2)) == "-c2 + d1"
+    with pytest.raises(ValueError, match="direction index 4 out of range 0..3"):
+        cfg.dir_vector(4)
+    assert hash(v) == hash(LatticeVector(2, {3: Fraction(-1, 2), 2: 2, 0: Fraction(2, 2)}))
+
+
 def test_charge_lattice_is_isotropic():
     cfg = LatticeConfig(nu=3, k=2)
     charges = [cfg.from_charge(t) for t in [(1, 0, 0), (2, -1, 3), (0, 5, -2)]]
@@ -128,7 +167,10 @@ def test_config_normalizes_whole_fractions():
 
 def test_direction_indexing():
     cfg = LatticeConfig(nu=2, k=4)
-    assert cfg.dir_name(0) == "c1" and cfg.dir_name(3) == "d2"
+    assert dir_name(0, 2) == "c1" and dir_name(3, 2) == "d2"
+    # one spelling: a vector's terms and a Fock factor read the same rule
+    assert [str(cfg.dir_vector(i)) for i in range(4)] == ["c1", "c2", "d1", "d2"]
+    assert str(fock_element(2, [(0, 1), (3, 3)])) == "d2(-3)c1(-1)"
     assert cfg.dir_vector(1) == cfg.c_basis(2)
     assert cfg.dir_vector(2) == cfg.d_basis(1)
 
