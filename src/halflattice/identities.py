@@ -36,6 +36,35 @@ read each window's binomials as one row, taken once per (r, last).  The
 Heisenberg residual caches only its inner actions h(n) s; its two outer
 modes add into one terms dict through ``vertex.mode_into``, so it builds
 one element per residual.
+
+Three identities tie residuals at different indices together, whatever the
+values u_j x and h(n) s are, so a sweep decides a whole orbit of residuals
+from one of them (``SuiteReport.sweep``):
+
+- The Pascal recursion.  Each of the three sums of the component identity
+  at (m, n, k) obeys S(m+1, n, k) = S(m, n+1, k) + S(m, n, k+1), by
+  Pascal's rule C(r+1, i) = C(r, i) + C(r, i-1) on C(n, i) and C(m, i),
+  as long as each sum runs over every i whose term can be nonzero, which
+  the cuts at the inner fields' tops keep.  It is the coefficient form of
+  (z1 - z2 - z0) z0^-1 delta((z1 - z2)/z0) = 0 and its two partners in
+  [FLM]'s formal calculus.  So the Borcherds residual R obeys it too, and
+  on a box [lo, hi]^3 its values on the faces n = lo, m = hi and k = hi
+  fix it everywhere, by induction on n through
+  R(m, n+1, k) = R(m+1, n, k) - R(m, n, k+1): off those faces m + 1 and
+  k + 1 are still in the box.  The three terms have the same m + n + k, so
+  the weight-top cut zeroes all three or none.
+- Antisymmetry of the bracket.  heisenberg_residual(h2, n, h1, m) is
+  -heisenberg_residual(h1, m, h2, n): the two outer terms trade places,
+  and at m + n = 0 the central term -m (h1, h2) becomes -n (h2, h1) =
+  m (h1, h2), since the pairing is symmetric.
+- The locality swap.  locality_residual(v, u, w, q, p, N) is
+  -(-1)^N locality_residual(u, v, w, p, q, N): the two sums trade places
+  term by term, each picking up that sign.
+
+A residual off the faces is a signed sum of face residuals, and a mirrored
+one is plus or minus its representative, so each vanishes when those do;
+the identities are checked on nonzero residuals of operator data that is
+not an algebra in ``tests/test_identities.py``.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ over probe states and coefficient windows with exact arithmetic, and returns
 a ``SuiteReport`` whose check records are sorted by id.  A check is a lazy
 stream of (where, residual) cases decided by ``SuiteReport.sweep``: the
 first truthy residual fails it, and so does a stream with no case at all.
+The Borcherds, locality and Heisenberg sweeps evaluate one residual per
+orbit of the identities stated in the ``identities`` docstring: the three
+faces of each index box, and one stream for both ids of a mirrored pair.
 Reports depend only on (config, seed); wall time is tracked but excluded
 from the serialized report so byte-identical reruns stay byte-identical.
 
@@ -95,21 +98,29 @@ class SuiteReport:
             residual = text if where is None else f"at {where!r}: {text}"
         self.checks.append(CheckRecord(check_id, bool(ok), "" if ok or not residual else str(residual)))
 
-    def sweep(self, check_id: str, cases) -> None:
-        """Decide a check from its lazy (where, residual) cases.
+    def sweep(self, check_ids, cases) -> None:
+        """Decide a check, or a tuple of checks, from one stream of lazy
+        (where, residual) cases.
 
         A truthy residual (a nonzero combination, a failed comparison, a
         message) fails the check at its first such case, recorded as the
         (where, residual) pair; a check that evaluated no case fails as
-        vacuous.
+        vacuous.  A tuple names checks that the stream decides together:
+        an orbit whose other residuals are each plus or minus one of the
+        stream's, so they vanish exactly when it does (see the
+        ``identities`` module docstring).  Every id of the tuple gets the
+        stream's verdict, and a failing one records the stream's first
+        failing index and residual.
         """
-        evaluated = 0
+        ids = (check_ids,) if isinstance(check_ids, str) else check_ids
+        verdict = (False, "vacuous: no case evaluated")
         for where, res in cases:
             if res:
-                self.add(check_id, False, (where, res))
-                return
-            evaluated += 1
-        self.add(check_id, evaluated > 0, "vacuous: no case evaluated")
+                verdict = (False, (where, res))
+                break
+            verdict = (True, "")
+        for check_id in ids:
+            self.add(check_id, *verdict)
 
     def finish(self) -> "SuiteReport":
         self.checks.sort(key=lambda c: c.check_id)
@@ -177,6 +188,20 @@ def _first_failure(cases):
     return next(((where, res) for where, res in cases if res), None)
 
 
+def _faces(window: range) -> list:
+    """The (m, n, k) of the box window^3 on its faces n = lo, m = hi and
+    k = hi, in the box's order.
+
+    The Borcherds residual obeys R(m, n+1, k) = R(m+1, n, k) - R(m, n, k+1)
+    for any operator data (see the ``identities`` module docstring), so by
+    induction on n its values on these faces determine it on the whole box:
+    127 of the 343 points at window -3..3.
+    """
+    lo, hi = window.start, window.stop - 1
+    return [(m, n, k) for m, n, k in itertools.product(window, repeat=3)
+            if n == lo or m == hi or k == hi]
+
+
 def _unimodular_nu(config: SuiteConfig, suite: str) -> int:
     """The rank of a suite over function modules, which exist only at k = 1."""
     nu, k = config.resolved(2, 1)
@@ -238,13 +263,19 @@ def suite_heisenberg(config: SuiteConfig) -> SuiteReport:
     window = range(-config.mode_window, config.mode_window + 1)
     # one vector per direction, so cache keys match by identity
     dirs = [cfg.dir_vector(i) for i in range(cfg.ndirs)]
-    for i, h1 in enumerate(dirs):
-        for j, h2 in enumerate(dirs):
-            report.sweep(f"bracket/{dir_name(i, nu)}:{dir_name(j, nu)}", (
-                ((m, n, idx), heisenberg_residual(h1, m, h2, n, s, ctx, cache))
-                for m, n in itertools.product(window, window)
-                for idx, s in enumerate(probes)
-            ))
+    names = [dir_name(i, nu) for i in range(cfg.ndirs)]
+    # the residual is antisymmetric under (h1, m) <-> (h2, n): one sweep over
+    # all (m, n) decides bracket/x:y and bracket/y:x, and bracket/x:x needs
+    # only m <= n
+    for i, j in itertools.combinations_with_replacement(range(cfg.ndirs), 2):
+        h1, h2 = dirs[i], dirs[j]
+        ids = (f"bracket/{names[i]}:{names[j]}", f"bracket/{names[j]}:{names[i]}")
+        report.sweep(ids if i < j else ids[:1], (
+            ((m, n, idx), heisenberg_residual(h1, m, h2, n, s, ctx, cache))
+            for m, n in itertools.product(window, window)
+            if i < j or m <= n
+            for idx, s in enumerate(probes)
+        ))
     return report.finish()
 
 
@@ -272,9 +303,15 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
                     for q in window:
                         yield (p, q, idx), locality_residual(u, v, w, p, q, order, ctx, cache)
 
-        for order, left, right in ((2, heis, heis), (1, heis, charges), (0, charges, charges)):
-            for (n1, u), (n2, v) in itertools.product(left, right):
-                report.sweep(f"order{order}/{ctx_name}/{n1}:{n2}", cases(u, v, order))
+        # swapping (u, p) and (v, q) scales the residual by -(-1)^order, so
+        # one sweep of (u, v) over all (p, q) decides (v, u) too; the order-1
+        # pairs have no mirror among them
+        for order, pairs, mirrored in ((2, itertools.combinations_with_replacement(heis, 2), True),
+                                       (1, itertools.product(heis, charges), False),
+                                       (0, itertools.combinations_with_replacement(charges, 2), True)):
+            for (n1, u), (n2, v) in pairs:
+                ids = (f"order{order}/{ctx_name}/{n1}:{n2}", f"order{order}/{ctx_name}/{n2}:{n1}")
+                report.sweep(ids if mirrored and n1 != n2 else ids[:1], cases(u, v, order))
         # order k-1 must fail on a pair with nonzero pairing: c1(-1), d1(-1)
         fail = _first_failure(cases(heis[0][1], heis[1][1], 1))
         report.add(
@@ -294,7 +331,7 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
     report = SuiteReport("borcherds", config.echo(nu, k))
     rng = random.Random(config.seed)
     window = range(-config.jacobi_window, config.jacobi_window + 1)
-    triples = list(itertools.product(window, repeat=3))
+    faces = _faces(window)  # they decide the whole box
     gens = _generators(cfg)
 
     ctx = adjoint_context(cfg)
@@ -302,7 +339,7 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
     for (n1, u), (n2, v), (n3, w) in itertools.product(gens, gens, gens):
         report.sweep(f"adjoint/{n1}:{n2}:{n3}", (
             ((m, n, kk), borcherds_residual(u, v, w, m, n, kk, ctx, cache))
-            for m, n, kk in triples
+            for m, n, kk in faces
         ))
 
     for kind, mctx in _module_contexts(cfg):
@@ -312,7 +349,7 @@ def suite_borcherds(config: SuiteConfig) -> SuiteReport:
             report.sweep(f"module-{kind}/{n1}:{n2}", (
                 (((m, n, kk), widx), borcherds_residual(u, v, w, m, n, kk, mctx, mcache))
                 for widx, w in enumerate(wprobes)
-                for m, n, kk in triples
+                for m, n, kk in faces
             ))
     return report.finish()
 
@@ -606,7 +643,7 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
         lams.append(cfg.d_basis(1) + cfg.d_basis(2))
     gens = _generators(cfg)
     window = range(-config.jacobi_window, config.jacobi_window + 1)
-    triples = list(itertools.product(window, repeat=3))
+    faces = _faces(window)  # they decide the whole box
     pair_sample = [(0, 2 * nu), (1, 2 * nu), (0, 1), (2 * nu, 2 * nu + 1)]
 
     for lam_idx, lam in enumerate(lams):
@@ -640,7 +677,7 @@ def suite_module_axioms(config: SuiteConfig) -> SuiteReport:
                  borcherds_residual(gens[gi][1], gens[gj][1], w, m, n, kk, ctx, cache))
                 for gi, gj in pair_sample
                 for widx, w in enumerate(probes)
-                for m, n, kk in triples
+                for m, n, kk in faces
             ))
     return report.finish()
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from halflattice import probes
+from halflattice import probes, vertex
 from halflattice.assoc import OmegaSpec
 from halflattice.combination import Combination
 from halflattice.fock import ModuleElement, VElement, pair_key
@@ -44,18 +44,18 @@ GOLDEN = {
 
 # (records, sha256) of the work each suite evaluates at CONFIG: one record per
 # probe draw (a ``rand_*`` call made by the suite) and one per case of every
-# sweep, as (check id, where), in evaluation order.  The text of a record is
+# sweep, as (check ids, where), in evaluation order.  The text of a record is
 # built from terms, keys and str() of each value (see ``_text``), so neither a
 # printing change, an int/Fraction switch nor the coding of Fock words moves
 # it; a change to the draws,
 # their order, or the cases a sweep evaluates does.
 WORK = {
-    "borcherds": (43906, "3c00e996d7050bd5aaa3550d9daedbd987d8ed93e6430a50c0b1ff333cedde17"),
+    "borcherds": (16258, "623ce737d994594db771d9da2095c634c82734c0271c7bfa221eead0293f5ae6"),
     "classification": (125, "75d251b1570eef684db6a28714f4bb8fcd9b0fe4c2d9c7e03855741da58d8fe4"),
     "d-derivative": (594, "5bc773c7f35779aaf1ff4d8689c076d3dc8957e5b502944b0f926d59c4cca503"),
-    "heisenberg": (135250, "30a72509b94be7676e6cad2b82d7b0624a2cc2b3fffd1d705612e732110ccabd"),
-    "locality": (21174, "c677afdf72951639e7a9f8abe21277f7c0c898b38aae6dbf51f230b31d16d971"),
-    "module-axioms": (11228, "f27439875edf0bde2142d6bbea2d98f2ea646f5e0d94086c132170a93122303c"),
+    "heisenberg": (68950, "5579a9702818c678ab1656898fb69bd1a5be0937ee182374f27f240180660a77"),
+    "locality": (15882, "9604f74e6e165aaa746ab78b810db03d717f756de468e9cdbbc8b557d8e40014"),
+    "module-axioms": (4316, "798d080ab1b3df31efc8450e29737351f79db98c40cde4f6f2d412c1986eb3ae"),
     "omega-relations": (622, "c04f67359575ec17db98853885b810570dfd6b711a035e0c105b097824d8e737"),
     "vacuum-roundtrip": (402, "0ea9e34aaa9babbcada213488ce2e2a894f47770066a60827abe82ac024208a4"),
     "virasoro": (1329, "3656be330d650434ae31633f29a314d9d9da4ad4321acb180a02bfd1f380a8f1"),
@@ -85,12 +85,12 @@ def _recorded(suite: str):
     records = []
     sweep = SuiteReport.sweep
 
-    def recording_sweep(report, check_id, cases):
+    def recording_sweep(report, check_ids, cases):
         def traced():
             for where, res in cases:
-                records.append(f"case {check_id} {_text(where)}")
+                records.append(f"case {_text(check_ids)} {_text(where)}")
                 yield where, res
-        return sweep(report, check_id, traced())
+        return sweep(report, check_ids, traced())
 
     def recording(name, draw):
         def wrapped(*args, **kwargs):
@@ -207,6 +207,27 @@ def test_criterion_10_degree_zero_quotient():
     ids = {c.check_id for c in report.checks}
     assert {"charge-circle-product", "ideal-membership",
             "product-identification", "bottom-level-injectivity"} <= ids
+
+
+def test_orbit_sweeps_detect_a_broken_engine(monkeypatch):
+    # The suites evaluate one residual per orbit: a box's three faces, one of
+    # each mirrored pair of ids, half the (m, n) of bracket/x:x.  A contraction
+    # scaled by n twice gives [h(m), h'(n)] = m^2 (h, h') delta_{m+n,0}, which is
+    # no vertex algebra and no Heisenberg algebra, and the skipped residuals
+    # must not hide it: both ids of a mirrored pair fail with their
+    # representative's record, and so do Borcherds checks in the adjoint.
+    dir_mode = vertex._dir_mode
+    monkeypatch.setattr(vertex, "_dir_mode", lambda out, x, dir_, n, states, ctx: dir_mode(
+        out, x * n if n > 0 else x, dir_, n, states, ctx))
+    config = SuiteConfig(mode_window=2, jacobi_window=2, probe_count=2)
+    failed = {c.check_id: c.residual
+              for suite in ("heisenberg", "locality", "borcherds")
+              for c in run_verification(suite, config).checks if not c.ok}
+    for ids in (("bracket/c1:d1", "bracket/d1:c1"), ("bracket/c2:d2", "bracket/d2:c2"),
+                ("order2/adjoint/c1:d1", "order2/adjoint/d1:c1"),
+                ("order2/weight/c2:d2", "order2/weight/d2:c2")):
+        assert ids[0] in failed and failed[ids[0]] == failed[ids[1]], ids
+    assert any(check_id.startswith("adjoint/") for check_id in failed)
 
 
 SWEEP = [(suite, nu, range(10)) for nu in (1, 2)

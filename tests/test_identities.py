@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from halflattice import identities
-from halflattice.combination import accumulate
+from halflattice.combination import accumulate, divided
 from halflattice.fock import (
     VElement,
     charge_element,
@@ -36,7 +36,7 @@ from halflattice.identities import (
 )
 from halflattice.lattice import LatticeConfig, WeightModule
 from halflattice.probes import rand_module_element, rand_velement
-from halflattice.suites import _module_contexts
+from halflattice.suites import _faces, _module_contexts
 from halflattice.vertex import (
     Field,
     OperatorContext,
@@ -723,3 +723,104 @@ def test_residuals_vanish_past_their_triples_weight_top(monkeypatch, nu, k):
                         assert got == untruncated_locality(u, v, w, m, j, n, ctx, cache)
                         local_at_top += bool(got)
     assert past and at_top and read_at_top and local_at_top
+
+
+# -- the identities that let a sweep skip determined residuals ---------------------------
+
+
+def context_probes(rng, cfg, count):
+    """(context, count probe states of Fock weight at most 2) in the adjoint
+    and each module context of cfg."""
+    out = [(adjoint_context(cfg), [rand_velement(rng, cfg, max_weight=2, charge_bound=1)
+                                   for _ in range(count)])]
+    for _, mctx in _module_contexts(cfg):
+        out.append((mctx, [rand_module_element(rng, mctx.handle, max_weight=2)
+                           for _ in range(count)]))
+    return out
+
+
+@pytest.mark.parametrize("nu, k", [(1, 1), (2, 1), (2, -1), (1, 2)])
+def test_component_sums_obey_the_pascal_recursion(nu, k):
+    # S(m+1, n, k) = S(m, n+1, k) + S(m, n, k+1) for the commutator sums and
+    # so for the Borcherds residuals, on random triples that need not satisfy
+    # anything in particular: the recursion is Pascal's rule on the sums'
+    # binomials, which is why the suites sweep only a box's three faces.  It
+    # needs every sum complete, so an i loop cut short fails here.  The
+    # points are those whose terms have Fock weight at most 2, at
+    # m + n + j + 1 >= C - 2 for the triple's weight top C, where the sums
+    # are short; the rest of the box costs seconds more to read.
+    cfg = LatticeConfig(nu=nu, k=k)
+    rng = random.Random(71 + 10 * nu + k)
+    nonzero = 0
+    for ctx, probes in context_probes(rng, cfg, 1):
+        cache = ActionCache(ctx)
+        for w in probes:
+            u, v = (rand_velement(rng, cfg, n_terms=2, max_weight=2, charge_bound=1) for _ in "uv")
+            memo = cache.triple(u, v, w)
+
+            def commutator(m, n, j):
+                return ctx.element(divided(*identities._commutator_sum(memo, m, n, j)))
+
+            def residual(m, n, j):
+                return borcherds_residual(u, v, w, m, n, j, ctx, cache)
+
+            for m, n, j in itertools.product(range(-3, 3), repeat=3):
+                if m + n + j + 1 < memo[3] - 2:
+                    continue
+                for side in (commutator, residual):
+                    assert side(m + 1, n, j) == side(m, n + 1, j) + side(m, n, j + 1), (m, n, j)
+                nonzero += bool(commutator(m, n, j))
+    assert nonzero
+
+
+def test_faces_determine_the_box():
+    # the recursion R(m, n+1, k) = R(m+1, n, k) - R(m, n, k+1), run up from
+    # n = lo, reaches every point of the box from the three faces alone
+    for window in (range(-3, 4), range(-1, 2), range(0, 1)):
+        box = set(itertools.product(window, repeat=3))
+        known = set(_faces(window))
+        assert known <= box and len(known) == len(box) - (len(window) - 1) ** 3
+        for n in window[:-1]:
+            for m, j in itertools.product(window, window):
+                if (m, n + 1, j) not in known:
+                    assert {(m + 1, n, j), (m, n, j + 1)} <= known, (m, n, j)
+                    known.add((m, n + 1, j))
+        assert known == box
+
+
+def test_bracket_residual_is_antisymmetric(monkeypatch):
+    # [h1(m), h2(n)] and [h2(n), h1(m)] trade their outer terms, and the
+    # central terms -m (h1, h2) and -n (h2, h1) agree up to sign at m + n = 0,
+    # whatever the inner actions are: a spurious term in them leaves the
+    # residuals nonzero and still antisymmetric
+    window = range(-2, 3)
+    dirs = [CFG2.dir_vector(i) for i in range(CFG2.ndirs)]
+    nonzero = 0
+    for ctx, probes in heisenberg_contexts(random.Random(73)):
+        cache = ActionCache(ctx)
+        mode = cache.mode
+        monkeypatch.setattr(cache, "mode", lambda h, n, s: mode(h, n, s) + (n + 2) * s)
+        for h1, h2, m, n, s in itertools.product(dirs, dirs, window, window, probes):
+            got = heisenberg_residual(h1, m, h2, n, s, ctx, cache)
+            assert heisenberg_residual(h2, n, h1, m, s, ctx, cache) == -got
+            nonzero += bool(got)
+    assert nonzero
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_locality_residual_swaps_with_its_sign(nu):
+    # swapping (u, p) and (v, q) scales the order-N residual by -(-1)^N;
+    # c1(-1) and d1(-1) are local only at order 2, so below it the residuals
+    # are nonzero
+    cfg = LatticeConfig(nu=nu, k=1)
+    c1, d1 = fock_element(nu, [(0, 1)]), fock_element(nu, [(nu, 1)])
+    window = range(-2, 3)
+    nonzero = 0
+    for ctx, probes in context_probes(random.Random(79 + nu), cfg, 2):
+        cache = ActionCache(ctx)
+        for w, order, p, q in itertools.product(probes, (0, 1), window, window):
+            got = locality_residual(c1, d1, w, p, q, order, ctx, cache)
+            want = got if order % 2 else -got
+            assert locality_residual(d1, c1, w, q, p, order, ctx, cache) == want
+            nonzero += bool(got)
+    assert nonzero

@@ -170,15 +170,20 @@ def test_dressing_sample_builds_the_pinned_fractions():
 
 def test_modes_sample_builds_the_pinned_fractions():
     # The probes draw 73 rational coefficients, the central terms of the
-    # m + n = 0 residuals build 224, and the rest are the mode terms'
+    # m + n = 0 residuals build 112, and the rest are the mode terms'
     # products and sums on the probes' coefficients, in the one mode rule,
     # whose scalar is folded before its term loop.  The d-direction zero
     # mode adds its label action into the caller's dict with its scalar
     # folded into each integer label scalar, so it copies no coefficient;
     # the creation and c-direction zero modes add a coefficient itself at
-    # scalar 1.  The 600 creation products at scalar -1 still build one
+    # scalar 1.  The 316 creation products at scalar -1 still build one
     # each, since a negated Fraction is a new one.  A contraction removes one
     # factor per distinct partner factor and scales by its multiplicity, so a
-    # repeated factor builds one product, not one per occurrence (124 fewer
-    # than 3,393).  The same under PYTHONHASHSEED 0 and 1.
-    assert _fractions_built("modes") == 3269
+    # repeated factor builds one product, not one per occurrence.  The suite
+    # evaluates one residual per orbit of the bracket's antisymmetry, one
+    # sweep for bracket/x:y and bracket/y:x and m <= n for bracket/x:x, so
+    # half as many m + n = 0 residuals carry a central term as when every
+    # ordered pair was swept (224 then), and 600 creation products fell to
+    # 316: 3,269 Fractions fell to 1,818.  The same under PYTHONHASHSEED 0
+    # and 1.
+    assert _fractions_built("modes") == 1818
