@@ -28,11 +28,10 @@ applies its label action by ``fock.act_on_labels`` under each Fock word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .combination import Combination, accumulate, integer, rational
 from .fock import ModuleElement, act_on_labels
@@ -194,7 +193,6 @@ def _power(a, m: int):
     return rational(Fraction(a) ** m)
 
 
-@dataclass(frozen=True)
 class OmegaSpec:
     """A function module: its parameters (mu, f_1..f_{mu-1}, a_mu..a_nu) and
     its label actions, the module's one definition.
@@ -204,17 +202,17 @@ class OmegaSpec:
     are allowed: mu = 1 has no multipliers and mu = nu + 1 none of the a_i.
     Labels are the exponents of the monomials of ``ring``.  The lattice is
     ``cfg`` = ``LatticeConfig(nu, 1)``: function modules exist only at k = 1,
-    where the straightening relation matches the module actions.
+    where the straightening relation matches the module actions.  A spec is
+    an immutable value, equal and hashed by (nu, mu, f, a).
     """
 
-    nu: int
-    mu: int
-    f: tuple
-    a: tuple
+    __slots__ = ("nu", "mu", "f", "a", "ring", "cfg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", tuple(self.f))
-        object.__setattr__(self, "a", tuple(rational(x) for x in self.a))
+    def __init__(self, nu: int, mu: int, f: tuple, a: tuple):
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "f", tuple(f))
+        object.__setattr__(self, "a", tuple(rational(x) for x in a))
         if not 1 <= self.mu <= self.nu + 1:
             raise ValueError("mu must lie in 1..nu+1")
         if len(self.f) != self.mu - 1:
@@ -232,6 +230,23 @@ class OmegaSpec:
         for i, a_i in enumerate(self.a, start=self.mu):
             if a_i == 0:
                 raise ValueError(f"a_{i} must be nonzero")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"OmegaSpec(nu={self.nu!r}, mu={self.mu!r}, f={self.f!r}, a={self.a!r})"
+
+    def __eq__(self, other):
+        if type(other) is not OmegaSpec:
+            return NotImplemented
+        return (self.nu, self.mu, self.f, self.a) == (other.nu, other.mu, other.f, other.a)
+
+    def __hash__(self) -> int:
+        return hash((self.nu, self.mu, self.f, self.a))
 
     def a_of(self, j: int) -> int | Fraction:
         """Shift constant a_j for a polynomial variable index j in mu..nu."""
@@ -344,8 +359,7 @@ def decompose_potential(spec: OmegaSpec):
     return P, tuple(P_list)
 
 
-@dataclass
-class IsoData:
+class IsoData(NamedTuple):
     """Isomorphism witness between two function modules: monomial shifts.
 
     The intertwiner divides by t_1^N_1 ... t_{mu-1}^N_{mu-1} while renaming
@@ -416,15 +430,13 @@ def _verify_intertwiner(iso: IsoData) -> None:
 # -- constructive simplicity --------------------------------------------------------
 
 
-@dataclass
-class WitnessStep:
+class WitnessStep(NamedTuple):
     kind: str  # "clear", "derive", "difference"
     j: int
     element: BElement
 
 
-@dataclass
-class SimplicityWitness:
+class SimplicityWitness(NamedTuple):
     spec: OmegaSpec
     steps: tuple
     result: Fraction  # the final multiple of the cyclic symbol

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
 
 from .lattice import LatticeConfig
 from .serialize import (
@@ -67,8 +66,7 @@ def _suite_config(args) -> SuiteConfig:
         doc = _load_doc(args.config)
         if not isinstance(doc, dict):
             raise SchemaError(args.config, "config must be a JSON object")
-        known = {f.name for f in fields(SuiteConfig)}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(SuiteConfig._fields)
         if unknown:
             raise SchemaError(args.config, f"unknown config fields: {sorted(unknown)}")
         values += [(f"{args.config}.{name}", name, value) for name, value in doc.items()]
@@ -82,7 +80,7 @@ def _suite_config(args) -> SuiteConfig:
             raise SchemaError(path, f"must be at least {lower[name]}, got {value}")
         if name == "k" and value == 0:
             raise SchemaError(path, "k must be a nonzero integer")
-    return replace(SuiteConfig(), **{name: value for _, name, value in values})
+    return SuiteConfig(**{name: value for _, name, value in values})
 
 
 def _lattice(config: SuiteConfig) -> LatticeConfig:

@@ -16,7 +16,6 @@ by its label actions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -81,20 +80,36 @@ class LatticeVector(Combination):
         return tuple(sorted(self.terms.items()))
 
 
-@dataclass(frozen=True)
 class LatticeConfig:
-    """Rank parameter nu and pairing constant k of the hyperbolic lattice."""
+    """Rank parameter nu and pairing constant k of the hyperbolic lattice:
+    an immutable value, equal and hashed by (nu, k)."""
 
-    nu: int
-    k: int
+    __slots__ = ("nu", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", integer(self.nu))
-        object.__setattr__(self, "k", integer(self.k))
+    def __init__(self, nu: int, k: int):
+        object.__setattr__(self, "nu", integer(nu))
+        object.__setattr__(self, "k", integer(k))
         if self.nu < 1:
             raise ValueError("nu must be a positive integer")
         if self.k == 0:
             raise ValueError("k must be a nonzero integer")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"LatticeConfig(nu={self.nu!r}, k={self.k!r})"
+
+    def __eq__(self, other):
+        if type(other) is not LatticeConfig:
+            return NotImplemented
+        return (self.nu, self.k) == (other.nu, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.nu, self.k))
 
     # -- vector constructors -------------------------------------------------
 

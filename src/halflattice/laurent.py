@@ -10,7 +10,6 @@ vectors, each monomial as t1^e1*t2^e2..., so output is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
@@ -22,20 +21,36 @@ class CutoffError(ValueError):
     """A polynomial-only variable would receive a negative exponent."""
 
 
-@dataclass(frozen=True)
 class LaurentRing:
-    """Shape of a Laurent polynomial ring: variable count and Laurent cutoff."""
+    """Shape of a Laurent polynomial ring: variable count and Laurent cutoff.
+    An immutable value, equal and hashed by (nvars, nlaurent)."""
 
-    nvars: int
-    nlaurent: int
+    __slots__ = ("nvars", "nlaurent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nvars", integer(self.nvars))
-        object.__setattr__(self, "nlaurent", integer(self.nlaurent))
+    def __init__(self, nvars: int, nlaurent: int):
+        object.__setattr__(self, "nvars", integer(nvars))
+        object.__setattr__(self, "nlaurent", integer(nlaurent))
         if self.nvars < 0:
             raise ValueError("nvars must be nonnegative")
         if not 0 <= self.nlaurent <= self.nvars:
             raise ValueError("nlaurent must lie in 0..nvars")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"LaurentRing(nvars={self.nvars!r}, nlaurent={self.nlaurent!r})"
+
+    def __eq__(self, other):
+        if type(other) is not LaurentRing:
+            return NotImplemented
+        return (self.nvars, self.nlaurent) == (other.nvars, other.nlaurent)
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.nlaurent))
 
     def check_exponents(self, exps: Iterable[int]) -> tuple[int, ...]:
         out = tuple(integer(e) for e in exps)

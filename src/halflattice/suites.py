@@ -7,7 +7,8 @@ stream of (where, residual) cases decided by ``SuiteReport.sweep``: the
 first truthy residual fails it, and so does a stream with no case at all.
 The Borcherds, locality and Heisenberg sweeps evaluate one residual per
 orbit of the identities stated in the ``identities`` docstring: the three
-faces of each index box, and one stream for both ids of a mirrored pair.
+faces of each index box, one stream for both ids of a mirrored pair, and
+only the index pairs m <= n of a field paired with itself.
 Reports depend only on (config, seed); wall time is tracked but excluded
 from the serialized report so byte-identical reruns stay byte-identical.
 
@@ -23,9 +24,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .combination import Combination
 from .fock import VElement, charge_element, fock_element, vacuum
@@ -48,8 +48,7 @@ from .vertex import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """Knobs shared by every suite; unset nu/k fall back per suite."""
 
     nu: Optional[int] = None
@@ -65,22 +64,26 @@ class SuiteConfig:
                 default_k if self.k is None else self.k)
 
     def echo(self, nu: int, k: int) -> dict:
-        return {**asdict(self), "nu": nu, "k": k}
+        return {**self._asdict(), "nu": nu, "k": k}
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     ok: bool
     residual: str = ""
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    config: dict
-    checks: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """A suite's check records, sorted by id once it finishes, and its wall
+    time, which ``to_data`` leaves out."""
+
+    __slots__ = ("suite", "config", "checks", "wall_time_s")
+
+    def __init__(self, suite: str, config: dict):
+        self.suite = suite
+        self.config = config
+        self.checks = []
+        self.wall_time_s = 0.0
 
     def add(self, check_id: str, ok: bool, residual="") -> None:
         """Record a check; a failing check keeps its residual as bounded text.
@@ -299,13 +302,13 @@ def suite_locality(config: SuiteConfig) -> SuiteReport:
 
         def cases(u, v, order):
             for idx, w in enumerate(probes):
-                for p in window:
-                    for q in window:
+                for p, q in itertools.product(window, window):
+                    if u is not v or p <= q:
                         yield (p, q, idx), locality_residual(u, v, w, p, q, order, ctx, cache)
 
         # swapping (u, p) and (v, q) scales the residual by -(-1)^order, so
-        # one sweep of (u, v) over all (p, q) decides (v, u) too; the order-1
-        # pairs have no mirror among them
+        # one sweep of (u, v) over all (p, q) decides (v, u) too, and (u, u)
+        # needs only p <= q; the order-1 pairs have no mirror among them
         for order, pairs, mirrored in ((2, itertools.combinations_with_replacement(heis, 2), True),
                                        (1, itertools.product(heis, charges), False),
                                        (0, itertools.combinations_with_replacement(charges, 2), True)):

@@ -10,7 +10,6 @@ suites at contiguous seeds from 0.
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -54,7 +53,7 @@ WORK = {
     "classification": (125, "75d251b1570eef684db6a28714f4bb8fcd9b0fe4c2d9c7e03855741da58d8fe4"),
     "d-derivative": (594, "5bc773c7f35779aaf1ff4d8689c076d3dc8957e5b502944b0f926d59c4cca503"),
     "heisenberg": (68950, "5579a9702818c678ab1656898fb69bd1a5be0937ee182374f27f240180660a77"),
-    "locality": (15882, "9604f74e6e165aaa746ab78b810db03d717f756de468e9cdbbc8b557d8e40014"),
+    "locality": (14370, "2ab7429c5e19ff1d62b7a07274fdfa0280b7c3cab68145eee9e491b25bd95a19"),
     "module-axioms": (4316, "798d080ab1b3df31efc8450e29737351f79db98c40cde4f6f2d412c1986eb3ae"),
     "omega-relations": (622, "c04f67359575ec17db98853885b810570dfd6b711a035e0c105b097824d8e737"),
     "vacuum-roundtrip": (402, "0ea9e34aaa9babbcada213488ce2e2a894f47770066a60827abe82ac024208a4"),
@@ -211,8 +210,9 @@ def test_criterion_10_degree_zero_quotient():
 
 def test_orbit_sweeps_detect_a_broken_engine(monkeypatch):
     # The suites evaluate one residual per orbit: a box's three faces, one of
-    # each mirrored pair of ids, half the (m, n) of bracket/x:x.  A contraction
-    # scaled by n twice gives [h(m), h'(n)] = m^2 (h, h') delta_{m+n,0}, which is
+    # each mirrored pair of ids, half the (m, n) of bracket/x:x and half the
+    # (p, q) of a diagonal locality pair.  A contraction scaled by n twice
+    # gives [h(m), h'(n)] = m^2 (h, h') delta_{m+n,0}, which is
     # no vertex algebra and no Heisenberg algebra, and the skipped residuals
     # must not hide it: both ids of a mirrored pair fail with their
     # representative's record, and so do Borcherds checks in the adjoint.
@@ -229,6 +229,21 @@ def test_orbit_sweeps_detect_a_broken_engine(monkeypatch):
         assert ids[0] in failed and failed[ids[0]] == failed[ids[1]], ids
     assert any(check_id.startswith("adjoint/") for check_id in failed)
 
+    # A diagonal pair (u, u) is swept at p <= q only.  Its fields are
+    # isotropic, so the scaling above leaves them local; a positive mode that
+    # also contracts with a factor of its own direction does not, and the
+    # half sweep must still see it.
+    def own_direction_too(out, x, dir_, n, states, ctx):
+        dir_mode(out, x, dir_, n, states, ctx)
+        if n > 0:
+            nu = ctx.cfg.nu
+            dir_mode(out, x, dir_ + nu if dir_ < nu else dir_ - nu, n, states, ctx)
+        return out
+
+    monkeypatch.setattr(vertex, "_dir_mode", own_direction_too)
+    failed = {c.check_id for c in run_verification("locality", config).checks if not c.ok}
+    assert {"order2/adjoint/c2:c2", "order2/weight/d1:d1"} <= failed
+
 
 SWEEP = [(suite, nu, range(10)) for nu in (1, 2)
          for suite in ("classification", "omega-relations", "vacuum-roundtrip")]
@@ -240,7 +255,7 @@ def test_seed_sweep(suite, nu, seeds):
     # contiguous seeds from 0: a report must not depend on a lucky draw
     failing = {}
     for seed in seeds:
-        report = run_verification(suite, replace(CONFIG, nu=nu, seed=seed))
+        report = run_verification(suite, CONFIG._replace(nu=nu, seed=seed))
         if not report.ok:
             failing[seed] = report.summary_lines()[1:]
     assert not failing, failing

@@ -417,14 +417,47 @@ def test_a_context_on_a_function_module_is_at_k_1():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        OmegaSpec(2, 2, (R21.variable(2),), (Fraction(1),))  # f may not use t2
-    with pytest.raises(ValueError):
-        OmegaSpec(2, 2, (R21.variable(1),), (Fraction(0),))  # zero constant
-    with pytest.raises(ValueError):
-        OmegaSpec(2, 5, (), ())
+    t1 = R21.variable(1)
+    for args, message in (
+        ((2, 2, (R21.variable(2),), (Fraction(1),)), r"f_1 may only involve t_1\.\.t_1"),
+        ((2, 2, (t1,), (Fraction(0),)), "a_2 must be nonzero"),
+        ((2, 5, (), ()), r"mu must lie in 1\.\.nu\+1"),
+        ((2, 2, (), (1,)), "expected 1 multiplier polynomials"),
+        ((2, 2, (t1,), (1, 2)), "expected 1 shift constants"),
+        ((2, 2, (R22.variable(1),), (1,)),
+         r"f_1 must live in LaurentRing\(nvars=2, nlaurent=1\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OmegaSpec(*args)
     OmegaSpec(1, 1, (), (Fraction(2),))
     OmegaSpec(1, 2, (LaurentRing(1, 1).variable(1),), ())
+
+
+def test_spec_is_an_immutable_value():
+    # equal parameters give equal, equally hashed specs whatever sequences
+    # they came in; the repr, which error and residual texts print, keeps
+    # the parameters' order
+    t1 = R21.variable(1)
+    spec, again = OmegaSpec(2, 2, (t1,), (2,)), OmegaSpec(2, 2, [t1], [Fraction(2)])
+    assert spec == again and hash(spec) == hash(again) and spec is not again
+    assert spec != OmegaSpec(2, 2, (t1,), (3,)) and spec != (2, 2, (t1,), (2,))
+    assert repr(spec) == str(spec) == "OmegaSpec(nu=2, mu=2, f=(t1,), a=(2,))"
+    assert repr(OmegaSpec(2, 1, (), (Fraction(1, 2), 3))) == (
+        "OmegaSpec(nu=2, mu=1, f=(), a=(Fraction(1, 2), 3))")
+    for name in ("mu", "a", "ring", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 1)
+    assert spec.ring == R21 and spec.cfg == LatticeConfig(2, 1)
+
+
+def test_witness_records_print_their_fields():
+    s1, s2 = spec_mu2(2), OmegaSpec(2, 2, (R21.variable(1) + 3,), (Fraction(2),))
+    iso = iso_decide(s1, s2)
+    assert iso == iso_decide(s1, s2) and iso.shifts == (3,)
+    assert repr(iso) == f"IsoData(shifts=(3,), source={s1!r}, target={s2!r})"
+    w = simplicity_witness(s1, R21.variable(2))
+    assert repr(w) == (f"SimplicityWitness(spec={s1!r}, steps=(WitnessStep(kind='difference',"
+                       " j=2, element=-1 + 1/2*e[0,1]),), result=-1)")
 
 
 def test_spec_parameters_are_read_only_at_their_indices():

@@ -417,6 +417,23 @@ def test_sweep_decides_a_check():
     ]
 
 
+def test_suite_records_are_values_that_print_their_fields():
+    config = SuiteConfig(nu=2, seed=3)
+    again = SuiteConfig()._replace(nu=2, seed=3)
+    assert config == again and hash(config) == hash(again)
+    assert repr(config) == ("SuiteConfig(nu=2, k=None, mode_window=6, jacobi_window=3,"
+                            " probe_count=50, max_degree=4, seed=3)")
+    assert config.echo(2, 1) == {"nu": 2, "k": 1, "mode_window": 6, "jacobi_window": 3,
+                                 "probe_count": 50, "max_degree": 4, "seed": 3}
+    with pytest.raises(AttributeError):
+        config.nu = 1
+    report = SuiteReport("stub", {})
+    report.add("a", False, "why")
+    assert repr(report.checks) == "[CheckRecord(check_id='a', ok=False, residual='why')]"
+    with pytest.raises(AttributeError):
+        report.checks[0].ok = True
+
+
 def test_combination_residuals_are_bounded():
     # a failing combination reads as its term count, its first three terms
     # and the failing index, however many terms it has
@@ -458,7 +475,6 @@ def test_eval_act_rejects_bad_factor(tmp_path, capsys, factor, path, message):
 
 
 def test_module_docstring_matches_the_parser():
-    import dataclasses
     import re
 
     from halflattice import cli
@@ -477,4 +493,4 @@ def test_module_docstring_matches_the_parser():
 
     listed = re.search(r"JSON with ([^)]*)\)", cli.__doc__).group(1)
     names = [name.strip() for name in listed.split(",")]
-    assert names == [f.name for f in dataclasses.fields(SuiteConfig)]
+    assert names == list(SuiteConfig._fields)

@@ -31,7 +31,9 @@ instead), and a subclass's
 each key is checked in the subclass's ``_key`` and nowhere else.  A sixth
 keeps ``fock.act_on_labels`` the one place a coefficient module acts: the
 package reads a module's ``e_action`` or ``d_action`` only as an argument of
-``act_on_labels``, so no other function calls one.
+``act_on_labels``, so no other function calls one.  A seventh keeps
+``dataclasses`` out of the package: importing it loads ``inspect``, ``ast``,
+``dis`` and ``tokenize``, which every cold run of the package would pay for.
 """
 
 import ast
@@ -335,3 +337,27 @@ def test_the_scan_finds_a_label_action_read():
 def test_only_act_on_labels_applies_a_label_action():
     found = {path.name: label_action_reads(path.read_text()) for path in PACKAGE}
     assert not any(found.values()), found
+
+
+def imported_modules(source: str) -> list:
+    """The top-level modules that the source imports by absolute name,
+    anywhere in it: ``import x.y`` and ``from x.y import z`` give x."""
+    found = set()
+    for node in nodes(source):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found)
+
+
+def test_the_scan_finds_an_imported_module():
+    assert imported_modules("import dataclasses\n") == ["dataclasses"]
+    assert imported_modules("from dataclasses import dataclass, field\n") == ["dataclasses"]
+    assert imported_modules("def f():\n    from dataclasses import replace\n") == ["dataclasses"]
+    assert imported_modules("import os.path as p\nfrom .lattice import LatticeConfig\n") == ["os"]
+
+
+def test_no_package_module_imports_dataclasses():
+    found = [path.name for path in PACKAGE if "dataclasses" in imported_modules(path.read_text())]
+    assert not found, found

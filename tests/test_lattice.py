@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from halflattice.fock import fock_element
 from halflattice.lattice import LatticeConfig, LatticeVector, WeightModule, dir_name
-from halflattice.vertex import module_operator_context
+from halflattice.vertex import adjoint_context, module_operator_context
 
 
 def test_pairing_on_basis():
@@ -148,10 +148,28 @@ def test_vector_pads_only_an_omitted_family():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nu must be a positive integer$"):
         LatticeConfig(nu=0, k=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be a nonzero integer$"):
         LatticeConfig(nu=2, k=0)
+    with pytest.raises(TypeError, match="^expected an integer, got 1.5$"):
+        LatticeConfig(1.5, 1)
+
+
+def test_config_is_an_immutable_value():
+    # equal fields give equal, equally hashed configs, so one adjoint
+    # context serves both; a config is no tuple and prints as its fields
+    cfg, again = LatticeConfig(2, 1), LatticeConfig(nu=2, k=1)
+    assert cfg == again and hash(cfg) == hash(again) and cfg is not again
+    assert adjoint_context(cfg) is adjoint_context(again)
+    assert cfg != LatticeConfig(2, -1) and cfg != (2, 1) and (2, 1) != cfg
+    assert repr(cfg) == str(cfg) == "LatticeConfig(nu=2, k=1)"
+    for name in ("nu", "k", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 3)
+    with pytest.raises(AttributeError):
+        del cfg.nu
+    assert (cfg.nu, cfg.k) == (2, 1)
 
 
 @pytest.mark.parametrize("nu, k", [(2, Fraction(1, 2)), (1.0, 1), (2, 1.0), (Fraction(3, 2), 1)])

@@ -163,6 +163,20 @@ def test_ring_rejects_non_integer_counts(nvars, nlaurent):
         LaurentRing(nvars, nlaurent)
 
 
+def test_ring_is_an_immutable_value():
+    ring, again = LaurentRing(3, 1), LaurentRing(nvars=3, nlaurent=1)
+    assert ring == again and hash(ring) == hash(again) and ring is not again
+    assert ring != LaurentRing(3, 2) and ring != (3, 1)
+    assert repr(ring) == str(ring) == "LaurentRing(nvars=3, nlaurent=1)"
+    with pytest.raises(AttributeError):
+        ring.nvars = 4
+    for args, message in (((-1, 0), "nvars must be nonnegative"),
+                          ((2, 3), "nlaurent must lie in 0..nvars"),
+                          ((2, -1), "nlaurent must lie in 0..nvars")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LaurentRing(*args)
+
+
 def test_ring_normalizes_whole_fractions():
     ring = LaurentRing(Fraction(2), Fraction(1))
     assert ring == LaurentRing(2, 1) and type(ring.nvars) is int and type(ring.nlaurent) is int
