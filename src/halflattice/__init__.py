@@ -13,7 +13,8 @@ that defines it, e.g. ``from halflattice.vertex import Field``.  A module
 loads at import only the layers it reads; the engine is the first four.
 No module imports ``dataclasses``, which would load ``inspect``, ``ast``,
 ``dis`` and ``tokenize`` into every run: records are ``typing.NamedTuple``s
-and the validated values define their own slots, equality and repr.
+and the validated values (lattice, ring, function and weight modules) are
+``combination.Value``s, which own their immutability, equality and repr.
 
     combination                   exact sparse sums and their integer form
     lattice                       the rank-2*nu lattice, its pairing, weight modules

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .combination import Combination, accumulate, integer, rational
+from .combination import Combination, Value, accumulate, integer, rational
 from .fock import ModuleElement, act_on_labels
 from .lattice import LatticeConfig
 from .laurent import LaurentPoly, LaurentRing
@@ -193,26 +193,26 @@ def _power(a, m: int):
     return rational(Fraction(a) ** m)
 
 
-class OmegaSpec:
+class OmegaSpec(Value):
     """A function module: its parameters (mu, f_1..f_{mu-1}, a_mu..a_nu) and
     its label actions, the module's one definition.
 
-    The f_j are Laurent polynomials in t_1..t_{mu-1} only and the a_i are
-    nonzero rationals, normalized by ``rational``.  Both degenerate shapes
+    nu and mu are integers, normalized by ``combination.integer``.  The f_j
+    are Laurent polynomials in t_1..t_{mu-1} only and the a_i are nonzero
+    rationals, normalized by ``rational``.  Both degenerate shapes
     are allowed: mu = 1 has no multipliers and mu = nu + 1 none of the a_i.
     Labels are the exponents of the monomials of ``ring``.  The lattice is
     ``cfg`` = ``LatticeConfig(nu, 1)``: function modules exist only at k = 1,
     where the straightening relation matches the module actions.  A spec is
-    an immutable value, equal and hashed by (nu, mu, f, a).
+    an immutable value, equal and hashed by (nu, mu, f, a); ``ring`` and
+    ``cfg`` follow from those.
     """
 
     __slots__ = ("nu", "mu", "f", "a", "ring", "cfg")
+    _fields = ("nu", "mu", "f", "a")
 
     def __init__(self, nu: int, mu: int, f: tuple, a: tuple):
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "f", tuple(f))
-        object.__setattr__(self, "a", tuple(rational(x) for x in a))
+        self._set(nu=integer(nu), mu=integer(mu), f=tuple(f), a=tuple(rational(x) for x in a))
         if not 1 <= self.mu <= self.nu + 1:
             raise ValueError("mu must lie in 1..nu+1")
         if len(self.f) != self.mu - 1:
@@ -220,8 +220,7 @@ class OmegaSpec:
         if len(self.a) != self.nu - self.mu + 1:
             raise ValueError(f"expected {self.nu - self.mu + 1} shift constants")
         ring = LaurentRing(self.nu, self.mu - 1)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "cfg", LatticeConfig(self.nu, 1))
+        self._set(ring=ring, cfg=LatticeConfig(self.nu, 1))
         for j, fj in enumerate(self.f, start=1):
             if not isinstance(fj, LaurentPoly) or fj.ring != ring:
                 raise ValueError(f"f_{j} must live in {ring}")
@@ -230,23 +229,6 @@ class OmegaSpec:
         for i, a_i in enumerate(self.a, start=self.mu):
             if a_i == 0:
                 raise ValueError(f"a_{i} must be nonzero")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"OmegaSpec(nu={self.nu!r}, mu={self.mu!r}, f={self.f!r}, a={self.a!r})"
-
-    def __eq__(self, other):
-        if type(other) is not OmegaSpec:
-            return NotImplemented
-        return (self.nu, self.mu, self.f, self.a) == (other.nu, other.mu, other.f, other.a)
-
-    def __hash__(self) -> int:
-        return hash((self.nu, self.mu, self.f, self.a))
 
     def a_of(self, j: int) -> int | Fraction:
         """Shift constant a_j for a polynomial variable index j in mu..nu."""

@@ -37,6 +37,14 @@ arrives, ``reduce`` divides out the common gcd, and ``divided`` is the one
 divide-back, which builds a ``Fraction`` only for a value that is not
 whole.  The vertex engine's fields, its creation closed forms, the
 identity checkers and the Zhu residue sums all sum in this form.
+
+The fixed values that shapes and cache keys are made of, the lattice
+``LatticeConfig``, the ring ``LaurentRing`` and the modules ``OmegaSpec``
+and ``WeightModule``, are ``Value``s: a subclass names its ``_fields``,
+sets them once through ``_set`` and states only its checks, and ``Value``
+owns the rest, refusing later assignment and deletion, equality and
+hashing on the field tuple (a value equals only a value of its class) and
+the repr ``Class(field=repr, ...)``.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+from operator import attrgetter
 from typing import Mapping
 
 
@@ -250,3 +259,42 @@ class Combination:
         if self._hash is None:
             self._hash = hash((type(self).__name__, self.shape, frozenset(self.terms.items())))
         return self._hash
+
+
+class Value:
+    """An immutable value whose ``__init__`` sets each attribute once, through
+    ``_set``; every attribute is a slot, and the ``_fields`` among them are
+    what it is equal, hashed and printed by."""
+
+    __slots__ = ()
+    _fields: tuple
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the field tuple in one C call: a generator of getattr reads costs
+        # about five times as much, and every module state hashes its module
+        cls._astuple = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple == other._astuple
+
+    def __hash__(self) -> int:
+        return hash(self._astuple)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .combination import Combination, integer, rational
+from .combination import Combination, Value, integer, rational
 
 
 def _coords(values: Iterable, nu: int, what: str) -> tuple:
@@ -80,36 +80,18 @@ class LatticeVector(Combination):
         return tuple(sorted(self.terms.items()))
 
 
-class LatticeConfig:
+class LatticeConfig(Value):
     """Rank parameter nu and pairing constant k of the hyperbolic lattice:
     an immutable value, equal and hashed by (nu, k)."""
 
-    __slots__ = ("nu", "k")
+    __slots__ = _fields = ("nu", "k")
 
     def __init__(self, nu: int, k: int):
-        object.__setattr__(self, "nu", integer(nu))
-        object.__setattr__(self, "k", integer(k))
+        self._set(nu=integer(nu), k=integer(k))
         if self.nu < 1:
             raise ValueError("nu must be a positive integer")
         if self.k == 0:
             raise ValueError("k must be a nonzero integer")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"LatticeConfig(nu={self.nu!r}, k={self.k!r})"
-
-    def __eq__(self, other):
-        if type(other) is not LatticeConfig:
-            return NotImplemented
-        return (self.nu, self.k) == (other.nu, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.nu, self.k))
 
     # -- vector constructors -------------------------------------------------
 
@@ -175,31 +157,24 @@ class LatticeConfig:
         return i
 
 
-class WeightModule:
+class WeightModule(Value):
     """The span of lattice points lam0 + alpha, alpha in the charge lattice.
 
     Labels are the c-coordinates of the points (tuples of rationals, each
     an ``int`` when integral, as combination values are).  The
     translations act by addition and each d_i acts diagonally by its pairing
-    with the point, for any value of the pairing constant.  Two modules on
-    equal lattices with equal base points are equal, so their states add.
+    with the point, for any value of the pairing constant.  A module is an
+    immutable value, equal and hashed by (cfg, lam0): two modules on equal
+    lattices with equal base points are equal, so their states add.
     """
 
+    __slots__ = _fields = ("cfg", "lam0")
+
     def __init__(self, cfg: LatticeConfig, lam0_coords: Sequence = None):
-        self.cfg = cfg
         coords = list(lam0_coords) if lam0_coords is not None else [0] * cfg.nu
         if len(coords) != cfg.nu:
             raise ValueError(f"base point needs {cfg.nu} coordinates")
-        self.lam0 = tuple(rational(x) for x in coords)
-
-    def __repr__(self) -> str:
-        return f"WeightModule({self.cfg}, ({', '.join(map(str, self.lam0))}))"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is WeightModule and (self.cfg, self.lam0) == (other.cfg, other.lam0)
-
-    def __hash__(self) -> int:
-        return hash((self.cfg, self.lam0))
+        self._set(cfg=cfg, lam0=tuple(rational(x) for x in coords))
 
     def base_label(self) -> tuple:
         return self.lam0

@@ -14,43 +14,25 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .combination import Combination, accumulate, integer
+from .combination import Combination, Value, accumulate, integer
 
 
 class CutoffError(ValueError):
     """A polynomial-only variable would receive a negative exponent."""
 
 
-class LaurentRing:
+class LaurentRing(Value):
     """Shape of a Laurent polynomial ring: variable count and Laurent cutoff.
     An immutable value, equal and hashed by (nvars, nlaurent)."""
 
-    __slots__ = ("nvars", "nlaurent")
+    __slots__ = _fields = ("nvars", "nlaurent")
 
     def __init__(self, nvars: int, nlaurent: int):
-        object.__setattr__(self, "nvars", integer(nvars))
-        object.__setattr__(self, "nlaurent", integer(nlaurent))
+        self._set(nvars=integer(nvars), nlaurent=integer(nlaurent))
         if self.nvars < 0:
             raise ValueError("nvars must be nonnegative")
         if not 0 <= self.nlaurent <= self.nvars:
             raise ValueError("nlaurent must lie in 0..nvars")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"LaurentRing(nvars={self.nvars!r}, nlaurent={self.nlaurent!r})"
-
-    def __eq__(self, other):
-        if type(other) is not LaurentRing:
-            return NotImplemented
-        return (self.nvars, self.nlaurent) == (other.nvars, other.nlaurent)
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.nlaurent))
 
     def check_exponents(self, exps: Iterable[int]) -> tuple[int, ...]:
         out = tuple(integer(e) for e in exps)

@@ -450,6 +450,19 @@ def test_spec_is_an_immutable_value():
     assert spec.ring == R21 and spec.cfg == LatticeConfig(2, 1)
 
 
+def test_spec_normalizes_integer_parameters():
+    # nu and mu pass through combination.integer, as the config's and the
+    # ring's do: a whole Fraction or a bool is its int, a float is refused
+    spec = OmegaSpec(2, 1, (), (1, 1))
+    for same in (OmegaSpec(Fraction(2), 1, (), (1, 1)), OmegaSpec(2, True, (), (1, 1))):
+        assert same == spec and hash(same) == hash(spec)
+        assert repr(same) == "OmegaSpec(nu=2, mu=1, f=(), a=(1, 1))"
+        assert type(same.nu) is int and type(same.mu) is int
+    for nu, mu, bad in ((2, 1.0, "1.0"), (2.0, 1, "2.0"), (Fraction(3, 2), 1, r"Fraction\(3, 2\)")):
+        with pytest.raises(TypeError, match=f"^expected an integer, got {bad}$"):
+            OmegaSpec(nu, mu, (), (1, 1))
+
+
 def test_witness_records_print_their_fields():
     s1, s2 = spec_mu2(2), OmegaSpec(2, 2, (R21.variable(1) + 3,), (Fraction(2),))
     iso = iso_decide(s1, s2)

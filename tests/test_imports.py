@@ -34,6 +34,11 @@ package reads a module's ``e_action`` or ``d_action`` only as an argument of
 ``act_on_labels``, so no other function calls one.  A seventh keeps
 ``dataclasses`` out of the package: importing it loads ``inspect``, ``ast``,
 ``dis`` and ``tokenize``, which every cold run of the package would pay for.
+An eighth keeps ``combination.Value`` the one owner of the value protocol:
+no package class outside ``combination`` defines ``__setattr__``,
+``__delattr__`` or ``__eq__``, so the lattice, ring and module values state
+only their fields and checks.  ``__hash__`` is not scanned, since
+``LatticeVector`` states its own to keep CPython's attribute cache.
 """
 
 import ast
@@ -361,3 +366,41 @@ def test_the_scan_finds_an_imported_module():
 def test_no_package_module_imports_dataclasses():
     found = [path.name for path in PACKAGE if "dataclasses" in imported_modules(path.read_text())]
     assert not found, found
+
+
+VALUE_NAMES = {"__setattr__", "__delattr__", "__eq__"}
+
+
+def value_protocol_regrowth(source: str) -> list:
+    """(class, name) for each class of the source that defines or assigns
+    ``__setattr__``, ``__delattr__`` or ``__eq__``."""
+    found = []
+    for cls in (node for node in nodes(source) if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            if isinstance(stmt, FUNCTIONS):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [(cls.name, name) for name in names if name in VALUE_NAMES]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_regrown_value_protocol():
+    assert value_protocol_regrowth("class C:\n    def __eq__(self, other):\n        return True\n"
+                                   ) == [("C", "__eq__")]
+    assert value_protocol_regrowth("class C(Value):\n    __setattr__ = object.__setattr__\n"
+                                   "    def __delattr__(self, name):\n        pass\n"
+                                   ) == [("C", "__delattr__"), ("C", "__setattr__")]
+    assert value_protocol_regrowth("class C(Value):\n    __slots__ = _fields = ('nu', 'k')\n"
+                                   "    def __hash__(self):\n        return 0\n") == []
+    assert value_protocol_regrowth("def __eq__(a, b):\n    return a is b\n") == []
+
+
+def test_only_combination_defines_the_value_protocol():
+    found = {path.name: value_protocol_regrowth(path.read_text()) for path in PACKAGE}
+    assert found.pop("combination.py") == [("Combination", "__eq__"), ("Value", "__delattr__"),
+                                           ("Value", "__eq__"), ("Value", "__setattr__")]
+    assert not any(found.values()), found

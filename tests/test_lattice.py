@@ -172,6 +172,26 @@ def test_config_is_an_immutable_value():
     assert (cfg.nu, cfg.k) == (2, 1)
 
 
+def test_weight_module_is_an_immutable_value():
+    # a module shapes its states and keys the action caches, so it must not
+    # change once hashed; equal (cfg, lam0) give one module, which is no tuple
+    cfg = LatticeConfig(2, 1)
+    module = WeightModule(cfg, [Fraction(1, 2), 0])
+    again = WeightModule(LatticeConfig(2, 1), (Fraction(2, 4), Fraction(0)))
+    assert module == again and hash(module) == hash(again) and module is not again
+    assert module != WeightModule(cfg, [Fraction(3, 2), 0])
+    assert module != WeightModule(LatticeConfig(2, 2), [Fraction(1, 2), 0])
+    assert module != (cfg, (Fraction(1, 2), 0)) and (cfg, (Fraction(1, 2), 0)) != module
+    assert repr(module) == "WeightModule(cfg=LatticeConfig(nu=2, k=1), lam0=(Fraction(1, 2), 0))"
+    for name in ("cfg", "lam0", "other"):
+        with pytest.raises(AttributeError):
+            setattr(module, name, (0, 0))
+    for name in ("cfg", "lam0"):
+        with pytest.raises(AttributeError):
+            delattr(module, name)
+    assert module.cfg == cfg and module.lam0 == (Fraction(1, 2), 0)
+
+
 @pytest.mark.parametrize("nu, k", [(2, Fraction(1, 2)), (1.0, 1), (2, 1.0), (Fraction(3, 2), 1)])
 def test_config_rejects_non_integers(nu, k):
     with pytest.raises(TypeError):
