@@ -16,6 +16,12 @@ machine-readable output on stdout, before the subcommand; only ``--json``
 may also follow it.  Exit codes: 0 all checks pass, 1 a check failed, 2 bad
 input.  The module loads the suites and the parsers; each command imports
 the other layers it reads when it runs.
+
+``main`` reads the config once and prints: each command returns its exit
+code, JSON data and text, and writes nothing to stdout.  ``verify`` writes
+its wall time, which the JSON report leaves out, to stderr.  ``witness
+simplicity`` refuses an f with an exponent above 64 in absolute value, as
+the reduction's cost grows about as the cube of the exponent.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from .serialize import (
     weight_vector_to_data,
 )
 from .suites import SUITES, SuiteConfig, run_verification
+
+WITNESS_EXPONENT_LIMIT = 64
 
 
 def _dump(data) -> str:
@@ -87,143 +95,101 @@ def _lattice(config: SuiteConfig) -> LatticeConfig:
     return LatticeConfig(*config.resolved(2, 1))
 
 
-def _cmd_eval_product(args) -> int:
+def _cmd_eval_product(args, config):
     from .vertex import nth_product
 
-    config = _suite_config(args)
     cfg = _lattice(config)
     u = velement_from_data(_load_doc(args.u), cfg, "u")
     v = velement_from_data(_load_doc(args.v), cfg, "v")
     result = nth_product(cfg, u, args.n, v)
-    if args.json:
-        print(_dump(velement_to_data(result)))
-    else:
-        print(result)
-    return 0
+    return 0, velement_to_data(result), str(result)
 
 
-def _cmd_eval_zhu(args) -> int:
+def _cmd_eval_zhu(args, config):
     from .zhu import zhu_embed, zhu_reduce, zhu_star
 
-    config = _suite_config(args)
     cfg = _lattice(config)
     u = velement_from_data(_load_doc(args.u), cfg, "u")
     v = velement_from_data(_load_doc(args.v), cfg, "v")
     raw = zhu_star(cfg, u, v)
     reduced = zhu_reduce(cfg, raw)
-    if args.json:
-        print(_dump({
-            "raw": velement_to_data(raw),
-            "reduced": velement_to_data(zhu_embed(reduced)),
-        }))
-    else:
-        print("raw:    ", raw)
-        print("reduced:", reduced)
-    return 0
+    data = {"raw": velement_to_data(raw), "reduced": velement_to_data(zhu_embed(reduced))}
+    return 0, data, f"raw:     {raw}\nreduced: {reduced}"
 
 
-def _cmd_eval_act(args) -> int:
+def _cmd_eval_act(args, config):
     from .assoc import OmegaSpec, act_on_module, act_on_omega_module
 
-    config = _suite_config(args)
     cfg = _lattice(config)
     x = b_element_from_data(_load_doc(args.x), cfg, "x")
     handle = w_handle_from_data(_load_doc(args.module), cfg, "module")
     if isinstance(handle, OmegaSpec):
         f = laurent_from_data(_load_doc(args.m), handle.ring, "m")
         result = act_on_omega_module(x, f, handle)
-        payload = laurent_to_data(result)
-    else:
-        m = weight_vector_from_data(_load_doc(args.m), handle, "m")
-        result = act_on_module(x, m)
-        payload = weight_vector_to_data(result)
-    print(_dump(payload) if args.json else result)
-    return 0
+        return 0, laurent_to_data(result), str(result)
+    m = weight_vector_from_data(_load_doc(args.m), handle, "m")
+    result = act_on_module(x, m)
+    return 0, weight_vector_to_data(result), str(result)
 
 
-def _cmd_decide_iso(args) -> int:
+def _cmd_decide_iso(args, config):
     from .assoc import iso_decide
 
-    config = _suite_config(args)
     cfg = _lattice(config)
     s1 = omega_spec_from_data(_load_doc(args.spec1), cfg, "spec1")
     s2 = omega_spec_from_data(_load_doc(args.spec2), cfg, "spec2")
     iso = iso_decide(s1, s2)
-    if args.json:
-        print(_dump({"isomorphic": iso is not None,
-                     "shifts": list(iso.shifts) if iso else None}))
-    else:
-        if iso:
-            print(f"isomorphic; monomial shifts {list(iso.shifts)}")
-        else:
-            print("not isomorphic")
-    return 0
+    if iso is None:
+        return 0, {"isomorphic": False, "shifts": None}, "not isomorphic"
+    shifts = list(iso.shifts)
+    return 0, {"isomorphic": True, "shifts": shifts}, f"isomorphic; monomial shifts {shifts}"
 
 
-def _cmd_decide_amodule(args) -> int:
+def _cmd_decide_amodule(args, config):
     from .assoc import decompose_potential, is_a_module_spec
 
-    config = _suite_config(args)
-    cfg = _lattice(config)
-    spec = omega_spec_from_data(_load_doc(args.spec), cfg, "spec")
-    ok, witness = is_a_module_spec(spec)
-    decomposition = decompose_potential(spec)
-    payload: dict = {"commuting": ok}
-    if ok and decomposition is not None:
-        P, parts = decomposition
-        payload["potential"] = laurent_to_data(P)
-        payload["pure_parts"] = [laurent_to_data(p) for p in parts]
-    elif not ok:
-        payload["failing_pair"] = list(witness)
-    if args.json:
-        print(_dump(payload))
-    else:
-        if ok:
-            P, parts = decomposition
-            print(f"descends to the commutative quotient; potential P = {P}")
-        else:
-            print(f"does not descend: degree derivations disagree on pair {witness}")
-    return 0
+    spec = omega_spec_from_data(_load_doc(args.spec), _lattice(config), "spec")
+    ok, pair = is_a_module_spec(spec)
+    if not ok:
+        return (0, {"commuting": False, "failing_pair": list(pair)},
+                f"does not descend: degree derivations disagree on pair {pair}")
+    # the potential exists exactly when the derivations commute
+    P, parts = decompose_potential(spec)
+    data = {"commuting": True, "potential": laurent_to_data(P),
+            "pure_parts": [laurent_to_data(p) for p in parts]}
+    return 0, data, f"descends to the commutative quotient; potential P = {P}"
 
 
-def _cmd_witness_simplicity(args) -> int:
+def _cmd_witness_simplicity(args, config):
     from .assoc import simplicity_witness
 
-    config = _suite_config(args)
-    cfg = _lattice(config)
-    spec = omega_spec_from_data(_load_doc(args.spec), cfg, "spec")
+    spec = omega_spec_from_data(_load_doc(args.spec), _lattice(config), "spec")
     f = laurent_from_data(_load_doc(args.f), spec.ring, "f")
     if f.is_zero():
         raise SchemaError("f", "the zero element admits no reduction witness")
+    top = max(abs(e) for exps in f.terms for e in exps)
+    if top > WITNESS_EXPONENT_LIMIT:
+        raise SchemaError("f", f"exponent {top} exceeds the witness limit"
+                               f" of {WITNESS_EXPONENT_LIMIT} in absolute value")
     witness = simplicity_witness(spec, f)
-    replay = witness.replay(f)
-    payload = {
+    matches = witness.replay(f) == spec.ring.constant(witness.result)
+    data = {
         "steps": [
             {"kind": s.kind, "j": s.j, "element": b_element_to_data(s.element)}
             for s in witness.steps
         ],
         "result": format_fraction(witness.result),
-        "replay_matches": replay == spec.ring.constant(witness.result),
+        "replay_matches": matches,
     }
-    if args.json:
-        print(_dump(payload))
-    else:
-        print(f"{len(witness.steps)} steps reduce the element to {witness.result} * symbol")
-        for i, s in enumerate(witness.steps):
-            print(f"  [{i}] {s.kind} on t{s.j}: {s.element}")
-    return 0 if payload["replay_matches"] else 1
+    text = [f"{len(witness.steps)} steps reduce the element to {witness.result} * symbol"]
+    text += [f"  [{i}] {s.kind} on t{s.j}: {s.element}" for i, s in enumerate(witness.steps)]
+    return 0 if matches else 1, data, "\n".join(text)
 
 
-def _cmd_verify(args) -> int:
-    config = _suite_config(args)
+def _cmd_verify(args, config):
     report = run_verification(args.suite, config)
-    if args.json:
-        print(_dump(report.to_data()))
-        print(f"wall time {report.wall_time_s:.2f}s", file=sys.stderr)
-    else:
-        for line in report.summary_lines():
-            print(line)
-    return 0 if report.ok else 1
+    print(f"wall time {report.wall_time_s:.2f}s", file=sys.stderr)
+    return 0 if report.ok else 1, report.to_data(), "\n".join(report.summary_lines())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,13 +246,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, data, text = args.func(args, _suite_config(args))
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(_dump(data) if args.json else text)
+    return code
 
 
 if __name__ == "__main__":

@@ -208,8 +208,8 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
     level p is the complete symmetric function h_p of the power sums
     alpha(-m) (Macdonald, Symmetric Functions and Hall Polynomials, I.2),
     a fixed combination of c-direction creation words merged into each
-    state, read from ``_creation_level`` in ``combination``'s integer form
-    and divided back.  side = -1 is
+    state, read from ``_creation_half`` with no creating field in
+    ``combination``'s integer form and divided back.  side = -1 is
     the annihilation half E^+(-alpha, z): alpha lies in the charge lattice,
     so alpha(m) removes one d_i(-m) factor with weight m k alpha_i, and the
     exponential shifts every d_i(-m) factor by -k alpha_i z^(-m); level p
@@ -221,7 +221,7 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
         return states
     out: dict = {}
     if side > 0:
-        level, den = _creation_level(alpha, p)
+        level, den = _creation_half((), alpha, p)
         for (word, label), c in states.items():
             for creations, q in level:
                 accumulate(out, (merge_words(word, creations), label), c * q)
@@ -231,31 +231,6 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
             for rest, q in _annihilation_level(word, alpha, cfg.k, p):
                 accumulate(out, (rest, label), c * q)
     return out
-
-
-@lru_cache(maxsize=None)
-def _creation_level(alpha: tuple, p: int) -> tuple:
-    """h_p of the power sums alpha(-m) as (pairs, den): (canonical word,
-    integer numerator) pairs over one denominator den, which divides p!.
-
-    Newton's identity p h_p = sum_{m=1..p} alpha(-m) h_(p-m) builds each
-    level from the lower ones, all cached.  This cache is the closed form's
-    one representation, read by ``dressing``, ``_creation_half`` and
-    ``Field.coefficient``.
-    """
-    if p == 0:
-        return (((), 1),), 1
-    out, den = {}, 1  # integer numerators over den
-    for m in range(1, p + 1):
-        level, d = _creation_level(alpha, p - m)
-        den = rescale(out, den, d)
-        scale = den // d
-        factors = [((encode(i, m),), a_i * scale) for i, a_i in enumerate(alpha) if a_i]
-        for word, c in level:
-            for factor, q in factors:
-                accumulate(out, merge_words(word, factor), c * q)
-    den = reduce(out, den * p)
-    return tuple(out.items()), den
 
 
 @lru_cache(maxsize=None)
@@ -446,15 +421,28 @@ def _creation_half(fields: tuple, alpha: tuple, level: int) -> tuple:
 
     It is the sum, over modes m_i >= n_i with sum m_i <= L, of
     prod C(m_i-1, n_i-1) h_i(-m_i) times h_(L - sum m_i) of the power sums
-    alpha(-m).  Like ``_creation_level``, which it is at L when no field
-    creates, it is cached in its one representation, (pairs, den): (canonical
-    word, integer numerator) pairs over one denominator den, which divides L!.
+    alpha(-m).  With no creating field it is h_L itself, which Newton's
+    identity L h_L = sum_{m=1..L} alpha(-m) h_(L-m) builds from the lower
+    levels.  Every level is cached in its one representation, (pairs, den):
+    (canonical word, integer numerator) pairs over one denominator den,
+    which divides L!.
     """
+    out, den = {}, 1  # integer numerators over den
     if not fields:
-        return _creation_level(alpha, level)
+        if level == 0:
+            return (((), 1),), 1
+        for m in range(1, level + 1):
+            half, d = _creation_half((), alpha, level - m)
+            den = rescale(out, den, d)
+            scale = den // d
+            factors = [((encode(i, m),), a_i * scale) for i, a_i in enumerate(alpha) if a_i]
+            for word, c in half:
+                for factor, q in factors:
+                    accumulate(out, merge_words(word, factor), c * q)
+        den = reduce(out, den * level)
+        return tuple(out.items()), den
     (dir_, n_i), rest = decode(fields[0]), fields[1:]
     top = level - fock_weight(rest)
-    out, den = {}, 1  # integer numerators over den
     for m in range(n_i, top + 1):
         half, d = _creation_half(rest, alpha, level - m)
         den = rescale(out, den, d)

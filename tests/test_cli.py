@@ -54,6 +54,15 @@ def test_eval_zhu_emits_raw_and_reduced(tmp_path, capsys):
     assert len(out["raw"]["terms"]) == 2
 
 
+def test_eval_zhu_text(tmp_path, capsys):
+    u = write(tmp_path, "u.json", {"terms": [{"coeff": "1", "fock": [[2, 1]], "charge": [0, 0]}]})
+    v = write(tmp_path, "v.json", charge_doc((1, 0)))
+    assert main(["eval", "zhu", u, v]) == 0
+    assert capsys.readouterr().out == (
+        "raw:     e^{c1} + d1(-1)e^{c1}\n"
+        "reduced: e[1,0] + e[1,0]*d1\n")
+
+
 def test_eval_act_on_omega(tmp_path, capsys):
     x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"d": 1}]}]})
     f = write(tmp_path, "f.json", [{"coeff": "1", "exponents": [1, 0]}])
@@ -200,6 +209,21 @@ def test_decide_iso(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"isomorphic": False, "shifts": None}
 
 
+def test_decide_iso_text(tmp_path, capsys):
+    s1 = write(tmp_path, "s1.json", {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]})
+    s2 = write(
+        tmp_path, "s2.json",
+        {"mu": 2,
+         "f": [[{"coeff": "1", "exponents": [1, 0]}, {"coeff": "3", "exponents": [0, 0]}]],
+         "a": ["2"]},
+    )
+    s3 = write(tmp_path, "s3.json", {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["7"]})
+    assert main(["decide", "iso", s1, s2]) == 0
+    assert capsys.readouterr().out == "isomorphic; monomial shifts [3]\n"
+    assert main(["decide", "iso", s1, s3]) == 0
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
 def test_decide_amodule(tmp_path, capsys):
     good = write(
         tmp_path, "good.json",
@@ -221,6 +245,27 @@ def test_decide_amodule(tmp_path, capsys):
     assert not out["commuting"] and out["failing_pair"] == [1, 2]
 
 
+def test_decide_amodule_text(tmp_path, capsys):
+    good = write(
+        tmp_path, "good.json",
+        {"mu": 3,
+         "f": [[{"coeff": "1", "exponents": [1, 1]}], [{"coeff": "1", "exponents": [1, 1]}]],
+         "a": []},
+    )
+    bad = write(
+        tmp_path, "bad.json",
+        {"mu": 3,
+         "f": [[{"coeff": "1", "exponents": [0, 1]}], [{"coeff": "1", "exponents": [1, 0]}]],
+         "a": []},
+    )
+    assert main(["decide", "amodule", good]) == 0
+    assert capsys.readouterr().out == (
+        "descends to the commutative quotient; potential P = t1*t2\n")
+    assert main(["decide", "amodule", bad]) == 0
+    assert capsys.readouterr().out == (
+        "does not descend: degree derivations disagree on pair (1, 2)\n")
+
+
 def test_witness_simplicity(tmp_path, capsys):
     spec = write(tmp_path, "s.json", {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]})
     f = write(tmp_path, "f.json", [{"coeff": "1", "exponents": [1, 1]}])
@@ -240,6 +285,29 @@ def test_witness_simplicity(tmp_path, capsys):
         "2 steps reduce the element to -1 * symbol\n"
         "  [0] derive on t1: e[-1,0]*d1 - e[-1,0]*e[1,0]\n"
         "  [1] difference on t2: -1 + 1/2*e[0,1]\n")
+
+
+def test_witness_simplicity_refuses_large_exponents(tmp_path, capsys):
+    # the reduction's cost grows about as the cube of the exponent, so the
+    # command stops at 64, and an exponent of 2^70 is refused before any work
+    spec = write(tmp_path, "s.json", {"mu": 1, "f": [], "a": ["2"]})
+    f = write(tmp_path, "f.json", [{"coeff": "1", "exponents": [64]}])
+    assert main(["--nu", "1", "--json", "witness", "simplicity", spec, f]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["replay_matches"] and len(out["steps"]) == 64
+    for e in (65, 2**70):
+        f = write(tmp_path, "f.json", [{"coeff": "1", "exponents": [e]}])
+        assert main(["--nu", "1", "witness", "simplicity", spec, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: f: exponent {e} exceeds the witness limit of 64 in absolute value\n")
+    # a negative exponent on a Laurent variable is bounded the same way
+    spec = write(tmp_path, "s.json", {"mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]],
+                                      "a": ["2"]})
+    f = write(tmp_path, "f.json", [{"coeff": "1", "exponents": [-65, 1]}])
+    assert main(["witness", "simplicity", spec, f]) == 2
+    assert "f: exponent 65 exceeds the witness limit" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_is_input_error(capsys):

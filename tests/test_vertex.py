@@ -799,6 +799,34 @@ def test_translation_derivative_property():
             assert y_coefficient(du, n, w, ctx) == -n * y_coefficient(u, n - 1, w, ctx)
 
 
+@pytest.mark.parametrize("nu, k", [(1, 1), (2, 1), (2, 2), (2, -1), (1, 3)])
+def test_skew_symmetry(nu, k):
+    # u_n v = sum_{i>=0} (-1)^(n+i+1) D^(i) v_(n+i) u with D x = x_(-2) 1 and
+    # D^(i) = D^i / i!, the sum cut at the top of v's field on u: it swaps the
+    # acting and the target state, which no suite does
+    cfg = LatticeConfig(nu=nu, k=k)
+    ctx = adjoint_context(cfg)
+    one = vacuum(nu)
+    rng = random.Random(31 + 10 * nu + k)
+    nonzero = 0
+    for _ in range(12):
+        u = rand_velement(rng, cfg, max_weight=2)
+        v = rand_velement(rng, cfg, max_weight=2)
+        field = Field(v, u, ctx)
+        for n in range(-3, 3):
+            rhs = ctx.zero
+            for i in range(field.top - n + 1):
+                x = field.coefficient(n + i)
+                for _ in range(i):
+                    x = nth_product(cfg, x, -2, one)
+                sign = 1 if (n + i + 1) % 2 == 0 else -1
+                rhs = rhs + x * Fraction(sign, factorial(i))
+            lhs = nth_product(cfg, u, n, v)
+            assert lhs == rhs, (u, n, v)
+            nonzero += not lhs.is_zero()
+    assert nonzero > 0
+
+
 # -- the exponential dressing --------------------------------------------------------
 
 
