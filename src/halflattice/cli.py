@@ -19,9 +19,13 @@ the other layers it reads when it runs.
 
 ``main`` reads the config once and prints: each command returns its exit
 code, JSON data and text, and writes nothing to stdout.  ``verify`` writes
-its wall time, which the JSON report leaves out, to stderr.  ``witness
-simplicity`` refuses an f with an exponent above 64 in absolute value, as
-the reduction's cost grows about as the cube of the exponent.
+its wall time, which the JSON report leaves out, to stderr.  One limit,
+64 in absolute value, bounds the exponents that a function module expands
+densely, t_i^e into (t_i - m)^e and a_i^m: ``witness simplicity`` refuses
+an f with a larger exponent, as the reduction's cost grows about as the
+cube of the exponent, and ``eval act`` on a function module refuses, before
+it acts, an m with a larger exponent of a polynomial-only variable and an
+x with a larger charge entry in a polynomial-only direction.
 """
 
 from __future__ import annotations
@@ -47,7 +51,16 @@ from .serialize import (
 )
 from .suites import SUITES, SuiteConfig, run_verification
 
-WITNESS_EXPONENT_LIMIT = 64
+EXPONENT_LIMIT = 64
+
+
+def _bounded(path: str, what: str, values, limit: str = "limit") -> None:
+    """Refuse, naming path, the largest of the integers values when it
+    exceeds EXPONENT_LIMIT in absolute value."""
+    top = max(map(abs, values), default=0)
+    if top > EXPONENT_LIMIT:
+        raise SchemaError(path, f"{what} {top} exceeds the {limit}"
+                                f" of {EXPONENT_LIMIT} in absolute value")
 
 
 def _dump(data) -> str:
@@ -125,6 +138,10 @@ def _cmd_eval_act(args, config):
     handle = w_handle_from_data(_load_doc(args.module), cfg, "module")
     if isinstance(handle, OmegaSpec):
         f = laurent_from_data(_load_doc(args.m), handle.ring, "m")
+        cut = handle.mu - 1  # t_mu..t_nu are polynomial-only
+        _bounded("m", "polynomial-variable exponent", (e for exps in f.terms for e in exps[cut:]))
+        _bounded("x", "polynomial-direction charge entry",
+                 (m for word in x.terms for kind, arg in word if kind == "e" for m in arg[cut:]))
         result = act_on_omega_module(x, f, handle)
         return 0, laurent_to_data(result), str(result)
     m = weight_vector_from_data(_load_doc(args.m), handle, "m")
@@ -167,10 +184,7 @@ def _cmd_witness_simplicity(args, config):
     f = laurent_from_data(_load_doc(args.f), spec.ring, "f")
     if f.is_zero():
         raise SchemaError("f", "the zero element admits no reduction witness")
-    top = max(abs(e) for exps in f.terms for e in exps)
-    if top > WITNESS_EXPONENT_LIMIT:
-        raise SchemaError("f", f"exponent {top} exceeds the witness limit"
-                               f" of {WITNESS_EXPONENT_LIMIT} in absolute value")
+    _bounded("f", "exponent", (e for exps in f.terms for e in exps), "witness limit")
     witness = simplicity_witness(spec, f)
     matches = witness.replay(f) == spec.ring.constant(witness.result)
     data = {

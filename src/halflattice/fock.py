@@ -8,9 +8,11 @@ each factor as one ``int``, its code -mode * 2**16 + direction, so a word
 is a tuple of ints and the code's natural order is the canonical order of
 factors: descending mode, then ascending direction.  A canonical word is
 its codes sorted, merging two canonical words is one plain sort, and words
-hash as tuples of ints.  ``encode`` and ``decode`` are the one way between
-a factor's (direction, mode) and its code; ``encode`` rejects a direction
-at or past ``DIRECTION_LIMIT`` = 2**16.
+hash as tuples of ints; ``add_products`` is the one loop that multiplies
+states by a combination of words, merging and adding term by term.
+``encode`` and ``decode`` are the one way between a factor's (direction,
+mode) and its code; ``encode`` rejects a direction at or past
+``DIRECTION_LIMIT`` = 2**16.
 
 The public constructors take (direction, mode) pairs: the ``_key`` of a
 ``VElement`` or ``ModuleElement`` puts every word through ``fock_word``,
@@ -74,6 +76,28 @@ def fock_word(factors: Iterable, nu: int) -> FockWord:
 def merge_words(word: FockWord, other: FockWord) -> FockWord:
     """Canonical product of two canonical Fock monomials."""
     return tuple(sorted(word + other))
+
+
+def add_products(out: dict, terms, half, scale=1) -> dict:
+    """Add scale c q under (merge_words(word, created), label) into out, in
+    place, for each ((word, label), c) of terms and (created, q) of half,
+    and return out: the product of states with a creation half, the one
+    loop behind a field's coefficients and ``vertex.dressing``'s creation
+    side.  It adds by ``combination.accumulate``'s rule, inlined, so the
+    keys keep that order; no c or q may be zero.  A word merged with the
+    empty word is the other word, with no sort."""
+    get = out.get
+    for (word, label), c in terms:
+        if scale != 1:
+            c *= scale
+        for created, q in half:
+            key = (tuple(sorted(word + created)) if word and created else word or created, label)
+            value = get(key, 0) + c * q
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+    return out
 
 
 def fock_weight(word: FockWord) -> int:

@@ -19,13 +19,17 @@ splits in two halves.  The annihilation half is enumerated by annihilation
 pattern: each field of u either creates or acts with a mode j >= 0.  A
 positive mode contracts only with a factor of the same mode in the partner
 direction (c_i with d_i), so the patterns offer a field only the modes
-that the target word holds in its partner direction; every pattern left out
-would annihilate the state.  Per pattern the contractions and zero modes,
-then the charge shift, run once, and the annihilation dressing once per
-level a; none depends on n.  The contractions and the dressing act on words
-only, the zero modes and the charge shift on labels only, so each of the
-first two commutes with each of the last two; the zero modes still act
-before the charge shift, with which they do not commute.  The creation
+that the target word holds in its partner direction, and a c-direction zero
+mode multiplies by the scalar (c_i, lam), so it is offered only where that
+pairing is nonzero: never on the algebra itself.  Every pattern left out
+would annihilate the state.  The context keeps the live patterns of each
+(u word, target word) pair, so every field it prepares reads them from one
+enumeration.  Per pattern the contractions and zero modes, then the
+charge shift, run once, and the annihilation dressing once per level a;
+none depends on n.  The contractions and the dressing act on words only,
+the zero modes and the charge shift on labels only, so each of the first
+two commutes with each of the last two; the zero modes still act before
+the charge shift, with which they do not commute.  The creation
 half, everything left of the charge shift, depends only on the creating
 fields, alpha and the z-power L it must supply, and is the cached closed form
 
@@ -36,13 +40,16 @@ where h_p(alpha) is level p of the creation dressing below.  A field adds
 in Python ``int``s from setup to coefficient, in the integer form of
 ``combination``: its groups, its creation closed forms (over a denominator
 dividing L!) and each coefficient are integer numerators over one
-denominator, kept as the field's one table of n.
+denominator, kept as the field's one table of n.  A coefficient multiplies
+each group's states by its creation half in ``fock.add_products``, the one
+merge-and-add loop, which ``dressing``'s creation side shares.
 
 Words are ``fock``'s coded words, tuples of factor codes in canonical
-order.  The engine merges two words by one plain sort (``merge_words``),
-hashes them as tuples of ints, and builds a factor with ``fock.encode``.  A
-contraction matches codes: h(n), n > 0, removes one factor whose code is that
-of (partner direction, n) and scales by how many the word holds.  Only a rule
+order.  The engine merges two words by one plain sort (``merge_words``;
+``add_products`` skips it when either word is empty), hashes them as tuples
+of ints, and builds a factor with ``fock.encode``.  A contraction matches
+codes: h(n), n > 0, removes one factor whose code is that of (partner
+direction, n) and scales by how many the word holds.  Only a rule
 that reads a factor's direction or mode decodes it with ``fock.decode``: the
 annihilation patterns and the creation half, which read u's fields, and the
 annihilation dressing, which reads the target's d-factors.
@@ -77,7 +84,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .combination import accumulate, add_scaled, divided, numerators, rational, reduce, rescale
-from .fock import ModuleElement, VElement, act_on_labels, decode, encode, fock_weight, merge_words
+from .fock import (ModuleElement, VElement, act_on_labels, add_products, decode, encode,
+                   fock_weight, merge_words)
 from .lattice import LatticeConfig, LatticeVector, WeightModule
 
 
@@ -93,13 +101,15 @@ class OperatorContext:
     context's rank, or a ``ModuleElement`` of its module.  It owns the
     integer pairings (c_i, lam) = k lam_i, the c_i zero-mode scalars behind
     every charge power z^alpha, and rejects a lam whose pairing with some
-    c_i is not an integer.  The adjoint is the weight
-    module through the origin: the algebra acting on itself is M(1) tensor
-    C[L_C] at lam = 0, where e_beta translates a charge and d_i acts by its
-    pairing with it, and its states are ``VElement``s.
+    c_i is not an integer.  It memoizes per target, never across contexts:
+    the charge powers, and the live annihilation patterns of each (u word,
+    target word) pair, which depend on the pairings.  The adjoint is the
+    weight module through the origin: the algebra acting on itself is M(1)
+    tensor C[L_C] at lam = 0, where e_beta translates a charge and d_i acts
+    by its pairing with it, and its states are ``VElement``s.
     """
 
-    __slots__ = ("cfg", "lam", "handle", "zero", "pairings", "_powers")
+    __slots__ = ("cfg", "lam", "handle", "zero", "pairings", "_powers", "_patterns")
 
     def __init__(self, lam: LatticeVector, handle, zero):
         self.cfg = cfg = handle.cfg
@@ -112,6 +122,7 @@ class OperatorContext:
                 raise ValueError(f"(c{i + 1}, lam) = {value} is not an integer; "
                                  "module weights must pair integrally with every charge")
         self._powers: dict = {}
+        self._patterns: dict = {}
 
     def charge_power(self, charge: tuple) -> int:
         """Exponent of the scalar power shift z^alpha for this target (memoized)."""
@@ -119,6 +130,24 @@ class OperatorContext:
         if power is None:
             power = self._powers[charge] = sum(m * p for m, p in zip(charge, self.pairings))
         return power
+
+    def patterns(self, fields: tuple, word: tuple) -> tuple:
+        """The live annihilation patterns of u's coded word fields on the
+        target word, memoized per (fields, word) pair, as rows (modes,
+        coefficient, creating fields, drawn): modes the (direction, j) of
+        the fields that do not create, in field order, and drawn the sum of
+        their positive j.  ``_annihilation_patterns`` enumerates them once,
+        with this context's pairings."""
+        key = (fields, word)
+        rows = self._patterns.get(key)
+        if rows is None:
+            rows = []
+            for js, coeff in _annihilation_patterns(fields, word, self.pairings):
+                modes = tuple((decode(f)[0], j) for f, j in zip(fields, js) if j is not None)
+                creating = tuple(f for f, j in zip(fields, js) if j is None)
+                rows.append((modes, coeff, creating, sum(j for _, j in modes)))
+            rows = self._patterns[key] = tuple(rows)
+        return rows
 
     def element(self, terms: dict):
         """The element of terms, or the shared ``zero`` for none (never mutated)."""
@@ -208,8 +237,9 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
     level p is the complete symmetric function h_p of the power sums
     alpha(-m) (Macdonald, Symmetric Functions and Hall Polynomials, I.2),
     a fixed combination of c-direction creation words merged into each
-    state, read from ``_creation_half`` with no creating field in
-    ``combination``'s integer form and divided back.  side = -1 is
+    state by ``fock.add_products``, read from ``_creation_half`` with no
+    creating field in ``combination``'s integer form and divided back.
+    side = -1 is
     the annihilation half E^+(-alpha, z): alpha lies in the charge lattice,
     so alpha(m) removes one d_i(-m) factor with weight m k alpha_i, and the
     exponential shifts every d_i(-m) factor by -k alpha_i z^(-m); level p
@@ -222,10 +252,7 @@ def dressing(cfg: LatticeConfig, states: dict, alpha: tuple, p: int, side: int) 
     out: dict = {}
     if side > 0:
         level, den = _creation_half((), alpha, p)
-        for (word, label), c in states.items():
-            for creations, q in level:
-                accumulate(out, (merge_words(word, creations), label), c * q)
-        out = divided(out, den)
+        out = divided(add_products(out, states.items(), level), den)
     else:
         for (word, label), c in states.items():
             for rest, q in _annihilation_level(word, alpha, cfg.k, p):
@@ -262,14 +289,15 @@ class Field:
     For each term h_1(-n_1)...h_s(-n_s) e^alpha of u and each term of w of
     Fock weight b, the field h_i(-n_i) contributes its modes
     gbinom(-j-1, n_i-1) h_i(j) z^(-j-n_i), and the sum splits in two halves.
-    The setup enumerates the rows once: a term pair and an annihilation
+    The setup enumerates the rows once: a term pair and a live annihilation
     pattern (each field either creates or acts with a mode j >= 0, the
-    positive modes drawing at most b).  A row's annihilation half does not
-    depend on n: the setup runs the contractions and zero modes, then the
-    charge shift, once per row, and the annihilation dressing once per (row,
-    a).  Only the creation half depends on n: it is the
-    cached closed form ``_creation_half`` of the creating fields and alpha
-    at the level L = J - n that balances z, where
+    positive modes drawing at most b), read from the context's memo
+    ``ctx.patterns`` with its creating fields and drawn modes.  A row's
+    annihilation half does not depend on n: the setup runs the contractions
+    and zero modes, then the charge shift, once per row, and the
+    annihilation dressing once per (row, a).  Only the creation half
+    depends on n: it is the cached closed form ``_creation_half`` of the
+    creating fields and alpha at the level L = J - n that balances z, where
     J = wt(u) - 1 - p0 + (sum of positive modes) + a and z^p0 is the scalar
     charge power.  Each row runs on the integer pattern coefficient; the
     setup adds cu cw times it into its group, one sum per (creating fields,
@@ -277,12 +305,12 @@ class Field:
     A group vanishes for n > J - (weight of its creating fields), and
     ``top`` is the largest of these (-1 with no group): u_n w = 0 for every
     n > top.  ``integer_form(n)`` merges each group whose creation half at
-    J - n is nonzero into every word of that group, adding ``int``s, and
-    keeps the form in the field's one table of n; ``coefficient(n)``
-    divides it back once, for callers that need an element.  Past top both
-    answer empty, computing and keeping nothing, so the sums of forms read
-    none there.  u is a ``VElement`` of the context's rank, and w passes the
-    target check ``ctx.zero._check``.
+    J - n is nonzero into every word of that group by ``fock.add_products``,
+    adding ``int``s, and keeps the form in the field's one table of n;
+    ``coefficient(n)`` divides it back once, for callers that need an
+    element.  Past top both answer empty, computing and keeping nothing, so
+    the sums of forms read none there.  u is a ``VElement`` of the
+    context's rank, and w passes the target check ``ctx.zero._check``.
     """
 
     __slots__ = ("ctx", "top", "_groups", "_forms", "_elements")
@@ -300,23 +328,20 @@ class Field:
         sums: dict = {}
         for (ufock, alpha), cu in u.terms.items():
             j0 = fock_weight(ufock) - 1 - ctx.charge_power(alpha)  # J at no drawn mode, a = 0
-            udirs = [dir_ for dir_, _ in map(decode, ufock)]
             charged = any(alpha)
             for (wfock, label), cw in w.terms.items():
                 budget = fock_weight(wfock)
                 cuw = cu * cw
-                for js, coeff in _annihilation_patterns(ufock, wfock, cfg.nu):
+                for modes, coeff, creating, drawn in ctx.patterns(ufock, wfock):
                     states = {(wfock, label): coeff}
-                    for dir_, j in zip(udirs, js):
-                        if j is not None and states:
+                    for dir_, j in modes:
+                        if states:
                             states = _dir_mode({}, 1, dir_, j, states, ctx)
                     # zero modes act before the charge shift
                     if states and charged:
                         states = act_on_labels({}, 1, states, ctx.handle.e_action, alpha)
                     if not states:
                         continue
-                    creating = tuple(f for f, j in zip(ufock, js) if j is None)
-                    drawn = sum(j for j in js if j)
                     for a in range((budget - drawn if charged else 0) + 1):
                         mid = dressing(cfg, states, alpha, a, -1)
                         if mid:
@@ -350,11 +375,7 @@ class Field:
                 half, hd = _creation_half(creating, alpha, shift - n)
                 d *= hd
                 den = rescale(out, den, d)
-                scale = den // d
-                for (word, lab), c in mid:
-                    c *= scale
-                    for created, q in half:
-                        accumulate(out, (merge_words(word, created), lab), c * q)
+                add_products(out, mid, half, den // d)
             form = self._forms[n] = (out, reduce(out, den))
         return form
 
@@ -379,7 +400,7 @@ def y_coefficient(u: VElement, n: int, w, ctx: OperatorContext):
     return Field(u, w, ctx).coefficient(n)
 
 
-def _annihilation_patterns(fields: tuple, word: tuple, nu: int):
+def _annihilation_patterns(fields: tuple, word: tuple, pairings: tuple):
     """Yield (js, coefficient) for every annihilation pattern of the fields on word.
 
     fields is u's coded word, its factors h_i(-n_i), and word a coded target
@@ -387,24 +408,32 @@ def _annihilation_patterns(fields: tuple, word: tuple, nu: int):
     positive modes sum to at most the weight of word.  A mode j > 0 of a
     direction contracts only with a factor of mode j in its partner
     direction (c_i with d_i), and annihilators never create factors, so a
-    positive j is offered only where word has such a factor: every other
-    pattern leaves the empty state.  The coefficient is the product of the
-    derivative-field weights gbinom(-j-1, n_i-1) of the fields that do not
-    create (never zero for j >= 0).
+    positive j is offered only where word has such a factor.  A c-direction
+    zero mode is the scalar (c_i, lam) of ``pairings``, one per c-direction
+    (so nu is their number), and j = 0 is offered to such a field only where
+    it is nonzero; a d-direction zero mode acts on the labels and is always
+    offered.  Every pattern left out leaves the empty state.  The
+    coefficient is the product of the derivative-field weights
+    gbinom(-j-1, n_i-1) of the fields that do not create (never zero for
+    j >= 0).  ``OperatorContext.patterns`` keeps what this yields.
     """
-    fields = tuple(map(decode, fields))
+    nu = len(pairings)
     partner_modes: dict = {}  # direction -> ascending modes it can contract with
     for dir_, mode in map(decode, reversed(word)):
         modes = partner_modes.setdefault(dir_ + nu if dir_ < nu else dir_ - nu, [])
         if not modes or modes[-1] != mode:
             modes.append(mode)
+    offers = []  # per field: (n_i, the js it is offered)
+    for dir_, n_i in map(decode, fields):
+        zero = (0,) if dir_ >= nu or pairings[dir_] else ()
+        offers.append((n_i, (None, *zero, *partner_modes.get(dir_, ()))))
 
     def patterns(i: int, budget: int):
-        if i == len(fields):
+        if i == len(offers):
             yield (), 1
             return
-        dir_, n_i = fields[i]
-        for j in (None, 0, *partner_modes.get(dir_, ())):
+        n_i, js = offers[i]
+        for j in js:
             if j and j > budget:
                 break
             c = 1 if j is None else gbinom(-j - 1, n_i - 1)

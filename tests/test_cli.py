@@ -114,6 +114,56 @@ def test_eval_act_checks_the_exponents_of_a_zero_coefficient(tmp_path, capsys):
         "input error: m[0].exponents: variable t2 is polynomial-only but has exponent -1\n")
 
 
+def test_eval_act_refuses_large_polynomial_exponents(tmp_path, capsys, monkeypatch):
+    # e_alpha expands a polynomial-only t_j^e densely into a_j^m (t_j - m)^e
+    # over alpha's entry m, so an exponent of t2 in m, or an entry of x's
+    # charge in direction 2, above 64 in absolute value is refused before
+    # the module acts; 64 acts, and the Laurent variable t1, which e_alpha
+    # only shifts, is not bounded
+    from halflattice import assoc
+
+    module = write(
+        tmp_path, "w.json",
+        {"kind": "omega", "mu": 2, "f": [[{"coeff": "1", "exponents": [1, 0]}]], "a": ["2"]},
+    )
+
+    def word(charge):
+        return {"words": [{"coeff": "1", "factors": [{"e": list(charge)}]}]}
+
+    def run(x, exponents):
+        x = write(tmp_path, "x.json", x)
+        m = write(tmp_path, "m.json", [{"coeff": "1", "exponents": list(exponents)}])
+        return main(["--json", "eval", "act", x, m, "--module", module])
+
+    assert run(word((0, 1)), (0, 64)) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 65  # 2 (t2 - 1)^64
+    assert run(word((0, 64)), (100, 1)) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"coeff": str(-64 * 2**64), "exponents": [100, 0]},
+        {"coeff": str(2**64), "exponents": [100, 1]},
+    ]
+    assert run(word((-1000, -64)), (-1000, 0)) == 0
+    assert json.loads(capsys.readouterr().out) == [{"coeff": "1/18446744073709551616",
+                                                    "exponents": [-2000, 0]}]
+
+    def refused(*args):
+        raise AssertionError("the module acted on a refused input")
+
+    monkeypatch.setattr(assoc, "act_on_omega_module", refused)
+    for e in (65, 2**70):
+        assert run(word((0, 1)), (0, e)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: m: polynomial-variable exponent {e}"
+                                " exceeds the limit of 64 in absolute value\n")
+    for e in (65, -65, 2**70, -2**70):
+        assert run(word((0, e)), (0, 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: x: polynomial-direction charge entry {abs(e)}"
+                                " exceeds the limit of 64 in absolute value\n")
+
+
 def test_eval_act_on_weight(tmp_path, capsys):
     x = write(tmp_path, "x.json", {"words": [{"coeff": "1", "factors": [{"e": [0, 1]}]}]})
     m = write(tmp_path, "m.json", [{"coeff": "1", "point": ["1/2", "0"]}])

@@ -608,7 +608,7 @@ def rational_field(u, w, ctx, window):
         top = fock_weight(ufock) - 1 - ctx.charge_power(alpha)
         charged = any(alpha)
         for (wfock, label), cw in w.terms.items():
-            for js, coeff in _annihilation_patterns(ufock, wfock, ctx.cfg.nu):
+            for js, coeff in _annihilation_patterns(ufock, wfock, ctx.pairings):
                 states = {(wfock, label): cu * cw * coeff}
                 for (dir_, _), j in zip(map(decode, ufock), js):
                     if j and states:
@@ -712,26 +712,45 @@ def unpruned_patterns(fields, budget: int):
 @pytest.mark.parametrize("nu", [1, 2])
 @pytest.mark.parametrize("k", [1, -1])
 def test_pruned_patterns_drop_only_annihilated_states(nu, k):
+    # Every dropped pattern, with all of its modes applied, zero modes
+    # included, leaves the empty state: a positive mode finds no partner
+    # factor, or a c-direction zero mode multiplies by (c_i, lam) = 0.  The
+    # contexts add a weight module at lam = d_1, where (c_1, lam) = k and
+    # every other pairing is zero, so at nu = 2 one context both keeps and
+    # drops c-direction zero modes; the adjoint drops them all.  The modes
+    # commute (contractions read words, zero modes scalars and labels), so
+    # their order here does not matter.
     cfg = LatticeConfig(nu, k)
     units = [cfg.dir_vector(i) for i in range(cfg.ndirs)]
+    contexts = oracle_contexts(cfg) + [
+        module_operator_context(cfg.vector(d=[1] + [0] * (nu - 1)), WeightModule(cfg))]
     kept = dropped = 0
-    for ctx in oracle_contexts(cfg):
+    czero = Counter()  # (some pairing nonzero, kept) -> patterns with a c zero mode
+    for ctx in contexts:
+        live = any(ctx.pairings)
         for w in oracle_targets(ctx):
             for u in oracle_actors(nu):
                 for ufock, _ in u.terms:
+                    dirs = [dir_ for dir_, _ in map(decode, ufock)]
                     for wfock, label in w.terms:
-                        pruned = dict(_annihilation_patterns(ufock, wfock, nu))
+                        pruned = dict(_annihilation_patterns(ufock, wfock, ctx.pairings))
                         full = dict(unpruned_patterns(ufock, fock_weight(wfock)))
                         assert pruned.items() <= full.items()
+                        for js in full:
+                            if any(j == 0 and dir_ < nu for dir_, j in zip(dirs, js)):
+                                czero[live, js in pruned] += 1
                         for js in full.keys() - pruned.keys():
                             s = ctx.element({(wfock, label): 1})
-                            for (dir_, _), j in zip(map(decode, ufock), js):
-                                if j:
+                            for dir_, j in zip(dirs, js):
+                                if j is not None:
                                     s = apply_heisenberg_mode(units[dir_], j, s, ctx)
                             assert s.is_zero(), (ufock, wfock, js)
                         kept += len(pruned)
                         dropped += len(full) - len(pruned)
     assert kept and dropped
+    assert czero[True, True] and czero[False, False] and not czero[False, True]
+    if nu > 1:
+        assert czero[True, False]
 
 
 # -- conformal structure ---------------------------------------------------------------
